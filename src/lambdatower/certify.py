@@ -47,6 +47,7 @@ from .witt import HermitianForm, WittClass, hilbert_symbol, witt_invariants
 __all__ = [
     "CERTIFICATE_KINDS",
     "Certificate",
+    "default_family",
     "family_certificate",
     "independence_certificate",
     "z2_certificate",
@@ -176,6 +177,20 @@ def _nonzero_lift_count(tower, word, theta) -> int:
     return count
 
 
+def _deck_prime(q: int) -> int:
+    split = prime_power_split(q)
+    if split is None or q < 3:
+        raise ValueError(f"q must be a prime power > 2, got {q}")
+    return split[0]
+
+
+def default_family(q: int) -> KnotFamily:
+    """The three-knot family certified against towers of deck order q: seed
+    order q, or p^2 when q = p is too small for a window."""
+    p = _deck_prime(q)
+    return build_family(p, 3, q if q >= 4 else p * p)
+
+
 def independence_certificate(m: int, n: int, q: int,
                              family: Optional[KnotFamily] = None,
                              cap_edges: int = DEFAULT_CAP_EDGES) -> Certificate:
@@ -188,12 +203,9 @@ def independence_certificate(m: int, n: int, q: int,
     and, at p = 2, nonnegativity of each diagonal knot's signatures at all of
     its own roots.
     """
-    split = prime_power_split(q)
-    if split is None or q < 3:
-        raise ValueError(f"q must be a prime power > 2, got {q}")
-    p = split[0]
+    p = _deck_prime(q)
     if family is None:
-        family = build_family(p, 3, q if q >= 4 else p * p)
+        family = default_family(q)
     if family.p != p:
         raise ValueError(
             f"family prime {family.p} does not match tower prime {p}")

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .certify import (
     DEFAULT_CAP_EDGES,
+    default_family,
     family_certificate,
     independence_certificate,
     tower_certificate,
@@ -357,6 +358,10 @@ def _cmd_tower_lift(args):
     if not 0 <= level <= args.n:
         _fail("--level", f"level must be between 0 and {args.n}, got {level}")
     word = parse_word(args.word)
+    for gen, _ in word:
+        if gen >= args.m:
+            _fail("--word", f"word uses generator x{gen}, but there are only "
+                            f"{args.m} strands")
     graph = tower.levels[level]
     lifts = enumerate_lifts(graph, word)
     rows = []
@@ -414,6 +419,11 @@ def _cmd_reproduce_independence(args):
             family = KnotFamily.from_json(data)
         except (ValueError, KeyError, TypeError) as exc:
             _fail("--family", f"bad family description ({exc})")
+    else:
+        try:
+            family = default_family(args.q)
+        except ValueError as exc:
+            _fail("--q", f"no default family for q = {args.q} ({exc})")
     cert = independence_certificate(args.m, args.n, args.q, family=family,
                                     cap_edges=args.cap_edges)
     return cert.to_json(), list(cert.table)
@@ -567,9 +577,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    if args.precision_cap is not None:
-        set_precision_cap(args.precision_cap)
+    old_cap = None
     try:
+        if args.precision_cap is not None:
+            try:
+                old_cap = set_precision_cap(args.precision_cap)
+            except ValueError as exc:
+                _fail("--precision-cap", str(exc))
         payload, rows = args.handler(args)
     except (ResourceCapExceeded, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -577,6 +591,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if old_cap is not None:
+            set_precision_cap(old_cap)
     _emit(payload, rows, args.format, sys.stdout)
     return 0
 

@@ -24,6 +24,7 @@ __all__ = [
     "compare_cos_turns",
     "degree_of",
     "is_prime_power",
+    "precision_cap",
     "prime_power_split",
     "set_precision_cap",
     "zeta",
@@ -47,6 +48,11 @@ def set_precision_cap(bits: int) -> int:
     old = _precision_cap
     _precision_cap = bits
     return old
+
+
+def precision_cap() -> int:
+    """The current hard precision cap in bits."""
+    return _precision_cap
 
 
 def prime_power_split(d: int):
@@ -338,7 +344,7 @@ class _prec:
         iv.prec = self.old
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _cos_table(d: int, prec: int):
     with _prec(prec):
         two_pi = 2 * iv.pi

@@ -9,6 +9,7 @@ so that the i-th knot is invisible at all d_j-th roots of unity for j < i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -89,6 +90,24 @@ def _fold_turns(d: int, s: int) -> Fraction:
     return 1 - u if 2 * u > 1 else u
 
 
+def _twist_bracket(tau: Fraction, n_max: int) -> Optional[int]:
+    """Least n in [2, n_max] with t_n < tau, for 0 < tau < 1/6, else None.
+
+    t_n = arccos(1 - 1/(2n)) / (2 pi) strictly decreases in n, and t_n < tau
+    exactly when n > 1/(2(1 - cos(2 pi tau))) = 1/(4 sin(pi tau)^2).  The
+    float estimate of that bound is corrected by certified comparisons at its
+    neighbours, so the result is exact whatever the rounding error.
+    """
+    half = math.sin(math.pi * tau)
+    bound = 1 / (4 * half * half) if half else math.inf
+    m = max(2, math.floor(min(bound, n_max)) + 1)
+    while m > 2 and _twist_cmp(m - 1, tau) < 0:
+        m -= 1
+    while m <= n_max and _twist_cmp(m, tau) >= 0:
+        m += 1
+    return m if m <= n_max else None
+
+
 def plan_bump(spec: BumpSpec, d: int, s: int, positivity: bool = False,
               n_max: int = 64) -> BumpPlan:
     """Search the twist lattice for a band realizing a bump at zeta_d^s.
@@ -120,7 +139,7 @@ def plan_bump(spec: BumpSpec, d: int, s: int, positivity: bool = False,
         raise BumpSearchError(
             f"no twist jump angle exceeds the target {tau} turns "
             f"(largest is arccos(1/2)/2pi = 1/6); tried n = 1..{n_max}")
-    m = next((n for n in range(2, n_max + 1) if _twist_cmp(n, tau) < 0), None)
+    m = _twist_bracket(tau, n_max)
     if m is None:
         raise BumpSearchError(
             f"no adjacent twist pair brackets the target {tau} turns within "

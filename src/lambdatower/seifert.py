@@ -3,9 +3,10 @@
 A FormalKnot is a connected sum of signed (r,1)-cables of base knots, tracked
 at the level of the abelian invariants everything downstream consumes: the
 signature function sigma(omega) and the Arf invariant.  sigma has two
-independent evaluators that are cross-checked in tests: an exact hermitian
-matrix path at prime-power roots of unity, and a jump-profile path for the
-twist family with exact algebraic jump positions.
+independent evaluators that are cross-checked in tests: a hermitian matrix
+path at prime-power roots of unity, which certifies the inertia by interval
+LDL^H and falls back to exact diagonalization over Q(zeta_d), and a
+jump-profile path for the twist family with exact algebraic jump positions.
 """
 from __future__ import annotations
 
@@ -15,9 +16,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from mpmath import mp
+from mpmath import iv, mp
 
-from .cyclo import compare_cos_turns, is_prime_power, zeta
+from .cyclo import (
+    START_PRECISION,
+    _prec,
+    compare_cos_turns,
+    is_prime_power,
+    precision_cap,
+    zeta,
+)
 from .witt import HermitianForm, diagonalize, signature
 
 __all__ = [
@@ -187,10 +195,59 @@ def _matrix_of(matrix) -> SeifertMatrix:
     return SeifertMatrix.from_rows(matrix)
 
 
-@lru_cache(maxsize=None)
-def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
-    if s == 0:
-        return 0
+def _mignitude(x):
+    """Least absolute value over the interval x, 0 when x straddles zero."""
+    if x.a > 0:
+        return x.a
+    if x.b < 0:
+        return -x.b
+    return 0
+
+
+def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]:
+    """Signature of M(zeta_d^s) by interval LDL^H, or None when undecided.
+
+    At w = e^(2 pi i s/d), M = (1-w)A + (1-w^-1)A^T is the positive multiple
+    2 sin^2(phi) of N = S - i cot(phi) K, with phi = pi s/d, S = A + A^T and
+    K = A - A^T, so N has the inertia of M.  N is eliminated with diagonal
+    pivoting, its real and imaginary parts held as intervals at `prec` bits.
+    When every pivot interval excludes zero, the exact factorization with the
+    same pivot order exists, so by Sylvester's law the pivot signs certify
+    the inertia and M is nonsingular.  A pivot that cannot be separated from
+    zero, as on a zero diagonal, leaves the answer to the exact path.
+    """
+    n = len(rows)
+    with _prec(prec):
+        phi = iv.pi * s / d
+        t = iv.cos(phi) / iv.sin(phi)
+        re = [[iv.mpf(rows[i][j] + rows[j][i]) for j in range(n)]
+              for i in range(n)]
+        im = [[-t * (rows[i][j] - rows[j][i]) for j in range(n)]
+              for i in range(n)]
+        live = list(range(n))
+        sig = 0
+        while live:
+            k = max(live, key=lambda i: _mignitude(re[i][i]))
+            p = re[k][k]
+            if not _mignitude(p):
+                return None
+            sig += 1 if p.a > 0 else -1
+            live.remove(k)
+            # N[i][j] -= N[i][k] N[k][j] / p, where N[k][j] = conj(N[j][k])
+            for i in live:
+                lr, li = re[i][k] / p, im[i][k] / p
+                for j in live:
+                    if j == i:
+                        re[i][i] -= (re[i][k] ** 2 + im[i][k] ** 2) / p
+                    else:
+                        br, bi = re[j][k], -im[j][k]
+                        re[i][j] -= lr * br - li * bi
+                        im[i][j] -= lr * bi + li * br
+        return sig
+
+
+def _exact_signature(rows: tuple, d: int, s: int) -> int:
+    """Signature of M(zeta_d^s) by exact diagonalization over Q(zeta_d)."""
     omega = zeta(d, s)
     omega_bar = omega.conj()
     one_minus = 1 - omega
@@ -208,11 +265,28 @@ def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
     return signature(diag)
 
 
-def omega_signature(matrix, d: int, s: int) -> int:
-    """Signature of (1-w)A + (1-w^-1)A^T at w = zeta_d^s, exact.
+@lru_cache(maxsize=1 << 16)
+def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
+    if s == 0:
+        return 0
+    for prec in (START_PRECISION, 2 * START_PRECISION):
+        if prec > precision_cap():
+            break
+        sig = _interval_signature(rows, d, s, prec)
+        if sig is not None:
+            return sig
+    return _exact_signature(rows, d, s)
 
-    d must be a prime power; at such roots the matrix is never singular for a
-    valid Seifert matrix, so no jump-averaging is ever needed on this path.
+
+def omega_signature(matrix, d: int, s: int) -> int:
+    """Signature of (1-w)A + (1-w^-1)A^T at w = zeta_d^s, certified.
+
+    The inertia is first read off an interval LDL^H factorization at 64 bits,
+    then at 128 bits (never above the precision cap); only when neither
+    separates every pivot from zero does the exact diagonalization over
+    Q(zeta_d) decide.  Both paths give the exact signature.  d must be a
+    prime power; at such roots the matrix is never singular for a valid
+    Seifert matrix, so no jump-averaging is ever needed on this path.
     """
     mat = _matrix_of(matrix)
     if not is_prime_power(d):

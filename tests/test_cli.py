@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lambdatower import cyclo
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import alpha_word, beta_word
 from lambdatower.knotforge import FamilyEntry, KnotFamily
@@ -177,6 +178,12 @@ class TestTowerCommands:
         assert code == 2
         assert "--level" in err
 
+    def test_lift_generator_validation(self, capsys):
+        code, out, err = run(capsys, "tower", "lift", "--m", "2", "--n", "1",
+                             "--q", "4", "--word", "x5")
+        assert code == 2
+        assert "--word" in err
+
     def test_verify(self, capsys):
         data = run_json(capsys, "tower", "verify", "--m", "2", "--n", "1",
                         "--q", "4")
@@ -266,6 +273,13 @@ class TestReproduceCommands:
                         "--n", "1", "--q", "4", "--family", str(path))
         assert data["verdict"] == "FAIL"
 
+    def test_independence_order_without_family(self, capsys):
+        # the seed order 5 leaves no window for the default family
+        code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                             "--n", "1", "--q", "5")
+        assert code == 2
+        assert "--q" in err
+
     def test_independence_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
                              "--n", "1", "--q", "4",
@@ -315,6 +329,19 @@ class TestHarness:
         data = run_json(capsys, "sig", "--knot", "trefoil", "--d", "4",
                         "--s", "1", "--precision-cap", "256")
         assert data["sigma"] == -2
+
+    def test_precision_cap_restored(self, capsys):
+        before = cyclo.precision_cap()
+        run_json(capsys, "sig", "--knot", "trefoil", "--d", "4", "--s", "1",
+                 "--precision-cap", "256")
+        assert cyclo.precision_cap() == before
+
+    def test_precision_cap_validation(self, capsys):
+        code, out, err = run(capsys, "hilbert", "--a", "1", "--b", "1",
+                             "--q", "3", "--precision-cap", "10")
+        assert code == 2
+        assert "--precision-cap" in err
+        assert out == ""
 
     def test_module_entry_point(self):
         proc = subprocess.run(

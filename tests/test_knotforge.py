@@ -1,7 +1,10 @@
 """Tests for the bump-knot search and family construction."""
 import json
+import random
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import pytest
 
 from lambdatower.knotforge import (
@@ -11,6 +14,7 @@ from lambdatower.knotforge import (
     CertificateReport,
     FamilyEntry,
     KnotFamily,
+    _twist_bracket,
     build_family,
     make_bump,
     plan_bump,
@@ -133,6 +137,56 @@ class TestMakeBump:
     def test_deterministic(self):
         spec = BumpSpec(Fraction(1, 6), Fraction(1, 8))
         assert make_bump(spec, 16, 1) == make_bump(spec, 16, 1)
+
+
+def scan_brackets(targets, n_max):
+    """The linear scan plan_bump ran before its closed form: for each target
+    tau, the least n in [2, n_max] with t_n < tau, or None.
+
+    Targets are swept in decreasing order and each scan resumes where the
+    previous one stopped.  A smaller target accepts only n that a larger one
+    accepts, so its least n is no smaller, and resuming skips no n that a
+    scan from 2 would accept.
+    """
+    out = {}
+    n = 2
+    for tau in sorted(targets, reverse=True):
+        while n <= n_max and _twist_cmp(n, tau) >= 0:
+            n += 1
+        out[tau] = n if n <= n_max else None
+    return out
+
+
+class TestTwistBracket:
+    # family order 729 searches up to n_max = 729^2 // 25 + 8
+    N_MAX = 729 ** 2 // 25 + 8
+
+    def test_matches_linear_scan(self):
+        # Every target below 1/6 with denominator <= 48, and two seeded
+        # targets for each denominator 49..729.  The scan's cost grows like
+        # 1/tau^2 (13,462 certified comparisons at 1/729), so the seeded
+        # targets stay at or above 1/200; test_n_max_bounds_the_bracket
+        # covers 1/729.
+        rng = random.Random(729)
+        targets = {Fraction(s, d) for d in range(7, 49) for s in range(1, d)
+                   if gcd(s, d) == 1 and 6 * s < d}
+        targets |= {Fraction(rng.randint(-(-d // 200), (d - 1) // 6), d)
+                    for d in range(49, 730) for _ in range(2)}
+        expected = scan_brackets(targets, self.N_MAX)
+        for tau in targets:
+            assert _twist_bracket(tau, self.N_MAX) == expected[tau], tau
+
+    def test_n_max_bounds_the_bracket(self):
+        tau = Fraction(1, 729)
+        with mpmath.workdps(50):
+            bound = 1 / (4 * mpmath.sin(mpmath.pi / 729) ** 2)
+        m = int(bound) + 1
+        assert m == 13462
+        assert _twist_bracket(tau, self.N_MAX) == m
+        assert _twist_bracket(tau, m) == m
+        assert _twist_bracket(tau, m - 1) is None
+        assert _twist_bracket(Fraction(1, 7), 1) is None
+        assert _twist_bracket(Fraction(1, 7), 2) == 2
 
 
 class TestWindowAudit:

@@ -20,6 +20,8 @@ from lambdatower.seifert import (
     twist_knot,
     twist_matrix,
     twist_parameter,
+    _exact_signature,
+    _interval_signature,
 )
 
 TREFOIL = twist_knot(1)
@@ -135,6 +137,62 @@ class TestOmegaSignature:
         for _ in range(5):
             m = random_seifert(rng, 2)
             assert omega_signature(m, 16, 3) % 2 == 0
+
+
+def spread_units(d: int, count: int) -> list:
+    """`count` exponents coprime to d, spread over [1, d/2]; the signature at
+    d - s equals that at s."""
+    units = [s for s in range(1, d // 2 + 1) if math.gcd(s, d) == 1]
+    return units[::max(1, len(units) // count)][:count]
+
+
+INERTIA_ORDERS = (3, 4, 5, 8, 9, 16, 25, 27, 32, 49)
+
+
+class TestIntervalInertia:
+    """The interval LDL^H stage of omega_signature against the exact
+    diagonalization over Q(zeta_d), which stays the reference."""
+
+    @staticmethod
+    def agrees(matrix, d, s) -> bool:
+        exact = _exact_signature(matrix.rows, d, s)
+        staged = _interval_signature(matrix.rows, d, s, 64)
+        assert staged in (None, exact), (matrix, d, s)
+        assert omega_signature(matrix, d, s) == exact
+        return staged is not None
+
+    @pytest.mark.parametrize("d", INERTIA_ORDERS)
+    def test_genus_one(self, d):
+        rng = random.Random(d)
+        for n in (1, 2, 7):
+            for s in spread_units(d, 3):
+                assert self.agrees(twist_matrix(n), d, s)
+        for _ in range(2):
+            m = random_seifert(rng, 1)
+            for s in spread_units(d, 3):
+                self.agrees(m, d, s)
+
+    @pytest.mark.parametrize("d", INERTIA_ORDERS)
+    def test_genus_two(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(1 if d == 49 else 2):
+            m = random_seifert(rng, 2)
+            for s in spread_units(d, 2):
+                self.agrees(m, d, s)
+
+    @pytest.mark.parametrize(
+        "d, s", [(243, 1), (243, 40), (243, 121), (729, 2), (729, 5)])
+    def test_high_orders(self, d, s):
+        assert self.agrees(twist_matrix(3), d, s)
+
+    def test_zero_diagonal_falls_back_to_exact(self):
+        # the unknot matrix gives M(w) a zero diagonal, which diagonal
+        # pivoting cannot use; the exact path decides instead
+        unknot = SeifertMatrix.from_rows([[0, 1], [0, 0]])
+        for d in (2, 3, 4, 8, 9, 27):
+            for s in range(1, d):
+                assert _interval_signature(unknot.rows, d, s, 64) is None
+                assert omega_signature(unknot, d, s) == 0
 
 
 class TestSignatureProfile:
