@@ -21,9 +21,7 @@ from .covers import (
     alpha_word,
     audit_tower,
     build_tower,
-    component_loop_path,
-    enumerate_lifts,
-    evaluate_character,
+    lift_profile,
     verify_lift_behaviour,
 )
 from .infection import (
@@ -168,13 +166,8 @@ def family_certificate(p: int, count: int, d_seed: int,
 
 
 def _nonzero_lift_count(tower, word, theta) -> int:
-    lifts = enumerate_lifts(tower.top, word)
-    count = 0
-    for comp in lifts.lifts:
-        path = component_loop_path(tower.top, lifts.word, comp)
-        if evaluate_character(theta, path) % theta.modulus != 0:
-            count += 1
-    return count
+    _, _, _, values = lift_profile(tower.top, word, theta)
+    return int((values != 0).sum())
 
 
 def _deck_prime(q: int) -> int:
@@ -344,10 +337,12 @@ def tower_certificate(m: int, n: int, q: int,
     tower = build_tower(m, n, q, cap_edges=cap_edges)
     audit = audit_tower(tower)
     checks = list(audit.checks)
+    betti = {c["level"]: c["value"] for c in checks
+             if c["check"] == "betti_audit"}
     table = []
     for k, graph in enumerate(tower.levels):
         table.append({"level": k, "size": graph.size,
-                      "edges": graph.edge_count(), "betti1": graph.betti1()})
+                      "edges": graph.edge_count(), "betti1": betti[k]})
     behaviour_ok = True
     for k in range(n):
         report = verify_lift_behaviour(tower, k)

@@ -26,21 +26,23 @@ from .covers import (
     alpha_word,
     beta_word,
     build_tower,
-    component_loop_path,
-    enumerate_lifts,
-    evaluate_character,
     free_reduce,
+    lift_profile,
     word_concat,
     word_inverse,
     word_power,
 )
 from .cyclo import PrecisionExhausted, set_precision_cap
 from .infection import InfectedStringLink, PStructure, lambda_T
-from .knotforge import KnotFamily
+from .knotforge import FamilyInputError, KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
 
-__all__ = ["main", "build_parser", "parse_word"]
+__all__ = ["WORD_LETTER_CAP", "main", "build_parser", "parse_word"]
+
+# Longest word the parser builds. beta(8) has 51,004 letters and alpha(10)
+# 442,960; alpha(11) would pass the cap.
+WORD_LETTER_CAP = 10 ** 6
 
 
 def _fail(flag: str, message: str):
@@ -102,7 +104,9 @@ class _WordParser:
     Grammar: a word is a juxtaposition of factors (optionally separated by
     '*'); a factor is a base with an optional integer exponent '^k'; a base
     is a generator x0, x1, ..., a parenthesized word, comm(w1, w2), or the
-    named words alpha(n) and beta(n).
+    named words alpha(n) and beta(n).  A product, power, commutator or
+    named word whose letters before free reduction would pass
+    WORD_LETTER_CAP raises ResourceCapExceeded before it is built.
     """
 
     _TOKEN = re.compile(r"\s*(alpha|beta|comm|x\d+|-?\d+|[()^,*])")
@@ -133,6 +137,12 @@ class _WordParser:
         self.pos += 1
         return tok
 
+    def _check_length(self, letters: int, what: str) -> None:
+        if letters > WORD_LETTER_CAP:
+            raise ResourceCapExceeded(
+                f"{self.flag}: {what} would build up to {letters} letters "
+                f"before free reduction, over the cap {WORD_LETTER_CAP}")
+
     def _int(self) -> int:
         tok = self._take()
         try:
@@ -150,8 +160,11 @@ class _WordParser:
 
     def _word(self) -> tuple:
         parts = []
+        letters = 0
         while self._peek() not in (None, ")", ","):
             parts.append(self._factor())
+            letters += len(parts[-1])
+            self._check_length(letters, "a product")
             if self._peek() == "*":
                 self._take()
         return word_concat(*parts) if parts else ()
@@ -160,7 +173,9 @@ class _WordParser:
         base = self._base()
         if self._peek() == "^":
             self._take()
-            return word_power(base, self._int())
+            exponent = self._int()
+            self._check_length(len(base) * abs(exponent), f"a power ^{exponent}")
+            return word_power(base, exponent)
         return base
 
     def _base(self) -> tuple:
@@ -177,6 +192,7 @@ class _WordParser:
             self._take(",")
             b = self._word()
             self._take(")")
+            self._check_length(2 * (len(a) + len(b)), "comm(...)")
             return word_concat(a, b, word_inverse(a), word_inverse(b))
         if tok in ("alpha", "beta"):
             self._take("(")
@@ -184,6 +200,12 @@ class _WordParser:
             self._take(")")
             if height < 0:
                 _fail(self.flag, f"height must be nonnegative, got {height}")
+            # alpha(k) = [a, b] and beta(k) = a alpha(k) a^-1 with a, b the
+            # words of height k - 1, so 4|a| + 2|b| bounds both before
+            # reduction; heights are built upwards until the bound passes.
+            for k in range(1, height + 1):
+                a, b = len(alpha_word(k - 1)), len(beta_word(k - 1))
+                self._check_length(4 * a + 2 * b, f"{tok}({height})")
             return alpha_word(height) if tok == "alpha" else beta_word(height)
         _fail(self.flag, f"unexpected token {tok!r}")
 
@@ -319,6 +341,9 @@ def _cmd_witt(args):
 def _cmd_hilbert(args):
     a = _parse_rational("--a", args.a)
     b = _parse_rational("--b", args.b)
+    for flag, value in (("--a", a), ("--b", b)):
+        if value == 0:
+            _fail(flag, "the Hilbert symbol needs a nonzero argument")
     place = args.q.strip()
     if place != "inf":
         try:
@@ -341,14 +366,14 @@ def _build_tower_from_args(args):
 def _cmd_tower_build(args):
     tower = _build_tower_from_args(args)
     top = tower.top
+    rows = [{"level": k, "size": g.size, "edges": g.edge_count(),
+             "betti1": g.betti1()} for k, g in enumerate(tower.levels)]
     payload = {"command": "tower build", "m": args.m, "n": args.n, "q": args.q,
                "levels": [g.size for g in tower.levels],
                "vertices": top.size, "edges": top.edge_count(),
-               "betti1": top.betti1()}
+               "betti1": rows[-1]["betti1"]}
     if args.full:
         payload["tower"] = tower.to_json()
-    rows = [{"level": k, "size": g.size, "edges": g.edge_count(),
-             "betti1": g.betti1()} for k, g in enumerate(tower.levels)]
     return payload, rows
 
 
@@ -362,15 +387,13 @@ def _cmd_tower_lift(args):
         if gen >= args.m:
             _fail("--word", f"word uses generator x{gen}, but there are only "
                             f"{args.m} strands")
-    graph = tower.levels[level]
-    lifts = enumerate_lifts(graph, word)
-    rows = []
-    for comp in lifts.lifts:
-        row = {"start": comp.start, "end": comp.end,
-               "degree": comp.degree, "is_loop": comp.is_loop}
-        rows.append(row)
+    starts, ends, degrees, _ = lift_profile(tower.levels[level], word)
+    rows = [{"start": start, "end": end, "degree": degree,
+             "is_loop": start == end}
+            for start, end, degree in zip(starts.tolist(), ends.tolist(),
+                                          degrees.tolist())]
     payload = {"command": "tower lift", "m": args.m, "n": args.n, "q": args.q,
-               "level": level, "word": [list(l) for l in lifts.word],
+               "level": level, "word": [list(l) for l in word],
                "components": rows}
     return payload, rows
 
@@ -403,7 +426,10 @@ def _cmd_lambda(args):
 
 
 def _cmd_reproduce_family(args):
-    cert = family_certificate(args.p, args.count, args.d_seed)
+    try:
+        cert = family_certificate(args.p, args.count, args.d_seed)
+    except FamilyInputError as exc:
+        _fail("--" + exc.name.replace("_", "-"), str(exc))
     return cert.to_json(), list(cert.table)
 
 
@@ -584,6 +610,9 @@ def main(argv=None) -> int:
                 old_cap = set_precision_cap(args.precision_cap)
             except ValueError as exc:
                 _fail("--precision-cap", str(exc))
+        if args.cap_edges < 0:
+            _fail("--cap-edges",
+                  f"edge cap must be nonnegative, got {args.cap_edges}")
         payload, rows = args.handler(args)
     except (ResourceCapExceeded, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)

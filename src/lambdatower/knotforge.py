@@ -33,6 +33,7 @@ __all__ = [
     "BumpSpec",
     "CertificateReport",
     "FamilyEntry",
+    "FamilyInputError",
     "KnotFamily",
     "build_family",
     "make_bump",
@@ -44,6 +45,14 @@ __all__ = [
 
 class BumpSearchError(ValueError):
     """No admissible twist band exists within the searched lattice."""
+
+
+class FamilyInputError(ValueError):
+    """An argument of build_family is out of range; name is the parameter."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -252,14 +261,21 @@ def build_family(p: int, count: int, d_seed: int, n_max: int = 64) -> KnotFamily
     """Inductive family construction over orders d_seed, then minimal powers
     of p beyond threefold growth; deterministic for fixed inputs."""
     if not _is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+        raise FamilyInputError("p", f"{p} is not a prime")
     if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+        raise FamilyInputError("count", f"count must be nonnegative, got {count}")
     split = prime_power_split(d_seed)
     if split is None or split[0] != p:
-        raise ValueError(f"seed order {d_seed} is not a power of {p}")
+        raise FamilyInputError("d_seed",
+                               f"seed order {d_seed} is not a power of {p}")
     if d_seed < 4:
-        raise ValueError(f"seed order must be >= 4, got {d_seed}")
+        raise FamilyInputError("d_seed", f"seed order must be >= 4, got {d_seed}")
+    # The first knot's window is (2/d_seed, 1/3) pi, empty unless d_seed > 6;
+    # only the d = 4 head at p = 2 is built without one.
+    if count and d_seed <= 6 and not (p == 2 and d_seed == 4):
+        raise FamilyInputError(
+            "d_seed", f"seed order {d_seed} leaves the first knot no window "
+                      f"(theta1 = 2/{d_seed} pi is not below theta0 = 1/3 pi)")
 
     entries = []
     prev = 2  # window seed: theta0 = 2 pi / (3 * 2) = pi/3 for the first knot

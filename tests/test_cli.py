@@ -2,12 +2,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from lambdatower import cyclo
+from lambdatower import cli, cyclo
 from lambdatower.cli import main, parse_word
-from lambdatower.covers import alpha_word, beta_word
+from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
 from lambdatower.knotforge import FamilyEntry, KnotFamily
 from lambdatower.seifert import FormalKnot
 
@@ -65,6 +66,19 @@ class TestWordParser:
         for bad in ("y0", "comm(x0", "x0^", "x0)", "comm(x0;x1)",
                     "alpha(-1)", "alpha(x0)"):
             with pytest.raises(ValueError):
+                parse_word(bad)
+
+    def test_length_cap(self, monkeypatch):
+        # Each construct is refused before it is built; the bound for
+        # alpha(k) and beta(k) is 4|alpha(k-1)| + 2|beta(k-1)|, which is
+        # 416 at k = 4 and 1496 at k = 5.
+        monkeypatch.setattr(cli, "WORD_LETTER_CAP", 1000)
+        assert parse_word("x0^1000") == ((0, 1),) * 1000
+        assert parse_word("(x0 x0^-1)^99999999999") == ()
+        assert parse_word("beta(4)") == beta_word(4)
+        for bad in ("x0^1001", "(x0 x1)^-501", "comm(x0^250,x1^251)",
+                    "x0^600 x1^401", "alpha(5)", "beta(99999)"):
+            with pytest.raises(ResourceCapExceeded):
                 parse_word(bad)
 
 
@@ -128,6 +142,15 @@ class TestScalarCommands:
         assert run_json(capsys, "hilbert", "--a", "-1", "--b", "-1",
                         "--q", "inf")["symbol"] == -1
 
+    def test_hilbert_zero_argument_names_its_flag(self, capsys):
+        for a, b, flag in (("0", "1", "--a"), ("1", "0", "--b"),
+                           ("0", "0", "--a")):
+            code, out, err = run(capsys, "hilbert", "--a", a, "--b", b,
+                                 "--q", "3")
+            assert code == 2
+            assert f"{flag}:" in err
+            assert "--q" not in err
+
 
 class TestTowerCommands:
     def test_build_sizes(self, capsys):
@@ -153,6 +176,22 @@ class TestTowerCommands:
                              "--q", "4", "--cap-edges", "1000")
         assert code == 3
         assert "cap" in err
+
+    def test_negative_cap_edges(self, capsys):
+        code, out, err = run(capsys, "tower", "build", "--m", "2", "--n", "1",
+                             "--q", "4", "--cap-edges", "-1")
+        assert code == 2
+        assert "--cap-edges" in err
+        assert out == ""
+
+    def test_word_length_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tower", "lift", "--m", "2", "--n", "1",
+                             "--q", "4", "--word", "x0^9999999")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "--word" in err and "cap" in err
+        assert out == ""
 
     def test_lift_commutator(self, capsys):
         data = run_json(capsys, "tower", "lift", "--m", "2", "--n", "1",
@@ -257,6 +296,22 @@ class TestReproduceCommands:
         code, out, err = run(capsys, "reproduce", "family", "--p", "2",
                              "--count", "3", "--d-seed", "2")
         assert code == 2
+        assert "--d-seed" in err
+
+    def test_family_seed_without_window(self, capsys):
+        # d-seed 5 leaves the first knot's window (2/5 pi, 1/3 pi) empty.
+        code, out, err = run(capsys, "reproduce", "family", "--p", "5",
+                             "--count", "1", "--d-seed", "5")
+        assert code == 2
+        assert "--d-seed" in err
+
+    def test_family_flags_named(self, capsys):
+        for argv, flag in ((("--p", "4", "--count", "1", "--d-seed", "4"), "--p"),
+                           (("--p", "2", "--count", "-1", "--d-seed", "4"),
+                            "--count")):
+            code, out, err = run(capsys, "reproduce", "family", *argv)
+            assert code == 2
+            assert f"{flag}:" in err
 
     def test_independence(self, capsys):
         data = run_json(capsys, "reproduce", "independence", "--m", "2",

@@ -1,8 +1,10 @@
 """Tests for iterated covers, word lifting, and the collapse dichotomy."""
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdatower.covers import (
     Cell,
@@ -21,6 +23,7 @@ from lambdatower.covers import (
     evaluate_character,
     free_reduce,
     is_locally_trivial,
+    lift_profile,
     lift_word,
     verify_lift_behaviour,
     word_concat,
@@ -388,3 +391,148 @@ class TestCellBookkeeping:
         c1 = level1.cells[0]
         assert level2.cells[0] == Cell(c1.gen, c1.source, c1.orientation)
         assert level2.cells[1] == Cell(c1.gen, 5 * 16 + c1.source, -c1.orientation)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized paths against their per-vertex references.
+
+
+@lru_cache(maxsize=None)
+def _tower(m, n, q):
+    return build_tower(m, n, q)
+
+
+def _reference_profile(graph, word, char):
+    """The per-component walk lift_profile replaces, kept as its oracle."""
+    lifts = enumerate_lifts(graph, word).lifts
+    values = None
+    if char is not None:
+        values = [evaluate_character(char, component_loop_path(graph, word, c))
+                  for c in lifts]
+    return ([c.start for c in lifts], [c.end for c in lifts],
+            [c.degree for c in lifts], values)
+
+
+@st.composite
+def _profile_cases(draw):
+    m = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((3, 4, 5)))
+    n = draw(st.integers(min_value=0, max_value=3))
+    letters = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                      st.sampled_from((1, -1))), max_size=10))
+    modulus = draw(st.sampled_from((None, 0, q, q * q)))
+    return m, n, q, free_reduce(letters), modulus
+
+
+@given(_profile_cases())
+@settings(max_examples=60)
+def test_lift_profile_matches_component_walk(case):
+    m, n, q, word, modulus = case
+    tower = _tower(m, n, q)
+    char = None
+    if modulus is not None and n >= 1:
+        char = character_f(tower).reduce(modulus)
+    starts, ends, degrees, values = lift_profile(tower.top, word, char)
+    want = _reference_profile(tower.top, word, char)
+    assert starts.tolist() == want[0]
+    assert ends.tolist() == want[1]
+    assert degrees.tolist() == want[2]
+    assert (values if values is None else values.tolist()) == want[3]
+
+
+def test_lift_profile_commutator_values():
+    # The four nonzero lifts of alpha_2, with the values the oracle gives.
+    tower = _tower(2, 2, 4)
+    char = character_f(tower)
+    _, _, degrees, values = lift_profile(tower.top, alpha_word(2), char)
+    assert values.tolist() == _reference_profile(
+        tower.top, alpha_word(2), char)[3]
+    assert Counter(values.tolist()) == {0: 252, 1: 2, -1: 2}
+    assert set(degrees.tolist()) == {1}
+
+
+def _reference_connected(graph):
+    """Depth-first search from the basepoint, one vertex at a time."""
+    seen = {graph.basepoint}
+    stack = [graph.basepoint]
+    while stack:
+        v = stack.pop()
+        for table in graph.perms + graph._inverses:
+            w = int(table[v])
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.size
+
+
+@st.composite
+def _permutation_graphs(draw, coverings=True):
+    size = draw(st.integers(min_value=1, max_value=24))
+    gens = draw(st.integers(min_value=1, max_value=3))
+    vertex_maps = (st.permutations(range(size)) if coverings else
+                   st.lists(st.integers(0, size - 1), min_size=size,
+                            max_size=size))
+    perms = [draw(vertex_maps) for _ in range(gens)]
+    return CoverGraph(perms, basepoint=draw(st.integers(0, size - 1)))
+
+
+@given(st.one_of(_permutation_graphs(), _permutation_graphs(coverings=False)))
+@settings(max_examples=150)
+def test_is_connected_matches_depth_first_search(graph):
+    assert graph.is_connected() == _reference_connected(graph)
+
+
+@given(_permutation_graphs(), st.data())
+@settings(max_examples=60)
+def test_lift_profile_on_permutation_graphs(graph, data):
+    # Long single orbits, which towers rarely have, test the doubling count.
+    gens = st.integers(0, graph.generators - 1)
+    word = free_reduce(data.draw(st.lists(
+        st.tuples(gens, st.sampled_from((1, -1))), max_size=6)))
+    weights = data.draw(st.dictionaries(
+        st.tuples(gens, st.integers(0, graph.size - 1)),
+        st.integers(-3, 3), max_size=4))
+    char = Character.of(data.draw(st.sampled_from((0, 2, 5))), weights)
+    got = lift_profile(graph, word, char)
+    assert [a.tolist() for a in got] == list(_reference_profile(graph, word, char))
+
+
+def _reference_lift_behaviour(tower, k):
+    """The per-vertex comparison loop verify_lift_behaviour replaces."""
+    prev, graph = tower.levels[k], tower.levels[k + 1]
+    active = _active_fiber(tower, k)
+    surveys = {
+        "alpha": _collapse_survey(graph, prev, tower.q, alpha_word(k + 1)),
+        "beta": _collapse_survey(graph, prev, tower.q, beta_word(k + 1)),
+    }
+    mismatches = []
+    for v in range(graph.size):
+        copy, low = divmod(v, prev.size)
+        wants = (_normal_forms(k, copy, tower.q) if low == active
+                 else ((), ()))
+        for name, want in zip(("alpha", "beta"), wants):
+            got = surveys[name].get(v, ())
+            if got != want:
+                mismatches.append({"vertex": v, "word": name,
+                                   "got": got, "want": want})
+    return tuple(mismatches)
+
+
+def _swapped(tower, level, gen, a, b):
+    """The tower with perms[gen][a] and perms[gen][b] of one level swapped."""
+    levels = list(tower.levels)
+    graph = levels[level]
+    perms = [p.copy() for p in graph.perms]
+    perms[gen][[a, b]] = perms[gen][[b, a]]
+    levels[level] = CoverGraph(perms, graph.cells, graph.basepoint)
+    return Tower(tower.m, tower.n, tower.q, levels)
+
+
+@pytest.mark.parametrize("gen,a,b", [(0, 0, 1), (1, 0, 37), (0, 64, 200),
+                                     (0, 5, 250), (1, 17, 18)])
+def test_lift_behaviour_mismatches_match_full_loop(gen, a, b):
+    tower = _swapped(_tower(2, 2, 4), 2, gen, a, b)
+    report = verify_lift_behaviour(tower, 1)
+    assert report.mismatches == _reference_lift_behaviour(tower, 1)
+    assert report.checked == 2 * 256
+    assert not report.passed
