@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .cyclo import prime_power_split
+from .cyclo import InputError, is_prime, prime_power_split
 from .covers import (
     alpha_word,
     audit_tower,
@@ -173,7 +173,7 @@ def _nonzero_lift_count(tower, word, theta) -> int:
 def _deck_prime(q: int) -> int:
     split = prime_power_split(q)
     if split is None or q < 3:
-        raise ValueError(f"q must be a prime power > 2, got {q}")
+        raise InputError("q", f"q must be a prime power > 2, got {q}")
     return split[0]
 
 
@@ -200,8 +200,8 @@ def independence_certificate(m: int, n: int, q: int,
     if family is None:
         family = default_family(q)
     if family.p != p:
-        raise ValueError(
-            f"family prime {family.p} does not match tower prime {p}")
+        raise InputError(
+            "family", f"family prime {family.p} does not match tower prime {p}")
     inputs = {"m": m, "n": n, "q": q, "family": family.to_json()}
     tower = build_tower(m, n, q, cap_edges=cap_edges)
     famreport = verify_family(family)
@@ -271,11 +271,6 @@ def independence_certificate(m: int, n: int, q: int,
 # The mod-2 norm-residue pattern.
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"dual primes must be prime, got {p}")
-
-
 def z2_certificate(primes: Sequence[int] = (3, 7, 11, 19),
                    forms: Optional[Sequence[WittClass]] = None) -> Certificate:
     """Norm-residue symbol matrix (dis w_i, -1) at each dual prime.
@@ -286,7 +281,8 @@ def z2_certificate(primes: Sequence[int] = (3, 7, 11, 19),
     """
     primes = tuple(primes)
     for p in primes:
-        _check_prime(p)
+        if not is_prime(p):
+            raise ValueError(f"dual primes must be prime, got {p}")
     if len(set(primes)) != len(primes):
         raise ValueError(f"dual primes must be distinct, got {primes}")
     if forms is None:

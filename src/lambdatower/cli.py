@@ -32,9 +32,14 @@ from .covers import (
     word_inverse,
     word_power,
 )
-from .cyclo import PrecisionExhausted, set_precision_cap
+from .cyclo import (
+    InputError,
+    PrecisionExhausted,
+    is_prime_power,
+    set_precision_cap,
+)
 from .infection import InfectedStringLink, PStructure, lambda_T
-from .knotforge import FamilyInputError, KnotFamily
+from .knotforge import KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
 
@@ -303,7 +308,10 @@ def _knot_from_args(args) -> FormalKnot:
 
 def _cmd_sig(args):
     knot = _knot_from_args(args)
-    ev = sigma_details(knot, args.d, args.s)
+    try:
+        ev = sigma_details(knot, args.d, args.s)
+    except ValueError as exc:
+        _fail("--d", str(exc))
     payload = {"command": "sig", "d": args.d, "s": args.s,
                "sigma": ev.value, "at_jump": ev.at_jump, "path": ev.path}
     return payload, [payload]
@@ -316,6 +324,8 @@ def _cmd_arf(args):
 
 
 def _cmd_witt(args):
+    if not is_prime_power(args.d):
+        _fail("--d", f"order {args.d} is not a prime power")
     if args.form is not None:
         data = _parse_matrix("--form", args.form)
         entries = [[_parse_form_entry("--form", v) for v in row] for row in data]
@@ -408,10 +418,18 @@ def _cmd_lambda(args):
     d = _parse_theta("--theta", args.theta)
     word = parse_word(args.word)
     knot = _parse_knot("--knot", args.knot)
-    tower = build_tower(spec["m"], spec["n"], spec["q"],
-                        cap_edges=args.cap_edges)
-    structure = PStructure.canonical(tower, d)
-    link = InfectedStringLink(spec["m"], word, knot)
+    try:
+        tower = build_tower(spec["m"], spec["n"], spec["q"],
+                            cap_edges=args.cap_edges)
+        structure = PStructure.canonical(tower, d)
+    except InputError as exc:
+        _fail("--tower", str(exc))
+    except ValueError as exc:
+        _fail("--theta", str(exc))
+    try:
+        link = InfectedStringLink(spec["m"], word, knot)
+    except ValueError as exc:
+        _fail("--word", str(exc))
     disc = True if args.disc else (False if args.signatures_only else None)
     result = lambda_T(structure, link, disc=disc)
     rows = []
@@ -426,10 +444,7 @@ def _cmd_lambda(args):
 
 
 def _cmd_reproduce_family(args):
-    try:
-        cert = family_certificate(args.p, args.count, args.d_seed)
-    except FamilyInputError as exc:
-        _fail("--" + exc.name.replace("_", "-"), str(exc))
+    cert = family_certificate(args.p, args.count, args.d_seed)
     return cert.to_json(), list(cert.table)
 
 
@@ -462,7 +477,10 @@ def _cmd_reproduce_z2(args):
             primes = tuple(int(p) for p in args.primes.split(","))
         except ValueError:
             _fail("--primes", f"expected comma-separated integers, got {args.primes!r}")
-    cert = z2_certificate(primes)
+    try:
+        cert = z2_certificate(primes)
+    except ValueError as exc:
+        _fail("--primes", str(exc))
     return cert.to_json(), list(cert.table)
 
 
@@ -618,7 +636,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Library input errors name their parameter, which is the flag.
+        flag = (f"--{exc.name.replace('_', '-')}: "
+                if isinstance(exc, InputError) else "")
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     finally:
         if old_cap is not None:

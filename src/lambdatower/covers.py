@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclo import is_prime_power
+from .cyclo import InputError, ResourceCapExceeded, is_prime_power
 
 __all__ = [
     "Cell",
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 
-class ResourceCapExceeded(RuntimeError):
-    """A tower build or a word would exceed its resource cap."""
-
-
 # ---------------------------------------------------------------------------
 # Words in the free group on x_0, ..., x_{m-1}.
 #
@@ -59,14 +55,18 @@ class ResourceCapExceeded(RuntimeError):
 # freely reduced.
 
 def free_reduce(letters: Iterable[tuple]) -> tuple:
+    """Cancel adjacent inverse letters.  A letter is a tuple whose last entry
+    is its exponent +-1: (gen, exp) here, (symbol, copy, exp) in collapsed
+    words."""
     out = []
-    for gen, exp in letters:
+    for letter in letters:
+        exp = letter[-1]
         if exp not in (1, -1):
             raise ValueError(f"letter exponent must be +-1, got {exp}")
-        if out and out[-1] == (gen, -exp):
+        if out and out[-1][-1] == -exp and out[-1][:-1] == letter[:-1]:
             out.pop()
         else:
-            out.append((gen, exp))
+            out.append(letter)
     return tuple(out)
 
 
@@ -269,11 +269,11 @@ def build_tower(m: int, n: int, q: int, cap_edges: int = 10 ** 7) -> Tower:
     """The height-n tower on the first two generators; extra generators lift
     as deck-equivariant loops.  Refuses to build past the edge budget."""
     if m < 2:
-        raise ValueError(f"need at least two circles, got m = {m}")
+        raise InputError("m", f"need at least two circles, got m = {m}")
     if n < 0:
-        raise ValueError(f"height must be nonnegative, got {n}")
+        raise InputError("n", f"height must be nonnegative, got {n}")
     if q <= 2 or not is_prime_power(q):
-        raise ValueError(f"deck order must be a prime power > 2, got {q}")
+        raise InputError("q", f"deck order must be a prime power > 2, got {q}")
     top_edges = m * q ** (2 * n)
     if top_edges > cap_edges:
         raise ResourceCapExceeded(
@@ -474,7 +474,7 @@ def character_f(tower: Tower) -> Character:
     get weights +1 and -1; every other edge gets 0.
     """
     if tower.n < 1:
-        raise ValueError("height-0 tower has no distinguished top cells")
+        raise InputError("n", "height-0 tower has no distinguished top cells")
     prev = tower.levels[-2]
     c_cell = prev.cells[0]
     plus_src = c_cell.source  # copy (0,0)
@@ -498,32 +498,23 @@ def is_locally_trivial(tower: Tower, char: Character) -> LocalTriviality:
 
     Each lift component of x_i is a loop covering x_i with some degree r; the
     character is evaluated on that loop (conjugation cannot change the value
-    of an edge cocycle on a loop).  The first nonzero value is returned as a
-    witness.
+    of an edge cocycle on a loop).  The first nonzero value, by generator and
+    then by least vertex of the component, is returned as a witness.
     """
     graph = tower.top
-    lookup = dict(char.weights)
     for gen in range(graph.generators):
-        perm = graph.perm(gen)
-        seen = np.zeros(graph.size, dtype=bool)
-        for v in range(graph.size):
-            if seen[v]:
-                continue
-            total = 0
-            cycle = []
-            w = v
-            while not seen[w]:
-                seen[w] = True
-                cycle.append(w)
-                total += lookup.get((gen, w), 0)
-                w = int(perm[w])
-            if char.modulus:
-                total %= char.modulus
-            if total:
-                return LocalTriviality(False, {
-                    "generator": gen, "start": v, "degree": len(cycle),
-                    "value": total,
-                    "path": [[gen, u, 1] for u in cycle]})
+        starts, _, degrees, values = lift_profile(graph, ((gen, 1),), char)
+        nonzero = np.flatnonzero(values)
+        if nonzero.size:
+            i = nonzero[0]
+            path, u = [], int(starts[i])
+            for _ in range(degrees[i]):
+                path.append([gen, u, 1])
+                u = int(graph.perm(gen)[u])
+            return LocalTriviality(False, {
+                "generator": gen, "start": int(starts[i]),
+                "degree": int(degrees[i]), "value": int(values[i]),
+                "path": path})
     return LocalTriviality(True, None)
 
 
@@ -583,13 +574,7 @@ def _collapse_path(path: Iterable[tuple], prev: CoverGraph, q: int) -> tuple:
             if d_cell.orientation == -1:
                 copy = _gamma_add(copy, 0, -1, q)
             letters.append(("d", copy, direction * d_cell.orientation))
-    reduced = []
-    for letter in letters:
-        if reduced and reduced[-1] == (letter[0], letter[1], -letter[2]):
-            reduced.pop()
-        else:
-            reduced.append(letter)
-    return tuple(reduced)
+    return free_reduce(letters)
 
 
 def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
@@ -626,14 +611,9 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
                     (symbol, copy, exp * cell.orientation))
     survey = {}
     for start, letters in raw.items():
-        reduced = []
-        for letter in letters:
-            if reduced and reduced[-1] == (letter[0], letter[1], -letter[2]):
-                reduced.pop()
-            else:
-                reduced.append(letter)
+        reduced = free_reduce(letters)
         if reduced:
-            survey[start] = tuple(reduced)
+            survey[start] = reduced
     return survey
 
 

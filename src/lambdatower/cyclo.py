@@ -18,11 +18,15 @@ from typing import Union
 from mpmath import iv
 
 __all__ = [
+    "MAX_FIELD_DEGREE",
     "CyclotomicNumber",
+    "InputError",
     "PrecisionExhausted",
+    "ResourceCapExceeded",
     "certified_sign",
     "compare_cos_turns",
     "degree_of",
+    "is_prime",
     "is_prime_power",
     "precision_cap",
     "prime_power_split",
@@ -33,11 +37,27 @@ __all__ = [
 START_PRECISION = 64
 _precision_cap = 1 << 16
 
+# Largest degree phi(d) of Q(zeta_d) that exact arithmetic accepts; the
+# largest in use is 500 (d = 625).
+MAX_FIELD_DEGREE = 1024
+
 Scalar = Union[int, Fraction]
 
 
 class PrecisionExhausted(ArithmeticError):
     """Interval refinement hit the precision cap without separating a sign."""
+
+
+class ResourceCapExceeded(RuntimeError):
+    """A field, a tower build or a word would exceed its resource cap."""
+
+
+class InputError(ValueError):
+    """An argument is out of range; name is the parameter at fault."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 def set_precision_cap(bits: int) -> int:
@@ -78,6 +98,10 @@ def is_prime_power(d: int) -> bool:
     return prime_power_split(d) is not None
 
 
+def is_prime(n: int) -> bool:
+    return prime_power_split(n) == (n, 1)
+
+
 @lru_cache(maxsize=None)
 def _field_params(d: int):
     split = prime_power_split(d)
@@ -85,6 +109,10 @@ def _field_params(d: int):
         raise ValueError(f"order {d} is not a prime power")
     p, a = split
     m = p ** (a - 1)
+    if (p - 1) * m > MAX_FIELD_DEGREE:
+        raise ResourceCapExceeded(
+            f"Q(zeta_{d}) has degree {(p - 1) * m}, over the cap "
+            f"{MAX_FIELD_DEGREE} for exact arithmetic")
     return p, a, m, (p - 1) * m
 
 

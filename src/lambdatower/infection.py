@@ -10,7 +10,7 @@ itself contributes nothing, so the sum is the whole invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .covers import (
     Character,
@@ -23,7 +23,7 @@ from .covers import (
 # Not called here: bench/test_bench.py checks that the benchmark tracer
 # rebinds this name in every module that imports it.
 from .covers import enumerate_lifts  # noqa: F401
-from .cyclo import prime_power_split
+from .cyclo import InputError, prime_power_split
 from .seifert import FormalKnot, sigma
 from .witt import (
     WittClass,
@@ -41,7 +41,6 @@ __all__ = [
     "LiftContribution",
     "PStructure",
     "lambda_T",
-    "lambda_T_sum",
     "signature_prediction",
     "tower_infection",
     "x_infection",
@@ -227,9 +226,9 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
     if disc is None:
         full = not cabled
     elif disc and cabled:
-        raise ValueError(
-            "discriminant-level output needs explicit Seifert matrices, but "
-            "the knot has an atom with cable parameter > 1")
+        raise InputError(
+            "disc", "discriminant-level output needs explicit Seifert "
+            "matrices, but the knot has an atom with cable parameter > 1")
     else:
         full = disc
     d = structure.d
@@ -247,36 +246,6 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         if row.present:
             total = witt_add(total, row.witt)
     constant_c = sum(1 for row in rows if row.theta_value)
-    return LambdaResult(total, tuple(rows), constant_c)
-
-
-def lambda_T_sum(structure: PStructure,
-                 links: Sequence[tuple],
-                 disc: Optional[bool] = None) -> LambdaResult:
-    """Integer-weighted sum of invariants under one structure.
-
-    Each entry is (coefficient, link).  The per-lift table repeats each
-    contribution |coefficient| times, negated for negative coefficients, so
-    the total is still literally the sum of its rows.  constant_c is reported
-    when all summands agree on it and as 0 for mixed sums.
-    """
-    rows = []
-    total = witt_zero(structure.d)
-    counts = set()
-    for coefficient, link in links:
-        result = lambda_T(structure, link, disc=disc)
-        counts.add(result.constant_c)
-        if coefficient == 0:
-            continue
-        for _ in range(abs(coefficient)):
-            for row in result.per_lift:
-                if not row.present:
-                    rows.append(row)
-                    continue
-                witt = row.witt if coefficient > 0 else witt_neg(row.witt)
-                rows.append(LiftContribution(row.r, row.theta_value, witt))
-                total = witt_add(total, witt)
-    constant_c = counts.pop() if len(counts) == 1 else 0
     return LambdaResult(total, tuple(rows), constant_c)
 
 

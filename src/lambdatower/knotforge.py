@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclo import prime_power_split
+from .cyclo import InputError, is_prime, prime_power_split
 from .seifert import (
     Atom,
     FormalKnot,
@@ -33,7 +33,6 @@ __all__ = [
     "BumpSpec",
     "CertificateReport",
     "FamilyEntry",
-    "FamilyInputError",
     "KnotFamily",
     "build_family",
     "make_bump",
@@ -45,14 +44,6 @@ __all__ = [
 
 class BumpSearchError(ValueError):
     """No admissible twist band exists within the searched lattice."""
-
-
-class FamilyInputError(ValueError):
-    """An argument of build_family is out of range; name is the parameter."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -239,17 +230,6 @@ class KnotFamily:
             for e in data["entries"]))
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
-
-
 def _head_knot() -> FormalKnot:
     """The d = 4 head: the window recipe degenerates there (theta1 would be
     pi/2 > theta0 = pi/3), but -cable_2 # cable_4 of the trefoil has signature
@@ -260,20 +240,20 @@ def _head_knot() -> FormalKnot:
 def build_family(p: int, count: int, d_seed: int, n_max: int = 64) -> KnotFamily:
     """Inductive family construction over orders d_seed, then minimal powers
     of p beyond threefold growth; deterministic for fixed inputs."""
-    if not _is_prime(p):
-        raise FamilyInputError("p", f"{p} is not a prime")
+    if not is_prime(p):
+        raise InputError("p", f"{p} is not a prime")
     if count < 0:
-        raise FamilyInputError("count", f"count must be nonnegative, got {count}")
+        raise InputError("count", f"count must be nonnegative, got {count}")
     split = prime_power_split(d_seed)
     if split is None or split[0] != p:
-        raise FamilyInputError("d_seed",
-                               f"seed order {d_seed} is not a power of {p}")
+        raise InputError("d_seed",
+                         f"seed order {d_seed} is not a power of {p}")
     if d_seed < 4:
-        raise FamilyInputError("d_seed", f"seed order must be >= 4, got {d_seed}")
+        raise InputError("d_seed", f"seed order must be >= 4, got {d_seed}")
     # The first knot's window is (2/d_seed, 1/3) pi, empty unless d_seed > 6;
     # only the d = 4 head at p = 2 is built without one.
     if count and d_seed <= 6 and not (p == 2 and d_seed == 4):
-        raise FamilyInputError(
+        raise InputError(
             "d_seed", f"seed order {d_seed} leaves the first knot no window "
                       f"(theta1 = 2/{d_seed} pi is not below theta0 = 1/3 pi)")
 

@@ -151,9 +151,6 @@ class FormalKnot:
     def __sub__(self, other: "FormalKnot") -> "FormalKnot":
         return self + (-other)
 
-    def mirror(self) -> "FormalKnot":
-        return -self
-
     def cable(self, r: int) -> "FormalKnot":
         """(r,1)-cable: multiplies every atom's cable parameter by r."""
         if r < 1:

@@ -15,12 +15,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from .cyclo import CyclotomicNumber, certified_sign, zeta
+from .cyclo import CyclotomicNumber, certified_sign, is_prime, zeta
 
 __all__ = [
     "DiscClass",
     "HermitianForm",
-    "LambdaBlockSpec",
     "WittClass",
     "diagonalize",
     "embeddings",
@@ -227,7 +226,6 @@ class WittClass:
     signatures: tuple  # pairs (s, signature)
     disc: Optional[CyclotomicNumber] = None
     disc_class: Optional[DiscClass] = None
-    diagonal: tuple = ()
     radical: int = 0
     partial: bool = False  # True when only signatures are carried
 
@@ -283,7 +281,7 @@ def witt_invariants(form: HermitianForm) -> WittClass:
     if d == 4:
         disc_class = DiscClass.of(disc.rational_value())
     return WittClass(order=d, rank_mod_2=k % 2, signatures=sigs, disc=disc,
-                     disc_class=disc_class, diagonal=diag.pivots, radical=diag.radical)
+                     disc_class=disc_class, radical=diag.radical)
 
 
 def witt_zero(d: int) -> WittClass:
@@ -308,7 +306,7 @@ def witt_add(a: WittClass, b: WittClass) -> WittClass:
                 disc_class = DiscClass(-1, frozenset()) * disc_class
     return WittClass(order=a.order, rank_mod_2=(a.rank_mod_2 + b.rank_mod_2) % 2,
                      signatures=sigs, disc=disc, disc_class=disc_class,
-                     diagonal=a.diagonal + b.diagonal, partial=partial)
+                     partial=partial)
 
 
 def witt_neg(a: WittClass) -> WittClass:
@@ -322,8 +320,7 @@ def witt_neg(a: WittClass) -> WittClass:
             if twist < 0:
                 disc_class = DiscClass(-1, frozenset()) * disc_class
     return WittClass(order=a.order, rank_mod_2=a.rank_mod_2, signatures=sigs,
-                     disc=disc, disc_class=disc_class,
-                     diagonal=tuple(-p for p in a.diagonal), partial=a.partial)
+                     disc=disc, disc_class=disc_class, partial=a.partial)
 
 
 def _legendre(a: int, q: int) -> int:
@@ -359,7 +356,7 @@ def hilbert_symbol(a, b, q) -> int:
     bi = b.numerator * b.denominator
     if q == "inf":
         return -1 if (ai < 0 and bi < 0) else 1
-    if not isinstance(q, int) or q < 2 or _factor(q) != {q: 1}:
+    if not isinstance(q, int) or not is_prime(q):
         raise ValueError(f"place must be a prime or 'inf', got {q!r}")
     sa, sb = (1 if ai > 0 else -1), (1 if bi > 0 else -1)
     alpha, u = _split_valuation(abs(ai), q)
@@ -383,24 +380,6 @@ def hilbert_symbol(a, b, q) -> int:
 def _matrix_rows(A) -> tuple:
     rows = getattr(A, "rows", A)
     return tuple(tuple(int(v) for v in row) for row in rows)
-
-
-@dataclass(frozen=True)
-class LambdaBlockSpec:
-    """Inputs of the block form: an integer matrix A, block count r, root zeta_d^t."""
-
-    matrix: tuple
-    r: int
-    d: int
-    t: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _matrix_rows(self.matrix))
-        if self.r < 1:
-            raise ValueError(f"block count r must be positive, got {self.r}")
-
-    def form(self) -> "HermitianForm":
-        return lambda_block(self.matrix, self.r, self.d, self.t)
 
 
 def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdatower import cli, cyclo
 from lambdatower.cli import main, parse_word
@@ -335,6 +339,18 @@ class TestReproduceCommands:
         assert code == 2
         assert "--q" in err
 
+    def test_independence_family_errors_name_their_flag(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "family.json"
+        for p, d, q, flag in ((3, 9, 4, "--family"), (2, 4, 6, "--q")):
+            family = KnotFamily(p, (FamilyEntry(FormalKnot(), d),))
+            path.write_text(json.dumps(family.to_json()))
+            code, out, err = run(capsys, "reproduce", "independence", "--m",
+                                 "2", "--n", "1", "--q", str(q),
+                                 "--family", str(path))
+            assert code == 2
+            assert err.startswith(f"error: {flag}: ")
+
     def test_independence_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
                              "--n", "1", "--q", "4",
@@ -414,3 +430,185 @@ class TestHarness:
         # list-valued cells are JSON-encoded and quoted per RFC 4180
         assert len(lines) == 10
         assert '"[' in out
+
+
+_LAMBDA = ("lambda", "--word", "comm(x0,x1)", "--knot", "trefoil")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sig", "--knot", "trefoil", "--d", "0", "--s", "1"), "--d"),
+    (("sig", "--matrix", "[[1,1],[0,1]]", "--d", "6", "--s", "1"), "--d"),
+    (("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "0"), "--d"),
+    (_LAMBDA + ("--tower", "n=1,q=4", "--theta", "f-mod-6"), "--theta"),
+    (_LAMBDA + ("--tower", "n=1,q=4", "--theta", "f-mod-9"), "--theta"),
+    (_LAMBDA + ("--tower", "n=0,q=4", "--theta", "f-mod-4"), "--tower"),
+    (_LAMBDA + ("--tower", "m=1,n=1,q=4", "--theta", "f-mod-4"), "--tower"),
+    (("lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word", "x5",
+      "--knot", "trefoil"), "--word"),
+    (("lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4",
+      "--word", "comm(x0,x1)", "--knot", "twist:1:2", "--disc"), "--disc"),
+    (("tower", "lift", "--m", "2", "--n", "-1", "--q", "4", "--word", "x0"),
+     "--n"),
+    (("tower", "verify", "--m", "2", "--n", "1", "--q", "2"), "--q"),
+    (("tower", "build", "--m", "2", "--n", "1", "--q", "6"), "--q"),
+    (("reproduce", "independence", "--m", "1", "--n", "1", "--q", "4"), "--m"),
+    (("reproduce", "independence", "--m", "2", "--n", "0", "--q", "4"), "--n"),
+    (("reproduce", "z2", "--primes", "3,7,11,1"), "--primes"),
+    (("reproduce", "z2", "--primes", "3,3"), "--primes"),
+])
+def test_exit_2_names_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("sig", "--matrix", "[[0,1],[0,0]]", "--d", "4099", "--s", "1"),
+    ("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "4099"),
+])
+def test_field_degree_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert "degree 4098" in err and "cap" in err
+    assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: argv lists drawn from a small grammar over every subcommand, with
+# bounds of 4^4 top vertices, orders d <= 64 and block counts r <= 3.  A flag
+# that has invalid values draws one of them one time in six.
+
+_KNOTS = (("trefoil", "unknot", "twist:2", "twist:1:2", "twist:3:2:-1",
+           '[{"n": 2, "r": 2, "sign": -1}]'), ("twist:0", "twist:x", "[["))
+_MATRICES = (("[[-1,1],[0,-1]]", "[[0,1],[0,0]]", "[[-1,1],[0,-2]]",
+              "[[1,1],[0,1]]"), ("[[1,2],[3,4]]", "[[1]]", "[]", "oops"))
+_FORMS = (("[[1]]", "[[2,1],[1,-3]]", '[["1/2"]]', "[[0,0],[0,0]]"),
+          ("[[1,2],[3,4]]", "[[[1,0]]]", "[1]"))
+_WORDS = (("x0", "x1^2", "comm(x0,x1)", "alpha(1)", "beta(1)", "alpha(2)",
+           "x0 x0^-1", ""), ("x5", "(x0", "x0^", "alpha(-1)"))
+# Deck order q -> the greatest height n with q^(2n) <= 4^4.
+_TOWER_SIZES = {3: 2, 4: 2, 5: 1, 7: 1, 8: 1, 9: 1, 16: 1}
+
+
+def _values(valid, invalid=()):
+    return st.integers(0, 5 if invalid else 0).flatmap(
+        lambda k: st.sampled_from(tuple(invalid) if k == 5 else tuple(valid)))
+
+
+def _flag(name, valid, invalid=()):
+    return _values(valid, invalid).map(lambda v: (name, str(v)))
+
+
+@st.composite
+def _tower_args(draw, least_height=0):
+    q = draw(_values(_TOWER_SIZES, (2, 6, 0)))
+    n = draw(_values(range(least_height, _TOWER_SIZES.get(q, 1) + 1),
+                     range(-1, least_height)))
+    return draw(_values((2, 3), (1,))), n, q
+
+
+def _family_orders(p, count, d_seed):
+    orders, d = [], d_seed
+    for _ in range(count):
+        orders.append(d)
+        step = p
+        while step <= 3 * d:
+            step *= p
+        d = step
+    return orders
+
+
+@st.composite
+def _argvs(draw, kind):
+    knot = st.one_of(_flag("--knot", *_KNOTS), _flag("--matrix", *_MATRICES))
+    parts = []
+    if kind in ("sig", "arf"):
+        argv = [kind]
+        parts.append(draw(knot))
+        if kind == "sig":
+            parts += [draw(_flag("--d", range(1, 65), (0, -1))),
+                      draw(_flag("--s", range(-3, 10)))]
+    elif kind == "witt":
+        argv = ["witt"]
+        parts.append(draw(st.one_of(_flag("--matrix", *_MATRICES),
+                                    _flag("--form", *_FORMS))))
+        parts.append(draw(_flag("--d", (2, 3, 4, 5, 8, 9, 16, 27, 32, 64),
+                                (0, 6))))
+        if parts[0][0] == "--matrix":
+            parts += [draw(_flag("--r", (1, 2, 3), (0,))),
+                      draw(_flag("--t", (1, 2, 5, -1, 0)))]
+    elif kind == "hilbert":
+        argv = ["hilbert"]
+        value = (("1", "-1", "2", "-7", "3/4"), ("0", "1/0", "x"))
+        parts += [draw(_flag("--a", *value)), draw(_flag("--b", *value)),
+                  draw(_flag("--q", ("2", "3", "5", "inf"), ("4", "-3", "x")))]
+    elif kind in ("build", "lift", "verify", "independence"):
+        m, n, q = draw(_tower_args(int(kind == "independence")))
+        if kind == "independence":
+            # The default family at q = 4 has orders 4, 16 and 64; at the
+            # other deck orders it does not exist or passes 64.
+            q = draw(_values((4,), (5, 6, 2)))
+        argv = (["reproduce", kind] if kind == "independence"
+                else ["tower", kind])
+        parts += [("--m", str(m)), ("--n", str(n)), ("--q", str(q))]
+        if kind == "lift":
+            parts.append(draw(_flag("--word", *_WORDS)))
+            if draw(st.booleans()):
+                parts.append(draw(_flag("--level", range(max(n, 0) + 1),
+                                           (-1, 3))))
+        if kind == "build" and draw(st.booleans()):
+            parts.append(("--full", None))
+    elif kind == "lambda":
+        argv = ["lambda"]
+        m, n, q = draw(_tower_args(1))
+        spec = draw(_values((f"m={m},n={n},q={q}", f"n={n},q={q}"),
+                            ("n=1", "n=1,q=x", "k=1,n=1,q=4")))
+        orders = [q ** k for k in (1, 2, 3) if 2 <= q ** k <= 64] or [4]
+        parts += [("--tower", spec),
+                  ("--theta", draw(_values([f"f-mod-{d}" for d in orders],
+                                           ("f-mod-6", "f-mod-0", "g-mod-4")))),
+                  draw(_flag("--word", *_WORDS)), draw(_flag("--knot", *_KNOTS))]
+        extra = draw(st.sampled_from((None, "--disc", "--signatures-only")))
+        if extra:
+            parts.append((extra, None))
+    elif kind == "family":
+        argv = ["reproduce", "family"]
+        p = draw(_values((2, 3), (5, 4, -1)))
+        d_seed = draw(_values((4, 8, 9, 16, 27), (2, 5)))
+        count = draw(_values((0, 1, 2, 3), (-1,)))
+        while p > 1 and count > 0 and max(_family_orders(p, count, d_seed)) > 64:
+            count -= 1
+        parts += [("--p", str(p)), ("--count", str(count)),
+                  ("--d-seed", str(d_seed))]
+    elif kind == "z2":
+        argv = ["reproduce", "z2"]
+        if draw(st.booleans()):
+            primes = draw(st.lists(_values((3, 7, 11, 19), (1, 4, -3)),
+                                   min_size=1, max_size=4))
+            parts.append(("--primes", ",".join(map(str, primes))))
+    parts.append(draw(_flag("--format", ("json", "csv"))))
+    if draw(st.booleans()):
+        parts.append(draw(_flag("--precision-cap", (64, 256), (10,))))
+    if draw(st.booleans()):
+        parts.append(draw(_flag("--cap-edges", (10 ** 7, 100, 0), (-1,))))
+    for name, value in draw(st.permutations(parts)):
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+@pytest.mark.parametrize("kind", ["sig", "arf", "witt", "hilbert", "build",
+                                  "lift", "verify", "lambda", "family",
+                                  "independence", "z2"])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_cli_fuzz(kind, data):
+    argv = data.draw(_argvs(kind), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert re.search(r"--[a-z]", err.getvalue()), err.getvalue()

@@ -536,3 +536,57 @@ def test_lift_behaviour_mismatches_match_full_loop(gen, a, b):
     assert report.mismatches == _reference_lift_behaviour(tower, 1)
     assert report.checked == 2 * 256
     assert not report.passed
+
+
+def _reference_local_triviality(tower, char):
+    """The per-vertex cycle walk is_locally_trivial replaces."""
+    graph = tower.top
+    lookup = dict(char.weights)
+    for gen in range(graph.generators):
+        perm = graph.perm(gen)
+        seen = np.zeros(graph.size, dtype=bool)
+        for v in range(graph.size):
+            if seen[v]:
+                continue
+            total = 0
+            cycle = []
+            w = v
+            while not seen[w]:
+                seen[w] = True
+                cycle.append(w)
+                total += lookup.get((gen, w), 0)
+                w = int(perm[w])
+            if char.modulus:
+                total %= char.modulus
+            if total:
+                return False, {"generator": gen, "start": v,
+                               "degree": len(cycle), "value": total,
+                               "path": [[gen, u, 1] for u in cycle]}
+    return True, None
+
+
+@st.composite
+def _local_triviality_cases(draw):
+    m = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((3, 4, 5)))
+    n = draw(st.integers(min_value=0, max_value=2))
+    tower = _tower(m, n, q)
+    # Start from the tower character (locally trivial) or from nothing, and
+    # add a few random edge weights.
+    weights = {}
+    if n >= 1 and draw(st.booleans()):
+        weights = dict(character_f(tower).weights)
+    weights.update(draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, tower.top.size - 1)),
+        st.integers(-3, 3), max_size=3)))
+    modulus = draw(st.sampled_from((0, q, q * q)))
+    return tower, Character.of(modulus, weights)
+
+
+@given(_local_triviality_cases())
+@settings(max_examples=150)
+def test_is_locally_trivial_matches_cycle_walk(case):
+    tower, char = case
+    verdict = is_locally_trivial(tower, char)
+    assert (verdict.ok, verdict.witness) == _reference_local_triviality(
+        tower, char)

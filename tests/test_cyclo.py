@@ -56,6 +56,20 @@ def test_non_prime_power_order_rejected():
         zeta(12)
 
 
+def test_degree_cap():
+    assert degree_of(625) == 500
+    with pytest.raises(cyclo.ResourceCapExceeded, match="degree 1030"):
+        zeta(1031)
+
+
+def test_is_prime_matches_trial_division():
+    def naive(n):
+        return n >= 2 and all(n % k for k in range(2, n))
+
+    assert [n for n in range(-3, 5000) if cyclo.is_prime(n)] == \
+        [n for n in range(-3, 5000) if naive(n)]
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         zeta(4) + zeta(8)

@@ -9,7 +9,6 @@ from lambdatower.infection import (
     InfectedStringLink,
     PStructure,
     lambda_T,
-    lambda_T_sum,
     signature_prediction,
     tower_infection,
     x_infection,
@@ -193,46 +192,6 @@ class TestOracleAgreement:
         link = tower_infection(2, 1, twist_knot(1, cable=2))
         with pytest.raises(ValueError):
             lambda_T(structure, link, disc=True)
-
-
-class TestLambdaSum:
-    def test_cancellation(self):
-        structure = PStructure.canonical(TOWER, 4)
-        link = tower_infection(2, 1, twist_knot(1))
-        result = lambda_T_sum(structure, [(1, link), (-1, link)])
-        assert result.witt.is_trivial()
-        assert result.constant_c == 4
-
-    def test_doubling(self):
-        structure = PStructure.canonical(TOWER, 4)
-        link = tower_infection(2, 1, twist_knot(1))
-        result = lambda_T_sum(structure, [(2, link)])
-        assert result.witt.sign == 2 * lambda_T(structure, link).witt.sign
-
-    def test_zero_coefficient_skipped(self):
-        structure = PStructure.canonical(TOWER, 4)
-        link = tower_infection(2, 1, twist_knot(1))
-        result = lambda_T_sum(structure, [(0, link)])
-        assert result.witt.is_trivial()
-        assert result.per_lift == ()
-
-    def test_rows_sum_to_total(self):
-        structure = PStructure.canonical(TOWER, 4)
-        a = tower_infection(2, 1, twist_knot(1))
-        b = tower_infection(2, 1, twist_knot(2))
-        result = lambda_T_sum(structure, [(1, a), (-2, b)])
-        total = witt_zero(4)
-        for row in result.per_lift:
-            if row.present:
-                total = witt_add(total, row.witt)
-        assert total.signatures == result.witt.signatures
-
-    def test_mixed_words_report_no_common_count(self):
-        structure = PStructure.canonical(TOWER, 4)
-        a = tower_infection(2, 1, twist_knot(1))
-        b = x_infection(2, 0, twist_knot(1))
-        result = lambda_T_sum(structure, [(1, a), (1, b)])
-        assert result.constant_c == 0
 
 
 class TestIndependenceMatrix:

@@ -9,7 +9,6 @@ from lambdatower.cyclo import CyclotomicNumber, zeta
 from lambdatower.witt import (
     DiscClass,
     HermitianForm,
-    LambdaBlockSpec,
     diagonalize,
     embeddings,
     hilbert_symbol,
@@ -419,12 +418,6 @@ class TestLambdaBlock:
                 total += int(sum(np.sign(sv)))
             else:
                 assert int(sum(np.sign(vals))) == total
-
-    def test_block_spec_builds_same_form(self):
-        spec = LambdaBlockSpec(TREFOIL, 2, 8, 1)
-        assert spec.form().entries == lambda_block(TREFOIL, 2, 8, 1).entries
-        with pytest.raises(ValueError, match="positive"):
-            LambdaBlockSpec(TREFOIL, 0, 8, 1)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="positive"):
