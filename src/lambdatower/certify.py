@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .cyclo import InputError, is_prime, prime_power_split
 from .covers import (
+    DEFAULT_CAP_EDGES,
     alpha_word,
     audit_tower,
     build_tower,
@@ -60,9 +61,6 @@ CERTIFICATE_KINDS = (
     "local-knot-vanishing",
     "tower-audit",
 )
-
-DEFAULT_CAP_EDGES = 10 ** 7
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -127,8 +125,7 @@ class Certificate:
 # Family reproduction.
 
 
-def family_certificate(p: int, count: int, d_seed: int,
-                       n_max: int = 64) -> Certificate:
+def family_certificate(p: int, count: int, d_seed: int) -> Certificate:
     """Build the knot family and audit it exhaustively.
 
     The table holds one row per (knot, root of unity) pair over all family
@@ -138,7 +135,7 @@ def family_certificate(p: int, count: int, d_seed: int,
     """
     inputs = {"p": p, "count": count, "d_seed": d_seed}
     try:
-        family = build_family(p, count, d_seed, n_max=n_max)
+        family = build_family(p, count, d_seed)
     except BumpSearchError as exc:
         checks = ({"property": "family_search", "ok": False, "detail": str(exc)},)
         return Certificate("family", inputs, (), checks, "FAIL")

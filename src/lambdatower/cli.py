@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .certify import (
-    DEFAULT_CAP_EDGES,
     default_family,
     family_certificate,
     independence_certificate,
@@ -22,10 +21,10 @@ from .certify import (
     z2_certificate,
 )
 from .covers import (
+    DEFAULT_CAP_EDGES,
     ResourceCapExceeded,
-    alpha_word,
-    beta_word,
     build_tower,
+    derived_words,
     free_reduce,
     lift_profile,
     word_concat,
@@ -208,10 +207,10 @@ class _WordParser:
             # alpha(k) = [a, b] and beta(k) = a alpha(k) a^-1 with a, b the
             # words of height k - 1, so 4|a| + 2|b| bounds both before
             # reduction; heights are built upwards until the bound passes.
-            for k in range(1, height + 1):
-                a, b = len(alpha_word(k - 1)), len(beta_word(k - 1))
-                self._check_length(4 * a + 2 * b, f"{tok}({height})")
-            return alpha_word(height) if tok == "alpha" else beta_word(height)
+            for k, (a, b) in enumerate(derived_words()):
+                if k == height:
+                    return a if tok == "alpha" else b
+                self._check_length(4 * len(a) + 2 * len(b), f"{tok}({height})")
         _fail(self.flag, f"unexpected token {tok!r}")
 
 
@@ -369,12 +368,8 @@ def _cmd_hilbert(args):
     return payload, [payload]
 
 
-def _build_tower_from_args(args):
-    return build_tower(args.m, args.n, args.q, cap_edges=args.cap_edges)
-
-
 def _cmd_tower_build(args):
-    tower = _build_tower_from_args(args)
+    tower = build_tower(args.m, args.n, args.q, args.cap_edges)
     top = tower.top
     rows = [{"level": k, "size": g.size, "edges": g.edge_count(),
              "betti1": g.betti1()} for k, g in enumerate(tower.levels)]
@@ -388,7 +383,7 @@ def _cmd_tower_build(args):
 
 
 def _cmd_tower_lift(args):
-    tower = _build_tower_from_args(args)
+    tower = build_tower(args.m, args.n, args.q, args.cap_edges)
     level = args.level if args.level is not None else args.n
     if not 0 <= level <= args.n:
         _fail("--level", f"level must be between 0 and {args.n}, got {level}")

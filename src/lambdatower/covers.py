@@ -11,7 +11,7 @@ edges, and the local-triviality check for characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .cyclo import InputError, ResourceCapExceeded, is_prime_power
 
 __all__ = [
+    "DEFAULT_CAP_EDGES",
     "Cell",
     "Character",
     "CoverGraph",
@@ -35,6 +36,7 @@ __all__ = [
     "build_tower",
     "character_f",
     "component_loop_path",
+    "derived_words",
     "enumerate_lifts",
     "evaluate_character",
     "free_reduce",
@@ -87,26 +89,32 @@ def word_power(word: Sequence[tuple], r: int) -> tuple:
     return free_reduce(tuple(word) * r)
 
 
-@lru_cache(maxsize=None)
+# (alpha_k, beta_k) for the heights k < 6; taller pairs are rebuilt on every
+# walk, not kept (alpha(10) and beta(10) alone hold 1.1 million letters).
+_derived = [(((0, 1),), ((1, 1),))]
+
+
+def derived_words():
+    """Yield (alpha_k, beta_k) for k = 0, 1, ...: alpha_0 = x_0, beta_0 = x_1,
+    alpha_{k+1} = [alpha_k, beta_k] and beta_{k+1} = alpha_k alpha_{k+1}
+    alpha_k^-1, freely reduced."""
+    for k in count():
+        if k < len(_derived):
+            a, b = _derived[k]
+        else:
+            comm = word_concat(a, b, word_inverse(a), word_inverse(b))
+            a, b = comm, word_concat(a, comm, word_inverse(a))
+            if k < 6:
+                _derived.append((a, b))
+        yield a, b
+
+
 def alpha_word(n: int) -> tuple:
-    """alpha_0 = x_0 and alpha_{k+1} = [alpha_k, beta_k], freely reduced."""
-    if n < 0:
-        raise ValueError(f"height must be nonnegative, got {n}")
-    if n == 0:
-        return ((0, 1),)
-    a, b = alpha_word(n - 1), beta_word(n - 1)
-    return word_concat(a, b, word_inverse(a), word_inverse(b))
+    return next(islice(derived_words(), n, None))[0]
 
 
-@lru_cache(maxsize=None)
 def beta_word(n: int) -> tuple:
-    """beta_0 = x_1 and beta_{k+1} = alpha_k [alpha_k, beta_k] alpha_k^-1."""
-    if n < 0:
-        raise ValueError(f"height must be nonnegative, got {n}")
-    if n == 0:
-        return ((1, 1),)
-    a = alpha_word(n - 1)
-    return word_concat(a, alpha_word(n), word_inverse(a))
+    return next(islice(derived_words(), n, None))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +238,9 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
     return CoverGraph(new_perms, (new_c, new_d))
 
 
+DEFAULT_CAP_EDGES = 10 ** 7  # top-level edges build_tower allows by default
+
+
 class Tower:
     """Levels X_0, ..., X_n with the per-level distinguished cells."""
 
@@ -265,7 +276,7 @@ class Tower:
                      [CoverGraph.from_json(g) for g in data["levels"]])
 
 
-def build_tower(m: int, n: int, q: int, cap_edges: int = 10 ** 7) -> Tower:
+def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> Tower:
     """The height-n tower on the first two generators; extra generators lift
     as deck-equivariant loops.  Refuses to build past the edge budget."""
     if m < 2:

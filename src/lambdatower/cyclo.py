@@ -26,6 +26,8 @@ __all__ = [
     "certified_sign",
     "compare_cos_turns",
     "degree_of",
+    "factor",
+    "interval_precision",
     "is_prime",
     "is_prime_power",
     "precision_cap",
@@ -75,23 +77,25 @@ def precision_cap() -> int:
     return _precision_cap
 
 
+def factor(n: int) -> dict:
+    """Prime factorization {prime: exponent} of n by trial division, in
+    increasing order of the primes; empty for n < 2."""
+    out = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def prime_power_split(d: int):
     """Return (p, a) with d = p**a, or None if d is not a prime power >= 2."""
-    if d < 2:
-        return None
-    p = None
-    for q in range(2, d + 1):
-        if q * q > d:
-            p = d
-            break
-        if d % q == 0:
-            p = q
-            break
-    n, a = d, 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return (p, a) if n == 1 else None
+    split = factor(d)
+    return next(iter(split.items())) if len(split) == 1 else None
 
 
 def is_prime_power(d: int) -> bool:
@@ -358,7 +362,7 @@ def zeta(d: int, k: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.from_coeffs(d, vec)
 
 
-class _prec:
+class interval_precision:
     """Temporarily set the interval context precision."""
 
     def __init__(self, bits):
@@ -374,7 +378,7 @@ class _prec:
 
 @lru_cache(maxsize=64)
 def _cos_table(d: int, prec: int):
-    with _prec(prec):
+    with interval_precision(prec):
         two_pi = 2 * iv.pi
         return tuple(iv.cos(two_pi * k / d) for k in range(d))
 
@@ -383,7 +387,7 @@ def _embed_interval(x: CyclotomicNumber, s: int, prec: int):
     # For x fixed by the involution the embedded value is real and equals
     # sum_k c_k cos(2*pi*k*s/d).
     table = _cos_table(x.order, prec)
-    with _prec(prec):
+    with interval_precision(prec):
         acc = iv.mpf(0)
         for k, c in enumerate(x.coeffs):
             if c:
@@ -458,7 +462,7 @@ def compare_cos_turns(c, u) -> int:
         return -1
     prec = START_PRECISION
     while prec <= _precision_cap:
-        with _prec(prec):
+        with interval_precision(prec):
             box = iv.cos(2 * iv.pi * u.numerator / u.denominator)
             lo = iv.mpf(c.numerator) / c.denominator - box
         if lo.a > 0:

@@ -9,12 +9,12 @@ so that the i-th knot is invisible at all d_j-th roots of unity for j < i.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .cyclo import InputError, is_prime, prime_power_split
+from mpmath import mp
+
+from .cyclo import InputError, ResourceCapExceeded, is_prime, prime_power_split
 from .seifert import (
     Atom,
     FormalKnot,
@@ -22,12 +22,13 @@ from .seifert import (
     integral_sigma,
     sigma_details,
     signature_profile,
+    twist_cmp,
     twist_knot,
     twist_matrix,
-    _twist_cmp,
 )
 
 __all__ = [
+    "MAX_FAMILY_ORDER",
     "BumpPlan",
     "BumpSearchError",
     "BumpSpec",
@@ -35,11 +36,15 @@ __all__ = [
     "FamilyEntry",
     "KnotFamily",
     "build_family",
-    "make_bump",
     "plan_bump",
     "verify_family",
     "window_audit",
 ]
+
+
+# Largest family order build_family accepts: 3^7, the last order of the
+# default family for q = 27 (orders 27, 243, 2187).
+MAX_FAMILY_ORDER = 3 ** 7
 
 
 class BumpSearchError(ValueError):
@@ -85,31 +90,28 @@ class BumpPlan:
     knot: FormalKnot
 
 
-def _fold_turns(d: int, s: int) -> Fraction:
-    u = Fraction(s % d, d)
-    return 1 - u if 2 * u > 1 else u
-
-
-def _twist_bracket(tau: Fraction, n_max: int) -> Optional[int]:
-    """Least n in [2, n_max] with t_n < tau, for 0 < tau < 1/6, else None.
+def _twist_bracket(tau: Fraction) -> int:
+    """Least n >= 2 with t_n < tau, for 0 < tau < 1/6.
 
     t_n = arccos(1 - 1/(2n)) / (2 pi) strictly decreases in n, and t_n < tau
-    exactly when n > 1/(2(1 - cos(2 pi tau))) = 1/(4 sin(pi tau)^2).  The
-    float estimate of that bound is corrected by certified comparisons at its
-    neighbours, so the result is exact whatever the rounding error.
+    exactly when n > 1/(2(1 - cos(2 pi tau))) = 1/(4 sin(pi tau)^2).  That
+    bound is at most 1/(16 tau^2), since sin(pi tau) >= 2 tau, so evaluating
+    it with 64 bits more than twice the size of tau's denominator puts it
+    within one of the true value.  Certified comparisons at its neighbours
+    then make the result exact.
     """
-    half = math.sin(math.pi * tau)
-    bound = 1 / (4 * half * half) if half else math.inf
-    m = max(2, math.floor(min(bound, n_max)) + 1)
-    while m > 2 and _twist_cmp(m - 1, tau) < 0:
+    with mp.workprec(2 * tau.denominator.bit_length() + 64):
+        x = mp.pi * tau.numerator / tau.denominator
+        m = max(2, int(1 / (4 * mp.sin(x) ** 2)) + 1)
+    while m > 2 and twist_cmp(m - 1, tau) < 0:
         m -= 1
-    while m <= n_max and _twist_cmp(m, tau) >= 0:
+    while twist_cmp(m, tau) >= 0:
         m += 1
-    return m if m <= n_max else None
+    return m
 
 
-def plan_bump(spec: BumpSpec, d: int, s: int, positivity: bool = False,
-              n_max: int = 64) -> BumpPlan:
+def plan_bump(spec: BumpSpec, d: int, s: int,
+              positivity: bool = False) -> BumpPlan:
     """Search the twist lattice for a band realizing a bump at zeta_d^s.
 
     The band (t_n, t_{n-1}) between adjacent twist jump angles must contain
@@ -120,12 +122,12 @@ def plan_bump(spec: BumpSpec, d: int, s: int, positivity: bool = False,
     d-th roots of unity.
     """
     w_lo, w_hi = spec.window_turns()
-    tau = _fold_turns(d, s)
+    s_folded = min(s % d, -s % d)
+    tau = Fraction(s_folded, d)
     if not (w_lo < tau < w_hi):
         raise ValueError(
             f"target argument {tau} turns lies outside the open window "
             f"({w_lo}, {w_hi})")
-    s_folded = (d - s % d) % d if 2 * (s % d) > d else s % d
     if positivity:
         if d % 2:
             raise BumpSearchError(
@@ -135,39 +137,30 @@ def plan_bump(spec: BumpSpec, d: int, s: int, positivity: bool = False,
                 f"positivity is impossible: zeta_{d}^{s} is an even-index "
                 f"root, which itself lies under a negative half-angle arc")
 
-    if _twist_cmp(1, tau) <= 0:
+    if twist_cmp(1, tau) <= 0:
         raise BumpSearchError(
             f"no twist jump angle exceeds the target {tau} turns "
-            f"(largest is arccos(1/2)/2pi = 1/6); tried n = 1..{n_max}")
-    m = _twist_bracket(tau, n_max)
-    if m is None:
-        raise BumpSearchError(
-            f"no adjacent twist pair brackets the target {tau} turns within "
-            f"n <= {n_max}; raise the n_max bound")
+            f"(largest is arccos(1/2)/2pi = 1/6)")
+    m = _twist_bracket(tau)
 
     lo = max(2 * w_lo, 2 * tau / 3)
     hi = min(w_hi, 4 * tau / 3)
     if positivity:
         lo = max(lo, Fraction(s_folded - 1, d))
         hi = min(hi, Fraction(s_folded + 1, d))
-    if _twist_cmp(m, lo) < 0:
+    if twist_cmp(m, lo) < 0:
         raise BumpSearchError(
             f"band lower edge (twist {m}) falls below the constraint {lo} "
-            f"turns for target {tau}; no admissible band in n <= {n_max}")
-    if _twist_cmp(m - 1, hi) > 0:
+            f"turns for target {tau}; no admissible band")
+    if twist_cmp(m - 1, hi) > 0:
         raise BumpSearchError(
             f"band upper edge (twist {m - 1}) exceeds the constraint {hi} "
-            f"turns for target {tau}; no admissible band in n <= {n_max}")
+            f"turns for target {tau}; no admissible band")
 
     j = twist_knot(m - 1) - twist_knot(m)
     knot = j - j.cable(2)
     epsilon = min(tau / 3, w_hi - tau)
     return BumpPlan(spec, d, s, tau, m, epsilon, knot)
-
-
-def make_bump(spec: BumpSpec, d: int, s: int, positivity: bool = False,
-              n_max: int = 64) -> FormalKnot:
-    return plan_bump(spec, d, s, positivity, n_max).knot
 
 
 def window_audit(knot: FormalKnot, spec: BumpSpec) -> tuple:
@@ -237,9 +230,10 @@ def _head_knot() -> FormalKnot:
     return FormalKnot.of(Atom(twist_matrix(1), 2, -1), Atom(twist_matrix(1), 4, 1))
 
 
-def build_family(p: int, count: int, d_seed: int, n_max: int = 64) -> KnotFamily:
+def build_family(p: int, count: int, d_seed: int) -> KnotFamily:
     """Inductive family construction over orders d_seed, then minimal powers
-    of p beyond threefold growth; deterministic for fixed inputs."""
+    of p beyond threefold growth; deterministic for fixed inputs.  The whole
+    order sequence is checked against MAX_FAMILY_ORDER before any search."""
     if not is_prime(p):
         raise InputError("p", f"{p} is not a prime")
     if count < 0:
@@ -257,16 +251,23 @@ def build_family(p: int, count: int, d_seed: int, n_max: int = 64) -> KnotFamily
             "d_seed", f"seed order {d_seed} leaves the first knot no window "
                       f"(theta1 = 2/{d_seed} pi is not below theta0 = 1/3 pi)")
 
+    orders = []
+    d = d_seed
+    while len(orders) < count:
+        if d > MAX_FAMILY_ORDER:
+            raise ResourceCapExceeded(
+                f"family order {d} is over the cap {MAX_FAMILY_ORDER} on family orders")
+        orders.append(d)
+        d *= p if p > 3 else p * p  # the least power of p above 3 d
+
     entries = []
     prev = 2  # window seed: theta0 = 2 pi / (3 * 2) = pi/3 for the first knot
-    d = d_seed
-    for _ in range(count):
+    for d in orders:
         if p == 2 and d == 4:
             knot = _head_knot()
         else:
             spec = BumpSpec(Fraction(2, 3 * prev), Fraction(2, d))
-            effective = max(n_max, d * d // 25 + 8)
-            knot = make_bump(spec, d, 1, positivity=(p == 2), n_max=effective)
+            knot = plan_bump(spec, d, 1, positivity=(p == 2)).knot
         value = sigma_details(knot, d, 1).value
         if value < 0:
             knot = -knot
@@ -277,10 +278,6 @@ def build_family(p: int, count: int, d_seed: int, n_max: int = 64) -> KnotFamily
             knot = knot + knot
         entries.append(FamilyEntry(knot, d))
         prev = d
-        step = p
-        while step <= 3 * d:
-            step *= p
-        d = step
     return KnotFamily(p, tuple(entries))
 
 

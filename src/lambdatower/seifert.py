@@ -20,13 +20,12 @@ from mpmath import iv, mp
 
 from .cyclo import (
     START_PRECISION,
-    _prec,
     compare_cos_turns,
+    interval_precision,
     is_prime_power,
     precision_cap,
-    zeta,
 )
-from .witt import HermitianForm, diagonalize, signature
+from .witt import diagonalize, lambda_block, signature
 
 __all__ = [
     "Atom",
@@ -42,6 +41,7 @@ __all__ = [
     "sigma",
     "sigma_details",
     "signature_profile",
+    "twist_cmp",
     "twist_knot",
     "twist_matrix",
     "twist_parameter",
@@ -214,7 +214,7 @@ def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]
     zero, as on a zero diagonal, leaves the answer to the exact path.
     """
     n = len(rows)
-    with _prec(prec):
+    with interval_precision(prec):
         phi = iv.pi * s / d
         t = iv.cos(phi) / iv.sin(phi)
         re = [[iv.mpf(rows[i][j] + rows[j][i]) for j in range(n)]
@@ -245,14 +245,7 @@ def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]
 
 def _exact_signature(rows: tuple, d: int, s: int) -> int:
     """Signature of M(zeta_d^s) by exact diagonalization over Q(zeta_d)."""
-    omega = zeta(d, s)
-    omega_bar = omega.conj()
-    one_minus = 1 - omega
-    one_minus_bar = 1 - omega_bar
-    n = len(rows)
-    entries = [[one_minus * rows[i][j] + one_minus_bar * rows[j][i]
-                for j in range(n)] for i in range(n)]
-    diag = diagonalize(HermitianForm(d, tuple(tuple(row) for row in entries)))
+    diag = diagonalize(lambda_block(rows, 1, d, s))
     if diag.radical:
         # det(A - A^T) = +-1 forces the Alexander polynomial to be a unit at
         # every prime-power root of unity, so this cannot happen on valid input
@@ -292,7 +285,7 @@ def omega_signature(matrix, d: int, s: int) -> int:
     return _omega_signature_cached(mat.rows, d, s % d)
 
 
-def _twist_cmp(n: int, x: Fraction) -> int:
+def twist_cmp(n: int, x: Fraction) -> int:
     """Sign of t_n - x, where t_n = arccos((2n-1)/(2n)) / (2 pi)."""
     if n == 1:
         t = Fraction(1, 6)
@@ -333,8 +326,8 @@ class Jump:
             return (pos > u) - (pos < u)
         x = u * self.cable - self.k
         if self.branch > 0:
-            return _twist_cmp(self.n, x)
-        return -_twist_cmp(self.n, 1 - x)
+            return twist_cmp(self.n, x)
+        return -twist_cmp(self.n, 1 - x)
 
     def position_approx(self) -> float:
         theta = math.acos((2 * self.n - 1) / (2 * self.n)) / (2 * math.pi)

@@ -476,6 +476,21 @@ def test_field_degree_cap(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (("witt", "--matrix", "[[-1,1],[0,-1]]", "--r", "32", "--d", "64"),
+     "on block forms"),
+    (("reproduce", "family", "--p", "3", "--count", "4", "--d-seed", "9"),
+     "on family orders"),
+])
+def test_work_caps(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert cap in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: argv lists drawn from a small grammar over every subcommand, with
 # bounds of 4^4 top vertices, orders d <= 64 and block counts r <= 3.  A flag

@@ -1,4 +1,8 @@
 """Tests for iterated covers, word lifting, and the collapse dichotomy."""
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lambdatower
 from lambdatower.covers import (
     Cell,
     Character,
@@ -37,6 +42,8 @@ from lambdatower.covers import (
     _normal_forms,
     word_monodromy,
 )
+
+SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 
 
 def loop_value(tower, char, word):
@@ -86,6 +93,22 @@ class TestWords:
     def test_negative_height_rejected(self):
         with pytest.raises(ValueError):
             alpha_word(-1)
+
+    def test_tall_words_are_not_kept(self):
+        # alpha(9) and beta(9) hold about 290,000 letters; once dropped, only
+        # the small cached heights may stay allocated.  A fresh process keeps
+        # words that other tests built out of the count.
+        code = (
+            "import gc, tracemalloc\n"
+            "from lambdatower.covers import alpha_word, beta_word\n"
+            "tracemalloc.start()\n"
+            "assert len(alpha_word(9)) + len(beta_word(9)) > 250000\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=SRC)).stdout
+        assert int(out) < 2_000_000
 
 
 class TestCoverGraph:

@@ -66,8 +66,12 @@ def test_is_prime_matches_trial_division():
     def naive(n):
         return n >= 2 and all(n % k for k in range(2, n))
 
-    assert [n for n in range(-3, 5000) if cyclo.is_prime(n)] == \
-        [n for n in range(-3, 5000) if naive(n)]
+    primes = [n for n in range(-3, 5000) if naive(n)]
+    assert [n for n in range(-3, 5000) if cyclo.is_prime(n)] == primes
+    powers = {p ** a: (p, a) for p in primes for a in range(1, 13)
+              if p ** a < 5000}
+    assert {n: cyclo.prime_power_split(n) for n in range(-3, 5000)} == \
+        {n: powers.get(n) for n in range(-3, 5000)}
 
 
 def test_mixed_orders_rejected():

@@ -7,6 +7,8 @@ from math import gcd
 import mpmath
 import pytest
 
+from lambdatower import knotforge
+from lambdatower.cyclo import ResourceCapExceeded
 from lambdatower.knotforge import (
     BumpPlan,
     BumpSearchError,
@@ -14,9 +16,9 @@ from lambdatower.knotforge import (
     CertificateReport,
     FamilyEntry,
     KnotFamily,
+    MAX_FAMILY_ORDER,
     _twist_bracket,
     build_family,
-    make_bump,
     plan_bump,
     verify_family,
     window_audit,
@@ -27,9 +29,9 @@ from lambdatower.seifert import (
     sigma,
     sigma_details,
     signature_profile,
+    twist_cmp,
     twist_knot,
     twist_parameter,
-    _twist_cmp,
 )
 
 
@@ -70,17 +72,17 @@ class TestMakeBump:
 
     def test_eighth_root_signature_table(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        knot = make_bump(spec, 8, 1)
+        knot = plan_bump(spec, 8, 1).knot
         assert [sigma(knot, 8, s) for s in range(8)] == [0, 2, 0, 0, 0, 0, 0, 2]
 
     def test_eighth_root_integral_vanishes(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        knot = make_bump(spec, 8, 1)
+        knot = plan_bump(spec, 8, 1).knot
         assert integral_sigma(knot).is_zero()
 
     def test_support_stays_in_window_orbit(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        knot = make_bump(spec, 8, 1)
+        knot = plan_bump(spec, 8, 1).knot
         assert window_audit(knot, spec) == ()
 
     def test_epsilon_chain(self):
@@ -91,12 +93,12 @@ class TestMakeBump:
         plan = plan_bump(spec, 8, 1)
         tau, eps = plan.tau, plan.epsilon
         assert tau / 3 <= tau / 2 - eps / 2 < tau + eps <= spec.window_turns()[1]
-        assert _twist_cmp(plan.n, tau - eps) >= 0
-        assert _twist_cmp(plan.n - 1, tau + eps) <= 0
+        assert twist_cmp(plan.n, tau - eps) >= 0
+        assert twist_cmp(plan.n - 1, tau + eps) <= 0
 
     def test_positivity_flag_keeps_nonnegative_values(self):
         spec = BumpSpec(Fraction(1, 6), Fraction(1, 8))
-        knot = make_bump(spec, 16, 1, positivity=True)
+        knot = plan_bump(spec, 16, 1, positivity=True).knot
         values = [sigma(knot, 16, s) for s in range(16)]
         assert min(values) == 0
         assert values[1] == 2
@@ -104,44 +106,39 @@ class TestMakeBump:
     def test_target_outside_window(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
         with pytest.raises(ValueError, match="window"):
-            make_bump(spec, 3, 1)
-
-    def test_lattice_exhaustion_reports_bound(self):
-        spec = BumpSpec(Fraction(1, 6), Fraction(1, 8))
-        with pytest.raises(BumpSearchError, match="n <= 5"):
-            make_bump(spec, 16, 1, n_max=5)
+            plan_bump(spec, 3, 1)
 
     def test_band_above_window_rejected(self):
         # Window upper edge 3pi/20 sits below the twist-1 jump angle pi/3,
         # so the unique band bracketing 1/8 cannot fit.
         spec = BumpSpec(Fraction(3, 10), Fraction(1, 4))
         with pytest.raises(BumpSearchError, match="upper edge"):
-            make_bump(spec, 8, 1)
+            plan_bump(spec, 8, 1)
 
     def test_positivity_rejects_even_index_target(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
         with pytest.raises(BumpSearchError, match="even-index"):
-            make_bump(spec, 16, 2, positivity=True)
+            plan_bump(spec, 16, 2, positivity=True)
 
     def test_positivity_rejects_odd_order(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
         with pytest.raises(BumpSearchError, match="even order"):
-            make_bump(spec, 9, 1, positivity=True)
+            plan_bump(spec, 9, 1, positivity=True)
 
     def test_target_at_sixth_turn_has_no_band(self):
         # 1/6 is the largest twist jump angle, so nothing brackets it.
         spec = BumpSpec(Fraction(5, 12), Fraction(1, 4))
         with pytest.raises(BumpSearchError, match="1/6"):
-            make_bump(spec, 6, 1)
+            plan_bump(spec, 6, 1)
 
     def test_deterministic(self):
         spec = BumpSpec(Fraction(1, 6), Fraction(1, 8))
-        assert make_bump(spec, 16, 1) == make_bump(spec, 16, 1)
+        assert plan_bump(spec, 16, 1).knot == plan_bump(spec, 16, 1).knot
 
 
-def scan_brackets(targets, n_max):
+def scan_brackets(targets):
     """The linear scan plan_bump ran before its closed form: for each target
-    tau, the least n in [2, n_max] with t_n < tau, or None.
+    tau, the least n >= 2 with t_n < tau.
 
     Targets are swept in decreasing order and each scan resumes where the
     previous one stopped.  A smaller target accepts only n that a larger one
@@ -151,42 +148,45 @@ def scan_brackets(targets, n_max):
     out = {}
     n = 2
     for tau in sorted(targets, reverse=True):
-        while n <= n_max and _twist_cmp(n, tau) >= 0:
+        while twist_cmp(n, tau) >= 0:
             n += 1
-        out[tau] = n if n <= n_max else None
+        out[tau] = n
     return out
 
 
 class TestTwistBracket:
-    # family order 729 searches up to n_max = 729^2 // 25 + 8
-    N_MAX = 729 ** 2 // 25 + 8
-
     def test_matches_linear_scan(self):
         # Every target below 1/6 with denominator <= 48, and two seeded
         # targets for each denominator 49..729.  The scan's cost grows like
         # 1/tau^2 (13,462 certified comparisons at 1/729), so the seeded
-        # targets stay at or above 1/200; test_n_max_bounds_the_bracket
-        # covers 1/729.
+        # targets stay at or above 1/200; test_bracket_at_one_729th covers
+        # 1/729.
         rng = random.Random(729)
         targets = {Fraction(s, d) for d in range(7, 49) for s in range(1, d)
                    if gcd(s, d) == 1 and 6 * s < d}
         targets |= {Fraction(rng.randint(-(-d // 200), (d - 1) // 6), d)
                     for d in range(49, 730) for _ in range(2)}
-        expected = scan_brackets(targets, self.N_MAX)
+        expected = scan_brackets(targets)
         for tau in targets:
-            assert _twist_bracket(tau, self.N_MAX) == expected[tau], tau
+            assert _twist_bracket(tau) == expected[tau], tau
 
-    def test_n_max_bounds_the_bracket(self):
+    def test_bracket_at_one_729th(self):
         tau = Fraction(1, 729)
         with mpmath.workdps(50):
             bound = 1 / (4 * mpmath.sin(mpmath.pi / 729) ** 2)
         m = int(bound) + 1
         assert m == 13462
-        assert _twist_bracket(tau, self.N_MAX) == m
-        assert _twist_bracket(tau, m) == m
-        assert _twist_bracket(tau, m - 1) is None
-        assert _twist_bracket(Fraction(1, 7), 1) is None
-        assert _twist_bracket(Fraction(1, 7), 2) == 2
+        assert _twist_bracket(tau) == m
+        assert _twist_bracket(Fraction(1, 7)) == 2
+
+    def test_tiny_target_stays_exact(self):
+        # A double would lose this bound (about 2.5e58) to rounding, and its
+        # sine underflows below 1e-308.
+        for tau in (Fraction(1, 10 ** 30), Fraction(3, 10 ** 400)):
+            with mpmath.workdps(2000):
+                bound = 1 / (4 * mpmath.sin(mpmath.pi * tau.numerator
+                                            / tau.denominator) ** 2)
+            assert _twist_bracket(tau) == int(bound) + 1
 
 
 class TestWindowAudit:
@@ -282,6 +282,22 @@ class TestBuildFamily:
             build_family(2, 1, 6)
         with pytest.raises(ValueError, match=">= 4"):
             build_family(2, 1, 2)
+
+    def test_order_cap_is_checked_before_any_search(self, monkeypatch):
+        # Orders 9, 81, 729, 6561: the fourth passes 3^7, so nothing is
+        # searched; 27, 243, 2187 (the default family for q = 27) is the
+        # largest sequence allowed.
+        def no_search(*args, **kwargs):
+            raise AssertionError("the bump search started")
+
+        monkeypatch.setattr(knotforge, "plan_bump", no_search)
+        with pytest.raises(ResourceCapExceeded, match="order 6561"):
+            build_family(3, 4, 9)
+        with pytest.raises(ResourceCapExceeded, match="order 8192"):
+            build_family(2, 6, 8)
+        monkeypatch.undo()
+        assert MAX_FAMILY_ORDER == 3 ** 7
+        assert [e.d for e in build_family(3, 3, 27).entries] == [27, 243, 2187]
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):

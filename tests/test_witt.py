@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lambdatower.cyclo import CyclotomicNumber, zeta
+from lambdatower.cyclo import CyclotomicNumber, ResourceCapExceeded, zeta
 from lambdatower.witt import (
+    MAX_BLOCK_WORK,
     DiscClass,
     HermitianForm,
     diagonalize,
@@ -418,6 +419,16 @@ class TestLambdaBlock:
                 total += int(sum(np.sign(sv)))
             else:
                 assert int(sum(np.sign(vals))) == total
+
+    def test_block_work_cap(self):
+        # The trefoil's 31-block form at d = 64 has work 62^3 * 32^2, under
+        # the cap; its 32-block form (2^28) and the 8-block form at d = 1024
+        # (2^30) are refused before any entry is built.
+        assert 62 ** 3 * 32 ** 2 <= MAX_BLOCK_WORK < 2 ** 28
+        assert lambda_block(TREFOIL, 2, 64, 1).size == 4
+        for r, d in ((32, 64), (8, 1024)):
+            with pytest.raises(ResourceCapExceeded, match="over the cap"):
+                lambda_block(TREFOIL, r, d, 1)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="positive"):
