@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import count
 
 from .certify import (
     default_family,
@@ -206,10 +207,15 @@ class _WordParser:
                 _fail(self.flag, f"height must be nonnegative, got {height}")
             # alpha(k) = [a, b] and beta(k) = a alpha(k) a^-1 with a, b the
             # words of height k - 1, so 4|a| + 2|b| bounds both before
-            # reduction; heights are built upwards until the bound passes.
-            for k, (a, b) in enumerate(derived_words()):
+            # reduction; words are built upwards until the bound passes.
+            words = derived_words()
+            for k in count():
+                a = next(words)
+                if (k, tok) == (height, "alpha"):
+                    return a
+                b = next(words)
                 if k == height:
-                    return a if tok == "alpha" else b
+                    return b
                 self._check_length(4 * len(a) + 2 * len(b), f"{tok}({height})")
         _fail(self.flag, f"unexpected token {tok!r}")
 
@@ -271,10 +277,91 @@ def _cell(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+_QUOTE = json.encoder.encode_basestring
+# Exact scalar types -> their text as the C encoder writes it; floats and
+# subclasses go through the encoder itself.
+_SCALARS = {str: _QUOTE, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+_CONTAINERS = (dict, list, tuple)
+_BATCH = 4096  # pieces per write to the stream
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _QUOTE(key)
+    if key is None or isinstance(key, (int, float)):
+        return _QUOTE(_ENCODE(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+class _JsonWriter:
+    """Writes the bytes of json.dump(payload, stream, sort_keys=True,
+    indent=2, ensure_ascii=False) and a newline; json.dump itself falls
+    back to the pure-Python encoder for indented output.
+
+    Scalars and keys go through the C encoder.  A container met again (by
+    identity) is rendered to text once per depth and the text reused after
+    that; everything else goes to the stream piece by piece, in batches, so
+    the payload is never held as one string.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.seen = set()  # ids of the containers met so far
+        self.rendered = {}  # (id, depth) -> text of a repeated container
+        self.pending = []
+
+    def write(self, payload) -> None:
+        self._value(payload, 0, self.pending)
+        self.pending.append("\n")
+        self.stream.write("".join(self.pending))
+        self.pending.clear()
+
+    def _value(self, obj, depth: int, out: list) -> None:
+        if not isinstance(obj, _CONTAINERS):
+            out.append(_ENCODE(obj))
+        elif id(obj) not in self.seen:
+            self.seen.add(id(obj))
+            self._container(obj, depth, out)
+        else:
+            text = self.rendered.get((id(obj), depth))
+            if text is None:
+                part = []
+                self._container(obj, depth, part)
+                text = self.rendered[id(obj), depth] = "".join(part)
+            out.append(text)
+
+    def _container(self, obj, depth: int, out: list) -> None:
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            out.append("{}" if is_dict else "[]")
+            return
+        head, pad = "{" if is_dict else "[", "\n" + "  " * (depth + 1)
+        for item in sorted(obj.items()) if is_dict else obj:
+            if is_dict:
+                key, item = item
+                head += pad + _key(key) + ": "
+            else:
+                head += pad
+            encode = _SCALARS.get(type(item))
+            if encode is not None:
+                out.append(head + encode(item))
+            else:
+                out.append(head)
+                self._value(item, depth + 1, out)
+            head = ","
+            if len(out) >= _BATCH and out is self.pending:
+                self.stream.write("".join(out))
+                out.clear()
+        out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
+
+
 def _emit(payload: dict, rows, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(payload, stream, sort_keys=True, indent=2, ensure_ascii=False)
-        stream.write("\n")
+        _JsonWriter(stream).write(payload)
         return
     if rows is None:
         rows = [payload]
@@ -427,11 +514,12 @@ def _cmd_lambda(args):
         _fail("--word", str(exc))
     disc = True if args.disc else (False if args.signatures_only else None)
     result = lambda_T(structure, link, disc=disc)
-    rows = []
-    for lift in result.per_lift:
-        row = {"r": lift.r, "theta": lift.theta_value, "present": lift.present,
-               "sign": lift.witt.sign if lift.present else 0}
-        rows.append(row)
+    rows = None
+    if args.format == "csv":
+        rows = [{"r": lift.r, "theta": lift.theta_value,
+                 "present": lift.present,
+                 "sign": lift.witt.sign if lift.present else 0}
+                for lift in result.per_lift]
     payload = {"command": "lambda", "tower": spec, "d": d,
                "word": [list(l) for l in link.infection_word],
                "knot": knot.to_json(), "result": result.to_json()}

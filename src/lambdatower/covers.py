@@ -11,7 +11,7 @@ edges, and the local-triviality check for characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, groupby, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -95,26 +95,30 @@ _derived = [(((0, 1),), ((1, 1),))]
 
 
 def derived_words():
-    """Yield (alpha_k, beta_k) for k = 0, 1, ...: alpha_0 = x_0, beta_0 = x_1,
-    alpha_{k+1} = [alpha_k, beta_k] and beta_{k+1} = alpha_k alpha_{k+1}
-    alpha_k^-1, freely reduced."""
+    """Yield alpha_0, beta_0, alpha_1, beta_1, ...: alpha_0 = x_0,
+    beta_0 = x_1, alpha_{k+1} = [alpha_k, beta_k] and beta_{k+1} = alpha_k
+    alpha_{k+1} alpha_k^-1, freely reduced.  Each word is built only when it
+    is asked for, so stopping at alpha_k never builds beta_k."""
     for k in count():
         if k < len(_derived):
             a, b = _derived[k]
+            yield a
         else:
-            comm = word_concat(a, b, word_inverse(a), word_inverse(b))
-            a, b = comm, word_concat(a, comm, word_inverse(a))
+            below = a
+            a = word_concat(a, b, word_inverse(a), word_inverse(b))
+            yield a
+            b = word_concat(below, a, word_inverse(below))
             if k < 6:
                 _derived.append((a, b))
-        yield a, b
+        yield b
 
 
 def alpha_word(n: int) -> tuple:
-    return next(islice(derived_words(), n, None))[0]
+    return next(islice(derived_words(), 2 * n, None))
 
 
 def beta_word(n: int) -> tuple:
-    return next(islice(derived_words(), n, None))[1]
+    return next(islice(derived_words(), 2 * n + 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +174,19 @@ class CoverGraph:
     def is_connected(self) -> bool:
         """Whether every vertex is reached from the basepoint, by a
         breadth-first sweep that steps the whole frontier along every edge
-        label in both directions at once."""
-        tables = self.perms + self._inverses
+        label in both directions at once.  Each new frontier is marked in a
+        boolean array, so no step sorts."""
         seen = np.zeros(self.size, dtype=bool)
         seen[self.basepoint] = True
+        new = np.zeros(self.size, dtype=bool)
         frontier = np.array([self.basepoint], dtype=np.int64)
         while frontier.size:
-            reached = np.concatenate([t[frontier] for t in tables])
-            frontier = np.unique(reached[~seen[reached]])
-            seen[frontier] = True
+            for table in self.perms + self._inverses:
+                new[table[frontier]] = True
+            new &= ~seen
+            seen |= new
+            frontier = np.flatnonzero(new)
+            new[frontier] = False
         return bool(seen.all())
 
     def betti1(self) -> int:
@@ -565,64 +573,63 @@ def audit_tower(tower: Tower) -> TowerAudit:
     return TowerAudit(all(c["ok"] for c in checks), tuple(checks))
 
 
-def _collapse_path(path: Iterable[tuple], prev: CoverGraph, q: int) -> tuple:
-    """Image of a path after contracting every copy of the cut graph.
-
-    Only lifts of the two distinguished edges survive; each becomes a letter
-    ("c" or "d", copy index of the cell, exponent), where a cell with reversed
-    orientation is based one (0,1)-step below its edge's copy.
-    """
-    c_cell, d_cell = prev.cells
-    n = prev.size
-    letters = []
-    for gen, src, direction in path:
-        copy, base = divmod(src, n)
-        if (gen, base) == (c_cell.gen, c_cell.source):
-            if c_cell.orientation == -1:
-                copy = _gamma_add(copy, -1, 0, q)
-            letters.append(("c", copy, direction * c_cell.orientation))
-        elif (gen, base) == (d_cell.gen, d_cell.source):
-            if d_cell.orientation == -1:
-                copy = _gamma_add(copy, 0, -1, q)
-            letters.append(("d", copy, direction * d_cell.orientation))
-    return free_reduce(letters)
-
-
 def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
                      word: Sequence[tuple]) -> dict:
     """Collapsed lifts of a word based at every vertex of graph at once.
 
-    Returns a mapping from start vertex to its reduced collapsed word,
-    omitting vertices whose collapse is empty.  Agrees with running
-    lift_word followed by _collapse_path per vertex, but walks all fibres
-    simultaneously so large covers stay cheap.
+    Contracting every copy of the cut graph prev inside graph keeps only the
+    lifts of the two distinguished edges; each crossing becomes a letter
+    ("c" or "d", copy index of the cell, exponent), where a cell with
+    reversed orientation is based one step below its edge's copy.  Returns a
+    mapping from start vertex to its reduced collapsed word, omitting
+    vertices whose collapse is empty.
+
+    Only the q^2 lifts of each cell can be crossed, so the survey walks back
+    from them: the letter at position i crosses the lift with source u from
+    the start vertex w[:L]^-1(u), where L = i for a forward letter and i + 1
+    for an inverse one (its edge source is reached after the step).  Every
+    row (crossing letter, lift) walks back at once, one gather per letter
+    over the rows whose prefix is still longer than the step; the hits are
+    then sorted by (start, position) and each start is freely reduced.
+    Walking back needs every generator table to be a bijection, which
+    build_tower guarantees and audit_tower checks as the covering condition.
     """
-    c_cell, d_cell = prev.cells
-    n = prev.size
-    current = np.arange(graph.size, dtype=np.int64)
-    raw: dict = {}
-    for gen, exp in word:
-        if exp == 1:
-            sources = current
-            current = graph.perms[gen][current]
-        else:
-            current = graph.perm_inv(gen)[current]
-            sources = current
-        for symbol, cell in (("c", c_cell), ("d", d_cell)):
+    width = graph.size // prev.size
+    lifts = np.arange(width, dtype=np.int64)
+    letters = {}  # (symbol, exponent) -> the collapsed letter at every lift
+    crossings = []  # (prefix length, sort key, cell source, letters)
+    for i, (gen, exp) in enumerate(word):
+        for j, (symbol, cell, step) in enumerate(
+                (("c", prev.cells[0], (-1, 0)), ("d", prev.cells[1], (0, -1)))):
             if gen != cell.gen:
                 continue
-            for start in np.nonzero(sources % n == cell.source)[0]:
-                copy = int(sources[start]) // n
-                if cell.orientation == -1:
-                    if symbol == "c":
-                        copy = _gamma_add(copy, -1, 0, q)
-                    else:
-                        copy = _gamma_add(copy, 0, -1, q)
-                raw.setdefault(int(start), []).append(
-                    (symbol, copy, exp * cell.orientation))
+            if (symbol, exp) not in letters:
+                label = lifts if cell.orientation == 1 else _gamma_add(
+                    lifts, *step, q)
+                letters[symbol, exp] = [(symbol, g, exp * cell.orientation)
+                                        for g in label.tolist()]
+            crossings.append((i if exp == 1 else i + 1, 2 * i + j,
+                              cell.source, letters[symbol, exp]))
+    if not crossings:
+        return {}
+    # Rows in decreasing prefix length, so that the rows still walking back
+    # at step t are the first active[t] of them.
+    crossings.sort(key=lambda row: -row[0])
+    prefix = np.repeat([row[0] for row in crossings], width)
+    current = np.concatenate([lifts * prev.size + row[2] for row in crossings])
+    active = np.searchsorted(-prefix, -np.arange(prefix[0]))
+    for t in range(prefix[0] - 1, -1, -1):
+        gen, exp = word[t]
+        back = graph.perm_inv(gen) if exp == 1 else graph.perm(gen)
+        current[:active[t]] = back[current[:active[t]]]
+    # A forward walk meets position i before i + 1, and c before d.
+    hits = np.lexsort((np.repeat([row[1] for row in crossings], width),
+                       current)).tolist()
+    flat = [letter for row in crossings for letter in row[3]]
+    starts = current.tolist()
     survey = {}
-    for start, letters in raw.items():
-        reduced = free_reduce(letters)
+    for start, group in groupby(hits, key=starts.__getitem__):
+        reduced = free_reduce(flat[h] for h in group)
         if reduced:
             survey[start] = reduced
     return survey

@@ -152,7 +152,8 @@ class LambdaResult:
     """Total Witt class with its per-lift breakdown.
 
     constant_c counts the lifts with nonzero cocycle value; the total equals
-    the sum of the present contributions by construction.
+    the sum of the present contributions by construction.  In to_json the
+    lifts that share one LiftContribution share one row dict.
     """
 
     witt: WittClass
@@ -160,8 +161,10 @@ class LambdaResult:
     constant_c: int
 
     def to_json(self) -> dict:
+        distinct = {id(row): row for row in self.per_lift}
+        rendered = {key: row.to_json() for key, row in distinct.items()}
         return {"witt": self.witt.to_json(),
-                "per_lift": [row.to_json() for row in self.per_lift],
+                "per_lift": [rendered[id(row)] for row in self.per_lift],
                 "constant_c": self.constant_c}
 
 

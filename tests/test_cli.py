@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 import contextlib
+import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdatower import cli, cyclo
+from lambdatower import cli, covers, cyclo
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
 from lambdatower.knotforge import FamilyEntry, KnotFamily
@@ -71,6 +73,20 @@ class TestWordParser:
                     "alpha(-1)", "alpha(x0)"):
             with pytest.raises(ValueError):
                 parse_word(bad)
+
+    def test_alpha_does_not_build_beta(self, monkeypatch):
+        # Above the cached heights, alpha(7) needs alpha(6) and beta(6) but
+        # not beta(7), which is longer than alpha(7).
+        built = []
+        real = covers.word_concat
+
+        def concat(*words):
+            word = real(*words)
+            built.append(len(word))
+            return word
+
+        monkeypatch.setattr(covers, "word_concat", concat)
+        assert len(parse_word("alpha(7)")) == max(built) < len(beta_word(7))
 
     def test_length_cap(self, monkeypatch):
         # Each construct is refused before it is built; the bound for
@@ -252,6 +268,21 @@ class TestLambdaCommand:
         lines = out.splitlines()
         assert lines[0] == "r,theta,present,sign"
         assert len(lines) == 17
+
+    def test_csv_bytes(self, capsys):
+        # Bytes recorded when the rows were built for every format.
+        code, out, _ = run(capsys, "lambda", "--tower", "n=1,q=3",
+                           "--theta", "f-mod-3", "--word", "comm(x0,x1)",
+                           "--knot", "twist:2:2", "--format", "csv")
+        assert code == 0
+        assert out == ("r,theta,present,sign\r\n1,1,true,-2\r\n"
+                       "1,0,false,0\r\n1,2,true,-2\r\n1,2,true,-2\r\n"
+                       "1,0,false,0\r\n1,1,true,-2\r\n" + "1,0,false,0\r\n" * 3)
+        code, out, _ = run(capsys, "lambda", "--tower", "n=2,q=3",
+                           "--theta", "f-mod-9", "--word", "alpha(2)",
+                           "--knot", "twist:2:2", "--format", "csv")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == (
+            "a3759c61cd975014")
 
     def test_strand_infection_trivial(self, capsys):
         data = run_json(capsys, "lambda", "--tower", "n=1,q=4",
@@ -627,3 +658,115 @@ def test_cli_fuzz(kind, data):
     assert code in (0, 2, 3)
     if code == 2:
         assert re.search(r"--[a-z]", err.getvalue()), err.getvalue()
+
+
+# The JSON writer against json.dumps(sort_keys=True, indent=2,
+# ensure_ascii=False), whose bytes are the output contract.
+
+
+def _dumped(payload):
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+def _written(payload):
+    stream = io.StringIO()
+    cli._emit(payload, None, "json", stream)
+    return stream.getvalue()
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from((-0.0, 1e-300, math.nan, math.inf, -math.inf, True, 1,
+                     False, 0, "\x00\x1f\"\\\u2028é∞", "")))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.integers(-12, 12), children, max_size=4))
+
+
+_TREES = st.recursive(_SCALARS, _containers, max_leaves=16)
+
+
+@st.composite
+def _shared_payloads(draw):
+    # One sub-object twice at one depth and again at two other depths.
+    shared = draw(_containers(_TREES))
+    other = draw(_TREES)
+    return {"twice": [shared, shared], "other": other,
+            "deeper": {"a": [other, {"b": shared}], "c": shared}}
+
+
+@given(st.one_of(_TREES, _shared_payloads()))
+@settings(max_examples=150)
+def test_json_writer_matches_json_dumps(payload):
+    assert _written(payload) == _dumped(payload)
+
+
+def test_json_writer_edge_cases():
+    row = {"present": True, "r": 1, "witt": None}
+    payload = {10: [row, row, [row]], 9: {"s": "é\x07", "f": [-0.0, 1e-300]},
+               "": [[], {}, ()], "n": [math.nan, math.inf, True, 1, False, 0]}
+    with pytest.raises(TypeError):
+        _written(payload)  # int and str keys do not sort together
+    del payload[10], payload[9]
+    payload.update({"ints": {10: row, 9: [row, {"x": row}]}})
+    assert _written(payload) == _dumped(payload)
+    assert list(json.loads(_written(payload))["ints"]) == ["9", "10"]
+    with pytest.raises(TypeError):
+        _written({(1, 2): 0})
+    with pytest.raises(TypeError):
+        _written({"a": object()})
+
+
+def test_json_writer_streams_in_batches():
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(len(text))
+
+    payload = {"rows": [{"k": i} for i in range(20000)]}
+    cli._emit(payload, None, "json", Stream())
+    assert sum(writes) == len(_dumped(payload))
+    assert len(writes) > 10 and max(writes) < sum(writes) / 10
+
+
+# Commands whose stdout was diffed against the pure-Python encoder's.
+_DIFFED = (
+    "tower lift --m 2 --n 1 --q 4 --word comm(x0,x1)",
+    "tower lift --m 2 --n 2 --q 3 --word alpha(2)",
+    "tower lift --m 3 --n 2 --q 4 --word beta(2) --level 1",
+    "tower lift --m 2 --n 3 --q 4 --word alpha(3)",
+    "tower build --m 2 --n 2 --q 4",
+    "tower build --m 3 --n 2 --q 5 --full",
+    "tower build --m 3 --n 3 --q 8",
+    "tower verify --m 2 --n 2 --q 4",
+    "tower verify --m 2 --n 4 --q 4",
+    "tower verify --m 3 --n 3 --q 7",
+    "tower verify --m 2 --n 2 --q 27",
+    "lambda --tower n=1,q=4 --theta f-mod-4 --word comm(x0,x1) --knot trefoil",
+    "lambda --tower n=2,q=3 --theta f-mod-9 --word alpha(2) --knot twist:2:2",
+    "lambda --tower n=3,q=5 --theta f-mod-5 --word alpha(3) --knot trefoil",
+    "lambda --tower n=4,q=3 --theta f-mod-27 --word alpha(4) "
+    "--knot twist:3:2:-1",
+    "lambda --tower n=4,q=4 --theta f-mod-4 --word alpha(4) --knot trefoil",
+    "lambda --tower m=3,n=3,q=4 --theta f-mod-64 --word comm(alpha(3),x2) "
+    "--knot twist:2",
+    "lambda --tower n=2,q=4 --theta f-mod-16 --word alpha(2) --knot twist:2 "
+    "--signatures-only",
+    "reproduce independence --m 2 --n 1 --q 4",
+    "reproduce family --p 2 --count 3 --d-seed 4",
+    "reproduce z2",
+)
+
+
+@pytest.mark.parametrize("command", _DIFFED)
+def test_command_payloads_match_json_dumps(command):
+    args = cli.build_parser().parse_args(command.split())
+    payload, _ = args.handler(args)
+    assert _written(payload) == _dumped(payload)

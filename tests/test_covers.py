@@ -37,13 +37,67 @@ from lambdatower.covers import (
 )
 from lambdatower.covers import (
     _active_fiber,
-    _collapse_path,
     _collapse_survey,
+    _gamma_add,
     _normal_forms,
     word_monodromy,
 )
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
+
+
+def _collapse_path(path, prev, q):
+    """Image of a path after contracting every copy of the cut graph, one
+    edge at a time: the definition the collapse surveys are checked against."""
+    c_cell, d_cell = prev.cells
+    n = prev.size
+    letters = []
+    for gen, src, direction in path:
+        copy, base = divmod(src, n)
+        if (gen, base) == (c_cell.gen, c_cell.source):
+            if c_cell.orientation == -1:
+                copy = _gamma_add(copy, -1, 0, q)
+            letters.append(("c", copy, direction * c_cell.orientation))
+        elif (gen, base) == (d_cell.gen, d_cell.source):
+            if d_cell.orientation == -1:
+                copy = _gamma_add(copy, 0, -1, q)
+            letters.append(("d", copy, direction * d_cell.orientation))
+    return free_reduce(letters)
+
+
+def _forward_collapse_survey(graph, prev, q, word):
+    """The forward survey _collapse_survey replaces, kept as its oracle: it
+    walks the word from every vertex at once and records each letter whose
+    edge source lies over a distinguished cell."""
+    c_cell, d_cell = prev.cells
+    n = prev.size
+    current = np.arange(graph.size, dtype=np.int64)
+    raw = {}
+    for gen, exp in word:
+        if exp == 1:
+            sources = current
+            current = graph.perms[gen][current]
+        else:
+            current = graph.perm_inv(gen)[current]
+            sources = current
+        for symbol, cell in (("c", c_cell), ("d", d_cell)):
+            if gen != cell.gen:
+                continue
+            for start in np.nonzero(sources % n == cell.source)[0]:
+                copy = int(sources[start]) // n
+                if cell.orientation == -1:
+                    if symbol == "c":
+                        copy = _gamma_add(copy, -1, 0, q)
+                    else:
+                        copy = _gamma_add(copy, 0, -1, q)
+                raw.setdefault(int(start), []).append(
+                    (symbol, copy, exp * cell.orientation))
+    survey = {}
+    for start, letters in raw.items():
+        reduced = free_reduce(letters)
+        if reduced:
+            survey[start] = reduced
+    return survey
 
 
 def loop_value(tower, char, word):
@@ -525,8 +579,10 @@ def _reference_lift_behaviour(tower, k):
     prev, graph = tower.levels[k], tower.levels[k + 1]
     active = _active_fiber(tower, k)
     surveys = {
-        "alpha": _collapse_survey(graph, prev, tower.q, alpha_word(k + 1)),
-        "beta": _collapse_survey(graph, prev, tower.q, beta_word(k + 1)),
+        "alpha": _forward_collapse_survey(graph, prev, tower.q,
+                                          alpha_word(k + 1)),
+        "beta": _forward_collapse_survey(graph, prev, tower.q,
+                                         beta_word(k + 1)),
     }
     mismatches = []
     for v in range(graph.size):
@@ -549,6 +605,44 @@ def _swapped(tower, level, gen, a, b):
     perms[gen][[a, b]] = perms[gen][[b, a]]
     levels[level] = CoverGraph(perms, graph.cells, graph.basepoint)
     return Tower(tower.m, tower.n, tower.q, levels)
+
+
+@st.composite
+def _survey_cases(draw):
+    m = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((3, 4, 5, 7)))
+    n = draw(st.integers(min_value=1, max_value=3 if q < 7 else 2))
+    tower = _tower(m, n, q)
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    if draw(st.booleans()):
+        size = tower.levels[k + 1].size
+        tower = _swapped(tower, k + 1, draw(st.integers(0, m - 1)),
+                         draw(st.integers(0, size - 1)),
+                         draw(st.integers(0, size - 1)))
+    word = draw(st.one_of(
+        st.sampled_from((alpha_word(k + 1), beta_word(k + 1))),
+        st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))),
+                 max_size=12).map(free_reduce)))
+    return tower, k, word
+
+
+@given(_survey_cases())
+@settings(max_examples=80)
+def test_collapse_survey_matches_forward_walk(case):
+    tower, k, word = case
+    prev, graph = tower.levels[k], tower.levels[k + 1]
+    assert _collapse_survey(graph, prev, tower.q, word) == (
+        _forward_collapse_survey(graph, prev, tower.q, word))
+
+
+def test_collapse_survey_every_level():
+    for m, n, q in ((2, 3, 4), (3, 2, 5), (2, 2, 7), (3, 3, 3)):
+        tower = _tower(m, n, q)
+        for k in range(n):
+            prev, graph = tower.levels[k], tower.levels[k + 1]
+            for word in (alpha_word(k + 1), beta_word(k + 1)):
+                assert _collapse_survey(graph, prev, q, word) == (
+                    _forward_collapse_survey(graph, prev, q, word)), (m, n, q, k)
 
 
 @pytest.mark.parametrize("gen,a,b", [(0, 0, 1), (1, 0, 37), (0, 64, 200),
