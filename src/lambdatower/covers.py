@@ -134,6 +134,22 @@ class Cell:
     orientation: int
 
 
+# Vertices per scatter in _inverse_table: the chunk's index array is the
+# only temporary, so large levels peak no higher than with argsort.
+_SCATTER_CHUNK = 1 << 16
+
+
+def _inverse_table(p: np.ndarray) -> np.ndarray:
+    """inv with inv[p[v]] = v, by scatters in O(n) rather than a sort: the
+    inverse permutation when p is a permutation, and some table of vertices
+    when it is not."""
+    inv = np.zeros_like(p)
+    for start in range(0, p.shape[0], _SCATTER_CHUNK):
+        stop = min(start + _SCATTER_CHUNK, p.shape[0])
+        inv[p[start:stop]] = np.arange(start, stop, dtype=p.dtype)
+    return inv
+
+
 class CoverGraph:
     """A cover of the wedge of m circles: one vertex-permutation per generator.
 
@@ -156,7 +172,7 @@ class CoverGraph:
         self.generators = len(arrays)
         self.cells = cells
         self.basepoint = basepoint
-        self._inverses = tuple(np.argsort(p, kind="stable") for p in arrays)
+        self._inverses = tuple(_inverse_table(p) for p in arrays)
 
     def perm(self, gen: int) -> np.ndarray:
         return self.perms[gen]

@@ -5,7 +5,9 @@ reduced modulo the cyclotomic polynomial Phi_d, so equality and zero testing
 are exact syntactic checks on rational vectors.  The sign of an element fixed
 by the involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is
 decided by adaptive-precision interval arithmetic: exact zeros short-circuit,
-and a nonzero element is separated from zero at some finite precision.
+and a nonzero element is separated from zero at some finite precision.  For
+many elements at many embeddings, a float evaluation with an a priori error
+bound decides first and leaves only the close calls to the intervals.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
+import numpy as np
 from mpmath import iv
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "certified_sign",
     "compare_cos_turns",
     "degree_of",
+    "embedding_signs",
     "factor",
     "interval_precision",
     "is_prime",
@@ -92,6 +96,7 @@ def factor(n: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
 def prime_power_split(d: int):
     """Return (p, a) with d = p**a, or None if d is not a prime power >= 2."""
     split = factor(d)
@@ -428,6 +433,93 @@ def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:
         f"could not separate sign of {x!r} at embedding {embedding} "
         f"within {_precision_cap} bits"
     )
+
+
+# Unit roundoff of IEEE double arithmetic.
+_UNIT = 2.0 ** -53
+# The float stage of embedding_signs takes an element only when each nonzero
+# coefficient lies in this range, so that no product under- or overflows.
+_FLOAT_RANGE = (2.0 ** -900, 2.0 ** 900)
+
+
+@lru_cache(maxsize=8)
+def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
+    """cos(2 pi k s/d) at row k < phi(d) and column s in embeddings, each
+    rounded to nearest from the midpoint of its 64-bit interval.  Those
+    intervals are narrower than 2^-56, so every entry is within
+    2^-53 + 2^-56 < 2 u of the cosine."""
+    mids = np.array([float(box.mid) for box in _cos_table(d, START_PRECISION)])
+    k = np.arange(degree_of(d))[:, None]
+    return mids[(k * np.array(embeddings)[None, :]) % d]
+
+
+def _float_coeffs(x: CyclotomicNumber):
+    """The coefficients of x rounded to nearest (Fraction to float rounds
+    correctly), or None when a nonzero one falls outside _FLOAT_RANGE."""
+    try:
+        out = [float(c) for c in x.coeffs]
+    except OverflowError:
+        return None
+    lo, hi = _FLOAT_RANGE
+    if all(lo <= abs(f) <= hi for c, f in zip(x.coeffs, out) if c):
+        return out
+    return None
+
+
+def _float_signs(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Signs of coeffs @ table, 0 where rounding could account for the value.
+
+    Row i of coeffs holds the rounded coefficients c^_k of an element, and
+    column j of table the rounded cosines t^_k of an embedding, with
+    |c^_k - c_k| <= u |c_k| and |t^_k - t_k| <= 2 u.  The computed product v^
+    is within gamma_phi sum |c^_k||t^_k| of sum c^_k t^_k (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3, in any summation order),
+    which is within 4 u sum |c^_k| of the true value.  With those two sums
+    computed in floats as R1 = |coeffs| @ |table| and R2 = sum |c^_k|, the
+    error is below (phi + 4) u (R1 + R2) / (1 - 2 phi u); the bound used,
+    (2 phi + 9) u (R1 + R2) in floats, covers that and its own rounding.  A
+    sign is kept where |v^| exceeds it.
+    """
+    phi = coeffs.shape[1]
+    values = coeffs @ table
+    mags = np.abs(coeffs)
+    bound = ((2 * phi + 9) * _UNIT) * (mags @ np.abs(table)
+                                       + mags.sum(axis=1)[:, None])
+    return np.where(np.abs(values) > bound, np.sign(values), 0).astype(int)
+
+
+def embedding_signs(xs, embeddings) -> tuple:
+    """Signs of real elements of one Q(zeta_d) at several embeddings.
+
+    Row i holds the sign of xs[i] under zeta -> e^(2 pi i s/d) for each s in
+    embeddings.  Every element is evaluated at every embedding in one float
+    matrix product with an a priori error bound (_float_signs); only the
+    pairs that bound leaves undecided go to certified_sign.
+    """
+    xs = tuple(xs)
+    embeddings = tuple(embeddings)
+    if not xs:
+        return ()
+    d = xs[0].order
+    if any(x.order != d for x in xs):
+        raise ValueError("elements of one call must share their field")
+    for s in embeddings:
+        if gcd(s, d) != 1:
+            raise ValueError(f"embedding exponent {s} not coprime to {d}")
+    floats = []
+    for x in xs:
+        if not x.is_real():
+            raise ValueError("sign is only defined for elements fixed by the involution")
+        floats.append(_float_coeffs(x))
+    rows = [i for i, f in enumerate(floats) if f is not None]
+    signs = np.zeros((len(xs), len(embeddings)), dtype=int)
+    if rows and embeddings:
+        signs[rows] = _float_signs(np.array([floats[i] for i in rows]),
+                                   _float_cos_table(d, embeddings))
+    return tuple(
+        tuple(int(v) if v else certified_sign(x, s)
+              for v, s in zip(row, embeddings))
+        for x, row in zip(xs, signs))
 
 
 # angles 2*pi*u with rational cosine (Niven): cos is rational only at these u.

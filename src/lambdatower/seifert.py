@@ -5,8 +5,9 @@ at the level of the abelian invariants everything downstream consumes: the
 signature function sigma(omega) and the Arf invariant.  sigma has two
 independent evaluators that are cross-checked in tests: a hermitian matrix
 path at prime-power roots of unity, which certifies the inertia by interval
-LDL^H and falls back to exact diagonalization over Q(zeta_d), and a
-jump-profile path for the twist family with exact algebraic jump positions.
+LDL^H in floats, then in mpmath at 64 and 128 bits, and falls back to exact
+diagonalization over Q(zeta_d), and a jump-profile path for the twist family
+with exact algebraic jump positions.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from mpmath import iv, mp
 
 from .cyclo import (
     START_PRECISION,
+    PrecisionExhausted,
     compare_cos_turns,
     interval_precision,
     is_prime_power,
@@ -201,6 +203,189 @@ def _mignitude(x):
     return 0
 
 
+# Stage 0 of omega_signature works in float intervals (lo, hi): every
+# operation rounds to nearest and then steps one ulp outward, so the result
+# encloses the exact result of the operation on the endpoints.  A complex
+# interval is a pair (re, im) of them.
+_DOWN = -math.inf
+_UP = math.inf
+_next = math.nextafter
+# Integer entries below this size, and sums of two of them, are exact floats.
+_FLOAT_EXACT = 1 << 52
+
+
+def _f_add(a, b):
+    return _next(a[0] + b[0], _DOWN), _next(a[1] + b[1], _UP)
+
+
+def _f_sub(a, b):
+    return _next(a[0] - b[1], _DOWN), _next(a[1] - b[0], _UP)
+
+
+def _f_mul(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _next(min(p), _DOWN), _next(max(p), _UP)
+
+
+def _f_div(a, b):
+    """a / b for an interval b that excludes zero."""
+    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _next(min(q), _DOWN), _next(max(q), _UP)
+
+
+def _f_sqr(a):
+    if a[0] >= 0:
+        return _next(a[0] * a[0], _DOWN), _next(a[1] * a[1], _UP)
+    if a[1] <= 0:
+        return _next(a[1] * a[1], _DOWN), _next(a[0] * a[0], _UP)
+    return 0.0, _next(max(a[0] * a[0], a[1] * a[1]), _UP)
+
+
+def _f_mignitude(a) -> float:
+    if a[0] > 0:
+        return a[0]
+    if a[1] < 0:
+        return -a[1]
+    return 0.0
+
+
+def _f_finite(a) -> bool:
+    """False for an interval with an infinite or NaN endpoint."""
+    return _DOWN < a[0] and a[1] < _UP
+
+
+def _c_add(z, w):
+    return _f_add(z[0], w[0]), _f_add(z[1], w[1])
+
+
+def _c_mul(z, w):
+    return (_f_sub(_f_mul(z[0], w[0]), _f_mul(z[1], w[1])),
+            _f_add(_f_mul(z[0], w[1]), _f_mul(z[1], w[0])))
+
+
+def _c_conj(z):
+    return z[0], (-z[1][1], -z[1][0])
+
+
+def _c_scale(z, x):
+    """z / x for a real interval x that excludes zero."""
+    return _f_div(z[0], x), _f_div(z[1], x)
+
+
+def _c_abs2(z):
+    return _f_add(_f_sqr(z[0]), _f_sqr(z[1]))
+
+
+@lru_cache(maxsize=1 << 14)
+def _cot_enclosure(d: int, s: int) -> tuple:
+    """Float interval around cot(pi s/d), 0 < s < d, rounded outward from the
+    64-bit mpmath enclosure; cot(pi (d-s)/d) = -cot(pi s/d)."""
+    if 2 * s > d:
+        lo, hi = _cot_enclosure(d, d - s)
+        return -hi, -lo
+    with interval_precision(START_PRECISION):
+        phi = iv.pi * s / d
+        t = iv.cos(phi) / iv.sin(phi)  # iv.cot(pi/2) is unbounded
+    return _next(float(t.a), _DOWN), _next(float(t.b), _UP)
+
+
+def _float_signature(rows: tuple, d: int, s: int) -> Optional[int]:
+    """Signature of M(zeta_d^s) by float-interval LDL^H, or None when undecided.
+
+    The elimination of N = S - i cot(phi) K that _interval_signature does, in
+    float intervals.  When no diagonal entry can be separated from zero, a
+    2 x 2 principal block whose determinant is certified negative is
+    eliminated instead (Bunch and Kaufman 1977): a hermitian 2 x 2 block of
+    negative determinant has inertia (1, 1), so it adds 0 to the signature,
+    and its Schur complement carries the rest of the inertia.  A step with
+    neither kind of pivot, or an endpoint that overflows, leaves the answer
+    to the next stage.
+    """
+    n = len(rows)
+    if any(abs(v) >= _FLOAT_EXACT for row in rows for v in row):
+        return None
+    t = _cot_enclosure(d, s)
+    N = [[((float(rows[i][j] + rows[j][i]),) * 2,
+           _f_mul(t, (float(rows[j][i] - rows[i][j]),) * 2))
+          for j in range(n)] for i in range(n)]
+    live = list(range(n))
+    sig = 0
+    while live:
+        k = max(live, key=lambda i: _f_mignitude(N[i][i][0]))
+        p = N[k][k][0]
+        if _f_mignitude(p):
+            sig += 1 if p[0] > 0 else -1
+            live.remove(k)
+            _eliminate(N, live, [k], lambda v: [_c_scale(v[0], p)],
+                       lambda v: _f_div(_c_abs2(v[0]), p))
+        else:
+            block = _negative_block(N, live)
+            if block is None:
+                return None
+            _eliminate_block(N, live, *block)
+        if not all(_f_finite(N[i][j][0]) and _f_finite(N[i][j][1])
+                   for i in live for j in live):
+            return None
+    return sig
+
+
+def _eliminate(N, live, pivots, weights, form):
+    """Replace the live rows and columns of N by the Schur complement of the
+    pivot block B on `pivots`.  For row i with v = N[i, B], weights(v) is
+    v B^-1 and form(v) the real number v B^-1 v^*; then
+    N[i][j] -= sum_u weights(v)_u conj(N[j][pivots[u]])."""
+    rows = {i: [N[i][k] for k in pivots] for i in live}
+    w = {i: weights(rows[i]) for i in live}
+    for i in live:
+        for j in live:
+            if j == i:
+                N[i][i] = (_f_sub(N[i][i][0], form(rows[i])), N[i][i][1])
+                continue
+            upd = _c_mul(w[i][0], _c_conj(rows[j][0]))
+            for wu, vu in zip(w[i][1:], rows[j][1:]):
+                upd = _c_add(upd, _c_mul(wu, _c_conj(vu)))
+            N[i][j] = (_f_sub(N[i][j][0], upd[0]), _f_sub(N[i][j][1], upd[1]))
+
+
+def _negative_block(N, live):
+    """(k0, k1, det) for the 2 x 2 block on live indices with the most
+    negative certified determinant, or None when none is certified negative."""
+    best = None
+    for x, k0 in enumerate(live):
+        for k1 in live[x + 1:]:
+            det = _f_sub(_f_mul(N[k0][k0][0], N[k1][k1][0]),
+                         _c_abs2(N[k0][k1]))
+            if det[1] < 0 and (best is None or det[1] < best[2][1]):
+                best = (k0, k1, det)
+    return best
+
+
+def _eliminate_block(N, live, k0, k1, det):
+    """Eliminate B = [[a, b], [conj(b), c]] on k0, k1, with det(B) = D < 0:
+    B^-1 = [[c, -b], [-conj(b), a]] / D, so v B^-1 is
+    ((c v0 - conj(b) v1) / D, (a v1 - b v0) / D) and v B^-1 v^* is
+    (c |v0|^2 + a |v1|^2 - 2 Re(b v0 conj(v1))) / D."""
+    live.remove(k0)
+    live.remove(k1)
+    a, c, b = N[k0][k0][0], N[k1][k1][0], N[k0][k1]
+
+    def weights(v):
+        v0, v1 = v
+        x = _c_mul(_c_conj(b), v1)
+        y = _c_mul(b, v0)
+        return [tuple(_f_div(_f_sub(_f_mul(c, v0[r]), x[r]), det) for r in (0, 1)),
+                tuple(_f_div(_f_sub(_f_mul(a, v1[r]), y[r]), det) for r in (0, 1))]
+
+    def form(v):
+        v0, v1 = v
+        cross = _c_mul(b, _c_mul(v0, _c_conj(v1)))[0]
+        q = _f_sub(_f_add(_f_mul(c, _c_abs2(v0)), _f_mul(a, _c_abs2(v1))),
+                   _f_add(cross, cross))
+        return _f_div(q, det)
+
+    _eliminate(N, live, [k0, k1], weights, form)
+
+
 def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]:
     """Signature of M(zeta_d^s) by interval LDL^H, or None when undecided.
 
@@ -259,6 +444,9 @@ def _exact_signature(rows: tuple, d: int, s: int) -> int:
 def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
     if s == 0:
         return 0
+    sig = _float_signature(rows, d, s)
+    if sig is not None:
+        return sig
     for prec in (START_PRECISION, 2 * START_PRECISION):
         if prec > precision_cap():
             break
@@ -271,12 +459,13 @@ def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
 def omega_signature(matrix, d: int, s: int) -> int:
     """Signature of (1-w)A + (1-w^-1)A^T at w = zeta_d^s, certified.
 
-    The inertia is first read off an interval LDL^H factorization at 64 bits,
-    then at 128 bits (never above the precision cap); only when neither
-    separates every pivot from zero does the exact diagonalization over
-    Q(zeta_d) decide.  Both paths give the exact signature.  d must be a
-    prime power; at such roots the matrix is never singular for a valid
-    Seifert matrix, so no jump-averaging is ever needed on this path.
+    The inertia is first read off an interval LDL^H factorization in floats
+    rounded outward, then in mpmath at 64 and at 128 bits (never above the
+    precision cap); only when no stage separates every pivot from zero does
+    the exact diagonalization over Q(zeta_d) decide.  Every stage gives the
+    exact signature.  d must be a prime power; at such roots the matrix is
+    never singular for a valid Seifert matrix, so no jump-averaging is ever
+    needed on this path.
     """
     mat = _matrix_of(matrix)
     if not is_prime_power(d):
@@ -285,8 +474,43 @@ def omega_signature(matrix, d: int, s: int) -> int:
     return _omega_signature_cached(mat.rows, d, s % d)
 
 
+# Relative half-width of the cached enclosure of t_n.  Its endpoints are
+# then about 2^-40 / n from t_n in cosine, which compare_cos_turns separates
+# at about n.bit_length() + 40 bits.
+_TURN_SLACK = Fraction(1, 1 << 40)
+
+
+@lru_cache(maxsize=1 << 12)
+def _twist_enclosure(n: int) -> Optional[tuple]:
+    """Rationals (lo, hi) with lo < t_n < hi, for n >= 2, or None when the
+    estimate fails its certificate.
+
+    t_n = arccos(1 - 1/(2n)) / (2 pi) = asin(1 / (2 sqrt(n))) / pi, and the
+    arcsine form loses nothing to cancellation, so a 64-bit mpmath estimate
+    is good to about 2^-60 relative for every n (mpf exponents do not
+    underflow).  Each endpoint is then certified by one compare_cos_turns
+    call.
+    """
+    with mp.workprec(START_PRECISION):
+        man, exp = (mp.asin(1 / (2 * mp.sqrt(n))) / mp.pi).man_exp
+    est = Fraction(man) * Fraction(2) ** exp
+    lo, hi = est * (1 - _TURN_SLACK), est * (1 + _TURN_SLACK)
+    return (lo, hi) if _encloses(n, lo, hi) else None
+
+
+def _encloses(n: int, lo: Fraction, hi: Fraction) -> bool:
+    """Whether lo < t_n < hi, certified, for 0 <= lo < hi <= 1/2: both
+    angles lie in [0, pi], where cos decreases."""
+    c = Fraction(2 * n - 1, 2 * n)
+    return compare_cos_turns(c, lo) < 0 < compare_cos_turns(c, hi)
+
+
 def twist_cmp(n: int, x: Fraction) -> int:
-    """Sign of t_n - x, where t_n = arccos((2n-1)/(2n)) / (2 pi)."""
+    """Sign of t_n - x, where t_n = arccos((2n-1)/(2n)) / (2 pi).
+
+    x is first compared with a cached certified enclosure of t_n; only an x
+    inside it costs a certified cosine comparison.
+    """
     if n == 1:
         t = Fraction(1, 6)
         return (t > x) - (t < x)
@@ -294,6 +518,15 @@ def twist_cmp(n: int, x: Fraction) -> int:
         return 1
     if 2 * x >= 1:
         return -1
+    try:
+        box = _twist_enclosure(n)
+    except PrecisionExhausted:  # the cap is too low to certify the box
+        box = None
+    if box is not None:
+        if x <= box[0]:
+            return 1
+        if x >= box[1]:
+            return -1
     # both angles in (0, pi) where cos is strictly decreasing
     return -compare_cos_turns(Fraction(2 * n - 1, 2 * n), x)
 

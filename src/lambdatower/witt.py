@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Union
 from .cyclo import (
     CyclotomicNumber,
     ResourceCapExceeded,
-    certified_sign,
     degree_of,
+    embedding_signs,
     factor,
     is_prime,
     zeta,
@@ -166,10 +166,16 @@ def embeddings(d: int) -> tuple:
     return tuple(s for s in range(1, (d + 1) // 2) if gcd(s, d) == 1)
 
 
+def _signatures(diag: Diagonalization, ss: tuple) -> tuple:
+    """Signatures at the embeddings ss, from the certified pivot signs."""
+    signs = embedding_signs(diag.pivots, ss)
+    return tuple(sum(row[j] for row in signs) for j in range(len(ss)))
+
+
 def signature(form_or_diag, s: int = 1) -> int:
     """Signature at the embedding zeta -> e^(2 pi i s/d), certified pivot signs."""
     diag = form_or_diag if isinstance(form_or_diag, Diagonalization) else diagonalize(form_or_diag)
-    return sum(certified_sign(p, s) for p in diag.pivots)
+    return _signatures(diag, (s,))[0]
 
 
 @dataclass(frozen=True)
@@ -267,7 +273,8 @@ def witt_invariants(form: HermitianForm) -> WittClass:
     diag = diagonalize(form)
     d = form.order
     k = len(diag.pivots)
-    sigs = tuple((s, signature(diag, s)) for s in embeddings(d))
+    ss = embeddings(d)
+    sigs = tuple(zip(ss, _signatures(diag, ss)))
     disc = CyclotomicNumber.of(d, (-1) ** (k * (k - 1) // 2))
     for p in diag.pivots:
         disc = disc * p

@@ -553,6 +553,25 @@ def _permutation_graphs(draw, coverings=True):
     return CoverGraph(perms, basepoint=draw(st.integers(0, size - 1)))
 
 
+@given(_permutation_graphs())
+@settings(max_examples=100)
+def test_inverse_tables_match_argsort(graph):
+    # the scatter that builds each inverse table against the sort it replaced
+    for gen in range(graph.generators):
+        want = np.argsort(graph.perm(gen), kind="stable")
+        assert np.array_equal(graph.perm_inv(gen), want)
+        assert graph.perm_inv(gen).dtype == want.dtype
+
+
+@pytest.mark.parametrize("size", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 200_003])
+def test_inverse_tables_match_argsort_across_chunks(size):
+    perm = np.random.default_rng(size).permutation(size)
+    graph = CoverGraph([perm, perm[::-1]])
+    for gen in range(2):
+        assert np.array_equal(graph.perm_inv(gen),
+                              np.argsort(graph.perm(gen), kind="stable"))
+
+
 @given(st.one_of(_permutation_graphs(), _permutation_graphs(coverings=False)))
 @settings(max_examples=150)
 def test_is_connected_matches_depth_first_search(graph):

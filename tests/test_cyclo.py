@@ -1,8 +1,10 @@
 """Exact cyclotomic arithmetic and certified sign determination."""
+import math
 import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,3 +215,128 @@ def test_compare_cos_turns_certified_branch():
     assert compare_cos_turns(Fraction(1, 3), Fraction(1, 5)) == 1
     assert compare_cos_turns(Fraction(3, 10), Fraction(1, 5)) == -1
     assert compare_cos_turns(Fraction(99, 100), Fraction(1, 1000)) == -1
+
+
+def test_prime_power_split_memo_is_bounded():
+    info = cyclo.prime_power_split.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+
+
+def _count_certified(monkeypatch):
+    calls = []
+    original = cyclo.certified_sign
+
+    def counted(x, s=1):
+        calls.append((x, s))
+        return original(x, s)
+
+    monkeypatch.setattr(cyclo, "certified_sign", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [4, 8, 9, 16, 27, 81, 125, 243])
+def test_embedding_signs_match_certified_sign(d, monkeypatch):
+    rng = random.Random(300 + d)
+    xs = [CyclotomicNumber.of(d, Fraction(-7, 3))]
+    while len(xs) < 7:
+        x = random_element(rng, d)
+        if not (x + x.conj()).is_zero():
+            xs.append(x + x.conj())
+    units = [s for s in range(1, d) if cyclo.gcd(s, d) == 1]
+    ss = tuple(units[::max(1, len(units) // 16)])
+    want = [[certified_sign(x, s) for s in ss] for x in xs]
+    calls = _count_certified(monkeypatch)
+    assert [list(row) for row in cyclo.embedding_signs(xs, ss)] == want
+    assert calls == []  # random elements are far from zero in floats
+
+
+def near_zero_elements(d):
+    """a + b (z + z^-1) for consecutive convergents a/b of -2 cos(2 pi/d):
+    real elements whose standard embedding nearly cancels."""
+    with mpmath.workdps(80):
+        target = -2 * mpmath.cos(2 * mpmath.pi / d)
+        out = []
+        p0, q0, p1, q1 = 1, 0, int(mpmath.floor(target)), 1
+        rest = target - p1
+        z = zeta(d)
+        w = z + z.conj()
+        for _ in range(30):
+            rest = 1 / rest
+            a = int(mpmath.floor(rest))
+            rest -= a
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+            out.append(CyclotomicNumber.of(d, p1) + w * q1)
+        return out
+
+
+@pytest.mark.parametrize("d", [8, 9, 16, 25])
+def test_embedding_signs_near_cancellation(d, monkeypatch):
+    xs = near_zero_elements(d)
+    want = []
+    for x in xs:
+        value = complex_value(x, 1, dps=80).real
+        want.append([1 if value > 0 else -1])
+    calls = _count_certified(monkeypatch)
+    assert [list(row) for row in cyclo.embedding_signs(xs, (1,))] == want
+    # the closest convergents cancel below the float bound, so
+    # certified_sign decides them
+    assert calls
+
+
+def test_embedding_signs_validate_like_certified_sign():
+    with pytest.raises(ValueError, match="fixed by the involution"):
+        cyclo.embedding_signs([zeta(4)], (1,))
+    with pytest.raises(ValueError, match="not coprime"):
+        cyclo.embedding_signs([CyclotomicNumber.of(4, 1)], (2,))
+    with pytest.raises(ValueError, match="share"):
+        cyclo.embedding_signs([CyclotomicNumber.of(4, 1),
+                               CyclotomicNumber.of(8, 1)], (1,))
+    assert cyclo.embedding_signs([], (1,)) == ()
+    assert cyclo.embedding_signs([CyclotomicNumber.of(9, 0)], (1, 2)) == ((0, 0),)
+
+
+def test_embedding_signs_leave_huge_coefficients_to_intervals(monkeypatch):
+    x = CyclotomicNumber.of(8, Fraction(10 ** 400, 3))
+    tiny = CyclotomicNumber.of(8, Fraction(1, 10 ** 400))
+    calls = _count_certified(monkeypatch)
+    assert cyclo.embedding_signs([x, -tiny], (1, 3)) == ((1, 1), (-1, -1))
+    assert len(calls) == 4
+
+
+def test_float_sign_bound_is_exact_at_its_edge():
+    """A value equal to the documented bound, (2 phi + 9) u (|C| |T| +
+    sum |c|), stays undecided, and one ulp above it is decided; so the float
+    stage fails this test if its bound is one ulp smaller."""
+    u = 2.0 ** -53
+    table = np.array([[1.0], [0.0]])  # phi = 2 coefficients, one embedding
+
+    def bound(a, b):
+        return (13 * u) * ((abs(a) * 1.0 + abs(b) * 0.0) + (abs(a) + abs(b)))
+
+    for b in (1.0, 0.75, 3.0):
+        a = 0.0
+        for _ in range(50):  # iterate to a value equal to its own bound
+            if bound(a, b) == a:
+                break
+            a = bound(a, b)
+        assert bound(a, b) == a
+        up = math.nextafter(a, 1.0)
+        assert bound(up, b) < up
+        got = cyclo._float_signs(np.array([[a, b], [-a, b], [up, b],
+                                           [-up, b]]), table)
+        assert got.tolist() == [[0], [0], [1], [-1]]
+
+
+@pytest.mark.parametrize("d", [4, 27, 243, 729, 1024, 2048])
+def test_cos_table_intervals_fit_the_float_bound(d):
+    # _float_signs assumes each rounded cosine is within 2 u: the 64-bit
+    # enclosures are narrower than 2^-56 and the rounding adds at most u.
+    boxes = cyclo._cos_table(d, 64)
+    assert max(box.delta.b for box in boxes) < mpmath.mpf(2) ** -56
+    ss = tuple(s for s in (1, 2, 5, d - 1) if cyclo.gcd(s, d) == 1)
+    table = cyclo._float_cos_table(d, ss)
+    with mpmath.workdps(40):
+        for k in range(0, cyclo.degree_of(d), max(1, d // 97)):
+            for j, s in enumerate(ss):
+                exact = mpmath.cos(2 * mpmath.pi * k * s / d)
+                assert abs(table[k, j] - exact) <= 2 * 2.0 ** -53

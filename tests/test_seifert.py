@@ -1,12 +1,18 @@
 """Tests for Seifert matrices, signature functions, profiles, Arf invariants."""
+import json
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
+from lambdatower import seifert
+from lambdatower.cli import main
+from lambdatower.cyclo import compare_cos_turns
 from lambdatower.seifert import (
     Atom,
     FormalKnot,
@@ -19,9 +25,19 @@ from lambdatower.seifert import (
     signature_profile,
     twist_knot,
     twist_matrix,
+    twist_cmp,
     twist_parameter,
+    _cot_enclosure,
+    _encloses,
     _exact_signature,
+    _f_add,
+    _f_div,
+    _f_mul,
+    _f_sqr,
+    _f_sub,
+    _float_signature,
     _interval_signature,
+    _twist_enclosure,
 )
 
 TREFOIL = twist_knot(1)
@@ -193,6 +209,196 @@ class TestIntervalInertia:
             for s in range(1, d):
                 assert _interval_signature(unknot.rows, d, s, 64) is None
                 assert omega_signature(unknot, d, s) == 0
+
+
+def _refuse(*args):
+    raise AssertionError("a later stage was reached")
+
+
+def _reference(matrix, d, s):
+    """Exact signature for small forms; the 128-bit interval stage or the
+    eigenvalue oracle above that, where exact arithmetic is slow."""
+    if d <= (49 if matrix.size <= 4 else 9):
+        return _exact_signature(matrix.rows, d, s)
+    sig = _interval_signature(matrix.rows, d, s, 128)
+    return sig if sig is not None else numeric_sigma(matrix, s / d)
+
+
+def _with_zero_diagonal(rng, g):
+    rows = [list(r) for r in random_seifert(rng, g).rows]
+    for i in range(2 * g):
+        rows[i][i] = 0
+    return SeifertMatrix.from_rows(rows)
+
+
+class TestFloatStage:
+    """Stage 0 of omega_signature, the float-interval LDL^H with 2 x 2 block
+    pivots, against the mpmath stage and the exact diagonalization."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_stages_agree_on_random_matrices(self, g):
+        rng = random.Random(700 + g)
+        for d in (3, 4, 8, 9, 25, 27, 49, 81, 243, 729):
+            for _ in range(3 if d <= 49 and g < 3 else 1):
+                m = random_seifert(rng, g)
+                for s in spread_units(d, 2):
+                    ref = _reference(m, d, s)
+                    assert _float_signature(m.rows, d, s) == ref, (m, d, s)
+                    assert _interval_signature(m.rows, d, s, 64) in (None, ref)
+                    assert omega_signature(m, d, s) == ref
+
+    @pytest.mark.parametrize("d", [9, 16, 25, 27])
+    def test_zero_diagonals_take_block_pivots(self, d):
+        # every diagonal entry of S is zero, so only 2 x 2 blocks can start
+        rng = random.Random(40 + d)
+        for g in (1, 2, 3):
+            m = _with_zero_diagonal(rng, g)
+            for s in spread_units(d, 2):
+                assert _float_signature(m.rows, d, s) == \
+                    _exact_signature(m.rows, d, s), (m, d, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12345, 10 ** 6, 2 ** 40])
+    def test_near_cancelling_pivots(self, n):
+        # At w = e^(2 pi i s/d) with s/d next to the jump t_n of twist(n),
+        # M(w) is nearly singular, so the second pivot nearly cancels; the
+        # float stage must decide it or defer, never err.  The jump profile
+        # gives the exact reference.
+        matrix, profile = twist_matrix(n), signature_profile(twist_knot(n))
+        t = _t_n(n)
+        decided = []
+        for k in (10, 20, 30, 40, 50, 60):
+            d = 2 ** k
+            s = int(mpmath.nint(t * d)) | 1
+            ref = profile.evaluate(Fraction(s, d))[0]
+            sig = _float_signature(matrix.rows, d, s)
+            assert sig in (None, ref), (n, d, s)
+            decided.append(sig is not None)
+            for prec in (64, 128):
+                assert _interval_signature(matrix.rows, d, s, prec) in (None, ref)
+        assert decided[0]
+        if n < 100:  # within 2^-60 of t_n the pivot cancels below float resolution
+            assert not decided[-1]
+
+    def test_out_of_float_range_defers(self):
+        # cot(pi/2^1000) times an entry overflows; entries of 2^60 are not
+        # exact floats.  Both go to the mpmath stage, which decides them.
+        big = twist_matrix(2 ** 60)
+        cases = ((twist_matrix(1), 2 ** 1000, 1, 0), (big, 9, 2, -2))
+        for matrix, d, s, sig in cases:
+            assert _float_signature(matrix.rows, d, s) is None
+            assert omega_signature(matrix, d, s) == sig
+
+    def test_unknot_needs_no_exact_path(self, monkeypatch):
+        monkeypatch.setattr(seifert, "_exact_signature", _refuse)
+        seifert._omega_signature_cached.cache_clear()
+        unknot = SeifertMatrix.from_rows([[0, 1], [0, 0]])
+        for d in (27, 243, 729):
+            assert {omega_signature(unknot, d, s) for s in range(1, d)} == {0}
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["reproduce", "independence", "--m", "2", "--n", "1", "--q", "4"],
+         "dde35964a945f1d466728366510065bce90ade84c349f1019919e6690818ca80"),
+        (["reproduce", "family", "--p", "2", "--count", "2", "--d-seed", "8"],
+         "5ea9a9271b2d3be0c57053867a8e8311c113fe7c23327d58301052fc11306030"),
+    ], ids=["independence", "family"])
+    def test_drivers_need_only_the_float_stage(self, argv, digest,
+                                               monkeypatch, capsys):
+        # the digests are the goldens the benchmark records for these argvs
+        monkeypatch.setattr(seifert, "_interval_signature", _refuse)
+        monkeypatch.setattr(seifert, "_exact_signature", _refuse)
+        seifert._omega_signature_cached.cache_clear()
+        assert main(argv) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert (cert["verdict"], cert["content_hash"]) == ("PASS", digest)
+
+    def test_operations_enclose_exact_results(self):
+        """Each operation encloses the exact result of its endpoints, which
+        the result rounded to nearest alone does not: the test fails if any
+        outward step is one ulp smaller."""
+        rng = random.Random(9)
+        binary = ((_f_add, operator.add), (_f_sub, operator.sub),
+                  (_f_mul, operator.mul), (_f_div, operator.truediv))
+
+        def draw():
+            x = rng.uniform(-8, 8) * 10 ** rng.randint(-3, 3)
+            y = x + abs(rng.uniform(0, 1)) * rng.choice((0, 1))
+            return (x, y)
+
+        for _ in range(3000):
+            a, b = draw(), draw()
+            for op, exact in binary:
+                if op is _f_div and a[0] <= 0 <= a[1]:
+                    a = (abs(a[0]) + 0.5, abs(a[1]) + 0.5)
+                lo, hi = op(b, a)
+                for x in b:
+                    for y in a:
+                        value = exact(Fraction(x), Fraction(y))
+                        assert Fraction(lo) <= value <= Fraction(hi), (op, b, a)
+            lo, hi = _f_sqr(b)
+            squares = [Fraction(x) ** 2 for x in b]
+            assert Fraction(lo) <= min(squares) and max(squares) <= Fraction(hi)
+            if b[0] < 0 < b[1]:
+                assert lo <= 0
+
+    def test_cot_enclosures_contain_cot(self):
+        """The cached float enclosures contain cot(pi s/d); rounding the
+        64-bit endpoints to nearest without the outward ulp would miss it."""
+        with mpmath.workdps(50):
+            for d in (3, 4, 5, 8, 9, 16, 25, 27, 81, 243, 729, 2187):
+                units = [s for s in range(1, d) if math.gcd(s, d) == 1]
+                for s in units[::max(1, len(units) // 40)]:
+                    lo, hi = _cot_enclosure(d, s)
+                    cot = mpmath.cot(mpmath.pi * s / d)
+                    assert lo <= cot <= hi and lo < hi, (d, s)
+
+
+def _t_n(n, dps=60):
+    with mpmath.workdps(dps):
+        return mpmath.acos(mpmath.mpf(2 * n - 1) / (2 * n)) / (2 * mpmath.pi)
+
+
+TWIST_NS = (2, 3, 4, 7, 10, 99, 1000, 4097, 65535, 65537, 123457, 10 ** 6)
+# targets of test_tiny_target_stays_exact: n near 10^59 and 10^799
+TINY_NS = (10 ** 59 // 16 + 1, 3 * 10 ** 798 + 7)
+
+
+class TestTwistEnclosure:
+    @pytest.mark.parametrize("n", TWIST_NS + TINY_NS)
+    def test_enclosure_brackets_t_n(self, n):
+        lo, hi = _twist_enclosure(n)
+        c = Fraction(2 * n - 1, 2 * n)
+        assert compare_cos_turns(c, lo) < 0 < compare_cos_turns(c, hi)
+        if n <= 10 ** 6:
+            with mpmath.workdps(60):
+                assert (mpmath.mpf(lo.numerator) / lo.denominator < _t_n(n)
+                        < mpmath.mpf(hi.numerator) / hi.denominator)
+            assert (hi - lo) / lo < Fraction(1, 10 ** 11)
+
+    @pytest.mark.parametrize("n", TWIST_NS + TINY_NS)
+    def test_twist_cmp_matches_cosine_comparison(self, n, monkeypatch):
+        lo, hi = _twist_enclosure(n)
+        rng = random.Random(n % 1000)
+        xs = [lo, hi, (lo + hi) / 2, lo * (1 - Fraction(1, 10 ** 6)),
+              Fraction(1, 7), Fraction(1, 2) - Fraction(1, 10 ** 9)]
+        xs += [Fraction(rng.randint(1, 999), 2000) for _ in range(5)]
+        c = Fraction(2 * n - 1, 2 * n)
+        want = [-compare_cos_turns(c, x) for x in xs]
+        calls = []
+        monkeypatch.setattr(seifert, "compare_cos_turns",
+                            lambda c, u: calls.append(u) or compare_cos_turns(c, u))
+        assert [twist_cmp(n, x) for x in xs] == want
+        assert calls == [(lo + hi) / 2]  # only x inside the box is compared
+
+    @pytest.mark.parametrize("n", (2, 3, 1000, 123457))
+    def test_certificate_rejects_a_box_one_ulp_too_narrow(self, n):
+        t = _t_n(n)
+        a = float(t)
+        a = a if a < t else math.nextafter(a, 0.0)
+        b = math.nextafter(a, 1.0)  # the adjacent doubles a < t_n < b
+        assert a < t < b
+        assert _encloses(n, Fraction(a), Fraction(b))
+        assert not _encloses(n, Fraction(b), Fraction(b) + Fraction(b) / 2 ** 52)
+        assert not _encloses(n, Fraction(a) - Fraction(a) / 2 ** 52, Fraction(a))
 
 
 class TestSignatureProfile:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lambdatower import cyclo
 from lambdatower.cyclo import CyclotomicNumber, ResourceCapExceeded, zeta
 from lambdatower.witt import (
     MAX_BLOCK_WORK,
@@ -435,3 +436,28 @@ class TestLambdaBlock:
             lambda_block(TREFOIL, 0, 4, 1)
         with pytest.raises(ValueError, match="square"):
             lambda_block(((1, 2, 3), (4, 5, 6)), 1, 4, 1)
+
+
+class TestPivotSigns:
+    """witt_invariants takes its pivot signs from one float product per form;
+    certified_sign, the reference, decides only what the float bound leaves
+    open."""
+
+    @pytest.mark.parametrize("A, r, d, t", [
+        (TREFOIL, 1, 27, 1), (TREFOIL, 3, 16, 5), (TREFOIL, 2, 81, 2),
+        (((-1, 1, 0, 0), (0, -1, 0, 0), (0, 0, -1, 1), (0, 0, 0, -2)), 2, 25, 1),
+        (((0, 1), (0, 0)), 2, 32, 3), (((-1, 1), (0, -3)), 4, 9, 1),
+    ])
+    def test_lambda_block_pivots(self, A, r, d, t, monkeypatch):
+        diag = diagonalize(lambda_block(A, r, d, t))
+        ss = embeddings(d)
+        want = tuple(sum(cyclo.certified_sign(p, s) for p in diag.pivots)
+                     for s in ss)
+        calls = []
+        original = cyclo.certified_sign
+        monkeypatch.setattr(cyclo, "certified_sign",
+                            lambda x, s=1: calls.append(s) or original(x, s))
+        w = witt_invariants(lambda_block(A, r, d, t))
+        assert tuple(v for _, v in w.signatures) == want
+        assert calls == []
+        assert all(signature(diag, s) == v for s, v in zip(ss, want))
