@@ -111,7 +111,7 @@ def is_prime(n: int) -> bool:
     return prime_power_split(n) == (n, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _field_params(d: int):
     split = prime_power_split(d)
     if split is None:

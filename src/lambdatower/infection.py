@@ -239,7 +239,7 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         structure.tower.top, link.infection_word, structure.theta)
     contributions = {}  # (r, t) -> its LiftContribution, evaluated once
     rows = []
-    total = witt_zero(d)
+    total = None  # the exact zero only for an empty sum: it needs Q(zeta_d)
     for r, t in zip(degrees.tolist(), values.tolist()):
         row = contributions.get((r, t))
         if row is None:
@@ -247,8 +247,10 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
             row = contributions[(r, t)] = LiftContribution(r, t, witt)
         rows.append(row)
         if row.present:
-            total = witt_add(total, row.witt)
+            total = row.witt if total is None else witt_add(total, row.witt)
     constant_c = sum(1 for row in rows if row.theta_value)
+    if total is None:
+        total = witt_zero(d)
     return LambdaResult(total, tuple(rows), constant_c)
 
 

@@ -4,14 +4,16 @@ A FormalKnot is a connected sum of signed (r,1)-cables of base knots, tracked
 at the level of the abelian invariants everything downstream consumes: the
 signature function sigma(omega) and the Arf invariant.  sigma has two
 independent evaluators that are cross-checked in tests: a hermitian matrix
-path at prime-power roots of unity, which certifies the inertia by interval
-LDL^H in floats, then in mpmath at 64 and 128 bits, and falls back to exact
-diagonalization over Q(zeta_d), and a jump-profile path for the twist family
-with exact algebraic jump positions.
+path at prime-power roots of unity, and a jump-profile path for the twist
+family with exact algebraic jump positions.  The matrix path certifies the
+inertia by one interval LDL^H with 2 x 2 block pivots, run in floats and
+then in mpmath at 64 and 128 bits, and falls back to exact diagonalization
+over Q(zeta_d).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -194,19 +196,9 @@ def _matrix_of(matrix) -> SeifertMatrix:
     return SeifertMatrix.from_rows(matrix)
 
 
-def _mignitude(x):
-    """Least absolute value over the interval x, 0 when x straddles zero."""
-    if x.a > 0:
-        return x.a
-    if x.b < 0:
-        return -x.b
-    return 0
-
-
 # Stage 0 of omega_signature works in float intervals (lo, hi): every
 # operation rounds to nearest and then steps one ulp outward, so the result
-# encloses the exact result of the operation on the endpoints.  A complex
-# interval is a pair (re, im) of them.
+# encloses the exact result of the operation on the endpoints.
 _DOWN = -math.inf
 _UP = math.inf
 _next = math.nextafter
@@ -241,39 +233,119 @@ def _f_sqr(a):
     return 0.0, _next(max(a[0] * a[0], a[1] * a[1]), _UP)
 
 
-def _f_mignitude(a) -> float:
-    if a[0] > 0:
-        return a[0]
-    if a[1] < 0:
-        return -a[1]
-    return 0.0
+def _ldl_signature(add, sub, mul, div, sqr, lo, hi):
+    """Signature function of hermitian LDL^H over one interval arithmetic.
+
+    The real operations enclose the exact result on their operands (div only
+    by an interval that excludes zero), and lo and hi read an interval's
+    endpoints.  The returned function takes N as rows of complex intervals
+    (re, im) and returns its signature, or None when undecided.  Each step
+    takes the diagonal pivot farthest from zero.  When no diagonal entry can
+    be separated from zero, a 2 x 2 principal block whose determinant is
+    certified negative is eliminated instead (Bunch and Kaufman 1977): a
+    hermitian 2 x 2 block of negative determinant has inertia (1, 1), so it
+    adds 0 to the signature, and its Schur complement carries the rest of
+    the inertia.  When every pivot is certified, the exact factorization
+    with the same pivots exists, so by Sylvester's law they give the
+    inertia and N is nonsingular.  A step with neither kind of pivot, or an
+    endpoint that overflows, leaves the answer to the next stage.
+    """
+    def mignitude(x):  # least absolute value over x, 0 when x holds 0
+        return lo(x) if lo(x) > 0 else -hi(x) if hi(x) < 0 else 0
+
+    def c_mul(z, w):
+        return (sub(mul(z[0], w[0]), mul(z[1], w[1])),
+                add(mul(z[0], w[1]), mul(z[1], w[0])))
+
+    def c_mul_conj(z, w):  # z conj(w)
+        return (add(mul(z[0], w[0]), mul(z[1], w[1])),
+                sub(mul(z[1], w[0]), mul(z[0], w[1])))
+
+    def c_abs2(z):
+        return add(sqr(z[0]), sqr(z[1]))
+
+    def eliminate(N, live, pivots, weights, form):
+        """Drop the pivot block B on `pivots` from live and replace the live
+        rows and columns of N by its Schur complement.  For row i with
+        v = N[i, B], weights(v) is v B^-1 and form(v) the real number
+        v B^-1 v^*; then N[i][j] -= sum_u weights(v)_u conj(N[j][pivots[u]])."""
+        for k in pivots:
+            live.remove(k)
+        rows = {i: [N[i][k] for k in pivots] for i in live}
+        w = {i: weights(rows[i]) for i in live}
+        for i in live:
+            for j in live:
+                if j == i:
+                    N[i][i] = (sub(N[i][i][0], form(rows[i])), N[i][i][1])
+                    continue
+                re, im = c_mul_conj(w[i][0], rows[j][0])
+                for wu, vu in zip(w[i][1:], rows[j][1:]):
+                    r, m = c_mul_conj(wu, vu)
+                    re, im = add(re, r), add(im, m)
+                N[i][j] = (sub(N[i][j][0], re), sub(N[i][j][1], im))
+
+    def block_pivot(N, live):
+        """Elimination step (pivots, weights, form) on the 2 x 2 block
+        B = [[a, b], [conj(b), c]] on live indices with the most negative
+        certified determinant D, or None when none is certified negative.
+        B^-1 = [[c, -b], [-conj(b), a]] / D, so v B^-1 is
+        ((c v0 - conj(b) v1) / D, (a v1 - b v0) / D) and v B^-1 v^* is
+        (c |v0|^2 + a |v1|^2 - 2 Re(b v0 conj(v1))) / D."""
+        best = None
+        for x, k0 in enumerate(live):
+            for k1 in live[x + 1:]:
+                det = sub(mul(N[k0][k0][0], N[k1][k1][0]), c_abs2(N[k0][k1]))
+                if hi(det) < 0 and (best is None or hi(det) < hi(best[2])):
+                    best = (k0, k1, det)
+        if best is None:
+            return None
+        k0, k1, det = best
+        a, c, b = N[k0][k0][0], N[k1][k1][0], N[k0][k1]
+
+        def weights(v):
+            v0, v1 = v
+            x = c_mul_conj(v1, b)
+            y = c_mul(b, v0)
+            return [tuple(div(sub(mul(c, v0[r]), x[r]), det) for r in (0, 1)),
+                    tuple(div(sub(mul(a, v1[r]), y[r]), det) for r in (0, 1))]
+
+        def form(v):
+            v0, v1 = v
+            cross = c_mul(b, c_mul_conj(v0, v1))[0]
+            q = sub(add(mul(c, c_abs2(v0)), mul(a, c_abs2(v1))),
+                    add(cross, cross))
+            return div(q, det)
+
+        return [k0, k1], weights, form
+
+    def signature(N):
+        live = list(range(len(N)))
+        sig = 0
+        while live:
+            k = max(live, key=lambda i: mignitude(N[i][i][0]))
+            p = N[k][k][0]
+            if mignitude(p):
+                sig += 1 if lo(p) > 0 else -1
+                step = ([k], lambda v: [(div(v[0][0], p), div(v[0][1], p))],
+                        lambda v: div(c_abs2(v[0]), p))
+            else:
+                step = block_pivot(N, live)
+                if step is None:
+                    return None
+            eliminate(N, live, *step)
+            if not all(_DOWN < lo(x) and hi(x) < _UP
+                       for i in live for j in live for x in N[i][j]):
+                return None
+        return sig
+
+    return signature
 
 
-def _f_finite(a) -> bool:
-    """False for an interval with an infinite or NaN endpoint."""
-    return _DOWN < a[0] and a[1] < _UP
-
-
-def _c_add(z, w):
-    return _f_add(z[0], w[0]), _f_add(z[1], w[1])
-
-
-def _c_mul(z, w):
-    return (_f_sub(_f_mul(z[0], w[0]), _f_mul(z[1], w[1])),
-            _f_add(_f_mul(z[0], w[1]), _f_mul(z[1], w[0])))
-
-
-def _c_conj(z):
-    return z[0], (-z[1][1], -z[1][0])
-
-
-def _c_scale(z, x):
-    """z / x for a real interval x that excludes zero."""
-    return _f_div(z[0], x), _f_div(z[1], x)
-
-
-def _c_abs2(z):
-    return _f_add(_f_sqr(z[0]), _f_sqr(z[1]))
+_float_ldl = _ldl_signature(_f_add, _f_sub, _f_mul, _f_div, _f_sqr,
+                            operator.itemgetter(0), operator.itemgetter(1))
+_iv_ldl = _ldl_signature(operator.add, operator.sub, operator.mul,
+                         operator.truediv, lambda x: x ** 2,
+                         operator.attrgetter("a"), operator.attrgetter("b"))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -290,142 +362,32 @@ def _cot_enclosure(d: int, s: int) -> tuple:
 
 
 def _float_signature(rows: tuple, d: int, s: int) -> Optional[int]:
-    """Signature of M(zeta_d^s) by float-interval LDL^H, or None when undecided.
-
-    The elimination of N = S - i cot(phi) K that _interval_signature does, in
-    float intervals.  When no diagonal entry can be separated from zero, a
-    2 x 2 principal block whose determinant is certified negative is
-    eliminated instead (Bunch and Kaufman 1977): a hermitian 2 x 2 block of
-    negative determinant has inertia (1, 1), so it adds 0 to the signature,
-    and its Schur complement carries the rest of the inertia.  A step with
-    neither kind of pivot, or an endpoint that overflows, leaves the answer
-    to the next stage.
-    """
+    """Signature of M(zeta_d^s) by LDL^H of N in float intervals, or None
+    when undecided; entries that are not exact floats defer at once."""
     n = len(rows)
     if any(abs(v) >= _FLOAT_EXACT for row in rows for v in row):
         return None
     t = _cot_enclosure(d, s)
-    N = [[((float(rows[i][j] + rows[j][i]),) * 2,
-           _f_mul(t, (float(rows[j][i] - rows[i][j]),) * 2))
-          for j in range(n)] for i in range(n)]
-    live = list(range(n))
-    sig = 0
-    while live:
-        k = max(live, key=lambda i: _f_mignitude(N[i][i][0]))
-        p = N[k][k][0]
-        if _f_mignitude(p):
-            sig += 1 if p[0] > 0 else -1
-            live.remove(k)
-            _eliminate(N, live, [k], lambda v: [_c_scale(v[0], p)],
-                       lambda v: _f_div(_c_abs2(v[0]), p))
-        else:
-            block = _negative_block(N, live)
-            if block is None:
-                return None
-            _eliminate_block(N, live, *block)
-        if not all(_f_finite(N[i][j][0]) and _f_finite(N[i][j][1])
-                   for i in live for j in live):
-            return None
-    return sig
-
-
-def _eliminate(N, live, pivots, weights, form):
-    """Replace the live rows and columns of N by the Schur complement of the
-    pivot block B on `pivots`.  For row i with v = N[i, B], weights(v) is
-    v B^-1 and form(v) the real number v B^-1 v^*; then
-    N[i][j] -= sum_u weights(v)_u conj(N[j][pivots[u]])."""
-    rows = {i: [N[i][k] for k in pivots] for i in live}
-    w = {i: weights(rows[i]) for i in live}
-    for i in live:
-        for j in live:
-            if j == i:
-                N[i][i] = (_f_sub(N[i][i][0], form(rows[i])), N[i][i][1])
-                continue
-            upd = _c_mul(w[i][0], _c_conj(rows[j][0]))
-            for wu, vu in zip(w[i][1:], rows[j][1:]):
-                upd = _c_add(upd, _c_mul(wu, _c_conj(vu)))
-            N[i][j] = (_f_sub(N[i][j][0], upd[0]), _f_sub(N[i][j][1], upd[1]))
-
-
-def _negative_block(N, live):
-    """(k0, k1, det) for the 2 x 2 block on live indices with the most
-    negative certified determinant, or None when none is certified negative."""
-    best = None
-    for x, k0 in enumerate(live):
-        for k1 in live[x + 1:]:
-            det = _f_sub(_f_mul(N[k0][k0][0], N[k1][k1][0]),
-                         _c_abs2(N[k0][k1]))
-            if det[1] < 0 and (best is None or det[1] < best[2][1]):
-                best = (k0, k1, det)
-    return best
-
-
-def _eliminate_block(N, live, k0, k1, det):
-    """Eliminate B = [[a, b], [conj(b), c]] on k0, k1, with det(B) = D < 0:
-    B^-1 = [[c, -b], [-conj(b), a]] / D, so v B^-1 is
-    ((c v0 - conj(b) v1) / D, (a v1 - b v0) / D) and v B^-1 v^* is
-    (c |v0|^2 + a |v1|^2 - 2 Re(b v0 conj(v1))) / D."""
-    live.remove(k0)
-    live.remove(k1)
-    a, c, b = N[k0][k0][0], N[k1][k1][0], N[k0][k1]
-
-    def weights(v):
-        v0, v1 = v
-        x = _c_mul(_c_conj(b), v1)
-        y = _c_mul(b, v0)
-        return [tuple(_f_div(_f_sub(_f_mul(c, v0[r]), x[r]), det) for r in (0, 1)),
-                tuple(_f_div(_f_sub(_f_mul(a, v1[r]), y[r]), det) for r in (0, 1))]
-
-    def form(v):
-        v0, v1 = v
-        cross = _c_mul(b, _c_mul(v0, _c_conj(v1)))[0]
-        q = _f_sub(_f_add(_f_mul(c, _c_abs2(v0)), _f_mul(a, _c_abs2(v1))),
-                   _f_add(cross, cross))
-        return _f_div(q, det)
-
-    _eliminate(N, live, [k0, k1], weights, form)
+    return _float_ldl([[((float(rows[i][j] + rows[j][i]),) * 2,
+                         _f_mul(t, (float(rows[j][i] - rows[i][j]),) * 2))
+                        for j in range(n)] for i in range(n)])
 
 
 def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]:
-    """Signature of M(zeta_d^s) by interval LDL^H, or None when undecided.
+    """Signature of M(zeta_d^s) by LDL^H of N in mpmath intervals at `prec`
+    bits, or None when undecided.
 
     At w = e^(2 pi i s/d), M = (1-w)A + (1-w^-1)A^T is the positive multiple
     2 sin^2(phi) of N = S - i cot(phi) K, with phi = pi s/d, S = A + A^T and
-    K = A - A^T, so N has the inertia of M.  N is eliminated with diagonal
-    pivoting, its real and imaginary parts held as intervals at `prec` bits.
-    When every pivot interval excludes zero, the exact factorization with the
-    same pivot order exists, so by Sylvester's law the pivot signs certify
-    the inertia and M is nonsingular.  A pivot that cannot be separated from
-    zero, as on a zero diagonal, leaves the answer to the exact path.
+    K = A - A^T, so N has the inertia of M.
     """
     n = len(rows)
     with interval_precision(prec):
         phi = iv.pi * s / d
         t = iv.cos(phi) / iv.sin(phi)
-        re = [[iv.mpf(rows[i][j] + rows[j][i]) for j in range(n)]
-              for i in range(n)]
-        im = [[-t * (rows[i][j] - rows[j][i]) for j in range(n)]
-              for i in range(n)]
-        live = list(range(n))
-        sig = 0
-        while live:
-            k = max(live, key=lambda i: _mignitude(re[i][i]))
-            p = re[k][k]
-            if not _mignitude(p):
-                return None
-            sig += 1 if p.a > 0 else -1
-            live.remove(k)
-            # N[i][j] -= N[i][k] N[k][j] / p, where N[k][j] = conj(N[j][k])
-            for i in live:
-                lr, li = re[i][k] / p, im[i][k] / p
-                for j in live:
-                    if j == i:
-                        re[i][i] -= (re[i][k] ** 2 + im[i][k] ** 2) / p
-                    else:
-                        br, bi = re[j][k], -im[j][k]
-                        re[i][j] -= lr * br - li * bi
-                        im[i][j] -= lr * bi + li * br
-        return sig
+        return _iv_ldl([[(iv.mpf(rows[i][j] + rows[j][i]),
+                          t * (rows[j][i] - rows[i][j]))
+                         for j in range(n)] for i in range(n)])
 
 
 def _exact_signature(rows: tuple, d: int, s: int) -> int:
@@ -601,15 +563,11 @@ class SigmaIntegral:
         return not self.pi_coeff and not self.arccos_terms
 
     def value(self, dps: int = 30):
-        old = mp.dps
-        try:
-            mp.dps = dps
+        with mp.workdps(dps):
             acc = self.pi_coeff * mp.pi
             for c, coeff in self.arccos_terms:
                 acc += coeff * mp.acos(mp.mpf(c.numerator) / c.denominator)
             return acc
-        finally:
-            mp.dps = old
 
     def to_json(self) -> dict:
         return {"pi_coeff": str(self.pi_coeff),

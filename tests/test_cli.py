@@ -355,6 +355,14 @@ class TestReproduceCommands:
         assert data["verdict"] == "PASS"
         assert data["data"]["matrix"] == [[8, 0, 0], [-8, 16, 0], [0, 0, 16]]
 
+    def test_independence_above_the_degree_cap(self, capsys):
+        # the family's knots have cabled atoms, so lambda_T sums signatures
+        # only, also at the order 2187, where Q(zeta_2187) has degree 1458,
+        # over the cap for exact arithmetic
+        data = run_json(capsys, "reproduce", "independence", "--m", "2",
+                        "--n", "1", "--q", "27")
+        assert data["verdict"] == "PASS"
+
     def test_independence_family_file(self, capsys, tmp_path):
         family = KnotFamily(2, (FamilyEntry(FormalKnot(), 4),))
         path = tmp_path / "family.json"

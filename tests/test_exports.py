@@ -1,6 +1,6 @@
 """Every name a module lists in __all__ resolves, so a removal cannot leave
-a stale export behind, and no module imports another module's private
-names."""
+a stale export behind, no module imports another module's private names,
+and no module keeps an unbounded cache."""
 import ast
 import importlib
 import pathlib
@@ -51,3 +51,44 @@ def test_private_import_check_sees_them(tmp_path):
                     "from os import _exit\n")
     assert _private_imports(path) == [("cyclo", "_prec"),
                                       ("lambdatower.seifert", "_twist_cmp")]
+
+
+def _unbounded_caches(path):
+    """(line, what) for every functools.cache and lru_cache(maxsize=None) in
+    the source at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, "cache") for a in node.names if a.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            out.append((node.lineno, "cache"))
+        elif isinstance(node, ast.Call) and "lru_cache" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            size = [k.value for k in node.keywords if k.arg == "maxsize"]
+            size = node.args[:1] or size
+            if size and isinstance(size[0], ast.Constant) and size[0].value is None:
+                out.append((node.lineno, "lru_cache(maxsize=None)"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unbounded_caches(name):
+    path = pathlib.Path(lambdatower.__path__[0]) / f"{name}.py"
+    assert _unbounded_caches(path) == []
+
+
+def test_unbounded_cache_check_sees_them(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import functools\n"
+                    "from functools import cache, lru_cache\n"
+                    "f = functools.cache(len)\n"
+                    "g = lru_cache(maxsize=None)(len)\n"
+                    "h = functools.lru_cache(None)(len)\n"
+                    "i = lru_cache(maxsize=1 << 12)(len)\n"
+                    "j = lru_cache()(len)\n")
+    assert _unbounded_caches(path) == [(2, "cache"), (3, "cache"),
+                                       (4, "lru_cache(maxsize=None)"),
+                                       (5, "lru_cache(maxsize=None)")]

@@ -187,6 +187,17 @@ class TestOracleAgreement:
         assert result.witt.sign == signature_prediction(structure, link)
         assert result.witt.sign == 4 * sigma(knot, 4, 1)
 
+    def test_signatures_only_above_the_degree_cap(self):
+        # Q(zeta_4096) has degree 2048, over the cap for exact arithmetic,
+        # which a signatures-only sum never needs
+        structure = PStructure.canonical(TOWER, 4096)
+        link = tower_infection(2, 1, twist_knot(1))
+        result = lambda_T(structure, link, disc=False)
+        assert result.witt.partial and result.constant_c == 4
+        for s in (1, 683, 1365, 2047):
+            assert result.witt.signature_at(s) == \
+                signature_prediction(structure, link, s)
+
     def test_disc_refused_for_cabled_atoms(self):
         structure = PStructure.canonical(TOWER, 4)
         link = tower_infection(2, 1, twist_knot(1, cable=2))

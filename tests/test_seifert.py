@@ -170,19 +170,17 @@ class TestIntervalInertia:
     diagonalization over Q(zeta_d), which stays the reference."""
 
     @staticmethod
-    def agrees(matrix, d, s) -> bool:
+    def agrees(matrix, d, s):
         exact = _exact_signature(matrix.rows, d, s)
-        staged = _interval_signature(matrix.rows, d, s, 64)
-        assert staged in (None, exact), (matrix, d, s)
+        assert _interval_signature(matrix.rows, d, s, 64) == exact, (matrix, d, s)
         assert omega_signature(matrix, d, s) == exact
-        return staged is not None
 
     @pytest.mark.parametrize("d", INERTIA_ORDERS)
     def test_genus_one(self, d):
         rng = random.Random(d)
         for n in (1, 2, 7):
             for s in spread_units(d, 3):
-                assert self.agrees(twist_matrix(n), d, s)
+                self.agrees(twist_matrix(n), d, s)
         for _ in range(2):
             m = random_seifert(rng, 1)
             for s in spread_units(d, 3):
@@ -199,15 +197,15 @@ class TestIntervalInertia:
     @pytest.mark.parametrize(
         "d, s", [(243, 1), (243, 40), (243, 121), (729, 2), (729, 5)])
     def test_high_orders(self, d, s):
-        assert self.agrees(twist_matrix(3), d, s)
+        self.agrees(twist_matrix(3), d, s)
 
-    def test_zero_diagonal_falls_back_to_exact(self):
-        # the unknot matrix gives M(w) a zero diagonal, which diagonal
-        # pivoting cannot use; the exact path decides instead
+    def test_zero_diagonal_takes_block_pivot(self):
+        # the unknot matrix gives M(w) a zero diagonal, which no diagonal
+        # pivot can use; the 2 x 2 block pivot decides it at 64 bits
         unknot = SeifertMatrix.from_rows([[0, 1], [0, 0]])
         for d in (2, 3, 4, 8, 9, 27):
             for s in range(1, d):
-                assert _interval_signature(unknot.rows, d, s, 64) is None
+                assert _interval_signature(unknot.rows, d, s, 64) == 0
                 assert omega_signature(unknot, d, s) == 0
 
 
@@ -244,7 +242,7 @@ class TestFloatStage:
                 for s in spread_units(d, 2):
                     ref = _reference(m, d, s)
                     assert _float_signature(m.rows, d, s) == ref, (m, d, s)
-                    assert _interval_signature(m.rows, d, s, 64) in (None, ref)
+                    assert _interval_signature(m.rows, d, s, 64) == ref
                     assert omega_signature(m, d, s) == ref
 
     @pytest.mark.parametrize("d", [9, 16, 25, 27])
@@ -254,8 +252,9 @@ class TestFloatStage:
         for g in (1, 2, 3):
             m = _with_zero_diagonal(rng, g)
             for s in spread_units(d, 2):
-                assert _float_signature(m.rows, d, s) == \
-                    _exact_signature(m.rows, d, s), (m, d, s)
+                exact = _exact_signature(m.rows, d, s)
+                assert _float_signature(m.rows, d, s) == exact, (m, d, s)
+                assert _interval_signature(m.rows, d, s, 64) == exact
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12345, 10 ** 6, 2 ** 40])
     def test_near_cancelling_pivots(self, n):
@@ -274,7 +273,9 @@ class TestFloatStage:
             assert sig in (None, ref), (n, d, s)
             decided.append(sig is not None)
             for prec in (64, 128):
-                assert _interval_signature(matrix.rows, d, s, prec) in (None, ref)
+                staged = _interval_signature(matrix.rows, d, s, prec)
+                # the mpmath stage decides wherever the float stage does
+                assert staged in ((None, ref) if sig is None else (ref,))
         assert decided[0]
         if n < 100:  # within 2^-60 of t_n the pivot cancels below float resolution
             assert not decided[-1]
@@ -287,6 +288,17 @@ class TestFloatStage:
         for matrix, d, s, sig in cases:
             assert _float_signature(matrix.rows, d, s) is None
             assert omega_signature(matrix, d, s) == sig
+
+    def test_zero_diagonal_out_of_float_range(self, monkeypatch, capsys):
+        # entries of 2^60 defer the float stage, the zero diagonal leaves
+        # the mpmath stage only a block pivot, and Q(zeta_4099) is over the
+        # degree cap, so the exact path would exit 3
+        monkeypatch.setattr(seifert, "_exact_signature", _refuse)
+        seifert._omega_signature_cached.cache_clear()
+        argv = ["sig", "--matrix", f"[[0,{2 ** 60}],[{2 ** 60 - 1},0]]",
+                "--d", "4099", "--s", "5"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["sigma"] == 0
 
     def test_unknot_needs_no_exact_path(self, monkeypatch):
         monkeypatch.setattr(seifert, "_exact_signature", _refuse)
