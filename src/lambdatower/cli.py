@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 from .certify import (
@@ -698,10 +699,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state in the parser, so one built per process serves
+    # every call of main; building it costs more than most scalar queries.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     old_cap = None

@@ -1,11 +1,14 @@
 """Exact arithmetic in Q(zeta_d) for prime-power d, with certified signs.
 
 Elements are coefficient vectors over the power basis 1, z, ..., z^(phi(d)-1)
-reduced modulo the cyclotomic polynomial Phi_d, so equality and zero testing
-are exact syntactic checks on rational vectors.  The sign of an element fixed
-by the involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is
-decided by adaptive-precision interval arithmetic: exact zeros short-circuit,
-and a nonzero element is separated from zero at some finite precision.  For
+reduced modulo the cyclotomic polynomial Phi_d, held as integers over one
+denominator in lowest terms, so equality and zero testing are exact
+syntactic checks.  Products are single big-integer products (Kronecker
+substitution), and inverses descend the tower of subfields by norms.  The
+sign of an element fixed by the involution z -> z^-1, under the embedding
+z -> exp(2*pi*i*s/d), is decided by adaptive-precision interval arithmetic:
+exact zeros short-circuit, and a nonzero element is separated from zero at
+some finite precision.  For
 many elements at many embeddings, a float evaluation with an a priori error
 bound decides first and leaves only the close calls to the intervals.
 """
@@ -14,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Union
 
 import numpy as np
@@ -22,6 +26,7 @@ from mpmath import iv
 
 __all__ = [
     "MAX_FIELD_DEGREE",
+    "MAX_TRIAL_DIVISOR",
     "CyclotomicNumber",
     "InputError",
     "PrecisionExhausted",
@@ -46,6 +51,11 @@ _precision_cap = 1 << 16
 # Largest degree phi(d) of Q(zeta_d) that exact arithmetic accepts; the
 # largest in use is 500 (d = 625).
 MAX_FIELD_DEGREE = 1024
+
+# Largest trial divisor factor uses, so it decides every n below 10^12 and
+# every n whose cofactor after the primes up to 10^6 is below 10^12; the
+# largest n in use is a discriminant of a few digits.
+MAX_TRIAL_DIVISOR = 10 ** 6
 
 Scalar = Union[int, Fraction]
 
@@ -83,10 +93,16 @@ def precision_cap() -> int:
 
 def factor(n: int) -> dict:
     """Prime factorization {prime: exponent} of n by trial division, in
-    increasing order of the primes; empty for n < 2."""
+    increasing order of the primes; empty for n < 2.  Raises
+    ResourceCapExceeded when that needs a divisor above MAX_TRIAL_DIVISOR."""
     out = {}
     q = 2
     while q * q <= n:
+        if q > MAX_TRIAL_DIVISOR:
+            raise ResourceCapExceeded(
+                f"factoring needs trial divisors above the cap "
+                f"{MAX_TRIAL_DIVISOR}: the cofactor {n} has no prime factor "
+                f"up to it and is not below its square")
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
@@ -130,107 +146,251 @@ def degree_of(d: int) -> int:
     return _field_params(d)[3]
 
 
-def _reduce(vec, d: int):
-    # Phi_{p^a}(x) = sum_{j<p} x^(j*m) with m = p^(a-1), so
-    # x^phi = -sum_{j<p-1} x^(j*m) rewrites one top coefficient at a time.
+def _reduce(vec: list, d: int) -> list:
+    """Reduce integer coefficients of x^0, x^1, ... modulo Phi_d, in place,
+    to the phi(d) coefficients of the power basis."""
     p, _, m, phi = _field_params(d)
-    for i in range(len(vec) - 1, phi - 1, -1):
-        c = vec[i]
-        if c:
-            vec[i] = Fraction(0)
-            base = i - phi
-            for j in range(p - 1):
-                vec[base + j * m] -= c
+    if len(vec) <= phi:
+        vec += [0] * (phi - len(vec))
+        return vec
+    # x^d = 1 modulo Phi_d, so every block of d coefficients above the first
+    # folds onto it.
+    for start in range(d, len(vec), d):
+        chunk = vec[start:start + d]
+        vec[:len(chunk)] = map(add, vec, chunk)
+    del vec[d:]
+    vec += [0] * (d - len(vec))
+    # Phi_{p^a}(x) = sum_{j<p} x^(j*m) with m = p^(a-1), so
+    # x^((p-1)*m + r) = -sum_{j<p-1} x^(j*m + r): the top block of m
+    # coefficients comes off each block below it.
+    top = vec[phi:]
+    for j in range(0, phi, m):
+        vec[j:j + m] = map(sub, vec[j:j + m], top)
     del vec[phi:]
-    while len(vec) < phi:
-        vec.append(Fraction(0))
     return vec
 
 
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _trim(vec):
+    """vec without its trailing zeros."""
+    n = len(vec)
+    while n and not vec[n - 1]:
+        n -= 1
+    return vec[:n]
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
+def _lowest(vec: list, den: int):
+    """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0."""
+    g = gcd(den, *vec)
+    if den < 0:
+        g = -g
+    if g != 1:
+        vec = [c // g for c in vec]
+        den //= g
+    return vec, den
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
+def _pack(coeffs, size: int) -> int:
+    """sum c_i 2^(8 size i) for |c_i| < 2^(8 size - 1).
+
+    Each digit is written biased by half = 2^(8 size - 1), so that its bytes
+    stand alone, and the biases come off in one subtraction.  Digits of 1,
+    2, 4 or 8 bytes are written by numpy, where the bias is a flip of the
+    top bit of the two's complement.
+    """
+    half = 1 << (8 * size - 1)
+    if size <= 8:
+        word = np.array(coeffs, dtype=np.int64).astype(f"<i{size}")
+        raw = (word.view(f"<u{size}") ^ half).tobytes()
+    else:
+        raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return (int.from_bytes(raw, "little")
+            - int.from_bytes(half.to_bytes(size, "little") * len(coeffs), "little"))
 
 
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for j, bj in enumerate(b):
-        out[j] -= bj
-    return _poly_trim(out)
+def _unpack(value: int, count: int, size: int) -> list:
+    """The count signed digits c_i of value = sum c_i 2^(8 size i), each
+    |c_i| < 2^(8 size - 1); the inverse of _pack."""
+    half = 1 << (8 * size - 1)
+    raw = (value + int.from_bytes(half.to_bytes(size, "little") * count, "little")
+           ).to_bytes(count * size, "little")
+    if size <= 8:
+        return (np.frombuffer(raw, dtype=f"<u{size}") ^ half).view(f"<i{size}").tolist()
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, count * size, size)]
 
 
-def _phi_poly(d: int):
+def _kronecker_mul(a, b) -> list:
+    """Coefficients of the product of two nonzero integer polynomials, from
+    one big-integer product (Kronecker substitution): each polynomial is
+    evaluated at 2^(8 size), with digits wide enough that no coefficient of
+    the product carries into the next, and the product is read back digit
+    by digit.  Packing and unpacking go through bytes, so they cost
+    O(len * size), not one shift per coefficient."""
+    bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+            + min(len(a), len(b)).bit_length())
+    # every product coefficient is below 2^bits <= 2^(8 size - 1); widths up
+    # to 8 bytes are rounded up to the 1, 2, 4 or 8 that numpy packs
+    size = bits // 8 + 1
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    packed = _pack(a, size)
+    product = packed * (packed if b is a else _pack(b, size))
+    return _unpack(product, len(a) + len(b) - 1, size)
+
+
+def _pseudo_divmod(a: list, b: list):
+    """(q, r, scale) with scale * a = q * b + r and deg r < deg b, for integer
+    polynomials a and b with b[-1] != 0.  Each step scales by the leading
+    coefficient of b over its gcd with the term it cancels, so scale is no
+    larger than integer quotients need; a quotient digit is scaled once, at
+    the end, by the steps that came after it."""
+    lead, nb = b[-1], len(b)
+    r = list(a)
+    digits = []
+    scale = 1
+    for i in range(len(a) - nb, -1, -1):
+        t = r.pop()
+        if t:
+            g = gcd(t, lead) if lead > 0 else -gcd(t, lead)
+            u, v = lead // g, t // g
+            if u != 1:
+                r = [c * u for c in r]
+                scale *= u
+            r[i:] = map(sub, r[i:], [v * c for c in b[:-1]])
+            digits.append((i, v, scale))
+    q = [0] * (len(a) - nb + 1)
+    for i, v, at in digits:
+        q[i] = v * (scale // at)
+    return q, r, scale
+
+
+def _euclid_inverse(a: list, d: int):
+    """(s, den) with s / den the inverse of the nonzero integer polynomial a
+    of degree < phi(d) modulo Phi_d.
+
+    Extended Euclid in Q[x], as exact rational arithmetic runs it: every
+    remainder and every Bezout coefficient is held as an integer polynomial
+    over one positive denominator in lowest terms.  Phi_d is irreducible, so
+    the last nonzero remainder is a constant.
+    """
     p, _, m, phi = _field_params(d)
-    coeffs = [Fraction(0)] * (phi + 1)
-    for j in range(p):
-        coeffs[j * m] = Fraction(1)
-    return coeffs
-
-
-def _invert_mod_phi(a, d: int):
-    # extended Euclid in Q[x]; Phi_d is irreducible so any nonzero a is a unit.
-    phi_poly = _phi_poly(d)
-    r0, r1 = phi_poly, _poly_trim(list(a))
-    s0, s1 = [], [Fraction(1)]
+    r0 = [0] * (phi + 1)
+    r0[::m] = [1] * p
+    r1, e0, e1 = list(a), 1, 1
+    s0, s1, f0, f1 = [], [1], 1, 1
+    # invariant: s_i / f_i * a = r_i / e_i modulo Phi_d
     while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 = gcd = nonzero constant; s0 * a == r0 (mod Phi_d)
-    c = r0[0]
-    return [x / c for x in s0]
+        q, rem, scale = _pseudo_divmod(r0, r1)
+        # r0/e0 = (q e1 / (scale e0)) (r1/e1) + rem / (scale e0)
+        qden = scale * e0
+        rem, rden = _lowest(_trim(rem), qden)
+        # s0/f0 - (q e1 / qden) (s1/f1), over the denominator f0 qden f1 / g
+        t = _kronecker_mul(q, s1)
+        tden = qden * f1
+        g = gcd(f0, tden)
+        x, y = tden // g, e1 * (f0 // g)
+        s = [c * x for c in s0] + [0] * (len(t) - len(s0))
+        s[:len(t)] = map(sub, s, [c * y for c in t])
+        s, sden = _lowest(s, f0 // g * tden)
+        r0, e0, r1, e1 = r1, e1, rem, rden
+        s0, f0, s1, f1 = s1, f1, s, sden
+    # s0/f0 * a = r0[0]/e0, a nonzero constant
+    return _lowest([c * e0 for c in s0], f0 * r0[0])
 
 
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: Scalar) -> tuple:
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot coerce {type(value).__name__} into Q(zeta_d)")
 
 
-@dataclass(frozen=True)
+def _element(d: int, vec: list, den: int) -> "CyclotomicNumber":
+    vec, den = _lowest(vec, den)
+    return CyclotomicNumber(d, tuple(vec), den)
+
+
+def _product(x: "CyclotomicNumber", y: "CyclotomicNumber") -> "CyclotomicNumber":
+    a, b = x.num, y.num
+    if not any(a):
+        return x
+    if not any(b):
+        return y
+    if not any(b[1:]):
+        vec = [c * b[0] for c in a]
+    elif not any(a[1:]):
+        vec = [a[0] * c for c in b]
+    else:
+        vec = _reduce(_kronecker_mul(_trim(a), _trim(b)), x.order)
+    return _element(x.order, vec, x.den * y.den)
+
+
+def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
+    """Image of x under zeta -> zeta^k, for k coprime to the order."""
+    d = x.order
+    vec = [0] * d
+    for i, c in enumerate(x.num):
+        vec[i * k % d] = c
+    # a ring automorphism of Z[zeta_d] keeps the gcd of the numerators
+    return CyclotomicNumber(d, tuple(_reduce(vec, d)), x.den)
+
+
+def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
+    """Inverse of a nonzero x, by norms down the tower of subfields.
+
+    For d = p^a with a > 1, Q(zeta_d) has degree p over Q(zeta_d^p), with
+    conjugates zeta -> zeta^(1 + j d/p) for j < p.  The product r of the
+    p - 1 nontrivial ones makes x r the relative norm, an element of the
+    subfield (supported on the powers z^(p i)), so 1/x = r / (x r) takes one
+    inverse at a p-th of the degree.  Q(zeta_p) takes extended Euclid, and a
+    rational x is inverted directly.
+    """
+    d, num = x.order, x.num
+    if not any(num[1:]):
+        return CyclotomicNumber.of(d, Fraction(x.den, num[0]))
+    p, a, m, phi = _field_params(d)
+    if a == 1:
+        inv, den = _euclid_inverse(_trim(num), d)
+        inv += [0] * (phi - len(inv))
+        return _element(d, [c * x.den for c in inv], den)
+    rest = _galois(x, 1 + m)
+    for j in range(2, p):
+        rest = _product(rest, _galois(x, 1 + j * m))
+    norm = _product(x, rest)
+    sub = _inverse(CyclotomicNumber(d // p, norm.num[::p], norm.den))
+    lifted = [0] * phi
+    lifted[::p] = sub.num
+    return _product(rest, CyclotomicNumber(d, tuple(lifted), sub.den))
+
+
+@dataclass(frozen=True, slots=True)
 class CyclotomicNumber:
-    """An element of Q(zeta_d), d a prime power, in the reduced power basis."""
+    """An element num / den of Q(zeta_d), d a prime power, over the reduced
+    power basis 1, z, ..., z^(phi(d)-1).
+
+    num holds phi(d) integers and den > 0 is their one common denominator, in
+    lowest terms: gcd(den, *num) == 1.  So every element has exactly one
+    representation, and equality and zero tests are syntactic.
+    """
 
     order: int
-    coeffs: tuple
+    num: tuple
+    den: int = 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(d) coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
     def from_coeffs(d: int, coeffs) -> "CyclotomicNumber":
-        vec = [_coerce(c) for c in coeffs]
-        if len(vec) > degree_of(d):
-            vec = _reduce(vec, d)
-        else:
-            vec += [Fraction(0)] * (degree_of(d) - len(vec))
-        return CyclotomicNumber(d, tuple(vec))
+        pairs = [_ratio(c) for c in coeffs]
+        den = lcm(*(q for _, q in pairs))
+        return _element(d, _reduce([n * (den // q) for n, q in pairs], d), den)
 
     @staticmethod
     def of(d: int, value: Scalar) -> "CyclotomicNumber":
-        return CyclotomicNumber.from_coeffs(d, [_coerce(value)])
+        n, q = _ratio(value)
+        return CyclotomicNumber(d, (n,) + (0,) * (degree_of(d) - 1), q)
 
     def _check_same_field(self, other: "CyclotomicNumber"):
         if self.order != other.order:
@@ -242,21 +402,30 @@ class CyclotomicNumber:
         if isinstance(other, CyclotomicNumber):
             self._check_same_field(other)
             return other
-        return CyclotomicNumber.of(self.order, _coerce(other))
+        return CyclotomicNumber.of(self.order, other)
 
     def __add__(self, other):
         try:
             other = self._lift(other)
         except TypeError:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.num, other.num
+        if not any(b):
+            return self
+        if not any(a):
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            return _element(self.order, list(map(add, a, b)), da)
+        g = gcd(da, db)
+        ua, ub = db // g, da // g
+        return _element(self.order, [x * ua + y * ub for x, y in zip(a, b)],
+                        da * ua)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
+        return CyclotomicNumber(self.order, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         try:
@@ -273,22 +442,14 @@ class CyclotomicNumber:
             other = self._lift(other)
         except TypeError:
             return NotImplemented
-        out = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CyclotomicNumber(self.order, tuple(_reduce(out, self.order)))
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.order})")
-        inv = _invert_mod_phi(self.coeffs, self.order)
-        inv += [Fraction(0)] * (len(self.coeffs) - len(inv))
-        return CyclotomicNumber(self.order, tuple(inv))
+        return _inverse(self)
 
     def __truediv__(self, other):
         try:
@@ -314,36 +475,38 @@ class CyclotomicNumber:
 
     def conj(self) -> "CyclotomicNumber":
         """Image under the involution zeta -> zeta^-1."""
-        d = self.order
-        vec = [Fraction(0)] * d
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec[(-k) % d] += c
-        return CyclotomicNumber(d, tuple(_reduce(vec, d)))
+        d, num = self.order, self.num
+        vec = [num[0]] + [0] * (d - len(num))
+        vec += num[:0:-1]  # z^k -> z^(d-k)
+        # The involution is a ring automorphism of Z[zeta_d], so it keeps the
+        # gcd of the numerators, and den stays in lowest terms.
+        return CyclotomicNumber(d, tuple(_reduce(vec, d)), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_real(self) -> bool:
         return self == self.conj()
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -362,8 +525,8 @@ class CyclotomicNumber:
 def zeta(d: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_d**k as an element of Q(zeta_d)."""
     k %= d
-    vec = [Fraction(0)] * (k + 1)
-    vec[k] = Fraction(1)
+    vec = [0] * (k + 1)
+    vec[k] = 1
     return CyclotomicNumber.from_coeffs(d, vec)
 
 
@@ -394,10 +557,10 @@ def _embed_interval(x: CyclotomicNumber, s: int, prec: int):
     table = _cos_table(x.order, prec)
     with interval_precision(prec):
         acc = iv.mpf(0)
-        for k, c in enumerate(x.coeffs):
+        for k, c in enumerate(x.num):
             if c:
-                acc += (iv.mpf(c.numerator) / c.denominator) * table[(k * s) % x.order]
-        return acc
+                acc += iv.mpf(c) * table[(k * s) % x.order]
+        return acc / x.den
 
 
 def embedding_interval(x: CyclotomicNumber, s: int, prec: int):
@@ -454,14 +617,15 @@ def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
 
 
 def _float_coeffs(x: CyclotomicNumber):
-    """The coefficients of x rounded to nearest (Fraction to float rounds
+    """The coefficients of x rounded to nearest (int true division rounds
     correctly), or None when a nonzero one falls outside _FLOAT_RANGE."""
+    den = x.den
     try:
-        out = [float(c) for c in x.coeffs]
+        out = [c / den for c in x.num]
     except OverflowError:
         return None
     lo, hi = _FLOAT_RANGE
-    if all(lo <= abs(f) <= hi for c, f in zip(x.coeffs, out) if c):
+    if all(lo <= abs(f) <= hi for c, f in zip(x.num, out) if c):
         return out
     return None
 
@@ -542,8 +706,8 @@ def compare_cos_turns(c, u) -> int:
     everywhere else cos(2*pi*u) is irrational, so interval refinement always
     terminates.
     """
-    c = _coerce(c)
-    u = _coerce(u) % 1
+    c = Fraction(*_ratio(c))
+    u = Fraction(*_ratio(u)) % 1
     exact = _RATIONAL_COS.get(u)
     if exact is not None:
         diff = c - exact

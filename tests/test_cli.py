@@ -537,6 +537,68 @@ def test_work_caps(capsys, argv, cap):
     assert out == ""
 
 
+def test_largest_block_form_under_the_cap(capsys):
+    # the trefoil's 31 blocks at d = 64, just under witt.MAX_BLOCK_WORK; the
+    # stdout digest is the one the Fraction arithmetic printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witt", "--matrix", "[[-1,1],[0,-1]]",
+                         "--r", "31", "--d", "64")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("7841c4ee9f726cd6")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--a", "2", "--b", "3", "--q", "1000000000000000003"),
+    ("sig", "--knot", "trefoil", "--d", "1000000000000000003", "--s", "1"),
+    ("witt", "--matrix", "[[1,1],[0,1]]", "--d", "1000000000000000003"),
+    # the discriminant 2 (10^18 + 3) needs factoring at d = 4
+    ("witt", "--matrix", "[[1000000000000000003]]", "--d", "4"),
+])
+def test_factoring_cap(capsys, argv):
+    # 10^18 + 3 is prime, so trial division would run to 10^9.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert f"cap {cyclo.MAX_TRIAL_DIVISOR}" in err
+    assert out == ""
+
+
+def test_factoring_below_the_cap():
+    n = 999_983 * 1_000_003  # both prime, the larger just above the cap
+    assert cyclo.factor(n) == {999_983: 1, 1_000_003: 1}
+    assert cyclo.factor(2 ** 70 * 999_983) == {2: 70, 999_983: 1}
+    with pytest.raises(ResourceCapExceeded):
+        cyclo.factor(1_000_003 ** 2)
+    assert not cyclo.is_prime(999_983 * 1_000_003)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process; every call in a mixed
+    # sequence, parse errors among them, prints what a fresh parser prints.
+    argvs = [
+        ("sig", "--knot", "trefoil", "--d", "8", "--s", "1"),
+        ("witt", "--d", "4"),
+        ("hilbert", "--a", "2", "--b", "3", "--q", "7"),
+        ("sig", "--knot", "trefoil", "--d", "8"),
+        ("arf", "--knot", "trefoil", "--format", "csv"),
+        ("bogus",),
+        ("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "8", "--r", "2"),
+        ("hilbert", "--a", "0", "--b", "3", "--q", "7"),
+        ("sig", "--help"),
+        ("sig", "--knot", "trefoil", "--d", "8", "--s", "1"),
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0, 2, 0, 2, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: argv lists drawn from a small grammar over every subcommand, with
 # bounds of 4^4 top vertices, orders d <= 64 and block counts r <= 3.  A flag

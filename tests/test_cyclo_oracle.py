@@ -1,0 +1,199 @@
+"""Integer-vector Q(zeta_d) arithmetic against the Fraction reference oracle.
+
+`CyclotomicNumber` holds phi(d) integers over one denominator, multiplies by
+Kronecker substitution and inverts by norms down the subfield tower (extended
+Euclid at prime order).  Every operation here is compared, coefficient by
+coefficient, with the direct Fraction algorithms of `fraction_oracle`, on
+zero elements, negative coefficients, coefficients at the digit boundaries
+of the packing, coefficients of 2^300 and mixed denominators.
+"""
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fraction_oracle as oracle
+from lambdatower import cyclo
+from lambdatower.cyclo import CyclotomicNumber, degree_of
+from lambdatower.witt import diagonalize, lambda_block, witt_invariants
+
+ORDERS = [4, 8, 9, 16, 27, 32, 49, 64, 81, 125, 128, 243, 256]
+
+# |c| at and beside 2^(8 k - 1), where a packed digit of k bytes changes
+# sign, for k up to 9 bytes (past the 8-byte words numpy packs).
+BOUNDARIES = sorted({sign * (2 ** (8 * k - 1) + e)
+                     for k in range(1, 10) for e in (-1, 0, 1)
+                     for sign in (1, -1)})
+
+# A low-degree element across the one- and two-byte digit boundaries
+LOW = [2 ** 15 + 1, -(2 ** 7), 2 ** 7 - 1, Fraction(-(2 ** 8), 5)]
+
+
+def vectors(d: int) -> dict:
+    """Named coefficient vectors of length phi(d), one per edge case."""
+    rng = random.Random(7000 + d)
+    phi = degree_of(d)
+
+    def draw(f):
+        return [f() for _ in range(phi)]
+
+    sparse = [0] * phi
+    sparse[-1] = -(2 ** 15)
+    sparse[rng.randrange(phi)] = 7
+    sparse[0] = Fraction(-1, 3)
+    return {
+        "zero": [0] * phi,
+        "one": [1] + [0] * (phi - 1),
+        "rational": [Fraction(-7, 3)] + [0] * (phi - 1),
+        "negative": draw(lambda: rng.randint(-9, -1)),
+        "small": draw(lambda: rng.randint(-9, 9)),
+        "boundary": draw(lambda: rng.choice(BOUNDARIES)),
+        # products whose coefficients reach the top of their digits
+        "extreme": [-(2 ** 63)] * phi,
+        "huge": draw(lambda: rng.choice((1, -1)) * 2 ** 300 + rng.randint(-3, 3)),
+        "mixed": draw(lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))),
+        "sparse": sparse,
+        "low": LOW + [0] * (phi - len(LOW)),
+    }
+
+
+PAIRS = [("zero", "small"), ("small", "zero"), ("zero", "zero"),
+         ("negative", "negative"), ("boundary", "boundary"),
+         ("boundary", "small"), ("extreme", "extreme"), ("huge", "mixed"),
+         ("mixed", "mixed"), ("sparse", "huge"), ("rational", "boundary"),
+         ("low", "sparse"), ("small", "small")]
+
+def element(d, vec):
+    return CyclotomicNumber.from_coeffs(d, vec)
+
+
+def assert_canonical(x):
+    assert len(x.num) == degree_of(x.order)
+    assert all(type(c) is int for c in x.num)
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("d", ORDERS)
+def test_coeffs_match_oracle(d):
+    for name, vec in vectors(d).items():
+        x = element(d, vec)
+        assert_canonical(x)
+        assert list(x.coeffs) == oracle.reduce(vec, d), name
+        assert all(isinstance(c, Fraction) for c in x.coeffs)
+        assert CyclotomicNumber.from_coeffs(d, x.coeffs) == x
+
+
+@pytest.mark.parametrize("d", ORDERS)
+def test_ring_operations_match_oracle(d):
+    vecs = vectors(d)
+    for left, right in PAIRS:
+        x, y = element(d, vecs[left]), element(d, vecs[right])
+        a, b = list(x.coeffs), list(y.coeffs)
+        for got, want in ((x * y, oracle.mul(a, b, d)),
+                          (x + y, oracle.add(a, b)),
+                          (x - y, oracle.add(a, [-c for c in b]))):
+            assert_canonical(got)
+            assert list(got.coeffs) == want, (left, right)
+    for name, vec in vecs.items():
+        x = element(d, vec)
+        assert_canonical(x.conj())
+        assert list(x.conj().coeffs) == oracle.conj(list(x.coeffs), d), name
+        assert list((x * x).coeffs) == oracle.mul(x.coeffs, x.coeffs, d), name
+
+
+def assert_inverse_matches_oracle(x):
+    inv = x.inverse()
+    assert_canonical(inv)
+    assert list(inv.coeffs) == oracle.inverse(list(x.coeffs), x.order)
+    assert x * inv == 1
+
+
+@pytest.mark.parametrize("d", ORDERS)
+def test_inverse_matches_oracle(d):
+    vecs = vectors(d)
+    # the Fraction Euclid takes seconds on inverses of high degree in a field
+    # of high degree, so those are checked at the lower orders only
+    high = ("sparse", "negative", "small", "boundary", "mixed")
+    for name in ("one", "rational", "low") + (high if degree_of(d) <= 20 else ()):
+        assert_inverse_matches_oracle(element(d, vecs[name]))
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicNumber.of(d, 0).inverse()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 101])
+def test_inverse_at_prime_order_matches_oracle(d):
+    # Q(zeta_p) has no subfield to descend to, so extended Euclid inverts
+    rng = random.Random(d)
+    vecs = [[Fraction(-7, 3)], LOW, [Fraction(-1, 3), 0, 0, 0, 0, -(2 ** 15)]]
+    if d < 100:
+        vecs.append([rng.choice(BOUNDARIES) for _ in range(12)])
+    for vec in vecs:
+        assert_inverse_matches_oracle(element(d, vec))
+
+
+def test_inverse_of_huge_coefficients():
+    assert_inverse_matches_oracle(element(16, vectors(16)["huge"]))
+
+
+@pytest.mark.parametrize("d", ORDERS)
+def test_discriminant_strings_match_oracle(d):
+    # witt prints disc_coeffs as str of each coefficient of the pivot product
+    form = lambda_block(((-1, 1), (0, -1)), 2, d, 1)
+    pivots = diagonalize(form).pivots
+    k = len(pivots)
+    disc = oracle.reduce([(-1) ** (k * (k - 1) // 2)], d)
+    for p in pivots:
+        disc = oracle.mul(disc, p.coeffs, d)
+    assert witt_invariants(form).to_json()["disc_coeffs"] == \
+        [str(c) for c in disc]
+
+
+def coefficient_lists(d):
+    value = st.one_of(
+        st.integers(-9, 9),
+        st.sampled_from(BOUNDARIES),
+        st.integers(-(2 ** 300), 2 ** 300),
+        st.fractions(max_denominator=50).filter(lambda f: abs(f) < 10 ** 6))
+    return st.lists(value, min_size=1, max_size=degree_of(d))
+
+
+@pytest.mark.parametrize("d", [8, 9, 16, 27, 49, 128])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_products_and_sums_match_oracle_hypothesis(d, data):
+    a = data.draw(coefficient_lists(d))
+    b = data.draw(coefficient_lists(d))
+    x, y = element(d, a), element(d, b)
+    fa, fb = oracle.reduce(a, d), oracle.reduce(b, d)
+    assert list((x * y).coeffs) == oracle.mul(fa, fb, d)
+    assert list((x + y).coeffs) == oracle.add(fa, fb)
+    assert list(x.conj().coeffs) == oracle.conj(fa, d)
+
+
+def test_kronecker_digits_at_sign_boundaries():
+    # the packed product against schoolbook integer products, at digit
+    # widths on both sides of the numpy words and of each byte boundary
+    rng = random.Random(5)
+    for _ in range(300):
+        la, lb = rng.randint(1, 40), rng.randint(1, 40)
+        a = [rng.choice(BOUNDARIES + [0, 1, -1]) for _ in range(la)]
+        b = [rng.choice(BOUNDARIES + [0, 1, -1]) for _ in range(lb)]
+        a[-1] = a[-1] or 1
+        b[-1] = b[-1] or -1
+        want = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] += x * y
+        assert cyclo._kronecker_mul(a, b) == want
+    # n (2^k - 1)^2 for n = 2^j - 1 is just below 2^(2k + j), the bound the
+    # digit width is chosen from, so each width is filled to its top
+    for k in range(1, 70):
+        for n in (1, 3, 7, 15, 127):
+            top = [2 ** k - 1] * n
+            want = [min(i + 1, 2 * n - 1 - i) * (2 ** k - 1) ** 2
+                    for i in range(2 * n - 1)]
+            assert cyclo._kronecker_mul(top, top) == want
+            assert cyclo._kronecker_mul(top, [-c for c in top]) == \
+                [-c for c in want]
