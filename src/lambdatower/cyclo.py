@@ -123,8 +123,33 @@ def is_prime_power(d: int) -> bool:
     return prime_power_split(d) is not None
 
 
+# Miller-Rabin to the first 13 prime bases decides every n below
+# _MILLER_RABIN_BOUND, the least strong pseudoprime to all of them (Sorenson
+# and Webster, Math. Comp. 86, 2017); is_prime factors larger n.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return prime_power_split(n) == (n, 1)
+    if n >= _MILLER_RABIN_BOUND:
+        return prime_power_split(n) == (n, 1)
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^twos * odd
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, (n - 1) >> twos, n)
+        if x == 1:
+            continue
+        for _ in range(twos):  # n is prime only if -1 comes before 1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=1 << 12)

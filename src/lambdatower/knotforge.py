@@ -199,6 +199,9 @@ class KnotFamily:
     entries: tuple
 
     def __post_init__(self):
+        for v in (self.p, *(entry.d for entry in self.entries)):
+            if type(v) is not int:
+                raise ValueError(f"p and every d must be integers, got {v!r}")
         prev = None
         for entry in self.entries:
             split = prime_power_split(entry.d)

@@ -7,8 +7,8 @@ independent evaluators that are cross-checked in tests: a hermitian matrix
 path at prime-power roots of unity, and a jump-profile path for the twist
 family with exact algebraic jump positions.  The matrix path certifies the
 inertia by one interval LDL^H with 2 x 2 block pivots, run in floats and
-then in mpmath at 64 and 128 bits, and falls back to exact diagonalization
-over Q(zeta_d).
+then in mpmath at 64, 128, 256, ... bits up to the precision cap; it never
+builds an element of Q(zeta_d).
 """
 from __future__ import annotations
 
@@ -29,7 +29,9 @@ from .cyclo import (
     is_prime_power,
     precision_cap,
 )
-from .witt import diagonalize, lambda_block, signature
+# Not called here: bench/test_bench.py checks that the benchmark tracer
+# rebinds this name in every module that imports it.
+from .witt import diagonalize  # noqa: F401
 
 __all__ = [
     "Atom",
@@ -75,6 +77,13 @@ def _int_det(rows) -> int:
     return sign * m[-1][-1]
 
 
+def _integer(value, what: str) -> int:
+    """value itself when it is an int and not a bool, else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Square integer matrix A with det(A - A^T) = +-1."""
@@ -83,7 +92,8 @@ class SeifertMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
-        mat = tuple(tuple(int(v) for v in row) for row in rows)
+        mat = tuple(tuple(_integer(v, "matrix entry") for v in row)
+                    for row in rows)
         n = len(mat)
         for row in mat:
             if len(row) != n:
@@ -179,10 +189,11 @@ class FormalKnot:
         atoms = []
         for entry in data:
             if "n" in entry:
-                matrix = twist_matrix(entry["n"])
+                matrix = twist_matrix(_integer(entry["n"], "n"))
             else:
                 matrix = SeifertMatrix.from_json(entry["matrix"])
-            atoms.append(Atom(matrix, entry.get("r", 1), entry.get("sign", 1)))
+            atoms.append(Atom(matrix, _integer(entry.get("r", 1), "r"),
+                              _integer(entry.get("sign", 1), "sign")))
         return FormalKnot(tuple(atoms))
 
 
@@ -390,18 +401,6 @@ def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]
                          for j in range(n)] for i in range(n)])
 
 
-def _exact_signature(rows: tuple, d: int, s: int) -> int:
-    """Signature of M(zeta_d^s) by exact diagonalization over Q(zeta_d)."""
-    diag = diagonalize(lambda_block(rows, 1, d, s))
-    if diag.radical:
-        # det(A - A^T) = +-1 forces the Alexander polynomial to be a unit at
-        # every prime-power root of unity, so this cannot happen on valid input
-        raise ArithmeticError(
-            f"M(zeta_{d}^{s}) is singular for a valid Seifert matrix; "
-            f"a nonsingularity invariant is violated")
-    return signature(diag)
-
-
 @lru_cache(maxsize=1 << 16)
 def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
     if s == 0:
@@ -409,25 +408,27 @@ def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
     sig = _float_signature(rows, d, s)
     if sig is not None:
         return sig
-    for prec in (START_PRECISION, 2 * START_PRECISION):
-        if prec > precision_cap():
-            break
+    prec = START_PRECISION
+    while prec <= precision_cap():
         sig = _interval_signature(rows, d, s, prec)
         if sig is not None:
             return sig
-    return _exact_signature(rows, d, s)
+        prec *= 2
+    raise PrecisionExhausted(
+        f"could not certify the signature of M(zeta_{d}^{s}) within the "
+        f"precision cap of {precision_cap()} bits")
 
 
 def omega_signature(matrix, d: int, s: int) -> int:
     """Signature of (1-w)A + (1-w^-1)A^T at w = zeta_d^s, certified.
 
-    The inertia is first read off an interval LDL^H factorization in floats
-    rounded outward, then in mpmath at 64 and at 128 bits (never above the
-    precision cap); only when no stage separates every pivot from zero does
-    the exact diagonalization over Q(zeta_d) decide.  Every stage gives the
-    exact signature.  d must be a prime power; at such roots the matrix is
-    never singular for a valid Seifert matrix, so no jump-averaging is ever
-    needed on this path.
+    The inertia is read off an interval LDL^H factorization in floats
+    rounded outward, then in mpmath at 64 bits, doubling up to the precision
+    cap; every stage that separates each pivot from zero gives the exact
+    signature, and PrecisionExhausted is raised when none does.  d must be
+    a prime power: det(A - A^T) = +-1 makes the Alexander polynomial a unit
+    at such roots, so M is nonsingular, enough bits always decide it, and
+    no jump-averaging is ever needed on this path.
     """
     mat = _matrix_of(matrix)
     if not is_prime_power(d):

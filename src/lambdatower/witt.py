@@ -34,7 +34,6 @@ __all__ = [
     "embeddings",
     "hilbert_symbol",
     "lambda_block",
-    "signature",
     "witt_add",
     "witt_invariants",
     "witt_neg",
@@ -84,12 +83,12 @@ class HermitianForm:
 
 @dataclass(frozen=True)
 class Diagonalization:
-    """Congruence T* F T = diag(pivots) + zero block of dimension radical."""
+    """Pivots of a congruence T* F T = diag(pivots) + zero block of dimension
+    radical."""
 
     order: int
     pivots: tuple
     radical: int
-    transform: tuple
 
 
 def _zero(d: int) -> CyclotomicNumber:
@@ -99,22 +98,18 @@ def _zero(d: int) -> CyclotomicNumber:
 def diagonalize(form: HermitianForm) -> Diagonalization:
     """Exact hermitian diagonalization with the radical split off.
 
-    The recorded transform satisfies transform* . F . transform equal to the
-    diagonal of pivots followed by a zero block, verified exactly in tests.
+    Each step is a swap or a basis change v_dst += coef * v_src, applied to
+    both slots of the form, so the product of the pivots is det F when there
+    is no radical, and their number is the rank of F.
     """
     d = form.order
     n = form.size
     work = [list(row) for row in form.entries]
-    trans = [[_zero(d) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        trans[i][i] = CyclotomicNumber.of(d, 1)
 
     def col_swap(a, b):
         for row in work:
             row[a], row[b] = row[b], row[a]
         work[a], work[b] = work[b], work[a]
-        for row in trans:
-            row[a], row[b] = row[b], row[a]
 
     def col_add(dst, src, coef):
         # basis change v_dst += coef * v_src, applied to both slots of the form
@@ -122,8 +117,6 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
         for row in work:
             row[dst] = row[dst] + row[src] * coef
         work[dst] = [work[dst][j] + cc * work[src][j] for j in range(n)]
-        for row in trans:
-            row[dst] = row[dst] + row[src] * coef
 
     pivots = []
     i = 0
@@ -155,8 +148,7 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
                 col_add(j, i, -(work[i][j] * p_inv))
         pivots.append(p)
         i += 1
-    return Diagonalization(d, tuple(pivots), n - len(pivots),
-                           tuple(tuple(row) for row in trans))
+    return Diagonalization(d, tuple(pivots), n - len(pivots))
 
 
 def embeddings(d: int) -> tuple:
@@ -168,18 +160,6 @@ def embeddings(d: int) -> tuple:
     if d <= 2:
         return (1,)
     return tuple(s for s in range(1, (d + 1) // 2) if gcd(s, d) == 1)
-
-
-def _signatures(diag: Diagonalization, ss: tuple) -> tuple:
-    """Signatures at the embeddings ss, from the certified pivot signs."""
-    signs = embedding_signs(diag.pivots, ss)
-    return tuple(sum(row[j] for row in signs) for j in range(len(ss)))
-
-
-def signature(form_or_diag, s: int = 1) -> int:
-    """Signature at the embedding zeta -> e^(2 pi i s/d), certified pivot signs."""
-    diag = form_or_diag if isinstance(form_or_diag, Diagonalization) else diagonalize(form_or_diag)
-    return _signatures(diag, (s,))[0]
 
 
 @dataclass(frozen=True)
@@ -278,7 +258,8 @@ def witt_invariants(form: HermitianForm) -> WittClass:
     d = form.order
     k = len(diag.pivots)
     ss = embeddings(d)
-    sigs = tuple(zip(ss, _signatures(diag, ss)))
+    signs = embedding_signs(diag.pivots, ss)  # certified, one row per pivot
+    sigs = tuple((s, sum(row[j] for row in signs)) for j, s in enumerate(ss))
     disc = CyclotomicNumber.of(d, (-1) ** (k * (k - 1) // 2))
     for p in diag.pivots:
         disc = disc * p
@@ -383,8 +364,11 @@ def hilbert_symbol(a, b, q) -> int:
 
 
 def _matrix_rows(A) -> tuple:
-    rows = getattr(A, "rows", A)
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    rows = tuple(tuple(row) for row in getattr(A, "rows", A))
+    bad = [v for row in rows for v in row if type(v) is not int]
+    if bad:
+        raise ValueError(f"matrix entry must be an integer, got {bad[0]!r}")
+    return rows
 
 
 def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:

@@ -8,15 +8,16 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdatower import cli, covers, cyclo
+from lambdatower import cli, covers, cyclo, seifert
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
 from lambdatower.knotforge import FamilyEntry, KnotFamily
-from lambdatower.seifert import FormalKnot
+from lambdatower.seifert import FormalKnot, signature_profile, twist_knot
 
 
 def run(capsys, *argv):
@@ -390,6 +391,19 @@ class TestReproduceCommands:
             assert code == 2
             assert err.startswith(f"error: {flag}: ")
 
+    @pytest.mark.parametrize("p, d, knot", [
+        (2, 4, '[{"n": 1, "r": 2.5}]'), (2, 4.0, '[{"n": 1}]'),
+        (2.0, 4, '[{"n": 1}]')])
+    def test_independence_family_needs_integers(self, capsys, tmp_path,
+                                                p, d, knot):
+        path = tmp_path / "family.json"
+        path.write_text(f'{{"p": {p}, "entries": [{{"d": {d}, "knot": {knot}}}]}}')
+        code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                             "--n", "1", "--q", "4", "--family", str(path))
+        assert code == 2
+        assert err.startswith("error: --family: ")
+        assert out == ""
+
     def test_independence_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
                              "--n", "1", "--q", "4",
@@ -494,6 +508,17 @@ _LAMBDA = ("lambda", "--word", "comm(x0,x1)", "--knot", "trefoil")
     (("reproduce", "independence", "--m", "2", "--n", "0", "--q", "4"), "--n"),
     (("reproduce", "z2", "--primes", "3,7,11,1"), "--primes"),
     (("reproduce", "z2", "--primes", "3,3"), "--primes"),
+    # matrix entries and knot parameters are ints, never floats or bools
+    (("sig", "--matrix", "[[0.9,1],[0,0]]", "--d", "4", "--s", "1"), "--matrix"),
+    (("sig", "--matrix", "[[-1.5,1],[0,-1]]", "--d", "4", "--s", "1"),
+     "--matrix"),
+    (("arf", "--matrix", "[[-1,1],[0,true]]"), "--matrix"),
+    (("witt", "--matrix", "[[-1,1],[0,-1.0]]", "--d", "4"), "--matrix"),
+    (("sig", "--knot", '[{"n":1,"r":2.5}]', "--d", "8", "--s", "1"), "--knot"),
+    (("sig", "--knot", '[{"n":1,"sign":-1.0}]', "--d", "8", "--s", "1"),
+     "--knot"),
+    (("sig", "--knot", '[{"n":1.5}]', "--d", "8", "--s", "1"), "--knot"),
+    (("sig", "--knot", '[{"n":true}]', "--d", "8", "--s", "1"), "--knot"),
 ])
 def test_exit_2_names_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -549,20 +574,58 @@ def test_largest_block_form_under_the_cap(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("hilbert", "--a", "2", "--b", "3", "--q", "1000000000000000003"),
+    # 2^89 - 1 is prime and above the bound of the Miller-Rabin test
+    ("hilbert", "--a", "2", "--b", "3", "--q", str(2 ** 89 - 1)),
     ("sig", "--knot", "trefoil", "--d", "1000000000000000003", "--s", "1"),
     ("witt", "--matrix", "[[1,1],[0,1]]", "--d", "1000000000000000003"),
     # the discriminant 2 (10^18 + 3) needs factoring at d = 4
     ("witt", "--matrix", "[[1000000000000000003]]", "--d", "4"),
 ])
 def test_factoring_cap(capsys, argv):
-    # 10^18 + 3 is prime, so trial division would run to 10^9.
+    # 10^18 + 3 is prime, so trial division would run to 10^9.  Prime-power
+    # checks and discriminant classes factor; is_prime factors only n above
+    # the bound of its deterministic Miller-Rabin test.
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert f"cap {cyclo.MAX_TRIAL_DIVISOR}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("q", ["10000000000037", "1000000000000000003"])
+def test_hilbert_at_a_prime_over_the_trial_cap(capsys, q):
+    # Miller-Rabin decides the place without factoring it
+    start = time.perf_counter()
+    data = run_json(capsys, "hilbert", "--a", "2", "--b", "3", "--q", q)
+    assert time.perf_counter() - start < 1.0
+    assert data["symbol"] == 1
+
+
+# d = 2^150 and s is the odd integer nearest t_2 d, so zeta_d^s lies about
+# 2^-150 of a turn from the jump t_2 of twist(2): the float stage and the
+# mpmath stages at 64 and 128 bits leave M(w) undecided, 256 bits decide it.
+_NEAR_JUMP = ("sig", "--matrix", "[[-1,1],[0,-2]]", "--d", str(2 ** 150),
+              "--s", "164171632253562604701756578771745058906724657")
+
+
+def test_near_jump_signature_within_the_precision_cap(capsys):
+    seifert._omega_signature_cached.cache_clear()
+    data = run_json(capsys, *_NEAR_JUMP)
+    want = signature_profile(twist_knot(2)).evaluate(
+        Fraction(int(_NEAR_JUMP[-1]), 2 ** 150))
+    assert (data["sigma"], data["at_jump"], data["path"]) == (-2, False, "matrix")
+    assert want == (-2, False)
+
+
+def test_near_jump_signature_over_the_precision_cap(capsys):
+    seifert._omega_signature_cached.cache_clear()
+    before = cyclo.precision_cap()
+    code, out, err = run(capsys, *_NEAR_JUMP, "--precision-cap", "128")
+    assert code == 3
+    assert "precision cap of 128 bits" in err
+    assert out == ""
+    assert cyclo.precision_cap() == before
 
 
 def test_factoring_below_the_cap():
@@ -605,9 +668,13 @@ def test_one_parser_serves_every_call(capsys):
 # that has invalid values draws one of them one time in six.
 
 _KNOTS = (("trefoil", "unknot", "twist:2", "twist:1:2", "twist:3:2:-1",
-           '[{"n": 2, "r": 2, "sign": -1}]'), ("twist:0", "twist:x", "[["))
+           '[{"n": 2, "r": 2, "sign": -1}]'),
+          ("twist:0", "twist:x", "[[", '[{"n": 1, "r": 2.5}]',
+           '[{"n": 1, "sign": -1.0}]', '[{"n": 1.5}]'))
 _MATRICES = (("[[-1,1],[0,-1]]", "[[0,1],[0,0]]", "[[-1,1],[0,-2]]",
-              "[[1,1],[0,1]]"), ("[[1,2],[3,4]]", "[[1]]", "[]", "oops"))
+              "[[1,1],[0,1]]"), ("[[1,2],[3,4]]", "[[1]]", "[]", "oops",
+                                 "[[0.9,1],[0,0]]", "[[-1.5,1],[0,-1]]",
+                                 "[[-1,1],[0,true]]"))
 _FORMS = (("[[1]]", "[[2,1],[1,-3]]", '[["1/2"]]', "[[0,0],[0,0]]"),
           ("[[1,2],[3,4]]", "[[[1,0]]]", "[1]"))
 _WORDS = (("x0", "x1^2", "comm(x0,x1)", "alpha(1)", "beta(1)", "alpha(2)",

@@ -76,6 +76,29 @@ def test_is_prime_matches_trial_division():
         {n: powers.get(n) for n in range(-3, 5000)}
 
 
+def test_miller_rabin_matches_factoring():
+    # below 10^5 against the factoring path, then at strong pseudoprimes to
+    # every prime base up to 7 (3,215,031,751), 31 (3,825,123,056,546,413,051)
+    # and 37, the last exposed by the base 41 alone
+    assert all(cyclo.is_prime(n) == (cyclo.prime_power_split(n) == (n, 1))
+               for n in range(10 ** 5))
+    pseudoprime_37 = 399_165_290_221 * 798_330_580_441
+    assert pseudoprime_37 == 318_665_857_834_031_151_167_461
+    for n in (3_215_031_751, 3_825_123_056_546_413_051, pseudoprime_37):
+        assert not cyclo.is_prime(n)
+    # Carmichael numbers with no prime factor up to 41, 211 * 421 * 631 and
+    # 271 * 541 * 811: a^(n-1) = 1 for every base, so only a square root of
+    # 1 other than -1 along the squarings exposes them
+    for n in (56_052_361, 118_901_521):
+        assert not cyclo.is_prime(n)
+    # primes beyond the trial-division cap are decided without factoring
+    for p in (10 ** 13 + 37, 10 ** 18 + 3, 2 ** 61 - 1):
+        assert cyclo.is_prime(p)
+    # above the bound of the thirteen bases is_prime factors, under the cap
+    with pytest.raises(cyclo.ResourceCapExceeded):
+        cyclo.is_prime(2 ** 89 - 1)
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         zeta(4) + zeta(8)

@@ -1,6 +1,6 @@
 """Every name a module lists in __all__ resolves, so a removal cannot leave
-a stale export behind, no module imports another module's private names,
-and no module keeps an unbounded cache."""
+a stale export behind, no module imports another module's private names or
+a name it never uses, and no module keeps an unbounded cache."""
 import ast
 import importlib
 import pathlib
@@ -92,3 +92,46 @@ def test_unbounded_cache_check_sees_them(tmp_path):
     assert _unbounded_caches(path) == [(2, "cache"), (3, "cache"),
                                        (4, "lru_cache(maxsize=None)"),
                                        (5, "lru_cache(maxsize=None)")]
+
+
+# Imported only so that the benchmark tracer, which rebinds a wrapped
+# function in every module that imports it, has these bindings to replace.
+TRACER_IMPORTS = {"infection.enumerate_lifts", "seifert.diagonalize"}
+
+
+def _unused_imports(path):
+    """Names that the source at path imports, never uses and does not list
+    in __all__, in order; __future__ imports aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used, exported = [], set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used | exported]
+
+
+def test_no_unused_imports():
+    src = pathlib.Path(lambdatower.__path__[0])
+    unused = {f"{name}.{n}" for name in MODULES
+              for n in _unused_imports(src / f"{name}.py")}
+    assert unused == TRACER_IMPORTS
+
+
+def test_unused_import_check_sees_them(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os, sys as system\n"
+                    "import xml.dom\n"
+                    "from json import dumps, loads\n"
+                    "from typing import Optional\n"
+                    "__all__ = ['loads']\n"
+                    "def f(x: Optional[int]):\n"
+                    "    return os.sep\n")
+    assert _unused_imports(path) == ["system", "xml", "dumps"]

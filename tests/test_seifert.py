@@ -29,7 +29,6 @@ from lambdatower.seifert import (
     twist_parameter,
     _cot_enclosure,
     _encloses,
-    _exact_signature,
     _f_add,
     _f_div,
     _f_mul,
@@ -39,8 +38,15 @@ from lambdatower.seifert import (
     _interval_signature,
     _twist_enclosure,
 )
+from lambdatower.witt import lambda_block, witt_invariants
 
 TREFOIL = twist_knot(1)
+
+
+def exact_signature(rows, d, s):
+    """Signature of M(zeta_d^s) by exact diagonalization over Q(zeta_d): the
+    reference that every interval stage is checked against."""
+    return witt_invariants(lambda_block(rows, 1, d, s)).signature_at(1)
 
 
 def random_seifert(rng: random.Random, g: int) -> SeifertMatrix:
@@ -171,7 +177,7 @@ class TestIntervalInertia:
 
     @staticmethod
     def agrees(matrix, d, s):
-        exact = _exact_signature(matrix.rows, d, s)
+        exact = exact_signature(matrix.rows, d, s)
         assert _interval_signature(matrix.rows, d, s, 64) == exact, (matrix, d, s)
         assert omega_signature(matrix, d, s) == exact
 
@@ -217,7 +223,7 @@ def _reference(matrix, d, s):
     """Exact signature for small forms; the 128-bit interval stage or the
     eigenvalue oracle above that, where exact arithmetic is slow."""
     if d <= (49 if matrix.size <= 4 else 9):
-        return _exact_signature(matrix.rows, d, s)
+        return exact_signature(matrix.rows, d, s)
     sig = _interval_signature(matrix.rows, d, s, 128)
     return sig if sig is not None else numeric_sigma(matrix, s / d)
 
@@ -252,7 +258,7 @@ class TestFloatStage:
         for g in (1, 2, 3):
             m = _with_zero_diagonal(rng, g)
             for s in spread_units(d, 2):
-                exact = _exact_signature(m.rows, d, s)
+                exact = exact_signature(m.rows, d, s)
                 assert _float_signature(m.rows, d, s) == exact, (m, d, s)
                 assert _interval_signature(m.rows, d, s, 64) == exact
 
@@ -289,19 +295,17 @@ class TestFloatStage:
             assert _float_signature(matrix.rows, d, s) is None
             assert omega_signature(matrix, d, s) == sig
 
-    def test_zero_diagonal_out_of_float_range(self, monkeypatch, capsys):
+    def test_zero_diagonal_out_of_float_range(self, capsys):
         # entries of 2^60 defer the float stage, the zero diagonal leaves
-        # the mpmath stage only a block pivot, and Q(zeta_4099) is over the
-        # degree cap, so the exact path would exit 3
-        monkeypatch.setattr(seifert, "_exact_signature", _refuse)
+        # the mpmath stage only a block pivot, and Q(zeta_4099), over the
+        # degree cap, is never built
         seifert._omega_signature_cached.cache_clear()
         argv = ["sig", "--matrix", f"[[0,{2 ** 60}],[{2 ** 60 - 1},0]]",
                 "--d", "4099", "--s", "5"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["sigma"] == 0
 
-    def test_unknot_needs_no_exact_path(self, monkeypatch):
-        monkeypatch.setattr(seifert, "_exact_signature", _refuse)
+    def test_unknot_needs_no_exact_path(self):
         seifert._omega_signature_cached.cache_clear()
         unknot = SeifertMatrix.from_rows([[0, 1], [0, 0]])
         for d in (27, 243, 729):
@@ -317,7 +321,6 @@ class TestFloatStage:
                                                monkeypatch, capsys):
         # the digests are the goldens the benchmark records for these argvs
         monkeypatch.setattr(seifert, "_interval_signature", _refuse)
-        monkeypatch.setattr(seifert, "_exact_signature", _refuse)
         seifert._omega_signature_cached.cache_clear()
         assert main(argv) == 0
         cert = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 """Tests for hermitian diagonalization, Witt invariants, Hilbert symbols, lambda blocks."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from lambdatower.witt import (
     embeddings,
     hilbert_symbol,
     lambda_block,
-    signature,
     witt_add,
     witt_invariants,
     witt_neg,
@@ -41,6 +41,31 @@ def eig_signature(form: HermitianForm, s: int = 1) -> int:
     vals = np.linalg.eigvalsh(form_matrix(form, s))
     assert all(abs(v) > 1e-9 or abs(v) < 1e-12 for v in vals), vals
     return int(sum(1 for v in vals if v > 1e-9) - sum(1 for v in vals if v < -1e-9))
+
+
+def leibniz_det(rows):
+    """Exact determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term = rows[i][perm[i]] * term
+        total = term + total
+    return total
+
+
+def exact_rank(rows):
+    """Exact rank as the largest size of a nonzero minor."""
+    n = len(rows)
+    for k in range(n, 0, -1):
+        for r in itertools.combinations(range(n), k):
+            for c in itertools.combinations(range(n), k):
+                if leibniz_det([[rows[i][j] for j in c] for i in r]) != 0:
+                    return k
+    return 0
 
 
 def random_form(rng: random.Random, d: int, n: int) -> HermitianForm:
@@ -72,10 +97,10 @@ class TestDiagonalize:
     def test_hyperbolic_plane_signature_zero_everywhere(self):
         for d in (2, 4, 8, 16):
             form = HermitianForm.from_rows(d, [[0, 1], [1, 0]])
-            diag = diagonalize(form)
-            assert diag.radical == 0
+            assert diagonalize(form).radical == 0
+            w = witt_invariants(form)
             for s in embeddings(d):
-                assert signature(diag, s) == 0
+                assert w.signature_at(s) == 0
 
     def test_imaginary_offdiagonal_needs_zeta_fix(self):
         # the only nonzero entry pair is purely imaginary, so the coef=1
@@ -85,39 +110,41 @@ class TestDiagonalize:
         diag = diagonalize(form)
         assert diag.radical == 0
         assert len(diag.pivots) == 2
-        assert signature(diag, 1) == 0
+        assert witt_invariants(form).sign == 0
 
-    def test_congruence_transform_exact(self):
+    def test_pivots_give_determinant_and_rank(self):
+        # Every step of diagonalize is a swap or a column operation of
+        # determinant 1, applied to both slots, so the pivots multiply to
+        # det F (0 with a radical) and count the rank of F.  The rank-one
+        # forms u u* carry a radical for n > 1.
         rng = random.Random(11)
         for d in (2, 3, 4, 8, 9):
             for n in (1, 2, 3, 4):
                 form = random_form(rng, d, n)
-                diag = diagonalize(form)
-                t = diag.transform
-                k = len(diag.pivots)
-                # T* F T must equal diag(pivots) + zero block, entry by entry
-                for i in range(n):
-                    for j in range(n):
-                        acc = CyclotomicNumber.of(d, 0)
-                        for a in range(n):
-                            for b in range(n):
-                                acc = acc + t[a][i].conj() * form.entries[a][b] * t[b][j]
-                        if i == j and i < k:
-                            assert acc == diag.pivots[i]
-                        else:
-                            assert acc.is_zero()
+                u = random_form(rng, d, n).entries[0]
+                outer = HermitianForm.from_rows(
+                    d, [[a * b.conj() for b in u] for a in u])
+                for form in (form, outer):
+                    diag = diagonalize(form)
+                    product = CyclotomicNumber.of(d, 1)
+                    for p in diag.pivots:
+                        product = product * p
+                    det = leibniz_det(form.entries)
+                    assert (product if not diag.radical else 0) == det
+                    assert len(diag.pivots) == exact_rank(form.entries)
+                    assert diag.radical == n - len(diag.pivots)
 
     def test_signature_matches_eigenvalue_oracle(self):
         rng = random.Random(23)
         for d in (2, 4, 8):
             for _ in range(8):
                 form = random_form(rng, d, 3)
-                diag = diagonalize(form)
+                w = witt_invariants(form)
                 for s in embeddings(d):
                     vals = np.linalg.eigvalsh(form_matrix(form, s))
                     if min(abs(vals)) < 1e-7:
                         continue  # oracle cannot certify; exact path needs no skip
-                    assert signature(diag, s) == eig_signature(form, s)
+                    assert w.signature_at(s) == eig_signature(form, s)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="conjugate-symmetric"):
@@ -368,7 +395,7 @@ class TestLambdaBlock:
 
     def test_trefoil_r1_zeta4_signature(self):
         form = lambda_block(TREFOIL, 1, 4, 1)
-        assert signature(form) == -2
+        assert witt_invariants(form).sign == -2
         assert eig_signature(form) == -2
 
     def test_r2_block_layout(self):
@@ -387,7 +414,7 @@ class TestLambdaBlock:
         # the r-fold block form at the trivial character is the fiber-sum of
         # the r-th roots of 1; for the trefoil that is 0 + (-2) + (-2) = -4
         form = lambda_block(TREFOIL, 3, 4, 0)
-        assert signature(form) == -4
+        assert witt_invariants(form).sign == -4
         assert eig_signature(form) == -4
         assert not witt_invariants(form).is_trivial()
 
@@ -460,4 +487,3 @@ class TestPivotSigns:
         w = witt_invariants(lambda_block(A, r, d, t))
         assert tuple(v for _, v in w.signatures) == want
         assert calls == []
-        assert all(signature(diag, s) == v for s, v in zip(ss, want))
