@@ -41,7 +41,7 @@ from .seifert import (
     signature_profile,
     twist_matrix,
 )
-from .witt import HermitianForm, WittClass, hilbert_symbol, witt_invariants
+from .witt import HermitianForm, hilbert_symbol, witt_invariants
 
 __all__ = [
     "CERTIFICATE_KINDS",
@@ -268,13 +268,11 @@ def independence_certificate(m: int, n: int, q: int,
 # The mod-2 norm-residue pattern.
 
 
-def z2_certificate(primes: Sequence[int] = (3, 7, 11, 19),
-                   forms: Optional[Sequence[WittClass]] = None) -> Certificate:
+def z2_certificate(primes: Sequence[int] = (3, 7, 11, 19)) -> Certificate:
     """Norm-residue symbol matrix (dis w_i, -1) at each dual prime.
 
-    Default forms are the rank-one classes <p_i> over the fourth cyclotomic
+    The forms w_i are the rank-one classes <p_i> over the fourth cyclotomic
     field; the expected pattern is -1 on the diagonal and +1 elsewhere.
-    Classes of order other than 4 are rejected.
     """
     primes = tuple(primes)
     for p in primes:
@@ -282,19 +280,8 @@ def z2_certificate(primes: Sequence[int] = (3, 7, 11, 19),
             raise ValueError(f"dual primes must be prime, got {p}")
     if len(set(primes)) != len(primes):
         raise ValueError(f"dual primes must be distinct, got {primes}")
-    if forms is None:
-        forms = [witt_invariants(HermitianForm.from_rows(4, [[Fraction(p)]]))
-                 for p in primes]
-    forms = tuple(forms)
-    if len(forms) != len(primes):
-        raise ValueError(
-            f"{len(forms)} forms do not match {len(primes)} dual primes")
-    for w in forms:
-        if w.order != 4:
-            raise ValueError(
-                f"norm-residue reduction needs classes of order 4, got {w.order}")
-        if w.disc_class is None:
-            raise ValueError("forms must carry a discriminant class")
+    forms = [witt_invariants(HermitianForm.from_rows(4, [[Fraction(p)]]))
+             for p in primes]
     inputs = {"primes": list(primes)}
     discs = [w.disc_class.representative() for w in forms]
     table = []

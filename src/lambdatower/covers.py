@@ -5,8 +5,8 @@ target-permutation per generator.  The next level is the regular Z_q + Z_q
 cover determined by a cocycle supported on two distinguished 1-cells; the
 distinguished cells of the new level are chosen from the lifts of the old
 c-cell, one of them with reversed orientation.  On top of the tower live the
-commutator words alpha_n, beta_n, the integral character f supported on two
-edges, and the local-triviality check for characters.
+commutator words alpha_n, beta_n and the integral character f supported on
+two edges.
 """
 from __future__ import annotations
 
@@ -24,9 +24,6 @@ __all__ = [
     "Character",
     "CoverGraph",
     "LiftBehaviourReport",
-    "LiftClass",
-    "LiftComponent",
-    "LocalTriviality",
     "ResourceCapExceeded",
     "Tower",
     "TowerAudit",
@@ -40,7 +37,6 @@ __all__ = [
     "enumerate_lifts",
     "evaluate_character",
     "free_reduce",
-    "is_locally_trivial",
     "lift_profile",
     "lift_word",
     "verify_lift_behaviour",
@@ -218,13 +214,6 @@ class CoverGraph:
                              for c in self.cells]
         return data
 
-    @staticmethod
-    def from_json(data) -> "CoverGraph":
-        cells = None
-        if "cells" in data:
-            cells = tuple(Cell(*entry) for entry in data["cells"])
-        return CoverGraph(data["perms"], cells, data.get("basepoint", 0))
-
 
 def _gamma_add(idx: int, da: int, db: int, q: int) -> int:
     return ((idx // q + da) % q) * q + (idx % q + db) % q
@@ -278,26 +267,9 @@ class Tower:
     def top(self) -> CoverGraph:
         return self.levels[-1]
 
-    def degree(self, level: Optional[int] = None) -> int:
-        graph = self.top if level is None else self.levels[level]
-        return graph.size
-
-    def project_vertex(self, level: int, v: int, to_level: int) -> int:
-        """Image of a vertex under the covering projections down the tower."""
-        if not (0 <= to_level <= level <= self.n):
-            raise ValueError(f"bad levels {level} -> {to_level} in height {self.n}")
-        for k in range(level, to_level, -1):
-            v %= self.levels[k - 1].size
-        return v
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "q": self.q,
                 "levels": [g.to_json() for g in self.levels]}
-
-    @staticmethod
-    def from_json(data) -> "Tower":
-        return Tower(data["m"], data["n"], data["q"],
-                     [CoverGraph.from_json(g) for g in data["levels"]])
 
 
 def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> Tower:
@@ -359,10 +331,6 @@ class LiftComponent:
     degree: int
     path: tuple
 
-    def to_json(self) -> dict:
-        return {"start": self.start, "end": self.end, "is_loop": self.is_loop,
-                "degree": self.degree, "path": [list(e) for e in self.path]}
-
 
 @dataclass(frozen=True)
 class LiftClass:
@@ -375,10 +343,6 @@ class LiftClass:
 
     word: tuple
     lifts: tuple
-
-    def to_json(self) -> dict:
-        return {"word": [list(l) for l in self.word],
-                "lifts": [c.to_json() for c in self.lifts]}
 
 
 def enumerate_lifts(target, word: Sequence[tuple]) -> LiftClass:
@@ -434,18 +398,8 @@ class Character:
         cleaned = {key: w for key, w in weights.items() if w}
         return Character(modulus, tuple(sorted(cleaned.items())))
 
-    def weight(self, gen: int, source: int) -> int:
-        for key, w in self.weights:
-            if key == (gen, source):
-                return w
-        return 0
-
     def reduce(self, modulus: int) -> "Character":
         return Character.of(modulus, dict(self.weights))
-
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus,
-                "weights": [[list(key), w] for key, w in self.weights]}
 
 
 def evaluate_character(char: Character, path: Iterable[tuple]) -> int:
@@ -519,40 +473,6 @@ def character_f(tower: Tower) -> Character:
     return Character.of(0, weights)
 
 
-@dataclass(frozen=True)
-class LocalTriviality:
-    ok: bool
-    witness: Optional[dict]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_locally_trivial(tower: Tower, char: Character) -> LocalTriviality:
-    """Whether the character kills every loop lift of every generator power.
-
-    Each lift component of x_i is a loop covering x_i with some degree r; the
-    character is evaluated on that loop (conjugation cannot change the value
-    of an edge cocycle on a loop).  The first nonzero value, by generator and
-    then by least vertex of the component, is returned as a witness.
-    """
-    graph = tower.top
-    for gen in range(graph.generators):
-        starts, _, degrees, values = lift_profile(graph, ((gen, 1),), char)
-        nonzero = np.flatnonzero(values)
-        if nonzero.size:
-            i = nonzero[0]
-            path, u = [], int(starts[i])
-            for _ in range(degrees[i]):
-                path.append([gen, u, 1])
-                u = int(graph.perm(gen)[u])
-            return LocalTriviality(False, {
-                "generator": gen, "start": int(starts[i]),
-                "degree": int(degrees[i]), "value": int(values[i]),
-                "path": path})
-    return LocalTriviality(True, None)
-
-
 # ---------------------------------------------------------------------------
 # Audits.
 
@@ -560,9 +480,6 @@ def is_locally_trivial(tower: Tower, char: Character) -> LocalTriviality:
 class TowerAudit:
     passed: bool
     checks: tuple
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [dict(c) for c in self.checks]}
 
 
 def audit_tower(tower: Tower) -> TowerAudit:
@@ -696,11 +613,6 @@ class LiftBehaviourReport:
     @property
     def passed(self) -> bool:
         return not self.mismatches
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "checked": self.checked,
-                "passed": self.passed,
-                "mismatches": [dict(m) for m in self.mismatches]}
 
 
 def verify_lift_behaviour(tower: Tower, k: int) -> LiftBehaviourReport:

@@ -53,8 +53,9 @@ _precision_cap = 1 << 16
 MAX_FIELD_DEGREE = 1024
 
 # Largest trial divisor factor uses, so it decides every n below 10^12 and
-# every n whose cofactor after the primes up to 10^6 is below 10^12; the
-# largest n in use is a discriminant of a few digits.
+# every n whose cofactor after the primes up to 10^6 is below 10^12 or a
+# prime that Miller-Rabin decides; the largest n in use is a discriminant
+# of a few digits.
 MAX_TRIAL_DIVISOR = 10 ** 6
 
 Scalar = Union[int, Fraction]
@@ -93,16 +94,20 @@ def precision_cap() -> int:
 
 def factor(n: int) -> dict:
     """Prime factorization {prime: exponent} of n by trial division, in
-    increasing order of the primes; empty for n < 2.  Raises
-    ResourceCapExceeded when that needs a divisor above MAX_TRIAL_DIVISOR."""
+    increasing order of the primes; empty for n < 2.  A cofactor left above
+    MAX_TRIAL_DIVISOR is kept when Miller-Rabin proves it prime; otherwise
+    ResourceCapExceeded is raised."""
     out = {}
     q = 2
     while q * q <= n:
         if q > MAX_TRIAL_DIVISOR:
+            # below the bound is_prime does not factor, so this never recurs
+            if n < _MILLER_RABIN_BOUND and is_prime(n):
+                break
             raise ResourceCapExceeded(
                 f"factoring needs trial divisors above the cap "
                 f"{MAX_TRIAL_DIVISOR}: the cofactor {n} has no prime factor "
-                f"up to it and is not below its square")
+                f"up to it, is not below its square and is not proven prime")
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
@@ -486,18 +491,6 @@ class CyclotomicNumber:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CyclotomicNumber.of(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conj(self) -> "CyclotomicNumber":
         """Image under the involution zeta -> zeta^-1."""
         d, num = self.order, self.num
@@ -586,13 +579,6 @@ def _embed_interval(x: CyclotomicNumber, s: int, prec: int):
             if c:
                 acc += iv.mpf(c) * table[(k * s) % x.order]
         return acc / x.den
-
-
-def embedding_interval(x: CyclotomicNumber, s: int, prec: int):
-    """Interval enclosure (as an mpmath iv.mpf) of x under zeta -> e^(2 pi i s/d)."""
-    if not x.is_real():
-        raise ValueError("interval enclosure is only provided for real elements")
-    return _embed_interval(x, s, prec)
 
 
 def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:

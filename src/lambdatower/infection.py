@@ -79,10 +79,6 @@ class PStructure:
         reduced mod d."""
         return PStructure(tower, character_f(tower).reduce(d), d)
 
-    def to_json(self) -> dict:
-        return {"tower": {"m": self.tower.m, "n": self.tower.n, "q": self.tower.q},
-                "d": self.d, "theta": self.theta.to_json()}
-
 
 @dataclass(frozen=True)
 class InfectedStringLink:
@@ -104,17 +100,6 @@ class InfectedStringLink:
                     f"infection word uses generator {gen}, but there are only "
                     f"{self.m} strands")
         object.__setattr__(self, "infection_word", word)
-
-    def to_json(self) -> dict:
-        return {"m": self.m,
-                "infection_word": [list(l) for l in self.infection_word],
-                "knot": self.knot.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "InfectedStringLink":
-        word = tuple((int(g), int(e)) for g, e in data["infection_word"])
-        return InfectedStringLink(data["m"], word,
-                                  FormalKnot.from_json(data["knot"]))
 
 
 def x_infection(m: int, i: int, knot: FormalKnot) -> InfectedStringLink:

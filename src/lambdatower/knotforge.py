@@ -38,7 +38,6 @@ __all__ = [
     "build_family",
     "plan_bump",
     "verify_family",
-    "window_audit",
 ]
 
 
@@ -163,28 +162,6 @@ def plan_bump(spec: BumpSpec, d: int, s: int,
     return BumpPlan(spec, d, s, tau, m, epsilon, knot)
 
 
-def window_audit(knot: FormalKnot, spec: BumpSpec) -> tuple:
-    """Jumps of the knot's profile outside the closed window orbit.
-
-    The orbit of the closed window [a, b] (in turns) under conjugation and
-    negation is [a, b], [1/2 - b, 1/2 - a] and their mirrors; a jump at a
-    window endpoint counts as inside.  Returns the offending jumps.
-    """
-    a, b = spec.window_turns()
-    bad = []
-    for jump in signature_profile(knot).jumps:
-        folded_arcs = ((a, b), (Fraction(1, 2) - b, Fraction(1, 2) - a))
-        ok = False
-        for lo, hi in folded_arcs:
-            for arc_lo, arc_hi in ((lo, hi), (1 - hi, 1 - lo)):
-                if jump.compare_to_turn(arc_lo) >= 0 and \
-                        jump.compare_to_turn(arc_hi) <= 0:
-                    ok = True
-        if not ok:
-            bad.append(jump)
-    return tuple(bad)
-
-
 @dataclass(frozen=True)
 class FamilyEntry:
     knot: FormalKnot
@@ -290,9 +267,6 @@ class CertificateReport:
 
     passed: bool
     checks: tuple
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [dict(c) for c in self.checks]}
 
 
 def verify_family(family: KnotFamily) -> CertificateReport:

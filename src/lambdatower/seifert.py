@@ -402,21 +402,23 @@ def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]
 
 
 @lru_cache(maxsize=1 << 16)
-def _omega_signature_cached(rows: tuple, d: int, s: int) -> int:
+def _omega_signature_cached(rows: tuple, d: int, s: int, cap: int) -> int:
+    """The signature under the precision cap `cap`, which is part of the key:
+    a value certified under a higher cap is never served under a lower one."""
     if s == 0:
         return 0
     sig = _float_signature(rows, d, s)
     if sig is not None:
         return sig
     prec = START_PRECISION
-    while prec <= precision_cap():
+    while prec <= cap:
         sig = _interval_signature(rows, d, s, prec)
         if sig is not None:
             return sig
         prec *= 2
     raise PrecisionExhausted(
         f"could not certify the signature of M(zeta_{d}^{s}) within the "
-        f"precision cap of {precision_cap()} bits")
+        f"precision cap of {cap} bits")
 
 
 def omega_signature(matrix, d: int, s: int) -> int:
@@ -434,7 +436,7 @@ def omega_signature(matrix, d: int, s: int) -> int:
     if not is_prime_power(d):
         raise ValueError(f"order {d} is not a prime power; "
                          f"use the profile path for other roots of unity")
-    return _omega_signature_cached(mat.rows, d, s % d)
+    return _omega_signature_cached(mat.rows, d, s % d, precision_cap())
 
 
 # Relative half-width of the cached enclosure of t_n.  Its endpoints are
@@ -444,9 +446,11 @@ _TURN_SLACK = Fraction(1, 1 << 40)
 
 
 @lru_cache(maxsize=1 << 12)
-def _twist_enclosure(n: int) -> Optional[tuple]:
+def _twist_enclosure(n: int, cap: int) -> Optional[tuple]:
     """Rationals (lo, hi) with lo < t_n < hi, for n >= 2, or None when the
-    estimate fails its certificate.
+    estimate fails its certificate.  cap is the precision cap in force; it
+    is part of the key, so that a box certified under a higher cap is never
+    served under a lower one.
 
     t_n = arccos(1 - 1/(2n)) / (2 pi) = asin(1 / (2 sqrt(n))) / pi, and the
     arcsine form loses nothing to cancellation, so a 64-bit mpmath estimate
@@ -482,7 +486,7 @@ def twist_cmp(n: int, x: Fraction) -> int:
     if 2 * x >= 1:
         return -1
     try:
-        box = _twist_enclosure(n)
+        box = _twist_enclosure(n, precision_cap())
     except PrecisionExhausted:  # the cap is too low to certify the box
         box = None
     if box is not None:
@@ -530,11 +534,6 @@ class Jump:
         delta = theta if self.branch > 0 else 1 - theta
         return (self.k + delta) / self.cable
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "cable": self.cable, "k": self.k,
-                "branch": self.branch, "height": self.height,
-                "position_turns_approx": self.position_approx()}
-
 
 @dataclass(frozen=True)
 class SigmaIntegral:
@@ -555,10 +554,6 @@ class SigmaIntegral:
             terms[c] = terms.get(c, Fraction(0)) + coeff
         cleaned = tuple(sorted((c, v) for c, v in terms.items() if v))
         return SigmaIntegral(self.pi_coeff + other.pi_coeff, cleaned)
-
-    def __neg__(self) -> "SigmaIntegral":
-        return SigmaIntegral(-self.pi_coeff,
-                             tuple((c, -v) for c, v in self.arccos_terms))
 
     def is_zero(self) -> bool:
         return not self.pi_coeff and not self.arccos_terms
@@ -614,9 +609,6 @@ class SignatureProfile:
                 term = SigmaIntegral(pi_coeff, ((cos_val, arc),))
             total = total + term
         return total
-
-    def to_json(self) -> list:
-        return [j.to_json() for j in self.jumps]
 
 
 def signature_profile(knot: FormalKnot) -> SignatureProfile:

@@ -573,24 +573,46 @@ def test_largest_block_form_under_the_cap(capsys):
     assert hashlib.sha256(out.encode()).hexdigest().startswith("7841c4ee9f726cd6")
 
 
+_MERSENNE_89 = str(2 ** 89 - 1)
+
+
 @pytest.mark.parametrize("argv", [
-    # 2^89 - 1 is prime and above the bound of the Miller-Rabin test
-    ("hilbert", "--a", "2", "--b", "3", "--q", str(2 ** 89 - 1)),
-    ("sig", "--knot", "trefoil", "--d", "1000000000000000003", "--s", "1"),
-    ("witt", "--matrix", "[[1,1],[0,1]]", "--d", "1000000000000000003"),
-    # the discriminant 2 (10^18 + 3) needs factoring at d = 4
-    ("witt", "--matrix", "[[1000000000000000003]]", "--d", "4"),
+    ("hilbert", "--a", "2", "--b", "3", "--q", _MERSENNE_89),
+    ("sig", "--knot", "trefoil", "--d", _MERSENNE_89, "--s", "1"),
+    ("witt", "--matrix", "[[1,1],[0,1]]", "--d", _MERSENNE_89),
+    # the discriminant 2 (2^89 - 1) needs factoring at d = 4
+    ("witt", "--matrix", f"[[{_MERSENNE_89}]]", "--d", "4"),
 ])
 def test_factoring_cap(capsys, argv):
-    # 10^18 + 3 is prime, so trial division would run to 10^9.  Prime-power
-    # checks and discriminant classes factor; is_prime factors only n above
-    # the bound of its deterministic Miller-Rabin test.
+    # 2^89 - 1 is prime and above the bound of the deterministic
+    # Miller-Rabin test, so only trial division, to about 2.5 * 10^13,
+    # could factor it.  Prime-power checks, discriminant classes and is_prime
+    # above that bound factor.
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert f"cap {cyclo.MAX_TRIAL_DIVISOR}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, keys, want", [
+    (("reproduce", "z2", "--primes", "3,7,11,1000000000000000003"),
+     ("verdict",), "PASS"),
+    (("witt", "--matrix", "[[1000000000000000003]]", "--d", "4"),
+     ("witt", "disc_class"), {"primes": [1000000000000000003], "sign": 1}),
+    (("sig", "--knot", "trefoil", "--d", "1000000000000000003", "--s", "1"),
+     ("sigma",), 0),
+], ids=["z2", "witt", "sig"])
+def test_prime_cofactor_over_the_trial_cap(capsys, argv, keys, want):
+    # 10^18 + 3 is prime: trial division stops at the cap and Miller-Rabin
+    # proves the cofactor prime
+    start = time.perf_counter()
+    got = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    for key in keys:
+        got = got[key]
+    assert got == want
 
 
 @pytest.mark.parametrize("q", ["10000000000037", "1000000000000000003"])
@@ -619,8 +641,10 @@ def test_near_jump_signature_within_the_precision_cap(capsys):
 
 
 def test_near_jump_signature_over_the_precision_cap(capsys):
-    seifert._omega_signature_cached.cache_clear()
+    # the signature certified under the default cap is cached, and must not
+    # be served under a cap that cannot certify it
     before = cyclo.precision_cap()
+    assert run_json(capsys, *_NEAR_JUMP)["sigma"] == -2
     code, out, err = run(capsys, *_NEAR_JUMP, "--precision-cap", "128")
     assert code == 3
     assert "precision cap of 128 bits" in err

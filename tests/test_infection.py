@@ -58,11 +58,6 @@ class TestPStructure:
         with pytest.raises(ValueError):
             PStructure(TOWER, theta, 4)
 
-    def test_json(self):
-        data = PStructure.canonical(TOWER, 4).to_json()
-        assert data["tower"] == {"m": 2, "n": 1, "q": 4}
-        assert data["d"] == 4
-
 
 class TestInfectedStringLink:
     def test_word_is_reduced(self):
@@ -77,11 +72,6 @@ class TestInfectedStringLink:
         assert x_infection(3, 2, twist_knot(1)).infection_word == ((2, 1),)
         link = tower_infection(2, 1, twist_knot(1))
         assert link.infection_word == ((0, 1), (1, 1), (0, -1), (1, -1))
-
-    def test_json_round_trip(self):
-        link = tower_infection(2, 2, twist_knot(2, cable=3, sign=-1))
-        back = InfectedStringLink.from_json(link.to_json())
-        assert back == link
 
 
 class TestLocalKnotAnnihilation:

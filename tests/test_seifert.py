@@ -12,7 +12,7 @@ import pytest
 
 from lambdatower import seifert
 from lambdatower.cli import main
-from lambdatower.cyclo import compare_cos_turns
+from lambdatower.cyclo import compare_cos_turns, precision_cap
 from lambdatower.seifert import (
     Atom,
     FormalKnot,
@@ -380,7 +380,7 @@ TINY_NS = (10 ** 59 // 16 + 1, 3 * 10 ** 798 + 7)
 class TestTwistEnclosure:
     @pytest.mark.parametrize("n", TWIST_NS + TINY_NS)
     def test_enclosure_brackets_t_n(self, n):
-        lo, hi = _twist_enclosure(n)
+        lo, hi = _twist_enclosure(n, precision_cap())
         c = Fraction(2 * n - 1, 2 * n)
         assert compare_cos_turns(c, lo) < 0 < compare_cos_turns(c, hi)
         if n <= 10 ** 6:
@@ -391,7 +391,7 @@ class TestTwistEnclosure:
 
     @pytest.mark.parametrize("n", TWIST_NS + TINY_NS)
     def test_twist_cmp_matches_cosine_comparison(self, n, monkeypatch):
-        lo, hi = _twist_enclosure(n)
+        lo, hi = _twist_enclosure(n, precision_cap())
         rng = random.Random(n % 1000)
         xs = [lo, hi, (lo + hi) / 2, lo * (1 - Fraction(1, 10 ** 6)),
               Fraction(1, 7), Fraction(1, 2) - Fraction(1, 10 ** 9)]
@@ -515,11 +515,6 @@ class TestSignatureProfile:
         with pytest.raises(ValueError, match="matrix path"):
             signature_profile(k)
 
-    def test_profile_json(self):
-        data = signature_profile(TREFOIL).to_json()
-        assert data[0]["height"] == -2
-        assert abs(data[0]["position_turns_approx"] - 1 / 6) < 1e-12
-
 
 class TestDualOracle:
     def test_matrix_and_profile_agree_on_prime_power_roots(self):
@@ -601,8 +596,7 @@ class TestIntegral:
         for _ in range(5):
             j = random_twist_knot(rng, 2)
             r = rng.randint(2, 4)
-            diff = integral_sigma(j) + (-integral_sigma(j.cable(r)))
-            assert diff.is_zero()
+            assert integral_sigma(j) == integral_sigma(j.cable(r))
             assert integral_sigma(j - j.cable(r)).is_zero()
 
     def test_twist_two_integral_value(self):
