@@ -37,7 +37,7 @@ from .seifert import (
     Atom,
     FormalKnot,
     sigma,
-    sigma_details,
+    sigma_many,
     signature_profile,
     twist_matrix,
 )
@@ -144,12 +144,12 @@ def family_certificate(p: int, count: int, d_seed: int) -> Certificate:
     for j, ej in enumerate(family.entries, 1):
         profile = signature_profile(ej.knot)
         for ei in family.entries:
-            for s in range(ei.d):
-                ev = sigma_details(ej.knot, ei.d, s)
-                pval, at_jump = profile.evaluate(Fraction(s, ei.d))
+            values = sigma_many(ej.knot, ei.d, range(ei.d))
+            for s, (value, (pval, at_jump)) in enumerate(
+                    zip(values, profile.evaluate_all(ei.d))):
                 table.append({"knot": j, "d": ei.d, "s": s,
-                              "sigma": ev.value, "profile": pval,
-                              "agree": ev.value == pval and not at_jump})
+                              "sigma": value, "profile": pval,
+                              "agree": value == pval and not at_jump})
     checks = list(report.checks)
     table_ok = all(row["agree"] for row in table)
     checks.append({"property": "table_dual_oracle", "ok": table_ok})
@@ -253,7 +253,7 @@ def independence_certificate(m: int, n: int, q: int,
     if p == 2:
         coherence = []
         for i, entry in enumerate(family.entries, 1):
-            values = [sigma(entry.knot, entry.d, s) for s in range(entry.d)]
+            values = sigma_many(entry.knot, entry.d, range(entry.d))
             coherence.append({"i": i, "values": values,
                               "ok": all(v >= 0 for v in values)})
         checks.append({"property": "sign_coherence", "rows": coherence,

@@ -24,7 +24,7 @@ from .covers import (
 # rebinds this name in every module that imports it.
 from .covers import enumerate_lifts  # noqa: F401
 from .cyclo import InputError, prime_power_split
-from .seifert import FormalKnot, sigma
+from .seifert import FormalKnot, sigma, sigma_many
 from .witt import (
     WittClass,
     embeddings,
@@ -175,12 +175,11 @@ def _partial_class(knot: FormalKnot, r: int, d: int, t: int) -> WittClass:
     """Signatures-only class of the r-block form at zeta_d^t, via the
     evaluation identity: its signature at embedding s is the sum of the knot
     signatures over the r-th roots of zeta_d^(t s)."""
-    sigs = []
-    for s in embeddings(d):
-        value = sum(
-            sigma(knot, r * d, (t * s + k * d) % (r * d)) for k in range(r))
-        sigs.append((s, value))
-    return WittClass(order=d, rank_mod_2=0, signatures=tuple(sigs), partial=True)
+    ss = embeddings(d)
+    values = sigma_many(knot, r * d, [(t * s + k * d) % (r * d)
+                                      for s in ss for k in range(r)])
+    sigs = tuple((s, sum(values[i * r:(i + 1) * r])) for i, s in enumerate(ss))
+    return WittClass(order=d, rank_mod_2=0, signatures=sigs, partial=True)
 
 
 def _contribution(knot: FormalKnot, r: int, d: int, t: int,
@@ -224,7 +223,7 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         structure.tower.top, link.infection_word, structure.theta)
     contributions = {}  # (r, t) -> its LiftContribution, evaluated once
     rows = []
-    total = None  # the exact zero only for an empty sum: it needs Q(zeta_d)
+    total = None  # an empty sum is the zero class, built at the end
     for r, t in zip(degrees.tolist(), values.tolist()):
         row = contributions.get((r, t))
         if row is None:
@@ -234,7 +233,10 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         if row.present:
             total = row.witt if total is None else witt_add(total, row.witt)
     constant_c = sum(1 for row in rows if row.theta_value)
-    if total is None:
+    if total is None and disc is False:  # no Q(zeta_d) element is built
+        total = WittClass(order=d, rank_mod_2=0, partial=True,
+                          signatures=tuple((s, 0) for s in embeddings(d)))
+    elif total is None:
         total = witt_zero(d)
     return LambdaResult(total, tuple(rows), constant_c)
 

@@ -21,6 +21,7 @@ from .seifert import (
     arf,
     integral_sigma,
     sigma_details,
+    sigma_many,
     signature_profile,
     twist_cmp,
     twist_knot,
@@ -273,21 +274,17 @@ def verify_family(family: KnotFamily) -> CertificateReport:
     """Exhaustive audit of the family properties at all relevant roots.
 
     For every knot K_j the signature is evaluated at all d_i-th roots, i <= j,
-    through both sigma paths (matrix and profile); the values feed the
-    positivity, vanishing, integral, and Arf checks.
+    through both sigma paths (matrix and profile), each in one sweep of the
+    order; the matrix values feed the positivity, vanishing, integral, and
+    Arf checks.
     """
     checks = []
     for j, ej in enumerate(family.entries, 1):
         prof = signature_profile(ej.knot)
         for i, ei in enumerate(family.entries[:j], 1):
-            values = []
-            dual_ok = True
-            for s in range(ei.d):
-                ev = sigma_details(ej.knot, ei.d, s)
-                pval, at_jump = prof.evaluate(Fraction(s, ei.d))
-                if ev.value != pval or at_jump:
-                    dual_ok = False
-                values.append(ev.value)
+            values = sigma_many(ej.knot, ei.d, range(ei.d))
+            dual_ok = all(v == pval and not at_jump for v, (pval, at_jump)
+                          in zip(values, prof.evaluate_all(ei.d)))
             checks.append({"property": "dual_oracle_agreement", "i": i, "j": j,
                            "values": values, "ok": dual_ok})
             if i == j:

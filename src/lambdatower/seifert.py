@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
 from mpmath import iv, mp
 
 from .cyclo import (
@@ -46,6 +47,7 @@ __all__ = [
     "omega_signature",
     "sigma",
     "sigma_details",
+    "sigma_many",
     "signature_profile",
     "twist_cmp",
     "twist_knot",
@@ -591,6 +593,34 @@ class SignatureProfile:
                 at += j.height
         return below + at // 2, at != 0
 
+    def evaluate_all(self, d: int) -> list:
+        """[self.evaluate(Fraction(s, d)) for s in range(d)], for d >= 1.
+
+        Each jump is placed once among the turns s/d: the float estimate
+        ceil(position * d) is corrected by certified comparisons at its
+        neighbours, so an order costs O(jumps) comparisons, not
+        O(jumps * d).  The values are prefix sums of the heights.
+        """
+        steps = [0] * (d + 1)  # steps[s]: height first counted at turn s
+        at = [0] * d
+        for j in self.jumps:
+            # the least s with position <= s/d; every position lies in (0, 1)
+            s = min(d, max(1, math.ceil(j.position_approx() * d)))
+            while s > 1 and j.compare_to_turn(Fraction(s - 1, d)) <= 0:
+                s -= 1
+            while s < d and (c := j.compare_to_turn(Fraction(s, d))) > 0:
+                s += 1
+            if s < d and c == 0:
+                at[s] += j.height
+                s += 1
+            steps[s] += j.height
+        out = []
+        below = 0
+        for step, a in zip(steps, at):
+            below += step
+            out.append((below + a // 2, a != 0))
+        return out
+
     def integral(self) -> SigmaIntegral:
         """Integral over the circle: sum of height * (2 pi - angle) per jump."""
         total = SigmaIntegral()
@@ -672,6 +702,76 @@ def sigma_details(knot: FormalKnot, d: int, s: int) -> SigmaEvaluation:
 
 def sigma(knot: FormalKnot, d: int, s: int) -> int:
     return sigma_details(knot, d, s).value
+
+
+def _float_2x2_signatures(rows: tuple, roots: list) -> list:
+    """Signatures of M(zeta_d^s) of a 2 x 2 matrix with exact-float entries
+    at every (d, s) of roots, 0 < s < d, with None where undecided.
+
+    det N = det S - cot^2(pi s/d) for S = A + A^T, since (A10 - A01)^2 =
+    det(A - A^T) = 1 for a Seifert matrix.  It is enclosed in one numpy
+    pass over float intervals, each operation rounded outward by one ulp.
+    A 2 x 2 hermitian N with det N < 0 has inertia (1, 1), signature 0; with
+    det N > 0 both eigenvalues have the sign of the diagonal entry S00.
+    """
+    (a, b), (c, e) = rows
+    det_s = 4 * a * e - (b + c) ** 2
+    t = np.array([_cot_enclosure(d, s) for d, s in roots]).reshape(-1, 2)
+    lo, hi = t[:, 0], t[:, 1]
+    sq_lo = np.nextafter(np.where(lo > 0, lo * lo,
+                                  np.where(hi < 0, hi * hi, 0.0)), _DOWN)
+    sq_hi = np.nextafter(np.maximum(lo * lo, hi * hi), _UP)
+    f = float(det_s)
+    det_lo = np.nextafter(_next(f, _DOWN) - sq_hi, _DOWN)
+    det_hi = np.nextafter(_next(f, _UP) - sq_lo, _UP)
+    definite = 2 if a > 0 else -2
+    return [0 if h < 0 else definite if l > 0 else None
+            for l, h in zip(det_lo.tolist(), det_hi.tolist())]
+
+
+def sigma_many(knot: FormalKnot, d: int, exponents) -> list:
+    """[sigma(knot, d, s) for s in exponents], in one pass per atom matrix.
+
+    For a prime-power d, every atom matrix is decided at all the reduced
+    roots that its exponents s * cable reach together: a 2 x 2 matrix with
+    entries below _FLOAT_EXACT by one float-interval determinant pass, and
+    every other matrix, or root that pass leaves undecided, by the cascade
+    of omega_signature under the same precision cap.  Other orders take
+    sigma_details once per exponent.
+    """
+    if d < 1:
+        raise ValueError(f"root order must be positive, got {d}")
+    exponents = list(exponents)
+    if not is_prime_power(d):
+        return [sigma_details(knot, d, s).value for s in exponents]
+    cap = precision_cap()
+    reach = {}  # matrix rows -> the exponents s * cable mod d it is needed at
+    for atom in knot.atoms:
+        reach.setdefault(atom.matrix.rows, set()).update(
+            s * atom.cable % d for s in exponents)
+    tables = {}  # matrix rows -> {exponent mod d: signature}
+    for rows, needed in reach.items():
+        needed.discard(0)
+        ups = sorted(needed)
+        roots = []
+        for u in ups:
+            g = math.gcd(u, d)
+            roots.append((d // g, u // g))
+        if len(rows) == 2 and all(abs(v) < _FLOAT_EXACT
+                                  for row in rows for v in row):
+            sigs = _float_2x2_signatures(rows, roots)
+        else:
+            sigs = [None] * len(roots)
+        table = tables[rows] = {0: 0}
+        for u, root, sig in zip(ups, roots, sigs):
+            table[u] = (_omega_signature_cached(rows, *root, cap)
+                        if sig is None else sig)
+    totals = [0] * len(exponents)
+    for atom in knot.atoms:
+        table, c = tables[atom.matrix.rows], atom.cable
+        totals = [v + atom.sign * table[s * c % d]
+                  for v, s in zip(totals, exponents)]
+    return totals
 
 
 def integral_sigma(knot: FormalKnot) -> SigmaIntegral:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lambdatower import certify, knotforge, seifert
 from lambdatower.certify import (
     Certificate,
     family_certificate,
@@ -12,7 +13,7 @@ from lambdatower.certify import (
     z2_certificate,
 )
 from lambdatower.knotforge import BumpSearchError, FamilyEntry, KnotFamily
-from lambdatower.seifert import FormalKnot
+from lambdatower.seifert import FormalKnot, SignatureProfile
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,44 @@ class TestFamilyCertificate:
         again = family_certificate(2, 3, 4)
         assert again.canonical_bytes() == family_cert.canonical_bytes()
         assert again.content_hash() == family_cert.content_hash()
+
+
+def _bumped(values, d, bump):
+    """values with bump applied to the one at s = 1 when the order is 16."""
+    values = list(values)
+    if d == 16:
+        values[1] = bump(values[1])
+    return values
+
+
+class TestDualOracleMutation:
+    """One wrong value in either whole-order sweep must fail the family:
+    the matrix and profile sweeps check each other, not themselves."""
+
+    @staticmethod
+    def assert_caught(cert):
+        dual = {(c["i"], c["j"]): c["ok"] for c in cert.checks
+                if c["property"] == "dual_oracle_agreement"}
+        # order 16 is the second of (4, 16, 64): knots 2 and 3 are swept there
+        assert dual == {key: key[0] != 2 for key in dual}
+        table = [c for c in cert.checks if c["property"] == "table_dual_oracle"]
+        assert table == [{"property": "table_dual_oracle", "ok": False}]
+        assert cert.verdict == "FAIL"
+
+    def test_profile_sweep_mutant(self, monkeypatch):
+        real = SignatureProfile.evaluate_all
+        monkeypatch.setattr(SignatureProfile, "evaluate_all",
+                            lambda self, d: _bumped(real(self, d), d,
+                                                    lambda v: (v[0] + 2, v[1])))
+        self.assert_caught(family_certificate(2, 3, 4))
+
+    def test_matrix_sweep_mutant(self, monkeypatch):
+        def mutant(knot, d, exponents):
+            return _bumped(seifert.sigma_many(knot, d, exponents), d,
+                           lambda v: v + 2)
+        monkeypatch.setattr(knotforge, "sigma_many", mutant)
+        monkeypatch.setattr(certify, "sigma_many", mutant)
+        self.assert_caught(family_certificate(2, 3, 4))
 
 
 class TestIndependenceCertificate:

@@ -547,6 +547,21 @@ def test_signature_beyond_the_degree_cap_needs_no_exact_field(capsys):
     assert (data["sigma"], data["path"]) == (0, "matrix")
 
 
+def test_empty_signatures_only_sum_beyond_the_degree_cap(capsys):
+    # No lift of x0 carries a nonzero character, so the sum is empty: under
+    # --signatures-only it is the partial zero, and Q(zeta_4096), over the
+    # degree cap, is never built.
+    data = run_json(capsys, "lambda", "--tower", "n=1,q=4", "--theta",
+                    "f-mod-4096", "--word", "x0", "--knot", "trefoil",
+                    "--signatures-only")
+    witt = data["result"]["witt"]
+    assert data["result"]["constant_c"] == 0
+    assert (witt["order"], witt["partial"]) == (4096, True)
+    assert "disc_coeffs" not in witt
+    assert len(witt["signatures"]) == 1024
+    assert set(witt["signatures"].values()) == {0}
+
+
 @pytest.mark.parametrize("argv, cap", [
     (("witt", "--matrix", "[[-1,1],[0,-1]]", "--r", "32", "--d", "64"),
      "on block forms"),

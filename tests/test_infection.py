@@ -188,6 +188,19 @@ class TestOracleAgreement:
             assert result.witt.signature_at(s) == \
                 signature_prediction(structure, link, s)
 
+    def test_empty_sum_under_each_disc_setting(self):
+        # no lift of x0 carries a nonzero character on this tower
+        structure = PStructure.canonical(TOWER, 8)
+        for knot in (twist_knot(1), twist_knot(1, cable=2)):
+            link = x_infection(2, 0, knot)
+            part = lambda_T(structure, link, disc=False)
+            assert part.constant_c == 0
+            assert part.witt.partial and part.witt.disc is None
+            assert part.witt.signatures == witt_zero(8).signatures
+        # the cabled fallback keeps the exact zero, which it prints today
+        cabled = lambda_T(structure, x_infection(2, 0, twist_knot(1, cable=2)))
+        assert cabled.witt == witt_zero(8)
+
     def test_disc_refused_for_cabled_atoms(self):
         structure = PStructure.canonical(TOWER, 4)
         link = tower_infection(2, 1, twist_knot(1, cable=2))

@@ -9,10 +9,16 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lambdatower import seifert
+from lambdatower import cyclo, seifert
 from lambdatower.cli import main
-from lambdatower.cyclo import compare_cos_turns, precision_cap
+from lambdatower.cyclo import (
+    PrecisionExhausted,
+    compare_cos_turns,
+    is_prime_power,
+    precision_cap,
+)
 from lambdatower.seifert import (
     Atom,
     FormalKnot,
@@ -22,6 +28,7 @@ from lambdatower.seifert import (
     omega_signature,
     sigma,
     sigma_details,
+    sigma_many,
     signature_profile,
     twist_knot,
     twist_matrix,
@@ -567,6 +574,109 @@ class TestDualOracle:
             k = random_twist_knot(rng, 3)
             assert sigma(k, 1, 0) == 0
             assert sigma(k, 7, 0) == 0
+
+
+_TWIST_ATOMS = st.builds(Atom, st.integers(1, 6).map(twist_matrix),
+                         st.integers(1, 4), st.sampled_from((1, -1)))
+
+
+@st.composite
+def _twist_knots(draw):
+    """Sums of twist atoms; some add the mirror of a sample of their own
+    atoms, in a shuffled order, so that part or all of the profile cancels."""
+    atoms = draw(st.lists(_TWIST_ATOMS, max_size=4))
+    if draw(st.booleans()):
+        mirrored = draw(st.lists(st.sampled_from(atoms), unique=True)) \
+            if atoms else []
+        atoms += [Atom(a.matrix, a.cable, -a.sign) for a in mirrored]
+        atoms = draw(st.permutations(atoms))
+    return FormalKnot(tuple(atoms))
+
+
+SWEEP_ORDERS = (1, 2, 4, 8, 9, 27, 60, 81, 360, 729)
+
+
+class TestWholeOrderSweeps:
+    """The whole-order sweeps against the one-root evaluators they replace
+    on the driver paths."""
+
+    @given(_twist_knots())
+    @settings(max_examples=60)
+    def test_evaluate_all_matches_evaluate(self, knot):
+        prof = signature_profile(knot)
+        for d in SWEEP_ORDERS:
+            assert prof.evaluate_all(d) == \
+                [prof.evaluate(Fraction(s, d)) for s in range(d)], d
+
+    def test_evaluate_all_at_jumps_and_cancellations(self):
+        # at 60 and 360 the trefoil's jumps 1/6 and 5/6 are turns
+        for d in (60, 360):
+            values = signature_profile(TREFOIL).evaluate_all(d)
+            assert [s for s, (_, at) in enumerate(values) if at] == \
+                [d // 6, 5 * d // 6]
+            assert values[d // 6] == (-1, True)
+        k = twist_knot(2, cable=3) + twist_knot(1)
+        empty = signature_profile(k - k)
+        assert empty.jumps == ()
+        assert empty.evaluate_all(729) == [(0, False)] * 729
+
+    @given(_twist_knots(), st.sampled_from((8, 9, 27, 81, 243, 12, 60)))
+    @settings(max_examples=40)
+    def test_sigma_many_matches_sigma_details_on_twist_knots(self, knot, d):
+        exponents = list(range(-d, 2 * d, 3)) + list(range(d))
+        assert sigma_many(knot, d, exponents) == \
+            [sigma_details(knot, d, s).value for s in exponents]
+
+    @pytest.mark.parametrize("d", [4, 9, 25, 27, 49, 6, 12])
+    def test_sigma_many_matches_sigma_details_on_genus_two(self, d):
+        # 4 x 4 matrices take the scalar cascade; 6 and 12 the profile path
+        # for twist atoms only, so there the genus-two atoms stay out
+        rng = random.Random(900 + d)
+        atoms = [Atom(twist_matrix(rng.randint(1, 6)), rng.randint(1, 3),
+                      rng.choice((1, -1))) for _ in range(2)]
+        if is_prime_power(d):
+            atoms += [Atom(random_seifert(rng, 2), rng.randint(1, 3),
+                           rng.choice((1, -1))) for _ in range(2)]
+        knot = FormalKnot(tuple(atoms))
+        assert sigma_many(knot, d, range(d)) == \
+            [sigma_details(knot, d, s).value for s in range(d)]
+
+    def test_sigma_many_defers_entries_beyond_floats(self, monkeypatch):
+        # entries of 2^60 are not exact floats: no float pass, the cascade
+        # decides each root
+        big = [SeifertMatrix.from_rows(rows) for rows in (
+            [[-1, 1], [0, -2 ** 60]], [[0, 2 ** 60], [2 ** 60 - 1, 0]])]
+        knot = FormalKnot(tuple(Atom(m, c, 1) for m in big for c in (1, 2)))
+        calls = []
+        monkeypatch.setattr(seifert, "_float_2x2_signatures",
+                            lambda *a: calls.append(a))
+        for d in (8, 27):
+            assert sigma_many(knot, d, range(d)) == \
+                [sigma_details(knot, d, s).value for s in range(d)]
+        assert calls == []
+
+    def test_sigma_many_near_jump_and_precision_cap(self):
+        # the root of test_near_jump_signature_over_the_precision_cap: the
+        # float pass leaves it undecided, 256 bits decide it
+        knot, d = twist_knot(2), 2 ** 150
+        s = 164171632253562604701756578771745058906724657
+        assert seifert._float_2x2_signatures(
+            twist_matrix(2).rows, [(d, s)]) == [None]
+        assert sigma_many(knot, d, [s, 1]) == [-2, 0] == \
+            [sigma_details(knot, d, e).value for e in (s, 1)]
+        before = cyclo.set_precision_cap(128)
+        try:
+            with pytest.raises(PrecisionExhausted) as many:
+                sigma_many(knot, d, [s])
+            with pytest.raises(PrecisionExhausted) as one:
+                sigma_details(knot, d, s)
+        finally:
+            cyclo.set_precision_cap(before)
+        assert str(many.value) == str(one.value)
+
+    def test_sigma_many_rejects_bad_order(self):
+        with pytest.raises(ValueError, match="positive"):
+            sigma_many(TREFOIL, 0, [1])
 
 
 class TestIntegral:
