@@ -10,19 +10,22 @@ z -> exp(2*pi*i*s/d), is decided by adaptive-precision interval arithmetic:
 exact zeros short-circuit, and a nonzero element is separated from zero at
 some finite precision.  For
 many elements at many embeddings, a float evaluation with an a priori error
-bound decides first and leaves only the close calls to the intervals.
+bound decides first and leaves only the close calls to the intervals.  Its
+cosines, and the cot enclosures of the signature sweeps, come from one
+rotation table per order: powers of a certified e^(i pi/d) in fixed-point
+integers, with an error bound that needs no precision cap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm, nextafter
 from operator import add, neg, sub
 from typing import Union
 
 import numpy as np
-from mpmath import iv
+from mpmath import iv, mp
 
 __all__ = [
     "MAX_FIELD_DEGREE",
@@ -33,6 +36,7 @@ __all__ = [
     "ResourceCapExceeded",
     "certified_sign",
     "compare_cos_turns",
+    "cot_table",
     "degree_of",
     "embedding_signs",
     "factor",
@@ -616,15 +620,96 @@ _UNIT = 2.0 ** -53
 _FLOAT_RANGE = (2.0 ** -900, 2.0 ** 900)
 
 
+def _rotations(d: int) -> tuple:
+    """(F, E, C, S) with C[u] and S[u] integers within E of 2^F cos(pi u/d)
+    and 2^F sin(pi u/d) for 0 <= u <= d/2, where F = 64 + 2 bitlen(d) and
+    E = 2d, for d >= 1.
+
+    The seed z_1 = C[1] + i S[1] is read off one mpmath interval of
+    e^(i pi/d) at F + 16 bits: each part is an integer within 1 of its scaled
+    value, so |z_1 - 2^F w| <= sqrt 2 for w = e^(i pi/d).  Then z_u is
+    z_(u-1) z_1 / 2^F with each part floored, an error below sqrt 2, so
+    e_u = |z_u - 2^F w^u| obeys e_0 = 0 and
+    e_u <= e_(u-1) |z_1| / 2^F + |z_1 - 2^F w| + sqrt 2
+        <= e_(u-1) (1 + eps) + 2 sqrt 2,  eps = sqrt 2 / 2^F,
+    hence e_u <= 2 sqrt 2 u (1 + eps)^u < 3u <= E, as u eps < 2^-64.  Each
+    part is off by at most e_u.  The bound holds at any precision cap.
+    """
+    bits = 64 + 2 * d.bit_length()
+    prec = bits + 16
+    seed = []
+    with interval_precision(prec):
+        angle = iv.pi / d
+        boxes = (iv.cos(angle), iv.sin(angle))
+    with mp.workprec(prec):  # the endpoints have prec bits: exact
+        for box in boxes:
+            lo = int(mp.floor(mp.ldexp(mp.mpf(box.a), bits)))
+            hi = int(mp.ceil(mp.ldexp(mp.mpf(box.b), bits)))
+            if hi - lo > 2:  # mpmath's enclosure is a few ulps wide
+                raise ArithmeticError(f"no {bits}-bit seed for order {d}")
+            seed.append((lo + hi) // 2)  # within 1 of every point of [lo, hi]
+    c1, s1 = seed
+    x, y = 1 << bits, 0
+    cs, ss = [x], [y]
+    for _ in range(d // 2):
+        x, y = (x * c1 - y * s1) >> bits, (x * s1 + y * c1) >> bits
+        cs.append(x)
+        ss.append(y)
+    return bits, 2 * d, cs, ss
+
+
+# Largest order d whose cot table is built (2d floats); at larger orders the
+# float stages leave every root to the mpmath intervals.
+_MAX_COT_ORDER = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def cot_table(d: int):
+    """Read-only float arrays (lo, hi) with lo[u] <= cot(pi u/d) <= hi[u]
+    for 0 < u < d (nan at u = 0), or None when d > _MAX_COT_ORDER.
+
+    For u <= d/2, cot = C/S over the scaled parts of _rotations, which lie
+    within E of C[u] and S[u].  There sin(pi u/d) >= sin(pi/d) >= 2/d, so
+    the scaled sine is at least 2^(F+1)/d > 2^65 d > E, and the cosine is
+    at least 0; so cot lies between (C - E)/(S + E) (or (C - E)/(S - E)
+    when C < E) and (C + E)/(S - E).  Python's int division rounds these to
+    nearest and one ulp outward encloses them.  The rest of the table is
+    cot(pi (d - u)/d) = -cot(pi u/d).
+    """
+    if d > _MAX_COT_ORDER:
+        return None
+    _, err, cs, ss = _rotations(d)
+    half = d // 2
+    lo, hi = np.full(d, np.nan), np.full(d, np.nan)
+    for u in range(1, half + 1):
+        c, s = cs[u], ss[u]
+        low = (c - err) / (s + err if c >= err else s - err)
+        lo[u] = nextafter(low, -inf)
+        hi[u] = nextafter((c + err) / (s - err), inf)
+    mirror = d - np.arange(half + 1, d)
+    lo[half + 1:], hi[half + 1:] = -hi[mirror], -lo[mirror]
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 @lru_cache(maxsize=8)
 def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
-    """cos(2 pi k s/d) at row k < phi(d) and column s in embeddings, each
-    rounded to nearest from the midpoint of its 64-bit interval.  Those
-    intervals are narrower than 2^-56, so every entry is within
-    2^-53 + 2^-56 < 2 u of the cosine."""
-    mids = np.array([float(box.mid) for box in _cos_table(d, START_PRECISION)])
+    """cos(2 pi k s/d) at row k < phi(d) and column s in embeddings.
+
+    cos(2 pi m/d) is the real part of w^(2m), w = e^(i pi/d), read from the
+    rotation table of _rotations as C[v] / 2^F: the angle pi v/d is folded
+    into [0, pi], and past pi/2 cos(pi v/d) = -cos(pi (d - v)/d).  C[v] / 2^F
+    is within 2d / 2^F < 2^-64 of the cosine, and int division rounds it to
+    nearest, within 2^-54, so every entry is within 2^-54 + 2^-64 < 2 u of
+    the cosine.
+    """
+    bits, _, cs, _ = _rotations(d)
+    half = np.array([c / (1 << bits) for c in cs])  # cos(pi v/d), v <= d/2
+    # cos(pi v/d) for v <= d
+    arc = np.concatenate([half, -half[d - np.arange(d // 2 + 1, d + 1)]])
     k = np.arange(degree_of(d))[:, None]
-    return mids[(k * np.array(embeddings)[None, :]) % d]
+    v = 2 * k * np.array(embeddings)[None, :] % (2 * d)
+    return arc[np.minimum(v, 2 * d - v)]
 
 
 def _float_coeffs(x: CyclotomicNumber):

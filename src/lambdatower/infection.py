@@ -27,10 +27,9 @@ from .cyclo import InputError, prime_power_split
 from .seifert import FormalKnot, sigma, sigma_many
 from .witt import (
     WittClass,
+    block_invariants,
     embeddings,
-    lambda_block,
     witt_add,
-    witt_invariants,
     witt_neg,
     witt_zero,
 )
@@ -166,8 +165,7 @@ def _atom_rows(atom) -> tuple:
 def _full_class(knot: FormalKnot, r: int, d: int, t: int) -> WittClass:
     total = witt_zero(d)
     for atom in knot.atoms:
-        form = lambda_block(_atom_rows(atom), r, d, t)
-        total = witt_add(total, witt_invariants(form))
+        total = witt_add(total, block_invariants(_atom_rows(atom), r, d, t))
     return total
 
 

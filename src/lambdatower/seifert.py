@@ -8,7 +8,9 @@ path at prime-power roots of unity, and a jump-profile path for the twist
 family with exact algebraic jump positions.  The matrix path certifies the
 inertia by one interval LDL^H with 2 x 2 block pivots, run in floats and
 then in mpmath at 64, 128, 256, ... bits up to the precision cap; it never
-builds an element of Q(zeta_d).
+builds an element of Q(zeta_d).  signature_sweep decides many roots of one
+order at once from the signs of the leading principal minors, over one
+certified cot table per order, and leaves only close calls to that cascade.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .cyclo import (
     START_PRECISION,
     PrecisionExhausted,
     compare_cos_turns,
+    cot_table,
     interval_precision,
     is_prime_power,
     precision_cap,
@@ -49,6 +52,7 @@ __all__ = [
     "sigma_details",
     "sigma_many",
     "signature_profile",
+    "signature_sweep",
     "twist_cmp",
     "twist_knot",
     "twist_matrix",
@@ -361,26 +365,17 @@ _iv_ldl = _ldl_signature(operator.add, operator.sub, operator.mul,
                          operator.attrgetter("a"), operator.attrgetter("b"))
 
 
-@lru_cache(maxsize=1 << 14)
-def _cot_enclosure(d: int, s: int) -> tuple:
-    """Float interval around cot(pi s/d), 0 < s < d, rounded outward from the
-    64-bit mpmath enclosure; cot(pi (d-s)/d) = -cot(pi s/d)."""
-    if 2 * s > d:
-        lo, hi = _cot_enclosure(d, d - s)
-        return -hi, -lo
-    with interval_precision(START_PRECISION):
-        phi = iv.pi * s / d
-        t = iv.cos(phi) / iv.sin(phi)  # iv.cot(pi/2) is unbounded
-    return _next(float(t.a), _DOWN), _next(float(t.b), _UP)
-
-
 def _float_signature(rows: tuple, d: int, s: int) -> Optional[int]:
     """Signature of M(zeta_d^s) by LDL^H of N in float intervals, or None
-    when undecided; entries that are not exact floats defer at once."""
+    when undecided; entries that are not exact floats, and orders without
+    a cot table, defer at once."""
     n = len(rows)
     if any(abs(v) >= _FLOAT_EXACT for row in rows for v in row):
         return None
-    t = _cot_enclosure(d, s)
+    table = cot_table(d)
+    if table is None:
+        return None
+    t = float(table[0][s]), float(table[1][s])
     return _float_ldl([[((float(rows[i][j] + rows[j][i]),) * 2,
                          _f_mul(t, (float(rows[j][i] - rows[i][j]),) * 2))
                         for j in range(n)] for i in range(n)])
@@ -704,68 +699,128 @@ def sigma(knot: FormalKnot, d: int, s: int) -> int:
     return sigma_details(knot, d, s).value
 
 
-def _float_2x2_signatures(rows: tuple, roots: list) -> list:
-    """Signatures of M(zeta_d^s) of a 2 x 2 matrix with exact-float entries
-    at every (d, s) of roots, 0 < s < d, with None where undecided.
+def _interpolate(values) -> tuple:
+    """Coefficients, lowest degree first, of the integer polynomial of
+    degree < len(values) that takes values[x] at x = 0, 1, ...: Newton's
+    forward differences times the binomials binom(x, j)."""
+    coeffs = [Fraction(0)] * len(values)
+    binom = [Fraction(1)]  # coefficients of binom(x, j)
+    diffs = list(values)
+    for j in range(len(values)):
+        for i, b in enumerate(binom):
+            coeffs[i] += diffs[0] * b
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        # binom(x, j + 1) = binom(x, j) (x - j) / (j + 1)
+        binom = [(low - j * high) / (j + 1)
+                 for low, high in zip([0] + binom, binom + [0])]
+    return tuple(int(c) for c in coeffs)
 
-    det N = det S - cot^2(pi s/d) for S = A + A^T, since (A10 - A01)^2 =
-    det(A - A^T) = 1 for a Seifert matrix.  It is enclosed in one numpy
-    pass over float intervals, each operation rounded outward by one ulp.
-    A 2 x 2 hermitian N with det N < 0 has inertia (1, 1), signature 0; with
-    det N > 0 both eigenvalues have the sign of the diagonal entry S00.
+
+@lru_cache(maxsize=1 << 10)
+def _leading_minors(rows: tuple) -> Optional[tuple]:
+    """The leading principal minors det N_k, k = 1..g, of N = S - i c K as
+    integer polynomials in y = c^2, coefficients lowest first, or None when
+    a coefficient is not an exact float.
+
+    N_k = (1 - ic) A_k + (1 + ic) A_k^T for the leading k x k block A_k of
+    A.  With det(A_k + mu A_k^T) = sum_m p_m mu^m, interpolated from k + 1
+    integer determinants, det N_k = sum_m p_m (1 - ic)^(k-m) (1 + ic)^m, and
+    its coefficient of c^n is i^n sum_m p_m sum_j (-1)^j C(k-m, j) C(m, n-j).
+    det N_k is real, so only the even n = 2h remain, with i^n = (-1)^h.
     """
-    (a, b), (c, e) = rows
-    det_s = 4 * a * e - (b + c) ** 2
-    t = np.array([_cot_enclosure(d, s) for d, s in roots]).reshape(-1, 2)
-    lo, hi = t[:, 0], t[:, 1]
-    sq_lo = np.nextafter(np.where(lo > 0, lo * lo,
-                                  np.where(hi < 0, hi * hi, 0.0)), _DOWN)
-    sq_hi = np.nextafter(np.maximum(lo * lo, hi * hi), _UP)
-    f = float(det_s)
-    det_lo = np.nextafter(_next(f, _DOWN) - sq_hi, _DOWN)
-    det_hi = np.nextafter(_next(f, _UP) - sq_lo, _UP)
-    definite = 2 if a > 0 else -2
-    return [0 if h < 0 else definite if l > 0 else None
-            for l, h in zip(det_lo.tolist(), det_hi.tolist())]
+    out = []
+    for k in range(1, len(rows) + 1):
+        a = [row[:k] for row in rows[:k]]
+        p = _interpolate([_int_det([[a[i][j] + mu * a[j][i] for j in range(k)]
+                                    for i in range(k)]) for mu in range(k + 1)])
+        poly = tuple((-1) ** h * sum(
+            pm * sum((-1) ** j * math.comb(k - m, j) * math.comb(m, 2 * h - j)
+                     for j in range(min(k - m, 2 * h) + 1))
+            for m, pm in enumerate(p)) for h in range(k // 2 + 1))
+        if any(abs(q) >= _FLOAT_EXACT for q in poly):
+            return None
+        out.append(poly)
+    return tuple(out)
+
+
+def _minor_signs(minors: tuple, lo, hi) -> np.ndarray:
+    """Signs of the leading principal minors of N at cot(phi) in the float
+    intervals [lo, hi] (arrays, one per root): row k for det N_(k+1), 0
+    where its enclosure holds 0.  y = cot^2 is enclosed, then each minor by
+    Horner's rule in y, every operation rounded one ulp outward."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        y_lo = np.maximum(np.nextafter(np.where(
+            lo > 0, lo * lo, np.where(hi < 0, hi * hi, 0.0)), _DOWN), 0.0)
+        y_hi = np.nextafter(np.maximum(lo * lo, hi * hi), _UP)
+        signs = np.zeros((len(minors), len(lo)))
+        for k, poly in enumerate(minors):
+            v_lo = v_hi = np.full(len(lo), float(poly[-1]))
+            for q in poly[-2::-1]:
+                # y >= 0, so v y is least at v_lo and greatest at v_hi
+                v_lo = np.nextafter(np.nextafter(
+                    np.minimum(v_lo * y_lo, v_lo * y_hi), _DOWN) + q, _DOWN)
+                v_hi = np.nextafter(np.nextafter(
+                    np.maximum(v_hi * y_lo, v_hi * y_hi), _UP) + q, _UP)
+            signs[k] = np.where(v_lo > 0, 1.0, np.where(v_hi < 0, -1.0, 0.0))
+    return signs
+
+
+def signature_sweep(rows: tuple, d: int, exponents) -> list:
+    """[signature of M(zeta_d^u) for u in exponents] of an integer matrix,
+    certified; M must be nonsingular at each root but u = 0 (M = 0,
+    signature 0).
+
+    All roots are first decided together from the signs of the leading
+    principal minors det N_k of N = M / (2 sin^2(pi u/d)) (_minor_signs,
+    over cot_table(d)).  Where none is 0, Jacobi's rule gives the inertia:
+    the pivots of the LDL^H of N are det N_k / det N_(k-1), so N has as
+    many negative eigenvalues as 1, det N_1, ..., det N_g has sign changes.
+    Every other root, and every root when d has no cot table or a minor a
+    coefficient beyond exact floats, goes through the cascade of
+    omega_signature under the precision cap.
+    """
+    us = [u % d for u in exponents]
+    sigs = [None] * len(us)
+    minors = _leading_minors(rows)
+    table = None if minors is None else cot_table(d)
+    live = [i for i, u in enumerate(us) if u]
+    if table is not None and live:
+        at = [us[i] for i in live]
+        signs = _minor_signs(minors, table[0][at], table[1][at])
+        before = np.concatenate([np.ones((1, len(live))), signs])[:-1]
+        changes = (signs * before < 0).sum(axis=0)
+        decided = (signs != 0).all(axis=0)
+        for i, ok, c in zip(live, decided.tolist(), changes.tolist()):
+            if ok:
+                sigs[i] = len(rows) - 2 * c
+    cap = precision_cap()
+    for i, u in enumerate(us):
+        if sigs[i] is None:
+            g = math.gcd(u, d)
+            sigs[i] = _omega_signature_cached(rows, d // g, u // g, cap)
+    return sigs
 
 
 def sigma_many(knot: FormalKnot, d: int, exponents) -> list:
     """[sigma(knot, d, s) for s in exponents], in one pass per atom matrix.
 
-    For a prime-power d, every atom matrix is decided at all the reduced
-    roots that its exponents s * cable reach together: a 2 x 2 matrix with
-    entries below _FLOAT_EXACT by one float-interval determinant pass, and
-    every other matrix, or root that pass leaves undecided, by the cascade
-    of omega_signature under the same precision cap.  Other orders take
-    sigma_details once per exponent.
+    For a prime-power d, every atom matrix is decided at all the exponents
+    s * cable mod d it is needed at by one signature_sweep of order d.
+    Other orders take sigma_details once per exponent.
     """
     if d < 1:
         raise ValueError(f"root order must be positive, got {d}")
     exponents = list(exponents)
     if not is_prime_power(d):
         return [sigma_details(knot, d, s).value for s in exponents]
-    cap = precision_cap()
     reach = {}  # matrix rows -> the exponents s * cable mod d it is needed at
     for atom in knot.atoms:
         reach.setdefault(atom.matrix.rows, set()).update(
             s * atom.cable % d for s in exponents)
     tables = {}  # matrix rows -> {exponent mod d: signature}
     for rows, needed in reach.items():
-        needed.discard(0)
         ups = sorted(needed)
-        roots = []
-        for u in ups:
-            g = math.gcd(u, d)
-            roots.append((d // g, u // g))
-        if len(rows) == 2 and all(abs(v) < _FLOAT_EXACT
-                                  for row in rows for v in row):
-            sigs = _float_2x2_signatures(rows, roots)
-        else:
-            sigs = [None] * len(roots)
-        table = tables[rows] = {0: 0}
-        for u, root, sig in zip(ups, roots, sigs):
-            table[u] = (_omega_signature_cached(rows, *root, cap)
-                        if sig is None else sig)
+        tables[rows] = dict(zip(ups, signature_sweep(rows, d, ups)))
     totals = [0] * len(exponents)
     for atom in knot.atoms:
         table, c = tables[atom.matrix.rows], atom.cable

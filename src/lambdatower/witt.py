@@ -7,12 +7,20 @@ disc = (-1)^(k(k-1)/2) det in the real subfield modulo norms.  For d = 4 the
 norm subgroup of Q^x is computable (positive, even valuation at primes = 3 mod
 4), so discriminants reduce to a finite exact datum there; separating classes
 rationally uses the Hilbert symbols (disc, -1)_q.
+
+The r-block forms lambda_block(A, r, d, t) of an integer g x g matrix A split
+over C into the forms M(lambda) of A at the r-th roots of zeta_d^t, so
+block_invariants reads their class off g x g data: the discriminant from a
+closed form in det A and a degree-g polynomial, the signatures from one
+certified sweep over those roots.  Only a singular A or a form with a radical
+is built and diagonalized.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import comb, gcd
 from typing import Optional, Sequence, Union
 
 from .cyclo import (
@@ -30,6 +38,7 @@ __all__ = [
     "DiscClass",
     "HermitianForm",
     "WittClass",
+    "block_invariants",
     "diagonalize",
     "embeddings",
     "hilbert_symbol",
@@ -42,9 +51,12 @@ __all__ = [
 
 Entry = Union[int, Fraction, CyclotomicNumber]
 
-# Largest (r g)^3 phi(d)^2 that lambda_block accepts for r blocks of a g x g
-# matrix over Q(zeta_d): forms just under it, such as the trefoil's 31 blocks
-# at d = 64, take about 0.2 s; the largest in use is 1.3e7 (r g = 8, d = 243).
+# Largest (r g)^3 phi(d)^2 that lambda_block and block_invariants accept for
+# r blocks of a g x g matrix over Q(zeta_d); the largest in use is 1.3e7
+# (r g = 8, d = 243).  It bounds the exact elimination of `witt --matrix`,
+# which builds and diagonalizes every block form: just under it, the
+# trefoil's 31 blocks at d = 64 take about 0.1 s that way and a few
+# milliseconds through block_invariants.
 MAX_BLOCK_WORK = 260_000_000
 
 
@@ -371,15 +383,10 @@ def _matrix_rows(A) -> tuple:
     return rows
 
 
-def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
-    """The r x r block hermitian form of an integer Seifert-type matrix.
-
-    Blocks: A + A^T on the diagonal, -A on the superdiagonal, -A^T on the
-    subdiagonal, and the wraparound entries twisted by omega = zeta_d^t:
-    -omega^-1 A^T in the top-right corner and -omega A in the bottom-left.
-    For r = 1 everything lands in the single block, giving
-    (1-omega)A + (1-omega^-1)A^T.
-    """
+def _block_rows(A, r: int, d: int) -> tuple:
+    """The rows of A, once (A, r, d) passes the checks on block forms: r is
+    positive, A a square integer matrix, Q(zeta_d) under the degree cap and
+    the work (r g)^3 phi(d)^2 under MAX_BLOCK_WORK."""
     if r < 1:
         raise ValueError(f"block count r must be positive, got {r}")
     rows = _matrix_rows(A)
@@ -391,6 +398,20 @@ def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
         raise ResourceCapExceeded(
             f"{r} blocks of a {g} x {g} matrix over Q(zeta_{d}) have work "
             f"(r g)^3 phi(d)^2 = {work}, over the cap {MAX_BLOCK_WORK} on block forms")
+    return rows
+
+
+def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
+    """The r x r block hermitian form of an integer Seifert-type matrix.
+
+    Blocks: A + A^T on the diagonal, -A on the superdiagonal, -A^T on the
+    subdiagonal, and the wraparound entries twisted by omega = zeta_d^t:
+    -omega^-1 A^T in the top-right corner and -omega A in the bottom-left.
+    For r = 1 everything lands in the single block, giving
+    (1-omega)A + (1-omega^-1)A^T.
+    """
+    rows = _block_rows(A, r, d)
+    g = len(rows)
     omega = zeta(d, t % d)
     omega_bar = omega.conj()
     one = CyclotomicNumber.of(d, 1)
@@ -417,3 +438,102 @@ def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
         scale = -omega_bar if j >= i else -one
         add_block(i, j, scale, True)
     return HermitianForm.from_rows(d, out)
+
+
+def _mat_mul(a: list, b: list) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@lru_cache(maxsize=1 << 10)
+def _block_rational(rows: tuple, r: int) -> tuple:
+    """(c, chi) for a g x g integer matrix A: c = det A and, when c != 0,
+    chi the characteristic polynomial of B^r, B = A^-1 A^T, as Fractions
+    lowest degree first; (0, ()) when c = 0.
+
+    det(xA - A^T) = c det(x - B), so the roots of chi are the r-th powers
+    of the roots of Delta(x) = det(xA - A^T).  Its coefficients come from
+    the power sums tr(B^(r m)), m <= g, by Newton's identities.
+    """
+    g = len(rows)
+    # Gauss-Jordan on [A | A^T] leaves [I | B]; c is the pivot product
+    m = [[Fraction(v) for v in row] + [Fraction(rows[j][i]) for j in range(g)]
+         for i, row in enumerate(rows)]
+    c = Fraction(1)
+    for i in range(g):
+        p = next((j for j in range(i, g) if m[j][i]), None)
+        if p is None:
+            return 0, ()
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            c = -c
+        pivot = m[i][i]
+        c *= pivot
+        m[i] = [v / pivot for v in m[i]]
+        for j in range(g):
+            if j != i and m[j][i]:
+                f = m[j][i]
+                m[j] = [x - f * y for x, y in zip(m[j], m[i])]
+    b = [row[g:] for row in m]
+    power = b  # B^r, by squaring from the top bit of r down
+    for bit in bin(r)[3:]:
+        power = _mat_mul(power, power)
+        if bit == "1":
+            power = _mat_mul(power, b)
+    # e_k, the k-th elementary symmetric function of the roots of chi:
+    # k e_k = sum_(i <= k) (-1)^(i-1) e_(k-i) p_i, p_i = tr(B^(r i))
+    e, sums, step = [Fraction(1)], [], power
+    for k in range(1, g + 1):
+        sums.append(sum(step[i][i] for i in range(g)))
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
+                     for i in range(1, k + 1)) / k)
+        step = _mat_mul(step, power)
+    return int(c), tuple((-1) ** (g - j) * e[g - j] for j in range(g + 1))
+
+
+def block_invariants(A, r: int, d: int, t: int) -> WittClass:
+    """witt_invariants(lambda_block(A, r, d, t)), from the g x g integer
+    matrix A without building the r g x r g form over Q(zeta_d).
+
+    A twisted DFT, which is unitary, conjugates the block form to the sum
+    of M(lambda) = (1 - lambda)A + (1 - lambda^-1)A^T over the r roots of
+    lambda^r = omega, omega = zeta_d^t (Viro 1973).  So at the embedding
+    zeta -> e^(2 pi i s/d) the signature is the sum of the signatures of
+    M(lambda_j), lambda_j = e^(2 pi i (t s + d j)/(d r)), all decided by
+    one signature_sweep of order d r, and det F is the product of
+    det M(lambda) = ((1 - lambda)/lambda)^g Delta(lambda).  With c = det A
+    and Delta = c prod (x - alpha_i), the product over lambda of
+    Delta(lambda) is c^r (-1)^((r+1) g) chi(omega), chi = prod (x - alpha_i^r);
+    the products of 1 - lambda and of lambda are 1 - omega and
+    (-1)^(r+1) omega.  So with k = r g,
+    disc = (-1)^(k(k-1)/2) c^r (omega^-1 - 1)^g chi(omega).
+    disc != 0 certifies that F and every M(lambda_j) are nonsingular at
+    every embedding, so the sweep's cascade terminates.  When c = 0 the
+    closed form does not apply, and when disc = 0 the form has a radical,
+    whose pivot product depends on the elimination: then the form is built
+    and diagonalized.
+    """
+    rows = _block_rows(A, r, d)
+    g, k, t = len(rows), r * len(rows), t % d
+    c, chi = _block_rational(rows, r)
+    disc = None
+    if c:
+        # one Laurent polynomial in zeta_d: (zeta^-t - 1)^g chi(zeta^t)
+        scale = (-1) ** (k * (k - 1) // 2) * c ** r
+        vec = [0] * d
+        for j in range(g + 1):
+            coef = scale * comb(g, j) * (-1) ** (g - j)
+            for m, x in enumerate(chi):
+                vec[(m - j) * t % d] += coef * x
+        disc = CyclotomicNumber.from_coeffs(d, vec)
+    if disc is None or disc.is_zero():
+        return witt_invariants(lambda_block(rows, r, d, t))
+    # seifert imports this module, so the sweep is imported when first used
+    from .seifert import signature_sweep
+    ss = embeddings(d)
+    n = d * r
+    values = signature_sweep(rows, n, [(t * s + d * j) % n
+                                       for s in ss for j in range(r)])
+    sigs = tuple((s, sum(values[i * r:(i + 1) * r])) for i, s in enumerate(ss))
+    disc_class = DiscClass.of(disc.rational_value()) if d == 4 else None
+    return WittClass(order=d, rank_mod_2=k % 2, signatures=sigs, disc=disc,
+                     disc_class=disc_class)

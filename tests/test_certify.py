@@ -147,6 +147,23 @@ class TestDualOracleMutation:
         monkeypatch.setattr(certify, "sigma_many", mutant)
         self.assert_caught(family_certificate(2, 3, 4))
 
+    def test_minor_sign_mutant(self, monkeypatch):
+        # the float pass inside the matrix sweep: the last leading minor
+        # with its sign flipped at every root it decides
+        real = seifert._minor_signs
+
+        def mutant(*args):
+            signs = real(*args).copy()
+            signs[-1] = -signs[-1]
+            return signs
+
+        monkeypatch.setattr(seifert, "_minor_signs", mutant)
+        cert = family_certificate(2, 3, 4)
+        dual = [c["ok"] for c in cert.checks
+                if c["property"] == "dual_oracle_agreement"]
+        assert False in dual
+        assert cert.verdict == "FAIL"
+
 
 class TestIndependenceCertificate:
     def test_matrix(self, independence_cert):

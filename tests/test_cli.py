@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdatower import cli, covers, cyclo, seifert
+from lambdatower import cli, covers, cyclo, seifert, witt
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
 from lambdatower.knotforge import FamilyEntry, KnotFamily
@@ -586,6 +586,53 @@ def test_largest_block_form_under_the_cap(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest().startswith("7841c4ee9f726cd6")
+
+
+# witt --matrix forms that block_invariants also hands to the exact path
+# (det A = 0 or a radical), with the stdout digests recorded before
+# block_invariants existed.
+@pytest.mark.parametrize("argv, digest, radical, head", [
+    # det A = 0
+    (("witt", "--matrix", "[[0,1],[0,0]]", "--r", "2", "--d", "32", "--t", "3"),
+     "744f7e434501934f7451a89c71a3dda881d1f44f8bdd74f949eda9213c884eb2",
+     0, ["2", "0", "0"]),
+    # Delta vanishes at a 6th root of unity
+    (("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "3", "--r", "2"),
+     "5b635b9f7d7e08f44c442e61f44338c732c9a77dd1ffbe1cbb9b85b323d40d47",
+     1, ["3", "0"]),
+    # omega = 1
+    (("witt", "--matrix", "[[1,1],[0,1]]", "--d", "8", "--t", "0"),
+     "24daf9d0de03f0e057f550597129c5859e313230d5932fb0c1fdf7a6a77b67c9",
+     2, ["1", "0", "0"]),
+    (("witt", "--matrix", "[[0]]", "--d", "4"),
+     "78baed150868ecf9c2ed0ea017e1469cf0c6cef66fe03e52483b7e69f95681e3",
+     1, ["1", "0"]),
+], ids=["det-zero", "radical-1", "radical-2", "zero"])
+def test_witt_matrix_fallback_output(capsys, argv, digest, radical, head):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    w = json.loads(out)["witt"]
+    assert (w["radical"], w["disc_coeffs"][:len(head)]) == (radical, head)
+    if argv[3] == "[[-1,1],[0,-1]]":
+        assert w["signatures"] == {"1": -3}
+
+
+@pytest.mark.parametrize("argv", [
+    ("witt", "--matrix", "[[-1,1],[0,-1]]", "--r", "2", "--d", "9"),
+    ("witt", "--matrix", "[[-1,1],[0,-1]]", "--r", "31", "--d", "64"),
+    ("witt", "--matrix", "[[-1,1,0,0],[0,-2,0,0],[0,0,-1,1],[0,0,0,-3]]",
+     "--r", "2", "--d", "243", "--t", "5"),
+    ("witt", "--matrix", "[[-1,1],[0,-3]]", "--r", "2", "--d", "4"),
+])
+def test_witt_matrix_agrees_with_block_invariants(capsys, argv):
+    # witt --matrix diagonalizes the block form; block_invariants reads the
+    # same class off the g x g matrix without building it
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    w = witt.block_invariants(json.loads(opts["--matrix"]),
+                              int(opts.get("--r", 1)), int(opts["--d"]),
+                              int(opts.get("--t", 1)))
+    assert run_json(capsys, *argv)["witt"] == w.to_json()
 
 
 _MERSENNE_89 = str(2 ** 89 - 1)

@@ -361,8 +361,9 @@ def test_float_sign_bound_is_exact_at_its_edge():
 
 @pytest.mark.parametrize("d", [4, 27, 243, 729, 1024, 2048])
 def test_cos_table_intervals_fit_the_float_bound(d):
-    # _float_signs assumes each rounded cosine is within 2 u: the 64-bit
-    # enclosures are narrower than 2^-56 and the rounding adds at most u.
+    # _float_signs assumes each rounded cosine is within 2 u: the rotation
+    # table is within 2^-64 and the rounding adds at most u / 2.  The 64-bit
+    # enclosures that certified_sign starts from are narrower than 2^-56.
     boxes = cyclo._cos_table(d, 64)
     assert max(box.delta.b for box in boxes) < mpmath.mpf(2) ** -56
     ss = tuple(s for s in (1, 2, 5, d - 1) if cyclo.gcd(s, d) == 1)
@@ -372,3 +373,42 @@ def test_cos_table_intervals_fit_the_float_bound(d):
             for j, s in enumerate(ss):
                 exact = mpmath.cos(2 * mpmath.pi * k * s / d)
                 assert abs(table[k, j] - exact) <= 2 * 2.0 ** -53
+
+
+def _assert_cot_table_encloses(d):
+    lo, hi = cyclo.cot_table(d)
+    assert math.isnan(lo[0]) and math.isnan(hi[0])
+    with mpmath.workprec(256):
+        for u in range(1, d):
+            cot = mpmath.cot(mpmath.pi * u / d)
+            assert lo[u] <= cot <= hi[u] and lo[u] < hi[u], (d, u)
+
+
+@pytest.mark.parametrize("d", [768, 2187, 4096])
+def test_cot_table_encloses_cot_at_every_root(d):
+    _assert_cot_table_encloses(d)
+
+
+@given(st.integers(1, 3000))
+@settings(max_examples=15, deadline=None)
+def test_cot_tables_enclose_cot(d):
+    _assert_cot_table_encloses(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 768, 2187, 4096])
+def test_rotations_stay_within_their_bound(d):
+    bits, err, cs, ss = cyclo._rotations(d)
+    assert len(cs) == len(ss) == d // 2 + 1 and err == 2 * d
+    scale = mpmath.mpf(2) ** bits
+    with mpmath.workprec(2 * bits):
+        for u in range(0, d // 2 + 1, max(1, d // 200)):
+            angle = mpmath.pi * u / d
+            assert abs(cs[u] - scale * mpmath.cos(angle)) <= err
+            assert abs(ss[u] - scale * mpmath.sin(angle)) <= err
+
+
+def test_cot_table_is_bounded_and_read_only():
+    assert cyclo.cot_table(cyclo._MAX_COT_ORDER + 1) is None
+    lo, _ = cyclo.cot_table(16)
+    with pytest.raises(ValueError):
+        lo[1] = 0.0

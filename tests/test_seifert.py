@@ -16,6 +16,7 @@ from lambdatower.cli import main
 from lambdatower.cyclo import (
     PrecisionExhausted,
     compare_cos_turns,
+    cot_table,
     is_prime_power,
     precision_cap,
 )
@@ -34,7 +35,6 @@ from lambdatower.seifert import (
     twist_matrix,
     twist_cmp,
     twist_parameter,
-    _cot_enclosure,
     _encloses,
     _f_add,
     _f_div,
@@ -364,14 +364,14 @@ class TestFloatStage:
 
     def test_cot_enclosures_contain_cot(self):
         """The cached float enclosures contain cot(pi s/d); rounding the
-        64-bit endpoints to nearest without the outward ulp would miss it."""
+        integer quotients to nearest without the outward ulp would miss it."""
         with mpmath.workdps(50):
             for d in (3, 4, 5, 8, 9, 16, 25, 27, 81, 243, 729, 2187):
+                lo, hi = cot_table(d)
                 units = [s for s in range(1, d) if math.gcd(s, d) == 1]
                 for s in units[::max(1, len(units) // 40)]:
-                    lo, hi = _cot_enclosure(d, s)
                     cot = mpmath.cot(mpmath.pi * s / d)
-                    assert lo <= cot <= hi and lo < hi, (d, s)
+                    assert lo[s] <= cot <= hi[s] and lo[s] < hi[s], (d, s)
 
 
 def _t_n(n, dps=60):
@@ -642,13 +642,13 @@ class TestWholeOrderSweeps:
             [sigma_details(knot, d, s).value for s in range(d)]
 
     def test_sigma_many_defers_entries_beyond_floats(self, monkeypatch):
-        # entries of 2^60 are not exact floats: no float pass, the cascade
-        # decides each root
+        # entries of 2^60 give minors beyond exact floats: no float pass,
+        # the cascade decides each root
         big = [SeifertMatrix.from_rows(rows) for rows in (
             [[-1, 1], [0, -2 ** 60]], [[0, 2 ** 60], [2 ** 60 - 1, 0]])]
         knot = FormalKnot(tuple(Atom(m, c, 1) for m in big for c in (1, 2)))
         calls = []
-        monkeypatch.setattr(seifert, "_float_2x2_signatures",
+        monkeypatch.setattr(seifert, "_minor_signs",
                             lambda *a: calls.append(a))
         for d in (8, 27):
             assert sigma_many(knot, d, range(d)) == \
@@ -657,11 +657,10 @@ class TestWholeOrderSweeps:
 
     def test_sigma_many_near_jump_and_precision_cap(self):
         # the root of test_near_jump_signature_over_the_precision_cap: the
-        # float pass leaves it undecided, 256 bits decide it
+        # order has no cot table, so no float pass decides it; 256 bits do
         knot, d = twist_knot(2), 2 ** 150
         s = 164171632253562604701756578771745058906724657
-        assert seifert._float_2x2_signatures(
-            twist_matrix(2).rows, [(d, s)]) == [None]
+        assert cot_table(d) is None
         assert sigma_many(knot, d, [s, 1]) == [-2, 0] == \
             [sigma_details(knot, d, e).value for e in (s, 1)]
         before = cyclo.set_precision_cap(128)

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lambdatower import cyclo
+from lambdatower import cyclo, seifert, witt
 from lambdatower.cyclo import CyclotomicNumber, ResourceCapExceeded, zeta
 from lambdatower.witt import (
     MAX_BLOCK_WORK,
     DiscClass,
     HermitianForm,
+    block_invariants,
     diagonalize,
     embeddings,
     hilbert_symbol,
@@ -487,3 +489,100 @@ class TestPivotSigns:
         w = witt_invariants(lambda_block(A, r, d, t))
         assert tuple(v for _, v in w.signatures) == want
         assert calls == []
+
+
+_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81,
+                 121, 125, 128, 243)
+# Largest (r g)^3 phi(d)^2 of a drawn block form, so that the exact
+# reference diagonalizes each in a fraction of a second.
+_REFERENCE_WORK = 4_000_000
+
+
+@st.composite
+def _block_cases(draw):
+    """(A, r, d, t): g <= 3, entries in [-3, 3], r <= 8, prime-power
+    d <= 243 and every t < d."""
+    g = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=g, max_size=g)
+    rows = draw(st.lists(row, min_size=g, max_size=g))
+    d = draw(st.sampled_from(_PRIME_POWERS))
+    r_max = round((_REFERENCE_WORK / cyclo.degree_of(d) ** 2) ** (1 / 3)) // g
+    r = draw(st.integers(1, max(1, min(8, r_max))))
+    return rows, r, d, draw(st.integers(0, d - 1))
+
+
+# Forms the closed form decides: det A != 0 and disc != 0.
+_NONSINGULAR = [(TREFOIL, 2, 9, 1), (((-1, 1), (0, -3)), 4, 9, 1),
+                (((1, 2, 0), (0, -1, 1), (3, 0, 2)), 3, 27, 2),
+                (((2,),), 3, 4, 1), (((-1, 1), (0, -3)), 2, 4, 1)]
+
+
+@given(_block_cases())
+@settings(max_examples=120, deadline=None)
+@example((((0, 1), (0, 0)), 2, 32, 3))  # det A = 0, no radical
+@example((TREFOIL, 2, 3, 1))  # Delta vanishes at a 6th root: radical 1
+@example((((1, 1), (0, 1)), 1, 8, 0))  # t = 0: radical 2
+@example((((0,),), 1, 4, 1))
+@example((TREFOIL, 2, 2, 1))
+@example(_NONSINGULAR[0])
+@example(_NONSINGULAR[2])
+def test_block_invariants_match_the_exact_form(case):
+    A, r, d, t = case
+    assert block_invariants(A, r, d, t) == \
+        witt_invariants(lambda_block(A, r, d, t))
+
+
+class TestBlockInvariants:
+    """block_invariants against the exact diagonalization it replaces."""
+
+    def test_a_flipped_minor_fails_the_property(self, monkeypatch):
+        real = seifert._minor_signs
+
+        def mutant(minors, lo, hi):
+            signs = real(minors, lo, hi).copy()
+            signs[-1, 0] = -signs[-1, 0]  # the last minor at the first root
+            return signs
+
+        monkeypatch.setattr(seifert, "_minor_signs", mutant)
+        with pytest.raises(AssertionError):
+            test_block_invariants_match_the_exact_form()
+
+    @pytest.mark.parametrize("case", _NONSINGULAR)
+    def test_nonsingular_forms_are_never_built(self, case, monkeypatch):
+        want = witt_invariants(lambda_block(*case))
+
+        def refuse(*args):
+            raise AssertionError("the exact path ran")
+
+        monkeypatch.setattr(witt, "diagonalize", refuse)
+        monkeypatch.setattr(witt, "lambda_block", refuse)
+        assert block_invariants(*case) == want
+
+    @pytest.mark.parametrize("case", [(((0, 1), (0, 0)), 2, 32, 3),
+                                      (TREFOIL, 2, 3, 1), (TREFOIL, 3, 4, 0)])
+    def test_radicals_and_singular_a_fall_back(self, case, monkeypatch):
+        calls = []
+        original = witt.diagonalize
+        monkeypatch.setattr(witt, "diagonalize",
+                            lambda form: calls.append(form) or original(form))
+        assert block_invariants(*case) == witt_invariants(lambda_block(*case))
+        assert len(calls) == 2  # the fallback, then the reference
+
+    def test_checks_come_first(self):
+        with pytest.raises(ValueError, match="positive"):
+            block_invariants(TREFOIL, 0, 4, 1)
+        with pytest.raises(ValueError, match="square"):
+            block_invariants(((1, 2, 3), (4, 5, 6)), 1, 4, 1)
+        with pytest.raises(ValueError, match="integer"):
+            block_invariants(((1.5,),), 1, 4, 1)
+        with pytest.raises(ResourceCapExceeded, match="on block forms"):
+            block_invariants(TREFOIL, 32, 64, 1)
+        with pytest.raises(ResourceCapExceeded, match="degree"):
+            block_invariants(TREFOIL, 1, 4096, 1)
+
+    def test_thirty_one_blocks_cost_what_one_does(self):
+        # the rational part depends on (A, r) only and the sweep is one
+        # numpy pass, so r = 31 at d = 64 needs no 62 x 62 form
+        w = block_invariants(TREFOIL, 31, 64, 1)
+        assert (w.radical, w.rank_mod_2) == (0, 0)
+        assert w.disc.coeffs[:3] == (-4, 3, -1)
