@@ -19,9 +19,9 @@ from . import __version__
 from .cyclo import InputError, is_prime, prime_power_split
 from .covers import (
     DEFAULT_CAP_EDGES,
-    alpha_word,
     audit_tower,
     build_tower,
+    derived_programs,
     lift_profile,
     verify_lift_behaviour,
 )
@@ -162,8 +162,9 @@ def family_certificate(p: int, count: int, d_seed: int) -> Certificate:
 # Independence over the integers.
 
 
-def _nonzero_lift_count(tower, word, theta) -> int:
-    _, _, _, values = lift_profile(tower.top, word, theta)
+def _nonzero_lift_count(tower, program, theta) -> int:
+    _, _, _, values = lift_profile(tower.top, program, theta,
+                                   work_cap=tower.work_cap)
     return int((values != 0).sum())
 
 
@@ -204,7 +205,7 @@ def independence_certificate(m: int, n: int, q: int,
     famreport = verify_family(family)
     checks = [{"property": "family_verified", "ok": famreport.passed}]
 
-    word = alpha_word(n)
+    alpha = derived_programs(n)[0]
     structures = [PStructure.canonical(tower, e.d) for e in family.entries]
     table = []
     signs = []
@@ -245,7 +246,7 @@ def independence_certificate(m: int, n: int, q: int,
                    "ok": all(r["ok"] for r in factor_rows)})
     checks.append({"property": "c_independent_of_order", "values": c_values,
                    "ok": len(set(c_values)) <= 1})
-    recounts = [_nonzero_lift_count(tower, word, s.theta) for s in structures]
+    recounts = [_nonzero_lift_count(tower, alpha, s.theta) for s in structures]
     checks.append({"property": "c_matches_lift_count", "values": recounts,
                    "ok": recounts == c_values})
     checks.append({"property": "sigma_sum_rederivation",

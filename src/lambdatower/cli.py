@@ -24,8 +24,10 @@ from .certify import (
 )
 from .covers import (
     DEFAULT_CAP_EDGES,
+    Program,
     ResourceCapExceeded,
     build_tower,
+    derived_programs,
     derived_words,
     free_reduce,
     lift_profile,
@@ -44,7 +46,7 @@ from .knotforge import KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
 
-__all__ = ["WORD_LETTER_CAP", "main", "build_parser", "parse_word"]
+__all__ = ["WORD_LETTER_CAP", "main", "build_parser"]
 
 # Longest word the parser builds. beta(8) has 51,004 letters and alpha(10)
 # 442,960; alpha(11) would pass the cap.
@@ -112,7 +114,9 @@ class _WordParser:
     is a generator x0, x1, ..., a parenthesized word, comm(w1, w2), or the
     named words alpha(n) and beta(n).  A product, power, commutator or
     named word whose letters before free reduction would pass
-    WORD_LETTER_CAP raises ResourceCapExceeded before it is built.
+    WORD_LETTER_CAP raises ResourceCapExceeded before it is built.  Each
+    construct yields its word and, beside it, a straight-line program that
+    spells the word, for the lifts to walk.
     """
 
     _TOKEN = re.compile(r"\s*(alpha|beta|comm|x\d+|-?\d+|[()^,*])")
@@ -157,49 +161,54 @@ class _WordParser:
             _fail(self.flag, f"expected an integer, got {tok!r}")
 
     def parse(self) -> tuple:
+        """(word, program): the freely reduced word and its program."""
         if not self.tokens:
-            return ()
-        word = self._word()
+            return (), Program.word(())
+        word, program = self._word()
         if self._peek() is not None:
             _fail(self.flag, f"trailing input {self._peek()!r}")
-        return free_reduce(word)
+        return free_reduce(word), program
 
     def _word(self) -> tuple:
-        parts = []
+        words, programs = [], []
         letters = 0
         while self._peek() not in (None, ")", ","):
-            parts.append(self._factor())
-            letters += len(parts[-1])
+            word, program = self._factor()
+            words.append(word)
+            programs.append(program)
+            letters += len(word)
             self._check_length(letters, "a product")
             if self._peek() == "*":
                 self._take()
-        return word_concat(*parts) if parts else ()
+        return word_concat(*words), Program.cat(*programs)
 
     def _factor(self) -> tuple:
-        base = self._base()
+        word, program = self._base()
         if self._peek() == "^":
             self._take()
             exponent = self._int()
-            self._check_length(len(base) * abs(exponent), f"a power ^{exponent}")
-            return word_power(base, exponent)
-        return base
+            self._check_length(len(word) * abs(exponent), f"a power ^{exponent}")
+            return word_power(word, exponent), program.power(exponent)
+        return word, program
 
     def _base(self) -> tuple:
         tok = self._take()
         if tok.startswith("x"):
-            return ((int(tok[1:]), 1),)
+            word = ((int(tok[1:]), 1),)
+            return word, Program.word(word)
         if tok == "(":
-            word = self._word()
+            pair = self._word()
             self._take(")")
-            return word
+            return pair
         if tok == "comm":
             self._take("(")
-            a = self._word()
+            a, pa = self._word()
             self._take(",")
-            b = self._word()
+            b, pb = self._word()
             self._take(")")
             self._check_length(2 * (len(a) + len(b)), "comm(...)")
-            return word_concat(a, b, word_inverse(a), word_inverse(b))
+            return (word_concat(a, b, word_inverse(a), word_inverse(b)),
+                    Program.cat(pa, pb, pa.inverse(), pb.inverse()))
         if tok in ("alpha", "beta"):
             self._take("(")
             height = self._int()
@@ -208,21 +217,31 @@ class _WordParser:
                 _fail(self.flag, f"height must be nonnegative, got {height}")
             # alpha(k) = [a, b] and beta(k) = a alpha(k) a^-1 with a, b the
             # words of height k - 1, so 4|a| + 2|b| bounds both before
-            # reduction; words are built upwards until the bound passes.
+            # reduction; words are built upwards until the bound passes, and
+            # the program is built only once that check has bounded height.
             words = derived_words()
             for k in count():
                 a = next(words)
                 if (k, tok) == (height, "alpha"):
-                    return a
+                    return a, derived_programs(height)[0]
                 b = next(words)
                 if k == height:
-                    return b
+                    return b, derived_programs(height)[1]
                 self._check_length(4 * len(a) + 2 * len(b), f"{tok}({height})")
         _fail(self.flag, f"unexpected token {tok!r}")
 
 
 def parse_word(text: str, flag: str = "--word") -> tuple:
-    return _WordParser(flag, text).parse()
+    return _WordParser(flag, text).parse()[0]
+
+
+def _parse_word_program(text: str, m: int) -> tuple:
+    """The --word and its program.  A program whose letters name a strand
+    past m, in letters that cancel in the word, gives way to the word."""
+    word, program = _WordParser("--word", text).parse()
+    if any(gen >= m for gen in program.generators()):
+        program = Program.word(word)
+    return word, program
 
 
 def _parse_tower_spec(flag: str, text: str) -> dict:
@@ -475,12 +494,13 @@ def _cmd_tower_lift(args):
     level = args.level if args.level is not None else args.n
     if not 0 <= level <= args.n:
         _fail("--level", f"level must be between 0 and {args.n}, got {level}")
-    word = parse_word(args.word)
+    word, program = _parse_word_program(args.word, args.m)
     for gen, _ in word:
         if gen >= args.m:
             _fail("--word", f"word uses generator x{gen}, but there are only "
                             f"{args.m} strands")
-    starts, ends, degrees, _ = lift_profile(tower.levels[level], word)
+    starts, ends, degrees, _ = lift_profile(tower.levels[level], program,
+                                             work_cap=tower.work_cap)
     rows = [{"start": start, "end": end, "degree": degree,
              "is_loop": start == end}
             for start, end, degree in zip(starts.tolist(), ends.tolist(),
@@ -499,7 +519,7 @@ def _cmd_tower_verify(args):
 def _cmd_lambda(args):
     spec = _parse_tower_spec("--tower", args.tower)
     d = _parse_theta("--theta", args.theta)
-    word = parse_word(args.word)
+    word, program = _parse_word_program(args.word, spec["m"])
     knot = _parse_knot("--knot", args.knot)
     try:
         tower = build_tower(spec["m"], spec["n"], spec["q"],
@@ -510,7 +530,7 @@ def _cmd_lambda(args):
     except ValueError as exc:
         _fail("--theta", str(exc))
     try:
-        link = InfectedStringLink(spec["m"], word, knot)
+        link = InfectedStringLink(spec["m"], word, knot, program)
     except ValueError as exc:
         _fail("--word", str(exc))
     disc = True if args.disc else (False if args.signatures_only else None)

@@ -20,10 +20,12 @@ from .cyclo import InputError, ResourceCapExceeded, is_prime_power
 
 __all__ = [
     "DEFAULT_CAP_EDGES",
+    "LIFT_WORK_CAP",
     "Cell",
     "Character",
     "CoverGraph",
     "LiftBehaviourReport",
+    "Program",
     "ResourceCapExceeded",
     "Tower",
     "TowerAudit",
@@ -33,6 +35,7 @@ __all__ = [
     "build_tower",
     "character_f",
     "component_loop_path",
+    "derived_programs",
     "derived_words",
     "enumerate_lifts",
     "evaluate_character",
@@ -117,6 +120,72 @@ def beta_word(n: int) -> tuple:
     return next(islice(derived_words(), 2 * n + 1, None))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Program:
+    """A word as a straight-line program: a node is a flat word (op "word"
+    with its letters), a product of programs ("cat"), the inverse of one
+    ("inv") or a positive power of one ("pow" with its exponent).  Nodes are
+    shared by reference, so the program of alpha_n has O(n) nodes where its
+    word has about 4^n letters.  A program spells its word before free
+    reduction, which changes no lift.  Build nodes with word, cat, inverse
+    and power; see Lohrey, "Algorithmics on SLP-compressed strings: a
+    survey" (2012).  Programs compare and print by identity, since
+    expanding a shared node would take time exponential in its depth.
+    """
+
+    op: str
+    parts: tuple = ()
+    letters: tuple = ()
+    exponent: int = 1
+
+    @staticmethod
+    def word(letters: Sequence[tuple]) -> "Program":
+        return Program("word", letters=tuple(letters))
+
+    @staticmethod
+    def cat(*parts: "Program") -> "Program":
+        parts = tuple(p for p in parts if p.op != "word" or p.letters)
+        if len(parts) == 1:
+            return parts[0]
+        return Program("cat", parts) if parts else Program.word(())
+
+    def inverse(self) -> "Program":
+        if self.op == "word":
+            return Program.word(word_inverse(self.letters))
+        if self.op == "inv":
+            return self.parts[0]
+        return Program("inv", (self,))
+
+    def power(self, r: int) -> "Program":
+        if r < 0:
+            return self.inverse().power(-r)
+        if r == 0:
+            return Program.word(())
+        return self if r == 1 else Program("pow", (self,), exponent=r)
+
+    def generators(self) -> set:
+        """The generators that the letters name, cancelled ones included."""
+        seen, stack, gens = set(), [self], set()
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                gens.update(gen for gen, _ in node.letters)
+                stack.extend(node.parts)
+        return gens
+
+
+def derived_programs(n: int) -> tuple:
+    """Programs of (alpha_n, beta_n): the recursion of derived_words on
+    shared nodes, so that each height adds four nodes."""
+    a, b = Program.word(((0, 1),)), Program.word(((1, 1),))
+    for _ in range(n):
+        below, below_inv = a, a.inverse()
+        a = Program.cat(below, b, below_inv, b.inverse())
+        b = Program.cat(below, a, below_inv)
+    return a, b
+
+
 # ---------------------------------------------------------------------------
 # Cover graphs and towers.
 
@@ -155,7 +224,9 @@ class CoverGraph:
     """
 
     def __init__(self, perms: Sequence, cells: Optional[tuple] = None,
-                 basepoint: int = 0):
+                 basepoint: int = 0, inverses: Optional[Sequence] = None):
+        """inverses, when given, must be the inverse tables of perms; they
+        are built by scatters otherwise."""
         arrays = tuple(np.asarray(p, dtype=np.int64) for p in perms)
         if not arrays:
             raise ValueError("a cover graph needs at least one generator")
@@ -168,7 +239,8 @@ class CoverGraph:
         self.generators = len(arrays)
         self.cells = cells
         self.basepoint = basepoint
-        self._inverses = tuple(_inverse_table(p) for p in arrays)
+        self._inverses = (tuple(inverses) if inverses is not None
+                          else tuple(_inverse_table(p) for p in arrays))
 
     def perm(self, gen: int) -> np.ndarray:
         return self.perms[gen]
@@ -180,26 +252,34 @@ class CoverGraph:
         return self.generators * self.size
 
     def is_covering(self) -> bool:
-        return all(np.array_equal(np.sort(p), np.arange(self.size))
-                   for p in self.perms)
+        """Whether every table is a permutation: its values lie in range
+        and none of them repeats, counted in O(n) without a sort."""
+        return self.size == 0 or all(
+            p.min() >= 0 and p.max() < self.size
+            and np.bincount(p, minlength=self.size).max() == 1
+            for p in self.perms)
 
     def is_connected(self) -> bool:
         """Whether every vertex is reached from the basepoint, by a
         breadth-first sweep that steps the whole frontier along every edge
-        label in both directions at once.  Each new frontier is marked in a
-        boolean array, so no step sorts."""
+        label in both directions at once.  A step works on the frontier
+        only: it drops the vertices already seen, then the repeats, each
+        vertex kept at the one position that its owner stamp names."""
         seen = np.zeros(self.size, dtype=bool)
         seen[self.basepoint] = True
-        new = np.zeros(self.size, dtype=bool)
+        owner = np.empty(self.size, dtype=np.int64)
         frontier = np.array([self.basepoint], dtype=np.int64)
+        reached = 1
         while frontier.size:
-            for table in self.perms + self._inverses:
-                new[table[frontier]] = True
-            new &= ~seen
-            seen |= new
-            frontier = np.flatnonzero(new)
-            new[frontier] = False
-        return bool(seen.all())
+            step = np.concatenate([table[frontier]
+                                   for table in self.perms + self._inverses])
+            step = step[~seen[step]]
+            position = np.arange(step.size)
+            owner[step] = position
+            frontier = step[owner[step] == position]
+            seen[frontier] = True
+            reached += frontier.size
+        return reached == self.size
 
     def betti1(self) -> int:
         if not self.is_connected():
@@ -225,43 +305,59 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
     The cocycle sends the c-cell to (1, 0) and the d-cell to (0, 1); on the
     underlying edges this means the cell orientation times the generator.
     An edge from v lifts to one edge per copy g, landing in copy g plus the
-    cocycle value of the edge.
+    cocycle value of the edge.  So copy g of a generator's table, and of its
+    inverse, is the table below offset by g n, except at the q^2 lifts of
+    each cell, whose targets move to the shifted copy.
     """
     c_cell, d_cell = graph.cells
     n = graph.size
-    copies, verts = np.divmod(np.arange(q * q * n), n)
-    shift_a = np.zeros(q * q * n, dtype=np.int64)
-    shift_b = np.zeros(q * q * n, dtype=np.int64)
-    new_perms = []
-    for gen, perm in enumerate(graph.perms):
-        shift_a[:] = 0
-        shift_b[:] = 0
-        if gen == c_cell.gen:
-            shift_a[verts == c_cell.source] = c_cell.orientation
-        if gen == d_cell.gen:
-            shift_b[verts == d_cell.source] += d_cell.orientation
-        a = (copies // q + shift_a) % q
-        b = (copies % q + shift_b) % q
-        new_perms.append((a * q + b) * n + perm[verts])
+    offsets = np.arange(q * q, dtype=np.int64) * n
+    perms, inverses = [], []
+    for gen in range(graph.generators):
+        perm = (offsets[:, None] + graph.perm(gen)).ravel()
+        inverse = (offsets[:, None] + graph.perm_inv(gen)).ravel()
+        for cell, (da, db) in ((c_cell, (1, 0)), (d_cell, (0, 1))):
+            if gen == cell.gen:
+                at = offsets + cell.source
+                copy, vertex = np.divmod(perm[at], n)
+                perm[at] = _gamma_add(copy, da * cell.orientation,
+                                      db * cell.orientation, q) * n + vertex
+                inverse[perm[at]] = at
+        perms.append(perm)
+        inverses.append(inverse)
     # New cells are lifts of the old c-cell: the copy-(0,0) lift keeps its
     # orientation, the copy-(1,1) lift is reversed.
     new_c = Cell(c_cell.gen, c_cell.source, c_cell.orientation)
     src_11 = (q + 1) * n + c_cell.source
     new_d = Cell(c_cell.gen, src_11, -c_cell.orientation)
-    return CoverGraph(new_perms, (new_c, new_d))
+    return CoverGraph(perms, (new_c, new_d), inverses=inverses)
 
 
 DEFAULT_CAP_EDGES = 10 ** 7  # top-level edges build_tower allows by default
+# Vertex steps lift_profile allows by default: program compositions (a
+# letter counts as one) times the vertices of the cover it walks.  It is
+# thirty compositions over the largest two-generator top level that the edge
+# cap allows, a few seconds of walking; a larger edge cap scales it up.
+LIFT_WORK_CAP = 15 * DEFAULT_CAP_EDGES
 
 
 class Tower:
-    """Levels X_0, ..., X_n with the per-level distinguished cells."""
+    """Levels X_0, ..., X_n with the per-level distinguished cells, and the
+    edge cap they were built under, which sets the work cap of their walks."""
 
-    def __init__(self, m: int, n: int, q: int, levels: Sequence[CoverGraph]):
+    def __init__(self, m: int, n: int, q: int, levels: Sequence[CoverGraph],
+                 cap_edges: int = DEFAULT_CAP_EDGES):
         self.m = m
         self.n = n
         self.q = q
         self.levels = tuple(levels)
+        self.cap_edges = cap_edges
+
+    @property
+    def work_cap(self) -> int:
+        """LIFT_WORK_CAP scaled with the edge cap, never below it."""
+        return (LIFT_WORK_CAP * max(self.cap_edges, DEFAULT_CAP_EDGES)
+                // DEFAULT_CAP_EDGES)
 
     @property
     def top(self) -> CoverGraph:
@@ -290,7 +386,7 @@ def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> T
     levels = [base]
     for _ in range(n):
         levels.append(_next_level(levels[-1], q))
-    return Tower(m, n, q, levels)
+    return Tower(m, n, q, levels, cap_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +505,48 @@ def evaluate_character(char: Character, path: Iterable[tuple]) -> int:
     return total % char.modulus if char.modulus else total
 
 
-def lift_profile(graph: CoverGraph, word: Sequence[tuple],
-                 char: Optional[Character] = None) -> tuple:
-    """Lift components of a word with their degrees and character values,
-    computed on all fibres at once.
+def _operands(node: Program) -> tuple:
+    """The nodes whose actions node reads.  A product walks its flat parts
+    letter by letter from its running action, so those are not operands."""
+    if node.op == "cat":
+        return tuple(p for p in node.parts if p.op != "word")
+    return node.parts
 
-    Returns (starts, ends, degrees, values) as int64 arrays with one entry
-    per component, in the order enumerate_lifts lists them: start is the
-    least vertex of the component, end the end of the word's lift there,
-    degree the component's covering degree, and value the character on the
-    full component loop, reduced by its modulus (values is None without a
-    character).  It agrees with enumerate_lifts followed by
-    component_loop_path and evaluate_character, but never builds a path.
-    """
-    size = graph.size
-    weighted = {}
-    for (gen, source), w in (char.weights if char is not None else ()):
-        weighted.setdefault(gen, []).append((source, w))
-    current = np.arange(size, dtype=np.int64)
-    acc = np.zeros(size, dtype=np.int64)
-    for gen, exp in word:
+
+def _schedule(program: Program) -> tuple:
+    """(order, uses): the nodes to evaluate, each after its operands, and
+    how many times each is read, counting the root once."""
+    order, uses = [], {}
+
+    def visit(node):
+        uses[node] = uses.get(node, 0) + 1
+        if uses[node] == 1:
+            for part in _operands(node):
+                visit(part)
+            order.append(node)
+
+    visit(program)
+    return order, uses
+
+
+def _compositions(node: Program) -> int:
+    """Whole-array steps that evaluating node takes, a letter counting one."""
+    if node.op == "word":
+        return len(node.letters)
+    if node.op == "cat":
+        return sum(len(p.letters) if p.op == "word" else 1 for p in node.parts)
+    if node.op == "inv":
+        return 1
+    return node.exponent.bit_length() + bin(node.exponent).count("1") - 2
+
+
+def _walk(graph: CoverGraph, letters: Sequence[tuple], weighted: dict,
+          start: Optional[tuple]) -> tuple:
+    """The action after walking the letters from start (None: the identity),
+    one gather per letter."""
+    current, acc = start or (np.arange(graph.size, dtype=np.int64), None)
+    owned = False
+    for gen, exp in letters:
         if exp == 1:
             sources = current
             current = graph.perm(gen)[current]
@@ -436,20 +554,133 @@ def lift_profile(graph: CoverGraph, word: Sequence[tuple],
             current = graph.perm_inv(gen)[current]
             sources = current
         for source, w in weighted.get(gen, ()):
+            if not owned:
+                acc = (np.zeros(graph.size, dtype=np.int64) if acc is None
+                       else acc.copy())
+                owned = True
             acc[sources == source] += w * exp
+    return current, acc
+
+
+def _compose(first: tuple, then: tuple) -> tuple:
+    (p1, c1), (p2, c2) = first, then
+    if c2 is None:
+        return p2[p1], c1
+    acc = c2[p1]
+    if c1 is not None:
+        acc += c1
+    return p2[p1], acc
+
+
+def _invert(action: tuple) -> tuple:
+    """The inverse action by one scatter: the inverse word from P[v] ends at
+    v and walks v's path backwards."""
+    perm, acc = action
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.shape[0], dtype=perm.dtype)
+    if acc is not None:
+        negated = np.empty_like(acc)
+        negated[perm] = -acc
+        acc = negated
+    return inverse, acc
+
+
+def _power(action: tuple, r: int) -> tuple:
+    """The r-th power by repeated squaring (powers of one action commute)."""
+    result = None
+    while True:
+        if r & 1:
+            result = action if result is None else _compose(result, action)
+        r >>= 1
+        if not r:
+            return result
+        action = _compose(action, action)
+
+
+def _evaluate(graph: CoverGraph, order: list, uses: dict,
+              weighted: dict) -> tuple:
+    """The action of the last node of order: the end vertex from every
+    start vertex and the character sum along the way, None while it is
+    zero.  An action is dropped at its last read, so only the actions that
+    later reads still need are alive."""
+    actions = {}
+
+    def read(node):
+        uses[node] -= 1
+        return actions[node] if uses[node] else actions.pop(node)
+
+    for node in order:
+        if node.op == "word":
+            action = _walk(graph, node.letters, weighted, None)
+        elif node.op == "cat":
+            action = None
+            for part in node.parts:
+                if part.op == "word":
+                    action = _walk(graph, part.letters, weighted, action)
+                elif action is None:
+                    action = read(part)
+                else:
+                    action = _compose(action, read(part))
+        elif node.op == "inv":
+            action = _invert(read(node.parts[0]))
+        else:
+            action = _power(read(node.parts[0]), node.exponent)
+        actions[node] = action
+    return actions[order[-1]]
+
+
+def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
+                 work_cap: Optional[int] = None) -> tuple:
+    """Lift components of a word with their degrees and character values,
+    computed on all fibres at once.
+
+    word is a tuple of letters or a Program.  Returns (starts, ends,
+    degrees, values) as int64 arrays with one entry per component, in the
+    order enumerate_lifts lists them: start is the least vertex of the
+    component, end the end of the word's lift there, degree the component's
+    covering degree, and value the character on the full component loop,
+    reduced by its modulus (values is None without a character).  It agrees
+    with enumerate_lifts followed by component_loop_path and
+    evaluate_character, but never builds a path.  The program's actions
+    need every generator table to be a bijection.  A walk of more than
+    work_cap vertex steps (by default LIFT_WORK_CAP; a tower's work_cap for
+    its levels) raises ResourceCapExceeded before it starts.
+    """
+    size = graph.size
+    if work_cap is None:
+        work_cap = LIFT_WORK_CAP
+    program = word if isinstance(word, Program) else Program.word(word)
+    order, uses = _schedule(program)
+    steps = sum(_compositions(node) for node in order)
+    if steps * size > work_cap:
+        raise ResourceCapExceeded(
+            f"lifting the word takes {steps} compositions over {size} "
+            f"vertices, over the work cap of {work_cap} vertex steps")
+    weighted = {}
+    for (gen, source), w in (char.weights if char is not None else ()):
+        weighted.setdefault(gen, []).append((source, w))
+    current, acc = _evaluate(graph, order, uses, weighted)
     # Orbits of the monodromy, labelled by their least vertex: after j
     # doublings label[v] is the least of the first 2^j vertices of v's orbit.
-    label = np.arange(size, dtype=np.int64)
+    # A doubling that changes no label leaves every label final: label[v] <=
+    # label[step[v]] for all v then holds with equality around each cycle of
+    # step, whose windows of 2^j vertices cover the orbit.
+    identity = np.arange(size, dtype=np.int64)
+    label = identity
     step = current
     for _ in range(max(size - 1, 0).bit_length()):
-        label = np.minimum(label, label[step])
+        doubled = np.minimum(label, label[step])
+        if np.array_equal(doubled, label):
+            break
+        label = doubled
         step = step[step]
-    starts = np.flatnonzero(label == np.arange(size))
+    starts = np.flatnonzero(label == identity)
     degrees = np.bincount(label, minlength=size)[starts]
     values = None
     if char is not None:
         totals = np.zeros(size, dtype=np.int64)
-        np.add.at(totals, label, acc)
+        if acc is not None:
+            np.add.at(totals, label, acc)
         values = totals[starts]
         if char.modulus:
             values %= char.modulus

@@ -9,14 +9,18 @@ itself contributes nothing, so the sum is the whole invariant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .covers import (
     Character,
+    Program,
     Tower,
     alpha_word,
     character_f,
+    derived_programs,
     free_reduce,
     lift_profile,
 )
@@ -84,12 +88,15 @@ class InfectedStringLink:
     """The result of infecting the trivial m-string link along a curve.
 
     The curve is a word in the free group on the m meridians; the infection
-    ties the formal knot into every strand passing through it.
+    ties the formal knot into every strand passing through it.  program, a
+    straight-line program that spells the word, is what the lifts walk; by
+    default it is the word itself.
     """
 
     m: int
     infection_word: tuple
     knot: FormalKnot
+    program: Optional[Program] = field(default=None, compare=False)
 
     def __post_init__(self):
         word = free_reduce(self.infection_word)
@@ -99,6 +106,8 @@ class InfectedStringLink:
                     f"infection word uses generator {gen}, but there are only "
                     f"{self.m} strands")
         object.__setattr__(self, "infection_word", word)
+        if self.program is None:
+            object.__setattr__(self, "program", Program.word(word))
 
 
 def x_infection(m: int, i: int, knot: FormalKnot) -> InfectedStringLink:
@@ -108,7 +117,7 @@ def x_infection(m: int, i: int, knot: FormalKnot) -> InfectedStringLink:
 
 def tower_infection(m: int, n: int, knot: FormalKnot) -> InfectedStringLink:
     """Infection along the height-n commutator word on the first two strands."""
-    return InfectedStringLink(m, alpha_word(n), knot)
+    return InfectedStringLink(m, alpha_word(n), knot, derived_programs(n)[0])
 
 
 @dataclass(frozen=True)
@@ -218,19 +227,23 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         full = disc
     d = structure.d
     _, _, degrees, values = lift_profile(
-        structure.tower.top, link.infection_word, structure.theta)
-    contributions = {}  # (r, t) -> its LiftContribution, evaluated once
-    rows = []
+        structure.tower.top, link.program, structure.theta,
+        work_cap=structure.tower.work_cap)
+    # Lifts grouped by (r, t); each pair is evaluated once, in the order of
+    # its first lift, so any cap error is the one a lift-order walk meets.
+    _, first, group = np.unique(degrees * d + values, return_index=True,
+                                return_inverse=True)
+    by_group = [None] * first.size
+    for g in np.argsort(first).tolist():
+        r, t = int(degrees[first[g]]), int(values[first[g]])
+        witt = _contribution(link.knot, r, d, t, full) if t else None
+        by_group[g] = LiftContribution(r, t, witt)
+    rows = list(map(by_group.__getitem__, group.tolist()))
     total = None  # an empty sum is the zero class, built at the end
-    for r, t in zip(degrees.tolist(), values.tolist()):
-        row = contributions.get((r, t))
-        if row is None:
-            witt = _contribution(link.knot, r, d, t, full) if t else None
-            row = contributions[(r, t)] = LiftContribution(r, t, witt)
-        rows.append(row)
-        if row.present:
-            total = row.witt if total is None else witt_add(total, row.witt)
-    constant_c = sum(1 for row in rows if row.theta_value)
+    for i in np.flatnonzero(values).tolist():
+        witt = rows[i].witt
+        total = witt if total is None else witt_add(total, witt)
+    constant_c = int(np.count_nonzero(values))
     if total is None and disc is False:  # no Q(zeta_d) element is built
         total = WittClass(order=d, rank_mod_2=0, partial=True,
                           signatures=tuple((s, 0) for s in embeddings(d)))
@@ -255,7 +268,8 @@ def signature_prediction(structure: PStructure, link: InfectedStringLink,
     d = structure.d
     knot = link.knot
     _, _, degrees, values = lift_profile(
-        structure.tower.top, link.infection_word, structure.theta)
+        structure.tower.top, link.program, structure.theta,
+        work_cap=structure.tower.work_cap)
     total = 0
     nonzero = values != 0
     for r, t in zip(degrees[nonzero].tolist(), values[nonzero].tolist()):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lambdatower import certify, knotforge, seifert
+from lambdatower import certify, covers, knotforge, seifert
 from lambdatower.certify import (
     Certificate,
     family_certificate,
@@ -182,6 +182,19 @@ class TestIndependenceCertificate:
                          "c_independent_of_order", "c_matches_lift_count",
                          "sigma_sum_rederivation", "sign_coherence"]
         assert all(c["ok"] for c in independence_cert.checks)
+
+    def test_every_walk_takes_the_program(self, monkeypatch):
+        # alpha(2) is 13 compositions as a program and 16 letters as a word:
+        # under a work cap between the two on 256 vertices, every walk, the
+        # lift recount included, still runs and the certificate is unchanged
+        plain = independence_certificate(2, 2, 4)
+        monkeypatch.setattr(covers, "LIFT_WORK_CAP", 13 * 256)
+        capped = independence_certificate(2, 2, 4)
+        assert capped.verdict == "PASS"
+        assert capped.canonical_bytes() == plain.canonical_bytes()
+        tower = covers.build_tower(2, 2, 4)
+        with pytest.raises(covers.ResourceCapExceeded, match="work cap"):
+            covers.lift_profile(tower.top, covers.alpha_word(2))
 
     def test_rows_rederived(self, independence_cert):
         assert len(independence_cert.table) == 9

@@ -102,6 +102,25 @@ class TestWordParser:
             with pytest.raises(ResourceCapExceeded):
                 parse_word(bad)
 
+    def test_named_word_program_waits_for_the_length_cap(self, monkeypatch):
+        # a height past the cap is refused on the words of height about 11,
+        # before the program of the height is built
+        heights = []
+        real = cli.derived_programs
+
+        def spy(n):
+            heights.append(n)
+            assert n < 100, "a program built past the length cap"
+            return real(n)
+
+        monkeypatch.setattr(cli, "derived_programs", spy)
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapExceeded):
+            parse_word("alpha(1000000000)")
+        assert time.perf_counter() - start < 3.0
+        assert heights == []
+        assert parse_word("beta(3)") == beta_word(3) and heights == [3]
+
 
 class TestScalarCommands:
     def test_sig_example(self, capsys):
@@ -220,6 +239,43 @@ class TestTowerCommands:
         assert len(data["components"]) == 16
         assert all(c["degree"] == 1 and c["is_loop"]
                    for c in data["components"])
+
+    def test_lift_work_cap(self, capsys):
+        # 8,000 letters over 4.8 million vertices: refused on the work cap
+        # (or finished) within seconds, where the letter walk took minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lambda", "--tower", "n=3,q=13",
+                             "--theta", "f-mod-13", "--word",
+                             "x0^4000 x1^4000", "--knot", "trefoil")
+        assert time.perf_counter() - start < 3.0
+        assert code in (0, 3)
+        if code == 3:
+            assert "work cap" in err and out == ""
+
+    def test_lift_work_cap_scales_with_the_edge_cap(self, capsys, monkeypatch):
+        # alpha(3) is 22 compositions over 256 vertices, 5,632 vertex steps:
+        # over a work cap of 5,000 at the default edge cap, and within the
+        # 10,000 that twice the default edge cap allows
+        monkeypatch.setattr(covers, "LIFT_WORK_CAP", 5000)
+        argv = ("tower", "lift", "--m", "2", "--n", "2", "--q", "4",
+                "--word", "alpha(3)")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and "work cap of 5000" in err and out == ""
+        wide = str(2 * covers.DEFAULT_CAP_EDGES)
+        assert run_json(capsys, *argv, "--cap-edges", wide)["components"]
+        code, _, err = run(capsys, "lambda", "--tower", "n=2,q=4", "--theta",
+                           "f-mod-4", "--word", "alpha(3)", "--knot",
+                           "trefoil", "--cap-edges", wide)
+        assert code == 0, err
+
+    def test_cancelled_letters_past_the_strands(self, capsys):
+        # x5 cancels in the word, so the walk takes the word, not the program
+        for argv in (("tower", "lift", "--m", "2", "--n", "1", "--q", "4"),
+                     ("lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4",
+                      "--knot", "trefoil")):
+            plain = run_json(capsys, *argv, "--word", "x0 x1")
+            padded = run_json(capsys, *argv, "--word", "x0 (x5^2 x1 x1^-1 x5^-2)^-3 x1")
+            assert padded == plain
 
     def test_lift_generator(self, capsys):
         data = run_json(capsys, "tower", "lift", "--m", "2", "--n", "1",

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lambdatower
+from lambdatower import cli, covers
 from lambdatower.covers import (
     Cell,
     Character,
     CoverGraph,
     LiftComponent,
+    Program,
     ResourceCapExceeded,
     Tower,
     alpha_word,
@@ -24,6 +27,7 @@ from lambdatower.covers import (
     build_tower,
     character_f,
     component_loop_path,
+    derived_programs,
     enumerate_lifts,
     evaluate_character,
     free_reduce,
@@ -42,7 +46,12 @@ from lambdatower.covers import (
     word_monodromy,
 )
 
-from covers_oracle import local_triviality
+from covers_oracle import (
+    expand,
+    local_triviality,
+    reference_lift_profile,
+    reference_next_level,
+)
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 
@@ -660,3 +669,194 @@ def test_lift_behaviour_mismatches_match_full_loop(gen, a, b):
     assert report.mismatches == _reference_lift_behaviour(tower, 1)
     assert report.checked == 2 * 256
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# Levels by offsets, words as straight-line programs, and the sweeps over
+# whole tables, against the constructions they replaced.
+
+_PRIME_POWERS = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                 37, 41, 43, 47, 49, 53, 59, 61, 64)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_levels_by_offsets_match_reference(m):
+    # every (m, n, q) with m q^(2n) <= 10^6 and q <= 64: each level against
+    # the divmod construction applied to the level below
+    for q in _PRIME_POWERS:
+        n = 1
+        while m * q ** (2 * n + 2) <= 10 ** 6:
+            n += 1
+        tower = build_tower(m, n, q)
+        for below, level in zip(tower.levels, tower.levels[1:]):
+            want = reference_next_level(below, q)
+            assert level.cells == want.cells, (m, q)
+            for gen in range(m):
+                assert np.array_equal(level.perm(gen), want.perm(gen)), (m, q)
+                assert np.array_equal(level.perm_inv(gen),
+                                      np.argsort(want.perm(gen))), (m, q)
+
+
+def _leaf_words(m):
+    gens = st.integers(0, m - 1).map(lambda g: (f"x{g}", ((g, 1),)))
+    named = st.tuples(st.sampled_from(("alpha", "beta")),
+                      st.integers(0, 4)).map(
+        lambda nh: (f"{nh[0]}({nh[1]})",
+                    (alpha_word if nh[0] == "alpha" else beta_word)(nh[1])))
+    return st.one_of(gens, named)
+
+
+def _compound_words(children):
+    """Powers (negative exponents too), commutators and products of the
+    children, with the word each one spells by the word functions."""
+    power = st.tuples(children, st.integers(-3, 3)).map(
+        lambda c: (f"({c[0][0]})^{c[1]}", word_power(c[0][1], c[1])))
+    comm = st.tuples(children, children).map(
+        lambda c: (f"comm({c[0][0]}, {c[1][0]})",
+                   word_concat(c[0][1], c[1][1], word_inverse(c[0][1]),
+                               word_inverse(c[1][1]))))
+    product = st.lists(children, min_size=2, max_size=3).map(
+        lambda cs: (" ".join(c[0] for c in cs),
+                    word_concat(*(c[1] for c in cs))))
+    return st.one_of(power, comm, product)
+
+
+@st.composite
+def _lift_targets(draw, m):
+    """A tower's top level with its character, or a random permutation
+    graph on m generators with a random character."""
+    if draw(st.booleans()):
+        tower = _tower(m, draw(st.integers(1, 2)), draw(st.sampled_from((3, 4))))
+        modulus = draw(st.sampled_from((0, tower.q, tower.q ** 2)))
+        return tower.top, draw(st.sampled_from((None, character_f(tower).reduce(modulus))))
+    size = draw(st.integers(1, 40))
+    perms = [draw(st.permutations(range(size))) for _ in range(m)]
+    weights = draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, size - 1)),
+        st.integers(-3, 3), max_size=4))
+    char = Character.of(draw(st.sampled_from((0, 2, 5))), weights)
+    return CoverGraph(perms), char
+
+
+@given(st.data())
+@settings(max_examples=120)
+def test_programs_lift_like_their_words(data):
+    m = data.draw(st.sampled_from((2, 3)))
+    text, want = data.draw(st.recursive(_leaf_words(m), _compound_words,
+                                        max_leaves=6))
+    word, program = cli._WordParser("--word", text).parse()
+    # the parser's word is the one the word functions spell, and the
+    # program spells it before free reduction
+    assert word == cli.parse_word(text) == want
+    assert free_reduce(expand(program)) == word
+    graph, char = data.draw(_lift_targets(m))
+    got = lift_profile(graph, program, char)
+    assert [None if a is None else a.tolist() for a in got] == list(
+        reference_lift_profile(graph, word, char))
+
+
+@given(st.integers(2, 3000), st.integers(1, 4), st.data())
+@settings(max_examples=40)
+def test_lift_profile_orbit_labels_on_long_cycles(size, cycles, data):
+    # monodromies with a few long cycles, where the doubling runs longest
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(size)
+    cuts = np.sort(rng.choice(np.arange(1, size), min(cycles, size) - 1,
+                              replace=False))
+    perm = np.empty(size, dtype=np.int64)
+    for cycle in np.split(order, cuts):
+        perm[cycle] = np.roll(cycle, -1)
+    graph = CoverGraph([perm, rng.permutation(size)])
+    word = data.draw(st.lists(st.tuples(st.integers(0, 1),
+                                        st.sampled_from((1, -1))),
+                              min_size=1, max_size=4))
+    char = Character.of(data.draw(st.sampled_from((0, 3))),
+                        {(0, int(rng.integers(size))): 1,
+                         (1, int(rng.integers(size))): -2})
+    got = lift_profile(graph, word, char)
+    assert [a.tolist() for a in got] == list(
+        reference_lift_profile(graph, word, char))
+
+
+def test_derived_programs_spell_the_derived_words():
+    for n in range(6):
+        alpha, beta = derived_programs(n)
+        assert free_reduce(expand(alpha)) == alpha_word(n)
+        assert free_reduce(expand(beta)) == beta_word(n)
+
+
+def test_program_constructors_keep_flat_words_flat():
+    x0 = Program.word(((0, 1),))
+    assert x0.inverse().letters == ((0, -1),)
+    assert x0.power(-2).op == "pow" and x0.power(-2).parts[0].letters == ((0, -1),)
+    assert x0.power(1) is x0
+    assert Program.cat(x0, Program.word(())) is x0
+    assert Program.cat().letters == ()
+    commutator = derived_programs(2)[0]
+    assert commutator.inverse().inverse() is commutator
+    assert derived_programs(3)[0].generators() == {0, 1}
+
+
+def test_program_evaluation_frees_actions_as_it_goes():
+    # alpha(6) reads as many actions at once as alpha(3): the peak memory of
+    # the walk does not grow with the height
+    tower = _tower(2, 4, 4)
+    char = character_f(tower).reduce(16)
+    peaks = []
+    for n in (3, 6):
+        program = derived_programs(n)[0]
+        tracemalloc.start()
+        lift_profile(tower.top, program, char)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_lift_work_cap(monkeypatch):
+    tower = _tower(2, 2, 4)
+    program = derived_programs(3)[0]
+    # 22 compositions over 256 vertices
+    monkeypatch.setattr(covers, "LIFT_WORK_CAP", 22 * 256)
+    lift_profile(tower.top, program)
+    monkeypatch.setattr(covers, "LIFT_WORK_CAP", 22 * 256 - 1)
+    with pytest.raises(ResourceCapExceeded, match="work cap of 5631"):
+        lift_profile(tower.top, program)
+    with pytest.raises(ResourceCapExceeded, match="work cap"):
+        lift_profile(tower.top, alpha_word(3))  # 60 letters
+
+
+def _sorted_covering(perms, size):
+    return all(np.array_equal(np.sort(p), np.arange(size)) for p in perms)
+
+
+@given(st.integers(0, 30).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.lists(st.integers(-3, size + 2), min_size=size,
+                      max_size=size), min_size=1, max_size=3))))
+@settings(max_examples=200)
+def test_is_covering_by_counts_matches_the_sort(case):
+    size, perms = case
+    arrays = [np.asarray(p, dtype=np.int64) for p in perms]
+    # a table as given: the constructor's inverse scatter would reject
+    # values out of range
+    graph = CoverGraph(arrays, inverses=arrays)
+    assert graph.is_covering() == _sorted_covering(arrays, size)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_is_connected_matches_reference_on_large_graphs(seed):
+    # disjoint unions of random permutation blocks, so that the frontier
+    # meets one vertex along many edges at once; one block is connected
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(1, 4)
+    sizes = rng.integers(50, 400, size=blocks)
+    gens = int(rng.integers(1, 4))
+    perms = []
+    for _ in range(gens):
+        offset, parts = 0, []
+        for size in sizes:
+            parts.append(offset + rng.permutation(size))
+            offset += size
+        perms.append(np.concatenate(parts))
+    graph = CoverGraph(perms, basepoint=int(rng.integers(sizes.sum())))
+    assert graph.is_connected() == _reference_connected(graph)

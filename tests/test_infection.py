@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from lambdatower.covers import Character, build_tower, character_f
+from lambdatower import infection
+from lambdatower.covers import Character, build_tower, character_f, lift_profile
 from lambdatower.infection import (
     InfectedStringLink,
     PStructure,
@@ -72,6 +73,39 @@ class TestInfectedStringLink:
         assert x_infection(3, 2, twist_knot(1)).infection_word == ((2, 1),)
         link = tower_infection(2, 1, twist_knot(1))
         assert link.infection_word == ((0, 1), (1, 1), (0, -1), (1, -1))
+        # the tower word walks as its program; any other as its letters
+        assert link.program.op == "cat"
+        assert x_infection(3, 2, twist_knot(1)).program.letters == ((2, 1),)
+
+
+def test_lifts_grouped_once_in_first_seen_order(monkeypatch):
+    # each distinct nonzero (r, t) is evaluated once, in the order of its
+    # first lift, and every lift of it shares the one row
+    rng = random.Random(16)
+    weights = {(rng.randint(0, 1), rng.randrange(TOWER2.top.size)):
+               rng.randint(1, 15) for _ in range(40)}
+    structure = PStructure(TOWER2, Character.of(16, weights), 16)
+    link = InfectedStringLink(2, ((0, 1), (1, 1), (0, 1)), twist_knot(1))
+    calls = []
+    real = infection._contribution
+
+    def contribution(knot, r, d, t, full):
+        calls.append((r, t))
+        return real(knot, r, d, t, full)
+
+    monkeypatch.setattr(infection, "_contribution", contribution)
+    result = lambda_T(structure, link)
+    _, _, degrees, values = lift_profile(TOWER2.top, link.infection_word,
+                                         structure.theta)
+    pairs = list(zip(degrees.tolist(), values.tolist()))
+    assert [(row.r, row.theta_value) for row in result.per_lift] == pairs
+    firsts = list(dict.fromkeys(pair for pair in pairs if pair[1]))
+    assert calls == firsts
+    assert len({r for r, _ in firsts}) > 1 and len(firsts) > 4
+    shared = {}
+    for row in result.per_lift:
+        assert shared.setdefault((row.r, row.theta_value), row) is row
+    assert result.constant_c == sum(1 for _, t in pairs if t)
 
 
 class TestLocalKnotAnnihilation:
