@@ -5,17 +5,17 @@ at the level of the abelian invariants everything downstream consumes: the
 signature function sigma(omega) and the Arf invariant.  sigma has two
 independent evaluators that are cross-checked in tests: a hermitian matrix
 path at prime-power roots of unity, and a jump-profile path for the twist
-family with exact algebraic jump positions.  The matrix path certifies the
-inertia by one interval LDL^H with 2 x 2 block pivots, run in floats and
-then in mpmath at 64, 128, 256, ... bits up to the precision cap; it never
-builds an element of Q(zeta_d).  signature_sweep decides many roots of one
-order at once from the signs of the leading principal minors, over one
-certified cot table per order, and leaves only close calls to that cascade.
+family with exact algebraic jump positions.  The matrix path has one float
+stage: per (matrix, order) one cached pass decides every root of the order
+from the signs of the leading principal minors (Jacobi's rule), over one
+certified cot table per order, after a unimodular congruence that keeps
+every minor a nonzero polynomial.  The roots it leaves open go to an
+interval LDL^H with 2 x 2 block pivots in mpmath at 64, 128, 256, ... bits
+up to the precision cap.  Neither builds an element of Q(zeta_d).
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -213,75 +213,39 @@ def _matrix_of(matrix) -> SeifertMatrix:
     return SeifertMatrix.from_rows(matrix)
 
 
-# Stage 0 of omega_signature works in float intervals (lo, hi): every
-# operation rounds to nearest and then steps one ulp outward, so the result
-# encloses the exact result of the operation on the endpoints.
 _DOWN = -math.inf
 _UP = math.inf
 _next = math.nextafter
-# Integer entries below this size, and sums of two of them, are exact floats.
-_FLOAT_EXACT = 1 << 52
 
 
-def _f_add(a, b):
-    return _next(a[0] + b[0], _DOWN), _next(a[1] + b[1], _UP)
+def _ldl_signature(N) -> Optional[int]:
+    """Signature of a hermitian matrix by LDL^H in mpmath intervals, or None
+    when undecided.
 
-
-def _f_sub(a, b):
-    return _next(a[0] - b[1], _DOWN), _next(a[1] - b[0], _UP)
-
-
-def _f_mul(a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _next(min(p), _DOWN), _next(max(p), _UP)
-
-
-def _f_div(a, b):
-    """a / b for an interval b that excludes zero."""
-    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return _next(min(q), _DOWN), _next(max(q), _UP)
-
-
-def _f_sqr(a):
-    if a[0] >= 0:
-        return _next(a[0] * a[0], _DOWN), _next(a[1] * a[1], _UP)
-    if a[1] <= 0:
-        return _next(a[1] * a[1], _DOWN), _next(a[0] * a[0], _UP)
-    return 0.0, _next(max(a[0] * a[0], a[1] * a[1]), _UP)
-
-
-def _ldl_signature(add, sub, mul, div, sqr, lo, hi):
-    """Signature function of hermitian LDL^H over one interval arithmetic.
-
-    The real operations enclose the exact result on their operands (div only
-    by an interval that excludes zero), and lo and hi read an interval's
-    endpoints.  The returned function takes N as rows of complex intervals
-    (re, im) and returns its signature, or None when undecided.  Each step
-    takes the diagonal pivot farthest from zero.  When no diagonal entry can
-    be separated from zero, a 2 x 2 principal block whose determinant is
+    N is given as rows of complex intervals (re, im).  Each step takes the
+    diagonal pivot farthest from zero.  When no diagonal entry can be
+    separated from zero, a 2 x 2 principal block whose determinant is
     certified negative is eliminated instead (Bunch and Kaufman 1977): a
     hermitian 2 x 2 block of negative determinant has inertia (1, 1), so it
     adds 0 to the signature, and its Schur complement carries the rest of
     the inertia.  When every pivot is certified, the exact factorization
     with the same pivots exists, so by Sylvester's law they give the
     inertia and N is nonsingular.  A step with neither kind of pivot, or an
-    endpoint that overflows, leaves the answer to the next stage.
+    infinite endpoint, leaves the answer to the next precision.
     """
     def mignitude(x):  # least absolute value over x, 0 when x holds 0
-        return lo(x) if lo(x) > 0 else -hi(x) if hi(x) < 0 else 0
+        return x.a if x.a > 0 else -x.b if x.b < 0 else 0
 
     def c_mul(z, w):
-        return (sub(mul(z[0], w[0]), mul(z[1], w[1])),
-                add(mul(z[0], w[1]), mul(z[1], w[0])))
+        return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
     def c_mul_conj(z, w):  # z conj(w)
-        return (add(mul(z[0], w[0]), mul(z[1], w[1])),
-                sub(mul(z[1], w[0]), mul(z[0], w[1])))
+        return z[0] * w[0] + z[1] * w[1], z[1] * w[0] - z[0] * w[1]
 
     def c_abs2(z):
-        return add(sqr(z[0]), sqr(z[1]))
+        return z[0] ** 2 + z[1] ** 2
 
-    def eliminate(N, live, pivots, weights, form):
+    def eliminate(live, pivots, weights, form):
         """Drop the pivot block B on `pivots` from live and replace the live
         rows and columns of N by its Schur complement.  For row i with
         v = N[i, B], weights(v) is v B^-1 and form(v) the real number
@@ -293,15 +257,15 @@ def _ldl_signature(add, sub, mul, div, sqr, lo, hi):
         for i in live:
             for j in live:
                 if j == i:
-                    N[i][i] = (sub(N[i][i][0], form(rows[i])), N[i][i][1])
+                    N[i][i] = (N[i][i][0] - form(rows[i]), N[i][i][1])
                     continue
                 re, im = c_mul_conj(w[i][0], rows[j][0])
                 for wu, vu in zip(w[i][1:], rows[j][1:]):
                     r, m = c_mul_conj(wu, vu)
-                    re, im = add(re, r), add(im, m)
-                N[i][j] = (sub(N[i][j][0], re), sub(N[i][j][1], im))
+                    re, im = re + r, im + m
+                N[i][j] = (N[i][j][0] - re, N[i][j][1] - im)
 
-    def block_pivot(N, live):
+    def block_pivot(live):
         """Elimination step (pivots, weights, form) on the 2 x 2 block
         B = [[a, b], [conj(b), c]] on live indices with the most negative
         certified determinant D, or None when none is certified negative.
@@ -311,8 +275,8 @@ def _ldl_signature(add, sub, mul, div, sqr, lo, hi):
         best = None
         for x, k0 in enumerate(live):
             for k1 in live[x + 1:]:
-                det = sub(mul(N[k0][k0][0], N[k1][k1][0]), c_abs2(N[k0][k1]))
-                if hi(det) < 0 and (best is None or hi(det) < hi(best[2])):
+                det = N[k0][k0][0] * N[k1][k1][0] - c_abs2(N[k0][k1])
+                if det.b < 0 and (best is None or det.b < best[2].b):
                     best = (k0, k1, det)
         if best is None:
             return None
@@ -323,62 +287,34 @@ def _ldl_signature(add, sub, mul, div, sqr, lo, hi):
             v0, v1 = v
             x = c_mul_conj(v1, b)
             y = c_mul(b, v0)
-            return [tuple(div(sub(mul(c, v0[r]), x[r]), det) for r in (0, 1)),
-                    tuple(div(sub(mul(a, v1[r]), y[r]), det) for r in (0, 1))]
+            return [tuple((c * v0[r] - x[r]) / det for r in (0, 1)),
+                    tuple((a * v1[r] - y[r]) / det for r in (0, 1))]
 
         def form(v):
             v0, v1 = v
             cross = c_mul(b, c_mul_conj(v0, v1))[0]
-            q = sub(add(mul(c, c_abs2(v0)), mul(a, c_abs2(v1))),
-                    add(cross, cross))
-            return div(q, det)
+            return (c * c_abs2(v0) + a * c_abs2(v1) - (cross + cross)) / det
 
         return [k0, k1], weights, form
 
-    def signature(N):
-        live = list(range(len(N)))
-        sig = 0
-        while live:
-            k = max(live, key=lambda i: mignitude(N[i][i][0]))
-            p = N[k][k][0]
-            if mignitude(p):
-                sig += 1 if lo(p) > 0 else -1
-                step = ([k], lambda v: [(div(v[0][0], p), div(v[0][1], p))],
-                        lambda v: div(c_abs2(v[0]), p))
-            else:
-                step = block_pivot(N, live)
-                if step is None:
-                    return None
-            eliminate(N, live, *step)
-            if not all(_DOWN < lo(x) and hi(x) < _UP
-                       for i in live for j in live for x in N[i][j]):
+    live = list(range(len(N)))
+    sig = 0
+    while live:
+        k = max(live, key=lambda i: mignitude(N[i][i][0]))
+        p = N[k][k][0]
+        if mignitude(p):
+            sig += 1 if p.a > 0 else -1
+            step = ([k], lambda v: [(v[0][0] / p, v[0][1] / p)],
+                    lambda v: c_abs2(v[0]) / p)
+        else:
+            step = block_pivot(live)
+            if step is None:
                 return None
-        return sig
-
-    return signature
-
-
-_float_ldl = _ldl_signature(_f_add, _f_sub, _f_mul, _f_div, _f_sqr,
-                            operator.itemgetter(0), operator.itemgetter(1))
-_iv_ldl = _ldl_signature(operator.add, operator.sub, operator.mul,
-                         operator.truediv, lambda x: x ** 2,
-                         operator.attrgetter("a"), operator.attrgetter("b"))
-
-
-def _float_signature(rows: tuple, d: int, s: int) -> Optional[int]:
-    """Signature of M(zeta_d^s) by LDL^H of N in float intervals, or None
-    when undecided; entries that are not exact floats, and orders without
-    a cot table, defer at once."""
-    n = len(rows)
-    if any(abs(v) >= _FLOAT_EXACT for row in rows for v in row):
-        return None
-    table = cot_table(d)
-    if table is None:
-        return None
-    t = float(table[0][s]), float(table[1][s])
-    return _float_ldl([[((float(rows[i][j] + rows[j][i]),) * 2,
-                         _f_mul(t, (float(rows[j][i] - rows[i][j]),) * 2))
-                        for j in range(n)] for i in range(n)])
+        eliminate(live, *step)
+        if not all(_DOWN < x.a and x.b < _UP
+                   for i in live for j in live for x in N[i][j]):
+            return None
+    return sig
 
 
 def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]:
@@ -393,20 +329,20 @@ def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]
     with interval_precision(prec):
         phi = iv.pi * s / d
         t = iv.cos(phi) / iv.sin(phi)
-        return _iv_ldl([[(iv.mpf(rows[i][j] + rows[j][i]),
-                          t * (rows[j][i] - rows[i][j]))
-                         for j in range(n)] for i in range(n)])
+        return _ldl_signature([[(iv.mpf(rows[i][j] + rows[j][i]),
+                                 t * (rows[j][i] - rows[i][j]))
+                                for j in range(n)] for i in range(n)])
 
 
 @lru_cache(maxsize=1 << 16)
 def _omega_signature_cached(rows: tuple, d: int, s: int, cap: int) -> int:
-    """The signature under the precision cap `cap`, which is part of the key:
-    a value certified under a higher cap is never served under a lower one."""
+    """The signature of M(zeta_d^s) by _interval_signature at 64 bits,
+    doubling up to the precision cap `cap`, for the roots the float pass
+    leaves open; PrecisionExhausted beyond the cap.  The cap is part of the
+    key: a value certified under a higher cap is never served under a lower
+    one."""
     if s == 0:
         return 0
-    sig = _float_signature(rows, d, s)
-    if sig is not None:
-        return sig
     prec = START_PRECISION
     while prec <= cap:
         sig = _interval_signature(rows, d, s, prec)
@@ -421,19 +357,17 @@ def _omega_signature_cached(rows: tuple, d: int, s: int, cap: int) -> int:
 def omega_signature(matrix, d: int, s: int) -> int:
     """Signature of (1-w)A + (1-w^-1)A^T at w = zeta_d^s, certified.
 
-    The inertia is read off an interval LDL^H factorization in floats
-    rounded outward, then in mpmath at 64 bits, doubling up to the precision
-    cap; every stage that separates each pivot from zero gives the exact
-    signature, and PrecisionExhausted is raised when none does.  d must be
-    a prime power: det(A - A^T) = +-1 makes the Alexander polynomial a unit
-    at such roots, so M is nonsingular, enough bits always decide it, and
-    no jump-averaging is ever needed on this path.
+    signature_sweep(rows, d, [s])[0]: the float pass of the order d, then
+    the mpmath cascade if the pass leaves the root open.  d must be a prime
+    power: det(A - A^T) = +-1 makes the Alexander polynomial a unit at such
+    roots, so M is nonsingular, enough bits always decide it, and no
+    jump-averaging is ever needed on this path.
     """
     mat = _matrix_of(matrix)
     if not is_prime_power(d):
         raise ValueError(f"order {d} is not a prime power; "
                          f"use the profile path for other roots of unity")
-    return _omega_signature_cached(mat.rows, d, s % d, precision_cap())
+    return signature_sweep(mat.rows, d, [s])[0]
 
 
 # Relative half-width of the cached enclosure of t_n.  Its endpoints are
@@ -716,28 +650,69 @@ def _interpolate(values) -> tuple:
     return tuple(int(c) for c in coeffs)
 
 
+def _basis_change(a: list, k: int, j: int, l: int, sign: int) -> list:
+    """P^T a P for the integer unimodular P that swaps e_k and e_j, then
+    adds sign * e_l to the new e_k (l != k; sign 0 adds nothing)."""
+    b = [list(row) for row in a]
+    b[k], b[j] = b[j], b[k]
+    for row in b:
+        row[k], row[j] = row[j], row[k]
+    if sign:
+        b[k] = [x + sign * y for x, y in zip(b[k], b[l])]
+        for row in b:
+            row[k] += sign * row[l]
+    return b
+
+
+def _minor_poly(a: list, k: int) -> tuple:
+    """det N_k of the leading k x k block A_k of a, as an integer polynomial
+    in y = c^2, coefficients lowest first.
+
+    N_k = (1 - ic) A_k + (1 + ic) A_k^T.  With det(A_k + mu A_k^T) =
+    sum_m p_m mu^m, interpolated from k + 1 integer determinants, det N_k =
+    sum_m p_m (1 - ic)^(k-m) (1 + ic)^m, and its coefficient of c^n is
+    i^n sum_m p_m sum_j (-1)^j C(k-m, j) C(m, n-j).  det N_k is real, so
+    only the even n = 2h remain, with i^n = (-1)^h.
+    """
+    p = _interpolate([_int_det([[a[i][j] + mu * a[j][i] for j in range(k)]
+                                for i in range(k)]) for mu in range(k + 1)])
+    return tuple((-1) ** h * sum(
+        pm * sum((-1) ** j * math.comb(k - m, j) * math.comb(m, 2 * h - j)
+                 for j in range(min(k - m, 2 * h) + 1))
+        for m, pm in enumerate(p)) for h in range(k // 2 + 1))
+
+
+_FLOAT_BOUND = 1 << 1000  # minor coefficients from here on defer the pass
+
+
 @lru_cache(maxsize=1 << 10)
 def _leading_minors(rows: tuple) -> Optional[tuple]:
-    """The leading principal minors det N_k, k = 1..g, of N = S - i c K as
-    integer polynomials in y = c^2, coefficients lowest first, or None when
-    a coefficient is not an exact float.
+    """The leading principal minors det N_k, k = 1..g, of N = S - i c K for
+    P^T A P, as integer polynomials in y = c^2 (_minor_poly), or None
+    when a coefficient reaches _FLOAT_BOUND.
 
-    N_k = (1 - ic) A_k + (1 + ic) A_k^T for the leading k x k block A_k of
-    A.  With det(A_k + mu A_k^T) = sum_m p_m mu^m, interpolated from k + 1
-    integer determinants, det N_k = sum_m p_m (1 - ic)^(k-m) (1 + ic)^m, and
-    its coefficient of c^n is i^n sum_m p_m sum_j (-1)^j C(k-m, j) C(m, n-j).
-    det N_k is real, so only the even n = 2h remain, with i^n = (-1)^h.
+    P is a small integer unimodular matrix, chosen column by column so that
+    no minor is the zero polynomial, which would leave Jacobi's rule nothing
+    to read at any root (a zero diagonal of S, as in [[0,1],[0,0]], makes
+    det N_1 = 0).  Column k is the first of e_j, j >= k, then of e_j +- e_l,
+    l > k, that makes det N_k nonzero; the columns before it stay, and so
+    do the minors before it.  When there is none, e_k stays and its minor
+    is zero, which leaves every root to the cascade.  N of P^T A P is
+    P^T N P, so by Sylvester's law of inertia no signature changes.
     """
+    a, g = [list(row) for row in rows], len(rows)
     out = []
-    for k in range(1, len(rows) + 1):
-        a = [row[:k] for row in rows[:k]]
-        p = _interpolate([_int_det([[a[i][j] + mu * a[j][i] for j in range(k)]
-                                    for i in range(k)]) for mu in range(k + 1)])
-        poly = tuple((-1) ** h * sum(
-            pm * sum((-1) ** j * math.comb(k - m, j) * math.comb(m, 2 * h - j)
-                     for j in range(min(k - m, 2 * h) + 1))
-            for m, pm in enumerate(p)) for h in range(k // 2 + 1))
-        if any(abs(q) >= _FLOAT_EXACT for q in poly):
+    for k in range(g):
+        moves = [(j, k, 0) for j in range(k, g)] + [
+            (j, l, sign) for j in range(k, g) for l in range(k + 1, g)
+            for sign in (1, -1)]
+        for move in moves:
+            b = _basis_change(a, k, *move)
+            poly = _minor_poly(b, k + 1)
+            if any(poly):
+                a = b
+                break
+        if any(abs(q) >= _FLOAT_BOUND for q in poly):
             return None
         out.append(poly)
     return tuple(out)
@@ -754,15 +729,46 @@ def _minor_signs(minors: tuple, lo, hi) -> np.ndarray:
         y_hi = np.nextafter(np.maximum(lo * lo, hi * hi), _UP)
         signs = np.zeros((len(minors), len(lo)))
         for k, poly in enumerate(minors):
-            v_lo = v_hi = np.full(len(lo), float(poly[-1]))
-            for q in poly[-2::-1]:
+            # a coefficient beyond 2^53 is not a float: float(q) rounds it to
+            # nearest, so the ulps next to float(q) enclose it
+            v_lo = np.full(len(lo), _next(float(poly[-1]), _DOWN))
+            v_hi = np.full(len(lo), _next(float(poly[-1]), _UP))
+            for q in map(float, poly[-2::-1]):
                 # y >= 0, so v y is least at v_lo and greatest at v_hi
-                v_lo = np.nextafter(np.nextafter(
-                    np.minimum(v_lo * y_lo, v_lo * y_hi), _DOWN) + q, _DOWN)
-                v_hi = np.nextafter(np.nextafter(
-                    np.maximum(v_hi * y_lo, v_hi * y_hi), _UP) + q, _UP)
+                v_lo = np.nextafter(np.nextafter(np.minimum(
+                    v_lo * y_lo, v_lo * y_hi), _DOWN) + _next(q, _DOWN), _DOWN)
+                v_hi = np.nextafter(np.nextafter(np.maximum(
+                    v_hi * y_lo, v_hi * y_hi), _UP) + _next(q, _UP), _UP)
             signs[k] = np.where(v_lo > 0, 1.0, np.where(v_hi < 0, -1.0, 0.0))
     return signs
+
+
+@lru_cache(maxsize=1 << 8)
+def _float_pass(rows: tuple, d: int) -> Optional[tuple]:
+    """The signature of M(zeta_d^u) at every u < d, None where the float
+    pass leaves it undecided; or None for the whole order when d has no
+    cot table or a minor a coefficient beyond _FLOAT_BOUND.
+
+    One _minor_signs call over cot_table(d) decides u = 1..d/2.  Where no
+    minor is 0, Jacobi's rule gives the inertia: the pivots of the LDL^H of
+    N = M / (2 sin^2(pi u/d)) are det N_k / det N_(k-1), so N has as many
+    negative eigenvalues as 1, det N_1, ..., det N_g has sign changes.
+    M(zeta_d^(d-u)) is the conjugate of M(zeta_d^u), of the same signature,
+    and the minors, polynomials in cot^2, have the same enclosures there.
+    At u = 0, M = 0 and the signature is 0.
+    """
+    minors = _leading_minors(rows)
+    table = None if minors is None else cot_table(d)
+    if table is None:
+        return None
+    half = np.arange(1, d // 2 + 1)
+    signs = _minor_signs(minors, table[0][half], table[1][half])
+    before = np.concatenate([np.ones((1, len(half))), signs])[:-1]
+    changes = (signs * before < 0).sum(axis=0)
+    decided = (signs != 0).all(axis=0)
+    sigs = [len(rows) - 2 * c if ok else None
+            for ok, c in zip(decided.tolist(), changes.tolist())]
+    return (0, *sigs, *sigs[:(d - 1) // 2][::-1])
 
 
 def signature_sweep(rows: tuple, d: int, exponents) -> list:
@@ -770,34 +776,21 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
     certified; M must be nonsingular at each root but u = 0 (M = 0,
     signature 0).
 
-    All roots are first decided together from the signs of the leading
-    principal minors det N_k of N = M / (2 sin^2(pi u/d)) (_minor_signs,
-    over cot_table(d)).  Where none is 0, Jacobi's rule gives the inertia:
-    the pivots of the LDL^H of N are det N_k / det N_(k-1), so N has as
-    many negative eigenvalues as 1, det N_1, ..., det N_g has sign changes.
-    Every other root, and every root when d has no cot table or a minor a
-    coefficient beyond exact floats, goes through the cascade of
-    omega_signature under the precision cap.
+    Each root is read off the cached float pass of the whole order
+    (_float_pass).  A root it leaves open, and every root of an order
+    without a pass, goes through the mpmath cascade (_omega_signature_cached)
+    at its reduced order, under the precision cap.
     """
-    us = [u % d for u in exponents]
-    sigs = [None] * len(us)
-    minors = _leading_minors(rows)
-    table = None if minors is None else cot_table(d)
-    live = [i for i, u in enumerate(us) if u]
-    if table is not None and live:
-        at = [us[i] for i in live]
-        signs = _minor_signs(minors, table[0][at], table[1][at])
-        before = np.concatenate([np.ones((1, len(live))), signs])[:-1]
-        changes = (signs * before < 0).sum(axis=0)
-        decided = (signs != 0).all(axis=0)
-        for i, ok, c in zip(live, decided.tolist(), changes.tolist()):
-            if ok:
-                sigs[i] = len(rows) - 2 * c
+    row = _float_pass(rows, d)
     cap = precision_cap()
-    for i, u in enumerate(us):
-        if sigs[i] is None:
+    sigs = []
+    for u in exponents:
+        u %= d
+        sig = None if row is None else row[u]
+        if sig is None:
             g = math.gcd(u, d)
-            sigs[i] = _omega_signature_cached(rows, d // g, u // g, cap)
+            sig = _omega_signature_cached(rows, d // g, u // g, cap)
+        sigs.append(sig)
     return sigs
 
 

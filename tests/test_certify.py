@@ -147,9 +147,10 @@ class TestDualOracleMutation:
         monkeypatch.setattr(certify, "sigma_many", mutant)
         self.assert_caught(family_certificate(2, 3, 4))
 
-    def test_minor_sign_mutant(self, monkeypatch):
-        # the float pass inside the matrix sweep: the last leading minor
-        # with its sign flipped at every root it decides
+    @staticmethod
+    def flip_last_minor(monkeypatch):
+        """The float pass inside the matrix sweep, mutated: the last leading
+        minor with its sign flipped at every root it decides."""
         real = seifert._minor_signs
 
         def mutant(*args):
@@ -158,10 +159,27 @@ class TestDualOracleMutation:
             return signs
 
         monkeypatch.setattr(seifert, "_minor_signs", mutant)
+
+    def test_minor_sign_mutant(self, monkeypatch):
+        # The family search reads the same pass, so the family is built by
+        # the real one; the rows it cached are dropped, and the mutant then
+        # meets the dual oracle.
+        family = knotforge.build_family(2, 3, 4)
+        seifert._float_pass.cache_clear()
+        monkeypatch.setattr(certify, "build_family", lambda *args: family)
+        self.flip_last_minor(monkeypatch)
         cert = family_certificate(2, 3, 4)
         dual = [c["ok"] for c in cert.checks
                 if c["property"] == "dual_oracle_agreement"]
         assert False in dual
+        assert cert.verdict == "FAIL"
+
+    def test_minor_sign_mutant_fails_the_search(self, monkeypatch):
+        # the same mutant from the start: the windows the search reads are
+        # wrong, and no family is found
+        self.flip_last_minor(monkeypatch)
+        cert = family_certificate(2, 3, 4)
+        assert [c["property"] for c in cert.checks] == ["family_search"]
         assert cert.verdict == "FAIL"
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdatower import cli, covers, cyclo, seifert, witt
+from lambdatower import cli, covers, cyclo, witt
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
 from lambdatower.knotforge import FamilyEntry, KnotFamily
@@ -750,7 +750,6 @@ _NEAR_JUMP = ("sig", "--matrix", "[[-1,1],[0,-2]]", "--d", str(2 ** 150),
 
 
 def test_near_jump_signature_within_the_precision_cap(capsys):
-    seifert._omega_signature_cached.cache_clear()
     data = run_json(capsys, *_NEAR_JUMP)
     want = signature_profile(twist_knot(2)).evaluate(
         Fraction(int(_NEAR_JUMP[-1]), 2 ** 150))

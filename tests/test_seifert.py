@@ -1,15 +1,15 @@
 """Tests for Seifert matrices, signature functions, profiles, Arf invariants."""
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from lambdatower import cyclo, seifert
 from lambdatower.cli import main
@@ -35,14 +35,12 @@ from lambdatower.seifert import (
     twist_matrix,
     twist_cmp,
     twist_parameter,
+    signature_sweep,
     _encloses,
-    _f_add,
-    _f_div,
-    _f_mul,
-    _f_sqr,
-    _f_sub,
-    _float_signature,
+    _float_pass,
     _interval_signature,
+    _leading_minors,
+    _minor_signs,
     _twist_enclosure,
 )
 from lambdatower.witt import lambda_block, witt_invariants
@@ -242,9 +240,24 @@ def _with_zero_diagonal(rng, g):
     return SeifertMatrix.from_rows(rows)
 
 
+def _pass(rows, d, s):
+    """The float pass at one root: its signature, or None when it leaves the
+    root undecided or the order has no pass."""
+    row = _float_pass(rows, d)
+    return None if row is None else row[s]
+
+
+def _horner(poly, y):
+    value = Fraction(0)
+    for q in reversed(poly):
+        value = value * y + q
+    return value
+
+
 class TestFloatStage:
-    """Stage 0 of omega_signature, the float-interval LDL^H with 2 x 2 block
-    pivots, against the mpmath stage and the exact diagonalization."""
+    """The float pass of signature_sweep, over the leading principal minors
+    of a unimodular congruent of A, against the mpmath stage and the exact
+    diagonalization."""
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_stages_agree_on_random_matrices(self, g):
@@ -254,26 +267,28 @@ class TestFloatStage:
                 m = random_seifert(rng, g)
                 for s in spread_units(d, 2):
                     ref = _reference(m, d, s)
-                    assert _float_signature(m.rows, d, s) == ref, (m, d, s)
+                    assert _pass(m.rows, d, s) == ref, (m, d, s)
                     assert _interval_signature(m.rows, d, s, 64) == ref
                     assert omega_signature(m, d, s) == ref
 
     @pytest.mark.parametrize("d", [9, 16, 25, 27])
     def test_zero_diagonals_take_block_pivots(self, d):
-        # every diagonal entry of S is zero, so only 2 x 2 blocks can start
+        # every diagonal entry of S is zero: the pass reads the minors of a
+        # sheared basis, and the mpmath stage starts on 2 x 2 blocks
         rng = random.Random(40 + d)
         for g in (1, 2, 3):
             m = _with_zero_diagonal(rng, g)
+            assert all(any(poly) for poly in _leading_minors(m.rows))
             for s in spread_units(d, 2):
                 exact = exact_signature(m.rows, d, s)
-                assert _float_signature(m.rows, d, s) == exact, (m, d, s)
+                assert _pass(m.rows, d, s) == exact, (m, d, s)
                 assert _interval_signature(m.rows, d, s, 64) == exact
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12345, 10 ** 6, 2 ** 40])
     def test_near_cancelling_pivots(self, n):
         # At w = e^(2 pi i s/d) with s/d next to the jump t_n of twist(n),
-        # M(w) is nearly singular, so the second pivot nearly cancels; the
-        # float stage must decide it or defer, never err.  The jump profile
+        # M(w) is nearly singular, so the last minor nearly vanishes; the
+        # float pass must decide it or defer, never err.  The jump profile
         # gives the exact reference.
         matrix, profile = twist_matrix(n), signature_profile(twist_knot(n))
         t = _t_n(n)
@@ -282,39 +297,53 @@ class TestFloatStage:
             d = 2 ** k
             s = int(mpmath.nint(t * d)) | 1
             ref = profile.evaluate(Fraction(s, d))[0]
-            sig = _float_signature(matrix.rows, d, s)
+            sig = _pass(matrix.rows, d, s)
             assert sig in (None, ref), (n, d, s)
             decided.append(sig is not None)
             for prec in (64, 128):
                 staged = _interval_signature(matrix.rows, d, s, prec)
-                # the mpmath stage decides wherever the float stage does
+                # the mpmath stage decides wherever the float pass does
                 assert staged in ((None, ref) if sig is None else (ref,))
         assert decided[0]
-        if n < 100:  # within 2^-60 of t_n the pivot cancels below float resolution
+        if n < 100:  # within 2^-60 of t_n the minor cancels below float resolution
             assert not decided[-1]
 
     def test_out_of_float_range_defers(self):
-        # cot(pi/2^1000) times an entry overflows; entries of 2^60 are not
-        # exact floats.  Both go to the mpmath stage, which decides them.
+        # Entries of 2^60 give minor coefficients beyond exact floats; the
+        # pass encloses them and decides, as the 128-bit mpmath stage does.
         big = twist_matrix(2 ** 60)
-        cases = ((twist_matrix(1), 2 ** 1000, 1, 0), (big, 9, 2, -2))
+        assert max(abs(q) for poly in _leading_minors(big.rows)
+                   for q in poly) > 2 ** 53
+        for d in (9, 27, 2 ** 14):
+            for s in spread_units(d, 3):
+                ref = _interval_signature(big.rows, d, s, 128)
+                assert _pass(big.rows, d, s) == ref == -2, (d, s)
+        # cot(pi/2^1000) has no table, and entries of 2^4000 give minors
+        # beyond float range: both go to the mpmath stage, which decides them
+        cases = ((twist_matrix(1), 2 ** 1000, 1, 0),
+                 (twist_matrix(2 ** 4000), 9, 2, -2))
         for matrix, d, s, sig in cases:
-            assert _float_signature(matrix.rows, d, s) is None
+            assert _float_pass(matrix.rows, d) is None
             assert omega_signature(matrix, d, s) == sig
 
-    def test_zero_diagonal_out_of_float_range(self, capsys):
-        # entries of 2^60 defer the float stage, the zero diagonal leaves
-        # the mpmath stage only a block pivot, and Q(zeta_4099), over the
-        # degree cap, is never built
-        seifert._omega_signature_cached.cache_clear()
+    def test_zero_diagonal_out_of_float_range(self, capsys, monkeypatch):
+        # entries of 2^60 and a zero diagonal: the pass shears the basis and
+        # decides the root, the mpmath stage is never reached, and
+        # Q(zeta_4099), over the degree cap, is never built.  The mpmath
+        # stage alone decides it too, by a block pivot.
+        rows = ((0, 2 ** 60), (2 ** 60 - 1, 0))
+        assert _interval_signature(rows, 4099, 5, 64) == 0
+        monkeypatch.setattr(seifert, "_interval_signature", _refuse)
         argv = ["sig", "--matrix", f"[[0,{2 ** 60}],[{2 ** 60 - 1},0]]",
                 "--d", "4099", "--s", "5"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["sigma"] == 0
 
-    def test_unknot_needs_no_exact_path(self):
-        seifert._omega_signature_cached.cache_clear()
+    def test_unknot_needs_no_exact_path(self, monkeypatch):
+        # det N_1 = 0 for the unknot's own basis; a shear makes it 2
         unknot = SeifertMatrix.from_rows([[0, 1], [0, 0]])
+        assert _leading_minors(unknot.rows)[0] == (2,)
+        monkeypatch.setattr(seifert, "_interval_signature", _refuse)
         for d in (27, 243, 729):
             assert {omega_signature(unknot, d, s) for s in range(1, d)} == {0}
 
@@ -328,39 +357,41 @@ class TestFloatStage:
                                                monkeypatch, capsys):
         # the digests are the goldens the benchmark records for these argvs
         monkeypatch.setattr(seifert, "_interval_signature", _refuse)
-        seifert._omega_signature_cached.cache_clear()
         assert main(argv) == 0
         cert = json.loads(capsys.readouterr().out)
         assert (cert["verdict"], cert["content_hash"]) == ("PASS", digest)
 
-    def test_operations_enclose_exact_results(self):
-        """Each operation encloses the exact result of its endpoints, which
-        the result rounded to nearest alone does not: the test fails if any
-        outward step is one ulp smaller."""
+    def test_minor_signs_enclose_exact_values(self):
+        """Every sign _minor_signs decides holds, by exact evaluation, at
+        both ends of the interval of cot and at 0 when the interval holds
+        it.  Coefficients reach 2^80, beyond exact floats, and each
+        polynomial is built to nearly vanish at one end, so that evaluation
+        rounded to nearest, without the outward steps, gives wrong signs."""
         rng = random.Random(9)
-        binary = ((_f_add, operator.add), (_f_sub, operator.sub),
-                  (_f_mul, operator.mul), (_f_div, operator.truediv))
-
-        def draw():
-            x = rng.uniform(-8, 8) * 10 ** rng.randint(-3, 3)
-            y = x + abs(rng.uniform(0, 1)) * rng.choice((0, 1))
-            return (x, y)
-
-        for _ in range(3000):
-            a, b = draw(), draw()
-            for op, exact in binary:
-                if op is _f_div and a[0] <= 0 <= a[1]:
-                    a = (abs(a[0]) + 0.5, abs(a[1]) + 0.5)
-                lo, hi = op(b, a)
-                for x in b:
-                    for y in a:
-                        value = exact(Fraction(x), Fraction(y))
-                        assert Fraction(lo) <= value <= Fraction(hi), (op, b, a)
-            lo, hi = _f_sqr(b)
-            squares = [Fraction(x) ** 2 for x in b]
-            assert Fraction(lo) <= min(squares) and max(squares) <= Fraction(hi)
-            if b[0] < 0 < b[1]:
-                assert lo <= 0
+        minors, ends = [], []
+        for _ in range(400):
+            lo = rng.uniform(-8, 8) * 10 ** rng.randint(-2, 2)
+            hi = lo + rng.choice((0.0, abs(lo) * 2.0 ** -rng.randint(20, 52)))
+            y = Fraction(rng.choice((lo, hi))) ** 2
+            top = [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 80))
+                   for _ in range(rng.randint(0, 3))]
+            near = -round(_horner([0] + top, y))
+            minors.append((near + rng.randint(-2, 2) * rng.getrandbits(
+                rng.randint(0, 40)), *top))
+            ends.append((lo, hi))
+        lo, hi = (np.array(x) for x in zip(*ends))
+        # row k of _minor_signs is minor k at every interval: read minor k
+        # at its own interval k
+        signs = np.diagonal(_minor_signs(tuple(minors), lo, hi))
+        decided = 0
+        for sign, poly, (a, b) in zip(signs, minors, ends):
+            if not sign:
+                continue
+            decided += 1
+            for c in [a, b] + ([0.0] if a <= 0 <= b else []):
+                value = _horner(poly, Fraction(c) ** 2)
+                assert sign * value > 0, (poly, a, b, c)
+        assert decided > 200
 
     def test_cot_enclosures_contain_cot(self):
         """The cached float enclosures contain cot(pi s/d); rounding the
@@ -372,6 +403,43 @@ class TestFloatStage:
                 for s in units[::max(1, len(units) // 40)]:
                     cot = mpmath.cot(mpmath.pi * s / d)
                     assert lo[s] <= cot <= hi[s] and lo[s] < hi[s], (d, s)
+
+
+_CORPUS_ORDERS = tuple(d for d in range(2, (1 << 14) + 1) if is_prime_power(d))
+
+
+@st.composite
+def _corpus_matrices(draw):
+    """Seifert matrices of genus g <= 4, entries up to 50 in size, over the
+    standard symplectic A - A^T, so det(A - A^T) = 1; about a third have
+    every diagonal entry zero."""
+    n = 2 * draw(st.sampled_from((1, 2, 3, 4)))
+    zero = draw(st.sampled_from((True, False, False)))
+    entry = st.integers(-50, 50)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 0 if zero else draw(entry)
+        for j in range(i + 1, n):
+            a[i][j] = draw(entry)
+            a[j][i] = a[i][j] - (j == i + 1 and i % 2 == 0)
+    return SeifertMatrix.from_rows(a)
+
+
+@seed(2007)
+@settings(max_examples=60)
+@given(_corpus_matrices(), st.sampled_from(_CORPUS_ORDERS), st.data())
+def test_float_pass_decides_the_corpus(matrix, d, data):
+    """The float pass decides every root of the order, and signature_sweep
+    answers with the cascade refused, equal to the exact or the 128-bit
+    reference at the sampled roots."""
+    row = _float_pass(matrix.rows, d)
+    assert row is not None and None not in row
+    us = data.draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=3))
+    with mock.patch.object(seifert, "_omega_signature_cached", _refuse):
+        sigs = signature_sweep(matrix.rows, d, us)
+    roots = [Fraction(u, d) for u in us]
+    assert sigs == [_reference(matrix, u.denominator, u.numerator)
+                    for u in roots]
 
 
 def _t_n(n, dps=60):
@@ -642,17 +710,35 @@ class TestWholeOrderSweeps:
             [sigma_details(knot, d, s).value for s in range(d)]
 
     def test_sigma_many_defers_entries_beyond_floats(self, monkeypatch):
-        # entries of 2^60 give minors beyond exact floats: no float pass,
-        # the cascade decides each root
+        # entries of 2^60 give minor coefficients beyond exact floats: the
+        # float pass encloses them and decides every root, as the 128-bit
+        # mpmath stage does
         big = [SeifertMatrix.from_rows(rows) for rows in (
             [[-1, 1], [0, -2 ** 60]], [[0, 2 ** 60], [2 ** 60 - 1, 0]])]
         knot = FormalKnot(tuple(Atom(m, c, 1) for m in big for c in (1, 2)))
+
+        def at_128_bits(rows, d, s):
+            u = Fraction(s % d, d)
+            return _interval_signature(rows, u.denominator, u.numerator,
+                                       128) if u else 0
+
+        want = {d: [sum(at_128_bits(a.matrix.rows, d, s * a.cable)
+                        for a in knot.atoms) for s in range(d)]
+                for d in (8, 27)}
+        monkeypatch.setattr(seifert, "_interval_signature", _refuse)
+        for d in (8, 27):
+            assert sigma_many(knot, d, range(d)) == want[d]
+        # entries of 2^4000 give minors beyond float range: no float pass,
+        # the cascade decides each root
+        monkeypatch.undo()
+        huge = FormalKnot.of(Atom(twist_matrix(2 ** 4000)),
+                             Atom(twist_matrix(2 ** 4000), 2, -1))
         calls = []
         monkeypatch.setattr(seifert, "_minor_signs",
                             lambda *a: calls.append(a))
         for d in (8, 27):
-            assert sigma_many(knot, d, range(d)) == \
-                [sigma_details(knot, d, s).value for s in range(d)]
+            assert sigma_many(huge, d, range(d)) == \
+                [sigma_details(huge, d, s).value for s in range(d)]
         assert calls == []
 
     def test_sigma_many_near_jump_and_precision_cap(self):

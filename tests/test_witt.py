@@ -540,12 +540,28 @@ class TestBlockInvariants:
 
         def mutant(minors, lo, hi):
             signs = real(minors, lo, hi).copy()
-            signs[-1, 0] = -signs[-1, 0]  # the last minor at the first root
+            # the last minor at the first column, u = 1 (and so d - 1) of
+            # every order, which the example (TREFOIL, 2, 2, 1) reads
+            signs[-1, 0] = -signs[-1, 0]
             return signs
 
         monkeypatch.setattr(seifert, "_minor_signs", mutant)
+        seifert._float_pass.cache_clear()  # a cached row would hide it
         with pytest.raises(AssertionError):
             test_block_invariants_match_the_exact_form()
+
+    @pytest.mark.parametrize("A", [((0, 2), (1, 1)), ((0, 1), (0, 0))])
+    def test_zero_leading_minors_need_no_cascade(self, A, monkeypatch):
+        # S_00 = 2 A_00 = 0: the float pass reads a congruent basis.  The
+        # second matrix has det A = 0 and is built and diagonalized.
+        want = {(r, d): witt_invariants(lambda_block(A, r, d, 1))
+                for r in range(1, 5) for d in (128, 243, 256)}
+
+        def refuse(*args):
+            raise AssertionError("the cascade ran")
+
+        monkeypatch.setattr(seifert, "_omega_signature_cached", refuse)
+        assert {key: block_invariants(A, *key, 1) for key in want} == want
 
     @pytest.mark.parametrize("case", _NONSINGULAR)
     def test_nonsingular_forms_are_never_built(self, case, monkeypatch):
