@@ -11,6 +11,7 @@ import csv
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -347,20 +348,40 @@ class _JsonWriter:
             self.seen.add(id(obj))
             self._container(obj, depth, out)
         else:
-            text = self.rendered.get((id(obj), depth))
-            if text is None:
-                part = []
-                self._container(obj, depth, part)
-                text = self.rendered[id(obj), depth] = "".join(part)
-            out.append(text)
+            out.append(self._text(obj, depth))
+
+    def _text(self, obj, depth: int) -> str:
+        text = self.rendered.get((id(obj), depth))
+        if text is None:
+            part = []
+            self._container(obj, depth, part)
+            text = self.rendered[id(obj), depth] = "".join(part)
+        return text
+
+    def _flush(self, out: list) -> None:
+        if out is self.pending:
+            self.stream.write("".join(out))
+            out.clear()
 
     def _container(self, obj, depth: int, out: list) -> None:
         is_dict = isinstance(obj, dict)
         if not obj:
             out.append("{}" if is_dict else "[]")
             return
-        head, pad = "{" if is_dict else "[", "\n" + "  " * (depth + 1)
-        for item in sorted(obj.items()) if is_dict else obj:
+        pad = "\n" + "  " * (depth + 1)
+        if is_dict:
+            self._items(sorted(obj.items()), True, "{", pad, depth, out)
+        elif isinstance(obj[0], _CONTAINERS):
+            self._rows(obj, pad, depth, out)
+        else:
+            self._items(obj, False, "[", pad, depth, out)
+        out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
+
+    def _items(self, items, is_dict: bool, head: str, pad: str, depth: int,
+               out: list) -> None:
+        """The entries of a container, the first after head and the others
+        after a comma, each on its own line."""
+        for item in items:
             if is_dict:
                 key, item = item
                 head += pad + _key(key) + ": "
@@ -373,10 +394,35 @@ class _JsonWriter:
                 out.append(head)
                 self._value(item, depth + 1, out)
             head = ","
-            if len(out) >= _BATCH and out is self.pending:
-                self.stream.write("".join(out))
-                out.clear()
-        out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
+            if len(out) >= _BATCH:
+                self._flush(out)
+
+    def _rows(self, rows, pad: str, depth: int, out: list) -> None:
+        """A list that starts with a container, as tables of rows do.  Each
+        container it holds more than once is rendered once, and a batch of
+        _BATCH rows that are all such goes out as one join over their ids;
+        any other batch goes entry by entry."""
+        ids = list(map(id, rows))
+        distinct = dict(zip(ids, rows))
+        if len(distinct) == len(ids):
+            self._items(rows, False, "[", pad, depth, out)
+            return
+        times = Counter(ids)
+        texts = {}
+        for key, row in distinct.items():
+            if times[key] > 1 and isinstance(row, _CONTAINERS):
+                self.seen.add(key)
+                texts[key] = self._text(row, depth + 1)
+        head, sep = "[", "," + pad
+        for start in range(0, len(rows), _BATCH):
+            batch = ids[start:start + _BATCH]
+            if all(map(texts.__contains__, batch)):
+                out.append(head + pad + sep.join(map(texts.__getitem__, batch)))
+                self._flush(out)
+            else:
+                self._items(rows[start:start + _BATCH], False, head, pad,
+                            depth, out)
+            head = ","
 
 
 def _emit(payload: dict, rows, fmt: str, stream) -> None:

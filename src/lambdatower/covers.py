@@ -199,6 +199,27 @@ class Cell:
     orientation: int
 
 
+# The dtype of every vertex index: tables, actions, orbit labels and the
+# positions of the connectivity sweep.  build_tower refuses towers of
+# TOWER_EDGE_CEILING edges or more, so that every vertex and every sweep
+# step (fewer than twice the edges) fits.  Character sums are sums of
+# weights, not vertices, and stay int64.
+VERTEX = np.int32
+_VERTEX_RANGE = np.iinfo(VERTEX)
+
+
+def _vertex_table(table) -> np.ndarray:
+    """table as a VERTEX array; a value outside VERTEX raises ValueError
+    rather than wrap around into range."""
+    array = np.asarray(table)
+    if array.dtype != VERTEX:
+        if array.size and not (_VERTEX_RANGE.min <= array.min()
+                               and array.max() <= _VERTEX_RANGE.max):
+            raise ValueError(f"vertex table holds values outside {VERTEX.__name__}")
+        array = array.astype(VERTEX)
+    return array
+
+
 # Vertices per scatter in _inverse_table: the chunk's index array is the
 # only temporary, so large levels peak no higher than with argsort.
 _SCATTER_CHUNK = 1 << 16
@@ -227,7 +248,7 @@ class CoverGraph:
                  basepoint: int = 0, inverses: Optional[Sequence] = None):
         """inverses, when given, must be the inverse tables of perms; they
         are built by scatters otherwise."""
-        arrays = tuple(np.asarray(p, dtype=np.int64) for p in perms)
+        arrays = tuple(_vertex_table(p) for p in perms)
         if not arrays:
             raise ValueError("a cover graph needs at least one generator")
         size = arrays[0].shape[0]
@@ -239,7 +260,8 @@ class CoverGraph:
         self.generators = len(arrays)
         self.cells = cells
         self.basepoint = basepoint
-        self._inverses = (tuple(inverses) if inverses is not None
+        self._inverses = (tuple(_vertex_table(p) for p in inverses)
+                          if inverses is not None
                           else tuple(_inverse_table(p) for p in arrays))
 
     def perm(self, gen: int) -> np.ndarray:
@@ -252,12 +274,20 @@ class CoverGraph:
         return self.generators * self.size
 
     def is_covering(self) -> bool:
-        """Whether every table is a permutation: its values lie in range
-        and none of them repeats, counted in O(n) without a sort."""
-        return self.size == 0 or all(
-            p.min() >= 0 and p.max() < self.size
-            and np.bincount(p, minlength=self.size).max() == 1
-            for p in self.perms)
+        """Whether every table is a permutation: its values lie in range and
+        hit every vertex, which n values in range(n) do only without
+        repeats; one bool scatter each, without a sort or a count."""
+        if self.size == 0:
+            return True
+        hit = np.empty(self.size, dtype=bool)
+        for p in self.perms:
+            if p.min() < 0 or p.max() >= self.size:
+                return False
+            hit[:] = False
+            hit[p] = True
+            if not hit.all():
+                return False
+        return True
 
     def is_connected(self) -> bool:
         """Whether every vertex is reached from the basepoint, by a
@@ -267,14 +297,14 @@ class CoverGraph:
         vertex kept at the one position that its owner stamp names."""
         seen = np.zeros(self.size, dtype=bool)
         seen[self.basepoint] = True
-        owner = np.empty(self.size, dtype=np.int64)
-        frontier = np.array([self.basepoint], dtype=np.int64)
+        owner = np.empty(self.size, dtype=VERTEX)
+        frontier = np.array([self.basepoint], dtype=VERTEX)
         reached = 1
         while frontier.size:
             step = np.concatenate([table[frontier]
                                    for table in self.perms + self._inverses])
             step = step[~seen[step]]
-            position = np.arange(step.size)
+            position = np.arange(step.size, dtype=VERTEX)
             owner[step] = position
             frontier = step[owner[step] == position]
             seen[frontier] = True
@@ -311,7 +341,7 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
     """
     c_cell, d_cell = graph.cells
     n = graph.size
-    offsets = np.arange(q * q, dtype=np.int64) * n
+    offsets = np.arange(q * q, dtype=VERTEX) * n
     perms, inverses = [], []
     for gen in range(graph.generators):
         perm = (offsets[:, None] + graph.perm(gen)).ravel()
@@ -334,6 +364,8 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
 
 
 DEFAULT_CAP_EDGES = 10 ** 7  # top-level edges build_tower allows by default
+# Top-level edges build_tower refuses whatever its cap, so that VERTEX fits.
+TOWER_EDGE_CEILING = 1 << 30
 # Vertex steps lift_profile allows by default: program compositions (a
 # letter counts as one) times the vertices of the cover it walks.  It is
 # thirty compositions over the largest two-generator top level that the edge
@@ -370,7 +402,8 @@ class Tower:
 
 def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> Tower:
     """The height-n tower on the first two generators; extra generators lift
-    as deck-equivariant loops.  Refuses to build past the edge budget."""
+    as deck-equivariant loops.  Refuses to build past the edge budget, or
+    at TOWER_EDGE_CEILING edges whatever the budget, before it allocates."""
     if m < 2:
         raise InputError("m", f"need at least two circles, got m = {m}")
     if n < 0:
@@ -381,7 +414,11 @@ def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> T
     if top_edges > cap_edges:
         raise ResourceCapExceeded(
             f"top level would have {top_edges} edges, over the cap {cap_edges}")
-    base = CoverGraph([np.zeros(1, dtype=np.int64) for _ in range(m)],
+    if top_edges >= TOWER_EDGE_CEILING:
+        raise ResourceCapExceeded(
+            f"top level would have {top_edges} edges, not under the ceiling "
+            f"of {TOWER_EDGE_CEILING} edges for {VERTEX.__name__} vertices")
+    base = CoverGraph([np.zeros(1, dtype=VERTEX) for _ in range(m)],
                       (Cell(0, 0, 1), Cell(1, 0, 1)))
     levels = [base]
     for _ in range(n):
@@ -412,7 +449,7 @@ def lift_word(graph: CoverGraph, word: Sequence[tuple], start: int) -> tuple:
 
 def word_monodromy(graph: CoverGraph, word: Sequence[tuple]) -> np.ndarray:
     """End vertices of the word's lifts at every start vertex at once."""
-    v = np.arange(graph.size)
+    v = np.arange(graph.size, dtype=VERTEX)
     for gen, exp in word:
         table = graph.perm(gen) if exp == 1 else graph.perm_inv(gen)
         v = table[v]
@@ -544,7 +581,7 @@ def _walk(graph: CoverGraph, letters: Sequence[tuple], weighted: dict,
           start: Optional[tuple]) -> tuple:
     """The action after walking the letters from start (None: the identity),
     one gather per letter."""
-    current, acc = start or (np.arange(graph.size, dtype=np.int64), None)
+    current, acc = start or (np.arange(graph.size, dtype=VERTEX), None)
     owned = False
     for gen, exp in letters:
         if exp == 1:
@@ -635,8 +672,9 @@ def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
     computed on all fibres at once.
 
     word is a tuple of letters or a Program.  Returns (starts, ends,
-    degrees, values) as int64 arrays with one entry per component, in the
-    order enumerate_lifts lists them: start is the least vertex of the
+    degrees, values), arrays with one entry per component (starts and ends
+    of VERTEX dtype, degrees and values int64), in the order
+    enumerate_lifts lists them: start is the least vertex of the
     component, end the end of the word's lift there, degree the component's
     covering degree, and value the character on the full component loop,
     reduced by its modulus (values is None without a character).  It agrees
@@ -665,7 +703,7 @@ def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
     # A doubling that changes no label leaves every label final: label[v] <=
     # label[step[v]] for all v then holds with equality around each cycle of
     # step, whose windows of 2^j vertices cover the orbit.
-    identity = np.arange(size, dtype=np.int64)
+    identity = np.arange(size, dtype=VERTEX)
     label = identity
     step = current
     for _ in range(max(size - 1, 0).bit_length()):
@@ -674,7 +712,7 @@ def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
             break
         label = doubled
         step = step[step]
-    starts = np.flatnonzero(label == identity)
+    starts = np.flatnonzero(label == identity).astype(VERTEX)
     degrees = np.bincount(label, minlength=size)[starts]
     values = None
     if char is not None:
@@ -759,7 +797,7 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
     build_tower guarantees and audit_tower checks as the covering condition.
     """
     width = graph.size // prev.size
-    lifts = np.arange(width, dtype=np.int64)
+    lifts = np.arange(width, dtype=VERTEX)
     letters = {}  # (symbol, exponent) -> the collapsed letter at every lift
     crossings = []  # (prefix length, sort key, cell source, letters)
     for i, (gen, exp) in enumerate(word):

@@ -217,6 +217,14 @@ class TestTowerCommands:
         assert code == 3
         assert "cap" in err
 
+    def test_edge_ceiling(self, capsys):
+        # 2^65 edges: refused on the int32 ceiling whatever --cap-edges says
+        code, out, err = run(capsys, "tower", "build", "--m", "2", "--n", "8",
+                             "--q", "16", "--cap-edges", str(10 ** 30))
+        assert code == 3
+        assert "ceiling" in err and "Traceback" not in err
+        assert out == ""
+
     def test_negative_cap_edges(self, capsys):
         code, out, err = run(capsys, "tower", "build", "--m", "2", "--n", "1",
                              "--q", "4", "--cap-edges", "-1")
@@ -1019,6 +1027,29 @@ def test_json_writer_streams_in_batches():
     cli._emit(payload, None, "json", Stream())
     assert sum(writes) == len(_dumped(payload))
     assert len(writes) > 10 and max(writes) < sum(writes) / 10
+
+
+def test_json_writer_joins_repeated_rows():
+    # rows from three shared dicts over several batches, one batch broken
+    # by unique rows and a scalar, and rows that repeat elsewhere too
+    inner = {"sign": -1}
+    shared = [{"r": 1, "witt": None}, {"r": 2, "witt": [inner, inner]},
+              {"r": 3, "witt": {"a": inner}}]
+    rows = [shared[i % 3] for i in range(3 * cli._BATCH + 5)]
+    mixed = [{"first": "unique"}] + rows + [17]
+    mixed[cli._BATCH + 7] = {"r": 4, "unique": [inner]}
+    payload = {"rows": rows, "mixed": mixed, "tuple": tuple(mixed[-9:]),
+               "again": [shared[0], {"deeper": [shared[1], shared[1]]}]}
+    assert _written(payload) == _dumped(payload)
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(len(text))
+
+    cli._emit({"rows": rows}, None, "json", Stream())
+    assert sum(writes) == len(_dumped({"rows": rows}))
+    assert len(writes) > 3 and max(writes) < sum(writes) / 2
 
 
 # Commands whose stdout was diffed against the pure-Python encoder's.

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import lambdatower
 from lambdatower import cli, covers
+from lambdatower.certify import tower_certificate
 from lambdatower.covers import (
     Cell,
     Character,
@@ -185,6 +186,21 @@ class TestCoverGraph:
         split = CoverGraph([np.array([0, 1])])
         assert not split.is_connected()
 
+    def test_tables_outside_the_vertex_dtype_are_refused(self):
+        # narrowed as they are, 2^32 + 1 would wrap to 1 and make [1, 0] a
+        # permutation
+        for table in (np.array([2 ** 32 + 1, 0]), [2 ** 32 + 1, 0],
+                      np.array([0, -2 ** 31 - 1])):
+            with pytest.raises(ValueError, match="outside int32"):
+                CoverGraph([table])
+        with pytest.raises(ValueError, match="outside int32"):
+            CoverGraph([np.array([1, 0])], inverses=[np.array([2 ** 32 + 1, 0])])
+        edge = np.iinfo(np.int32)
+        table = np.array([edge.max, edge.min, 0])
+        graph = CoverGraph([table], inverses=[table])  # given, not scattered
+        assert graph.perm(0).tolist() == [edge.max, edge.min, 0]
+        assert not graph.is_covering()
+
     def test_betti(self):
         wedge = CoverGraph([np.zeros(1, dtype=np.int64)] * 2)
         assert wedge.betti1() == 2
@@ -237,6 +253,32 @@ class TestBuildTower:
     def test_resource_cap(self):
         with pytest.raises(ResourceCapExceeded):
             build_tower(2, 4, 4, cap_edges=1000)
+
+    def test_edge_ceiling(self, monkeypatch):
+        # every vertex and every connectivity step (under twice the edges)
+        # of a tower under the ceiling fits the vertex dtype
+        assert 2 * covers.TOWER_EDGE_CEILING - 1 <= np.iinfo(covers.VERTEX).max
+        # 2 * 16^16 = 2^65 edges, refused before any allocation whatever
+        # the cap
+        with pytest.raises(ResourceCapExceeded, match="ceiling"):
+            build_tower(2, 8, 16, cap_edges=10 ** 30)
+        monkeypatch.setattr(covers, "TOWER_EDGE_CEILING", 512)
+        with pytest.raises(ResourceCapExceeded, match="ceiling of 512"):
+            build_tower(2, 2, 4)
+        monkeypatch.setattr(covers, "TOWER_EDGE_CEILING", 513)
+        assert build_tower(2, 2, 4).top.edge_count() == 512
+
+    def test_vertex_arrays_are_int32(self):
+        tower = build_tower(3, 2, 4)
+        for graph in tower.levels:
+            for gen in range(graph.generators):
+                assert graph.perm(gen).dtype == graph.perm_inv(gen).dtype == np.int32
+        program = derived_programs(2)[0]
+        starts, ends, degrees, values = lift_profile(
+            tower.top, program, character_f(tower))
+        assert starts.dtype == ends.dtype == np.int32
+        assert degrees.dtype == values.dtype == np.int64
+        assert word_monodromy(tower.top, alpha_word(1)).dtype == np.int32
 
     def test_deterministic(self):
         a, b = build_tower(2, 2, 4), build_tower(2, 2, 4)
@@ -557,7 +599,7 @@ def test_inverse_tables_match_argsort(graph):
     for gen in range(graph.generators):
         want = np.argsort(graph.perm(gen), kind="stable")
         assert np.array_equal(graph.perm_inv(gen), want)
-        assert graph.perm_inv(gen).dtype == want.dtype
+        assert graph.perm_inv(gen).dtype == graph.perm(gen).dtype == covers.VERTEX
 
 
 @pytest.mark.parametrize("size", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 200_003])
@@ -860,3 +902,46 @@ def test_is_connected_matches_reference_on_large_graphs(seed):
         perms.append(np.concatenate(parts))
     graph = CoverGraph(perms, basepoint=int(rng.integers(sizes.sum())))
     assert graph.is_connected() == _reference_connected(graph)
+
+
+# Memory bounds under tracemalloc, which counts numpy's buffers and is
+# deterministic.  Each bound sits between the int32 tables and the int64
+# tables they replaced (in brackets).
+
+_MIB = 1 << 20
+
+
+def _traced(work):
+    """(result, bytes held at the end, peak bytes) of work()."""
+    tracemalloc.start()
+    try:
+        result = work()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_tower_tables_memory():
+    # four tables of 531,441 vertices at the top, 8.1 MiB (16.2)
+    _, held, _ = _traced(lambda: build_tower(2, 2, 27))
+    assert held <= 9 * _MIB
+
+
+def test_tower_certificate_memory():
+    # 11.2 MiB (21.8): no sort and no count in the covering check
+    _, _, peak = _traced(lambda: tower_certificate(2, 2, 27))
+    assert peak <= 14 * _MIB
+
+
+def test_height_five_lift_profile_memory():
+    # the tower and the program walk of alpha(5) over 2^20 vertices,
+    # 77.2 MiB (114.2)
+    def work():
+        tower = build_tower(2, 5, 4)
+        return lift_profile(tower.top, derived_programs(5)[0],
+                            character_f(tower).reduce(4),
+                            work_cap=tower.work_cap)
+
+    _, _, peak = _traced(work)
+    assert peak <= 85 * _MIB
