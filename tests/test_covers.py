@@ -42,6 +42,8 @@ from lambdatower.covers import (
 from lambdatower.covers import (
     _active_fiber,
     _collapse_survey,
+    _connected_from_below,
+    _reduce_groups,
     _gamma_add,
     _normal_forms,
     word_monodromy,
@@ -197,15 +199,37 @@ class TestCoverGraph:
             CoverGraph([np.array([1, 0])], inverses=[np.array([2 ** 32 + 1, 0])])
         edge = np.iinfo(np.int32)
         table = np.array([edge.max, edge.min, 0])
-        graph = CoverGraph([table], inverses=[table])  # given, not scattered
+        graph = CoverGraph([table], inverses=[table])
         assert graph.perm(0).tolist() == [edge.max, edge.min, 0]
         assert not graph.is_covering()
 
+    @pytest.mark.parametrize("table", [[3, 0, 1], [2 ** 31 - 1, -2 ** 31, 0]])
+    def test_tables_outside_the_vertex_range_are_not_covers(self, table):
+        # with its inverses scattered or given, such a table is accepted
+        # and is neither a covering nor connected, by the sweep or from the
+        # level below
+        base = CoverGraph([np.zeros(1, dtype=np.int32)])
+        for graph in (CoverGraph([table]), CoverGraph([table], inverses=[table])):
+            assert graph.perm(0).tolist() == table
+            assert not graph.is_covering()
+            assert not graph.is_connected()
+            assert _connected_from_below(graph, base) is False
+            tower = Tower(1, 1, 3, [base, graph])
+            assert tower.connected == (True, False)
+            audit = audit_tower(tower)
+            assert not audit.passed
+            assert [c["ok"] for c in audit.checks
+                    if c["check"] == "connected"] == [True, False]
+
     def test_betti(self):
         wedge = CoverGraph([np.zeros(1, dtype=np.int64)] * 2)
-        assert wedge.betti1() == 2
         double = CoverGraph([np.array([1, 0]), np.array([0, 1])])
-        assert double.betti1() == 3
+        split = CoverGraph([np.array([0, 1]), np.array([0, 1])])
+        tower = Tower(2, 2, 3, [wedge, double, split])
+        assert tower.betti1(0) == 2
+        assert tower.betti1(1) == 3
+        with pytest.raises(ValueError, match="disconnected"):
+            tower.betti1(2)
 
     def test_json_round_trip(self):
         graph = build_tower(2, 1, 4).top
@@ -228,7 +252,7 @@ class TestBuildTower:
         tower = build_tower(3, 1, 4)
         assert tower.top.size == 16
         assert tower.top.edge_count() == 48
-        assert tower.top.betti1() == 33
+        assert tower.betti1(1) == 33
 
     def test_height_zero(self):
         tower = build_tower(2, 0, 4)
@@ -703,6 +727,22 @@ def test_collapse_survey_every_level():
                     _forward_collapse_survey(graph, prev, q, word)), (m, n, q, k)
 
 
+@given(st.lists(st.lists(st.sampled_from((-2, -1, 1, 2)), max_size=16),
+                min_size=1, max_size=12))
+@settings(max_examples=150)
+def test_reduce_groups_matches_free_reduce(groups):
+    # groups of signed letter codes over a two-letter alphabet, so that
+    # cancellations nest deeply; empty groups are no groups of a survey
+    groups = [g for g in groups if g] or [[1]]
+    codes = np.array([c for g in groups for c in g], dtype=np.int32)
+    heads = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    kept, depths = _reduce_groups(codes, heads)
+    want = [free_reduce((abs(c), 1 if c > 0 else -1) for c in g)
+            for g in groups]
+    assert depths.tolist() == [len(w) for w in want]
+    assert kept.tolist() == [gen * exp for w in want for gen, exp in w]
+
+
 @pytest.mark.parametrize("gen,a,b", [(0, 0, 1), (1, 0, 37), (0, 64, 200),
                                      (0, 5, 250), (1, 17, 18)])
 def test_lift_behaviour_mismatches_match_full_loop(gen, a, b):
@@ -902,6 +942,141 @@ def test_is_connected_matches_reference_on_large_graphs(seed):
         perms.append(np.concatenate(parts))
     graph = CoverGraph(perms, basepoint=int(rng.integers(sizes.sum())))
     assert graph.is_connected() == _reference_connected(graph)
+
+
+def _tiled(tower, k, shifts, given_inverses=False):
+    """The tower with level k rebuilt as q^2 copies of level k - 1, where
+    the column (gen, u) of each shift goes to the copy moved by its deck
+    element; with given_inverses, each table is given as its own inverse
+    table, so that the edges of the level are not symmetric."""
+    below, q = tower.levels[k - 1], tower.q
+    n, copies = below.size, np.arange(q * q)
+    perms = [(copies[:, None] * n + below.perm(gen)).ravel()
+             for gen in range(below.generators)]
+    for gen, u, (da, db) in shifts:
+        perms[gen][copies * n + u] = (_gamma_add(copies, da, db, q) * n
+                                      + below.perm(gen)[u])
+    levels = list(tower.levels)
+    levels[k] = CoverGraph(perms, levels[k].cells,
+                           inverses=perms if given_inverses else None)
+    return Tower(tower.m, tower.n, q, levels)
+
+
+def _small_copies(rng):
+    """A two-level tower: a random permutation graph on a few vertices, then
+    copies of it in which about a quarter of the table entries move, either
+    among themselves (the tables stay permutations) or to random vertices;
+    the copies' tables are given as their own inverses half the time, so
+    that their edges need not be symmetric."""
+    m, n, width = (int(rng.integers(1, 3)), int(rng.integers(1, 5)),
+                   int(rng.integers(1, 6)))
+    base = CoverGraph([rng.permutation(n) for _ in range(m)])
+    perms = []
+    for p in base.perms:
+        perm = (np.arange(width)[:, None] * n + p).ravel()
+        moved = np.flatnonzero(rng.random(perm.size) < 0.25)
+        perm[moved] = (rng.permutation(perm[moved]) if rng.integers(2)
+                       else rng.integers(perm.size, size=moved.size))
+        perms.append(perm)
+    level = CoverGraph(perms, inverses=perms if rng.integers(2) else None,
+                       basepoint=int(rng.integers(n * width)))
+    return Tower(m, 1, 3, [base, level])
+
+
+def _connectivity_case(seed):
+    """A built tower, a _swapped one, one with a _tiled level of 0 to 2
+    shifted columns, or _small_copies, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(5)
+    if kind == 4:
+        return _small_copies(rng)
+    m = int(rng.integers(2, 4))
+    q, n = ((3, 3), (4, 2), (4, 3), (5, 2), (7, 2))[rng.integers(5)]
+    tower = _tower(m, n, q)
+    k = int(rng.integers(1, n + 1))
+    if kind == 1:
+        size = tower.levels[k].size
+        tower = _swapped(tower, k, int(rng.integers(m)),
+                         int(rng.integers(size)), int(rng.integers(size)))
+    elif kind >= 2:
+        below = tower.levels[k - 1].size
+        shifts = [(int(rng.integers(m)), int(rng.integers(below)),
+                   tuple(rng.integers(q, size=2).tolist()))
+                  for _ in range(rng.integers(3))]
+        tower = _tiled(tower, k, shifts, given_inverses=kind == 3)
+    return tower
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100)
+def test_level_connectivity_matches_depth_first_search(seed):
+    tower = _connectivity_case(seed)
+    assert tower.connected == tuple(_reference_connected(graph)
+                                    for graph in tower.levels)
+
+
+def test_level_proof_and_sweep_fallback_both_run():
+    # proof outcomes per level above the base: True or False when the
+    # level is proved from the level below, None when the sweep decides
+    outcomes = Counter()
+    for seed in range(100):
+        tower = _connectivity_case(seed)
+        for k in range(1, len(tower.levels)):
+            outcomes[_connected_from_below(tower.levels[k],
+                                           tower.levels[k - 1])] += 1
+        assert tower.connected == tuple(_reference_connected(graph)
+                                        for graph in tower.levels)
+    assert outcomes[True] and outcomes[False] and outcomes[None]
+
+
+@pytest.mark.parametrize("below,level", [
+    # copy 1 of the first table loops where copy 0 swaps, so its columns
+    # are not fixed, and the fixed columns do not connect the level below
+    (([[1, 0], [0, 1]], None), ([[1, 0, 2, 3], [2, 1, 0, 3]], None)),
+    # a fixed column whose reverse is not fixed: the edges of the copies
+    # are one-way, and the copy graph would call the level connected
+    (([[1, 2, 0]], None), ([[1, 2, 5, 4, 5, 2]], [[1, 2, 5, 4, 5, 2]])),
+    # inverse tables below that are not the inverses: 1 reaches 0 in no
+    # copy, although 0 reaches 1 in each and the copy graph is connected
+    (([[1, 1], [0, 1]], [[0, 1], [0, 1]]),
+     ([[1, 1, 3, 3], [0, 3, 2, 1]], [[0, 1, 2, 3], [0, 3, 2, 1]])),
+])
+def test_level_proof_declines_what_it_cannot_prove(below, level):
+    below, level = (CoverGraph(perms, inverses=inverses)
+                    for perms, inverses in (below, level))
+    assert _connected_from_below(level, below) is None
+    assert not _reference_connected(level)
+    assert Tower(below.generators, 1, 3, [below, level]).connected[1] is False
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 16])
+def test_fixed_columns_match_a_loop(chunk, monkeypatch):
+    # blocks of one copy, of a few copies and of every copy
+    monkeypatch.setattr(covers, "_SCATTER_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for _ in range(20):
+        n, width = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        below = rng.permutation(n).astype(np.int32)
+        table = (np.arange(width)[:, None] * n + below).ravel()
+        moved = rng.random(table.size) < 0.1
+        table[moved] = rng.integers(-2, n * width + 2, size=moved.sum())
+        table = table.astype(np.int32)
+        want = [all(table[c * n + u] == c * n + below[u] for c in range(width))
+                for u in range(n)]
+        assert covers._fixed_columns(table, below, width).tolist() == want
+
+
+def test_tower_levels_are_proved_from_below(monkeypatch):
+    # a built tower sweeps its base level only, in the audit and in
+    # `tower build`, also where the copies are compared in several blocks
+    calls = []
+    sweep = CoverGraph.is_connected
+    monkeypatch.setattr(CoverGraph, "is_connected",
+                        lambda graph: calls.append(graph.size) or sweep(graph))
+    assert audit_tower(build_tower(2, 2, 27)).passed
+    assert calls == [1]
+    assert cli.main(["tower", "build", "--m", "3", "--n", "3", "--q", "4"]) == 0
+    assert calls == [1, 1]
 
 
 # Memory bounds under tracemalloc, which counts numpy's buffers and is
