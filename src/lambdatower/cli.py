@@ -646,121 +646,169 @@ def _tower_flags(parser: argparse.ArgumentParser) -> None:
                         help="prime power > 2 controlling each step")
 
 
+def _sig_flags(parser: argparse.ArgumentParser) -> None:
+    _knot_input(parser)
+    parser.add_argument("--d", type=int, required=True, help="root order")
+    parser.add_argument("--s", type=int, required=True, help="root exponent")
+
+
+def _witt_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--matrix",
+                       help="integer Seifert-type matrix for the block form")
+    group.add_argument("--form",
+                       help="hermitian matrix over the cyclotomic field")
+    parser.add_argument("--d", type=int, required=True, help="cyclotomic order")
+    parser.add_argument("--r", type=int, default=1,
+                        help="block count (with --matrix)")
+    parser.add_argument("--t", type=int, default=1,
+                        help="twist exponent (with --matrix)")
+
+
+def _hilbert_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", required=True, help="first rational argument")
+    parser.add_argument("--b", required=True, help="second rational argument")
+    parser.add_argument("--q", required=True,
+                        help="prime, or inf for the real place")
+
+
+def _tower_build_flags(parser: argparse.ArgumentParser) -> None:
+    _tower_flags(parser)
+    parser.add_argument("--full", action="store_true",
+                        help="embed the full graph data")
+
+
+def _tower_lift_flags(parser: argparse.ArgumentParser) -> None:
+    _tower_flags(parser)
+    parser.add_argument("--word", required=True, help="free-group word to lift")
+    parser.add_argument("--level", type=int, default=None,
+                        help="covering level (default: top)")
+
+
+def _lambda_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tower", required=True,
+                        help="tower parameters, e.g. n=1,q=4 (m defaults to 2)")
+    parser.add_argument("--theta", required=True,
+                        help="character, e.g. f-mod-4")
+    parser.add_argument("--word", required=True, help="infection word")
+    parser.add_argument("--knot", required=True,
+                        help="infection knot (name, twist:n, or JSON)")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--disc", action="store_true",
+                       help="require discriminant-level output")
+    group.add_argument("--signatures-only", action="store_true",
+                       help="skip discriminant-level output")
+
+
+def _family_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", type=int, required=True, help="base prime")
+    parser.add_argument("--count", type=int, required=True, help="family size")
+    parser.add_argument("--d-seed", type=int, required=True, help="first order")
+
+
+def _independence_flags(parser: argparse.ArgumentParser) -> None:
+    _tower_flags(parser)
+    parser.add_argument("--family", default=None, metavar="FILE",
+                        help="family JSON file (default: build a 3-knot family)")
+
+
+def _z2_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--primes", default=None,
+                        help="comma-separated dual primes (default 3,7,11,19)")
+
+
+# Every command that runs a handler, in the order of the help: its path of
+# subcommand names -> (help line, what adds its own flags, handler).  The
+# common flags follow its own.
+_LEAVES = {
+    ("sig",): ("signature at a root of unity", _sig_flags, _cmd_sig),
+    ("arf",): ("Arf invariant", _knot_input, _cmd_arf),
+    ("witt",): ("Witt invariants of a hermitian form", _witt_flags, _cmd_witt),
+    ("hilbert",): ("Hilbert symbol at a place", _hilbert_flags, _cmd_hilbert),
+    ("tower", "build"): ("build a tower and report sizes", _tower_build_flags,
+                         _cmd_tower_build),
+    ("tower", "lift"): ("lift a word to a covering level", _tower_lift_flags,
+                        _cmd_tower_lift),
+    ("tower", "verify"): ("audit a tower and emit a certificate", _tower_flags,
+                          _cmd_tower_verify),
+    ("lambda",): ("Witt-class invariant of an infected link", _lambda_flags,
+                  _cmd_lambda),
+    ("reproduce", "family"): ("build and audit the knot family", _family_flags,
+                              _cmd_reproduce_family),
+    ("reproduce", "independence"): ("triangular sign-matrix certificate",
+                                    _independence_flags,
+                                    _cmd_reproduce_independence),
+    ("reproduce", "z2"): ("norm-residue symbol pattern certificate", _z2_flags,
+                          _cmd_reproduce_z2),
+}
+_GROUPS = {"tower": "iterated cover tools",
+           "reproduce": "run a reproduction driver"}
+
+
+def _fill(parser: argparse.ArgumentParser, path: tuple) -> None:
+    """Give parser the flags and the handler of the leaf at path."""
+    _, flags, handler = _LEAVES[path]
+    flags(parser)
+    _common_flags(parser)
+    parser.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree of subcommands."""
     parser = argparse.ArgumentParser(
         prog="lambdatower",
         description="Signatures, covering towers, and Witt-class invariants "
                     "of infected string links.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("sig", help="signature at a root of unity")
-    _knot_input(p)
-    p.add_argument("--d", type=int, required=True, help="root order")
-    p.add_argument("--s", type=int, required=True, help="root exponent")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_sig)
-
-    p = sub.add_parser("arf", help="Arf invariant")
-    _knot_input(p)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_arf)
-
-    p = sub.add_parser("witt", help="Witt invariants of a hermitian form")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--matrix",
-                       help="integer Seifert-type matrix for the block form")
-    group.add_argument("--form",
-                       help="hermitian matrix over the cyclotomic field")
-    p.add_argument("--d", type=int, required=True, help="cyclotomic order")
-    p.add_argument("--r", type=int, default=1, help="block count (with --matrix)")
-    p.add_argument("--t", type=int, default=1,
-                   help="twist exponent (with --matrix)")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_witt)
-
-    p = sub.add_parser("hilbert", help="Hilbert symbol at a place")
-    p.add_argument("--a", required=True, help="first rational argument")
-    p.add_argument("--b", required=True, help="second rational argument")
-    p.add_argument("--q", required=True, help="prime, or inf for the real place")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_hilbert)
-
-    p = sub.add_parser("tower", help="iterated cover tools")
-    tower_sub = p.add_subparsers(dest="tower_command", required=True)
-
-    t = tower_sub.add_parser("build", help="build a tower and report sizes")
-    _tower_flags(t)
-    t.add_argument("--full", action="store_true",
-                   help="embed the full graph data")
-    _common_flags(t)
-    t.set_defaults(handler=_cmd_tower_build)
-
-    t = tower_sub.add_parser("lift", help="lift a word to a covering level")
-    _tower_flags(t)
-    t.add_argument("--word", required=True, help="free-group word to lift")
-    t.add_argument("--level", type=int, default=None,
-                   help="covering level (default: top)")
-    _common_flags(t)
-    t.set_defaults(handler=_cmd_tower_lift)
-
-    t = tower_sub.add_parser("verify", help="audit a tower and emit a certificate")
-    _tower_flags(t)
-    _common_flags(t)
-    t.set_defaults(handler=_cmd_tower_verify)
-
-    p = sub.add_parser("lambda", help="Witt-class invariant of an infected link")
-    p.add_argument("--tower", required=True,
-                   help="tower parameters, e.g. n=1,q=4 (m defaults to 2)")
-    p.add_argument("--theta", required=True,
-                   help="character, e.g. f-mod-4")
-    p.add_argument("--word", required=True, help="infection word")
-    p.add_argument("--knot", required=True,
-                   help="infection knot (name, twist:n, or JSON)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--disc", action="store_true",
-                       help="require discriminant-level output")
-    group.add_argument("--signatures-only", action="store_true",
-                       help="skip discriminant-level output")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_lambda)
-
-    p = sub.add_parser("reproduce", help="run a reproduction driver")
-    rep_sub = p.add_subparsers(dest="reproduce_command", required=True)
-
-    r = rep_sub.add_parser("family", help="build and audit the knot family")
-    r.add_argument("--p", type=int, required=True, help="base prime")
-    r.add_argument("--count", type=int, required=True, help="family size")
-    r.add_argument("--d-seed", type=int, required=True, help="first order")
-    _common_flags(r)
-    r.set_defaults(handler=_cmd_reproduce_family)
-
-    r = rep_sub.add_parser("independence",
-                           help="triangular sign-matrix certificate")
-    _tower_flags(r)
-    r.add_argument("--family", default=None, metavar="FILE",
-                   help="family JSON file (default: build a 3-knot family)")
-    _common_flags(r)
-    r.set_defaults(handler=_cmd_reproduce_independence)
-
-    r = rep_sub.add_parser("z2", help="norm-residue symbol pattern certificate")
-    r.add_argument("--primes", default=None,
-                   help="comma-separated dual primes (default 3,7,11,19)")
-    _common_flags(r)
-    r.set_defaults(handler=_cmd_reproduce_z2)
-
+    groups = {}
+    for path, (text, _, _) in _LEAVES.items():
+        parent = sub
+        if len(path) == 2:
+            if path[0] not in groups:
+                group = sub.add_parser(path[0], help=_GROUPS[path[0]])
+                groups[path[0]] = group.add_subparsers(
+                    dest=f"{path[0]}_command", required=True)
+            parent = groups[path[0]]
+        _fill(parent.add_parser(path[-1], help=text), path)
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # Parsing leaves no state in the parser, so one built per process serves
-    # every call of main; building it costs more than most scalar queries.
-    return build_parser()
+@lru_cache(maxsize=len(_LEAVES) + 1)  # every leaf and the whole tree
+def _parser(path: tuple) -> argparse.ArgumentParser:
+    """The parser of the leaf at path alone, or the whole tree for ().
+
+    A leaf parser has the prog, flags and defaults that the leaf has in the
+    tree, and the tree hands a leaf's arguments to it unchanged, so it
+    parses, prints help and reports errors as the tree does; only arguments
+    it does not know are reported by the tree's top level.  Parsing leaves
+    no state in a parser, so one built per process serves every call of
+    main; building the tree costs more than most scalar queries.
+    """
+    if not path:
+        return build_parser()
+    parser = argparse.ArgumentParser(prog=" ".join(("lambdatower",) + path))
+    _fill(parser, path)
+    parser.set_defaults(**dict(zip(("subcommand", f"{path[0]}_command"), path)))
+    return parser
+
+
+def _command_path(argv) -> tuple:
+    """The leaf that the leading tokens of argv name, or () for none."""
+    for path in (tuple(argv[:1]), tuple(argv[:2])):
+        if path in _LEAVES:
+            return path
+    return ()
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    path = _command_path(argv)
     try:
-        args = _parser().parse_args(argv)
+        args, extras = _parser(path).parse_known_args(argv[len(path):])
+        if extras:
+            # the tree's top level reports them, under its own usage
+            args = _parser(()).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     old_cap = None

@@ -11,6 +11,7 @@ two edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
@@ -328,11 +329,13 @@ class CoverGraph:
 
     def is_connected(self) -> bool:
         """Whether every vertex is reached from the basepoint along the
-        edges of every label in both directions (_reached).  A table with a
-        value outside range(size) names no edge of this graph, so such a
-        graph is not connected."""
+        edges of every label in both directions (_reached).  A graph with
+        no vertex, or with its basepoint outside range(size), is not
+        connected; nor is one whose table holds a value outside range(size),
+        which names no edge of this graph."""
         tables = self.perms + self._inverses
-        if not all(_in_range(table, self.size) for table in tables):
+        if not (0 <= self.basepoint < self.size
+                and all(_in_range(table, self.size) for table in tables)):
             return False
         return _reached(tables, self.size, self.basepoint) == self.size
 
@@ -398,44 +401,52 @@ def _fixed_columns(table: np.ndarray, below: np.ndarray, width: int) -> np.ndarr
     return fixed
 
 
-def _connected_from_below(graph: CoverGraph, below: CoverGraph) -> Optional[bool]:
-    """graph.is_connected(), proved from the level below when graph is
-    copies of it re-glued along a few columns, as every tower level is;
-    None when that proof does not apply.
+def _level_from_below(graph: CoverGraph, below: CoverGraph) -> tuple:
+    """(graph.is_covering(), graph.is_connected()), proved from the level
+    below when graph is copies of it re-glued along a few columns, as every
+    tower level is; an entry is None where its proof does not apply.
 
     Call a column (table, u) fixed when the table sends vertex u of every
-    copy c to c n + below's table at u (_fixed_columns).  The fixed columns
-    give every copy the same local arcs; when below is a permutation with
-    its inverses and a fixed column's reverse is fixed too, those arcs are
-    symmetric, and if they connect below, every copy is connected.  Then
-    the basepoint reaches exactly the copies that its copy reaches along
-    the other columns: a sweep over the width-node copy graph.
+    copy c to c n + below's table at u (_fixed_columns), and the values in
+    the other columns moved.  Both proofs need below's tables to be
+    permutations with their inverses.  Then the fixed values of a table are
+    distinct, so the table is a permutation exactly when its moved values
+    lie in range and sort equal to the vertices c n + below's table at u,
+    for every copy c and moved column u, which the fixed values miss.
+    The fixed columns give every copy the same local arcs; when a fixed
+    column's reverse is fixed too, those arcs are symmetric, and if they
+    connect below, every copy is connected.  Then the basepoint reaches
+    exactly the copies that its copy reaches along the moved columns: a
+    sweep over the width-node copy graph.
     """
     n = below.size
-    if (n == 0 or graph.size % n or graph.generators != below.generators
-            or not 0 <= graph.basepoint < graph.size):
-        return None
+    if n == 0 or graph.size % n or graph.generators != below.generators:
+        return None, None
     width = graph.size // n
     identity = np.arange(n, dtype=VERTEX)
-    columns = []  # (table of graph, table of below, fixed columns)
+    tables = []  # (table of below, fixed columns, moved values), in pairs
     for p, i, perm, inverse in zip(below.perms, below._inverses, graph.perms,
                                    graph._inverses):
         if not (_in_range(p, n) and _in_range(i, n)
                 and np.array_equal(i[p], identity)):
-            return None
-        fixed_p = _fixed_columns(perm, p, width)
-        fixed_i = _fixed_columns(inverse, i, width)
-        if not np.array_equal(fixed_p, fixed_i[p]):
-            return None
-        columns += [(perm, p, fixed_p), (inverse, i, fixed_i)]
-    local = [np.where(fixed, low, identity) for _, low, fixed in columns]
-    if _reached(local, n, 0) < n:
-        return None
-    crossing = np.concatenate([table.reshape(width, n)[:, ~fixed].T
-                               for table, _, fixed in columns])
-    if not _in_range(crossing, graph.size):
-        return False
-    return _reached(crossing // n, width, graph.basepoint // n) == width
+            return None, None
+        for table, low in ((perm, p), (inverse, i)):
+            fixed = _fixed_columns(table, low, width)
+            tables.append((low, fixed, table.reshape(width, n)[:, ~fixed]))
+    in_range = [_in_range(moved, graph.size) for _, _, moved in tables]
+    copies = np.arange(width, dtype=VERTEX)[:, None] * n
+    covering = all(ok and np.array_equal(np.sort(moved, axis=None),
+                                         (copies + np.sort(low[~fixed])).ravel())
+                   for (low, fixed, moved), ok in zip(tables[::2], in_range[::2]))
+    symmetric = all(np.array_equal(fixed_p, fixed_i[p]) for (p, fixed_p, _),
+                    (_, fixed_i, _) in zip(tables[::2], tables[1::2]))
+    local = [np.where(fixed, low, identity) for low, fixed, _ in tables]
+    if not symmetric or _reached(local, n, 0) < n:
+        return covering, None
+    if not (all(in_range) and 0 <= graph.basepoint < graph.size):
+        return covering, False
+    crossing = np.concatenate([moved.T for _, _, moved in tables]) // n
+    return covering, _reached(crossing, width, graph.basepoint // n) == width
 
 
 DEFAULT_CAP_EDGES = 10 ** 7  # top-level edges build_tower allows by default
@@ -459,7 +470,6 @@ class Tower:
         self.q = q
         self.levels = tuple(levels)
         self.cap_edges = cap_edges
-        self._connected = None
 
     @property
     def work_cap(self) -> int:
@@ -471,19 +481,30 @@ class Tower:
     def top(self) -> CoverGraph:
         return self.levels[-1]
 
+    @cached_property
+    def _checked(self) -> tuple:
+        """(covering, connected) per level, computed once: level k from
+        level k - 1 where _level_from_below proves it, by the scatters of
+        CoverGraph.is_covering and the sweep of CoverGraph.is_connected
+        otherwise."""
+        checks = []
+        for k, graph in enumerate(self.levels):
+            covering, connected = (_level_from_below(graph, self.levels[k - 1])
+                                   if k else (None, None))
+            checks.append((graph.is_covering() if covering is None else covering,
+                           graph.is_connected() if connected is None
+                           else connected))
+        return tuple(zip(*checks))
+
+    @property
+    def covering(self) -> tuple:
+        """Whether each level's tables are permutations (_checked)."""
+        return self._checked[0]
+
     @property
     def connected(self) -> tuple:
-        """Whether each level is connected, computed once: level k from
-        level k - 1 where _connected_from_below applies, by the sweep of
-        CoverGraph.is_connected otherwise."""
-        if self._connected is None:
-            flags = []
-            for k, graph in enumerate(self.levels):
-                proof = (_connected_from_below(graph, self.levels[k - 1])
-                         if k else None)
-                flags.append(graph.is_connected() if proof is None else proof)
-            self._connected = tuple(flags)
-        return self._connected
+        """Whether each level is connected (_checked)."""
+        return self._checked[1]
 
     def betti1(self, k: int) -> int:
         """First Betti number of level k, edges - vertices + 1."""
@@ -856,7 +877,7 @@ def audit_tower(tower: Tower) -> TowerAudit:
         expected_size = tower.q ** (2 * k)
         checks.append({"check": "level_size", "level": k, "value": graph.size,
                        "ok": graph.size == expected_size})
-        covering = graph.is_covering()
+        covering = tower.covering[k]
         checks.append({"check": "covering_condition", "level": k, "ok": covering})
         connected = tower.connected[k]
         checks.append({"check": "connected", "level": k, "ok": connected})
@@ -871,16 +892,19 @@ def audit_tower(tower: Tower) -> TowerAudit:
     return TowerAudit(all(c["ok"] for c in checks), tuple(checks))
 
 
-def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
-                     word: Sequence[tuple]) -> dict:
+def _collapse_codes(graph: CoverGraph, prev: CoverGraph, q: int,
+                    word: Sequence[tuple]) -> tuple:
     """Collapsed lifts of a word based at every vertex of graph at once.
 
     Contracting every copy of the cut graph prev inside graph keeps only the
     lifts of the two distinguished edges; each crossing becomes a letter
     ("c" or "d", copy index of the cell, exponent), where a cell with
-    reversed orientation is based one step below its edge's copy.  Returns a
-    mapping from start vertex to its reduced collapsed word, omitting
-    vertices whose collapse is empty.
+    reversed orientation is based one step below its edge's copy.  A letter
+    is coded as exponent * (symbol index * width + copy + 1), so that a
+    letter cancels its negative (_letters decodes).  Returns (starts,
+    depths, codes): the start vertices whose reduced collapsed word is not
+    empty, in increasing order, the length of each one's word, and the
+    codes of those words joined in the same order.
 
     Only the q^2 lifts of each cell can be crossed, so the survey walks back
     from them: the letter at position i crosses the lift with source u from
@@ -895,8 +919,6 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
     """
     width = graph.size // prev.size
     lifts = np.arange(width, dtype=VERTEX)
-    # A letter (symbol, copy, exponent) is coded as exponent * (symbol
-    # index * width + copy + 1), so that a letter cancels its negative.
     labels = {}  # (symbol index, exponent) -> the letter code per lift
     crossings = []  # (prefix length, sort key, cell source, letter codes)
     for i, (gen, exp) in enumerate(word):
@@ -911,7 +933,8 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
             crossings.append((i if exp == 1 else i + 1, 2 * i + j,
                               cell.source, labels[j, exp]))
     if not crossings:
-        return {}
+        empty = np.zeros(0, dtype=VERTEX)
+        return empty, empty, empty
     # Rows in decreasing prefix length, so that the rows still walking back
     # at step t are the first active[t] of them.
     crossings.sort(key=lambda row: -row[0])
@@ -929,14 +952,15 @@ def _collapse_survey(graph: CoverGraph, prev: CoverGraph, q: int,
     codes = np.concatenate([row[3] for row in crossings])[hits]
     heads = np.flatnonzero(np.diff(starts, prepend=-1))
     kept, depths = _reduce_groups(codes, heads)
-    magnitude = np.abs(kept) - 1
-    letters = list(zip(map("cd".__getitem__, (magnitude // width).tolist()),
-                       (magnitude % width).tolist(), np.sign(kept).tolist()))
-    nonempty = np.flatnonzero(depths)
-    ends = np.cumsum(depths[nonempty]).tolist()
-    return {start: tuple(letters[end - depth:end]) for start, depth, end in
-            zip(starts[heads[nonempty]].tolist(),
-                depths[nonempty].tolist(), ends)}
+    nonempty = depths > 0
+    return starts[heads[nonempty]], depths[nonempty], kept
+
+
+def _letters(codes: np.ndarray, width: int) -> tuple:
+    """The collapsed letters (symbol, copy, exponent) that codes spell."""
+    magnitude = np.abs(codes) - 1
+    return tuple(zip(map("cd".__getitem__, (magnitude // width).tolist()),
+                     (magnitude % width).tolist(), np.sign(codes).tolist()))
 
 
 def _reduce_groups(codes: np.ndarray, heads: np.ndarray) -> tuple:
@@ -977,27 +1001,27 @@ def _active_fiber(tower: Tower, k: int) -> int:
     return active
 
 
-def _normal_forms(k: int, g: int, q: int) -> tuple:
-    """Expected collapsed words of alpha_{k+1} and beta_{k+1} at copy g.
+# The collapsed normal forms as letters (symbol index, deck step (a, b) from
+# the copy, exponent), c being symbol 0 and d symbol 1.
+_FOUR = ((0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 1, -1), (1, 0, 0, -1))
+_SIX = ((0, 0, 0, 1), (0, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, -1), (1, 1, 0, -1),
+        (0, 0, 0, -1))
+_EIGHT = ((0, 0, 0, 1), (0, 1, 0, 1), (0, 2, 0, 1), (1, 3, 0, 1),
+          (0, 2, 1, -1), (1, 2, 0, -1), (0, 1, 0, -1), (0, 0, 0, -1))
+
+
+def _normal_form_codes(k: int, q: int, width: int) -> tuple:
+    """Expected collapsed words of alpha_{k+1} and beta_{k+1} as letter
+    codes (_collapse_codes), one row per copy of the width copies.
 
     At the first level the pair is the four-letter commutator shape and its
     six-letter conjugate; from then on the pair stabilises to the six-letter
     shape and its conjugate by one more c-letter.
     """
-    g10 = _gamma_add(g, 1, 0, q)
-    g01 = _gamma_add(g, 0, 1, q)
-    g20 = _gamma_add(g, 2, 0, q)
-    g11 = _gamma_add(g, 1, 1, q)
-    six = (("c", g, 1), ("c", g10, 1), ("d", g20, 1),
-           ("c", g11, -1), ("d", g10, -1), ("c", g, -1))
-    if k == 0:
-        four = (("c", g, 1), ("d", g10, 1), ("c", g01, -1), ("d", g, -1))
-        return four, six
-    g30 = _gamma_add(g, 3, 0, q)
-    g21 = _gamma_add(g, 2, 1, q)
-    eight = (("c", g, 1), ("c", g10, 1), ("c", g20, 1), ("d", g30, 1),
-             ("c", g21, -1), ("d", g20, -1), ("c", g10, -1), ("c", g, -1))
-    return six, eight
+    copies = np.arange(width)
+    return tuple(np.stack([exp * (j * width + _gamma_add(copies, a, b, q) + 1)
+                           for j, a, b, exp in shape], axis=1)
+                 for shape in ((_FOUR, _SIX) if k == 0 else (_SIX, _EIGHT)))
 
 
 @dataclass(frozen=True)
@@ -1026,25 +1050,33 @@ def verify_lift_behaviour(tower: Tower, k: int) -> LiftBehaviourReport:
         raise ValueError(
             f"collapsed level must satisfy 0 <= k <= {tower.n - 1}, got {k}")
     prev, graph = tower.levels[k], tower.levels[k + 1]
-    q = tower.q
+    n, width = prev.size, graph.size // prev.size
     active = _active_fiber(tower, k)
-    surveys = {
-        "alpha": _collapse_survey(graph, prev, q, alpha_word(k + 1)),
-        "beta": _collapse_survey(graph, prev, q, beta_word(k + 1)),
-    }
     # Off the active fibre both words must collapse to the empty word, so
-    # only the fibre and the vertices the surveys list can mismatch.
-    fibre = range(active, graph.size, prev.size)
+    # only the fibre and the starts of nonempty words can mismatch: a start
+    # matches when it lies on the fibre and its word is the normal form of
+    # its copy, and a vertex of the fibre that is no start mismatches.
     mismatches = []
-    for v in sorted(set(fibre).union(*surveys.values())):
-        copy, low = divmod(v, prev.size)
-        if low == active:
-            want_a, want_b = _normal_forms(k, copy, q)
-        else:
-            want_a, want_b = (), ()
-        for name, want in (("alpha", want_a), ("beta", want_b)):
-            got = surveys[name].get(v, ())
-            if got != want:
-                mismatches.append({"vertex": v, "word": name,
-                                   "got": got, "want": want})
+    for name, word, wants in zip(("alpha", "beta"),
+                                 (alpha_word(k + 1), beta_word(k + 1)),
+                                 _normal_form_codes(k, tower.q, width)):
+        starts, depths, codes = _collapse_codes(graph, prev, tower.q, word)
+        heads = np.cumsum(depths) - depths
+        copy = starts // n
+        on_fibre = starts % n == active
+        good = on_fibre & (depths == wants.shape[1])
+        at = np.flatnonzero(good)
+        rows = codes[heads[at, None] + np.arange(wants.shape[1])]
+        good[at] = (rows == wants[copy[at]]).all(axis=1)
+        started = np.zeros(width, dtype=bool)
+        started[copy[on_fibre]] = True
+        for i in np.flatnonzero(~good).tolist():
+            got = _letters(codes[heads[i]:heads[i] + depths[i]], width)
+            want = _letters(wants[copy[i]], width) if on_fibre[i] else ()
+            mismatches.append({"vertex": int(starts[i]), "word": name,
+                               "got": got, "want": want})
+        for c in np.flatnonzero(~started).tolist():
+            mismatches.append({"vertex": c * n + active, "word": name,
+                               "got": (), "want": _letters(wants[c], width)})
+    mismatches.sort(key=lambda row: (row["vertex"], row["word"]))
     return LiftBehaviourReport(k, 2 * graph.size, tuple(mismatches))

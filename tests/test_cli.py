@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -13,12 +15,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lambdatower
 from lambdatower import cli, covers, cyclo, witt
 from lambdatower.cli import main, parse_word
 from lambdatower.covers import ResourceCapExceeded, alpha_word, beta_word
 from lambdatower.infection import JoinedRows
 from lambdatower.knotforge import FamilyEntry, KnotFamily
 from lambdatower.seifert import FormalKnot, signature_profile, twist_knot
+
+SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -788,8 +793,10 @@ def test_factoring_below_the_cap():
 
 
 def test_one_parser_serves_every_call(capsys):
-    # main builds its parser once per process; every call in a mixed
-    # sequence, parse errors among them, prints what a fresh parser prints.
+    # main builds one parser per command path per process: the leaf's own
+    # for a call that names a leaf, the whole tree for any other call.
+    # Every call in a mixed sequence, parse errors among them, prints what
+    # a fresh parser prints, and a second pass builds nothing.
     argvs = [
         ("sig", "--knot", "trefoil", "--d", "8", "--s", "1"),
         ("witt", "--d", "4"),
@@ -808,8 +815,83 @@ def test_one_parser_serves_every_call(capsys):
         fresh.append(run(capsys, *argv))
     cli._parser.cache_clear()
     assert [run(capsys, *argv) for argv in argvs] == fresh
-    assert cli._parser.cache_info().misses == 1
+    # sig, witt, hilbert, arf, and the whole tree for "bogus"
+    assert cli._parser.cache_info().misses == 5
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli._parser.cache_info().misses == 5
     assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0, 2, 0, 2, 0, 0]
+
+
+# One valid call of every leaf, after its path.
+_LEAF_CALLS = {
+    ("sig",): ("--knot", "trefoil", "--d", "8", "--s", "1"),
+    ("arf",): ("--matrix", "[[-1,1],[0,-1]]"),
+    ("witt",): ("--form", "[[1]]", "--d", "4", "--format", "csv"),
+    ("hilbert",): ("--a", "-3", "--b", "2", "--q", "inf"),
+    ("tower", "build"): ("--m", "2", "--n", "1", "--q", "3", "--full"),
+    ("tower", "lift"): ("--m", "2", "--n", "1", "--q", "3", "--word", "x0"),
+    ("tower", "verify"): ("--m", "2", "--n", "1", "--q", "3"),
+    ("lambda",): ("--tower", "n=1,q=4", "--theta", "f-mod-4", "--word",
+                  "alpha(1)", "--knot", "trefoil", "--signatures-only"),
+    ("reproduce", "family"): ("--p", "3", "--count", "2", "--d-seed", "4"),
+    ("reproduce", "independence"): ("--m", "2", "--n", "1", "--q", "4"),
+    ("reproduce", "z2"): ("--precision-cap", "256"),
+}
+
+
+def _tree_prints(capsys, argv):
+    """(exit code, stdout, stderr) of the whole tree parsing argv."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_every_leaf_has_a_call():
+    assert set(_LEAF_CALLS) == set(cli._LEAVES)
+
+
+@pytest.mark.parametrize("path", [(), ("tower",), ("reproduce",)]
+                         + list(_LEAF_CALLS), ids=" ".join)
+def test_parsers_print_what_the_tree_prints(capsys, path):
+    # --help, an unknown flag, and a bad choice, after the path alone and
+    # after a valid call: the same stdout, stderr and exit code as the
+    # whole tree
+    call = _LEAF_CALLS.get(path, ())
+    for tail in (("--help",), ("--bogus",), ("--format", "xml")):
+        for argv in (path + tail, path + call + tail):
+            assert run(capsys, *argv) == _tree_prints(capsys, argv), argv
+
+
+@pytest.mark.parametrize("path", list(_LEAF_CALLS), ids=" ".join)
+def test_leaf_parsers_parse_as_the_tree_does(path):
+    assert cli._command_path(path + _LEAF_CALLS[path]) == path
+    args, extras = cli._parser(path).parse_known_args(_LEAF_CALLS[path])
+    assert extras == []
+    assert args == cli.build_parser().parse_args(path + _LEAF_CALLS[path])
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "verify", "--m", "2", "--n", "2", "--q", "4"),
+    ("lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word",
+     "alpha(1)", "--knot", "trefoil"),
+])
+def test_fresh_processes_leave_numpy_ma_unimported(argv):
+    # some numpy calls, np.unique without index outputs among them, import
+    # numpy.ma on first use, which takes 10-14 ms of a fresh process; the
+    # call must import it only where importing numpy already does
+    script = ("import io, sys\n"
+              "from contextlib import redirect_stdout\n"
+              "from lambdatower import cli\n"
+              "imported = 'numpy.ma' in sys.modules\n"
+              "with redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(code, imported, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    code, imported, after = proc.stdout.split()
+    assert (code, after) == ("0", imported), proc.stderr
 
 
 # ---------------------------------------------------------------------------

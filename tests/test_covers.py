@@ -1,8 +1,10 @@
 """Tests for iterated covers, word lifting, and the collapse dichotomy."""
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -41,11 +43,9 @@ from lambdatower.covers import (
 )
 from lambdatower.covers import (
     _active_fiber,
-    _collapse_survey,
-    _connected_from_below,
+    _level_from_below,
     _reduce_groups,
     _gamma_add,
-    _normal_forms,
     word_monodromy,
 )
 
@@ -111,6 +111,22 @@ def _forward_collapse_survey(graph, prev, q, word):
         if reduced:
             survey[start] = reduced
     return survey
+
+
+def _collapse_survey(graph, prev, q, word):
+    """covers._collapse_codes as a mapping from start vertex to its reduced
+    collapsed word, spelled by covers._letters; empty words are left out."""
+    starts, depths, codes = covers._collapse_codes(graph, prev, q, word)
+    letters = covers._letters(codes, graph.size // prev.size)
+    ends = np.cumsum(depths).tolist()
+    return {start: letters[end - depth:end] for start, depth, end in
+            zip(starts.tolist(), depths.tolist(), ends)}
+
+
+def _normal_forms(k, g, q):
+    """The words of covers._normal_form_codes at copy g, in letters."""
+    return tuple(covers._letters(codes[g], q * q)
+                 for codes in covers._normal_form_codes(k, q, q * q))
 
 
 def loop_value(tower, char, word):
@@ -213,13 +229,23 @@ class TestCoverGraph:
             assert graph.perm(0).tolist() == table
             assert not graph.is_covering()
             assert not graph.is_connected()
-            assert _connected_from_below(graph, base) is False
+            assert _level_from_below(graph, base) == (False, False)
             tower = Tower(1, 1, 3, [base, graph])
             assert tower.connected == (True, False)
             audit = audit_tower(tower)
             assert not audit.passed
             assert [c["ok"] for c in audit.checks
                     if c["check"] == "connected"] == [True, False]
+
+    @pytest.mark.parametrize("perms,basepoint", [
+        ([[0, 1]], 5), ([np.zeros(0, dtype=np.int32)], 0), ([[1, 0]], -1)])
+    def test_no_basepoint_vertex_is_not_connected(self, perms, basepoint):
+        # a basepoint past the last vertex, a graph with no vertex, and a
+        # negative basepoint, which numpy would wrap round to the last vertex
+        graph = CoverGraph(perms, basepoint=basepoint)
+        assert graph.is_connected() is False
+        base = CoverGraph([np.zeros(1, dtype=np.int32)])
+        assert Tower(1, 1, 3, [base, graph]).connected == (True, False)
 
     def test_betti(self):
         wedge = CoverGraph([np.zeros(1, dtype=np.int64)] * 2)
@@ -753,6 +779,32 @@ def test_lift_behaviour_mismatches_match_full_loop(gen, a, b):
     assert not report.passed
 
 
+def test_lift_behaviour_off_the_active_fibre(monkeypatch):
+    # with the active fibre moved by one vertex, the true fibre's words are
+    # the normal forms of their copies but start off the fibre: all 16
+    # copies of both fibres mismatch in both words
+    moved = lambda tower, k: 1
+    monkeypatch.setattr(covers, "_active_fiber", moved)
+    monkeypatch.setitem(globals(), "_active_fiber", moved)
+    tower = _tower(2, 2, 4)
+    report = verify_lift_behaviour(tower, 1)
+    assert report.mismatches == _reference_lift_behaviour(tower, 1)
+    assert len(report.mismatches) == 2 * 2 * 16
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lift_behaviour_on_tiled_levels(seed):
+    # columns moved to other copies: collapsed words of the right lengths
+    # whose letters name the wrong copies
+    rng = np.random.default_rng(seed)
+    shifts = [(int(rng.integers(2)), int(rng.integers(16)),
+               tuple(rng.integers(4, size=2).tolist())) for _ in range(2)]
+    tower = _tiled(_tower(2, 2, 4), 2, shifts)
+    report = verify_lift_behaviour(tower, 1)
+    assert report.mismatches == _reference_lift_behaviour(tower, 1)
+    assert not report.passed
+
+
 # ---------------------------------------------------------------------------
 # Levels by offsets, words as straight-line programs, and the sweeps over
 # whole tables, against the constructions they replaced.
@@ -1022,8 +1074,8 @@ def test_level_proof_and_sweep_fallback_both_run():
     for seed in range(100):
         tower = _connectivity_case(seed)
         for k in range(1, len(tower.levels)):
-            outcomes[_connected_from_below(tower.levels[k],
-                                           tower.levels[k - 1])] += 1
+            outcomes[_level_from_below(tower.levels[k],
+                                       tower.levels[k - 1])[1]] += 1
         assert tower.connected == tuple(_reference_connected(graph)
                                         for graph in tower.levels)
     assert outcomes[True] and outcomes[False] and outcomes[None]
@@ -1044,9 +1096,56 @@ def test_level_proof_and_sweep_fallback_both_run():
 def test_level_proof_declines_what_it_cannot_prove(below, level):
     below, level = (CoverGraph(perms, inverses=inverses)
                     for perms, inverses in (below, level))
-    assert _connected_from_below(level, below) is None
+    assert _level_from_below(level, below)[1] is None
     assert not _reference_connected(level)
     assert Tower(below.generators, 1, 3, [below, level]).connected[1] is False
+
+
+def _covering_case(seed):
+    """A fresh Tower on the levels of _connectivity_case(seed); for odd
+    seeds, one table entry of a level above the base is sent outside the
+    vertex range, past the last vertex or below 0."""
+    tower = _connectivity_case(seed)
+    levels = list(tower.levels)
+    if seed % 2:
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, len(levels)))
+        graph = levels[k]
+        perms = [p.copy() for p in graph.perms]
+        gen, v = int(rng.integers(len(perms))), int(rng.integers(graph.size))
+        perms[gen][v] = (graph.size + rng.integers(3) if rng.integers(2)
+                         else -1 - rng.integers(3))
+        levels[k] = CoverGraph(perms, graph.cells, graph.basepoint)
+    return Tower(tower.m, tower.n, tower.q, levels)
+
+
+def _check_covering_proof(seeds):
+    """Covering and connectivity of every level of each _covering_case
+    against the scatters of is_covering and the sweep of is_connected; the
+    count of the covering proof's outcomes, None where it declines."""
+    outcomes = Counter()
+    for seed in seeds:
+        tower = _covering_case(seed)
+        for below, graph in zip(tower.levels, tower.levels[1:]):
+            outcomes[_level_from_below(graph, below)[0]] += 1
+        assert tower.covering == tuple(g.is_covering() for g in tower.levels), seed
+        assert tower.connected == tuple(g.is_connected() for g in tower.levels), seed
+    return outcomes
+
+
+def test_covering_proof_matches_the_scatter():
+    # built, _swapped, _tiled and _small_copies levels, in range or not
+    outcomes = _check_covering_proof(range(200))
+    assert outcomes[True] and outcomes[False] and outcomes[None]
+
+
+def test_built_towers_scatter_their_base_only(monkeypatch):
+    calls = []
+    scatter = CoverGraph.is_covering
+    monkeypatch.setattr(CoverGraph, "is_covering",
+                        lambda graph: calls.append(graph.size) or scatter(graph))
+    assert audit_tower(build_tower(2, 2, 27)).passed
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 16])
@@ -1077,6 +1176,38 @@ def test_tower_levels_are_proved_from_below(monkeypatch):
     assert calls == [1]
     assert cli.main(["tower", "build", "--m", "3", "--n", "3", "--q", "4"]) == 0
     assert calls == [1, 1]
+
+
+def _mutant(function, old, new):
+    """function rebuilt from its source with the text old replaced by new,
+    in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
+@pytest.mark.parametrize("function,old,new,test", [
+    # the sort-equality check dropped: tables with repeats in range pass
+    (covers._level_from_below, "ok and np.array_equal(", "ok or np.array_equal(",
+     test_covering_proof_matches_the_scatter),
+    # the range check on moved values dropped: the copy graph sweep reads
+    # vertices that are not there
+    (covers._level_from_below, "_in_range(moved, graph.size)", "True",
+     test_covering_proof_matches_the_scatter),
+    # the survey compared by length only
+    (verify_lift_behaviour, "good[at] = (rows == wants[copy[at]]).all(axis=1)",
+     "pass", lambda: test_lift_behaviour_mismatches_match_full_loop(0, 5, 250)),
+    (verify_lift_behaviour, "good[at] = (rows == wants[copy[at]]).all(axis=1)",
+     "pass", lambda: test_lift_behaviour_on_tiled_levels(0)),
+])
+def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
+    mutant = _mutant(function, old, new)
+    monkeypatch.setattr(covers, function.__name__, mutant)
+    monkeypatch.setitem(globals(), function.__name__, mutant)
+    with pytest.raises((AssertionError, IndexError)):
+        test()
 
 
 # Memory bounds under tracemalloc, which counts numpy's buffers and is
