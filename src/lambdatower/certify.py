@@ -213,10 +213,12 @@ def independence_certificate(m: int, n: int, q: int,
     for i, structure in enumerate(structures, 1):
         row = []
         row_c = None
+        lifts = lift_profile(tower.top, alpha, structure.theta,
+                             work_cap=tower.work_cap)
         for j, entry in enumerate(family.entries, 1):
-            link = tower_infection(m, n, entry.knot)
-            result = lambda_T(structure, link)
-            prediction = signature_prediction(structure, link)
+            link = tower_infection(m, n, entry.knot)  # its program is alpha
+            result = lambda_T(structure, link, lifts=lifts)
+            prediction = signature_prediction(structure, link, lifts=lifts)
             theta_values = sorted(r.theta_value for r in result.per_lift
                                   if r.theta_value)
             table.append({"i": i, "j": j, "d": structure.d,

@@ -30,9 +30,9 @@ __all__ = [
     "ResourceCapExceeded",
     "Tower",
     "TowerAudit",
+    "VoltageForm",
     "alpha_word",
     "audit_tower",
-    "beta_word",
     "build_tower",
     "character_f",
     "component_loop_path",
@@ -115,10 +115,6 @@ def derived_words():
 
 def alpha_word(n: int) -> tuple:
     return next(islice(derived_words(), 2 * n, None))
-
-
-def beta_word(n: int) -> tuple:
-    return next(islice(derived_words(), 2 * n + 1, None))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -274,6 +270,19 @@ def _reached(tables: Sequence[np.ndarray], size: int, basepoint: int) -> int:
     return reached
 
 
+@dataclass(frozen=True, eq=False)
+class VoltageForm:
+    """A graph as q^2 copies of below with voltages in Z_q + Z_q (Gross,
+    "Voltage graphs", Discrete Math. 9, 1974): generator gen sends vertex
+    g n + u, the copy g (coded a q + b, _gamma_add) of u, to the copy g +
+    shifts[gen][:, u] of below.perm(gen)[u].  q = 1 without shifts is the
+    trivial form of a graph over itself."""
+
+    below: "CoverGraph"
+    q: int
+    shifts: Optional[tuple]
+
+
 class CoverGraph:
     """A cover of the wedge of m circles: one vertex-permutation per generator.
 
@@ -283,9 +292,11 @@ class CoverGraph:
     """
 
     def __init__(self, perms: Sequence, cells: Optional[tuple] = None,
-                 basepoint: int = 0, inverses: Optional[Sequence] = None):
+                 basepoint: int = 0, inverses: Optional[Sequence] = None,
+                 voltage: Optional[VoltageForm] = None):
         """inverses, when given, must be the inverse tables of perms; they
-        are built by scatters otherwise."""
+        are built by scatters otherwise.  voltage, when given, must be the
+        VoltageForm that perms were built from, which the walks read."""
         arrays = tuple(_vertex_table(p) for p in perms)
         if not arrays:
             raise ValueError("a cover graph needs at least one generator")
@@ -301,6 +312,7 @@ class CoverGraph:
         self._inverses = (tuple(_vertex_table(p) for p in inverses)
                           if inverses is not None
                           else tuple(_inverse_table(p) for p in arrays))
+        self.voltage = voltage or VoltageForm(self, 1, None)
 
     def perm(self, gen: int) -> np.ndarray:
         return self.perms[gen]
@@ -360,30 +372,39 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
     An edge from v lifts to one edge per copy g, landing in copy g plus the
     cocycle value of the edge.  So copy g of a generator's table, and of its
     inverse, is the table below offset by g n, except at the q^2 lifts of
-    each cell, whose targets move to the shifted copy.
+    each cell, whose targets move to the shifted copy.  The level keeps
+    that VoltageForm, and every table is read-only so that none can drift
+    from it.
     """
     c_cell, d_cell = graph.cells
     n = graph.size
     offsets = np.arange(q * q, dtype=VERTEX) * n
-    perms, inverses = [], []
+    perms, inverses, shifts = [], [], []
     for gen in range(graph.generators):
         perm = (offsets[:, None] + graph.perm(gen)).ravel()
         inverse = (offsets[:, None] + graph.perm_inv(gen)).ravel()
-        for cell, (da, db) in ((c_cell, (1, 0)), (d_cell, (0, 1))):
+        shift = np.zeros((2, n), dtype=VERTEX)
+        for axis, cell in enumerate((c_cell, d_cell)):
             if gen == cell.gen:
                 at = offsets + cell.source
                 copy, vertex = np.divmod(perm[at], n)
-                perm[at] = _gamma_add(copy, da * cell.orientation,
-                                      db * cell.orientation, q) * n + vertex
+                step = (cell.orientation, 0) if axis == 0 else (0, cell.orientation)
+                perm[at] = _gamma_add(copy, *step, q) * n + vertex
                 inverse[perm[at]] = at
+                shift[axis, cell.source] = (shift[axis, cell.source]
+                                            + cell.orientation) % q
         perms.append(perm)
         inverses.append(inverse)
+        shifts.append(shift)
+    for table in perms + inverses + shifts:
+        table.flags.writeable = False
     # New cells are lifts of the old c-cell: the copy-(0,0) lift keeps its
     # orientation, the copy-(1,1) lift is reversed.
     new_c = Cell(c_cell.gen, c_cell.source, c_cell.orientation)
     src_11 = (q + 1) * n + c_cell.source
     new_d = Cell(c_cell.gen, src_11, -c_cell.orientation)
-    return CoverGraph(perms, (new_c, new_d), inverses=inverses)
+    return CoverGraph(perms, (new_c, new_d), inverses=inverses,
+                      voltage=VoltageForm(graph, q, tuple(shifts)))
 
 
 def _fixed_columns(table: np.ndarray, below: np.ndarray, width: int) -> np.ndarray:
@@ -538,6 +559,8 @@ def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> T
             f"of {TOWER_EDGE_CEILING} edges for {VERTEX.__name__} vertices")
     base = CoverGraph([np.zeros(1, dtype=VERTEX) for _ in range(m)],
                       (Cell(0, 0, 1), Cell(1, 0, 1)))
+    for table in base.perms + base._inverses:
+        table.flags.writeable = False
     levels = [base]
     for _ in range(n):
         levels.append(_next_level(levels[-1], q))
@@ -565,15 +588,6 @@ def lift_word(graph: CoverGraph, word: Sequence[tuple], start: int) -> tuple:
     return v, tuple(path)
 
 
-def word_monodromy(graph: CoverGraph, word: Sequence[tuple]) -> np.ndarray:
-    """End vertices of the word's lifts at every start vertex at once."""
-    v = np.arange(graph.size, dtype=VERTEX)
-    for gen, exp in word:
-        table = graph.perm(gen) if exp == 1 else graph.perm_inv(gen)
-        v = table[v]
-    return v
-
-
 @dataclass(frozen=True)
 class LiftComponent:
     start: int
@@ -597,24 +611,15 @@ class LiftClass:
 
 
 def enumerate_lifts(target, word: Sequence[tuple]) -> LiftClass:
-    """Partition of all top-level start vertices into lift components."""
+    """Partition of all top-level start vertices into lift components: those
+    of lift_profile, each with the path of the word's lift at its start."""
     graph = target.top if isinstance(target, Tower) else target
     word = free_reduce(word)
-    ends = word_monodromy(graph, word)
-    seen = np.zeros(graph.size, dtype=bool)
-    components = []
-    for v in range(graph.size):
-        if seen[v]:
-            continue
-        degree = 0
-        w = v
-        while not seen[w]:
-            seen[w] = True
-            degree += 1
-            w = int(ends[w])
-        end, path = lift_word(graph, word, v)
-        components.append(LiftComponent(v, end, end == v, degree, path))
-    return LiftClass(word, tuple(components))
+    starts, ends, degrees, _ = lift_profile(graph, word, work_cap=float("inf"))
+    return LiftClass(word, tuple(
+        LiftComponent(v, end, end == v, degree, lift_word(graph, word, v)[1])
+        for v, end, degree in zip(starts.tolist(), ends.tolist(),
+                                  degrees.tolist())))
 
 
 def component_loop_path(graph: CoverGraph, word: Sequence[tuple],
@@ -668,9 +673,9 @@ def _operands(node: Program) -> tuple:
     return node.parts
 
 
-def _schedule(program: Program) -> tuple:
+def _schedule(programs: Sequence[Program]) -> tuple:
     """(order, uses): the nodes to evaluate, each after its operands, and
-    how many times each is read, counting the root once."""
+    how many times each is read, counting each program once."""
     order, uses = [], {}
 
     def visit(node):
@@ -680,7 +685,8 @@ def _schedule(program: Program) -> tuple:
                 visit(part)
             order.append(node)
 
-    visit(program)
+    for program in programs:
+        visit(program)
     return order, uses
 
 
@@ -695,93 +701,142 @@ def _compositions(node: Program) -> int:
     return node.exponent.bit_length() + bin(node.exponent).count("1") - 2
 
 
-def _walk(graph: CoverGraph, letters: Sequence[tuple], weighted: dict,
-          start: Optional[tuple]) -> tuple:
-    """The action after walking the letters from start (None: the identity),
-    one gather per letter."""
-    current, acc = start or (np.arange(graph.size, dtype=VERTEX), None)
-    owned = False
-    for gen, exp in letters:
-        if exp == 1:
-            sources = current
-            current = graph.perm(gen)[current]
-        else:
-            current = graph.perm_inv(gen)[current]
-            sources = current
-        for source, w in weighted.get(gen, ()):
-            if not owned:
-                acc = (np.zeros(graph.size, dtype=np.int64) if acc is None
-                       else acc.copy())
-                owned = True
-            acc[sources == source] += w * exp
-    return current, acc
+# ---------------------------------------------------------------------------
+# Programs walked over a voltage form.  The action of a word is (P, S, E,
+# length): copy g of vertex u below ends in copy g + S[:, u] of P[u].  E
+# has a column per pass over a marked edge (gen, source below) and the rows
+# start, a, b, pos, mark and count: the vertex below the walk starts from,
+# the voltage (a, b) from its copy to the copy of the edge's source, the
+# letter's position, the mark and the exponent.  Where order is not needed
+# letters have length 0, so that every pos is 0 or -1.
+
+def _at(volt: np.ndarray, index) -> np.ndarray:
+    """volt[:, index], several times faster."""
+    return volt.take(index, axis=1)
 
 
-def _compose(first: tuple, then: tuple) -> tuple:
-    (p1, c1), (p2, c2) = first, then
-    if c2 is None:
-        return p2[p1], c1
-    acc = c2[p1]
-    if c1 is not None:
-        acc += c1
-    return p2[p1], acc
+def _compose(first: tuple, then: tuple, q: int) -> tuple:
+    """The action of the word of first followed by the word of then; then's
+    events start where the walks of first end."""
+    p1, s1, e1, n1 = first
+    p2, s2, e2, n2 = then
+    if e2.shape[1]:
+        e2 = e2.copy()
+        e2[0] = _inverse(p1)[e2[0]]
+        e2[1:3] = (e2[1:3] + _at(s1, e2[0])) % q
+        e2[3] += n1
+        e1 = np.concatenate((e1, e2), axis=1)
+        e1 = e1 if n1 + n2 else _merged(e1)  # positive lengths keep order
+    return p2[p1], (s1 + _at(s2, p1)) % q, e1, n1 + n2
 
 
-def _invert(action: tuple) -> tuple:
-    """The inverse action by one scatter: the inverse word from P[v] ends at
-    v and walks v's path backwards."""
-    perm, acc = action
+def _merged(events: np.ndarray) -> np.ndarray:
+    """Unordered events, those that differ only in count summed once there
+    are more than 4,096, so that powers and shared nodes do not grow them
+    without bound.  No benchmark program reaches that many (alpha(5) on
+    (2,5,4): 2,624), and a lower bound slows powers that keep their events
+    apart, a higher one powers whose events merge."""
+    if events.shape[1] <= 4096:
+        return events
+    keys, group = np.unique(events[:5], axis=1, return_inverse=True)
+    total = np.zeros(keys.shape[1], dtype=np.int64)
+    np.add.at(total, group, events[5])
+    return np.vstack((keys, total))[:, total != 0]
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation, by one scatter."""
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(perm.shape[0], dtype=perm.dtype)
-    if acc is not None:
-        negated = np.empty_like(acc)
-        negated[perm] = -acc
-        acc = negated
-    return inverse, acc
+    return inverse
 
 
-def _power(action: tuple, r: int) -> tuple:
+def _invert(action: tuple, q: int) -> tuple:
+    """The inverse action: the inverse word from P[u] ends at u, walks u's
+    path backwards and meets its events in reverse."""
+    perm, volt, e, length = action
+    events = np.vstack((perm[e[0]], (e[1:3] - _at(volt, e[0])) % q,
+                        length - 1 - e[3], e[4], -e[5]))
+    inverse = _inverse(perm)
+    return inverse, -_at(volt, inverse) % q, events, length
+
+
+def _power(action: tuple, r: int, q: int) -> tuple:
     """The r-th power by repeated squaring (powers of one action commute)."""
     result = None
     while True:
         if r & 1:
-            result = action if result is None else _compose(result, action)
+            result = action if result is None else _compose(result, action, q)
         r >>= 1
         if not r:
             return result
-        action = _compose(action, action)
+        action = _compose(action, action, q)
 
 
-def _evaluate(graph: CoverGraph, order: list, uses: dict,
-              weighted: dict) -> tuple:
-    """The action of the last node of order: the end vertex from every
-    start vertex and the character sum along the way, None while it is
-    zero.  An action is dropped at its last read, so only the actions that
-    later reads still need are alive."""
-    actions = {}
+def _evaluate(form: VoltageForm, programs: Sequence[Program], schedule: tuple,
+              columns: Sequence[tuple], ordered: bool) -> list:
+    """The action of each program on form, by its _schedule, with an event
+    per pass over the marked edges columns, (gen, source below) each, in
+    order when ordered.  A forward letter passes its edge from the copy it
+    starts in, an inverse one into the copy it arrives in.  An action is
+    dropped at its last read, so only the actions that later reads still
+    need are alive."""
+    below, q, n = form.below, form.q, form.below.size
+    order, uses = schedule
+    actions, letters = {}, {}
+    zero = np.zeros((2, n), dtype=VERTEX)
+
+    def letter(key):
+        """The action of the letter key, (gen, exp), built once."""
+        if key not in letters:
+            gen, exp = key
+            shift = zero if form.shifts is None else form.shifts[gen]
+            marks = [(m, u) for m, (g, u) in enumerate(columns) if g == gen]
+            if exp == 1:
+                perm, volt = below.perm(gen), shift
+                rows = [(u, 0, 0, 0, m, 1) for m, u in marks]
+            else:
+                perm = below.perm_inv(gen)
+                volt = zero if form.shifts is None else -_at(shift, perm) % q
+                rows = [(below.perm(gen)[u], -shift[0, u] % q, -shift[1, u] % q,
+                         0, m, -1) for m, u in marks]
+            events = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+            letters[key] = perm, volt, events, int(ordered)
+        return letters[key]
 
     def read(node):
         uses[node] -= 1
         return actions[node] if uses[node] else actions.pop(node)
 
     for node in order:
-        if node.op == "word":
-            action = _walk(graph, node.letters, weighted, None)
-        elif node.op == "cat":
-            action = None
-            for part in node.parts:
-                if part.op == "word":
-                    action = _walk(graph, part.letters, weighted, action)
-                elif action is None:
-                    action = read(part)
-                else:
-                    action = _compose(action, read(part))
-        elif node.op == "inv":
-            action = _invert(read(node.parts[0]))
+        if node.op == "inv":
+            action = _invert(read(node.parts[0]), q)
+        elif node.op == "pow":
+            action = _power(read(node.parts[0]), node.exponent, q)
         else:
-            action = _power(read(node.parts[0]), node.exponent)
-        actions[node] = action
-    return actions[order[-1]]
+            action = None
+            for part in node.parts or (node,):
+                for step in (map(letter, part.letters) if part.op == "word"
+                             else (read(part),)):
+                    action = step if action is None else _compose(action, step, q)
+        actions[node] = action or (np.arange(n, dtype=VERTEX), zero,
+                                   np.zeros((6, 0), dtype=np.int64), 0)
+    return [read(program) for program in programs]
+
+
+def _cycle_least(step: np.ndarray) -> np.ndarray:
+    """The least element of the cycle of each element under the permutation
+    step, by pointer doubling: after j doublings label[v] is the least of
+    the first 2^j elements from v.  A doubling that changes no label leaves
+    every label final, for label[v] <= label[step[v]] then holds with
+    equality around each cycle."""
+    label = np.arange(step.shape[0], dtype=step.dtype)
+    for _ in range(max(step.shape[0] - 1, 0).bit_length()):
+        doubled = np.minimum(label, label[step])
+        if np.array_equal(doubled, label):
+            break
+        label, step = doubled, step[step]
+    return label
 
 
 def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
@@ -796,51 +851,55 @@ def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
     component, end the end of the word's lift there, degree the component's
     covering degree, and value the character on the full component loop,
     reduced by its modulus (values is None without a character).  It agrees
-    with enumerate_lifts followed by component_loop_path and
-    evaluate_character, but never builds a path.  The program's actions
+    with enumerate_lifts, component_loop_path and evaluate_character, but
+    walks the program over graph's VoltageForm, an event per pass over a
+    weighted edge, and finds the orbits as the cycles of the level's
+    monodromy, expanded from the action below once.  The actions
     need every generator table to be a bijection.  A walk of more than
-    work_cap vertex steps (by default LIFT_WORK_CAP; a tower's work_cap for
-    its levels) raises ResourceCapExceeded before it starts.
+    work_cap vertex steps (LIFT_WORK_CAP by default; a tower's work_cap for
+    its levels), counted over graph itself, raises ResourceCapExceeded
+    before it starts.
     """
     size = graph.size
     if work_cap is None:
         work_cap = LIFT_WORK_CAP
     program = word if isinstance(word, Program) else Program.word(word)
-    order, uses = _schedule(program)
-    steps = sum(_compositions(node) for node in order)
+    schedule = _schedule((program,))
+    steps = sum(_compositions(node) for node in schedule[0])
     if steps * size > work_cap:
         raise ResourceCapExceeded(
             f"lifting the word takes {steps} compositions over {size} "
             f"vertices, over the work cap of {work_cap} vertex steps")
-    weighted = {}
-    for (gen, source), w in (char.weights if char is not None else ()):
-        weighted.setdefault(gen, []).append((source, w))
-    current, acc = _evaluate(graph, order, uses, weighted)
-    # Orbits of the monodromy, labelled by their least vertex: after j
-    # doublings label[v] is the least of the first 2^j vertices of v's orbit.
-    # A doubling that changes no label leaves every label final: label[v] <=
-    # label[step[v]] for all v then holds with equality around each cycle of
-    # step, whose windows of 2^j vertices cover the orbit.
-    identity = np.arange(size, dtype=VERTEX)
-    label = identity
-    step = current
-    for _ in range(max(size - 1, 0).bit_length()):
-        doubled = np.minimum(label, label[step])
-        if np.array_equal(doubled, label):
-            break
-        label = doubled
-        step = step[step]
-    starts = np.flatnonzero(label == identity).astype(VERTEX)
-    degrees = np.bincount(label, minlength=size)[starts]
+    form = graph.voltage
+    n, q = form.below.size, form.q
+    gens, sources, weights = np.array(
+        [(gen, source, w) for (gen, source), w in (char.weights if char else ())
+         if 0 <= gen < graph.generators and 0 <= source < size],
+        dtype=np.int64).reshape(-1, 3).T  # a mark per weighted edge
+    (perm, volt, (start, da, db, _, mark, count), _), = _evaluate(
+        form, (program,), schedule, list(zip(gens.tolist(), (sources % n).tolist())),
+        False)
+    # the level's monodromy, copy g of u to copy g + S[:, u] of P[u], read
+    # from a table of the sums g + s over the voltages s that occur
+    codes = volt[0] * q + volt[1]
+    kinds = np.flatnonzero(np.bincount(codes, minlength=q * q)).astype(VERTEX)
+    sums = _gamma_add(np.arange(q * q, dtype=VERTEX)[:, None], kinds // q,
+                      kinds % q, q) * n
+    top = (sums[:, np.searchsorted(kinds, codes)] + perm).ravel()
+    label = _cycle_least(top)
+    starts = np.flatnonzero(label == np.arange(size, dtype=VERTEX)).astype(VERTEX)
     values = None
     if char is not None:
-        totals = np.zeros(size, dtype=np.int64)
-        if acc is not None:
-            np.add.at(totals, label, acc)
-        values = totals[starts]
+        # the copy h of start passes its edge in copy h + (da, db)
+        values = np.zeros(starts.size, dtype=np.int64)
+        at = np.searchsorted(starts, label[
+            _gamma_add(sources[mark] // n, -da, -db, q) * n + start])
+        np.add.at(values, at, weights[mark] * count)
         if char.modulus:
-            values %= char.modulus
-    return starts, current[starts], degrees, values
+            values[at] %= char.modulus
+    degree = np.zeros(size, dtype=np.int64)
+    np.add.at(degree, label, 1)  # faster than np.bincount here
+    return starts, top.take(starts), degree.take(starts), values
 
 
 def character_f(tower: Tower) -> Character:
@@ -893,67 +952,58 @@ def audit_tower(tower: Tower) -> TowerAudit:
 
 
 def _collapse_codes(graph: CoverGraph, prev: CoverGraph, q: int,
-                    word: Sequence[tuple]) -> tuple:
-    """Collapsed lifts of a word based at every vertex of graph at once.
+                    words: Sequence) -> list:
+    """Collapsed lifts of each word (letters or a Program) based at every
+    vertex of graph at once.
 
     Contracting every copy of the cut graph prev inside graph keeps only the
     lifts of the two distinguished edges; each crossing becomes a letter
     ("c" or "d", copy index of the cell, exponent), where a cell with
     reversed orientation is based one step below its edge's copy.  A letter
     is coded as exponent * (symbol index * width + copy + 1), so that a
-    letter cancels its negative (_letters decodes).  Returns (starts,
-    depths, codes): the start vertices whose reduced collapsed word is not
-    empty, in increasing order, the length of each one's word, and the
-    codes of those words joined in the same order.
+    letter cancels its negative (_letters decodes).  Returns one (starts,
+    depths, codes) per word: the starts whose reduced collapsed word is not
+    empty, in increasing order, each one's word length, and the codes of
+    those words joined in the same order.
 
-    Only the q^2 lifts of each cell can be crossed, so the survey walks back
-    from them: the letter at position i crosses the lift with source u from
-    the start vertex w[:L]^-1(u), where L = i for a forward letter and i + 1
-    for an inverse one (its edge source is reached after the step).  Every
-    row (crossing letter, lift) walks back at once, one gather per letter
-    over the rows whose prefix is still longer than the step; the hits are
-    then sorted by (start, position) and every start's letters are freely
-    reduced at once (_reduce_groups).  Walking back needs every generator
-    table to be a bijection, which build_tower guarantees and audit_tower
-    checks as the covering condition.
+    The words are walked together over graph's VoltageForm if it lies over
+    prev, over graph itself otherwise.  The copy g of a vertex u below
+    crosses in copies g + sigma, sigma independent of g, so u's letters are
+    reduced once and the word left is then translated to u's copies.
+    Walking needs every generator table to be a bijection, which
+    build_tower guarantees and audit_tower checks.
     """
     width = graph.size // prev.size
-    lifts = np.arange(width, dtype=VERTEX)
-    labels = {}  # (symbol index, exponent) -> the letter code per lift
-    crossings = []  # (prefix length, sort key, cell source, letter codes)
-    for i, (gen, exp) in enumerate(word):
-        for j, (cell, step) in enumerate(((prev.cells[0], (-1, 0)),
-                                          (prev.cells[1], (0, -1)))):
-            if gen != cell.gen:
-                continue
-            if (j, exp) not in labels:
-                label = lifts if cell.orientation == 1 else _gamma_add(
-                    lifts, *step, q)
-                labels[j, exp] = exp * cell.orientation * (j * width + label + 1)
-            crossings.append((i if exp == 1 else i + 1, 2 * i + j,
-                              cell.source, labels[j, exp]))
-    if not crossings:
-        empty = np.zeros(0, dtype=VERTEX)
-        return empty, empty, empty
-    # Rows in decreasing prefix length, so that the rows still walking back
-    # at step t are the first active[t] of them.
-    crossings.sort(key=lambda row: -row[0])
-    prefix = np.repeat([row[0] for row in crossings], width)
-    current = np.concatenate([lifts * prev.size + row[2] for row in crossings])
-    active = np.searchsorted(-prefix, -np.arange(prefix[0]))
-    for t in range(prefix[0] - 1, -1, -1):
-        gen, exp = word[t]
-        back = graph.perm_inv(gen) if exp == 1 else graph.perm(gen)
-        current[:active[t]] = back[current[:active[t]]]
-    # A forward walk meets position i before i + 1, and c before d.
-    hits = np.lexsort((np.repeat([row[1] for row in crossings], width),
-                       current))
-    starts = current[hits]
-    codes = np.concatenate([row[3] for row in crossings])[hits]
-    heads = np.flatnonzero(np.diff(starts, prepend=-1))
-    kept, depths = _reduce_groups(codes, heads)
-    nonempty = depths > 0
-    return starts[heads[nonempty]], depths[nonempty], kept
+    form = graph.voltage
+    if form.q != q or form.below.size != prev.size:
+        form = VoltageForm(graph, 1, None)
+    n = form.below.size
+    columns, letters = [], []  # the cells' lifts; (symbol, sign, copy) each
+    for j, (cell, step) in enumerate(((prev.cells[0], (-1, 0)),
+                                      (prev.cells[1], (0, -1)))):
+        for c in range(n // prev.size):  # the lifts over a vertex below
+            columns.append((cell.gen, c * prev.size + cell.source))
+            letters.append((j, cell.orientation, c if cell.orientation == 1
+                            else _gamma_add(c, *step, q)))
+    symbol, sign, base = np.array(letters).T
+    copies = np.arange(form.q ** 2)
+    out = []
+    programs = [w if isinstance(w, Program) else Program.word(w) for w in words]
+    for _, _, events, _ in _evaluate(form, programs, _schedule(programs),
+                                     columns, True):
+        start, da, db, pos, mark, count = events
+        codes = count * sign[mark] * (symbol[mark] * width + 1 + _gamma_add(
+            base[mark], da, db, q))
+        hits = np.lexsort((mark, pos, start))
+        start = start[hits]
+        heads = np.flatnonzero(np.diff(start, prepend=-1))
+        kept, depths = _reduce_groups(codes[hits], heads)
+        cell, copy = np.divmod(np.abs(kept) - 1, width)
+        out.append(((copies[:, None] * n + start[heads[depths > 0]]).ravel(),
+                    np.tile(depths[depths > 0], copies.size),
+                    (np.sign(kept) * (cell * width + 1 + _gamma_add(
+                        copies[:, None], *np.divmod(copy, q), q))).ravel()))
+    return out
 
 
 def _letters(codes: np.ndarray, width: int) -> tuple:
@@ -964,28 +1014,24 @@ def _letters(codes: np.ndarray, width: int) -> tuple:
 
 
 def _reduce_groups(codes: np.ndarray, heads: np.ndarray) -> tuple:
-    """Free reduction of every group of nonzero signed letter codes at
-    once, where group g is codes[heads[g]:heads[g + 1]] and a letter
-    cancels its negative.  Each group's stack grows in place over its own
-    letters, one step per position in the group for all groups that are
-    that long, so codes is overwritten.  Returns the reduced groups joined
-    in order and the length of each."""
-    lengths = np.diff(heads, append=codes.size)
-    by_length = np.argsort(-lengths, kind="stable")
-    base = heads[by_length]
-    depth = np.zeros(heads.size, dtype=heads.dtype)
-    longer = np.searchsorted(-lengths[by_length], -np.arange(lengths.max()))
-    for j, alive in enumerate(longer.tolist()):
-        at, high = base[:alive], depth[:alive]
-        letter = codes[at + j]
-        cancel = (high > 0) & (codes[at + high - 1] == -letter)
-        push = ~cancel
-        codes[(at + high)[push]] = letter[push]
-        high += np.where(cancel, -1, 1)
-    depths = np.empty_like(depth)
-    depths[by_length] = depth
-    shift = heads - (np.cumsum(depths) - depths)
-    return codes[np.repeat(shift, depths) + np.arange(depths.sum())], depths
+    """Free reduction of every group of nonzero signed letter codes, where
+    group g is codes[heads[g]:heads[g + 1]] and a letter cancels its
+    negative, by one stack in Python: a survey of a built level has a few
+    hundred letters.  Returns the reduced groups joined in order and the
+    length of each."""
+    kept, depths = [], []
+    letters, bounds = codes.tolist(), heads.tolist() + [codes.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        stack = []
+        for letter in letters[lo:hi]:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+        kept += stack
+        depths.append(len(stack))
+    return (np.array(kept, dtype=codes.dtype),
+            np.array(depths, dtype=heads.dtype))
 
 
 def _active_fiber(tower: Tower, k: int) -> int:
@@ -1018,10 +1064,10 @@ def _normal_form_codes(k: int, q: int, width: int) -> tuple:
     six-letter conjugate; from then on the pair stabilises to the six-letter
     shape and its conjugate by one more c-letter.
     """
-    copies = np.arange(width)
-    return tuple(np.stack([exp * (j * width + _gamma_add(copies, a, b, q) + 1)
-                           for j, a, b, exp in shape], axis=1)
-                 for shape in ((_FOUR, _SIX) if k == 0 else (_SIX, _EIGHT)))
+    copies = np.arange(width)[:, None]
+    return tuple(exp * (j * width + _gamma_add(copies, a, b, q) + 1)
+                 for j, a, b, exp in (np.array(shape).T for shape in (
+                     (_FOUR, _SIX) if k == 0 else (_SIX, _EIGHT))))
 
 
 @dataclass(frozen=True)
@@ -1057,10 +1103,10 @@ def verify_lift_behaviour(tower: Tower, k: int) -> LiftBehaviourReport:
     # matches when it lies on the fibre and its word is the normal form of
     # its copy, and a vertex of the fibre that is no start mismatches.
     mismatches = []
-    for name, word, wants in zip(("alpha", "beta"),
-                                 (alpha_word(k + 1), beta_word(k + 1)),
-                                 _normal_form_codes(k, tower.q, width)):
-        starts, depths, codes = _collapse_codes(graph, prev, tower.q, word)
+    for name, (starts, depths, codes), wants in zip(
+            ("alpha", "beta"),
+            _collapse_codes(graph, prev, tower.q, derived_programs(k + 1)),
+            _normal_form_codes(k, tower.q, width)):
         heads = np.cumsum(depths) - depths
         copy = starts // n
         on_fibre = starts % n == active

@@ -223,7 +223,8 @@ def _contribution(knot: FormalKnot, r: int, d: int, t: int,
 
 
 def lambda_T(structure: PStructure, link: InfectedStringLink,
-             disc: Optional[bool] = None) -> LambdaResult:
+             disc: Optional[bool] = None, lifts: Optional[tuple] = None
+             ) -> LambdaResult:
     """The invariant of an infected string link under a p-structure.
 
     Lifts of the infection curve are enumerated on the top cover; a lift of
@@ -232,7 +233,8 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
     nothing.  With disc=None the result carries discriminant data when every
     atom of the knot has cable parameter 1 and falls back to signatures only
     otherwise; disc=True insists on discriminant data and rejects cabled
-    atoms, disc=False always restricts to signatures.
+    atoms, disc=False always restricts to signatures.  lifts, when given, is
+    the lift_profile of link.program under structure.theta on the top level.
     """
     if link.m != structure.tower.m:
         raise ValueError(
@@ -248,7 +250,7 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
     else:
         full = disc
     d = structure.d
-    _, _, degrees, values = lift_profile(
+    _, _, degrees, values = lifts or lift_profile(
         structure.tower.top, link.program, structure.theta,
         work_cap=structure.tower.work_cap)
     # Lifts grouped by (r, t); each pair is evaluated once, in the order of
@@ -275,13 +277,13 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
 
 
 def signature_prediction(structure: PStructure, link: InfectedStringLink,
-                         s: int = 1) -> int:
+                         s: int = 1, lifts: Optional[tuple] = None) -> int:
     """Signature of the invariant re-derived from knot signatures alone.
 
     Walks the same lifts, but evaluates every contribution as a sum of
     Levine-Tristram signatures of the knot at the r-th roots of zeta_d^(t s),
     minus the baseline sum at the r-th roots of unity; no hermitian forms are
-    built.
+    built.  lifts, when given, is as in lambda_T.
     """
     if link.m != structure.tower.m:
         raise ValueError(
@@ -289,7 +291,7 @@ def signature_prediction(structure: PStructure, link: InfectedStringLink,
             f"{structure.tower.m} circles")
     d = structure.d
     knot = link.knot
-    _, _, degrees, values = lift_profile(
+    _, _, degrees, values = lifts or lift_profile(
         structure.tower.top, link.program, structure.theta,
         work_cap=structure.tower.work_cap)
     total = 0

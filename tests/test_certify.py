@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lambdatower import certify, covers, knotforge, seifert
+from lambdatower import certify, covers, infection, knotforge, seifert
 from lambdatower.certify import (
     Certificate,
     family_certificate,
@@ -213,6 +213,19 @@ class TestIndependenceCertificate:
         tower = covers.build_tower(2, 2, 4)
         with pytest.raises(covers.ResourceCapExceeded, match="work cap"):
             covers.lift_profile(tower.top, covers.alpha_word(2))
+
+    def test_one_lift_walk_per_structure_and_recount(self, monkeypatch,
+                                                     independence_cert):
+        # lambda_T and signature_prediction share each structure's walk;
+        # the lift recount walks on its own: 3 + 3 walks, not 21
+        calls = []
+        walk = covers.lift_profile
+        for module in (certify, infection):
+            monkeypatch.setattr(module, "lift_profile", lambda *a, **k: (
+                calls.append(a[2].modulus), walk(*a, **k))[1])
+        again = independence_certificate(2, 1, 4)
+        assert again.canonical_bytes() == independence_cert.canonical_bytes()
+        assert len(calls) == 6
 
     def test_rows_rederived(self, independence_cert):
         assert len(independence_cert.table) == 9

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import lambdatower
 from lambdatower import cli, covers
@@ -26,7 +26,6 @@ from lambdatower.covers import (
     Tower,
     alpha_word,
     audit_tower,
-    beta_word,
     build_tower,
     character_f,
     component_loop_path,
@@ -46,14 +45,17 @@ from lambdatower.covers import (
     _level_from_below,
     _reduce_groups,
     _gamma_add,
-    word_monodromy,
 )
 
 from covers_oracle import (
+    beta_word,
     expand,
     local_triviality,
+    reference_components,
     reference_lift_profile,
     reference_next_level,
+    whole_level_profile,
+    word_monodromy,
 )
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
@@ -116,7 +118,7 @@ def _forward_collapse_survey(graph, prev, q, word):
 def _collapse_survey(graph, prev, q, word):
     """covers._collapse_codes as a mapping from start vertex to its reduced
     collapsed word, spelled by covers._letters; empty words are left out."""
-    starts, depths, codes = covers._collapse_codes(graph, prev, q, word)
+    starts, depths, codes = covers._collapse_codes(graph, prev, q, (word,))[0]
     letters = covers._letters(codes, graph.size // prev.size)
     ends = np.cumsum(depths).tolist()
     return {start: letters[end - depth:end] for start, depth, end in
@@ -183,9 +185,12 @@ class TestWords:
         # words that other tests built out of the count.
         code = (
             "import gc, tracemalloc\n"
-            "from lambdatower.covers import alpha_word, beta_word\n"
+            "from itertools import islice\n"
+            "from lambdatower.covers import alpha_word, derived_words\n"
             "tracemalloc.start()\n"
-            "assert len(alpha_word(9)) + len(beta_word(9)) > 250000\n"
+            "beta = next(islice(derived_words(), 19, None))\n"
+            "assert len(alpha_word(9)) + len(beta) > 250000\n"
+            "del beta\n"
             "gc.collect()\n"
             "print(tracemalloc.get_traced_memory()[0])\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -570,7 +575,8 @@ def _tower(m, n, q):
 
 def _reference_profile(graph, word, char):
     """The per-component walk lift_profile replaces, kept as its oracle."""
-    lifts = enumerate_lifts(graph, word).lifts
+    lifts = [LiftComponent(start, end, start == end, degree, ())
+             for start, end, degree in reference_components(graph, word)]
     values = None
     if char is not None:
         values = [evaluate_character(char, component_loop_path(graph, word, c))
@@ -1178,6 +1184,153 @@ def test_tower_levels_are_proved_from_below(monkeypatch):
     assert calls == [1, 1]
 
 
+# ---------------------------------------------------------------------------
+# Programs walked one level down, over each level's voltage form, against
+# the walk over every vertex of the level (covers_oracle.whole_level_profile).
+
+_VOLTAGE_TOWERS = ((2, 3, 3), (3, 2, 3), (2, 3, 4), (3, 2, 4), (2, 2, 5),
+                   (3, 2, 5), (2, 2, 7), (3, 1, 7), (2, 1, 27), (3, 1, 27))
+
+
+def _random_programs(m):
+    """Straight-line programs over m generators: flat words, products,
+    inverses, powers with negative exponents, and a node read twice."""
+    letters = st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))),
+                       max_size=4).map(Program.word)
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda parts: Program.cat(*parts)),
+            children.map(lambda p: Program("inv", (p,))),
+            st.tuples(children, st.integers(-4, 7)).map(
+                lambda pr: pr[0].power(pr[1])),
+            children.map(lambda p: Program.cat(p, p.inverse(), p, p)))
+
+    return st.recursive(letters, extend, max_leaves=8)
+
+
+@st.composite
+def _voltage_cases(draw):
+    """A level of a built tower, a program and a character on that level of
+    modulus 0, 2 or 5 (character_f's weights at the top, when drawn)."""
+    m, n, q = draw(st.sampled_from(_VOLTAGE_TOWERS))
+    tower = _tower(m, n, q)
+    k = draw(st.integers(0, n))
+    graph = tower.levels[k]
+    program = draw(_random_programs(m))
+    modulus = draw(st.sampled_from((None, 0, 2, 5)))
+    char = None
+    if modulus is not None:
+        if k == n >= 1 and draw(st.booleans()):
+            char = character_f(tower).reduce(modulus)
+        else:
+            keys = st.tuples(st.integers(0, m - 1),
+                             st.integers(0, graph.size - 1))
+            char = Character.of(modulus, draw(st.dictionaries(
+                keys, st.integers(-3, 3), max_size=draw(st.sampled_from((4, 40))))))
+    return graph, program, char
+
+
+def _same_profile(got, want):
+    assert [None if a is None else a.tolist() for a in got] == [
+        None if a is None else a.tolist() for a in want]
+
+
+@given(_voltage_cases())
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+@seed(2021)
+def test_voltage_walk_matches_whole_level_walk(case):
+    graph, program, char = case
+    _same_profile(lift_profile(graph, program, char),
+                  whole_level_profile(graph, program, char))
+
+
+@pytest.mark.parametrize("text", ["alpha(2)", "beta(2)", "comm(x0,x1)", "x0 x1",
+                                  "(x0*x1)^-3", "x0^5 x1^-2 x0"])
+def test_voltage_walk_over_long_cycles_below(text):
+    # level 1 of (2,2,27) has cycles of length up to 27 that carry the
+    # voltages of several copies, so orbits are found as the least of
+    # several candidates; the level has 531,441 vertices
+    tower = _tower(2, 2, 27)
+    _, program = cli._WordParser("--word", text).parse()
+    char = Character.of(0, {(0, 0): 1, (0, 27 * 729 + 5): -2, (1, 3): 4})
+    _same_profile(lift_profile(tower.top, program, char),
+                  whole_level_profile(tower.top, program, char))
+
+
+def test_voltage_walk_reduces_values_by_the_modulus():
+    # the commutator lifts carry -1, which modulus 5 takes to 4
+    tower = _tower(2, 2, 4)
+    for modulus in (0, 2, 5):
+        char = character_f(tower).reduce(modulus)
+        for program in derived_programs(2):
+            _same_profile(lift_profile(tower.top, program, char),
+                          whole_level_profile(tower.top, program, char))
+
+
+def test_voltage_walk_merges_events_of_large_powers():
+    # 2^40 + 3 passes over each weighted edge of every orbit: only the
+    # events that differ in more than their count are kept apart
+    tower = _tower(2, 2, 4)
+    program = Program.cat(Program.word(((0, 1), (1, -1))).power(2 ** 40 + 3),
+                          Program.word(((1, 1),)))
+    for char in (character_f(tower).reduce(5),
+                 Character.of(0, {(0, 0): 3, (1, 17): -1, (0, 200): 2})):
+        _same_profile(lift_profile(tower.top, program, char),
+                      whole_level_profile(tower.top, program, char))
+
+
+def test_built_levels_are_read_only():
+    tower = build_tower(3, 2, 4)
+    for graph in tower.levels:
+        for gen in range(graph.generators):
+            for table in (graph.perm(gen), graph.perm_inv(gen)):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0
+    for graph, below in zip(tower.levels[1:], tower.levels):
+        form = graph.voltage
+        assert form.below is below and form.q == 4
+        for shift in form.shifts:
+            with pytest.raises(ValueError, match="read-only"):
+                shift[0, 0] = 1
+    assert tower.levels[0].voltage.q == 1
+
+
+def test_voltage_form_spells_the_tables():
+    # (g, u) -> (g + shift[u], below[u]) is the level's table at g n + u
+    for m, n, q in ((2, 3, 3), (3, 2, 4), (2, 2, 7)):
+        tower = _tower(m, n, q)
+        for graph in tower.levels[1:]:
+            form = graph.voltage
+            below = form.below
+            copies = np.arange(q * q)[:, None]
+            for gen, (da, db) in enumerate(form.shifts):
+                want = (_gamma_add(copies, da, db, q) * below.size
+                        + below.perm(gen)).ravel()
+                assert np.array_equal(graph.perm(gen), want)
+
+
+@pytest.mark.parametrize("seed_", range(4))
+def test_rebuilt_levels_take_the_width_one_path(seed_):
+    # graphs rebuilt from copied tables are their own trivial forms, and
+    # their lifts still match the walk over every vertex
+    rng = np.random.default_rng(seed_)
+    tower = _tower(2, 2, 4)
+    swapped = _swapped(tower, 2, int(rng.integers(2)), *rng.integers(256, size=2))
+    tiled = _tiled(tower, 2, [(int(rng.integers(2)), int(rng.integers(16)),
+                               tuple(rng.integers(4, size=2).tolist()))])
+    char = Character.of(int(rng.choice([0, 2, 5])), {
+        (int(rng.integers(2)), int(v)): int(w)
+        for v, w in zip(rng.integers(256, size=3), rng.integers(-3, 4, size=3))})
+    for rebuilt in (swapped, tiled):
+        graph = rebuilt.top
+        assert graph.voltage.below is graph and graph.voltage.q == 1
+        for program in derived_programs(2) + (Program.word(((0, 1), (1, 1))),):
+            _same_profile(lift_profile(graph, program, char),
+                          whole_level_profile(graph, program, char))
+
+
 def _mutant(function, old, new):
     """function rebuilt from its source with the text old replaced by new,
     in a copy of its module's namespace."""
@@ -1201,6 +1354,24 @@ def _mutant(function, old, new):
      "pass", lambda: test_lift_behaviour_mismatches_match_full_loop(0, 5, 250)),
     (verify_lift_behaviour, "good[at] = (rows == wants[copy[at]]).all(axis=1)",
      "pass", lambda: test_lift_behaviour_on_tiled_levels(0)),
+    # the voltage term dropped from composition
+    (covers._compose, "(s1 + _at(s2, p1)) % q", "s1",
+     test_voltage_walk_matches_whole_level_walk),
+    # the voltage dropped from the level's monodromy: q^2 orbits over every
+    # cycle below, whatever the order of its voltage
+    (lift_profile, "sums[:, np.searchsorted(kinds, codes)]", "sums[:, 0 * codes]",
+     test_voltage_walk_matches_whole_level_walk),
+    # the start test replaced by g == 0: only the vertices of copy 0 start
+    # components
+    (lift_profile, "label == np.arange(size, dtype=VERTEX)",
+     "np.arange(size) < n", test_voltage_walk_matches_whole_level_walk),
+    # the survey's words not translated to the copies of their start
+    (covers._collapse_codes, "copies[:, None], *np.divmod(copy, q), q)",
+     "0 * copies[:, None], *np.divmod(copy, q), q)",
+     test_collapse_survey_every_level),
+    # the character's modulus dropped
+    (lift_profile, "values[at] %= char.modulus", "pass",
+     test_voltage_walk_reduces_values_by_the_modulus),
 ])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     mutant = _mutant(function, old, new)
@@ -1241,8 +1412,8 @@ def test_tower_certificate_memory():
 
 
 def test_height_five_lift_profile_memory():
-    # the tower and the program walk of alpha(5) over 2^20 vertices,
-    # 77.2 MiB (114.2)
+    # the tower and the lifts of alpha(5) over 2^20 vertices, 67.3 MiB
+    # walked one level down (77.2 over the whole level, 114.2 in int64)
     def work():
         tower = build_tower(2, 5, 4)
         return lift_profile(tower.top, derived_programs(5)[0],
