@@ -22,7 +22,6 @@ from .covers import (
     audit_tower,
     build_tower,
     derived_programs,
-    lift_profile,
     verify_lift_behaviour,
 )
 from .infection import (
@@ -162,12 +161,6 @@ def family_certificate(p: int, count: int, d_seed: int) -> Certificate:
 # Independence over the integers.
 
 
-def _nonzero_lift_count(tower, program, theta) -> int:
-    _, _, _, values = lift_profile(tower.top, program, theta,
-                                   work_cap=tower.work_cap)
-    return int((values != 0).sum())
-
-
 def _deck_prime(q: int) -> int:
     split = prime_power_split(q)
     if split is None or q < 3:
@@ -213,8 +206,7 @@ def independence_certificate(m: int, n: int, q: int,
     for i, structure in enumerate(structures, 1):
         row = []
         row_c = None
-        lifts = lift_profile(tower.top, alpha, structure.theta,
-                             work_cap=tower.work_cap)
+        lifts = structure.lifts(alpha)
         for j, entry in enumerate(family.entries, 1):
             link = tower_infection(m, n, entry.knot)  # its program is alpha
             result = lambda_T(structure, link, lifts=lifts)
@@ -248,7 +240,7 @@ def independence_certificate(m: int, n: int, q: int,
                    "ok": all(r["ok"] for r in factor_rows)})
     checks.append({"property": "c_independent_of_order", "values": c_values,
                    "ok": len(set(c_values)) <= 1})
-    recounts = [_nonzero_lift_count(tower, alpha, s.theta) for s in structures]
+    recounts = [int((s.lifts(alpha)[3] != 0).sum()) for s in structures]
     checks.append({"property": "c_matches_lift_count", "values": recounts,
                    "ok": recounts == c_values})
     checks.append({"property": "sigma_sum_rederivation",

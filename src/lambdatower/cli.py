@@ -116,7 +116,8 @@ class _WordParser:
     named word whose letters before free reduction would pass
     WORD_LETTER_CAP raises ResourceCapExceeded before it is built.  Each
     construct yields its word and, beside it, a straight-line program that
-    spells the word, for the lifts to walk.
+    spells the word, for the lifts to walk; generators collects every
+    generator that a token names, in letters that cancel too.
     """
 
     _TOKEN = re.compile(r"\s*(alpha|beta|comm|x\d+|-?\d+|[()^,*])")
@@ -134,6 +135,7 @@ class _WordParser:
             self.tokens.append(match.group(1))
             pos = match.end()
         self.pos = 0
+        self.generators = set()
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -194,6 +196,7 @@ class _WordParser:
     def _base(self) -> tuple:
         tok = self._take()
         if tok.startswith("x"):
+            self.generators.add(int(tok[1:]))
             word = ((int(tok[1:]), 1),)
             return word, Program.word(word)
         if tok == "(":
@@ -215,6 +218,7 @@ class _WordParser:
             self._take(")")
             if height < 0:
                 _fail(self.flag, f"height must be nonnegative, got {height}")
+            self.generators.update((0, 1))
             # alpha(k) = [a, b] and beta(k) = a alpha(k) a^-1 with a, b the
             # words of height k - 1, so 4|a| + 2|b| bounds both before
             # reduction; words are built upwards until the bound passes, and
@@ -238,8 +242,9 @@ def parse_word(text: str, flag: str = "--word") -> tuple:
 def _parse_word_program(text: str, m: int) -> tuple:
     """The --word and its program.  A program whose letters name a strand
     past m, in letters that cancel in the word, gives way to the word."""
-    word, program = _WordParser("--word", text).parse()
-    if any(gen >= m for gen in program.generators()):
+    parser = _WordParser("--word", text)
+    word, program = parser.parse()
+    if any(gen >= m for gen in parser.generators):
         program = Program.word(word)
     return word, program
 
@@ -322,17 +327,13 @@ class _JsonWriter:
     indent=2, ensure_ascii=False) and a newline; json.dump itself falls
     back to the pure-Python encoder for indented output.
 
-    Scalars and keys go through the C encoder.  A container met again (by
-    identity) is rendered to text once per depth and the text reused after
-    that, and a JoinedRows table is written as joins over its index; the
-    rest goes to the stream piece by piece, in batches, so the payload is
-    never held as one string.
+    Scalars and keys go through the C encoder, and a JoinedRows table is
+    written as joins over its index; the rest goes to the stream piece by
+    piece, in batches, so the payload is never held as one string.
     """
 
     def __init__(self, stream):
         self.stream = stream
-        self.seen = set()  # ids of the containers met so far
-        self.rendered = {}  # (id, depth) -> text of a repeated container
         self.pending = []
 
     def write(self, payload) -> None:
@@ -342,21 +343,15 @@ class _JsonWriter:
         self.pending.clear()
 
     def _value(self, obj, depth: int, out: list) -> None:
-        if not isinstance(obj, _CONTAINERS):
-            out.append(_ENCODE(obj))
-        elif id(obj) not in self.seen:
-            self.seen.add(id(obj))
+        if isinstance(obj, _CONTAINERS):
             self._container(obj, depth, out)
         else:
-            out.append(self._text(obj, depth))
+            out.append(_ENCODE(obj))
 
     def _text(self, obj, depth: int) -> str:
-        text = self.rendered.get((id(obj), depth))
-        if text is None:
-            part = []
-            self._container(obj, depth, part)
-            text = self.rendered[id(obj), depth] = "".join(part)
-        return text
+        part = []
+        self._value(obj, depth, part)
+        return "".join(part)
 
     def _flush(self, out: list) -> None:
         if out is self.pending:

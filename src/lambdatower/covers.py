@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -89,28 +89,18 @@ def word_power(word: Sequence[tuple], r: int) -> tuple:
     return free_reduce(tuple(word) * r)
 
 
-# (alpha_k, beta_k) for the heights k < 6; taller pairs are rebuilt on every
-# walk, not kept (alpha(10) and beta(10) alone hold 1.1 million letters).
-_derived = [(((0, 1),), ((1, 1),))]
-
-
 def derived_words():
     """Yield alpha_0, beta_0, alpha_1, beta_1, ...: alpha_0 = x_0,
     beta_0 = x_1, alpha_{k+1} = [alpha_k, beta_k] and beta_{k+1} = alpha_k
     alpha_{k+1} alpha_k^-1, freely reduced.  Each word is built only when it
     is asked for, so stopping at alpha_k never builds beta_k."""
-    for k in count():
-        if k < len(_derived):
-            a, b = _derived[k]
-            yield a
-        else:
-            below = a
-            a = word_concat(a, b, word_inverse(a), word_inverse(b))
-            yield a
-            b = word_concat(below, a, word_inverse(below))
-            if k < 6:
-                _derived.append((a, b))
+    a, b = ((0, 1),), ((1, 1),)
+    yield a
+    while True:
         yield b
+        below, a = a, word_concat(a, b, word_inverse(a), word_inverse(b))
+        yield a
+        b = word_concat(below, a, word_inverse(below))
 
 
 def alpha_word(n: int) -> tuple:
@@ -159,17 +149,6 @@ class Program:
         if r == 0:
             return Program.word(())
         return self if r == 1 else Program("pow", (self,), exponent=r)
-
-    def generators(self) -> set:
-        """The generators that the letters name, cancelled ones included."""
-        seen, stack, gens = set(), [self], set()
-        while stack:
-            node = stack.pop()
-            if node not in seen:
-                seen.add(node)
-                gens.update(gen for gen, _ in node.letters)
-                stack.extend(node.parts)
-        return gens
 
 
 def derived_programs(n: int) -> tuple:
@@ -275,7 +254,7 @@ class VoltageForm:
     """A graph as q^2 copies of below with voltages in Z_q + Z_q (Gross,
     "Voltage graphs", Discrete Math. 9, 1974): generator gen sends vertex
     g n + u, the copy g (coded a q + b, _gamma_add) of u, to the copy g +
-    shifts[gen][:, u] of below.perm(gen)[u].  q = 1 without shifts is the
+    shifts[gen][:, u] of below.perms[gen][u].  q = 1 without shifts is the
     trivial form of a graph over itself."""
 
     below: "CoverGraph"
@@ -309,16 +288,10 @@ class CoverGraph:
         self.generators = len(arrays)
         self.cells = cells
         self.basepoint = basepoint
-        self._inverses = (tuple(_vertex_table(p) for p in inverses)
-                          if inverses is not None
-                          else tuple(_inverse_table(p) for p in arrays))
+        self.inverses = (tuple(_vertex_table(p) for p in inverses)
+                         if inverses is not None
+                         else tuple(_inverse_table(p) for p in arrays))
         self.voltage = voltage or VoltageForm(self, 1, None)
-
-    def perm(self, gen: int) -> np.ndarray:
-        return self.perms[gen]
-
-    def perm_inv(self, gen: int) -> np.ndarray:
-        return self._inverses[gen]
 
     def edge_count(self) -> int:
         return self.generators * self.size
@@ -345,7 +318,7 @@ class CoverGraph:
         no vertex, or with its basepoint outside range(size), is not
         connected; nor is one whose table holds a value outside range(size),
         which names no edge of this graph."""
-        tables = self.perms + self._inverses
+        tables = self.perms + self.inverses
         if not (0 <= self.basepoint < self.size
                 and all(_in_range(table, self.size) for table in tables)):
             return False
@@ -381,8 +354,8 @@ def _next_level(graph: CoverGraph, q: int) -> CoverGraph:
     offsets = np.arange(q * q, dtype=VERTEX) * n
     perms, inverses, shifts = [], [], []
     for gen in range(graph.generators):
-        perm = (offsets[:, None] + graph.perm(gen)).ravel()
-        inverse = (offsets[:, None] + graph.perm_inv(gen)).ravel()
+        perm = (offsets[:, None] + graph.perms[gen]).ravel()
+        inverse = (offsets[:, None] + graph.inverses[gen]).ravel()
         shift = np.zeros((2, n), dtype=VERTEX)
         for axis, cell in enumerate((c_cell, d_cell)):
             if gen == cell.gen:
@@ -446,8 +419,8 @@ def _level_from_below(graph: CoverGraph, below: CoverGraph) -> tuple:
     width = graph.size // n
     identity = np.arange(n, dtype=VERTEX)
     tables = []  # (table of below, fixed columns, moved values), in pairs
-    for p, i, perm, inverse in zip(below.perms, below._inverses, graph.perms,
-                                   graph._inverses):
+    for p, i, perm, inverse in zip(below.perms, below.inverses, graph.perms,
+                                   graph.inverses):
         if not (_in_range(p, n) and _in_range(i, n)
                 and np.array_equal(i[p], identity)):
             return None, None
@@ -559,7 +532,7 @@ def build_tower(m: int, n: int, q: int, cap_edges: int = DEFAULT_CAP_EDGES) -> T
             f"of {TOWER_EDGE_CEILING} edges for {VERTEX.__name__} vertices")
     base = CoverGraph([np.zeros(1, dtype=VERTEX) for _ in range(m)],
                       (Cell(0, 0, 1), Cell(1, 0, 1)))
-    for table in base.perms + base._inverses:
+    for table in base.perms + base.inverses:
         table.flags.writeable = False
     levels = [base]
     for _ in range(n):
@@ -581,9 +554,9 @@ def lift_word(graph: CoverGraph, word: Sequence[tuple], start: int) -> tuple:
     for gen, exp in word:
         if exp == 1:
             path.append((gen, v, 1))
-            v = int(graph.perm(gen)[v])
+            v = int(graph.perms[gen][v])
         else:
-            v = int(graph.perm_inv(gen)[v])
+            v = int(graph.inverses[gen][v])
             path.append((gen, v, -1))
     return v, tuple(path)
 
@@ -705,10 +678,11 @@ def _compositions(node: Program) -> int:
 # Programs walked over a voltage form.  The action of a word is (P, S, E,
 # length): copy g of vertex u below ends in copy g + S[:, u] of P[u].  E
 # has a column per pass over a marked edge (gen, source below) and the rows
-# start, a, b, pos, mark and count: the vertex below the walk starts from,
-# the voltage (a, b) from its copy to the copy of the edge's source, the
-# letter's position, the mark and the exponent.  Where order is not needed
-# letters have length 0, so that every pos is 0 or -1.
+# end, a, b, pos, mark and count: the vertex below where the walk ends, the
+# voltage (a, b) from the copy of the edge's source to the copy it ends in,
+# the letter's position counted from the end of the word, the mark and the
+# exponent.  Where order is not needed letters have length 0, so that every
+# pos is 0 or -1.
 
 def _at(volt: np.ndarray, index) -> np.ndarray:
     """volt[:, index], several times faster."""
@@ -716,18 +690,19 @@ def _at(volt: np.ndarray, index) -> np.ndarray:
 
 
 def _compose(first: tuple, then: tuple, q: int) -> tuple:
-    """The action of the word of first followed by the word of then; then's
-    events start where the walks of first end."""
+    """The action of the word of first followed by the word of then: first's
+    events go on to where the walks of then end, then's stay as they are."""
     p1, s1, e1, n1 = first
     p2, s2, e2, n2 = then
-    if e2.shape[1]:
-        e2 = e2.copy()
-        e2[0] = _inverse(p1)[e2[0]]
-        e2[1:3] = (e2[1:3] + _at(s1, e2[0])) % q
-        e2[3] += n1
-        e1 = np.concatenate((e1, e2), axis=1)
-        e1 = e1 if n1 + n2 else _merged(e1)  # positive lengths keep order
-    return p2[p1], (s1 + _at(s2, p1)) % q, e1, n1 + n2
+    if e1.shape[1]:
+        events = np.concatenate((e1, e2), axis=1)
+        e1 = events[:, :e1.shape[1]]
+        e1[1:3] = (e1[1:3] + _at(s2, e1[0])) % q
+        e1[0] = p2[e1[0]]
+        e1[3] += n2
+        # positive lengths keep order; moving events merges none of them
+        e2 = events if n1 + n2 or not e2.shape[1] else _merged(events)
+    return p2[p1], (s1 + _at(s2, p1)) % q, e2, n1 + n2
 
 
 def _merged(events: np.ndarray) -> np.ndarray:
@@ -744,20 +719,14 @@ def _merged(events: np.ndarray) -> np.ndarray:
     return np.vstack((keys, total))[:, total != 0]
 
 
-def _inverse(perm: np.ndarray) -> np.ndarray:
-    """The inverse of a permutation, by one scatter."""
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.shape[0], dtype=perm.dtype)
-    return inverse
-
-
 def _invert(action: tuple, q: int) -> tuple:
     """The inverse action: the inverse word from P[u] ends at u, walks u's
-    path backwards and meets its events in reverse."""
+    path backwards and meets its events in reverse, each now ending at u."""
     perm, volt, e, length = action
-    events = np.vstack((perm[e[0]], (e[1:3] - _at(volt, e[0])) % q,
+    inverse = _inverse_table(perm)
+    ends = inverse[e[0]]
+    events = np.vstack((ends, (e[1:3] - _at(volt, ends)) % q,
                         length - 1 - e[3], e[4], -e[5]))
-    inverse = _inverse(perm)
     return inverse, -_at(volt, inverse) % q, events, length
 
 
@@ -778,9 +747,10 @@ def _evaluate(form: VoltageForm, programs: Sequence[Program], schedule: tuple,
     """The action of each program on form, by its _schedule, with an event
     per pass over the marked edges columns, (gen, source below) each, in
     order when ordered.  A forward letter passes its edge from the copy it
-    starts in, an inverse one into the copy it arrives in.  An action is
-    dropped at its last read, so only the actions that later reads still
-    need are alive."""
+    starts in, an inverse one into the copy it arrives in.  A product is
+    composed from its last factor back, so that each factor's events move
+    once.  An action is dropped at its last read, so only the actions that
+    later reads still need are alive."""
     below, q, n = form.below, form.q, form.below.size
     order, uses = schedule
     actions, letters = {}, {}
@@ -793,13 +763,13 @@ def _evaluate(form: VoltageForm, programs: Sequence[Program], schedule: tuple,
             shift = zero if form.shifts is None else form.shifts[gen]
             marks = [(m, u) for m, (g, u) in enumerate(columns) if g == gen]
             if exp == 1:
-                perm, volt = below.perm(gen), shift
-                rows = [(u, 0, 0, 0, m, 1) for m, u in marks]
+                perm, volt = below.perms[gen], shift
+                rows = [(perm[u], shift[0, u], shift[1, u], 0, m, 1)
+                        for m, u in marks]
             else:
-                perm = below.perm_inv(gen)
+                perm = below.inverses[gen]
                 volt = zero if form.shifts is None else -_at(shift, perm) % q
-                rows = [(below.perm(gen)[u], -shift[0, u] % q, -shift[1, u] % q,
-                         0, m, -1) for m, u in marks]
+                rows = [(u, 0, 0, 0, m, -1) for m, u in marks]
             events = np.array(rows, dtype=np.int64).reshape(-1, 6).T
             letters[key] = perm, volt, events, int(ordered)
         return letters[key]
@@ -815,10 +785,10 @@ def _evaluate(form: VoltageForm, programs: Sequence[Program], schedule: tuple,
             action = _power(read(node.parts[0]), node.exponent, q)
         else:
             action = None
-            for part in node.parts or (node,):
-                for step in (map(letter, part.letters) if part.op == "word"
-                             else (read(part),)):
-                    action = step if action is None else _compose(action, step, q)
+            for part in reversed(node.parts or (node,)):
+                for step in (map(letter, reversed(part.letters))
+                             if part.op == "word" else (read(part),)):
+                    action = step if action is None else _compose(step, action, q)
         actions[node] = action or (np.arange(n, dtype=VERTEX), zero,
                                    np.zeros((6, 0), dtype=np.int64), 0)
     return [read(program) for program in programs]
@@ -876,7 +846,7 @@ def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
         [(gen, source, w) for (gen, source), w in (char.weights if char else ())
          if 0 <= gen < graph.generators and 0 <= source < size],
         dtype=np.int64).reshape(-1, 3).T  # a mark per weighted edge
-    (perm, volt, (start, da, db, _, mark, count), _), = _evaluate(
+    (perm, volt, (end, da, db, _, mark, count), _), = _evaluate(
         form, (program,), schedule, list(zip(gens.tolist(), (sources % n).tolist())),
         False)
     # the level's monodromy, copy g of u to copy g + S[:, u] of P[u], read
@@ -890,10 +860,11 @@ def lift_profile(graph: CoverGraph, word, char: Optional[Character] = None,
     starts = np.flatnonzero(label == np.arange(size, dtype=VERTEX)).astype(VERTEX)
     values = None
     if char is not None:
-        # the copy h of start passes its edge in copy h + (da, db)
+        # a walk over the edge in copy h ends in copy h + (da, db), on the
+        # orbit of its start
         values = np.zeros(starts.size, dtype=np.int64)
         at = np.searchsorted(starts, label[
-            _gamma_add(sources[mark] // n, -da, -db, q) * n + start])
+            _gamma_add(sources[mark] // n, da, db, q) * n + end])
         np.add.at(values, at, weights[mark] * count)
         if char.modulus:
             values[at] %= char.modulus
@@ -967,9 +938,11 @@ def _collapse_codes(graph: CoverGraph, prev: CoverGraph, q: int,
     those words joined in the same order.
 
     The words are walked together over graph's VoltageForm if it lies over
-    prev, over graph itself otherwise.  The copy g of a vertex u below
-    crosses in copies g + sigma, sigma independent of g, so u's letters are
-    reduced once and the word left is then translated to u's copies.
+    prev, over graph itself otherwise.  The walk's events, kept where it
+    ends, go back to its start u by the inverse of the word's action.  The
+    copy g of u crosses in copies g + sigma, sigma independent of g, so u's
+    letters, (|code|, sign) each, are freely reduced once and the word left
+    is then translated to u's copies.
     Walking needs every generator table to be a bijection, which
     build_tower guarantees and audit_tower checks.
     """
@@ -989,19 +962,27 @@ def _collapse_codes(graph: CoverGraph, prev: CoverGraph, q: int,
     copies = np.arange(form.q ** 2)
     out = []
     programs = [w if isinstance(w, Program) else Program.word(w) for w in words]
-    for _, _, events, _ in _evaluate(form, programs, _schedule(programs),
-                                     columns, True):
-        start, da, db, pos, mark, count = events
+    for perm, volt, events, _ in _evaluate(form, programs, _schedule(programs),
+                                           columns, True):
+        end, _, _, pos, mark, count = events
+        start = _inverse_table(perm)[end]
+        da, db = _at(volt, start) - events[1:3]  # start's copy to the edge's
         codes = count * sign[mark] * (symbol[mark] * width + 1 + _gamma_add(
             base[mark], da, db, q))
-        hits = np.lexsort((mark, pos, start))
-        start = start[hits]
+        hits = np.lexsort((mark, -pos, start))
+        start, codes = start[hits], codes[hits]
         heads = np.flatnonzero(np.diff(start, prepend=-1))
-        kept, depths = _reduce_groups(codes[hits], heads)
-        cell, copy = np.divmod(np.abs(kept) - 1, width)
+        crossings = list(zip(np.abs(codes).tolist(), np.sign(codes).tolist()))
+        bounds = heads.tolist() + [len(crossings)]
+        reduced = [free_reduce(crossings[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:])]
+        depths = np.array([len(word) for word in reduced], dtype=np.int64)
+        magnitude, exp = np.array([letter for word in reduced for letter in word],
+                                  dtype=np.int64).reshape(-1, 2).T
+        cell, copy = np.divmod(magnitude - 1, width)
         out.append(((copies[:, None] * n + start[heads[depths > 0]]).ravel(),
                     np.tile(depths[depths > 0], copies.size),
-                    (np.sign(kept) * (cell * width + 1 + _gamma_add(
+                    (exp * (cell * width + 1 + _gamma_add(
                         copies[:, None], *np.divmod(copy, q), q))).ravel()))
     return out
 
@@ -1011,27 +992,6 @@ def _letters(codes: np.ndarray, width: int) -> tuple:
     magnitude = np.abs(codes) - 1
     return tuple(zip(map("cd".__getitem__, (magnitude // width).tolist()),
                      (magnitude % width).tolist(), np.sign(codes).tolist()))
-
-
-def _reduce_groups(codes: np.ndarray, heads: np.ndarray) -> tuple:
-    """Free reduction of every group of nonzero signed letter codes, where
-    group g is codes[heads[g]:heads[g + 1]] and a letter cancels its
-    negative, by one stack in Python: a survey of a built level has a few
-    hundred letters.  Returns the reduced groups joined in order and the
-    length of each."""
-    kept, depths = [], []
-    letters, bounds = codes.tolist(), heads.tolist() + [codes.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        stack = []
-        for letter in letters[lo:hi]:
-            if stack and stack[-1] == -letter:
-                stack.pop()
-            else:
-                stack.append(letter)
-        kept += stack
-        depths.append(len(stack))
-    return (np.array(kept, dtype=codes.dtype),
-            np.array(depths, dtype=heads.dtype))
 
 
 def _active_fiber(tower: Tower, k: int) -> int:

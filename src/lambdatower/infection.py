@@ -83,6 +83,12 @@ class PStructure:
         reduced mod d."""
         return PStructure(tower, character_f(tower).reduce(d), d)
 
+    def lifts(self, program: Program) -> tuple:
+        """The lift_profile of program under theta on the top level, within
+        the tower's work cap."""
+        return lift_profile(self.tower.top, program, self.theta,
+                            work_cap=self.tower.work_cap)
+
 
 @dataclass(frozen=True)
 class InfectedStringLink:
@@ -234,7 +240,7 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
     atom of the knot has cable parameter 1 and falls back to signatures only
     otherwise; disc=True insists on discriminant data and rejects cabled
     atoms, disc=False always restricts to signatures.  lifts, when given, is
-    the lift_profile of link.program under structure.theta on the top level.
+    structure.lifts(link.program).
     """
     if link.m != structure.tower.m:
         raise ValueError(
@@ -250,9 +256,7 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
     else:
         full = disc
     d = structure.d
-    _, _, degrees, values = lifts or lift_profile(
-        structure.tower.top, link.program, structure.theta,
-        work_cap=structure.tower.work_cap)
+    _, _, degrees, values = lifts or structure.lifts(link.program)
     # Lifts grouped by (r, t); each pair is evaluated once, in the order of
     # its first lift, so any cap error is the one a lift-order walk meets.
     _, first, group = np.unique(degrees * d + values, return_index=True,
@@ -291,9 +295,7 @@ def signature_prediction(structure: PStructure, link: InfectedStringLink,
             f"{structure.tower.m} circles")
     d = structure.d
     knot = link.knot
-    _, _, degrees, values = lifts or lift_profile(
-        structure.tower.top, link.program, structure.theta,
-        work_cap=structure.tower.work_cap)
+    _, _, degrees, values = lifts or structure.lifts(link.program)
     total = 0
     nonzero = values != 0
     for r, t in zip(degrees[nonzero].tolist(), values[nonzero].tolist()):

@@ -32,7 +32,7 @@ def local_triviality(tower, char):
     graph = tower.top
     lookup = dict(char.weights)
     for gen in range(graph.generators):
-        perm = graph.perm(gen)
+        perm = graph.perms[gen]
         seen = np.zeros(graph.size, dtype=bool)
         for v in range(graph.size):
             if seen[v]:
@@ -58,7 +58,7 @@ def word_monodromy(graph, word):
     """End vertices of the word's lifts at every start vertex at once."""
     v = np.arange(graph.size, dtype=VERTEX)
     for gen, exp in word:
-        table = graph.perm(gen) if exp == 1 else graph.perm_inv(gen)
+        table = graph.perms[gen] if exp == 1 else graph.inverses[gen]
         v = table[v]
     return v
 
@@ -129,9 +129,9 @@ def reference_lift_profile(graph, word, char=None):
     for gen, exp in word:
         if exp == 1:
             sources = current
-            current = graph.perm(gen)[current]
+            current = graph.perms[gen][current]
         else:
-            current = graph.perm_inv(gen)[current]
+            current = graph.inverses[gen][current]
             sources = current
         for (g, source), w in lookup.items():
             if g == gen:
@@ -187,9 +187,9 @@ def _walk(graph, letters, weighted, start):
     for gen, exp in letters:
         if exp == 1:
             sources = current
-            current = graph.perm(gen)[current]
+            current = graph.perms[gen][current]
         else:
-            current = graph.perm_inv(gen)[current]
+            current = graph.inverses[gen][current]
             sources = current
         for source, w in weighted.get(gen, ()):
             if not owned:

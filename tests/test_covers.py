@@ -43,7 +43,6 @@ from lambdatower.covers import (
 from lambdatower.covers import (
     _active_fiber,
     _level_from_below,
-    _reduce_groups,
     _gamma_add,
 )
 
@@ -93,7 +92,7 @@ def _forward_collapse_survey(graph, prev, q, word):
             sources = current
             current = graph.perms[gen][current]
         else:
-            current = graph.perm_inv(gen)[current]
+            current = graph.inverses[gen][current]
             sources = current
         for symbol, cell in (("c", c_cell), ("d", d_cell)):
             if gen != cell.gen:
@@ -221,7 +220,7 @@ class TestCoverGraph:
         edge = np.iinfo(np.int32)
         table = np.array([edge.max, edge.min, 0])
         graph = CoverGraph([table], inverses=[table])
-        assert graph.perm(0).tolist() == [edge.max, edge.min, 0]
+        assert graph.perms[0].tolist() == [edge.max, edge.min, 0]
         assert not graph.is_covering()
 
     @pytest.mark.parametrize("table", [[3, 0, 1], [2 ** 31 - 1, -2 ** 31, 0]])
@@ -231,7 +230,7 @@ class TestCoverGraph:
         # level below
         base = CoverGraph([np.zeros(1, dtype=np.int32)])
         for graph in (CoverGraph([table]), CoverGraph([table], inverses=[table])):
-            assert graph.perm(0).tolist() == table
+            assert graph.perms[0].tolist() == table
             assert not graph.is_covering()
             assert not graph.is_connected()
             assert _level_from_below(graph, base) == (False, False)
@@ -294,7 +293,7 @@ class TestBuildTower:
         # Generators past the first two carry no cocycle weight, so their
         # lifts permute within fibres as the identity.
         tower = build_tower(3, 1, 4)
-        assert np.array_equal(tower.top.perm(2), np.arange(16))
+        assert np.array_equal(tower.top.perms[2], np.arange(16))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -327,7 +326,7 @@ class TestBuildTower:
         tower = build_tower(3, 2, 4)
         for graph in tower.levels:
             for gen in range(graph.generators):
-                assert graph.perm(gen).dtype == graph.perm_inv(gen).dtype == np.int32
+                assert graph.perms[gen].dtype == graph.inverses[gen].dtype == np.int32
         program = derived_programs(2)[0]
         starts, ends, degrees, values = lift_profile(
             tower.top, program, character_f(tower))
@@ -629,7 +628,7 @@ def _reference_connected(graph):
     stack = [graph.basepoint]
     while stack:
         v = stack.pop()
-        for table in graph.perms + graph._inverses:
+        for table in graph.perms + graph.inverses:
             w = int(table[v])
             if w not in seen:
                 seen.add(w)
@@ -653,9 +652,9 @@ def _permutation_graphs(draw, coverings=True):
 def test_inverse_tables_match_argsort(graph):
     # the scatter that builds each inverse table against the sort it replaced
     for gen in range(graph.generators):
-        want = np.argsort(graph.perm(gen), kind="stable")
-        assert np.array_equal(graph.perm_inv(gen), want)
-        assert graph.perm_inv(gen).dtype == graph.perm(gen).dtype == covers.VERTEX
+        want = np.argsort(graph.perms[gen], kind="stable")
+        assert np.array_equal(graph.inverses[gen], want)
+        assert graph.inverses[gen].dtype == graph.perms[gen].dtype == covers.VERTEX
 
 
 @pytest.mark.parametrize("size", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 200_003])
@@ -663,8 +662,8 @@ def test_inverse_tables_match_argsort_across_chunks(size):
     perm = np.random.default_rng(size).permutation(size)
     graph = CoverGraph([perm, perm[::-1]])
     for gen in range(2):
-        assert np.array_equal(graph.perm_inv(gen),
-                              np.argsort(graph.perm(gen), kind="stable"))
+        assert np.array_equal(graph.inverses[gen],
+                              np.argsort(graph.perms[gen], kind="stable"))
 
 
 @given(st.one_of(_permutation_graphs(), _permutation_graphs(coverings=False)))
@@ -759,22 +758,6 @@ def test_collapse_survey_every_level():
                     _forward_collapse_survey(graph, prev, q, word)), (m, n, q, k)
 
 
-@given(st.lists(st.lists(st.sampled_from((-2, -1, 1, 2)), max_size=16),
-                min_size=1, max_size=12))
-@settings(max_examples=150)
-def test_reduce_groups_matches_free_reduce(groups):
-    # groups of signed letter codes over a two-letter alphabet, so that
-    # cancellations nest deeply; empty groups are no groups of a survey
-    groups = [g for g in groups if g] or [[1]]
-    codes = np.array([c for g in groups for c in g], dtype=np.int32)
-    heads = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    kept, depths = _reduce_groups(codes, heads)
-    want = [free_reduce((abs(c), 1 if c > 0 else -1) for c in g)
-            for g in groups]
-    assert depths.tolist() == [len(w) for w in want]
-    assert kept.tolist() == [gen * exp for w in want for gen, exp in w]
-
-
 @pytest.mark.parametrize("gen,a,b", [(0, 0, 1), (1, 0, 37), (0, 64, 200),
                                      (0, 5, 250), (1, 17, 18)])
 def test_lift_behaviour_mismatches_match_full_loop(gen, a, b):
@@ -832,9 +815,9 @@ def test_levels_by_offsets_match_reference(m):
             want = reference_next_level(below, q)
             assert level.cells == want.cells, (m, q)
             for gen in range(m):
-                assert np.array_equal(level.perm(gen), want.perm(gen)), (m, q)
-                assert np.array_equal(level.perm_inv(gen),
-                                      np.argsort(want.perm(gen))), (m, q)
+                assert np.array_equal(level.perms[gen], want.perms[gen]), (m, q)
+                assert np.array_equal(level.inverses[gen],
+                                      np.argsort(want.perms[gen])), (m, q)
 
 
 def _leaf_words(m):
@@ -934,7 +917,6 @@ def test_program_constructors_keep_flat_words_flat():
     assert Program.cat().letters == ()
     commutator = derived_programs(2)[0]
     assert commutator.inverse().inverse() is commutator
-    assert derived_programs(3)[0].generators() == {0, 1}
 
 
 def test_program_evaluation_frees_actions_as_it_goes():
@@ -1009,11 +991,11 @@ def _tiled(tower, k, shifts, given_inverses=False):
     table, so that the edges of the level are not symmetric."""
     below, q = tower.levels[k - 1], tower.q
     n, copies = below.size, np.arange(q * q)
-    perms = [(copies[:, None] * n + below.perm(gen)).ravel()
+    perms = [(copies[:, None] * n + below.perms[gen]).ravel()
              for gen in range(below.generators)]
     for gen, u, (da, db) in shifts:
         perms[gen][copies * n + u] = (_gamma_add(copies, da, db, q) * n
-                                      + below.perm(gen)[u])
+                                      + below.perms[gen][u])
     levels = list(tower.levels)
     levels[k] = CoverGraph(perms, levels[k].cells,
                            inverses=perms if given_inverses else None)
@@ -1260,11 +1242,13 @@ def test_voltage_walk_over_long_cycles_below(text):
 
 
 def test_voltage_walk_reduces_values_by_the_modulus():
-    # the commutator lifts carry -1, which modulus 5 takes to 4
+    # the commutator lifts carry -1, which modulus 5 takes to 4; the inverse
+    # node's events end where the walks that it inverts start
     tower = _tower(2, 2, 4)
+    inverse = Program("inv", (Program.word(((0, 1), (1, 1))),))
     for modulus in (0, 2, 5):
         char = character_f(tower).reduce(modulus)
-        for program in derived_programs(2):
+        for program in derived_programs(2) + (inverse,):
             _same_profile(lift_profile(tower.top, program, char),
                           whole_level_profile(tower.top, program, char))
 
@@ -1285,7 +1269,7 @@ def test_built_levels_are_read_only():
     tower = build_tower(3, 2, 4)
     for graph in tower.levels:
         for gen in range(graph.generators):
-            for table in (graph.perm(gen), graph.perm_inv(gen)):
+            for table in (graph.perms[gen], graph.inverses[gen]):
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 0
     for graph, below in zip(tower.levels[1:], tower.levels):
@@ -1307,8 +1291,8 @@ def test_voltage_form_spells_the_tables():
             copies = np.arange(q * q)[:, None]
             for gen, (da, db) in enumerate(form.shifts):
                 want = (_gamma_add(copies, da, db, q) * below.size
-                        + below.perm(gen)).ravel()
-                assert np.array_equal(graph.perm(gen), want)
+                        + below.perms[gen]).ravel()
+                assert np.array_equal(graph.perms[gen], want)
 
 
 @pytest.mark.parametrize("seed_", range(4))
@@ -1357,6 +1341,15 @@ def _mutant(function, old, new):
     # the voltage term dropped from composition
     (covers._compose, "(s1 + _at(s2, p1)) % q", "s1",
      test_voltage_walk_matches_whole_level_walk),
+    # the first word's events left where its walks end, or moved there
+    # without the voltage of the second word
+    (covers._compose, "e1[0] = p2[e1[0]]", "pass",
+     test_voltage_walk_reduces_values_by_the_modulus),
+    (covers._compose, " + _at(s2, e1[0])", "",
+     test_voltage_walk_reduces_values_by_the_modulus),
+    # the inverse's events keyed where the walks it inverts end
+    (covers._invert, "ends = inverse[e[0]]", "ends = e[0]",
+     test_voltage_walk_reduces_values_by_the_modulus),
     # the voltage dropped from the level's monodromy: q^2 orbits over every
     # cycle below, whatever the order of its voltage
     (lift_profile, "sums[:, np.searchsorted(kinds, codes)]", "sums[:, 0 * codes]",
@@ -1365,6 +1358,10 @@ def _mutant(function, old, new):
     # components
     (lift_profile, "label == np.arange(size, dtype=VERTEX)",
      "np.arange(size) < n", test_voltage_walk_matches_whole_level_walk),
+    # the survey reading the ends of the walks as their starts; alpha_{k+1}
+    # and beta_{k+1} close up one level down, so only other words show it
+    (covers._collapse_codes, "start = _inverse_table(perm)[end]", "start = end",
+     test_collapse_survey_matches_forward_walk),
     # the survey's words not translated to the copies of their start
     (covers._collapse_codes, "copies[:, None], *np.divmod(copy, q), q)",
      "0 * copies[:, None], *np.divmod(copy, q), q)",
