@@ -25,6 +25,31 @@ _LIFT_WORDS = ("x0", "comm(x0,x1)", "x0^5", "(x0*x1)^-3", "alpha({k})",
 UNDER_CAP = " ".join(["x0^127 x1^127"] * 81 + ["x0 x1"] * 10)
 OVER_CAP = UNDER_CAP + " x0"
 
+# sig argvs that the float pass leaves to the mpmath cascade, each with the
+# precisions the cascade runs at: orders past the cot tables (2^15, 2^16,
+# 2^150), a minor coefficient past 2^1000, and zero diagonals, which only a
+# 2 x 2 block pivot starts.  The order 2^150 puts s/d about 2^-150 from a
+# jump of twist(2), decided at 256 bits and refused under a cap of 128.
+_D150 = str(2 ** 150)
+_S150 = "164171632253562604701756578771745058906724657"
+CASCADE = [
+    (["sig", "--matrix", "[[-1,1],[0,-1]]", "--d", "32768", "--s", "1"], [64]),
+    (["sig", "--matrix", "[[-1,1],[0,-1]]", "--d", "65536", "--s", "12345"],
+     [64]),
+    (["sig", "--matrix", f"[[-1,1],[0,-{2 ** 1001}]]", "--d", "9", "--s", "2"],
+     [64]),
+    (["sig", "--matrix", "[[0,1],[0,0]]", "--d", "32768", "--s", "3"], [64]),
+    (["sig", "--matrix", "[[0,1,0,0],[0,0,0,0],[0,0,0,1],[0,0,0,0]]",
+      "--d", "32768", "--s", "5"], [64]),
+    (["sig", "--matrix", "[[-1,1],[0,-2]]", "--d", _D150, "--s", _S150],
+     [64, 128, 256]),
+    (["sig", "--matrix", "[[-1,1],[0,-2]]", "--d", _D150, "--s", _S150,
+      "--precision-cap", "128"], [64, 128]),
+]
+
+# A rational hermitian form with integer, "p/q" and [p, q] entries.
+_FORM = '[[1,"1/2",[2,3]],["1/2",-3,0],[[2,3],0,"5/7"]]'
+
 
 def _tower_lift(m, n, q, word, *extra):
     return ["tower", "lift", "--m", str(m), "--n", str(n), "--q", str(q),
@@ -50,6 +75,23 @@ def _argvs():
         # exit 2, naming the flag
         _tower_lift(2, 2, 4, "x0", "--level", "3"),
         _tower_lift(2, 2, 4, "comm(x0,x2)", "--level", "1"),
+    ]
+    argvs += [argv for argv, _ in CASCADE]
+    argvs += [["witt", "--form", _FORM, "--d", str(d)]
+              for d in (4, 9, 27, 81, 243)]
+    argvs += [
+        # exit 2: one argv for each parse error no other test reaches
+        ["witt", "--form", "[[1,[1,0]]]", "--d", "4"],
+        ["witt", "--form", "[[1,2],[3,4]]", "--d", "4"],
+        ["sig", "--knot", "twist:1:2:3:4", "--d", "9", "--s", "1"],
+        ["sig", "--knot", "twist:a", "--d", "9", "--s", "1"],
+        ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word",
+         "comm(x0 x1)", "--knot", "trefoil"],
+        ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word", "^2",
+         "--knot", "trefoil"],
+        ["lambda", "--tower", "n=2,q", "--theta", "f-mod-4", "--word", "x0",
+         "--knot", "trefoil"],
+        ["hilbert", "--a", "2", "--b", "3", "--q", "seven"],
     ]
     return argvs
 

@@ -5,20 +5,38 @@ import json
 
 import pytest
 
-from record_contract import ARGVS, CONTRACT, run
+from lambdatower import seifert
+from record_contract import ARGVS, CASCADE, CONTRACT, run
 
 RECORDS = json.loads(CONTRACT.read_text(encoding="utf-8"))["records"]
 
 
-def _id(record):
-    text = " ".join(record["argv"])
+def _id(argv):
+    text = " ".join(argv)
     return text if len(text) < 80 else f"{text[:60]}...[{len(text)} chars]"
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=_id)
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: _id(record["argv"]))
 def test_argv_replays_its_record(record):
     assert run(record["argv"]) == record
 
 
 def test_the_recorded_argvs_are_the_listed_ones():
     assert [record["argv"] for record in RECORDS] == ARGVS
+
+
+@pytest.mark.parametrize("argv, bits", CASCADE,
+                         ids=[_id(argv) for argv, _ in CASCADE])
+def test_cascade_records_reach_the_cascade(argv, bits, monkeypatch):
+    # the float pass leaves these roots open: each call of the mpmath stage
+    # is counted, at the precisions it doubles through
+    seen = []
+    stage = seifert._interval_signature
+
+    def counted(rows, d, s, prec):
+        seen.append(prec)
+        return stage(rows, d, s, prec)
+
+    monkeypatch.setattr(seifert, "_interval_signature", counted)
+    run(argv)
+    assert seen == bits
