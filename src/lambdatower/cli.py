@@ -235,10 +235,6 @@ class _WordParser:
         _fail(self.flag, f"unexpected token {tok!r}")
 
 
-def parse_word(text: str, flag: str = "--word") -> tuple:
-    return _WordParser(flag, text).parse()[0]
-
-
 def _parse_word_program(text: str, m: int) -> tuple:
     """The --word and its program.  A program whose letters name a strand
     past m, in letters that cancel in the word, gives way to the word."""
@@ -409,8 +405,6 @@ def _emit(payload: dict, rows, fmt: str, stream) -> None:
     if fmt == "json":
         _JsonWriter(stream).write(payload)
         return
-    if rows is None:
-        rows = [payload]
     if not rows:
         return
     header = []

@@ -527,9 +527,6 @@ class CyclotomicNumber:
                     and self.den == other.denominator)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.order, self.num, self.den))
-
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.coeffs):

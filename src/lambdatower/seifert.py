@@ -10,8 +10,10 @@ stage: per (matrix, order) one cached pass decides every root of the order
 from the signs of the leading principal minors (Jacobi's rule), over one
 certified cot table per order, after a unimodular congruence that keeps
 every minor a nonzero polynomial.  The roots it leaves open go to an
-interval LDL^H with 2 x 2 block pivots in mpmath at 64, 128, 256, ... bits
-up to the precision cap.  Neither builds an element of Q(zeta_d).
+interval LDL^T of the realification, with 2 x 2 block pivots, in mpmath at
+64, 128, 256, ... bits up to the precision cap: real intervals, since
+mpmath 1.3.0 cannot even conjugate an interval mpc.  Neither builds an
+element of Q(zeta_d).
 """
 from __future__ import annotations
 
@@ -219,119 +221,70 @@ _next = math.nextafter
 
 
 def _ldl_signature(N) -> Optional[int]:
-    """Signature of a hermitian matrix by LDL^H in mpmath intervals, or None
+    """Signature of a real symmetric matrix whose eigenvalues come in equal
+    pairs, by LDL^T in mpmath intervals (rows, eliminated in place), or None
     when undecided.
 
-    N is given as rows of complex intervals (re, im).  Each step takes the
-    diagonal pivot farthest from zero.  When no diagonal entry can be
-    separated from zero, a 2 x 2 principal block whose determinant is
-    certified negative is eliminated instead (Bunch and Kaufman 1977): a
-    hermitian 2 x 2 block of negative determinant has inertia (1, 1), so it
-    adds 0 to the signature, and its Schur complement carries the rest of
-    the inertia.  When every pivot is certified, the exact factorization
-    with the same pivots exists, so by Sylvester's law they give the
-    inertia and N is nonsingular.  A step with neither kind of pivot, or an
-    infinite endpoint, leaves the answer to the next precision.
+    Each step takes the diagonal pivot farthest from zero; failing that, the
+    2 x 2 principal block of most negative certified determinant (Bunch and
+    Kaufman 1977), which has inertia (1, 1) and adds 0.  With every pivot
+    certified, the exact factorization with the same pivots exists, so by
+    Sylvester's law they give the inertia.  With all but the last certified,
+    N has rank len(N) - 1 or more and an even nullity, so it is nonsingular,
+    and the last sign makes the count of positive eigenvalues even.  A step
+    with neither kind of pivot, or an infinite endpoint, returns None.
     """
     def mignitude(x):  # least absolute value over x, 0 when x holds 0
         return x.a if x.a > 0 else -x.b if x.b < 0 else 0
 
-    def c_mul(z, w):
-        return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
-
-    def c_mul_conj(z, w):  # z conj(w)
-        return z[0] * w[0] + z[1] * w[1], z[1] * w[0] - z[0] * w[1]
-
-    def c_abs2(z):
-        return z[0] ** 2 + z[1] ** 2
-
-    def eliminate(live, pivots, weights, form):
-        """Drop the pivot block B on `pivots` from live and replace the live
-        rows and columns of N by its Schur complement.  For row i with
-        v = N[i, B], weights(v) is v B^-1 and form(v) the real number
-        v B^-1 v^*; then N[i][j] -= sum_u weights(v)_u conj(N[j][pivots[u]])."""
-        for k in pivots:
-            live.remove(k)
-        rows = {i: [N[i][k] for k in pivots] for i in live}
-        w = {i: weights(rows[i]) for i in live}
-        for i in live:
-            for j in live:
-                if j == i:
-                    N[i][i] = (N[i][i][0] - form(rows[i]), N[i][i][1])
-                    continue
-                re, im = c_mul_conj(w[i][0], rows[j][0])
-                for wu, vu in zip(w[i][1:], rows[j][1:]):
-                    r, m = c_mul_conj(wu, vu)
-                    re, im = re + r, im + m
-                N[i][j] = (N[i][j][0] - re, N[i][j][1] - im)
-
-    def block_pivot(live):
-        """Elimination step (pivots, weights, form) on the 2 x 2 block
-        B = [[a, b], [conj(b), c]] on live indices with the most negative
-        certified determinant D, or None when none is certified negative.
-        B^-1 = [[c, -b], [-conj(b), a]] / D, so v B^-1 is
-        ((c v0 - conj(b) v1) / D, (a v1 - b v0) / D) and v B^-1 v^* is
-        (c |v0|^2 + a |v1|^2 - 2 Re(b v0 conj(v1))) / D."""
-        best = None
-        for x, k0 in enumerate(live):
-            for k1 in live[x + 1:]:
-                det = N[k0][k0][0] * N[k1][k1][0] - c_abs2(N[k0][k1])
-                if det.b < 0 and (best is None or det.b < best[2].b):
-                    best = (k0, k1, det)
-        if best is None:
-            return None
-        k0, k1, det = best
-        a, c, b = N[k0][k0][0], N[k1][k1][0], N[k0][k1]
-
-        def weights(v):
-            v0, v1 = v
-            x = c_mul_conj(v1, b)
-            y = c_mul(b, v0)
-            return [tuple((c * v0[r] - x[r]) / det for r in (0, 1)),
-                    tuple((a * v1[r] - y[r]) / det for r in (0, 1))]
-
-        def form(v):
-            v0, v1 = v
-            cross = c_mul(b, c_mul_conj(v0, v1))[0]
-            return (c * c_abs2(v0) + a * c_abs2(v1) - (cross + cross)) / det
-
-        return [k0, k1], weights, form
-
-    live = list(range(len(N)))
-    sig = 0
+    live, sig = list(range(len(N))), 0
     while live:
-        k = max(live, key=lambda i: mignitude(N[i][i][0]))
-        p = N[k][k][0]
-        if mignitude(p):
-            sig += 1 if p.a > 0 else -1
-            step = ([k], lambda v: [(v[0][0] / p, v[0][1] / p)],
-                    lambda v: c_abs2(v[0]) / p)
+        k = max(live, key=lambda i: mignitude(N[i][i]))
+        if mignitude(N[k][k]):
+            sig += 1 if N[k][k].a > 0 else -1
+            block, adjugate, det = [k], [[1]], N[k][k]
+        elif len(live) == 1:
+            return sig + (1 if (len(N) - 1 + sig) // 2 % 2 else -1)
         else:
-            step = block_pivot(live)
-            if step is None:
+            pairs = [(N[i][i] * N[j][j] - N[i][j] ** 2, i, j)
+                     for x, i in enumerate(live) for j in live[x + 1:]]
+            pairs = [pair for pair in pairs if pair[0].b < 0]
+            if not pairs:
                 return None
-        eliminate(live, *step)
-        if not all(_DOWN < x.a and x.b < _UP
-                   for i in live for j in live for x in N[i][j]):
+            det, i, j = min(pairs, key=lambda pair: pair[0].b)
+            block = [i, j]
+            adjugate = [[N[j][j], -N[i][j]], [-N[i][j], N[i][i]]]
+        live = [i for i in live if i not in block]
+        # the Schur complement N[i][j] - N[i][B] adj(B) N[B][j] / det(B)
+        weights = {i: [sum(N[i][u] * adjugate[x][y] for x, u in enumerate(block))
+                       for y in range(len(block))] for i in live}
+        for x, i in enumerate(live):
+            for j in live[x:]:
+                N[i][j] = N[j][i] = N[i][j] - sum(
+                    w * N[v][j] for w, v in zip(weights[i], block)) / det
+        if not all(_DOWN < N[i][j].a and N[i][j].b < _UP
+                   for i in live for j in live):
             return None
     return sig
 
 
 def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]:
-    """Signature of M(zeta_d^s) by LDL^H of N in mpmath intervals at `prec`
-    bits, or None when undecided.
+    """Signature of M(zeta_d^s) by _ldl_signature at `prec` bits, or None.
 
     At w = e^(2 pi i s/d), M = (1-w)A + (1-w^-1)A^T is the positive multiple
-    2 sin^2(phi) of N = S - i cot(phi) K, with phi = pi s/d, S = A + A^T and
-    K = A - A^T, so N has the inertia of M.
+    2 sin^2(phi) of N = S - i t K, with phi = pi s/d, t = cot(phi),
+    S = A + A^T and K = A - A^T.  The realification R = [[S, tK], [-tK, S]]
+    of N has its eigenvalues, each taken twice.
     """
     n = len(rows)
     with interval_precision(prec):
         phi = iv.pi * s / d
         t = iv.cos(phi) / iv.sin(phi)
-        return _ldl_signature([[(iv.mpf(rows[i][j] + rows[j][i]),
-                                 t * (rows[j][i] - rows[i][j]))
-                                for j in range(n)] for i in range(n)])
+        S = [[iv.mpf(rows[i][j] + rows[j][i]) for j in range(n)] for i in range(n)]
+        tK = [[t * (rows[i][j] - rows[j][i]) for j in range(n)] for i in range(n)]
+        sig = _ldl_signature([S[i] + tK[i] for i in range(n)]
+                             + [[-x for x in tK[i]] + S[i] for i in range(n)])
+    return None if sig is None else sig // 2
 
 
 @lru_cache(maxsize=1 << 16)

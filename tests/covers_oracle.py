@@ -16,12 +16,18 @@ from itertools import islice
 
 import numpy as np
 
+from lambdatower.cli import _WordParser
 from lambdatower.covers import VERTEX, Cell, CoverGraph, Program, derived_words
 
 
 def beta_word(n):
     """beta_n, the word derived_words yields after alpha_n."""
     return next(islice(derived_words(), 2 * n + 1, None))
+
+
+def parse_word(text, flag="--word"):
+    """The word that the CLI reads from a --word text."""
+    return _WordParser(flag, text).parse()[0]
 
 
 def local_triviality(tower, char):

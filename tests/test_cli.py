@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import lambdatower
 from lambdatower import cli, covers, cyclo, witt
-from lambdatower.cli import main, parse_word
+from lambdatower.cli import main
 from lambdatower.covers import ResourceCapExceeded, alpha_word
 from lambdatower.infection import JoinedRows
 from lambdatower.knotforge import FamilyEntry, KnotFamily
 from lambdatower.seifert import FormalKnot, signature_profile, twist_knot
 
-from covers_oracle import beta_word
+from covers_oracle import beta_word, parse_word
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 

@@ -1,10 +1,8 @@
 """Tests for iterated covers, word lifting, and the collapse dichotomy."""
-import inspect
 import os
 import pathlib
 import subprocess
 import sys
-import textwrap
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -50,12 +48,14 @@ from covers_oracle import (
     beta_word,
     expand,
     local_triviality,
+    parse_word,
     reference_components,
     reference_lift_profile,
     reference_next_level,
     whole_level_profile,
     word_monodromy,
 )
+from mutation import assert_killed
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 
@@ -240,6 +240,19 @@ class TestCoverGraph:
             assert not audit.passed
             assert [c["ok"] for c in audit.checks
                     if c["check"] == "connected"] == [True, False]
+
+    def test_no_generators_and_unequal_tables_are_refused(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            CoverGraph([])
+        with pytest.raises(ValueError, match="share one vertex set"):
+            CoverGraph([[1, 0], [0, 2, 1]])
+
+    def test_level_from_below_declines_other_sizes(self):
+        # 3 vertices are no copies of a level of 2: neither proof applies
+        below = CoverGraph([[1, 0], [0, 1]])
+        graph = CoverGraph([[1, 2, 0], [0, 2, 1]])
+        assert _level_from_below(graph, below) == (None, None)
+        assert (graph.is_covering(), graph.is_connected()) == (True, True)
 
     @pytest.mark.parametrize("perms,basepoint", [
         ([[0, 1]], 5), ([np.zeros(0, dtype=np.int32)], 0), ([[1, 0]], -1)])
@@ -870,7 +883,7 @@ def test_programs_lift_like_their_words(data):
     word, program = cli._WordParser("--word", text).parse()
     # the parser's word is the one the word functions spell, and the
     # program spells it before free reduction
-    assert word == cli.parse_word(text) == want
+    assert word == parse_word(text) == want
     assert free_reduce(expand(program)) == word
     graph, char = data.draw(_lift_targets(m))
     got = lift_profile(graph, program, char)
@@ -1315,16 +1328,6 @@ def test_rebuilt_levels_take_the_width_one_path(seed_):
                           whole_level_profile(graph, program, char))
 
 
-def _mutant(function, old, new):
-    """function rebuilt from its source with the text old replaced by new,
-    in a copy of its module's namespace."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, old
-    namespace = dict(function.__globals__)
-    exec(source.replace(old, new), namespace)
-    return namespace[function.__name__]
-
-
 @pytest.mark.parametrize("function,old,new,test", [
     # the sort-equality check dropped: tables with repeats in range pass
     (covers._level_from_below, "ok and np.array_equal(", "ok or np.array_equal(",
@@ -1371,11 +1374,7 @@ def _mutant(function, old, new):
      test_voltage_walk_reduces_values_by_the_modulus),
 ])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
-    mutant = _mutant(function, old, new)
-    monkeypatch.setattr(covers, function.__name__, mutant)
-    monkeypatch.setitem(globals(), function.__name__, mutant)
-    with pytest.raises((AssertionError, IndexError)):
-        test()
+    assert_killed(monkeypatch, function, old, new, test)
 
 
 # Memory bounds under tracemalloc, which counts numpy's buffers and is

@@ -412,3 +412,15 @@ def test_cot_table_is_bounded_and_read_only():
     lo, _ = cyclo.cot_table(16)
     with pytest.raises(ValueError):
         lo[1] = 0.0
+
+
+def test_equal_elements_hash_equally():
+    # one representation per element, so the dataclass hash of (order, num,
+    # den) agrees with equality
+    rng = random.Random(5)
+    for d in (4, 9, 27):
+        x = random_element(rng, d)
+        same = CyclotomicNumber.from_coeffs(d, x.coeffs)
+        assert same == x and same is not x
+        assert hash(same) == hash(x)
+        assert len({x, same, x * CyclotomicNumber.of(d, 1)}) == 1

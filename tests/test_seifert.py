@@ -24,6 +24,7 @@ from lambdatower.seifert import (
     Atom,
     FormalKnot,
     SeifertMatrix,
+    SignatureProfile,
     arf,
     integral_sigma,
     omega_signature,
@@ -44,6 +45,8 @@ from lambdatower.seifert import (
     _twist_enclosure,
 )
 from lambdatower.witt import lambda_block, witt_invariants
+
+from mutation import assert_killed
 
 TREFOIL = twist_knot(1)
 
@@ -479,6 +482,24 @@ class TestTwistEnclosure:
         assert [twist_cmp(n, x) for x in xs] == want
         assert calls == [(lo + hi) / 2]  # only x inside the box is compared
 
+    def test_twist_cmp_under_a_low_cap(self):
+        # at 64 bits the box of t_n for n = 2^40 cannot be certified; it is
+        # skipped, far turns are still decided by one cosine comparison,
+        # and a turn within 2^-60 of t_n exhausts the cap
+        n = 2 ** 40
+        with mpmath.workdps(60):
+            near = Fraction(int(_t_n(n) * 2 ** 80), 2 ** 80)
+        old = cyclo.set_precision_cap(64)
+        try:
+            with pytest.raises(PrecisionExhausted):
+                _twist_enclosure(n, 64)
+            assert twist_cmp(n, Fraction(1, 10)) == -1
+            assert twist_cmp(n, Fraction(1, 10 ** 9)) == 1
+            with pytest.raises(PrecisionExhausted):
+                twist_cmp(n, near)
+        finally:
+            cyclo.set_precision_cap(old)
+
     @pytest.mark.parametrize("n", (2, 3, 1000, 123457))
     def test_certificate_rejects_a_box_one_ulp_too_narrow(self, n):
         t = _t_n(n)
@@ -878,3 +899,79 @@ class TestFormalKnotApi:
         assert k.cable(2).atoms[0].cable == 6
         with pytest.raises(ValueError, match=">= 1"):
             k.cable(0)
+
+
+# Roots next to the jump t_n of twist(n), as offsets from the odd exponent
+# nearest t_n d, at which the cascade needs 128 bits: there no interval
+# separates the last pivot of the realification from zero, and its sign
+# follows from the others.
+PARITY_ROOTS = ((3, 130, 2), (7, 130, 0), (10 ** 6, 140, 2))
+
+
+@pytest.mark.parametrize("n, k, offset", PARITY_ROOTS)
+def test_last_pivot_follows_from_the_others(n, k, offset):
+    d = 2 ** k
+    with mpmath.workdps(60):
+        s = (int(mpmath.nint(_t_n(n) * d)) | 1) + offset
+    ref = signature_profile(twist_knot(n)).evaluate(Fraction(s, d))[0]
+    rows = twist_matrix(n).rows
+    assert _interval_signature(rows, d, s, 64) is None
+    assert _interval_signature(rows, d, s, 128) == ref == -2
+
+
+@pytest.mark.parametrize("knot, d", [
+    (twist_knot(1), 6), (twist_knot(1), 12), (twist_knot(1, 2), 12),
+    (twist_knot(1), 18), (twist_knot(1, 2), 24),
+    (twist_knot(10 ** 30, 2), 4), (twist_knot(10 ** 30, 2), 8)],
+    ids=["trefoil-6", "trefoil-12", "cable-12", "trefoil-18", "cable-24",
+         "huge-4", "huge-8"])
+def test_evaluate_all_with_jumps_on_turns(knot, d):
+    # the trefoil's jumps lie on turns s/d, and at d = 18 the float estimate
+    # of 5/6 is the turn above it; for n = 10^30 the float estimate of t_n
+    # is 0, so the jump (1 + t_n)/2 is estimated at the turn 1/2 below it
+    profile = signature_profile(knot)
+    assert profile.evaluate_all(d) == [profile.evaluate(Fraction(s, d))
+                                       for s in range(d)]
+
+
+@pytest.mark.parametrize("function, old, new, test", [
+    # the realification's lower-left block not negated
+    (_interval_signature, "[-x for x in tK[i]] + S[i]", "tK[i] + S[i]",
+     lambda: TestIntervalInertia().test_genus_one(8)),
+    # the signature of the realification taken for that of N
+    (_interval_signature, "sig // 2", "sig",
+     lambda: TestIntervalInertia().test_genus_one(8)),
+    # the Schur complement update dropped
+    (seifert._ldl_signature, "N[i][j] = N[j][i] = N[i][j] - sum(",
+     "N[i][j] = N[j][i] = N[i][j] + 0 * sum(",
+     lambda: TestIntervalInertia().test_genus_two(9)),
+    # the 2 x 2 determinant with the off-diagonal square added
+    (seifert._ldl_signature, "- N[i][j] ** 2", "+ N[i][j] ** 2",
+     TestIntervalInertia().test_zero_diagonal_takes_block_pivot),
+    # a block pivot whose determinant is not certified negative: next to a
+    # jump the last two pivots of the realification hold 0 at 64 bits
+    (seifert._ldl_signature, "pair[0].b < 0", "pair[0].a < 0",
+     lambda: test_last_pivot_follows_from_the_others(7, 130, 0)),
+    # the last pivot's sign flipped, or left undecided
+    (seifert._ldl_signature, "(1 if (len(N) - 1 + sig) // 2 % 2 else -1)",
+     "(-1 if (len(N) - 1 + sig) // 2 % 2 else 1)",
+     lambda: test_last_pivot_follows_from_the_others(7, 130, 0)),
+    (seifert._ldl_signature, "elif len(live) == 1:", "elif False:",
+     lambda: test_last_pivot_follows_from_the_others(7, 130, 0)),
+    # the correction loops of evaluate_all: a jump on a turn not reached from
+    # above, not passed from below, or not counted as at the jump
+    (SignatureProfile.evaluate_all,
+     "j.compare_to_turn(Fraction(s - 1, d)) <= 0",
+     "j.compare_to_turn(Fraction(s - 1, d)) < 0",
+     lambda: test_evaluate_all_with_jumps_on_turns(twist_knot(1), 18)),
+    (SignatureProfile.evaluate_all,
+     "(c := j.compare_to_turn(Fraction(s, d))) > 0",
+     "(c := j.compare_to_turn(Fraction(s, d))) > 1",
+     lambda: test_evaluate_all_with_jumps_on_turns(twist_knot(10 ** 30, 2), 4)),
+    (SignatureProfile.evaluate_all, "if s < d and c == 0:", "if False:",
+     lambda: test_evaluate_all_with_jumps_on_turns(twist_knot(1), 6)),
+], ids=["lower-left", "half", "schur", "block-det", "uncertified-block",
+        "parity-sign", "parity-dropped", "evaluate-all-down",
+        "evaluate-all-up", "evaluate-all-at"])
+def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
+    assert_killed(monkeypatch, function, old, new, test)
