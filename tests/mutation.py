@@ -3,8 +3,9 @@
 `mutant` rebuilds a function from its source with one text replaced, in a
 copy of its module's namespace.  `assert_killed` puts the mutant in place of
 the function in its own module (or class) and in the test's module, which
-may have imported it by name, and requires the test to fail.  Each test module keeps its table of (function,
-old text, new text, test) next to the tests it names.
+may have imported it by name, and requires the test to fail.  Each test
+module keeps its table of (function, old text, new text, test) next to the
+tests it names.
 """
 import inspect
 import sys

@@ -11,12 +11,12 @@ from record_contract import ARGVS, CASCADE, CONTRACT, run
 RECORDS = json.loads(CONTRACT.read_text(encoding="utf-8"))["records"]
 
 
-def _id(argv):
-    text = " ".join(argv)
+def _id(record):
+    text = " ".join(record["argv"])
     return text if len(text) < 80 else f"{text[:60]}...[{len(text)} chars]"
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=lambda record: _id(record["argv"]))
+@pytest.mark.parametrize("record", RECORDS, ids=_id)
 def test_argv_replays_its_record(record):
     assert run(record["argv"]) == record
 
@@ -26,7 +26,7 @@ def test_the_recorded_argvs_are_the_listed_ones():
 
 
 @pytest.mark.parametrize("argv, bits", CASCADE,
-                         ids=[_id(argv) for argv, _ in CASCADE])
+                         ids=[_id({"argv": argv}) for argv, _ in CASCADE])
 def test_cascade_records_reach_the_cascade(argv, bits, monkeypatch):
     # the float pass leaves these roots open: each call of the mpmath stage
     # is counted, at the precisions it doubles through

@@ -902,9 +902,9 @@ class TestFormalKnotApi:
 
 
 # Roots next to the jump t_n of twist(n), as offsets from the odd exponent
-# nearest t_n d, at which the cascade needs 128 bits: there no interval
-# separates the last pivot of the realification from zero, and its sign
-# follows from the others.
+# nearest t_n d, that the cascade decides at 128 bits only because the sign
+# of the realification's last pivot follows from the others: at 128 bits
+# the last pivot's interval holds 0.
 PARITY_ROOTS = ((3, 130, 2), (7, 130, 0), (10 ** 6, 140, 2))
 
 
@@ -927,7 +927,7 @@ def test_last_pivot_follows_from_the_others(n, k, offset):
          "huge-4", "huge-8"])
 def test_evaluate_all_with_jumps_on_turns(knot, d):
     # the trefoil's jumps lie on turns s/d, and at d = 18 the float estimate
-    # of 5/6 is the turn above it; for n = 10^30 the float estimate of t_n
+    # of 1/6 is the turn above it; for n = 10^30 the float estimate of t_n
     # is 0, so the jump (1 + t_n)/2 is estimated at the turn 1/2 below it
     profile = signature_profile(knot)
     assert profile.evaluate_all(d) == [profile.evaluate(Fraction(s, d))
@@ -958,8 +958,9 @@ def test_evaluate_all_with_jumps_on_turns(knot, d):
      lambda: test_last_pivot_follows_from_the_others(7, 130, 0)),
     (seifert._ldl_signature, "elif len(live) == 1:", "elif False:",
      lambda: test_last_pivot_follows_from_the_others(7, 130, 0)),
-    # the correction loops of evaluate_all: a jump on a turn not reached from
-    # above, not passed from below, or not counted as at the jump
+    # the corrections of evaluate_all: an estimate above a jump on a turn
+    # not moved down onto it, an estimate below a jump not moved up, or a
+    # jump on a turn not counted as at the jump
     (SignatureProfile.evaluate_all,
      "j.compare_to_turn(Fraction(s - 1, d)) <= 0",
      "j.compare_to_turn(Fraction(s - 1, d)) < 0",
