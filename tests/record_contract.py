@@ -50,6 +50,14 @@ CASCADE = [
 # A rational hermitian form with integer, "p/q" and [p, q] entries.
 _FORM = '[[1,"1/2",[2,3]],["1/2",-3,0],[[2,3],0,"5/7"]]'
 
+# lambda in csv at heights 2 and 3: --tower, --theta, --word, --knot.
+_CSV_LAMBDA = (("n=2,q=3", "f-mod-9", "alpha(2)", "twist:2:2"),
+               ("n=3,q=4", "f-mod-4", "alpha(3)", "trefoil"))
+
+# A knot of a twist atom and a mirrored, cabled matrix atom.
+_JSON_KNOT = ('[{"n": 2}, {"matrix": [[-1, 1], [0, -2]], "r": 2, '
+              '"sign": -1}]')
+
 
 def _tower_lift(m, n, q, word, *extra):
     return ["tower", "lift", "--m", str(m), "--n", str(n), "--q", str(q),
@@ -92,6 +100,26 @@ def _argvs():
         ["lambda", "--tower", "n=2,q", "--theta", "f-mod-4", "--word", "x0",
          "--knot", "trefoil"],
         ["hilbert", "--a", "2", "--b", "3", "--q", "seven"],
+    ]
+    # the output tables: lambda and tower lift in csv, tower build with and
+    # without --full in both formats
+    argvs += [["lambda", "--tower", tower, "--theta", theta, "--word", word,
+               "--knot", knot, "--format", "csv"]
+              for tower, theta, word, knot in _CSV_LAMBDA]
+    argvs += [_tower_lift(m, n, q, f"alpha({n})", "--level", str(n),
+                          "--format", "csv") for m, n, q in _LIFT_TOWERS]
+    argvs += [["tower", "build", "--m", str(m), "--n", str(n), "--q", str(q),
+               *full, "--format", fmt]
+              for m, n, q in ((2, 1, 4), (3, 2, 5))
+              for full in ((), ("--full",)) for fmt in ("json", "csv")]
+    argvs += [
+        # --knot given as JSON
+        ["sig", "--knot", _JSON_KNOT, "--d", "9", "--s", "2"],
+        ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word",
+         "comm(x0,x1)", "--knot", _JSON_KNOT],
+        # every lift of x1 has the value 0: the empty sum
+        ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word", "x1",
+         "--knot", "trefoil", "--signatures-only"],
     ]
     return argvs
 
