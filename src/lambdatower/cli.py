@@ -3,17 +3,20 @@
 Output goes to standard output as JSON (UTF-8, sorted keys) or CSV (RFC-4180
 quoting). Exit codes: 0 on success, including FAIL verdicts on certificates;
 2 on validation errors, reported with the offending flag; 3 when a resource
-or precision cap aborts the computation.
+or precision cap aborts the computation; 141 when stdout closes early.
 """
 
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
+from functools import lru_cache, partial
+from itertools import chain, count
+
+import numpy as np
 
 from .certify import (
     default_family,
@@ -94,9 +97,8 @@ def _parse_knot(flag: str, text: str) -> FormalKnot:
             nums = [int(p) for p in parts]
         except ValueError:
             _fail(flag, f"twist parameters must be integers, got {text!r}")
-        nums += [1] * (3 - len(nums))
         try:
-            return twist_knot(nums[0], nums[1], nums[2])
+            return twist_knot(*nums)
         except ValueError as exc:
             _fail(flag, str(exc))
     data = _parse_json(flag, text)
@@ -246,7 +248,7 @@ def _parse_word_program(text: str, m: int) -> tuple:
 
 
 def _parse_tower_spec(flag: str, text: str) -> dict:
-    out = {"m": 2}
+    out = {}
     for part in text.split(","):
         if "=" not in part:
             _fail(flag, f"expected key=value, got {part.strip()!r}")
@@ -254,6 +256,8 @@ def _parse_tower_spec(flag: str, text: str) -> dict:
         key = key.strip()
         if key not in ("m", "n", "q"):
             _fail(flag, f"unknown tower parameter {key!r}")
+        if key in out:
+            _fail(flag, f"tower parameter {key} given twice")
         try:
             out[key] = int(value)
         except ValueError:
@@ -261,7 +265,7 @@ def _parse_tower_spec(flag: str, text: str) -> dict:
     for key in ("n", "q"):
         if key not in out:
             _fail(flag, f"missing tower parameter {key}")
-    return out
+    return {"m": 2, **out}
 
 
 def _parse_theta(flag: str, text: str) -> int:
@@ -272,154 +276,113 @@ def _parse_theta(flag: str, text: str) -> int:
 
 
 def _parse_form_entry(flag: str, value) -> Fraction:
+    """An integer, a "p/q" string or a pair [p, q] of integers, not bools."""
     try:
-        if isinstance(value, int):
+        if type(value) is int or isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, list) and len(value) == 2:
-            return Fraction(value[0], value[1])
-    except (ValueError, ZeroDivisionError, TypeError):
+        if (isinstance(value, list) and len(value) == 2
+                and all(type(v) is int for v in value)):
+            return Fraction(*value)
+    except (ValueError, ZeroDivisionError):
         pass
     _fail(flag, f"bad rational entry {value!r}")
 
 
 # ---------------------------------------------------------------------------
-# Output.
+# Output.  json.dumps writes a payload but for its tables, the lists that
+# grow with the input: _emit writes each where json.dumps wrote _MARK, at
+# its indentation, _BATCH rows at a time.
+
+_BATCH = 4096
+_MARK = "\x00table\x00"
+_dumps = partial(json.dumps, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+class _Columns:
+    """A table of arrays of one length: row i is the object of their i-th
+    entries under their names, or the i-th entry of one array alone."""
+
+    def __init__(self, columns):
+        self.names = list(columns) if isinstance(columns, dict) else None
+        self.arrays = list(columns.values()) if self.names else [columns]
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, str)):
-        return str(value)
+    """A CSV cell: empty for None, a string itself, else compact JSON."""
+    if value is None or isinstance(value, str):
+        return value or ""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-_QUOTE = json.encoder.encode_basestring
-# Exact scalar types -> their text as the C encoder writes it; floats and
-# subclasses go through the encoder itself.
-_SCALARS = {str: _QUOTE, int: int.__repr__,
-            bool: {True: "true", False: "false"}.__getitem__,
-            type(None): {None: "null"}.__getitem__}
-_CONTAINERS = (dict, list, tuple)
-_BATCH = 4096  # pieces per write to the stream
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return _QUOTE(key)
-    if key is None or isinstance(key, (int, float)):
-        return _QUOTE(_ENCODE(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
-class _JsonWriter:
-    """Writes the bytes of json.dump(payload, stream, sort_keys=True,
-    indent=2, ensure_ascii=False) and a newline; json.dump itself falls
-    back to the pure-Python encoder for indented output.
-
-    Scalars and keys go through the C encoder, and a JoinedRows table is
-    written as joins over its index; the rest goes to the stream piece by
-    piece, in batches, so the payload is never held as one string.
-    """
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.pending = []
-
-    def write(self, payload) -> None:
-        self._value(payload, 0, self.pending)
-        self.pending.append("\n")
-        self.stream.write("".join(self.pending))
-        self.pending.clear()
-
-    def _value(self, obj, depth: int, out: list) -> None:
-        if isinstance(obj, _CONTAINERS):
-            self._container(obj, depth, out)
-        else:
-            out.append(_ENCODE(obj))
-
-    def _text(self, obj, depth: int) -> str:
-        part = []
-        self._value(obj, depth, part)
-        return "".join(part)
-
-    def _flush(self, out: list) -> None:
-        if out is self.pending:
-            self.stream.write("".join(out))
-            out.clear()
-
-    def _container(self, obj, depth: int, out: list) -> None:
-        is_dict = isinstance(obj, dict)
-        if not obj:
-            out.append("{}" if is_dict else "[]")
-            return
-        pad = "\n" + "  " * (depth + 1)
-        if is_dict:
-            self._items(sorted(obj.items()), True, "{", pad, depth, out)
-        elif isinstance(obj, JoinedRows):
-            self._joined(obj, pad, depth, out)
-        else:
-            self._items(obj, False, "[", pad, depth, out)
-        out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
-
-    def _items(self, items, is_dict: bool, head: str, pad: str, depth: int,
-               out: list) -> None:
-        """The entries of a container, the first after head and the others
-        after a comma, each on its own line."""
-        for item in items:
-            if is_dict:
-                key, item = item
-                head += pad + _key(key) + ": "
-            else:
-                head += pad
-            encode = _SCALARS.get(type(item))
-            if encode is not None:
-                out.append(head + encode(item))
-            else:
-                out.append(head)
-                self._value(item, depth + 1, out)
-            head = ","
-            if len(out) >= _BATCH:
-                self._flush(out)
-
-    def _joined(self, table: JoinedRows, pad: str, depth: int,
-                out: list) -> None:
-        """A table of repeated rows: each distinct row rendered once, then
-        _BATCH rows at a time written as one join over the table's index."""
-        texts = [self._text(row, depth + 1) for row in table.distinct]
-        head, sep = "[", "," + pad
-        for start in range(0, len(table.index), _BATCH):
-            batch = table.index[start:start + _BATCH]
-            out.append(head + pad + sep.join(map(texts.__getitem__, batch)))
-            self._flush(out)
-            head = ","
+def _batches(table, render, pad=None):
+    """The rows of table, _BATCH at a time: render(row) for the rows of a
+    JoinedRows, called once per distinct row; for _Columns, the tuples of
+    its arrays' entries (booleans as true and false), or with pad the JSON
+    texts of its rows, whose lines after the first start with pad."""
+    if isinstance(table, JoinedRows):
+        done = [render(row) for row in table.distinct]
+        arrays, spell = [table.index], partial(map, done.__getitem__)
+    else:
+        arrays, spell = table.arrays, zip
+        if pad is not None:
+            fields = [f"{pad}  {json.dumps(name)}: {{{i}}}"
+                      for name, i in sorted(zip(table.names or (), count()))]
+            template = "{{" + ",".join(fields) + pad + "}}" if fields else "{}"
+            spell = partial(map, template.format)
+    for start in range(0, len(arrays[0]), _BATCH):
+        parts = (a[start:start + _BATCH] for a in arrays)
+        yield spell(*(np.where(part, "true", "false").tolist()
+                      if part.dtype == bool else part.tolist() for part in parts))
 
 
 def _emit(payload: dict, rows, fmt: str, stream) -> None:
-    if fmt == "json":
-        _JsonWriter(stream).write(payload)
+    """payload as the bytes of json.dump(payload, stream, sort_keys=True,
+    indent=2, ensure_ascii=False) with each table spelled out as a list,
+    and a newline; or rows, a list of dicts or a table, as CSV."""
+    if fmt == "csv":
+        if not isinstance(rows, (JoinedRows, _Columns)):
+            rows = JoinedRows(rows, np.arange(len(rows)))
+        header = rows.names if isinstance(rows, _Columns) else list(
+            dict.fromkeys(key for row in rows.distinct for key in row))
+        writer, head = csv.writer(stream), [header]
+        for batch in _batches(rows, lambda row: [_cell(row.get(key))
+                                                 for key in header]):
+            writer.writerows(chain(head, batch))
+            head = []
         return
-    if not rows:
-        return
-    header = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    writer = csv.writer(stream)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(row.get(key)) for key in header])
+    tables = []
+
+    def mark(table):
+        if isinstance(table, np.ndarray) and table.ndim == 1:
+            table = _Columns(table)
+        if not isinstance(table, (JoinedRows, _Columns)):
+            raise TypeError(f"{type(table).__name__} is not a table")
+        tables.append(table)
+        return _MARK
+
+    pieces = _dumps(payload, default=mark).split(json.dumps(_MARK))
+    for piece, table in zip(pieces, tables):
+        line = piece[piece.rfind("\n") + 1:]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
+        head = piece + "[" + pad
+        for batch in _batches(table, lambda row: _dumps(row).replace("\n", pad),
+                              pad):
+            stream.write(head + ("," + pad).join(batch))
+            head = "," + pad
+        stream.write(pad[:-2] + "]" if head == "," + pad else piece + "[]")
+    stream.write(pieces[-1] + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Handlers. Each returns (payload, csv_rows).
+
+
+def _word_rows(word) -> JoinedRows:
+    """word, up to WORD_LETTER_CAP letters, as a table of its letters."""
+    letters = sorted(set(word))
+    ids = dict(zip(letters, count()))
+    return JoinedRows([list(letter) for letter in letters],
+                      np.fromiter(map(ids.__getitem__, word), np.intp, len(word)))
 
 
 def _knot_from_args(args) -> FormalKnot:
@@ -497,12 +460,11 @@ def _cmd_hilbert(args):
 
 def _cmd_tower_build(args):
     tower = build_tower(args.m, args.n, args.q, args.cap_edges)
-    top = tower.top
     rows = [{"level": k, "size": g.size, "edges": g.edge_count(),
              "betti1": tower.betti1(k)} for k, g in enumerate(tower.levels)]
     payload = {"command": "tower build", "m": args.m, "n": args.n, "q": args.q,
                "levels": [g.size for g in tower.levels],
-               "vertices": top.size, "edges": top.edge_count(),
+               "vertices": rows[-1]["size"], "edges": rows[-1]["edges"],
                "betti1": rows[-1]["betti1"]}
     if args.full:
         payload["tower"] = tower.to_json()
@@ -521,12 +483,10 @@ def _cmd_tower_lift(args):
                             f"{args.m} strands")
     starts, ends, degrees, _ = lift_profile(tower.levels[level], program,
                                              work_cap=tower.work_cap)
-    rows = [{"start": start, "end": end, "degree": degree,
-             "is_loop": start == end}
-            for start, end, degree in zip(starts.tolist(), ends.tolist(),
-                                          degrees.tolist())]
+    rows = _Columns({"start": starts, "end": ends, "degree": degrees,
+                     "is_loop": starts == ends})
     payload = {"command": "tower lift", "m": args.m, "n": args.n, "q": args.q,
-               "level": level, "word": [list(l) for l in word],
+               "level": level, "word": _word_rows(word),
                "components": rows}
     return payload, rows
 
@@ -555,15 +515,12 @@ def _cmd_lambda(args):
         _fail("--word", str(exc))
     disc = True if args.disc else (False if args.signatures_only else None)
     result = lambda_T(structure, link, disc=disc)
-    rows = None
-    if args.format == "csv":
-        rows = JoinedRows([{"r": lift.r, "theta": lift.theta_value,
-                            "present": lift.present,
-                            "sign": lift.witt.sign if lift.present else 0}
-                           for lift in result.contributions],
-                          result.lift_group.tolist())
+    rows = JoinedRows([{"r": lift.r, "theta": lift.theta_value,
+                        "present": lift.present,
+                        "sign": lift.witt.sign if lift.present else 0}
+                       for lift in result.contributions], result.lift_group)
     payload = {"command": "lambda", "tower": spec, "d": d,
-               "word": [list(l) for l in link.infection_word],
+               "word": _word_rows(link.infection_word),
                "knot": knot.to_json(), "result": result.to_json()}
     return payload, rows
 
@@ -574,7 +531,6 @@ def _cmd_reproduce_family(args):
 
 
 def _cmd_reproduce_independence(args):
-    family = None
     if args.family is not None:
         try:
             with open(args.family, "r", encoding="utf-8") as handle:
@@ -803,10 +759,7 @@ def main(argv=None) -> int:
     old_cap = None
     try:
         if args.precision_cap is not None:
-            try:
-                old_cap = set_precision_cap(args.precision_cap)
-            except ValueError as exc:
-                _fail("--precision-cap", str(exc))
+            old_cap = set_precision_cap(args.precision_cap)
         if args.cap_edges < 0:
             _fail("--cap-edges",
                   f"edge cap must be nonnegative, got {args.cap_edges}")
@@ -823,7 +776,13 @@ def main(argv=None) -> int:
     finally:
         if old_cap is not None:
             set_precision_cap(old_cap)
-    _emit(payload, rows, args.format, sys.stdout)
+    try:
+        _emit(payload, rows, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the flush at exit writes the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
     return 0
 
 

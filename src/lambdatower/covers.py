@@ -325,7 +325,9 @@ class CoverGraph:
         return _reached(tables, self.size, self.basepoint) == self.size
 
     def to_json(self) -> dict:
-        data = {"perms": [p.tolist() for p in self.perms],
+        """The graph as JSON data, its tables the read-only arrays
+        themselves, which CoverGraph(...) reads back."""
+        data = {"perms": list(self.perms),
                 "basepoint": self.basepoint}
         if self.cells is not None:
             data["cells"] = [[c.gen, c.source, c.orientation]

@@ -85,7 +85,8 @@ def set_precision_cap(bits: int) -> int:
     """Set the hard precision cap (in bits) and return the previous value."""
     global _precision_cap
     if bits < START_PRECISION:
-        raise ValueError(f"precision cap {bits} below starting precision {START_PRECISION}")
+        raise InputError("precision_cap", f"precision cap {bits} below "
+                         f"starting precision {START_PRECISION}")
     old = _precision_cap
     _precision_cap = bits
     return old

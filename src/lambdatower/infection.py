@@ -10,7 +10,7 @@ itself contributes nothing, so the sum is the whole invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -147,15 +147,17 @@ class LiftContribution:
                 "witt": self.witt.to_json() if self.present else None}
 
 
-class JoinedRows(list):
-    """A table whose rows repeat: row i is distinct[index[i]].  It is the
-    list of those rows, and the command line's JSON writer renders each
-    distinct row once and writes the table as joins over index."""
+class JoinedRows:
+    """A table whose rows repeat: row i is distinct[index[i]], index an
+    integer array.  The command line renders each distinct row once and
+    writes the table as joins over index."""
 
-    def __init__(self, distinct: list, index: Sequence[int]):
-        super().__init__(map(distinct.__getitem__, index))
+    def __init__(self, distinct: list, index: np.ndarray):
         self.distinct = distinct
         self.index = index
+
+    def __iter__(self):
+        return map(self.distinct.__getitem__, self.index.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +187,7 @@ class LambdaResult:
     def to_json(self) -> dict:
         rows = [row.to_json() for row in self.contributions]
         return {"witt": self.witt.to_json(),
-                "per_lift": JoinedRows(rows, self.lift_group.tolist()),
+                "per_lift": JoinedRows(rows, self.lift_group),
                 "constant_c": self.constant_c}
 
 

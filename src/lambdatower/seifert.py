@@ -732,7 +732,8 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
     Each root is read off the cached float pass of the whole order
     (_float_pass).  A root it leaves open, and every root of an order
     without a pass, goes through the mpmath cascade (_omega_signature_cached)
-    at its reduced order, under the precision cap.
+    at its reduced order, under the precision cap, folded to u <= d/2 as
+    the float pass folds it: M(zeta^(d-u)) is the conjugate of M(zeta^u).
     """
     row = _float_pass(rows, d)
     cap = precision_cap()
@@ -741,6 +742,7 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
         u %= d
         sig = None if row is None else row[u]
         if sig is None:
+            u = min(u, d - u)
             g = math.gcd(u, d)
             sig = _omega_signature_cached(rows, d // g, u // g, cap)
         sigs.append(sig)

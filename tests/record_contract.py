@@ -45,6 +45,12 @@ CASCADE = [
      [64, 128, 256]),
     (["sig", "--matrix", "[[-1,1],[0,-2]]", "--d", _D150, "--s", _S150,
       "--precision-cap", "128"], [64, 128]),
+    # s = d - 1, folded onto its conjugate root s = 1 before the cascade:
+    # unfolded, phi = pi s/d is enclosed with an infinite cot below 256 bits
+    (["sig", "--matrix", "[[-1,1],[0,-1]]", "--d", _D150,
+      "--s", str(2 ** 150 - 1)], [64]),
+    (["sig", "--matrix", "[[-1,1],[0,-1]]", "--d", _D150,
+      "--s", str(2 ** 150 - 1), "--precision-cap", "128"], [64]),
 ]
 
 # A rational hermitian form with integer, "p/q" and [p, q] entries.
@@ -120,6 +126,13 @@ def _argvs():
         # every lift of x1 has the value 0: the empty sum
         ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word", "x1",
          "--knot", "trefoil", "--signatures-only"],
+    ]
+    argvs += [
+        # exit 2: JSON booleans as --form entries, a tower parameter twice
+        ["witt", "--form", "[[true]]", "--d", "4"],
+        ["witt", "--form", "[[[true,2]]]", "--d", "4"],
+        ["lambda", "--tower", "n=1,n=2,q=4", "--theta", "f-mod-4", "--word",
+         "x0", "--knot", "trefoil"],
     ]
     return argvs
 

@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,8 @@ from lambdatower.knotforge import FamilyEntry, KnotFamily
 from lambdatower.seifert import FormalKnot, signature_profile, twist_knot
 
 from covers_oracle import beta_word, parse_word
+from mutation import assert_killed
+from record_contract import ARGVS
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 
@@ -547,6 +550,26 @@ class TestHarness:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["sigma"] == -2
 
+    @pytest.mark.parametrize("argv, codes", [
+        # 348 KB, more than the pipe holds: the write fails
+        (["--tower", "n=3,q=4", "--word", "alpha(1)"], (141,)),
+        # 1 KB, which fails at the flush unless it was written before the
+        # reader closed
+        (["--tower", "n=1,q=4", "--word", "x1"], (0, 141)),
+    ])
+    def test_closed_stdout_ends_without_a_traceback(self, argv, codes):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lambdatower.cli", "lambda", *argv,
+             "--theta", "f-mod-4", "--knot", "trefoil"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        if codes == (141,):
+            assert [proc.stdout.readline() for _ in range(3)][0] == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) in codes
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
     def test_csv_quoting(self, capsys):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
                              "--n", "1", "--q", "4", "--format", "csv")
@@ -1039,18 +1062,51 @@ def test_cli_fuzz(kind, data):
 
 
 # The JSON writer against json.dumps(sort_keys=True, indent=2,
-# ensure_ascii=False), whose bytes are the output contract.
+# ensure_ascii=False), whose bytes are the output contract, with each table
+# spelled out as a list.
+
+
+def _spelled(table):
+    if isinstance(table, JoinedRows):
+        return list(table)
+    if isinstance(table, np.ndarray):
+        return table.tolist()
+    if not isinstance(table, cli._Columns):
+        raise TypeError(f"not a table: {type(table).__name__}")
+    columns = [a.tolist() for a in table.arrays]
+    if table.names is None:
+        return columns[0]
+    return [dict(zip(table.names, row)) for row in zip(*columns)]
 
 
 def _dumped(payload):
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
+                      default=_spelled) + "\n"
 
 
 def _written(payload):
     stream = io.StringIO()
     cli._emit(payload, None, "json", stream)
     return stream.getvalue()
+
+
+def _same_text(payload) -> bool:
+    """Whether the writer's text is the oracle's; for large payloads,
+    whose two texts pytest would diff line by line on a failure."""
+    return _written(payload) == _dumped(payload)
+
+
+def _writes(payload) -> list:
+    """The length of each write that emitting payload makes."""
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(len(text))
+
+    cli._emit(payload, None, "json", Stream())
+    assert sum(writes) == len(_dumped(payload))
+    return writes
 
 
 _SCALARS = st.one_of(
@@ -1099,41 +1155,38 @@ def test_json_writer_edge_cases():
         _written({(1, 2): 0})
     with pytest.raises(TypeError):
         _written({"a": object()})
+    with pytest.raises(TypeError):
+        _written({"a": np.zeros((2, 2), dtype=int)})  # not one column
 
 
 def test_json_writer_streams_in_batches():
-    writes = []
-
-    class Stream:
-        def write(self, text):
-            writes.append(len(text))
-
-    payload = {"rows": [{"k": i} for i in range(20000)]}
-    cli._emit(payload, None, "json", Stream())
-    assert sum(writes) == len(_dumped(payload))
+    # an array table of twelve batches, its rows of one width, beside a
+    # plain list, a lone array and empty tables
+    k = np.arange(12 * cli._BATCH) % 7
+    table = cli._Columns({"k": k, "odd": k % 2 == 1})
+    payload = {"rows": table, "plain": [{"k": i} for i in range(5)],
+               "lone": np.arange(-3, 3), "none": np.arange(0),
+               "empty": cli._Columns({"k": k[:0]}),
+               "deeper": [{"rows": cli._Columns({"k": k[:9]})}]}
+    assert _same_text(payload)
+    writes = _writes({"rows": table})
     assert len(writes) > 10 and max(writes) < sum(writes) / 10
 
 
 def test_json_writer_joins_repeated_rows():
-    # rows from three shared dicts over several batches, one batch broken
-    # by unique rows and a scalar, and rows that repeat elsewhere too
+    # a table of three shared dicts over several batches, beside a plain
+    # list of the same rows broken by unique rows and a scalar, and rows
+    # that repeat elsewhere too
     inner = {"sign": -1}
     shared = [{"r": 1, "witt": None}, {"r": 2, "witt": [inner, inner]},
               {"r": 3, "witt": {"a": inner}}]
-    rows = [shared[i % 3] for i in range(3 * cli._BATCH + 5)]
-    mixed = [{"first": "unique"}] + rows + [17]
+    table = JoinedRows(shared, np.arange(3 * cli._BATCH + 5) % 3)
+    mixed = [{"first": "unique"}] + list(table) + [17]
     mixed[cli._BATCH + 7] = {"r": 4, "unique": [inner]}
-    payload = {"rows": rows, "mixed": mixed, "tuple": tuple(mixed[-9:]),
+    payload = {"rows": table, "mixed": mixed, "tuple": tuple(mixed[-9:]),
                "again": [shared[0], {"deeper": [shared[1], shared[1]]}]}
-    assert _written(payload) == _dumped(payload)
-    writes = []
-
-    class Stream:
-        def write(self, text):
-            writes.append(len(text))
-
-    cli._emit({"rows": rows}, None, "json", Stream())
-    assert sum(writes) == len(_dumped({"rows": rows}))
+    assert _same_text(payload)
+    writes = _writes({"rows": table})
     assert len(writes) > 3 and max(writes) < sum(writes) / 2
 
 
@@ -1143,22 +1196,38 @@ def test_json_writer_joins_indexed_rows():
     inner = {"sign": -1}
     distinct = [{"r": 1, "witt": None}, {"r": 2, "witt": [inner, inner]},
                 {"r": 3, "witt": {"a": inner}}]
-    index = [(i * i) % 3 for i in range(3 * cli._BATCH + 5)]
+    index = np.arange(3 * cli._BATCH + 5) ** 2 % 3
     table = JoinedRows(distinct, index)
-    assert table == [distinct[i] for i in index]
-    payload = {"table": table, "again": [distinct[1], {"deeper": table[:7]}],
-               "empty": JoinedRows(distinct, []),
-               "nested": {"x": JoinedRows(distinct, [2, 2, 0])}}
-    assert _written(payload) == _dumped(payload)
-    writes = []
-
-    class Stream:
-        def write(self, text):
-            writes.append(len(text))
-
-    cli._emit({"table": table}, None, "json", Stream())
-    assert sum(writes) == len(_dumped({"table": table}))
+    assert list(table) == [distinct[i] for i in index]
+    payload = {"table": table,
+               "again": [distinct[1], {"deeper": JoinedRows(distinct,
+                                                            index[:7])}],
+               "empty": JoinedRows(distinct, index[:0]),
+               "nested": {"x": JoinedRows(distinct, np.array([2, 2, 0]))}}
+    assert _same_text(payload)
+    writes = _writes({"table": table})
     assert len(writes) > 3 and max(writes) < sum(writes) / 2
+
+
+def test_tower_lift_components_are_the_profile():
+    # the handler itself, so that a mutant of it runs
+    args = cli.build_parser().parse_args(
+        "tower lift --m 2 --n 2 --q 3 --word comm(x0,x1)".split())
+    payload, rows = cli._cmd_tower_lift(args)
+    starts, ends, degrees, _ = covers.lift_profile(
+        covers.build_tower(2, 2, 3).top,
+        covers.Program.word(parse_word("comm(x0,x1)")))
+    expected = [{"start": s, "end": e, "degree": g, "is_loop": s == e}
+                for s, e, g in zip(starts.tolist(), ends.tolist(),
+                                   degrees.tolist())]
+    assert {row["is_loop"] for row in expected} == {True, False}
+    assert json.loads(_written(payload))["components"] == expected
+    text = io.StringIO()
+    cli._emit(payload, rows, "csv", text)
+    lines = text.getvalue().split("\r\n")
+    assert lines[0] == "start,end,degree,is_loop"
+    assert lines[1:-1] == [f"{r['start']},{r['end']},{r['degree']},"
+                           f"{str(r['is_loop']).lower()}" for r in expected]
 
 
 # Commands whose stdout was diffed against the pure-Python encoder's.
@@ -1195,3 +1264,45 @@ def test_command_payloads_match_json_dumps(command):
     args = cli.build_parser().parse_args(command.split())
     payload, _ = args.handler(args)
     assert _written(payload) == _dumped(payload)
+
+
+# json.dumps builds a payload's text outside its tables whole, so a list
+# that grows with the input must be a table.  The largest such text of
+# these argvs is 37,263 characters (reproduce family --count 3); the
+# contract's 20,594-letter word, written as a plain list, would be 617,927.
+_WHOLE_TEXT_BOUND = 2 ** 16
+
+
+def test_text_outside_the_tables_is_bounded(monkeypatch):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit",
+                        lambda payload, *_: payloads.append(payload))
+    argvs = [command.split() for command in _DIFFED] + ARGVS
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv) for argv in argvs]
+    assert len(payloads) == codes.count(0) > 100
+
+    def left_out(table):
+        _spelled(table)  # a table, or TypeError
+        return None
+
+    assert max(len(json.dumps(payload, sort_keys=True, indent=2,
+                              ensure_ascii=False, default=left_out))
+               for payload in payloads) < _WHOLE_TEXT_BOUND
+
+
+@pytest.mark.parametrize("function, old, new, test", [
+    # a table indented one level off
+    (cli._emit, '" " * (len(line) - len(line.lstrip(" ")) + 2)',
+     '" " * (len(line) - len(line.lstrip(" ")) + 4)',
+     test_json_writer_joins_indexed_rows),
+    # the separator dropped where a batch begins
+    (cli._emit, 'head = "," + pad', "head = pad",
+     test_json_writer_streams_in_batches),
+    # is_loop read from the wrong column
+    (cli._cmd_tower_lift, '"is_loop": starts == ends',
+     '"is_loop": starts == degrees',
+     test_tower_lift_components_are_the_profile),
+], ids=["indent", "separator", "is-loop"])
+def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
+    assert_killed(monkeypatch, function, old, new, test)

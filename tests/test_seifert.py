@@ -934,6 +934,22 @@ def test_evaluate_all_with_jumps_on_turns(knot, d):
                                        for s in range(d)]
 
 
+def test_conjugate_roots_fold_before_the_cascade():
+    # at d = 2^150 the float pass leaves both roots open.  Unfolded, s = d - 1
+    # encloses phi = pi s/d with an infinite cot below 256 bits; folded, it
+    # is the root s = 1, cached
+    d = 2 ** 150
+    seen = []
+
+    def counted(rows, d, s, prec):
+        seen.append(prec)
+        return _interval_signature(rows, d, s, prec)
+
+    with mock.patch.object(seifert, "_interval_signature", counted):
+        assert signature_sweep(((-1, 1), (0, -1)), d, [1, d - 1]) == [0, 0]
+    assert seen == [64]
+
+
 @pytest.mark.parametrize("function, old, new, test", [
     # the realification's lower-left block not negated
     (_interval_signature, "[-x for x in tK[i]] + S[i]", "tK[i] + S[i]",
@@ -971,8 +987,11 @@ def test_evaluate_all_with_jumps_on_turns(knot, d):
      lambda: test_evaluate_all_with_jumps_on_turns(twist_knot(10 ** 30, 2), 4)),
     (SignatureProfile.evaluate_all, "if s < d and c == 0:", "if False:",
      lambda: test_evaluate_all_with_jumps_on_turns(twist_knot(1), 6)),
+    # a root past d/2 sent to the cascade unfolded
+    (signature_sweep, "u = min(u, d - u)", "u = u",
+     test_conjugate_roots_fold_before_the_cascade),
 ], ids=["lower-left", "half", "schur", "block-det", "uncertified-block",
         "parity-sign", "parity-dropped", "evaluate-all-down",
-        "evaluate-all-up", "evaluate-all-at"])
+        "evaluate-all-up", "evaluate-all-at", "conjugate-fold"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)
