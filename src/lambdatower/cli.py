@@ -486,8 +486,7 @@ def _cmd_tower_lift(args):
     rows = _Columns({"start": starts, "end": ends, "degree": degrees,
                      "is_loop": starts == ends})
     payload = {"command": "tower lift", "m": args.m, "n": args.n, "q": args.q,
-               "level": level, "word": _word_rows(word),
-               "components": rows}
+               "level": level, "word": _word_rows(word), "components": rows}
     return payload, rows
 
 
@@ -781,7 +780,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: the flush at exit writes the rest to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports it
     return 0
 
