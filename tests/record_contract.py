@@ -4,12 +4,19 @@ stderr text.  tests/test_contract.py replays the file in process.  Record
 again only when an output changes on purpose, and say which argvs changed:
 
     PYTHONPATH=src python tests/record_contract.py
+
+With --check nothing is written: the contract is replayed, each argv whose
+record differs (or that has no record) is printed, and the exit code is 1
+when any does:
+
+    PYTHONPATH=src python tests/record_contract.py --check
 """
 import contextlib
 import hashlib
 import io
 import json
 import pathlib
+import sys
 
 CONTRACT = pathlib.Path(__file__).with_name("contract.json")
 
@@ -63,6 +70,31 @@ _CSV_LAMBDA = (("n=2,q=3", "f-mod-9", "alpha(2)", "twist:2:2"),
 # A knot of a twist atom and a mirrored, cabled matrix atom.
 _JSON_KNOT = ('[{"n": 2}, {"matrix": [[-1, 1], [0, -2]], "r": 2, '
               '"sign": -1}]')
+
+
+# One witt --matrix argv per shape of the query-session menu (bench/
+# workloads.py): each order with r <= 4 blocks of a twist knot and r <= 2
+# of a genus-2 connected sum, the knot and twist exponent t cycling.
+_WITT_D = (16, 27, 32, 49, 64, 81, 125, 128, 243, 256)
+_WITT_T = (1, 2, 5)
+_GENUS2 = ("[[-1,1,0,0],[0,-1,0,0],[0,0,-1,1],[0,0,0,-1]]",
+           "[[-1,1,0,0],[0,-1,0,0],[0,0,-1,1],[0,0,0,-2]]",
+           "[[-1,1,0,0],[0,-2,0,0],[0,0,-1,1],[0,0,0,-3]]")
+
+
+def _witt_matrix(matrix, r, d, t):
+    return ["witt", "--matrix", matrix, "--r", str(r), "--d", str(d),
+            "--t", str(t)]
+
+
+def _witt_menu():
+    shapes = []
+    for i, d in enumerate(_WITT_D):
+        shapes += [(f"[[-1,1],[0,-{(i + r) % 4 + 1}]]", r, d)
+                   for r in (1, 2, 3, 4)]
+        shapes += [(_GENUS2[(i + r) % 3], r, d) for r in (1, 2)]
+    return [_witt_matrix(matrix, r, d, _WITT_T[i % 3])
+            for i, (matrix, r, d) in enumerate(shapes)]
 
 
 def _tower_lift(m, n, q, word, *extra):
@@ -134,6 +166,18 @@ def _argvs():
         ["lambda", "--tower", "n=1,n=2,q=4", "--theta", "f-mod-4", "--word",
          "x0", "--knot", "trefoil"],
     ]
+    argvs += _witt_menu()
+    argvs += [
+        # each branch of witt.diagonalize: a pivot swapped in, the coef-1
+        # rescue of a zero diagonal, a radical, a singular A, and the zeta
+        # rescue, which needs a purely imaginary entry: A = -A^T gives
+        # F_01 = zeta^-1 - zeta at r = 1 (rational --form entries never do)
+        ["witt", "--form", "[[0,1],[1,1]]", "--d", "4"],
+        ["witt", "--form", "[[0,1],[1,0]]", "--d", "4"],
+        ["witt", "--form", "[[1,1],[1,1]]", "--d", "4"],
+        _witt_matrix("[[0,1],[0,0]]", 3, 27, 1),
+        _witt_matrix("[[0,1],[-1,0]]", 1, 4, 1),
+    ]
     return argvs
 
 
@@ -155,12 +199,32 @@ def run(argv) -> dict:
     return record
 
 
-def main():
+def check() -> int:
+    """Replay ARGVS against the recorded file; print each argv whose record
+    differs or is missing, and return how many do."""
+    recorded = json.loads(CONTRACT.read_text(encoding="utf-8"))["records"]
+    by_argv = {json.dumps(record["argv"]): record for record in recorded}
+    changed = [argv for argv in ARGVS
+               if by_argv.get(json.dumps(argv)) != run(argv)]
+    for argv in changed:
+        print(json.dumps(argv))
+    print(f"{len(changed)} of {len(ARGVS)} argvs differ from {CONTRACT.name}",
+          file=sys.stderr)
+    return len(changed)
+
+
+def main(args):
+    if args == ["--check"]:
+        return 1 if check() else 0
+    if args:
+        print("usage: record_contract.py [--check]", file=sys.stderr)
+        return 2
     records = [run(argv) for argv in ARGVS]
     CONTRACT.write_text(json.dumps({"records": records}, indent=1) + "\n",
                         encoding="utf-8")
     print(f"recorded {len(records)} argvs in {CONTRACT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
