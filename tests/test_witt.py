@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
+import witt_oracle
 from lambdatower import cyclo, seifert, witt
 from lambdatower.cyclo import CyclotomicNumber, ResourceCapExceeded, zeta
 from lambdatower.witt import (
@@ -153,6 +154,68 @@ class TestDiagonalize:
             HermitianForm.from_rows(4, [[0, 1], [2, 0]])
         with pytest.raises(ValueError, match="square"):
             HermitianForm.from_rows(4, [[0, 1]])
+
+
+_ORACLE_ORDERS = (2, 3, 4, 5, 8, 9, 16, 25, 27)
+_SINGULAR_ORDERS = (4, 8, 9, 16, 25, 27)
+
+
+@st.composite
+def _elements(draw, d):
+    """An element of Q(zeta_d) with coefficients in [-3, 3] over a small
+    denominator, zero about a third of the time."""
+    if draw(st.integers(0, 2)) == 0:
+        return CyclotomicNumber.of(d, 0)
+    phi = cyclo.degree_of(d)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    return CyclotomicNumber.from_coeffs(d, [Fraction(c, den) for c in coeffs])
+
+
+@st.composite
+def _oracle_forms(draw):
+    """Hermitian forms of five kinds: random entries, zero diagonals, purely
+    imaginary off-diagonals (which the zeta rescue needs), rank-one forms
+    u u*, and lambda_block forms with det A = 0."""
+    kind = draw(st.sampled_from(("random", "zero-diagonal", "imaginary",
+                                 "rank-one", "singular-block")))
+    if kind == "singular-block":
+        g = draw(st.integers(1, 3))
+        row = st.lists(st.integers(-3, 3), min_size=g, max_size=g)
+        rows = draw(st.lists(row, min_size=g - 1, max_size=g - 1))
+        # the last row a multiple of the first (or zero) makes det A = 0
+        k = draw(st.integers(-2, 2))
+        rows.append([k * v for v in rows[0]] if rows else [0])
+        d = draw(st.sampled_from(_SINGULAR_ORDERS))
+        r = draw(st.integers(1, 3))
+        return lambda_block(rows, r, d, draw(st.integers(0, d - 1)))
+    d = draw(st.sampled_from(_ORACLE_ORDERS))
+    n = draw(st.integers(1, 4))
+    if kind == "rank-one":
+        u = [draw(_elements(d)) for _ in range(n)]
+        return HermitianForm.from_rows(d, [[a * b.conj() for b in u]
+                                           for a in u])
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        x = draw(_elements(d))
+        rows[i][i] = (CyclotomicNumber.of(d, 0) if kind != "random"
+                      else x + x.conj())
+        for j in range(i + 1, n):
+            x = draw(_elements(d))
+            rows[i][j] = x - x.conj() if kind == "imaginary" else x
+            rows[j][i] = rows[i][j].conj()
+    return HermitianForm.from_rows(d, rows)
+
+
+@given(_oracle_forms())
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+@seed(2027)
+@example(HermitianForm.from_rows(4, [[0, zeta(4)], [-zeta(4), 0]]))
+@example(lambda_block(((0, 1), (0, 0)), 3, 27, 1))
+def test_diagonalize_matches_the_column_operation_oracle(form):
+    """The same pivots, element by element, and the same radical as the
+    elimination by column operations on the whole form."""
+    assert diagonalize(form) == witt_oracle.diagonalize(form)
 
 
 class TestWittInvariants:
