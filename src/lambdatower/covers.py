@@ -703,22 +703,32 @@ def _compose(first: tuple, then: tuple, q: int) -> tuple:
         e1[0] = p2[e1[0]]
         e1[3] += n2
         # positive lengths keep order; moving events merges none of them
-        e2 = events if n1 + n2 or not e2.shape[1] else _merged(events)
+        e2 = events if n1 + n2 or not e2.shape[1] else _merged(events, q)
     return p2[p1], (s1 + _at(s2, p1)) % q, e2, n1 + n2
 
 
-def _merged(events: np.ndarray) -> np.ndarray:
+def _merged(events: np.ndarray, q: int) -> np.ndarray:
     """Unordered events, those that differ only in count summed once there
     are more than 4,096, so that powers and shared nodes do not grow them
     without bound.  No benchmark program reaches that many (alpha(5) on
     (2,5,4): 2,624), and a lower bound slows powers that keep their events
-    apart, a higher one powers whose events merge."""
+    apart, a higher one powers whose events merge.
+
+    The rows end, a, b, pos and mark are packed into one int64 key in their
+    lexicographic order, so one 1-D sort finds the equal ones.  pos is 0 or
+    -1 here, and the key stays below 2 q^2 n c, for n vertices below and c
+    marked edges: at most the level's vertices times its edges, under 2^60.
+    """
     if events.shape[1] <= 4096:
         return events
-    keys, group = np.unique(events[:5], axis=1, return_inverse=True)
-    total = np.zeros(keys.shape[1], dtype=np.int64)
-    np.add.at(total, group, events[5])
-    return np.vstack((keys, total))[:, total != 0]
+    end, a, b, pos, mark, count = events
+    key = (((end * q + a) * q + b) * 2 + pos + 1) * (int(mark.max()) + 1) + mark
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    total = np.zeros(first.size, dtype=np.int64)
+    np.add.at(total, group, count)
+    merged = events[:, first]
+    merged[5] = total
+    return merged[:, total != 0]
 
 
 def _invert(action: tuple, q: int) -> tuple:

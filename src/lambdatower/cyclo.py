@@ -418,6 +418,9 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_coeffs(d: int, coeffs) -> "CyclotomicNumber":
+        coeffs = list(coeffs)
+        if set(map(type, coeffs)) <= {int}:
+            return _element(d, _reduce(coeffs, d), 1)
         pairs = [_ratio(c) for c in coeffs]
         den = lcm(*(q for _, q in pairs))
         return _element(d, _reduce([n * (den // q) for n, q in pairs], d), den)
@@ -439,7 +442,8 @@ class CyclotomicNumber:
             return other
         return CyclotomicNumber.of(self.order, other)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, for op add or sub."""
         try:
             other = self._lift(other)
         except TypeError:
@@ -448,14 +452,20 @@ class CyclotomicNumber:
         if not any(b):
             return self
         if not any(a):
-            return other
-        da, db = self.den, other.den
-        if da == db:
-            return _element(self.order, list(map(add, a, b)), da)
-        g = gcd(da, db)
-        ua, ub = db // g, da // g
-        return _element(self.order, [x * ua + y * ub for x, y in zip(a, b)],
-                        da * ua)
+            return other if op is add else -other
+        den = self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            ua, ub = other.den // g, den // g
+            if ua != 1:
+                a = [x * ua for x in a]
+            if ub != 1:
+                b = [y * ub for y in b]
+            den *= ua
+        return _element(self.order, list(map(op, a, b)), den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -463,11 +473,7 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        try:
-            other = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other

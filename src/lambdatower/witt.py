@@ -1,6 +1,9 @@
 """Witt-class invariants of hermitian forms over Q(zeta_d) and Hilbert symbols.
 
-Forms are diagonalized by exact congruence (the radical split off first), and a
+Forms are diagonalized by an exact LDL^H that writes each pivot's Schur
+complement into the trailing block.  Elements of Q(zeta_d) have one
+representation each, so its pivots and radical are exactly those of the
+elimination by column operations on the whole form that it replaced.  A
 class is represented by its invariant tuple: signatures at the real embedding
 classes, rank parity of the nonsingular part, and the discriminant
 disc = (-1)^(k(k-1)/2) det in the real subfield modulo norms.  For d = 4 the
@@ -103,33 +106,29 @@ class Diagonalization:
     radical: int
 
 
-def _zero(d: int) -> CyclotomicNumber:
-    return CyclotomicNumber.of(d, 0)
-
-
 def diagonalize(form: HermitianForm) -> Diagonalization:
-    """Exact hermitian diagonalization with the radical split off.
+    """Exact hermitian diagonalization with the radical split off: an LDL^H
+    that updates the Schur complement of each pivot in the trailing block
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 11).
 
-    Each step is a swap or a basis change v_dst += coef * v_src, applied to
-    both slots of the form, so the product of the pivots is det F when there
+    The pivot is the first nonzero diagonal of the trailing block, moved to
+    the front by a swap.  When every diagonal is zero, the first nonzero
+    entry a = F[j][k] is folded in by the basis change v_j += c v_k, with
+    c = 1, or c = zeta when a is purely imaginary, which makes F[j][j] =
+    2 Re(c a) nonzero.  Each step is a congruence by a swap or by a
+    unitriangular matrix, so the product of the pivots is det F when there
     is no radical, and their number is the rank of F.
+
+    Clearing the pivot row by the basis changes v_j -= (F[i][j]/p) v_i
+    leaves F[j][k] - F[j][i] F[i][k]/p in the trailing block: its Schur
+    complement, which is what the update writes, F[j][k] -= conj(F[i][j])
+    ell_k with ell_k = F[i][k]/p.  Elements of Q(zeta_d) have one
+    representation each, so the pivots are the ones those column operations
+    give, element by element.
     """
     d = form.order
     n = form.size
     work = [list(row) for row in form.entries]
-
-    def col_swap(a, b):
-        for row in work:
-            row[a], row[b] = row[b], row[a]
-        work[a], work[b] = work[b], work[a]
-
-    def col_add(dst, src, coef):
-        # basis change v_dst += coef * v_src, applied to both slots of the form
-        cc = coef.conj()
-        for row in work:
-            row[dst] = row[dst] + row[src] * coef
-        work[dst] = [work[dst][j] + cc * work[src][j] for j in range(n)]
-
     pivots = []
     i = 0
     while i < n:
@@ -141,23 +140,29 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
                 break  # remaining block is the radical
             j, k = off
             a = work[j][k]
-            if not (a + a.conj()).is_zero():
-                coef = CyclotomicNumber.of(d, 1)
-            else:
-                # a is purely imaginary; zeta - zeta^-1 is nonzero for d > 2
-                coef = zeta(d)
-            col_add(j, k, coef)
+            # a is purely imaginary when a + conj(a) = 0; then zeta a +
+            # conj(zeta a) = (zeta - zeta^-1) a, nonzero for d > 2
+            c = zeta(d) if (a + a.conj()).is_zero() else CyclotomicNumber.of(d, 1)
+            cc = c.conj()
+            for row in work[i:]:
+                row[j] = row[j] + row[k] * c
+            work[j][i:] = [x + cc * y for x, y in zip(work[j][i:], work[k][i:])]
             pivot_at = j
         if pivot_at != i:
-            col_swap(i, pivot_at)
+            for row in work[i:]:
+                row[i], row[pivot_at] = row[pivot_at], row[i]
+            work[i], work[pivot_at] = work[pivot_at], work[i]
         p = work[i][i]
-        # col_add(j, i, .) changes row and column j only, so row i keeps its
-        # other entries and the pivot is inverted once
-        targets = [j for j in range(i + 1, n) if not work[i][j].is_zero()]
+        targets = [k for k in range(i + 1, n) if not work[i][k].is_zero()]
         if targets:
             p_inv = p.inverse()
-            for j in targets:
-                col_add(j, i, -(work[i][j] * p_inv))
+            ell = {k: work[i][k] * p_inv for k in targets}
+            for at, j in enumerate(targets):
+                left, out = work[j][i], work[j]  # left = conj(F[i][j])
+                out[j] = out[j] - left * ell[j]
+                for k in targets[at + 1:]:
+                    out[k] = out[k] - left * ell[k]
+                    work[k][j] = out[k].conj()
         pivots.append(p)
         i += 1
     return Diagonalization(d, tuple(pivots), n - len(pivots))
@@ -255,13 +260,20 @@ class WittClass:
             "partial": self.partial,
         }
         if self.disc is not None:
-            out["disc_coeffs"] = [str(c) for c in self.disc.coeffs]
+            den = self.disc.den
+            out["disc_coeffs"] = [_fraction_text(c, den) for c in self.disc.num]
         if self.disc_class is not None:
             out["disc_class"] = {
                 "sign": self.disc_class.sign,
                 "primes": sorted(self.disc_class.primes),
             }
         return out
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def witt_invariants(form: HermitianForm) -> WittClass:
@@ -409,35 +421,49 @@ def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
     -omega^-1 A^T in the top-right corner and -omega A in the bottom-left.
     For r = 1 everything lands in the single block, giving
     (1-omega)A + (1-omega^-1)A^T.
+
+    Each entry is an integer triple (a, b, c), the element a + b omega +
+    c omega^-1, so the form is hermitian when the entry at (j, i) is the
+    triple (a, c, b) of the entry at (i, j).
     """
     rows = _block_rows(A, r, d)
     g = len(rows)
-    omega = zeta(d, t % d)
-    omega_bar = omega.conj()
-    one = CyclotomicNumber.of(d, 1)
     n = r * g
-    out = [[_zero(d) for _ in range(n)] for _ in range(n)]
+    out = [[(0, 0, 0)] * n for _ in range(n)]
 
     def add_block(bi, bj, scale, transpose):
         for x in range(g):
             for y in range(g):
                 v = rows[y][x] if transpose else rows[x][y]
                 if v:
-                    out[bi * g + x][bj * g + y] = out[bi * g + x][bj * g + y] + scale * v
+                    row, at = out[bi * g + x], bj * g + y
+                    row[at] = tuple(e + s * v for e, s in zip(row[at], scale))
 
     # superdiagonal family (i, i+1 mod r): -A, with wrap factor omega at the
     # bottom-left; subdiagonal family (i, i-1 mod r): -A^T, with wrap factor
     # omega^-1 at the top-right.  For r = 1 both wrap onto the diagonal.
     for i in range(r):
-        add_block(i, i, one, False)
-        add_block(i, i, one, True)
+        add_block(i, i, (1, 0, 0), False)
+        add_block(i, i, (1, 0, 0), True)
         j = (i + 1) % r
-        scale = -omega if j <= i else -one
-        add_block(i, j, scale, False)
+        add_block(i, j, (0, -1, 0) if j <= i else (-1, 0, 0), False)
         j = (i - 1) % r
-        scale = -omega_bar if j >= i else -one
-        add_block(i, j, scale, True)
-    return HermitianForm.from_rows(d, out)
+        add_block(i, j, (0, 0, -1) if j >= i else (-1, 0, 0), True)
+    for i in range(n):
+        for j in range(i, n):
+            a, b, c = out[i][j]
+            if out[j][i] != (a, c, b):
+                raise ValueError(f"matrix is not conjugate-symmetric at ({i},{j})")
+    # one element per distinct triple, so equal entries (zero among them)
+    # are one object
+    elements = {}
+    for a, b, c in {v for row in out for v in row}:
+        vec = [0] * d
+        vec[0] += a
+        vec[t % d] += b
+        vec[-t % d] += c
+        elements[a, b, c] = CyclotomicNumber.from_coeffs(d, vec)
+    return HermitianForm(d, tuple(tuple(elements[v] for v in row) for row in out))
 
 
 def _mat_mul(a: list, b: list) -> list:

@@ -55,7 +55,7 @@ from covers_oracle import (
     whole_level_profile,
     word_monodromy,
 )
-from mutation import assert_killed
+from mutation import assert_killed, mutant
 
 SRC = str(pathlib.Path(lambdatower.__file__).parents[1])
 
@@ -1276,6 +1276,21 @@ def test_voltage_walk_merges_events_of_large_powers():
                  Character.of(0, {(0, 0): 3, (1, 17): -1, (0, 200): 2})):
         _same_profile(lift_profile(tower.top, program, char),
                       whole_level_profile(tower.top, program, char))
+
+
+def test_merge_bound_keeps_the_profile(monkeypatch):
+    # (alpha(2)*x0)^1000 at (2,4,4) holds up to 6,656 events, past the
+    # bound of 4,096, and the merge runs on 21 compositions: merging on
+    # every composition, or on none, gives the same profile
+    tower = _tower(2, 4, 4)
+    _, program = cli._WordParser("--word", "(alpha(2)*x0)^1000").parse()
+    char = character_f(tower)
+    want = lift_profile(tower.top, program, char)
+    merged = covers._merged
+    for never in (False, True):
+        monkeypatch.setattr(covers, "_merged", mutant(
+            merged, "events.shape[1] <= 4096", f"{never} or not events.shape[1]"))
+        _same_profile(lift_profile(tower.top, program, char), want)
 
 
 def test_built_levels_are_read_only():

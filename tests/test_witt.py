@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
+from mutation import assert_killed
 
 import witt_oracle
 from lambdatower import cyclo, seifert, witt
@@ -216,6 +217,19 @@ def test_diagonalize_matches_the_column_operation_oracle(form):
     """The same pivots, element by element, and the same radical as the
     elimination by column operations on the whole form."""
     assert diagonalize(form) == witt_oracle.diagonalize(form)
+
+
+@pytest.mark.parametrize("old, new", [
+    # the mirrored entry below the diagonal written without conj
+    ("work[k][j] = out[k].conj()", "work[k][j] = out[k]"),
+    # the diagonal (k = j) of the Schur complement left as it was
+    ("out[j] = out[j] - left * ell[j]", "out[j] = out[j]"),
+    # ell read from the previous pivot's row
+    ("ell = {k: work[i][k] * p_inv", "ell = {k: work[i - 1][k] * p_inv"),
+], ids=["mirror-conj", "diagonal-update", "pivot-row"])
+def test_schur_mutants_fail_the_oracle_property(monkeypatch, old, new):
+    assert_killed(monkeypatch, diagonalize, old, new,
+                  test_diagonalize_matches_the_column_operation_oracle)
 
 
 class TestWittInvariants:
