@@ -717,7 +717,8 @@ def _merged(events: np.ndarray, q: int) -> np.ndarray:
     The rows end, a, b, pos and mark are packed into one int64 key in their
     lexicographic order, so one 1-D sort finds the equal ones.  pos is 0 or
     -1 here, and the key stays below 2 q^2 n c, for n vertices below and c
-    marked edges: at most the level's vertices times its edges, under 2^60.
+    marked edges: twice the level's vertices times its edges, under 2^61
+    within TOWER_EDGE_CEILING.
     """
     if events.shape[1] <= 4096:
         return events

@@ -3,13 +3,13 @@
 Forms are diagonalized by an exact LDL^H that writes each pivot's Schur
 complement into the trailing block.  Elements of Q(zeta_d) have one
 representation each, so its pivots and radical are exactly those of the
-elimination by column operations on the whole form that it replaced.  A
-class is represented by its invariant tuple: signatures at the real embedding
-classes, rank parity of the nonsingular part, and the discriminant
-disc = (-1)^(k(k-1)/2) det in the real subfield modulo norms.  For d = 4 the
-norm subgroup of Q^x is computable (positive, even valuation at primes = 3 mod
-4), so discriminants reduce to a finite exact datum there; separating classes
-rationally uses the Hilbert symbols (disc, -1)_q.
+elimination by column operations on the whole form, which the tests keep as
+the reference.  A class is represented by its invariant tuple: signatures at
+the real embedding classes, rank parity of the nonsingular part, and the
+discriminant disc = (-1)^(k(k-1)/2) det in the real subfield modulo norms.
+For d = 4 the norm subgroup of Q^x is computable (positive, even valuation at
+primes = 3 mod 4), so discriminants reduce to a finite exact datum there;
+separating classes rationally uses the Hilbert symbols (disc, -1)_q.
 
 The r-block forms lambda_block(A, r, d, t) of an integer g x g matrix A split
 over C into the forms M(lambda) of A at the r-th roots of zeta_d^t, so
@@ -58,8 +58,9 @@ Entry = Union[int, Fraction, CyclotomicNumber]
 # r blocks of a g x g matrix over Q(zeta_d); the largest in use is 1.3e7
 # (r g = 8, d = 243).  It bounds the exact elimination of `witt --matrix`,
 # which builds and diagonalizes every block form: just under it, the
-# trefoil's 31 blocks at d = 64 take about 0.1 s that way and a few
-# milliseconds through block_invariants.
+# trefoil's 31 blocks at d = 64 take 14-22 ms that way (median in process
+# on a shared 2-core x86-64 machine, Python 3.11) and a few milliseconds
+# through block_invariants.
 MAX_BLOCK_WORK = 260_000_000
 
 
