@@ -87,6 +87,13 @@ def _witt_matrix(matrix, r, d, t):
             "--t", str(t)]
 
 
+# A witt --matrix argv whose pivot reaches cyclo.certified_sign at each of
+# the four embeddings of Q(zeta_16): its coefficients, 2 10^300 and -10^300,
+# lie outside the float stage's range (2^-900, 2^900).  No argv of the
+# query-session menu does: the float stage decides every pivot there.
+CERTIFIED_SIGN = _witt_matrix(f"[[{10 ** 300}]]", 1, 16, 1)
+
+
 def _witt_menu():
     shapes = []
     for i, d in enumerate(_WITT_D):
@@ -177,6 +184,7 @@ def _argvs():
         ["witt", "--form", "[[1,1],[1,1]]", "--d", "4"],
         _witt_matrix("[[0,1],[0,0]]", 3, 27, 1),
         _witt_matrix("[[0,1],[-1,0]]", 1, 4, 1),
+        CERTIFIED_SIGN,
     ]
     return argvs
 

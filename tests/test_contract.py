@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from lambdatower import seifert
-from record_contract import ARGVS, CASCADE, CONTRACT, run
+from lambdatower import cyclo, seifert
+from record_contract import ARGVS, CASCADE, CERTIFIED_SIGN, CONTRACT, run
 
 RECORDS = json.loads(CONTRACT.read_text(encoding="utf-8"))["records"]
 
@@ -40,3 +40,18 @@ def test_cascade_records_reach_the_cascade(argv, bits, monkeypatch):
     monkeypatch.setattr(seifert, "_interval_signature", counted)
     run(argv)
     assert seen == bits
+
+
+def test_certified_sign_record_reaches_certified_sign(monkeypatch):
+    # the float stage of embedding_signs leaves every embedding to the
+    # intervals
+    seen = []
+    sign = cyclo.certified_sign
+
+    def counted(x, embedding=1):
+        seen.append(embedding)
+        return sign(x, embedding)
+
+    monkeypatch.setattr(cyclo, "certified_sign", counted)
+    run(CERTIFIED_SIGN)
+    assert seen == [1, 3, 5, 7]
