@@ -3,8 +3,10 @@
 Elements are coefficient vectors over the power basis 1, z, ..., z^(phi(d)-1)
 reduced modulo the cyclotomic polynomial Phi_d, held as integers over one
 denominator in lowest terms, so equality and zero testing are exact
-syntactic checks.  Products are single big-integer products (Kronecker
-substitution), and inverses descend the tower of subfields by norms.  The
+syntactic checks.  Arithmetic costs by the nonzero terms: products of
+few-term elements go term by term, other products are one big-integer
+product (Kronecker substitution), and inverses take out the integer content
+and descend the tower of subfields by norms.  The
 sign of an element fixed by the involution z -> z^-1, under the embedding
 z -> exp(2*pi*i*s/d), is decided by adaptive-precision interval arithmetic:
 exact zeros short-circuit, and a nonzero element is separated from zero at
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, inf, lcm, nextafter
 from operator import add, neg, sub
 from typing import Union
@@ -215,7 +218,9 @@ def _trim(vec):
 
 def _lowest(vec: list, den: int):
     """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0."""
-    g = gcd(den, *vec)
+    if den == 1:
+        return vec, den
+    g = gcd(den, *filter(None, vec))
     if den < 0:
         g = -g
     if g != 1:
@@ -344,29 +349,48 @@ def _element(d: int, vec: list, den: int) -> "CyclotomicNumber":
     return CyclotomicNumber(d, tuple(vec), den)
 
 
+def _fold(d: int, terms) -> list:
+    """The phi(d) power-basis coefficients of sum c z^e over the pairs (e, c)
+    of terms, for any integer exponents e."""
+    p, _, m, phi = _field_params(d)
+    vec = [0] * phi
+    for e, c in terms:
+        e %= d
+        if e < phi:
+            vec[e] += c
+        else:
+            # z^((p-1) m + r) = -sum_{j<p-1} z^(j m + r), as in _reduce
+            for k in range(e - phi, phi, m):
+                vec[k] -= c
+    return vec
+
+
+def _support(num) -> list:
+    """The exponents of the nonzero coefficients of num."""
+    return list(compress(range(len(num)), num))
+
+
 def _product(x: "CyclotomicNumber", y: "CyclotomicNumber") -> "CyclotomicNumber":
-    a, b = x.num, y.num
-    if not any(a):
-        return x
-    if not any(b):
-        return y
-    if not any(b[1:]):
-        vec = [c * b[0] for c in a]
-    elif not any(a[1:]):
-        vec = [a[0] * c for c in b]
+    """x y, term by term when the operands have few nonzero terms, else by
+    one Kronecker product reduced modulo Phi_d."""
+    d, a, b = x.order, x.num, y.num
+    sa, sb = _support(a), _support(b)
+    # a term product takes one step per pair of terms, the Kronecker product
+    # about one per each of the 2 phi(d) - 1 coefficients it reads back
+    if len(sa) * len(sb) < 2 * len(a):
+        vec = _fold(d, [(i + j, a[i] * b[j]) for i in sa for j in sb])
     else:
-        vec = _reduce(_kronecker_mul(_trim(a), _trim(b)), x.order)
-    return _element(x.order, vec, x.den * y.den)
+        vec = _reduce(_kronecker_mul(_trim(a), _trim(b)), d)
+    return _element(d, vec, x.den * y.den)
 
 
 def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
     """Image of x under zeta -> zeta^k, for k coprime to the order."""
-    d = x.order
-    vec = [0] * d
-    for i, c in enumerate(x.num):
-        vec[i * k % d] = c
-    # a ring automorphism of Z[zeta_d] keeps the gcd of the numerators
-    return CyclotomicNumber(d, tuple(_reduce(vec, d)), x.den)
+    num = x.num
+    vec = _fold(x.order, [(i * k, num[i]) for i in _support(num)])
+    # a ring automorphism of Z[zeta_d] keeps the gcd of the numerators, and
+    # den stays in lowest terms
+    return CyclotomicNumber(x.order, tuple(vec), x.den)
 
 
 def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
@@ -377,16 +401,23 @@ def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
     p - 1 nontrivial ones makes x r the relative norm, an element of the
     subfield (supported on the powers z^(p i)), so 1/x = r / (x r) takes one
     inverse at a p-th of the degree.  Q(zeta_p) takes extended Euclid, and a
-    rational x is inverted directly.
+    rational x is inverted directly.  The integer content comes off first,
+    since N(g y) = g^phi N(y) would carry it through every norm.
     """
     d, num = x.order, x.num
     if not any(num[1:]):
-        return CyclotomicNumber.of(d, Fraction(x.den, num[0]))
+        # num[0] and den are coprime, so den / num[0] is in lowest terms
+        return CyclotomicNumber(d, (x.den if num[0] > 0 else -x.den,) + num[1:],
+                                abs(num[0]))
+    g = gcd(*num)
+    if g != 1 or x.den != 1:
+        # x = (g / den) y for the primitive y in Z[zeta_d]
+        inv = _inverse(CyclotomicNumber(d, tuple([c // g for c in num])))
+        return _element(d, [c * x.den for c in inv.num], inv.den * g)
     p, a, m, phi = _field_params(d)
     if a == 1:
         inv, den = _euclid_inverse(_trim(num), d)
-        inv += [0] * (phi - len(inv))
-        return _element(d, [c * x.den for c in inv], den)
+        return _element(d, inv + [0] * (phi - len(inv)), den)
     rest = _galois(x, 1 + m)
     for j in range(2, p):
         rest = _product(rest, _galois(x, 1 + j * m))
@@ -418,12 +449,14 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_coeffs(d: int, coeffs) -> "CyclotomicNumber":
-        coeffs = list(coeffs)
-        if set(map(type, coeffs)) <= {int}:
-            return _element(d, _reduce(coeffs, d), 1)
         pairs = [_ratio(c) for c in coeffs]
         den = lcm(*(q for _, q in pairs))
         return _element(d, _reduce([n * (den // q) for n, q in pairs], d), den)
+
+    @staticmethod
+    def from_terms(d: int, terms) -> "CyclotomicNumber":
+        """sum c zeta^e over the pairs (e, c) of terms, for integers e and c."""
+        return _element(d, _fold(d, terms), 1)
 
     @staticmethod
     def of(d: int, value: Scalar) -> "CyclotomicNumber":
@@ -449,20 +482,17 @@ class CyclotomicNumber:
         except TypeError:
             return NotImplemented
         a, b = self.num, other.num
-        if not any(b):
-            return self
-        if not any(a):
-            return other if op is add else -other
-        den = self.den
+        den, ua, ub = self.den, 1, 1
         if den != other.den:
             g = gcd(den, other.den)
             ua, ub = other.den // g, den // g
-            if ua != 1:
-                a = [x * ua for x in a]
-            if ub != 1:
-                b = [y * ub for y in b]
             den *= ua
-        return _element(self.order, list(map(op, a, b)), den)
+        vec = [0] * len(a)
+        for i in _support(a):
+            vec[i] = a[i] * ua
+        for i in _support(b):
+            vec[i] = op(vec[i], b[i] * ub)
+        return _element(self.order, vec, den)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -504,12 +534,7 @@ class CyclotomicNumber:
 
     def conj(self) -> "CyclotomicNumber":
         """Image under the involution zeta -> zeta^-1."""
-        d, num = self.order, self.num
-        vec = [num[0]] + [0] * (d - len(num))
-        vec += num[:0:-1]  # z^k -> z^(d-k)
-        # The involution is a ring automorphism of Z[zeta_d], so it keeps the
-        # gcd of the numerators, and den stays in lowest terms.
-        return CyclotomicNumber(d, tuple(_reduce(vec, d)), self.den)
+        return _galois(self, -1)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -550,10 +575,7 @@ class CyclotomicNumber:
 
 def zeta(d: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_d**k as an element of Q(zeta_d)."""
-    k %= d
-    vec = [0] * (k + 1)
-    vec[k] = 1
-    return CyclotomicNumber.from_coeffs(d, vec)
+    return CyclotomicNumber.from_terms(d, [(k, 1)])
 
 
 class interval_precision:
@@ -624,6 +646,7 @@ _UNIT = 2.0 ** -53
 _FLOAT_RANGE = (2.0 ** -900, 2.0 ** 900)
 
 
+@lru_cache(maxsize=64)
 def _rotations(d: int) -> tuple:
     """(F, E, C, S) with C[u] and S[u] integers within E of 2^F cos(pi u/d)
     and 2^F sin(pi u/d) for 0 <= u <= d/2, where F = 64 + 2 bitlen(d) and
@@ -659,7 +682,7 @@ def _rotations(d: int) -> tuple:
         x, y = (x * c1 - y * s1) >> bits, (x * s1 + y * c1) >> bits
         cs.append(x)
         ss.append(y)
-    return bits, 2 * d, cs, ss
+    return bits, 2 * d, tuple(cs), tuple(ss)
 
 
 # Largest order d whose cot table is built (2d floats); at larger orders the
@@ -696,7 +719,7 @@ def cot_table(d: int):
     return lo, hi
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)
 def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
     """cos(2 pi k s/d) at row k < phi(d) and column s in embeddings.
 
@@ -719,15 +742,17 @@ def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
 def _float_coeffs(x: CyclotomicNumber):
     """The coefficients of x rounded to nearest (int true division rounds
     correctly), or None when a nonzero one falls outside _FLOAT_RANGE."""
-    den = x.den
+    num, den = x.num, x.den
+    lo, hi = _FLOAT_RANGE
+    out = [0.0] * len(num)
     try:
-        out = [c / den for c in x.num]
+        for i in _support(num):
+            out[i] = f = num[i] / den
+            if not lo <= abs(f) <= hi:
+                return None
     except OverflowError:
         return None
-    lo, hi = _FLOAT_RANGE
-    if all(lo <= abs(f) <= hi for c, f in zip(x.num, out) if c):
-        return out
-    return None
+    return out
 
 
 def _float_signs(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -780,10 +805,10 @@ def embedding_signs(xs, embeddings) -> tuple:
     if rows and embeddings:
         signs[rows] = _float_signs(np.array([floats[i] for i in rows]),
                                    _float_cos_table(d, embeddings))
-    return tuple(
-        tuple(int(v) if v else certified_sign(x, s)
-              for v, s in zip(row, embeddings))
-        for x, row in zip(xs, signs))
+    out = signs.tolist()
+    for i, j in zip(*np.nonzero(signs == 0)):
+        out[i][j] = certified_sign(xs[i], embeddings[j])
+    return tuple(map(tuple, out))
 
 
 # angles 2*pi*u with rational cosine (Niven): cos is rational only at these u.

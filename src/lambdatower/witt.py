@@ -261,8 +261,9 @@ class WittClass:
             "partial": self.partial,
         }
         if self.disc is not None:
-            den = self.disc.den
-            out["disc_coeffs"] = [_fraction_text(c, den) for c in self.disc.num]
+            num, den = self.disc.num, self.disc.den
+            out["disc_coeffs"] = (list(map(str, num)) if den == 1 else
+                                  [_fraction_text(c, den) for c in num])
         if self.disc_class is not None:
             out["disc_class"] = {
                 "sign": self.disc_class.sign,
@@ -284,7 +285,8 @@ def witt_invariants(form: HermitianForm) -> WittClass:
     k = len(diag.pivots)
     ss = embeddings(d)
     signs = embedding_signs(diag.pivots, ss)  # certified, one row per pivot
-    sigs = tuple((s, sum(row[j] for row in signs)) for j, s in enumerate(ss))
+    # one column sum per embedding, from a zero row so that k = 0 sums to 0
+    sigs = tuple(zip(ss, map(sum, zip([0] * len(ss), *signs))))
     disc = CyclotomicNumber.of(d, (-1) ** (k * (k - 1) // 2))
     for p in diag.pivots:
         disc = disc * p
@@ -430,26 +432,25 @@ def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
     rows = _block_rows(A, r, d)
     g = len(rows)
     n = r * g
-    out = [[(0, 0, 0)] * n for _ in range(n)]
+    parts = [[[0] * n for _ in range(n)] for _ in range(3)]  # a, b and c
 
-    def add_block(bi, bj, scale, transpose):
+    def add_block(bi, bj, part, sign, transpose):
         for x in range(g):
+            row = parts[part][bi * g + x]
             for y in range(g):
-                v = rows[y][x] if transpose else rows[x][y]
-                if v:
-                    row, at = out[bi * g + x], bj * g + y
-                    row[at] = tuple(e + s * v for e, s in zip(row[at], scale))
+                row[bj * g + y] += sign * (rows[y][x] if transpose else rows[x][y])
 
     # superdiagonal family (i, i+1 mod r): -A, with wrap factor omega at the
     # bottom-left; subdiagonal family (i, i-1 mod r): -A^T, with wrap factor
     # omega^-1 at the top-right.  For r = 1 both wrap onto the diagonal.
     for i in range(r):
-        add_block(i, i, (1, 0, 0), False)
-        add_block(i, i, (1, 0, 0), True)
+        add_block(i, i, 0, 1, False)
+        add_block(i, i, 0, 1, True)
         j = (i + 1) % r
-        add_block(i, j, (0, -1, 0) if j <= i else (-1, 0, 0), False)
+        add_block(i, j, 1 if j <= i else 0, -1, False)
         j = (i - 1) % r
-        add_block(i, j, (0, 0, -1) if j >= i else (-1, 0, 0), True)
+        add_block(i, j, 2 if j >= i else 0, -1, True)
+    out = [list(zip(*part_rows)) for part_rows in zip(*parts)]
     for i in range(n):
         for j in range(i, n):
             a, b, c = out[i][j]
@@ -457,13 +458,8 @@ def lambda_block(A, r: int, d: int, t: int) -> HermitianForm:
                 raise ValueError(f"matrix is not conjugate-symmetric at ({i},{j})")
     # one element per distinct triple, so equal entries (zero among them)
     # are one object
-    elements = {}
-    for a, b, c in {v for row in out for v in row}:
-        vec = [0] * d
-        vec[0] += a
-        vec[t % d] += b
-        vec[-t % d] += c
-        elements[a, b, c] = CyclotomicNumber.from_coeffs(d, vec)
+    elements = {(a, b, c): CyclotomicNumber.from_terms(d, [(0, a), (t, b), (-t, c)])
+                for a, b, c in {v for row in out for v in row}}
     return HermitianForm(d, tuple(tuple(elements[v] for v in row) for row in out))
 
 

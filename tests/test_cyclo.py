@@ -17,6 +17,7 @@ from lambdatower.cyclo import (
     degree_of,
     zeta,
 )
+from lambdatower.witt import embeddings
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 32]
 
@@ -405,6 +406,21 @@ def test_rotations_stay_within_their_bound(d):
             angle = mpmath.pi * u / d
             assert abs(cs[u] - scale * mpmath.cos(angle)) <= err
             assert abs(ss[u] - scale * mpmath.sin(angle)) <= err
+
+
+def test_one_rotation_table_per_order_over_two_sessions():
+    # the ten witt orders of a query session, twice: each order's rotations
+    # are computed once, for its cot table and its float cosines, and the
+    # float table keeps every order
+    orders = (16, 27, 32, 49, 64, 81, 125, 128, 243, 256)
+    for table in (cyclo._rotations, cyclo.cot_table, cyclo._float_cos_table):
+        table.cache_clear()
+    for _ in range(2):
+        for d in orders:
+            cyclo.cot_table(d)
+            cyclo._float_cos_table(d, embeddings(d))
+    assert cyclo._rotations.cache_info().misses == len(orders)
+    assert cyclo._float_cos_table.cache_info().misses == len(orders)
 
 
 def test_cot_table_is_bounded_and_read_only():

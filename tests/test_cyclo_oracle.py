@@ -12,9 +12,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import fraction_oracle as oracle
+from mutation import assert_killed
 from lambdatower import cyclo
 from lambdatower.cyclo import CyclotomicNumber, degree_of
 from lambdatower.witt import diagonalize, lambda_block, witt_invariants
@@ -187,6 +188,9 @@ def test_kronecker_digits_at_sign_boundaries():
             for j, y in enumerate(b):
                 want[i + j] += x * y
         assert cyclo._kronecker_mul(a, b) == want
+
+
+def test_kronecker_digits_fill_each_width():
     # n (2^k - 1)^2 for n = 2^j - 1 is just below 2^(2k + j), the bound the
     # digit width is chosen from, so each width is filled to its top
     for k in range(1, 70):
@@ -197,3 +201,92 @@ def test_kronecker_digits_at_sign_boundaries():
             assert cyclo._kronecker_mul(top, top) == want
             assert cyclo._kronecker_mul(top, [-c for c in top]) == \
                 [-c for c in want]
+
+
+# Orders with p = 2, 3, 5 and 7, prime orders among them.
+SPARSE_ORDERS = (5, 7, 8, 9, 16, 25, 27, 49, 125, 128, 243, 256)
+
+
+def sparse_vectors(d, terms):
+    """Coefficient vectors of length phi(d) with the given number of terms at
+    arbitrary exponents, the top ones drawn often, so that exponent sums pass
+    phi(d) and, for odd p, d; integer, huge and fractional coefficients."""
+    phi = degree_of(d)
+    exponent = st.one_of(st.integers(0, phi - 1),
+                         st.integers(max(0, phi - 3), phi - 1))
+    value = st.one_of(
+        st.integers(-9, 9).filter(bool),
+        st.integers(2 ** 64, 2 ** 72).map(lambda c: -c),
+        st.fractions(max_denominator=50).filter(lambda f: f and abs(f) < 10 ** 6))
+
+    @st.composite
+    def draw_vector(draw):
+        vec = [0] * phi
+        for e in draw(st.lists(exponent, min_size=terms, max_size=terms,
+                               unique=True)):
+            vec[e] = draw(value)
+        return vec
+    return draw_vector()
+
+
+@st.composite
+def sparse_operands(draw):
+    """(d, a, b) for two few-term operands whose term counts na and nb lie on
+    either side of the crossover na nb < 2 phi(d) between the term product
+    and the packed (Kronecker) product.  Drawing many terms is slow, so
+    above phi(d) = 64 the operands keep to the term side, with up to 16
+    terms, as many as any pivot of the witt menu has."""
+    d = draw(st.sampled_from(SPARSE_ORDERS))
+    phi = degree_of(d)
+    na = draw(st.integers(1, min(4, phi)))
+    if na > 1 and phi <= 64 and draw(st.booleans()):  # packed: na nb >= 2 phi
+        nb = draw(st.integers(-(-2 * phi // na), phi))
+    else:  # term by term: na nb < 2 phi
+        most = phi if phi <= 64 else 16
+        nb = draw(st.integers(1, min(most, (2 * phi - 1) // na)))
+    return d, draw(sparse_vectors(d, na)), draw(sparse_vectors(d, nb))
+
+
+@given(sparse_operands(), st.sampled_from((2, 6, 2 ** 65 + 2)),
+       st.sampled_from((1, 5, 7, 11 ** 3)))
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@seed(2029)
+# 10 z^8 = -10 (z^2 + z^5) in Q(zeta_9), and the inverse of 6/7 z^5
+@example((9, [0, 0, 0, 0, 0, 2], [0, 0, 0, 5, 0, 0]), 6, 7)
+def test_sparse_operands_match_oracle(operands, content, den):
+    """Few-term products on both sides of the crossover, conjugates, and
+    inverses of elements whose integer content g > 1 (coprime to den) comes
+    off before the norms: against the oracle at phi(d) <= 20, elsewhere by
+    x x^-1 = 1."""
+    d, a, b = operands
+    x, y = element(d, a), element(d, b)
+    fa, fb = oracle.reduce(a, d), oracle.reduce(b, d)
+    product = x * y
+    assert_canonical(product)
+    assert list(product.coeffs) == oracle.mul(fa, fb, d)
+    assert list(x.conj().coeffs) == oracle.conj(fa, d)
+    g = gcd(*x.num)
+    w = element(d, [Fraction(content * c // g, den) for c in x.num])
+    assert gcd(*w.num) == content and w.den == den
+    inv = w.inverse()
+    assert_canonical(inv)
+    if degree_of(d) <= 20:
+        assert list(inv.coeffs) == oracle.inverse(list(w.coeffs), d)
+    assert w * inv == 1
+
+
+@pytest.mark.parametrize("function, old, new, test", [
+    # digits one byte short: a product coefficient near the top of its
+    # digit carries into the next
+    (cyclo._kronecker_mul, "size = bits // 8 + 1", "size = bits // 8",
+     test_kronecker_digits_fill_each_width),
+    # z^((p-1) m + r) folded onto +z^(j m + r)
+    (cyclo._fold, "vec[k] -= c", "vec[k] += c",
+     test_sparse_operands_match_oracle),
+    # the integer content taken out of the inverse's numerators but left
+    # out of its denominator
+    (cyclo._inverse, "inv.den * g)", "inv.den)",
+     test_sparse_operands_match_oracle),
+], ids=["kronecker-digit-width", "fold-sign", "content-strip"])
+def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
+    assert_killed(monkeypatch, function, old, new, test)
