@@ -217,14 +217,16 @@ def _trim(vec):
 
 
 def _lowest(vec: list, den: int):
-    """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0."""
+    """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0;
+    vec is divided in place."""
     if den == 1:
         return vec, den
     g = gcd(den, *filter(None, vec))
     if den < 0:
         g = -g
     if g != 1:
-        vec = [c // g for c in vec]
+        for i in _support(vec):
+            vec[i] //= g
         den //= g
     return vec, den
 

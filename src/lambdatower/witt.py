@@ -58,7 +58,7 @@ Entry = Union[int, Fraction, CyclotomicNumber]
 # r blocks of a g x g matrix over Q(zeta_d); the largest in use is 1.3e7
 # (r g = 8, d = 243).  It bounds the exact elimination of `witt --matrix`,
 # which builds and diagonalizes every block form: just under it, the
-# trefoil's 31 blocks at d = 64 take 14-22 ms that way (median in process
+# trefoil's 31 blocks at d = 64 take 20-21 ms that way (median in process
 # on a shared 2-core x86-64 machine, Python 3.11) and a few milliseconds
 # through block_invariants.
 MAX_BLOCK_WORK = 260_000_000

@@ -3,8 +3,9 @@
 The direct rational algorithms: schoolbook products reduced modulo Phi_d one
 top coefficient at a time, and inverses by extended Euclid in Q[x] with every
 coefficient a Fraction.  `cyclo.CyclotomicNumber` holds integers over one
-denominator and multiplies by Kronecker substitution; the property tests
-check it against these, coefficient by coefficient.
+denominator and multiplies term by term or, for dense operands, by
+Kronecker substitution; the property tests check it against these,
+coefficient by coefficient.
 """
 from fractions import Fraction
 

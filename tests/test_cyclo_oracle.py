@@ -1,11 +1,13 @@
 """Integer-vector Q(zeta_d) arithmetic against the Fraction reference oracle.
 
-`CyclotomicNumber` holds phi(d) integers over one denominator, multiplies by
-Kronecker substitution and inverts by norms down the subfield tower (extended
-Euclid at prime order).  Every operation here is compared, coefficient by
-coefficient, with the direct Fraction algorithms of `fraction_oracle`, on
-zero elements, negative coefficients, coefficients at the digit boundaries
-of the packing, coefficients of 2^300 and mixed denominators.
+`CyclotomicNumber` holds phi(d) integers over one denominator, multiplies
+few-term elements term by term and denser ones by Kronecker substitution,
+and inverts by norms down the subfield tower (extended Euclid at prime
+order) once the integer content is out.  Every operation here is compared,
+coefficient by coefficient, with the direct Fraction algorithms of
+`fraction_oracle`, on zero elements, negative coefficients, coefficients at
+the digit boundaries of the packing, coefficients of 2^300, mixed
+denominators and few-term elements on both sides of the crossover.
 """
 import random
 from fractions import Fraction
