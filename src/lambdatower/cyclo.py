@@ -6,16 +6,16 @@ denominator in lowest terms, so equality and zero testing are exact
 syntactic checks.  Arithmetic costs by the nonzero terms: products of
 few-term elements go term by term, other products are one big-integer
 product (Kronecker substitution), and inverses take out the integer content
-and descend the tower of subfields by norms.  The
-sign of an element fixed by the involution z -> z^-1, under the embedding
-z -> exp(2*pi*i*s/d), is decided by adaptive-precision interval arithmetic:
-exact zeros short-circuit, and a nonzero element is separated from zero at
-some finite precision.  For
-many elements at many embeddings, a float evaluation with an a priori error
-bound decides first and leaves only the close calls to the intervals.  Its
-cosines, and the cot enclosures of the signature sweeps, come from one
-rotation table per order: powers of a certified e^(i pi/d) in fixed-point
-integers, with an error bound that needs no precision cap.
+and descend the tower of subfields by norms.  The sign of an element fixed
+by the involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is
+decided by adaptive-precision interval arithmetic: exact zeros
+short-circuit, and a nonzero element is separated from zero at some finite
+precision.  For many elements at many embeddings, a float evaluation with
+an a priori error bound decides first and leaves only the close calls to
+the intervals.  Its cosines, and the cot enclosures of the signature
+sweeps, come from one rotation table per order: powers of a certified
+e^(i pi/d) in fixed-point integers, with an error bound that needs no
+precision cap.
 """
 from __future__ import annotations
 
@@ -378,7 +378,7 @@ def _product(x: "CyclotomicNumber", y: "CyclotomicNumber") -> "CyclotomicNumber"
     d, a, b = x.order, x.num, y.num
     sa, sb = _support(a), _support(b)
     # a term product takes one step per pair of terms, the Kronecker product
-    # about one per each of the 2 phi(d) - 1 coefficients it reads back
+    # about one per coefficient it reads back, of which there are 2 phi(d) - 1
     if len(sa) * len(sb) < 2 * len(a):
         vec = _fold(d, [(i + j, a[i] * b[j]) for i in sa for j in sb])
     else:
@@ -408,9 +408,7 @@ def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
     """
     d, num = x.order, x.num
     if not any(num[1:]):
-        # num[0] and den are coprime, so den / num[0] is in lowest terms
-        return CyclotomicNumber(d, (x.den if num[0] > 0 else -x.den,) + num[1:],
-                                abs(num[0]))
+        return CyclotomicNumber.of(d, Fraction(x.den, num[0]))
     g = gcd(*num)
     if g != 1 or x.den != 1:
         # x = (g / den) y for the primitive y in Z[zeta_d]
