@@ -449,14 +449,17 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_coeffs(d: int, coeffs) -> "CyclotomicNumber":
-        pairs = [_ratio(c) for c in coeffs]
-        den = lcm(*(q for _, q in pairs))
-        return _element(d, _reduce([n * (den // q) for n, q in pairs], d), den)
+        """sum c_i zeta^i over the rational coefficients c_0, c_1, ..."""
+        return CyclotomicNumber.from_terms(d, enumerate(coeffs))
 
     @staticmethod
     def from_terms(d: int, terms) -> "CyclotomicNumber":
-        """sum c zeta^e over the pairs (e, c) of terms, for integers e and c."""
-        return _element(d, _fold(d, terms), 1)
+        """sum c zeta^e over the pairs (e, c) of terms, for integer exponents
+        e and rational coefficients c."""
+        terms = [(e, _ratio(c)) for e, c in terms]
+        den = lcm(*(q for _, (_, q) in terms))
+        return _element(d, _fold(d, [(e, n * (den // q))
+                                     for e, (n, q) in terms if n]), den)
 
     @staticmethod
     def of(d: int, value: Scalar) -> "CyclotomicNumber":
@@ -646,7 +649,7 @@ _UNIT = 2.0 ** -53
 _FLOAT_RANGE = (2.0 ** -900, 2.0 ** 900)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _rotations(d: int) -> tuple:
     """(F, E, C, S) with C[u] and S[u] integers within E of 2^F cos(pi u/d)
     and 2^F sin(pi u/d) for 0 <= u <= d/2, where F = 64 + 2 bitlen(d) and
@@ -719,7 +722,7 @@ def cot_table(d: int):
     return lo, hi
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
     """cos(2 pi k s/d) at row k < phi(d) and column s in embeddings.
 

@@ -261,9 +261,8 @@ class WittClass:
             "partial": self.partial,
         }
         if self.disc is not None:
-            num, den = self.disc.num, self.disc.den
-            out["disc_coeffs"] = (list(map(str, num)) if den == 1 else
-                                  [_fraction_text(c, den) for c in num])
+            den = self.disc.den
+            out["disc_coeffs"] = [_fraction_text(c, den) for c in self.disc.num]
         if self.disc_class is not None:
             out["disc_class"] = {
                 "sign": self.disc_class.sign,
@@ -542,12 +541,9 @@ def block_invariants(A, r: int, d: int, t: int) -> WittClass:
     if c:
         # one Laurent polynomial in zeta_d: (zeta^-t - 1)^g chi(zeta^t)
         scale = (-1) ** (k * (k - 1) // 2) * c ** r
-        vec = [0] * d
-        for j in range(g + 1):
-            coef = scale * comb(g, j) * (-1) ** (g - j)
-            for m, x in enumerate(chi):
-                vec[(m - j) * t % d] += coef * x
-        disc = CyclotomicNumber.from_coeffs(d, vec)
+        disc = CyclotomicNumber.from_terms(
+            d, [((m - j) * t, scale * comb(g, j) * (-1) ** (g - j) * x)
+                for j in range(g + 1) for m, x in enumerate(chi)])
     if disc is None or disc.is_zero():
         return witt_invariants(lambda_block(rows, r, d, t))
     # seifert imports this module, so the sweep is imported when first used

@@ -119,6 +119,17 @@ def test_rational_embedding_and_integer_ops():
     assert (3 * zeta(4)) / 3 == zeta(4)
 
 
+def test_from_terms_normalises_rational_terms():
+    # z^5 = -z and z^-1 = -z^3 in Q(zeta_8); a Fraction term lands over
+    # the lcm of the denominators, in lowest terms
+    x = CyclotomicNumber.from_terms(8, [(5, Fraction(4, 6)), (-1, 2), (8, 1)])
+    assert (x.num, x.den) == ((3, -2, 0, -6), 3)
+    assert x == CyclotomicNumber.from_coeffs(8, [1, 0, 0, 0, 0, Fraction(2, 3),
+                                                  0, 2])
+    with pytest.raises(TypeError):
+        CyclotomicNumber.from_terms(8, [(1, 0.5)])
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         zeta(4) / CyclotomicNumber.of(4, 0)
