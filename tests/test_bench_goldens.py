@@ -1,6 +1,7 @@
-"""The tower-walk benchmark's outputs, replayed in process against the
-recorded goldens in bench/golden.json, so that a change to any byte of them
-fails here and not only in a benchmark run."""
+"""Benchmark outputs replayed in process against the recorded goldens in
+bench/golden.json, so that a change to any byte of them fails here and not
+only in a benchmark run: the tower-walk ops, and every `witt` argv of the
+query-session universe, the exact Witt path at each order, r and matrix."""
 import contextlib
 import hashlib
 import io
@@ -43,13 +44,17 @@ def _content_hash(cert: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
-@pytest.mark.parametrize("argv", _replayed(), ids=workloads.key)
-def test_output_matches_the_golden(argv):
-    kind, _, value = GOLDENS[workloads.key(argv)].partition(":")
+def _stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    text = out.getvalue()
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", _replayed(), ids=workloads.key)
+def test_output_matches_the_golden(argv):
+    kind, _, value = GOLDENS[workloads.key(argv)].partition(":")
+    text = _stdout(argv)
     if kind == "cert":
         cert = json.loads(text)
         assert cert["content_hash"] == value
@@ -66,3 +71,19 @@ def test_every_slot_and_knot_is_replayed():
     lambdas = [argv for argv in argvs if argv[0] == "lambda"]
     assert len(lambdas) == len(workloads._LAMBDA_SLOTS)
     assert {argv[-1] for argv in lambdas} == set(workloads._TOWER_KNOTS)
+
+
+_WITT = [list(argv) for argv in workloads.universe("query-session")
+         if argv[0] == "witt"]
+
+
+@pytest.mark.parametrize("argv", _WITT, ids=workloads.key)
+def test_witt_output_matches_the_golden(argv):
+    kind, _, value = GOLDENS[workloads.key(argv)].partition(":")
+    assert kind == "stdout"
+    digest = hashlib.sha256(_stdout(argv).encode("utf-8")).hexdigest()
+    assert digest.startswith(value)
+
+
+def test_every_witt_argv_is_replayed():
+    assert len(_WITT) == 660

@@ -1,13 +1,15 @@
-"""Integer-vector Q(zeta_d) arithmetic against the Fraction reference oracle.
+"""Term-stored Q(zeta_d) arithmetic against the Fraction reference oracle.
 
-`CyclotomicNumber` holds phi(d) integers over one denominator, multiplies
-few-term elements term by term and denser ones by Kronecker substitution,
-and inverts by norms down the subfield tower (extended Euclid at prime
-order) once the integer content is out.  Every operation here is compared,
-coefficient by coefficient, with the direct Fraction algorithms of
-`fraction_oracle`, on zero elements, negative coefficients, coefficients at
-the digit boundaries of the packing, coefficients of 2^300, mixed
-denominators and few-term elements on both sides of the crossover.
+`CyclotomicNumber` holds its nonzero terms over one denominator, scales by
+a rational operand, multiplies few-term elements term by term and denser
+ones by one convolution (64-bit words, or Kronecker substitution for wider
+coefficients), and inverts by norms down the subfield tower (extended
+Euclid at prime order) once the integer content is out.  Every operation
+here is compared, coefficient by coefficient, with the direct Fraction
+algorithms of `fraction_oracle`, on zero elements, negative coefficients,
+coefficients at the digit boundaries of the packing and at the 64-bit word
+bound, coefficients of 2^300, mixed denominators and few-term elements on
+both sides of the crossover.
 """
 import random
 from fractions import Fraction
@@ -25,7 +27,7 @@ from lambdatower.witt import diagonalize, lambda_block, witt_invariants
 ORDERS = [4, 8, 9, 16, 27, 32, 49, 64, 81, 125, 128, 243, 256]
 
 # |c| at and beside 2^(8 k - 1), where a packed digit of k bytes changes
-# sign, for k up to 9 bytes (past the 8-byte words numpy packs).
+# sign, for k up to 9 bytes (past the 64-bit words numpy convolves in).
 BOUNDARIES = sorted({sign * (2 ** (8 * k - 1) + e)
                      for k in range(1, 10) for e in (-1, 0, 1)
                      for sign in (1, -1)})
@@ -73,9 +75,21 @@ def element(d, vec):
 
 
 def assert_canonical(x):
-    assert len(x.num) == degree_of(x.order)
+    """The stored terms are the one form of x: exponents increasing and
+    below phi(d), integer coefficients none zero, den > 0 in lowest terms;
+    and the dense view agrees."""
+    phi = degree_of(x.order)
+    assert type(x.exps) is tuple and type(x.coefs) is tuple
+    assert len(x.exps) == len(x.coefs)
+    assert list(x.exps) == sorted(set(x.exps))
+    assert all(type(e) is int and 0 <= e < phi for e in x.exps)
+    assert all(type(c) is int and c for c in x.coefs)
+    assert type(x.den) is int and x.den > 0 and gcd(x.den, *x.coefs) == 1
+    assert len(x.num) == phi
     assert all(type(c) is int for c in x.num)
     assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert [x.num[e] for e in x.exps] == list(x.coefs)
+    assert sum(map(bool, x.num)) == len(x.exps)
 
 
 @pytest.mark.parametrize("d", ORDERS)
@@ -176,8 +190,8 @@ def test_products_and_sums_match_oracle_hypothesis(d, data):
 
 
 def test_kronecker_digits_at_sign_boundaries():
-    # the packed product against schoolbook integer products, at digit
-    # widths on both sides of the numpy words and of each byte boundary
+    # the product against schoolbook integer products, at digit widths on
+    # both sides of the 64-bit words and of each byte boundary
     rng = random.Random(5)
     for _ in range(300):
         la, lb = rng.randint(1, 40), rng.randint(1, 40)
@@ -255,6 +269,8 @@ def sparse_operands(draw):
 @seed(2029)
 # 10 z^8 = -10 (z^2 + z^5) in Q(zeta_9), and the inverse of 6/7 z^5
 @example((9, [0, 0, 0, 0, 0, 2], [0, 0, 0, 5, 0, 0]), 6, 7)
+# 2 (z/2) = z, a rational operand whose product cancels the denominator
+@example((9, [2, 0, 0, 0, 0, 0], [0, Fraction(1, 2), 0, 0, 0, 0]), 2, 1)
 def test_sparse_operands_match_oracle(operands, content, den):
     """Few-term products on both sides of the crossover, conjugates, and
     inverses of elements whose integer content g > 1 (coprime to den) comes
@@ -282,13 +298,21 @@ def test_sparse_operands_match_oracle(operands, content, den):
     # digit carries into the next
     (cyclo._kronecker_mul, "size = bits // 8 + 1", "size = bits // 8",
      test_kronecker_digits_fill_each_width),
+    # 64-bit words taken one bit too far: a product coefficient wraps
+    (cyclo._kronecker_mul, "if bits < 64:", "if bits < 65:",
+     test_kronecker_digits_fill_each_width),
     # z^((p-1) m + r) folded onto +z^(j m + r)
-    (cyclo._fold, "vec[k] -= c", "vec[k] += c",
+    (cyclo._fold, "acc[k] = get(k, 0) - c", "acc[k] = get(k, 0) + c",
      test_sparse_operands_match_oracle),
     # the integer content taken out of the inverse's numerators but left
     # out of its denominator
-    (cyclo._inverse, "inv.den * g)", "inv.den)",
+    (cyclo._inverse, "_scaled(inv, x.den, g)", "_scaled(inv, x.den, 1)",
      test_sparse_operands_match_oracle),
-], ids=["kronecker-digit-width", "fold-sign", "content-strip"])
+    # the scalar short-cut's denominator left unreduced
+    (cyclo._scaled, "return _element(x.order, x.exps, [c * n for c in x.coefs], x.den * q)",
+     "return CyclotomicNumber(x.order, x.exps, tuple([c * n for c in x.coefs]), x.den * q)",
+     test_sparse_operands_match_oracle),
+], ids=["kronecker-digit-width", "word-bound", "fold-sign", "content-strip",
+        "scalar-unreduced"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)

@@ -219,17 +219,18 @@ def test_diagonalize_matches_the_column_operation_oracle(form):
     assert diagonalize(form) == witt_oracle.diagonalize(form)
 
 
-@pytest.mark.parametrize("old, new", [
-    # the mirrored entry below the diagonal written without conj
-    ("work[k][j] = out[k].conj()", "work[k][j] = out[k]"),
-    # the diagonal (k = j) of the Schur complement left as it was
-    ("out[j] = out[j] - left * ell[j]", "out[j] = out[j]"),
-    # ell read from the previous pivot's row
-    ("ell = {k: work[i][k] * p_inv", "ell = {k: work[i - 1][k] * p_inv"),
-], ids=["mirror-conj", "diagonal-update", "pivot-row"])
-def test_schur_mutants_fail_the_oracle_property(monkeypatch, old, new):
-    assert_killed(monkeypatch, diagonalize, old, new,
-                  test_diagonalize_matches_the_column_operation_oracle)
+def test_pivot_inverses_come_from_the_memo(monkeypatch):
+    """A form diagonalized again inverts none of its pivots."""
+    form = lambda_block(((-1, 1), (0, -1)), 2, 9, 1)
+    real = CyclotomicNumber.inverse
+    inverted = []
+    monkeypatch.setattr(CyclotomicNumber, "inverse",
+                        lambda x: inverted.append(x) or real(x))
+    first = diagonalize(form)
+    assert inverted
+    count = len(inverted)
+    assert diagonalize(form) == first
+    assert len(inverted) == count
 
 
 class TestWittInvariants:
@@ -603,10 +604,32 @@ _NONSINGULAR = [(TREFOIL, 2, 9, 1), (((-1, 1), (0, -3)), 4, 9, 1),
 @example((TREFOIL, 2, 2, 1))
 @example(_NONSINGULAR[0])
 @example(_NONSINGULAR[2])
+@example(_NONSINGULAR[3])  # k = 3: the sign (-1)^(k(k-1)/2) is -1
 def test_block_invariants_match_the_exact_form(case):
     A, r, d, t = case
     assert block_invariants(A, r, d, t) == \
         witt_invariants(lambda_block(A, r, d, t))
+
+
+@pytest.mark.parametrize("function, old, new, test", [
+    # left, the entry below the pivot, read from the upper triangle
+    # without conj
+    (diagonalize, "left, out = work[i][j].conj(), work[j]",
+     "left, out = work[i][j], work[j]",
+     test_diagonalize_matches_the_column_operation_oracle),
+    # the diagonal (k = j) of the Schur complement left as it was
+    (diagonalize, "out[j] = out[j] - left * ell[j]", "out[j] = out[j]",
+     test_diagonalize_matches_the_column_operation_oracle),
+    # ell read from the previous pivot's row
+    (diagonalize, "ell = {k: work[i][k] * p_inv",
+     "ell = {k: work[i - 1][k] * p_inv",
+     test_diagonalize_matches_the_column_operation_oracle),
+    # the closed-form discriminant without its sign (-1)^(k(k-1)/2)
+    (block_invariants, "scale = (-1) ** (k * (k - 1) // 2) * c ** r",
+     "scale = c ** r", test_block_invariants_match_the_exact_form),
+], ids=["left-conj", "diagonal-update", "pivot-row", "disc-sign"])
+def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
+    assert_killed(monkeypatch, function, old, new, test)
 
 
 class TestBlockInvariants:
