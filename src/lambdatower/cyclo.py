@@ -517,26 +517,27 @@ class CyclotomicNumber:
             return other
         return CyclotomicNumber.of(self.order, other)
 
-    def _combine(self, other, op):
-        """self + other or self - other, for op add or sub."""
+    def _combine(self, other, sign: int):
+        """self + sign other, for sign 1 or -1."""
         try:
             other = self._lift(other)
         except TypeError:
             return NotImplemented
-        den, ua, ub = self.den, 1, 1
+        den, ua, ub = self.den, 1, sign
         if den != other.den:
             g = gcd(den, other.den)
-            ua, ub = other.den // g, den // g
+            ua, ub = other.den // g, sign * (den // g)
             den *= ua
-        acc = dict(zip(self.exps, [c * ua for c in self.coefs]))
+        acc = dict(zip(self.exps, self.coefs if ua == 1
+                       else [c * ua for c in self.coefs]))
         get = acc.get
         for e, c in zip(other.exps, other.coefs):
-            acc[e] = op(get(e, 0), c * ub)
+            acc[e] = get(e, 0) + c * ub
         exps = [e for e in sorted(acc) if acc[e]]
         return _element(self.order, exps, [acc[e] for e in exps], den)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -545,7 +546,7 @@ class CyclotomicNumber:
                                 self.den)
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -780,19 +781,14 @@ def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
 
 
 def _float_coeffs(x: CyclotomicNumber):
-    """The coefficients of x rounded to nearest (int true division rounds
-    correctly), or None when a nonzero one falls outside _FLOAT_RANGE."""
-    den = x.den
+    """The nonzero coefficients of x rounded to nearest (int true division
+    rounds correctly), or None when one falls outside _FLOAT_RANGE."""
     lo, hi = _FLOAT_RANGE
-    out = [0.0] * degree_of(x.order)
     try:
-        for e, c in zip(x.exps, x.coefs):
-            out[e] = f = c / den
-            if not lo <= abs(f) <= hi:
-                return None
+        out = [c / x.den for c in x.coefs]
     except OverflowError:
         return None
-    return out
+    return out if all(lo <= abs(f) <= hi for f in out) else None
 
 
 def _float_signs(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -843,8 +839,10 @@ def embedding_signs(xs, embeddings) -> tuple:
     rows = [i for i, f in enumerate(floats) if f is not None]
     signs = np.zeros((len(xs), len(embeddings)), dtype=int)
     if rows and embeddings:
-        signs[rows] = _float_signs(np.array([floats[i] for i in rows]),
-                                   _float_cos_table(d, embeddings))
+        coeffs = np.zeros((len(rows), degree_of(d)))
+        for row, i in zip(coeffs, rows):
+            row[list(xs[i].exps)] = floats[i]
+        signs[rows] = _float_signs(coeffs, _float_cos_table(d, embeddings))
     out = signs.tolist()
     for i, j in zip(*np.nonzero(signs == 0)):
         out[i][j] = certified_sign(xs[i], embeddings[j])
