@@ -436,7 +436,7 @@ def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
         # x = (g / den) y for the primitive y in Z[zeta_d]
         inv = _inverse(CyclotomicNumber(d, exps, tuple([c // g for c in coefs])))
         return _scaled(inv, x.den, g)
-    p, a, m, phi = _field_params(d)
+    p, a, m, _ = _field_params(d)
     if a == 1:
         inv, den = _euclid_inverse(_dense(x, exps[-1] + 1), d)
         return _element(d, *_sparse(inv), den)
@@ -503,7 +503,9 @@ class CyclotomicNumber:
     def of(d: int, value: Scalar) -> "CyclotomicNumber":
         n, q = _ratio(value)
         degree_of(d)  # d names a field under the degree cap
-        return CyclotomicNumber(d, (0,), (n,), q) if n else CyclotomicNumber(d, (), ())
+        if not n:
+            return CyclotomicNumber(d, (), ())
+        return CyclotomicNumber(d, (0,), (n,), q)
 
     def _check_same_field(self, other: "CyclotomicNumber"):
         if self.order != other.order:

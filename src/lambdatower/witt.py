@@ -143,7 +143,7 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
     """
     d = form.order
     n = form.size
-    # the upper triangle: F[j][k] for k >= j; F[k][j] is its conjugate
+    # only F[j][k] for k >= j is kept up to date; F[k][j] is its conjugate
     work = [list(row) for row in form.entries]
     pivots = []
     i = 0

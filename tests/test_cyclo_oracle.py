@@ -309,8 +309,10 @@ def test_sparse_operands_match_oracle(operands, content, den):
     (cyclo._inverse, "_scaled(inv, x.den, g)", "_scaled(inv, x.den, 1)",
      test_sparse_operands_match_oracle),
     # the scalar short-cut's denominator left unreduced
-    (cyclo._scaled, "return _element(x.order, x.exps, [c * n for c in x.coefs], x.den * q)",
-     "return CyclotomicNumber(x.order, x.exps, tuple([c * n for c in x.coefs]), x.den * q)",
+    (cyclo._scaled,
+     "return _element(x.order, x.exps, [c * n for c in x.coefs], x.den * q)",
+     "return CyclotomicNumber(x.order, x.exps, "
+     "tuple([c * n for c in x.coefs]), x.den * q)",
      test_sparse_operands_match_oracle),
 ], ids=["kronecker-digit-width", "word-bound", "fold-sign", "content-strip",
         "scalar-unreduced"])
