@@ -344,13 +344,7 @@ def _ratio(value: Scalar) -> tuple:
 def _element(d: int, exps, coefs, den: int) -> "CyclotomicNumber":
     """The element sum coefs[i] z^exps[i] / den in lowest terms, for sorted
     exponents below phi(d) and nonzero integer coefficients."""
-    if den != 1:
-        g = gcd(den, *coefs)
-        if den < 0:
-            g = -g
-        if g != 1:
-            coefs = [c // g for c in coefs]
-            den //= g
+    coefs, den = _lowest(coefs, den)
     return CyclotomicNumber(d, tuple(exps), tuple(coefs), den)
 
 
