@@ -161,9 +161,8 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
             c = zeta(d) if (a + a.conj()).is_zero() else CyclotomicNumber.of(d, 1)
             cc = c.conj()
             # v_j += c v_k: column j gains column k times c, then row j
-            # gains cc times row k
-            for row in work[i:j]:
-                row[j] = row[j] + row[k] * c
+            # gains cc times row k; rows i..j-1 of the block are zero, so
+            # only row j changes
             work[j][j] = work[j][j] + a * c + cc * (a.conj() + work[k][k] * c)
             for b in range(j + 1, n):
                 work[j][b] = work[j][b] + cc * (work[k][b] if b >= k
