@@ -9,15 +9,15 @@ does.  Arithmetic reads only the terms: a rational operand scales the
 other's coefficients, products of few-term elements go term by term, other
 products are one convolution (in 64-bit words, or as one big-integer product
 by Kronecker substitution), and inverses take out the integer content and
-descend the tower of subfields by norms.  The sign of an element fixed by
-the involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is
-decided by adaptive-precision interval arithmetic: exact zeros
-short-circuit, and a nonzero element is separated from zero at some finite
-precision.  For many elements at many embeddings, a float evaluation with an
-a priori error bound decides first and leaves only the close calls to the
-intervals.  Its cosines, and the cot enclosures of the signature sweeps,
-come from one rotation table per order: powers of a certified e^(i pi/d) in
-fixed-point integers, with an error bound that needs no precision cap.
+divide by Galois norms, down the tower of subfields and then to Q.  The
+sign of an element fixed by the involution z -> z^-1, under the embedding
+z -> exp(2*pi*i*s/d), is certified from one rotation table per order and
+precision: powers of a certified e^(i pi/d) in fixed-point integers, with an
+error bound that needs no precision cap.  Exact zeros short-circuit, and a
+nonzero element is separated from zero at some finite precision.  For many
+elements at many embeddings, a float evaluation with an a priori error
+bound decides first and leaves only the close calls; its cosines, and the
+cot enclosures of the signature sweeps, come from the 64-bit table.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from math import gcd, inf, lcm, nextafter
+from math import gcd, inf, lcm, log10, nextafter
 from operator import add, neg, sub
 from typing import Union
 
@@ -114,10 +114,13 @@ def factor(n: int) -> dict:
             # below the bound is_prime does not factor, so this never recurs
             if n < _MILLER_RABIN_BOUND and is_prime(n):
                 break
+            k = int(log10(n))  # within 1 of the digit count less 1
+            digits = k + (n >= 10 ** k) + (n >= 10 ** (k + 1))
             raise ResourceCapExceeded(
                 f"factoring needs trial divisors above the cap "
-                f"{MAX_TRIAL_DIVISOR}: the cofactor {n} has no prime factor "
-                f"up to it, is not below its square and is not proven prime")
+                f"{MAX_TRIAL_DIVISOR}: a cofactor of {digits} digits has no "
+                f"prime factor up to it, is not below its square and is not "
+                f"proven prime")
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
@@ -210,14 +213,6 @@ def _reduce(vec: list, d: int) -> list:
     return vec
 
 
-def _trim(vec):
-    """vec without its trailing zeros."""
-    n = len(vec)
-    while n and not vec[n - 1]:
-        n -= 1
-    return vec[:n]
-
-
 def _lowest(vec: list, den: int):
     """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0."""
     if den == 1:
@@ -270,69 +265,7 @@ def _kronecker_mul(a, b) -> list:
         return np.convolve(np.array(a, dtype=np.int64),
                            np.array(b, dtype=np.int64)).tolist()
     size = bits // 8 + 1  # every product coefficient is below 2^(8 size - 1)
-    packed = _pack(a, size)
-    product = packed * (packed if b is a else _pack(b, size))
-    return _unpack(product, len(a) + len(b) - 1, size)
-
-
-def _pseudo_divmod(a: list, b: list):
-    """(q, r, scale) with scale * a = q * b + r and deg r < deg b, for integer
-    polynomials a and b with b[-1] != 0.  Each step scales by the leading
-    coefficient of b over its gcd with the term it cancels, so scale is no
-    larger than integer quotients need; a quotient digit is scaled once, at
-    the end, by the steps that came after it."""
-    lead, nb = b[-1], len(b)
-    r = list(a)
-    digits = []
-    scale = 1
-    for i in range(len(a) - nb, -1, -1):
-        t = r.pop()
-        if t:
-            g = gcd(t, lead) if lead > 0 else -gcd(t, lead)
-            u, v = lead // g, t // g
-            if u != 1:
-                r = [c * u for c in r]
-                scale *= u
-            r[i:] = map(sub, r[i:], [v * c for c in b[:-1]])
-            digits.append((i, v, scale))
-    q = [0] * (len(a) - nb + 1)
-    for i, v, at in digits:
-        q[i] = v * (scale // at)
-    return q, r, scale
-
-
-def _euclid_inverse(a: list, d: int):
-    """(s, den) with s / den the inverse of the nonzero integer polynomial a
-    of degree < phi(d) modulo Phi_d.
-
-    Extended Euclid in Q[x], as exact rational arithmetic runs it: every
-    remainder and every Bezout coefficient is held as an integer polynomial
-    over one positive denominator in lowest terms.  Phi_d is irreducible, so
-    the last nonzero remainder is a constant.
-    """
-    p, _, m, phi = _field_params(d)
-    r0 = [0] * (phi + 1)
-    r0[::m] = [1] * p
-    r1, e0, e1 = list(a), 1, 1
-    s0, s1, f0, f1 = [], [1], 1, 1
-    # invariant: s_i / f_i * a = r_i / e_i modulo Phi_d
-    while r1:
-        q, rem, scale = _pseudo_divmod(r0, r1)
-        # r0/e0 = (q e1 / (scale e0)) (r1/e1) + rem / (scale e0)
-        qden = scale * e0
-        rem, rden = _lowest(_trim(rem), qden)
-        # s0/f0 - (q e1 / qden) (s1/f1), over the denominator f0 qden f1 / g
-        t = _kronecker_mul(q, s1)
-        tden = qden * f1
-        g = gcd(f0, tden)
-        x, y = tden // g, e1 * (f0 // g)
-        s = [c * x for c in s0] + [0] * (len(t) - len(s0))
-        s[:len(t)] = map(sub, s, [c * y for c in t])
-        s, sden = _lowest(s, f0 // g * tden)
-        r0, e0, r1, e1 = r1, e1, rem, rden
-        s0, f0, s1, f1 = s1, f1, s, sden
-    # s0/f0 * a = r0[0]/e0, a nonzero constant
-    return _lowest([c * e0 for c in s0], f0 * r0[0])
+    return _unpack(_pack(a, size) * _pack(b, size), len(a) + len(b) - 1, size)
 
 
 def _ratio(value: Scalar) -> tuple:
@@ -411,16 +344,48 @@ def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
     return CyclotomicNumber(x.order, tuple(exps), tuple(coefs), x.den)
 
 
-def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
-    """Inverse of a nonzero x, by norms down the tower of subfields.
+def _conjugates(x: "CyclotomicNumber", h: int, l: int) -> "CyclotomicNumber":
+    """The product of the l - 1 images of x under zeta -> zeta^(h^i) for
+    0 < i < l, for h coprime to the order."""
+    rest = _galois(x, h)
+    for i in range(2, l):
+        rest = _product(rest, _galois(x, pow(h, i, x.order)))
+    return rest
 
-    For d = p^a with a > 1, Q(zeta_d) has degree p over Q(zeta_d^p), with
-    conjugates zeta -> zeta^(1 + j d/p) for j < p.  The product r of the
-    p - 1 nontrivial ones makes x r the relative norm, an element of the
-    subfield (supported on the powers z^(p i)), so 1/x = r / (x r) takes one
-    inverse at a p-th of the degree.  Q(zeta_p) takes extended Euclid, and a
-    rational x is inverted directly.  The integer content comes off first,
-    since N(g y) = g^phi N(y) would carry it through every norm.
+
+def _norm_chain(p: int) -> list:
+    """The steps [(h, l), ...] that take an element of Q(zeta_p), for an odd
+    prime p, to its norm over Q.
+
+    (Z/p)^* is cyclic of order p - 1.  For its least generator g and the
+    primes l_1, l_2, ... of p - 1, with multiplicity, step i pairs l_i with
+    h_i = g^(l_1 ... l_(i-1)).  Every unit mod p is exactly one product of
+    powers h_i^(j_i) with 0 <= j_i < l_i, so multiplying y by its l_i - 1
+    images under h_i, step after step from y = x, leaves the product of all
+    p - 1 conjugates of x.
+    """
+    primes = factor(p - 1)
+    h = next(g for g in count(2)
+             if all(pow(g, (p - 1) // l, p) != 1 for l in primes))
+    chain = []
+    for l in [l for l, e in primes.items() for _ in range(e)]:
+        chain.append((h, l))
+        h = pow(h, l, p)
+    return chain
+
+
+def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
+    """Inverse of a nonzero x, by Galois norms down to Q.
+
+    Each step multiplies y, from y = x, by its l - 1 images under a cyclic
+    subgroup of order l; with r the product of all those images, x r is a
+    norm and 1/x = r / (x r).  For d = p^a with a > 1 one step, over the
+    conjugates zeta -> zeta^(1 + j d/p) for j < p, gives the relative norm
+    to Q(zeta_d^p), supported on the powers z^(p i) and inverted at a p-th
+    of the degree.  Q(zeta_p) takes the steps of _norm_chain down to N(x) in
+    Q, positive since Q(zeta_p) is totally imaginary.  A rational x is
+    inverted directly.  The integer content comes off first, since
+    N(g y) = g^phi N(y) would carry it through every norm.
     """
     d, exps, coefs = x.order, x.exps, x.coefs
     if exps == (0,):
@@ -431,13 +396,13 @@ def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
         inv = _inverse(CyclotomicNumber(d, exps, tuple([c // g for c in coefs])))
         return _scaled(inv, x.den, g)
     p, a, m, _ = _field_params(d)
+    norm, rest = x, None
+    for h, l in [(1 + m, p)] if a > 1 else _norm_chain(p):
+        images = _conjugates(norm, h, l)
+        norm = _product(norm, images)
+        rest = images if rest is None else _product(rest, images)
     if a == 1:
-        inv, den = _euclid_inverse(_dense(x, exps[-1] + 1), d)
-        return _element(d, *_sparse(inv), den)
-    rest = _galois(x, 1 + m)
-    for j in range(2, p):
-        rest = _product(rest, _galois(x, 1 + j * m))
-    norm = _product(x, rest)
+        return _scaled(rest, norm.den, norm.coefs[0])
     sub = _inverse(CyclotomicNumber(d // p, tuple([e // p for e in norm.exps]),
                                     norm.coefs, norm.den))
     return _product(rest, CyclotomicNumber(d, tuple([e * p for e in sub.exps]),
@@ -630,52 +595,6 @@ class interval_precision:
         iv.prec = self.old
 
 
-@lru_cache(maxsize=64)
-def _cos_table(d: int, prec: int):
-    with interval_precision(prec):
-        two_pi = 2 * iv.pi
-        return tuple(iv.cos(two_pi * k / d) for k in range(d))
-
-
-def _embed_interval(x: CyclotomicNumber, s: int, prec: int):
-    # For x fixed by the involution the embedded value is real and equals
-    # sum_k c_k cos(2*pi*k*s/d).
-    table = _cos_table(x.order, prec)
-    with interval_precision(prec):
-        acc = iv.mpf(0)
-        for k, c in zip(x.exps, x.coefs):
-            acc += iv.mpf(c) * table[(k * s) % x.order]
-        return acc / x.den
-
-
-def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:
-    """Sign in {-1, 0, 1} of a real element under zeta -> e^(2 pi i s/d).
-
-    Exact zero short-circuits before any numeric work; otherwise the interval
-    enclosure is refined (doubling precision from 64 bits) until it separates
-    from zero, which must happen for a nonzero algebraic number.
-    """
-    d = x.order
-    if gcd(embedding, d) != 1:
-        raise ValueError(f"embedding exponent {embedding} not coprime to {d}")
-    if not x.is_real():
-        raise ValueError("sign is only defined for elements fixed by the involution")
-    if x.is_zero():
-        return 0
-    prec = START_PRECISION
-    while prec <= _precision_cap:
-        box = _embed_interval(x, embedding, prec)
-        if box.a > 0:
-            return 1
-        if box.b < 0:
-            return -1
-        prec *= 2
-    raise PrecisionExhausted(
-        f"could not separate sign of {x!r} at embedding {embedding} "
-        f"within {_precision_cap} bits"
-    )
-
-
 # Unit roundoff of IEEE double arithmetic.
 _UNIT = 2.0 ** -53
 # The float stage of embedding_signs takes an element only when each nonzero
@@ -684,10 +603,11 @@ _FLOAT_RANGE = (2.0 ** -900, 2.0 ** 900)
 
 
 @lru_cache(maxsize=16)
-def _rotations(d: int) -> tuple:
+def _rotations(d: int, prec: int) -> tuple:
     """(F, E, C, S) with C[u] and S[u] integers within E of 2^F cos(pi u/d)
-    and 2^F sin(pi u/d) for 0 <= u <= d/2, where F = 64 + 2 bitlen(d) and
-    E = 2d, for d >= 1.
+    and 2^F sin(pi u/d) for 0 <= u <= d/2, where F = prec + 2 bitlen(d) and
+    E = 2d, for d >= 1 and prec >= 64.  So C[u] / 2^F is within
+    2d / 2^F < 2^-prec of the cosine.
 
     The seed z_1 = C[1] + i S[1] is read off one mpmath interval of
     e^(i pi/d) at F + 16 bits: each part is an integer within 1 of its scaled
@@ -696,16 +616,16 @@ def _rotations(d: int) -> tuple:
     e_u = |z_u - 2^F w^u| obeys e_0 = 0 and
     e_u <= e_(u-1) |z_1| / 2^F + |z_1 - 2^F w| + sqrt 2
         <= e_(u-1) (1 + eps) + 2 sqrt 2,  eps = sqrt 2 / 2^F,
-    hence e_u <= 2 sqrt 2 u (1 + eps)^u < 3u <= E, as u eps < 2^-64.  Each
+    hence e_u <= 2 sqrt 2 u (1 + eps)^u < 3u <= E, as u eps < 2^-prec.  Each
     part is off by at most e_u.  The bound holds at any precision cap.
     """
-    bits = 64 + 2 * d.bit_length()
-    prec = bits + 16
+    bits = prec + 2 * d.bit_length()
+    work = bits + 16
     seed = []
-    with interval_precision(prec):
+    with interval_precision(work):
         angle = iv.pi / d
         boxes = (iv.cos(angle), iv.sin(angle))
-    with mp.workprec(prec):  # the endpoints have prec bits: exact
+    with mp.workprec(work):  # the endpoints have work bits: exact
         for box in boxes:
             lo = int(mp.floor(mp.ldexp(mp.mpf(box.a), bits)))
             hi = int(mp.ceil(mp.ldexp(mp.mpf(box.b), bits)))
@@ -720,6 +640,46 @@ def _rotations(d: int) -> tuple:
         cs.append(x)
         ss.append(y)
     return bits, 2 * d, tuple(cs), tuple(ss)
+
+
+def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:
+    """Sign in {-1, 0, 1} of a real element under zeta -> e^(2 pi i s/d).
+
+    Exact zero short-circuits before any numeric work.  Otherwise x den is
+    sum_k c_k cos(2 pi k s/d), and each cosine is read from the rotation
+    table of _rotations at prec bits as +-C[v] / 2^F, within E / 2^F of it,
+    so the integer sum T = sum_k c_k (+-C[v_k]) is within E sum_k |c_k| of
+    2^F x den.  Where T clears that slack its sign is the sign of x; else
+    prec doubles from 64 bits, which must separate a nonzero algebraic
+    number from zero.
+    """
+    d = x.order
+    if gcd(embedding, d) != 1:
+        raise ValueError(f"embedding exponent {embedding} not coprime to {d}")
+    if not x.is_real():
+        raise ValueError("sign is only defined for elements fixed by the involution")
+    if x.is_zero():
+        return 0
+    prec = START_PRECISION
+    while prec <= _precision_cap:
+        _, err, cs, _ = _rotations(d, prec)
+        total = 0
+        for k, c in zip(x.exps, x.coefs):
+            # cos(2 pi k s/d) = cos(pi v/d) with v folded into [0, d], and
+            # past pi/2 cos(pi v/d) = -cos(pi (d - v)/d)
+            v = 2 * k * embedding % (2 * d)
+            v = min(v, 2 * d - v)
+            total += c * cs[v] if 2 * v <= d else -c * cs[d - v]
+        slack = err * sum(map(abs, x.coefs))
+        if total > slack:
+            return 1
+        if total < -slack:
+            return -1
+        prec *= 2
+    raise PrecisionExhausted(
+        f"could not separate sign of {x!r} at embedding {embedding} "
+        f"within {_precision_cap} bits"
+    )
 
 
 # Largest order d whose cot table is built (2d floats); at larger orders the
@@ -742,7 +702,7 @@ def cot_table(d: int):
     """
     if d > _MAX_COT_ORDER:
         return None
-    _, err, cs, ss = _rotations(d)
+    _, err, cs, ss = _rotations(d, START_PRECISION)
     half = d // 2
     lo, hi = np.full(d, np.nan), np.full(d, np.nan)
     for u in range(1, half + 1):
@@ -767,7 +727,7 @@ def _float_cos_table(d: int, embeddings: tuple) -> np.ndarray:
     nearest, within 2^-54, so every entry is within 2^-54 + 2^-64 < 2 u of
     the cosine.
     """
-    bits, _, cs, _ = _rotations(d)
+    bits, _, cs, _ = _rotations(d, START_PRECISION)
     half = np.array([c / (1 << bits) for c in cs])  # cos(pi v/d), v <= d/2
     # cos(pi v/d) for v <= d
     arc = np.concatenate([half, -half[d - np.arange(d // 2 + 1, d + 1)]])

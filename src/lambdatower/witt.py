@@ -22,6 +22,7 @@ is built and diagonalized.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -298,7 +299,13 @@ class WittClass:
 def _fraction_text(num: int, den: int) -> str:
     """str(Fraction(num, den)) for den > 0."""
     g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:  # str refuses an integer over the digit limit
+        raise ResourceCapExceeded(
+            f"a discriminant coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit for printing "
+            f"an integer (sys.get_int_max_str_digits)") from None
 
 
 def witt_invariants(form: HermitianForm) -> WittClass:

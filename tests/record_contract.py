@@ -94,6 +94,17 @@ def _witt_matrix(matrix, r, d, t):
 CERTIFIED_SIGN = _witt_matrix(f"[[{10 ** 300}]]", 1, 16, 1)
 
 
+# Exit 3 for integers past Python's limit for printing one (4,300 digits
+# by default, sys.get_int_max_str_digits): a discriminant coefficient of
+# 4,400 digits, and a cofactor of 4,390 digits left over by factoring.
+_ONES = "1" * 2200
+PRINT_LIMIT = [
+    ["witt", "--form", f'[["{_ONES}",0],[0,"{_ONES}"]]', "--d", "8"],
+    ["witt", "--form", f'[["{10 ** 2199 + 1}",0],[0,"{10 ** 2199 + 3}"]]',
+     "--d", "4"],
+]
+
+
 def _witt_menu():
     shapes = []
     for i, d in enumerate(_WITT_D):
@@ -186,6 +197,7 @@ def _argvs():
         _witt_matrix("[[0,1],[-1,0]]", 1, 4, 1),
         CERTIFIED_SIGN,
     ]
+    argvs += PRINT_LIMIT
     return argvs
 
 

@@ -223,14 +223,32 @@ def test_certified_sign_matches_numeric_and_multiplies(d):
         found += 1
 
 
+def rotation_enclosure(x, s, prec):
+    """Rationals lo <= x <= hi under zeta -> e^(2 pi i s/d), from the integer
+    sum over the rotation table at prec bits that certified_sign reads."""
+    d = x.order
+    bits, err, cs, _ = cyclo._rotations(d, prec)
+    total = 0
+    for k, c in zip(x.exps, x.coefs):
+        v = 2 * k * s % (2 * d)
+        v = min(v, 2 * d - v)
+        total += c * (cs[v] if 2 * v <= d else -cs[d - v])
+    slack = err * sum(map(abs, x.coefs))
+    scale = x.den << bits
+    return Fraction(total - slack, scale), Fraction(total + slack, scale)
+
+
 def test_embedding_consistency_across_precision():
     rng = random.Random(11)
     for _ in range(10):
         x = random_element(rng, 16)
         x = x + x.conj()
-        lo = cyclo._embed_interval(x, 1, 64)
-        hi = cyclo._embed_interval(x, 1, 128)
-        assert lo.a <= hi.a and hi.b <= lo.b
+        lo = rotation_enclosure(x, 1, 64)
+        hi = rotation_enclosure(x, 1, 128)
+        assert lo[0] <= hi[0] and hi[1] <= lo[1]
+        with mpmath.workdps(80):
+            low, high = (mpmath.mpf(b.numerator) / b.denominator for b in hi)
+            assert low <= complex_value(x, 1, dps=80).real <= high
 
 
 def test_precision_cap_is_loud():
@@ -374,10 +392,12 @@ def test_float_sign_bound_is_exact_at_its_edge():
 @pytest.mark.parametrize("d", [4, 27, 243, 729, 1024, 2048])
 def test_cos_table_intervals_fit_the_float_bound(d):
     # _float_signs assumes each rounded cosine is within 2 u: the rotation
-    # table is within 2^-64 and the rounding adds at most u / 2.  The 64-bit
-    # enclosures that certified_sign starts from are narrower than 2^-56.
-    boxes = cyclo._cos_table(d, 64)
-    assert max(box.delta.b for box in boxes) < mpmath.mpf(2) ** -56
+    # table is within 2^-64 and the rounding adds at most u / 2.  The cosines
+    # that certified_sign reads at prec bits are within 2d / 2^F < 2^-prec,
+    # so at its first rung, 64 bits, they are well within 2^-56.
+    for prec in (64, 128):
+        bits, err, _, _ = cyclo._rotations(d, prec)
+        assert err < 2 ** (bits - prec)
     ss = tuple(s for s in (1, 2, 5, d - 1) if cyclo.gcd(s, d) == 1)
     table = cyclo._float_cos_table(d, ss)
     with mpmath.workdps(40):
@@ -409,14 +429,17 @@ def test_cot_tables_enclose_cot(d):
 
 @pytest.mark.parametrize("d", [1, 2, 7, 768, 2187, 4096])
 def test_rotations_stay_within_their_bound(d):
-    bits, err, cs, ss = cyclo._rotations(d)
-    assert len(cs) == len(ss) == d // 2 + 1 and err == 2 * d
-    scale = mpmath.mpf(2) ** bits
-    with mpmath.workprec(2 * bits):
-        for u in range(0, d // 2 + 1, max(1, d // 200)):
-            angle = mpmath.pi * u / d
-            assert abs(cs[u] - scale * mpmath.cos(angle)) <= err
-            assert abs(ss[u] - scale * mpmath.sin(angle)) <= err
+    # at the float stages' 64 bits and at a rung of certified_sign
+    for prec in (64, 256):
+        bits, err, cs, ss = cyclo._rotations(d, prec)
+        assert bits == prec + 2 * d.bit_length()
+        assert len(cs) == len(ss) == d // 2 + 1 and err == 2 * d
+        scale = mpmath.mpf(2) ** bits
+        with mpmath.workprec(2 * bits):
+            for u in range(0, d // 2 + 1, max(1, d // 200)):
+                angle = mpmath.pi * u / d
+                assert abs(cs[u] - scale * mpmath.cos(angle)) <= err
+                assert abs(ss[u] - scale * mpmath.sin(angle)) <= err
 
 
 def test_one_rotation_table_per_order_over_two_sessions():

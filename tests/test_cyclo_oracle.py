@@ -3,13 +3,14 @@
 `CyclotomicNumber` holds its nonzero terms over one denominator, scales by
 a rational operand, multiplies few-term elements term by term and denser
 ones by one convolution (64-bit words, or Kronecker substitution for wider
-coefficients), and inverts by norms down the subfield tower (extended
-Euclid at prime order) once the integer content is out.  Every operation
-here is compared, coefficient by coefficient, with the direct Fraction
-algorithms of `fraction_oracle`, on zero elements, negative coefficients,
-coefficients at the digit boundaries of the packing and at the 64-bit word
-bound, coefficients of 2^300, mixed denominators and few-term elements on
-both sides of the crossover.
+coefficients), and inverts by Galois norms once the integer content is out:
+down the subfield tower, then from Q(zeta_p) to Q along a chain of
+subgroups of (Z/p)^*.  Every operation here is compared, coefficient by
+coefficient, with the direct Fraction algorithms of `fraction_oracle` (the
+inverse with its extended Euclid, an independent algorithm), on zero
+elements, negative coefficients, coefficients at the digit boundaries of
+the packing and at the 64-bit word bound, coefficients of 2^300, mixed
+denominators and few-term elements on both sides of the crossover.
 """
 import random
 from fractions import Fraction
@@ -141,13 +142,34 @@ def test_inverse_matches_oracle(d):
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 101])
 def test_inverse_at_prime_order_matches_oracle(d):
-    # Q(zeta_p) has no subfield to descend to, so extended Euclid inverts
+    # Q(zeta_p) has no subfield to descend to, so the norm to Q is taken
+    # along the chain of subgroups of (Z/p)^*, one prime of p - 1 a step
     rng = random.Random(d)
     vecs = [[Fraction(-7, 3)], LOW, [Fraction(-1, 3), 0, 0, 0, 0, -(2 ** 15)]]
     if d < 100:
         vecs.append([rng.choice(BOUNDARIES) for _ in range(12)])
     for vec in vecs:
         assert_inverse_matches_oracle(element(d, vec))
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_dense_inverse_at_large_prime_order(p):
+    # dense elements of degree 130 and 256, past the Fraction Euclid's reach
+    rng = random.Random(p)
+    x = element(p, [rng.randint(-9, 9) for _ in range(p - 1)])
+    inv = x.inverse()
+    assert_canonical(inv)
+    assert x * inv == 1
+
+
+def test_norm_chain_enumerates_the_units():
+    # the products of step powers h^j, 0 <= j < l, one from each step, are
+    # the units mod p, each once, so the chain's images multiply to the norm
+    for p in filter(cyclo.is_prime, range(3, 200)):
+        units = [1]
+        for h, l in cyclo._norm_chain(p):
+            units = [u * pow(h, j, p) % p for u in units for j in range(l)]
+        assert sorted(units) == list(range(1, p)), p
 
 
 def test_inverse_of_huge_coefficients():
@@ -314,7 +336,15 @@ def test_sparse_operands_match_oracle(operands, content, den):
      "return CyclotomicNumber(x.order, x.exps, "
      "tuple([c * n for c in x.coefs]), x.den * q)",
      test_sparse_operands_match_oracle),
+    # the norm chain's step left un-powered: at p = 5 both steps take
+    # zeta -> zeta^2, so the images miss zeta -> zeta^3
+    (cyclo._norm_chain, "h = pow(h, l, p)", "pass",
+     lambda: test_inverse_at_prime_order_matches_oracle(5)),
+    # a non-generator accepted: 2 has order 3 mod 7
+    (cyclo._norm_chain, "if all(pow(g, (p - 1) // l, p) != 1",
+     "if any(pow(g, (p - 1) // l, p) != 1",
+     lambda: test_inverse_at_prime_order_matches_oracle(7)),
 ], ids=["kronecker-digit-width", "word-bound", "fold-sign", "content-strip",
-        "scalar-unreduced"])
+        "scalar-unreduced", "step-unpowered", "non-generator"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)
