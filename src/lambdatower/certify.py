@@ -89,10 +89,6 @@ class Certificate:
         if self.verdict not in ("PASS", "FAIL"):
             raise ValueError(f"verdict must be PASS or FAIL, got {self.verdict!r}")
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
     def content(self) -> dict:
         """Everything the hash covers; the timestamp is deliberately left out."""
         return {

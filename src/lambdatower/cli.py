@@ -551,14 +551,14 @@ def _cmd_reproduce_independence(args):
 
 
 def _cmd_reproduce_z2(args):
-    primes = (3, 7, 11, 19)
+    given = {}  # z2_certificate's default primes unless --primes names some
     if args.primes is not None:
         try:
-            primes = tuple(int(p) for p in args.primes.split(","))
+            given["primes"] = tuple(int(p) for p in args.primes.split(","))
         except ValueError:
             _fail("--primes", f"expected comma-separated integers, got {args.primes!r}")
     try:
-        cert = z2_certificate(primes)
+        cert = z2_certificate(**given)
     except ValueError as exc:
         _fail("--primes", str(exc))
     return cert.to_json(), list(cert.table)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, inf, lcm, log10, nextafter
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Union
 
 import numpy as np
@@ -64,8 +64,11 @@ MAX_FIELD_DEGREE = 1024
 # Largest trial divisor factor uses, so it decides every n below 10^12 and
 # every n whose cofactor after the primes up to 10^6 is below 10^12 or a
 # prime that Miller-Rabin decides; the largest n in use is a discriminant
-# of a few digits.
+# of a few digits.  A part left over _TRIAL_BITS bits long is tried only up
+# to MAX_TRIAL_DIVISOR _TRIAL_BITS / bitlen, so that no trial pass costs
+# more than one over a number of _TRIAL_BITS bits.
 MAX_TRIAL_DIVISOR = 10 ** 6
+_TRIAL_BITS = 256
 
 Scalar = Union[int, Fraction]
 
@@ -102,28 +105,36 @@ def precision_cap() -> int:
     return _precision_cap
 
 
+def _trial_cap(n: int) -> int:
+    """The largest trial divisor factor tries on a cofactor n."""
+    return MAX_TRIAL_DIVISOR * _TRIAL_BITS // max(_TRIAL_BITS, n.bit_length())
+
+
 def factor(n: int) -> dict:
     """Prime factorization {prime: exponent} of n by trial division, in
     increasing order of the primes; empty for n < 2.  A cofactor left above
-    MAX_TRIAL_DIVISOR is kept when Miller-Rabin proves it prime; otherwise
-    ResourceCapExceeded is raised."""
+    the trial cap is kept when Miller-Rabin proves it prime; otherwise
+    ResourceCapExceeded is raised.  The cap is MAX_TRIAL_DIVISOR, less for
+    a cofactor over _TRIAL_BITS bits."""
     out = {}
     q = 2
+    cap = _trial_cap(n)
     while q * q <= n:
-        if q > MAX_TRIAL_DIVISOR:
+        if q > cap:
             # below the bound is_prime does not factor, so this never recurs
             if n < _MILLER_RABIN_BOUND and is_prime(n):
                 break
             k = int(log10(n))  # within 1 of the digit count less 1
             digits = k + (n >= 10 ** k) + (n >= 10 ** (k + 1))
             raise ResourceCapExceeded(
-                f"factoring needs trial divisors above the cap "
-                f"{MAX_TRIAL_DIVISOR}: a cofactor of {digits} digits has no "
-                f"prime factor up to it, is not below its square and is not "
-                f"proven prime")
+                f"factoring needs trial divisors above the cap {cap}"
+                f"{'' if cap == MAX_TRIAL_DIVISOR else ' for its size'}: a "
+                f"cofactor of {digits} digits has no prime factor up to it, "
+                f"is not below its square and is not proven prime")
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
+            cap = _trial_cap(n)
         q += 1 if q == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
@@ -439,11 +450,6 @@ class CyclotomicNumber:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
-    def from_coeffs(d: int, coeffs) -> "CyclotomicNumber":
-        """sum c_i zeta^i over the rational coefficients c_0, c_1, ..."""
-        return CyclotomicNumber.from_terms(d, enumerate(coeffs))
-
-    @staticmethod
     def from_terms(d: int, terms) -> "CyclotomicNumber":
         """sum c zeta^e over the pairs (e, c) of terms, for integer exponents
         e and rational coefficients c."""
@@ -502,15 +508,8 @@ class CyclotomicNumber:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CyclotomicNumber(self.order, self.exps, tuple(map(neg, self.coefs)),
-                                self.den)
-
     def __sub__(self, other):
         return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         try:
@@ -525,16 +524,6 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.order})")
         return _inverse(self)
-
-    def __truediv__(self, other):
-        try:
-            other = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def conj(self) -> "CyclotomicNumber":
         """Image under the involution zeta -> zeta^-1."""
@@ -562,18 +551,6 @@ class CyclotomicNumber:
             return (self.is_rational() and sum(self.coefs) == other.numerator
                     and self.den == other.denominator)
         return NotImplemented
-
-    def __repr__(self):
-        terms = []
-        for k, c in zip(self.exps, self.coefs):
-            c = Fraction(c, self.den)
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mono = "z" if k == 1 else f"z^{k}"
-                terms.append(mono if c == 1 else f"{c}*{mono}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} in Q(zeta_{self.order})>"
 
 
 def zeta(d: int, k: int = 1) -> CyclotomicNumber:
@@ -677,9 +654,8 @@ def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:
             return -1
         prec *= 2
     raise PrecisionExhausted(
-        f"could not separate sign of {x!r} at embedding {embedding} "
-        f"within {_precision_cap} bits"
-    )
+        f"could not separate the sign of a {len(x.coefs)}-term element of "
+        f"Q(zeta_{d}) at embedding {embedding} within {_precision_cap} bits")
 
 
 # Largest order d whose cot table is built (2d floats); at larger orders the

@@ -156,9 +156,6 @@ class JoinedRows:
         self.distinct = distinct
         self.index = index
 
-    def __iter__(self):
-        return map(self.distinct.__getitem__, self.index.tolist())
-
 
 @dataclass(frozen=True, eq=False)
 class LambdaResult:
@@ -283,11 +280,12 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
 
 
 def signature_prediction(structure: PStructure, link: InfectedStringLink,
-                         s: int = 1, lifts: Optional[tuple] = None) -> int:
-    """Signature of the invariant re-derived from knot signatures alone.
+                         lifts: Optional[tuple] = None) -> int:
+    """Signature of the invariant, at zeta_d -> e^(2 pi i/d), re-derived
+    from knot signatures alone.
 
     Walks the same lifts, but evaluates every contribution as a sum of
-    Levine-Tristram signatures of the knot at the r-th roots of zeta_d^(t s),
+    Levine-Tristram signatures of the knot at the r-th roots of zeta_d^t,
     minus the baseline sum at the r-th roots of unity; no hermitian forms are
     built.  lifts, when given, is as in lambda_T.
     """
@@ -302,6 +300,6 @@ def signature_prediction(structure: PStructure, link: InfectedStringLink,
     nonzero = values != 0
     for r, t in zip(degrees[nonzero].tolist(), values[nonzero].tolist()):
         for k in range(r):
-            total += sigma(knot, r * d, (t * s + k * d) % (r * d))
-            total -= sigma(knot, r, k % r)
+            total += sigma(knot, r * d, (t + k * d) % (r * d))
+            total -= sigma(knot, r, k)
     return total

@@ -113,10 +113,6 @@ class SeifertMatrix:
                 f"det(A - A^T) = {det}, not a unit: not a Seifert matrix of a knot")
         return SeifertMatrix(mat)
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
     def to_json(self) -> list:
         return [list(row) for row in self.rows]
 
@@ -442,8 +438,8 @@ class SigmaIntegral:
     def is_zero(self) -> bool:
         return not self.pi_coeff and not self.arccos_terms
 
-    def value(self, dps: int = 30):
-        with mp.workdps(dps):
+    def value(self):
+        with mp.workdps(30):
             acc = self.pi_coeff * mp.pi
             for c, coeff in self.arccos_terms:
                 acc += coeff * mp.acos(mp.mpf(c.numerator) / c.denominator)

@@ -56,14 +56,10 @@ class TestCertificate:
         assert "timestamp" in data
         json.dumps(data)
 
-    def test_passed(self):
-        assert Certificate("family", {}, (), (), "PASS").passed
-        assert not Certificate("family", {}, (), (), "FAIL").passed
-
 
 class TestFamilyCertificate:
     def test_verdict_and_size(self, family_cert):
-        assert family_cert.passed
+        assert family_cert.verdict == "PASS"
         # one row per knot and root of unity across all three orders
         assert len(family_cert.table) == 3 * (4 + 16 + 64)
 
@@ -89,7 +85,7 @@ class TestFamilyCertificate:
 
     def test_empty_family_vacuous_pass(self):
         cert = family_certificate(2, 0, 4)
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert cert.table == ()
 
     def test_seed_order_validation(self):
@@ -187,7 +183,7 @@ class TestIndependenceCertificate:
     def test_matrix(self, independence_cert):
         # [DERIVED] frozen from the invariant pipeline and confirmed by the
         # signature-sum oracle
-        assert independence_cert.passed
+        assert independence_cert.verdict == "PASS"
         assert independence_cert.data["matrix"] == [[8, 0, 0],
                                                     [-8, 16, 0],
                                                     [0, 0, 16]]
@@ -258,14 +254,14 @@ class TestIndependenceCertificate:
 class TestZ2Certificate:
     def test_default_pattern(self):
         cert = z2_certificate()
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert cert.data["matrix"] == [[-1, 1, 1, 1], [1, -1, 1, 1],
                                        [1, 1, -1, 1], [1, 1, 1, -1]]
 
     def test_two_prime_example(self):
         # [DERIVED] (3,-1)_3 = -1 and (7,-1)_3 = +1 by the closed forms
         cert = z2_certificate(primes=(3, 7))
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert cert.data["matrix"] == [[-1, 1], [1, -1]]
 
     def test_norm_form_fails_as_diagonal_candidate(self):
@@ -276,7 +272,7 @@ class TestZ2Certificate:
 
     def test_empty_vacuous_pass(self):
         cert = z2_certificate(primes=())
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert cert.table == ()
 
     def test_composite_prime_rejected(self):
@@ -291,7 +287,7 @@ class TestZ2Certificate:
 class TestTowerCertificate:
     def test_two_strand_tower(self):
         cert = tower_certificate(2, 2, 4)
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert [row["size"] for row in cert.table] == [1, 16, 256]
         behaviour = [c for c in cert.checks if c.get("check") == "lift_behaviour"]
         assert [c["level"] for c in behaviour] == [0, 1]
@@ -299,7 +295,7 @@ class TestTowerCertificate:
 
     def test_three_strand_tower(self):
         cert = tower_certificate(3, 1, 4)
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert cert.table[-1]["betti1"] == 33
         behaviour = [c for c in cert.checks if c.get("check") == "lift_behaviour"]
         assert [c["level"] for c in behaviour] == [0]
@@ -309,7 +305,7 @@ class TestTowerCertificate:
 class TestLocalKnotCertificate:
     def test_all_trivial(self):
         cert = local_knot_certificate(2, 1, 4, count=3, seed=1)
-        assert cert.passed
+        assert cert.verdict == "PASS"
         assert len(cert.table) == 3 * 5
         assert all(row["trivial"] for row in cert.table)
         assert all(row["rank_mod_2"] == 0 for row in cert.table)

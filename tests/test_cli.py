@@ -817,6 +817,26 @@ def test_factoring_below_the_cap():
     assert not cyclo.is_prime(999_983 * 1_000_003)
 
 
+def test_trial_cap_shrinks_with_the_size_left():
+    # over 256 bits the cap is MAX_TRIAL_DIVISOR 256 / bitlen, taken again
+    # whenever a factor comes off
+    assert cyclo.factor(999_983 ** 12) == {999_983: 12}  # 240 bits
+    with pytest.raises(ResourceCapExceeded, match="cap 428093 for its size"):
+        cyclo.factor(999_983 ** 30)  # 598 bits
+    assert cyclo.factor(2 ** 600 * 999_983) == {2: 600, 999_983: 1}
+
+
+def test_huge_cofactor_is_refused_at_once(capsys):
+    # a 4,390-digit cofactor with no prime factor up to the cap for its size;
+    # trial division up to MAX_TRIAL_DIVISOR took seconds
+    form = f'[["{10 ** 2199 + 1}",0],[0,"{10 ** 2199 + 3}"]]'
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witt", "--form", form, "--d", "4")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert "cap 17557 for its size: a cofactor of 4390 digits" in err
+
+
 def test_one_parser_serves_every_call(capsys):
     # main builds one parser per command path per process: the leaf's own
     # for a call that names a leaf, the whole tree for any other call.
@@ -1066,9 +1086,14 @@ def test_cli_fuzz(kind, data):
 # spelled out as a list.
 
 
+def _joined(table):
+    """The rows of a JoinedRows table, spelled out."""
+    return [table.distinct[i] for i in table.index.tolist()]
+
+
 def _spelled(table):
     if isinstance(table, JoinedRows):
-        return list(table)
+        return _joined(table)
     if isinstance(table, np.ndarray):
         return table.tolist()
     if not isinstance(table, cli._Columns):
@@ -1181,7 +1206,7 @@ def test_json_writer_joins_repeated_rows():
     shared = [{"r": 1, "witt": None}, {"r": 2, "witt": [inner, inner]},
               {"r": 3, "witt": {"a": inner}}]
     table = JoinedRows(shared, np.arange(3 * cli._BATCH + 5) % 3)
-    mixed = [{"first": "unique"}] + list(table) + [17]
+    mixed = [{"first": "unique"}] + _joined(table) + [17]
     mixed[cli._BATCH + 7] = {"r": 4, "unique": [inner]}
     payload = {"rows": table, "mixed": mixed, "tuple": tuple(mixed[-9:]),
                "again": [shared[0], {"deeper": [shared[1], shared[1]]}]}
@@ -1198,7 +1223,6 @@ def test_json_writer_joins_indexed_rows():
                 {"r": 3, "witt": {"a": inner}}]
     index = np.arange(3 * cli._BATCH + 5) ** 2 % 3
     table = JoinedRows(distinct, index)
-    assert list(table) == [distinct[i] for i in index]
     payload = {"table": table,
                "again": [distinct[1], {"deeper": JoinedRows(distinct,
                                                             index[:7])}],

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import lambdatower
 from lambdatower import cli, covers
@@ -754,6 +754,9 @@ def _survey_cases(draw):
 
 @given(_survey_cases())
 @settings(max_examples=80)
+# a word that does not close up one level down, so that the survey must
+# start each walk where it begins (the _collapse_codes start mutant)
+@example((_tower(2, 2, 4), 1, ((0, 1), (1, 1))))
 def test_collapse_survey_matches_forward_walk(case):
     tower, k, word = case
     prev, graph = tower.levels[k], tower.levels[k + 1]
@@ -1235,6 +1238,13 @@ def _same_profile(got, want):
 @given(_voltage_cases())
 @settings(max_examples=150, deadline=None, report_multiple_bugs=False)
 @seed(2021)
+# x0 x1 over levels 1 and 2 of (2,2,4): its second letter's walks start in
+# the copies the first one's voltages reach (the _compose voltage mutant),
+# the components start at vertices of every copy (the start test mutant),
+# and at level 2 the cycles below carry voltages of different orders (the
+# monodromy mutant)
+@example((_tower(2, 2, 4).levels[1], Program.word(((0, 1), (1, 1))), None))
+@example((_tower(2, 2, 4).levels[2], Program.word(((0, 1), (1, 1))), None))
 def test_voltage_walk_matches_whole_level_walk(case):
     graph, program, char = case
     _same_profile(lift_profile(graph, program, char),

@@ -72,7 +72,7 @@ PAIRS = [("zero", "small"), ("small", "zero"), ("zero", "zero"),
          ("low", "sparse"), ("small", "small")]
 
 def element(d, vec):
-    return CyclotomicNumber.from_coeffs(d, vec)
+    return CyclotomicNumber.from_terms(d, enumerate(vec))
 
 
 def assert_canonical(x):
@@ -100,7 +100,7 @@ def test_coeffs_match_oracle(d):
         assert_canonical(x)
         assert list(x.coeffs) == oracle.reduce(vec, d), name
         assert all(isinstance(c, Fraction) for c in x.coeffs)
-        assert CyclotomicNumber.from_coeffs(d, x.coeffs) == x
+        assert CyclotomicNumber.from_terms(d, enumerate(x.coeffs)) == x
 
 
 @pytest.mark.parametrize("d", ORDERS)

@@ -1,7 +1,8 @@
 """Every name a module lists in __all__ resolves, so a removal cannot leave
 a stale export behind, and is used somewhere in the package, so no export
-serves only the tests; no module imports another module's private names or
-a name it never uses, and no module keeps an unbounded cache."""
+serves only the tests, and so is every method and property of its classes;
+no module imports another module's private names or a name it never uses,
+and no module keeps an unbounded cache."""
 import ast
 import importlib
 import pathlib
@@ -187,3 +188,53 @@ def test_unreferenced_export_check_sees_them(tmp_path):
                  "__all__ = ['m']\n"
                  "def m(): return a.k\n")
     assert _unreferenced_exports([a, b]) == ["a.f", "a.C", "a.X", "b.m"]
+
+
+# Methods and properties that no source in the package reads: the benchmark
+# tracer's cyclo.inverse.degree_max probe reads coeffs.
+UNREFERENCED_MEMBERS = {"cyclo.CyclotomicNumber.coeffs"}
+
+
+def _unreferenced_members(paths):
+    """module.Class.name for every method or property, dunders aside, that a
+    class in paths defines and no source in paths reads as an attribute.
+    Reads are matched by name alone, so a member is counted as read where
+    any object's attribute of its name is."""
+    members, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                members += [f"{path.stem}.{node.name}.{item.name}"
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [m for m in members if m.rsplit(".", 1)[1] not in read]
+
+
+def test_every_member_is_used():
+    src = pathlib.Path(lambdatower.__path__[0])
+    paths = [src / f"{name}.py" for name in MODULES]
+    assert set(_unreferenced_members(paths)) == UNREFERENCED_MEMBERS
+
+
+def test_unreferenced_member_check_sees_them(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("class C:\n"
+                 "    def f(self): return self.g()\n"
+                 "    def g(self): pass\n"
+                 "    @property\n"
+                 "    def h(self): pass\n"
+                 "    @staticmethod\n"
+                 "    def k(): pass\n"
+                 "    def _p(self): pass\n"
+                 "    def __len__(self): return 0\n"
+                 "def h(): return C.k\n")
+    b = tmp_path / "b.py"
+    b.write_text("class D:\n"
+                 "    def m(self): pass\n"
+                 "def n(d): return d.f()\n")
+    assert _unreferenced_members([a, b]) == ["a.C.h", "a.C._p", "b.D.m"]

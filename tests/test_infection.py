@@ -177,6 +177,17 @@ class TestSignIdentity:
         assert result.witt.sign == 4 * sigma(twist_knot(1), 4, 1)
 
 
+def _prediction_at(structure, link, s):
+    """signature_prediction at the embedding zeta_d -> e^(2 pi i s/d): over
+    the lifts with a nonzero value t, the knot signatures at the r-th roots
+    of zeta_d^(t s), less those at the r-th roots of unity."""
+    d, knot = structure.d, link.knot
+    _, _, degrees, values = structure.lifts(link.program)
+    return sum(sigma(knot, r * d, (t * s + k * d) % (r * d)) - sigma(knot, r, k)
+               for r, t in zip(degrees.tolist(), values.tolist()) if t
+               for k in range(r))
+
+
 class TestOracleAgreement:
     def test_prediction_matches_full_path(self):
         # The hermitian route (block forms, certified pivot signs) and the
@@ -218,9 +229,9 @@ class TestOracleAgreement:
         link = tower_infection(2, 1, twist_knot(1))
         result = lambda_T(structure, link, disc=False)
         assert result.witt.partial and result.constant_c == 4
+        assert result.witt.signature_at(1) == signature_prediction(structure, link)
         for s in (1, 683, 1365, 2047):
-            assert result.witt.signature_at(s) == \
-                signature_prediction(structure, link, s)
+            assert result.witt.signature_at(s) == _prediction_at(structure, link, s)
 
     def test_empty_sum_under_each_disc_setting(self):
         # no lift of x0 carries a nonzero character on this tower
@@ -275,8 +286,10 @@ class TestResultJson:
         data = lambda_T(structure, tower_infection(2, 1, twist_knot(1))).to_json()
         assert set(data) == {"witt", "per_lift", "constant_c"}
         assert data["constant_c"] == 4
-        present = [row for row in data["per_lift"] if row["present"]]
+        table = data["per_lift"]
+        rows = [table.distinct[i] for i in table.index.tolist()]
+        present = [row for row in rows if row["present"]]
         assert len(present) == 4
         assert all(row["witt"]["order"] == 4 for row in present)
-        absent = [row for row in data["per_lift"] if not row["present"]]
+        absent = [row for row in rows if not row["present"]]
         assert all(row["witt"] is None for row in absent)

@@ -106,7 +106,7 @@ class TestSeifertMatrix:
             SeifertMatrix.from_rows([[0, 1]])
 
     def test_empty_matrix_valid(self):
-        assert SeifertMatrix.from_rows([]).size == 0
+        assert SeifertMatrix.from_rows([]).rows == ()
 
     def test_twist_matrix_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -230,7 +230,7 @@ def _refuse(*args):
 def _reference(matrix, d, s):
     """Exact signature for small forms; the 128-bit interval stage or the
     eigenvalue oracle above that, where exact arithmetic is slow."""
-    if d <= (49 if matrix.size <= 4 else 9):
+    if d <= (49 if len(matrix.rows) <= 4 else 9):
         return exact_signature(matrix.rows, d, s)
     sig = _interval_signature(matrix.rows, d, s, 128)
     return sig if sig is not None else numeric_sigma(matrix, s / d)
@@ -827,7 +827,7 @@ class TestIntegral:
 
 def brute_force_arf(matrix: SeifertMatrix) -> int:
     """Majority count of the Z_2 quadratic form q(x) = x A x^T mod 2."""
-    n = matrix.size
+    n = len(matrix.rows)
     zeros = 0
     for bits in product((0, 1), repeat=n):
         q = 0

@@ -62,7 +62,7 @@ def diagonalize(form: HermitianForm) -> Diagonalization:
         if targets:
             p_inv = p.inverse()
             for j in targets:
-                col_add(j, i, -(work[i][j] * p_inv))
+                col_add(j, i, work[i][j] * p_inv * -1)
         pivots.append(p)
         i += 1
     return Diagonalization(d, tuple(pivots), n - len(pivots))
