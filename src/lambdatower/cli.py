@@ -60,9 +60,23 @@ def _fail(flag: str, message: str):
     raise ValueError(f"{flag}: {message}")
 
 
+def _read(flag: str, parse, text):
+    """parse(text), for int, Fraction or a JSON reader.  Python reads no
+    integer of more digits than its limit (sys.get_int_max_str_digits);
+    such an integer hits a cap, named by flag and not echoed."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+    raise ResourceCapExceeded(
+        f"{flag}: an integer has more than {sys.get_int_max_str_digits()} "
+        f"digits, the limit for reading one (sys.get_int_max_str_digits)")
+
+
 def _parse_json(flag: str, text: str):
     try:
-        return json.loads(text)
+        return _read(flag, json.loads, text)
     except json.JSONDecodeError as exc:
         _fail(flag, f"invalid JSON ({exc})")
 
@@ -77,7 +91,7 @@ def _parse_matrix(flag: str, text: str):
 
 def _parse_rational(flag: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _read(flag, Fraction, text)
     except (ValueError, ZeroDivisionError):
         _fail(flag, f"expected a rational number, got {text!r}")
 
@@ -94,7 +108,7 @@ def _parse_knot(flag: str, text: str) -> FormalKnot:
         if not 1 <= len(parts) <= 3:
             _fail(flag, f"expected twist:n[:cable[:sign]], got {text!r}")
         try:
-            nums = [int(p) for p in parts]
+            nums = [_read(flag, int, p) for p in parts]
         except ValueError:
             _fail(flag, f"twist parameters must be integers, got {text!r}")
         try:
@@ -160,7 +174,7 @@ class _WordParser:
     def _int(self) -> int:
         tok = self._take()
         try:
-            return int(tok)
+            return _read(self.flag, int, tok)
         except ValueError:
             _fail(self.flag, f"expected an integer, got {tok!r}")
 
@@ -198,8 +212,9 @@ class _WordParser:
     def _base(self) -> tuple:
         tok = self._take()
         if tok.startswith("x"):
-            self.generators.add(int(tok[1:]))
-            word = ((int(tok[1:]), 1),)
+            gen = _read(self.flag, int, tok[1:])
+            self.generators.add(gen)
+            word = ((gen, 1),)
             return word, Program.word(word)
         if tok == "(":
             pair = self._word()
@@ -259,7 +274,7 @@ def _parse_tower_spec(flag: str, text: str) -> dict:
         if key in out:
             _fail(flag, f"tower parameter {key} given twice")
         try:
-            out[key] = int(value)
+            out[key] = _read(flag, int, value)
         except ValueError:
             _fail(flag, f"{key} must be an integer, got {value.strip()!r}")
     for key in ("n", "q"):
@@ -272,14 +287,14 @@ def _parse_theta(flag: str, text: str) -> int:
     match = re.fullmatch(r"f-mod-(\d+)", text.strip())
     if match is None:
         _fail(flag, f"expected f-mod-<d>, got {text!r}")
-    return int(match.group(1))
+    return _read(flag, int, match.group(1))
 
 
 def _parse_form_entry(flag: str, value) -> Fraction:
     """An integer, a "p/q" string or a pair [p, q] of integers, not bools."""
     try:
         if type(value) is int or isinstance(value, str):
-            return Fraction(value)
+            return _read(flag, Fraction, value)
         if (isinstance(value, list) and len(value) == 2
                 and all(type(v) is int for v in value)):
             return Fraction(*value)
@@ -446,7 +461,7 @@ def _cmd_hilbert(args):
     place = args.q.strip()
     if place != "inf":
         try:
-            place = int(place)
+            place = _read("--q", int, place)
         except ValueError:
             _fail("--q", f"expected a prime or inf, got {args.q!r}")
     try:
@@ -533,7 +548,7 @@ def _cmd_reproduce_independence(args):
     if args.family is not None:
         try:
             with open(args.family, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = _read("--family", json.load, handle)
         except (OSError, json.JSONDecodeError) as exc:
             _fail("--family", str(exc))
         try:
@@ -554,7 +569,8 @@ def _cmd_reproduce_z2(args):
     given = {}  # z2_certificate's default primes unless --primes names some
     if args.primes is not None:
         try:
-            given["primes"] = tuple(int(p) for p in args.primes.split(","))
+            given["primes"] = tuple(_read("--primes", int, p)
+                                    for p in args.primes.split(","))
         except ValueError:
             _fail("--primes", f"expected comma-separated integers, got {args.primes!r}")
     try:

@@ -6,27 +6,26 @@ exponents, nonzero integer coefficients and one denominator in lowest terms.
 That form is unique, so equality and zero testing are exact syntactic
 checks, and an element can key a memo, as witt's memo of pivot inverses
 does.  Arithmetic reads only the terms: a rational operand scales the
-other's coefficients, products of few-term elements go term by term, other
-products are one convolution (in 64-bit words, or as one big-integer product
-by Kronecker substitution), and inverses take out the integer content and
-divide by Galois norms, down the tower of subfields and then to Q.  The
-sign of an element fixed by the involution z -> z^-1, under the embedding
-z -> exp(2*pi*i*s/d), is certified from one rotation table per order and
-precision: powers of a certified e^(i pi/d) in fixed-point integers, with an
-error bound that needs no precision cap.  Exact zeros short-circuit, and a
-nonzero element is separated from zero at some finite precision.  For many
-elements at many embeddings, a float evaluation with an a priori error
-bound decides first and leaves only the close calls; its cosines, and the
-cot enclosures of the signature sweeps, come from the 64-bit table.
+other's coefficients, every other product goes term by term and is reduced
+modulo Phi_d by the one fold that Galois images and from_terms use too, and
+inverses take out the integer content and divide by Galois norms, down the
+tower of subfields and then to Q.  The sign of an element fixed by the
+involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is certified
+from one rotation table per order and precision: powers of a certified
+e^(i pi/d) in fixed-point integers, with an error bound that needs no
+precision cap.  Exact zeros short-circuit, and a nonzero element is
+separated from zero at some finite precision.  For many elements at many
+embeddings, a float evaluation with an a priori error bound decides first
+and leaves only the close calls; its cosines, and the cot enclosures of the
+signature sweeps, come from the 64-bit table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import count
 from math import gcd, inf, lcm, log10, nextafter
-from operator import add, sub
 from typing import Union
 
 import numpy as np
@@ -200,30 +199,6 @@ def degree_of(d: int) -> int:
     return _field_params(d)[3]
 
 
-def _reduce(vec: list, d: int) -> list:
-    """Reduce integer coefficients of x^0, x^1, ... modulo Phi_d, in place,
-    to the phi(d) coefficients of the power basis."""
-    p, _, m, phi = _field_params(d)
-    if len(vec) <= phi:
-        vec += [0] * (phi - len(vec))
-        return vec
-    # x^d = 1 modulo Phi_d, so every block of d coefficients above the first
-    # folds onto it.
-    for start in range(d, len(vec), d):
-        chunk = vec[start:start + d]
-        vec[:len(chunk)] = map(add, vec, chunk)
-    del vec[d:]
-    vec += [0] * (d - len(vec))
-    # Phi_{p^a}(x) = sum_{j<p} x^(j*m) with m = p^(a-1), so
-    # x^((p-1)*m + r) = -sum_{j<p-1} x^(j*m + r): the top block of m
-    # coefficients comes off each block below it.
-    top = vec[phi:]
-    for j in range(0, phi, m):
-        vec[j:j + m] = map(sub, vec[j:j + m], top)
-    del vec[phi:]
-    return vec
-
-
 def _lowest(vec: list, den: int):
     """(vec, den) divided by gcd(den, *vec), with the sign that makes den > 0."""
     if den == 1:
@@ -235,48 +210,6 @@ def _lowest(vec: list, den: int):
         vec = [c // g for c in vec]
         den //= g
     return vec, den
-
-
-def _pack(coeffs, size: int) -> int:
-    """sum c_i 2^(8 size i) for |c_i| < 2^(8 size - 1).
-
-    Each digit is written biased by half = 2^(8 size - 1), so that its bytes
-    stand alone, and the biases come off in one subtraction.
-    """
-    half = 1 << (8 * size - 1)
-    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
-    return (int.from_bytes(raw, "little")
-            - int.from_bytes(half.to_bytes(size, "little") * len(coeffs), "little"))
-
-
-def _unpack(value: int, count: int, size: int) -> list:
-    """The count signed digits c_i of value = sum c_i 2^(8 size i), each
-    |c_i| < 2^(8 size - 1); the inverse of _pack."""
-    half = 1 << (8 * size - 1)
-    raw = (value + int.from_bytes(half.to_bytes(size, "little") * count, "little")
-           ).to_bytes(count * size, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, count * size, size)]
-
-
-def _kronecker_mul(a, b) -> list:
-    """Coefficients of the product of two nonzero integer polynomials.
-
-    Every partial sum of a product coefficient is below 2^bits, for bits
-    the sum of the bit lengths of the largest coefficients and of the
-    shorter length.  Below 2^63 numpy convolves in 64-bit words exactly.
-    Otherwise one big-integer product does it (Kronecker substitution): each
-    polynomial is evaluated at 2^(8 size), with digits wide enough that no
-    coefficient of the product carries into the next, and the product is
-    read back digit by digit.  Packing and unpacking go through bytes, so
-    they cost O(len * size), not one shift per coefficient."""
-    bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
-            + min(len(a), len(b)).bit_length())
-    if bits < 64:
-        return np.convolve(np.array(a, dtype=np.int64),
-                           np.array(b, dtype=np.int64)).tolist()
-    size = bits // 8 + 1  # every product coefficient is below 2^(8 size - 1)
-    return _unpack(_pack(a, size) * _pack(b, size), len(a) + len(b) - 1, size)
 
 
 def _ratio(value: Scalar) -> tuple:
@@ -294,16 +227,18 @@ def _element(d: int, exps, coefs, den: int) -> "CyclotomicNumber":
 
 def _fold(d: int, exps, coefs) -> tuple:
     """(exps, coefs), the nonzero terms of sum c z^e in the power basis over
-    the exponents e and coefficients c, for any integer exponents."""
+    the exponents e and coefficients c, for any integer exponents: the one
+    reduction modulo Phi_d."""
     p, _, m, phi = _field_params(d)
     acc = {}
     get = acc.get
     for e, c in zip(exps, coefs):
-        e %= d
+        e %= d  # z^d = 1
         if e < phi:
             acc[e] = get(e, 0) + c
         else:
-            # z^((p-1) m + r) = -sum_{j<p-1} z^(j m + r), as in _reduce
+            # Phi_{p^a}(z) = sum_{j<p} z^(j m) with m = p^(a-1), so
+            # z^((p-1) m + r) = -sum_{j<p-1} z^(j m + r)
             for k in range(e - phi, phi, m):
                 acc[k] = get(k, 0) - c
     exps = [e for e in sorted(acc) if acc[e]]
@@ -318,33 +253,21 @@ def _dense(x: "CyclotomicNumber", size: int) -> list:
     return vec
 
 
-def _sparse(vec: list) -> tuple:
-    """(exps, coefs), the nonzero terms of the coefficient list vec."""
-    return list(compress(count(), vec)), list(filter(None, vec))
-
-
 def _scaled(x: "CyclotomicNumber", n: int, q: int) -> "CyclotomicNumber":
     """x n / q for integers n != 0 and q > 0: the terms keep their exponents."""
     return _element(x.order, x.exps, [c * n for c in x.coefs], x.den * q)
 
 
 def _product(x: "CyclotomicNumber", y: "CyclotomicNumber") -> "CyclotomicNumber":
-    """x y: a rational operand scales the other, few-term operands multiply
-    term by term, and others by one _kronecker_mul reduced modulo Phi_d."""
+    """x y: a rational operand scales the other; otherwise every pair of
+    terms multiplies, and _fold reduces the sum modulo Phi_d."""
     if len(x.exps) > len(y.exps):
         x, y = y, x
     if not any(x.exps):  # x is rational: 0, or one term at z^0
         return _scaled(y, x.coefs[0], x.den) if x.coefs else x
-    d, ea, eb = x.order, x.exps, y.exps
-    # a term product takes one step per pair of terms, _kronecker_mul about
-    # one per coefficient it reads back, of which there are 2 phi(d) - 1
-    if len(ea) * len(eb) < 2 * degree_of(d):
-        terms = _fold(d, [i + j for i in ea for j in eb],
-                      [a * b for a in x.coefs for b in y.coefs])
-    else:
-        terms = _sparse(_reduce(_kronecker_mul(_dense(x, ea[-1] + 1),
-                                               _dense(y, eb[-1] + 1)), d))
-    return _element(d, *terms, x.den * y.den)
+    terms = _fold(x.order, [i + j for i in x.exps for j in y.exps],
+                  [a * b for a in x.coefs for b in y.coefs])
+    return _element(x.order, *terms, x.den * y.den)
 
 
 def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
@@ -430,7 +353,8 @@ class CyclotomicNumber:
     one common denominator, in lowest terms: gcd(den, *coefs) == 1.  So every
     element has exactly one representation: equality and zero tests are
     syntactic, and an element is a dictionary key for its value, as the
-    memo of pivot inverses in witt uses it.  num and coeffs are the dense
+    memo of pivot inverses in witt uses it.  Products, Galois images and
+    inverses read and write the terms alone; num and coeffs are the dense
     views over all phi(d) basis elements.
     """
 

@@ -3,8 +3,8 @@
 The direct rational algorithms: schoolbook products reduced modulo Phi_d one
 top coefficient at a time, and inverses by extended Euclid in Q[x] with every
 coefficient a Fraction.  `cyclo.CyclotomicNumber` holds its nonzero terms
-over one denominator and multiplies term by term or, for dense operands, by
-one convolution; the property tests check it against these, coefficient by
+over one denominator, multiplies term by term and folds each power z^e
+into the basis; the property tests check it against these, coefficient by
 coefficient.
 """
 from fractions import Fraction

@@ -149,6 +149,41 @@ def _tower_lift(m, n, q, word, *extra):
             "--word", word, *extra]
 
 
+# Exit 3 at each cap that no other record reaches: edges, the 2^30 ceiling
+# of int32 vertices, field degree, block work (--r), word letters and
+# family orders.
+CAPS = [
+    ["tower", "build", "--m", "2", "--n", "5", "--q", "8"],
+    ["tower", "build", "--m", "2", "--n", "5", "--q", "8",
+     "--cap-edges", str(10 ** 10)],
+    ["witt", "--form", "[[1]]", "--d", "4096"],
+    _witt_matrix("[[-1,1],[0,-1]]", 100, 256, 1),
+    ["tower", "lift", "--m", "2", "--n", "1", "--q", "4", "--word",
+     "alpha(11)"],
+    ["reproduce", "family", "--p", "3", "--count", "3", "--d-seed", "6561"],
+]
+
+# Exit 3, naming the flag, for an integer one digit past Python's limit for
+# reading one, on each route that reads one: a JSON number, a quoted --form
+# entry, a rational flag, and the integers of --q, twist:n, --tower,
+# --theta, --word (a generator and an exponent) and --primes.
+_LONG = "7" * 4301
+OVERSIZED = [
+    ["witt", "--form", f"[[{_LONG}]]", "--d", "4"],
+    ["witt", "--form", f'[["{_LONG}"]]', "--d", "4"],
+    ["hilbert", "--a", _LONG, "--b", "3", "--q", "7"],
+    ["hilbert", "--a", "2", "--b", "3", "--q", _LONG],
+    ["sig", "--knot", f"twist:{_LONG}", "--d", "8", "--s", "1"],
+    ["lambda", "--tower", f"n=1,q={_LONG}", "--theta", "f-mod-4", "--word",
+     "x0", "--knot", "trefoil"],
+    ["lambda", "--tower", "n=1,q=4", "--theta", f"f-mod-{_LONG}", "--word",
+     "x0", "--knot", "trefoil"],
+    _tower_lift(2, 1, 4, f"x{_LONG}"),
+    _tower_lift(2, 1, 4, f"x0^{_LONG}"),
+    ["reproduce", "z2", "--primes", f"3,{_LONG}"],
+]
+
+
 def _argvs():
     argvs = []
     for m, n, q in _LIFT_TOWERS:
@@ -227,7 +262,7 @@ def _argvs():
         CERTIFIED_SIGN,
     ]
     argvs += PRINT_LIMIT
-    argvs += UNRECORDED_PATHS + FACTOR_CAP
+    argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED
     return argvs
 
 

@@ -837,6 +837,46 @@ def test_huge_cofactor_is_refused_at_once(capsys):
     assert "cap 17557 for its size: a cofactor of 4390 digits" in err
 
 
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("witt", "--form", f"[[{_LONG}]]", "--d", "4"), "--form"),
+    (("witt", "--form", f'[["1/{_LONG}"]]', "--d", "4"), "--form"),
+    (("witt", "--matrix", f"[[{_LONG}]]", "--d", "4"), "--matrix"),
+    (("sig", "--matrix", f"[[{_LONG}]]", "--d", "4", "--s", "1"), "--matrix"),
+    (("sig", "--knot", f'[{{"n": {_LONG}}}]', "--d", "8", "--s", "1"),
+     "--knot"),
+    (("sig", "--knot", f"twist:1:{_LONG}", "--d", "8", "--s", "1"), "--knot"),
+    (("hilbert", "--a", "2", "--b", f"{_LONG}/7", "--q", "7"), "--b"),
+    (("hilbert", "--a", "2", "--b", "3", "--q", _LONG), "--q"),
+    (("lambda", "--tower", f"n={_LONG},q=4", "--theta", "f-mod-4", "--word",
+      "x0", "--knot", "trefoil"), "--tower"),
+    (("lambda", "--tower", "n=1,q=4", "--theta", f"f-mod-{_LONG}", "--word",
+      "x0", "--knot", "trefoil"), "--theta"),
+    (("tower", "lift", "--m", "2", "--n", "1", "--q", "4", "--word",
+      f"alpha({_LONG})"), "--word"),
+    (("reproduce", "z2", "--primes", f"{_LONG},3"), "--primes"),
+])
+def test_integers_past_the_digit_limit_exit_3(capsys, argv, flag):
+    # Python reads no integer over sys.get_int_max_str_digits() digits: the
+    # flag is named, the limit given, and the digits are not echoed
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {flag}: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits")
+    assert len(err) < 200
+
+
+def test_family_file_past_the_digit_limit_exits_3(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(f'{{"p": {_LONG}}}')
+    code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                         "--n", "1", "--q", "4", "--family", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: --family: an integer has more than")
+
+
 def test_one_parser_serves_every_call(capsys):
     # main builds one parser per command path per process: the leaf's own
     # for a call that names a leaf, the whole tree for any other call.
@@ -906,6 +946,34 @@ def test_parsers_print_what_the_tree_prints(capsys, path):
     for tail in (("--help",), ("--bogus",), ("--format", "xml")):
         for argv in (path + tail, path + call + tail):
             assert run(capsys, *argv) == _tree_prints(capsys, argv), argv
+
+
+# The flags of every leaf besides the common ones, as its help lists them.
+_LEAF_FLAGS = {
+    ("sig",): {"--matrix", "--knot", "--d", "--s"},
+    ("arf",): {"--matrix", "--knot"},
+    ("witt",): {"--matrix", "--form", "--d", "--r", "--t"},
+    ("hilbert",): {"--a", "--b", "--q"},
+    ("tower", "build"): {"--m", "--n", "--q", "--full"},
+    ("tower", "lift"): {"--m", "--n", "--q", "--word", "--level"},
+    ("tower", "verify"): {"--m", "--n", "--q"},
+    ("lambda",): {"--tower", "--theta", "--word", "--knot", "--disc",
+                  "--signatures-only"},
+    ("reproduce", "family"): {"--p", "--count", "--d-seed"},
+    ("reproduce", "independence"): {"--m", "--n", "--q", "--family"},
+    ("reproduce", "z2"): {"--primes"},
+}
+_COMMON_FLAGS = {"-h", "--help", "--format", "--cap-edges", "--precision-cap"}
+
+
+def test_every_leaf_takes_its_flags():
+    # parsers built afresh, past the per-process cache, so that a mutant of
+    # the leaf table shows
+    assert set(_LEAF_FLAGS) == set(cli._LEAVES)
+    for path, flags in _LEAF_FLAGS.items():
+        parser = cli._parser.__wrapped__(path)
+        assert {option for action in parser._actions
+                for option in action.option_strings} == flags | _COMMON_FLAGS
 
 
 @pytest.mark.parametrize("path", list(_LEAF_CALLS), ids=" ".join)
@@ -1327,6 +1395,17 @@ def test_text_outside_the_tables_is_bounded(monkeypatch):
     (cli._cmd_tower_lift, '"is_loop": starts == ends',
      '"is_loop": starts == degrees',
      test_tower_lift_components_are_the_profile),
-], ids=["indent", "separator", "is-loop"])
+    # a JoinedRows table joined in sorted order, not through its index
+    (cli._batches, "arrays, spell = [table.index]",
+     "arrays, spell = [np.sort(table.index)]",
+     test_json_writer_joins_indexed_rows),
+    # the leaf table naming the tower flags alone for tower build: --full
+    # left out of one leaf
+    (cli._fill, "_, flags, handler = _LEAVES[path]",
+     "_, flags, handler = _LEAVES[path]\n"
+     "    if path == ('tower', 'build'):\n"
+     "        flags = _tower_flags",
+     test_every_leaf_takes_its_flags),
+], ids=["indent", "separator", "is-loop", "joined-rows-order", "leaf-flag"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)

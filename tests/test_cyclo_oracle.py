@@ -1,16 +1,15 @@
 """Term-stored Q(zeta_d) arithmetic against the Fraction reference oracle.
 
 `CyclotomicNumber` holds its nonzero terms over one denominator, scales by
-a rational operand, multiplies few-term elements term by term and denser
-ones by one convolution (64-bit words, or Kronecker substitution for wider
-coefficients), and inverts by Galois norms once the integer content is out:
-down the subfield tower, then from Q(zeta_p) to Q along a chain of
-subgroups of (Z/p)^*.  Every operation here is compared, coefficient by
-coefficient, with the direct Fraction algorithms of `fraction_oracle` (the
-inverse with its extended Euclid, an independent algorithm), on zero
-elements, negative coefficients, coefficients at the digit boundaries of
-the packing and at the 64-bit word bound, coefficients of 2^300, mixed
-denominators and few-term elements on both sides of the crossover.
+a rational operand, multiplies every other pair of elements term by term,
+reduced modulo Phi_d by one fold, and inverts by Galois norms once the
+integer content is out: down the subfield tower, then from Q(zeta_p) to Q
+along a chain of subgroups of (Z/p)^*.  Every operation here is compared,
+coefficient by coefficient, with the direct Fraction algorithms of
+`fraction_oracle` (the inverse with its extended Euclid, an independent
+algorithm), on zero elements, negative coefficients, wide coefficients
+beside each power 2^(8 k - 1) up to 9 bytes and past 64 bits, coefficients
+of 2^300, mixed denominators, and operands from one term up to dense.
 """
 import random
 from fractions import Fraction
@@ -27,8 +26,8 @@ from lambdatower.witt import diagonalize, lambda_block, witt_invariants
 
 ORDERS = [4, 8, 9, 16, 27, 32, 49, 64, 81, 125, 128, 243, 256]
 
-# |c| at and beside 2^(8 k - 1), where a packed digit of k bytes changes
-# sign, for k up to 9 bytes (past the 64-bit words numpy convolves in).
+# Wide coefficients: |c| at and beside 2^(8 k - 1) for k up to 9 bytes, so
+# that products pass 64 bits and carry across every byte width.
 BOUNDARIES = sorted({sign * (2 ** (8 * k - 1) + e)
                      for k in range(1, 10) for e in (-1, 0, 1)
                      for sign in (1, -1)})
@@ -211,36 +210,6 @@ def test_products_and_sums_match_oracle_hypothesis(d, data):
     assert list(x.conj().coeffs) == oracle.conj(fa, d)
 
 
-def test_kronecker_digits_at_sign_boundaries():
-    # the product against schoolbook integer products, at digit widths on
-    # both sides of the 64-bit words and of each byte boundary
-    rng = random.Random(5)
-    for _ in range(300):
-        la, lb = rng.randint(1, 40), rng.randint(1, 40)
-        a = [rng.choice(BOUNDARIES + [0, 1, -1]) for _ in range(la)]
-        b = [rng.choice(BOUNDARIES + [0, 1, -1]) for _ in range(lb)]
-        a[-1] = a[-1] or 1
-        b[-1] = b[-1] or -1
-        want = [0] * (la + lb - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                want[i + j] += x * y
-        assert cyclo._kronecker_mul(a, b) == want
-
-
-def test_kronecker_digits_fill_each_width():
-    # n (2^k - 1)^2 for n = 2^j - 1 is just below 2^(2k + j), the bound the
-    # digit width is chosen from, so each width is filled to its top
-    for k in range(1, 70):
-        for n in (1, 3, 7, 15, 127):
-            top = [2 ** k - 1] * n
-            want = [min(i + 1, 2 * n - 1 - i) * (2 ** k - 1) ** 2
-                    for i in range(2 * n - 1)]
-            assert cyclo._kronecker_mul(top, top) == want
-            assert cyclo._kronecker_mul(top, [-c for c in top]) == \
-                [-c for c in want]
-
-
 # Orders with p = 2, 3, 5 and 7, prime orders among them.
 SPARSE_ORDERS = (5, 7, 8, 9, 16, 25, 27, 49, 125, 128, 243, 256)
 
@@ -269,19 +238,13 @@ def sparse_vectors(d, terms):
 
 @st.composite
 def sparse_operands(draw):
-    """(d, a, b) for two few-term operands whose term counts na and nb lie on
-    either side of the crossover na nb < 2 phi(d) between the term product
-    and the packed (Kronecker) product.  Drawing many terms is slow, so
-    above phi(d) = 64 the operands keep to the term side, with up to 16
-    terms, as many as any pivot of the witt menu has."""
+    """(d, a, b) for two operands of the term product, each with from one
+    term up to phi(d) at phi(d) <= 64, so that dense times dense is drawn
+    too.  Drawing many terms is slow, so above phi(d) = 64 each keeps to
+    at most 16 terms, as many as any pivot of the witt menu has."""
     d = draw(st.sampled_from(SPARSE_ORDERS))
     phi = degree_of(d)
-    na = draw(st.integers(1, min(4, phi)))
-    if na > 1 and phi <= 64 and draw(st.booleans()):  # packed: na nb >= 2 phi
-        nb = draw(st.integers(-(-2 * phi // na), phi))
-    else:  # term by term: na nb < 2 phi
-        most = phi if phi <= 64 else 16
-        nb = draw(st.integers(1, min(most, (2 * phi - 1) // na)))
+    na, nb = (draw(st.integers(1, phi if phi <= 64 else 16)) for _ in "ab")
     return d, draw(sparse_vectors(d, na)), draw(sparse_vectors(d, nb))
 
 
@@ -294,7 +257,7 @@ def sparse_operands(draw):
 # 2 (z/2) = z, a rational operand whose product cancels the denominator
 @example((9, [2, 0, 0, 0, 0, 0], [0, Fraction(1, 2), 0, 0, 0, 0]), 2, 1)
 def test_sparse_operands_match_oracle(operands, content, den):
-    """Few-term products on both sides of the crossover, conjugates, and
+    """Products of operands from one term up to dense, conjugates, and
     inverses of elements whose integer content g > 1 (coprime to den) comes
     off before the norms: against the oracle at phi(d) <= 20, elsewhere by
     x x^-1 = 1."""
@@ -316,13 +279,6 @@ def test_sparse_operands_match_oracle(operands, content, den):
 
 
 @pytest.mark.parametrize("function, old, new, test", [
-    # digits one byte short: a product coefficient near the top of its
-    # digit carries into the next
-    (cyclo._kronecker_mul, "size = bits // 8 + 1", "size = bits // 8",
-     test_kronecker_digits_fill_each_width),
-    # 64-bit words taken one bit too far: a product coefficient wraps
-    (cyclo._kronecker_mul, "if bits < 64:", "if bits < 65:",
-     test_kronecker_digits_fill_each_width),
     # z^((p-1) m + r) folded onto +z^(j m + r)
     (cyclo._fold, "acc[k] = get(k, 0) - c", "acc[k] = get(k, 0) + c",
      test_sparse_operands_match_oracle),
@@ -344,7 +300,7 @@ def test_sparse_operands_match_oracle(operands, content, den):
     (cyclo._norm_chain, "if all(pow(g, (p - 1) // l, p) != 1",
      "if any(pow(g, (p - 1) // l, p) != 1",
      lambda: test_inverse_at_prime_order_matches_oracle(7)),
-], ids=["kronecker-digit-width", "word-bound", "fold-sign", "content-strip",
-        "scalar-unreduced", "step-unpowered", "non-generator"])
+], ids=["fold-sign", "content-strip", "scalar-unreduced", "step-unpowered",
+        "non-generator"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)

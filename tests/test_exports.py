@@ -2,7 +2,8 @@
 a stale export behind, and is used somewhere in the package, so no export
 serves only the tests, and so is every method and property of its classes;
 no module imports another module's private names or a name it never uses,
-and no module keeps an unbounded cache."""
+keeps a private helper that nothing refers to, or keeps an unbounded
+cache."""
 import ast
 import importlib
 import pathlib
@@ -238,3 +239,42 @@ def test_unreferenced_member_check_sees_them(tmp_path):
                  "    def m(self): pass\n"
                  "def n(d): return d.f()\n")
     assert _unreferenced_members([a, b]) == ["a.C.h", "a.C._p", "b.D.m"]
+
+
+def _unreferenced_helpers(path):
+    """module.name for every module-level function or class of the source at
+    path whose name is private (one leading underscore, dunders aside) and
+    that the source refers to nowhere outside its own definition: as a
+    loaded name or an attribute.  No other module may import a private
+    name, so its own module is the whole package to search."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def reads(node, name):
+        return sum(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   and n.id == name or isinstance(n, ast.Attribute)
+                   and n.attr == name for n in ast.walk(node))
+
+    return [f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and reads(tree, node.name) == reads(node, node.name)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_helper_is_used(name):
+    path = pathlib.Path(lambdatower.__path__[0]) / f"{name}.py"
+    assert _unreferenced_helpers(path) == []
+
+
+def test_unreferenced_helper_check_sees_them(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def _used(): return 1\n"
+                    "def _self(n): return _self(n - 1) if n else 0\n"
+                    "def _dead(): return _used()\n"
+                    "class _Kept: pass\n"
+                    "class _Gone:\n"
+                    "    def f(self): return _Gone\n"
+                    "def _method(): pass\n"
+                    "def __getattr__(name): pass\n"
+                    "def public(): return _Kept, object()._method\n")
+    assert _unreferenced_helpers(path) == ["mod._self", "mod._dead", "mod._Gone"]
