@@ -584,13 +584,26 @@ def _cmd_reproduce_z2(args):
 # Parser assembly.
 
 
+def _int_flag(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add an integer flag: int, with argparse's message for text that is
+    not an integer, and _read's cap for one past Python's digit limit,
+    which argparse lets out of the parse to main."""
+    def parse(text):
+        try:
+            return _read(flag, int, text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+    parser.add_argument(flag, type=parse, **kwargs)
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    parser.add_argument("--cap-edges", type=int, default=DEFAULT_CAP_EDGES,
-                        metavar="N", help="abort tower builds beyond N edges")
-    parser.add_argument("--precision-cap", type=int, default=None,
-                        metavar="BITS", help="bit budget for certified signs")
+    _int_flag(parser, "--cap-edges", default=DEFAULT_CAP_EDGES, metavar="N",
+              help="abort tower builds beyond N edges")
+    _int_flag(parser, "--precision-cap", default=None, metavar="BITS",
+              help="bit budget for certified signs")
 
 
 def _knot_input(parser: argparse.ArgumentParser) -> None:
@@ -600,16 +613,16 @@ def _knot_input(parser: argparse.ArgumentParser) -> None:
 
 
 def _tower_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, required=True, help="strand count")
-    parser.add_argument("--n", type=int, required=True, help="tower height")
-    parser.add_argument("--q", type=int, required=True,
-                        help="prime power > 2 controlling each step")
+    _int_flag(parser, "--m", required=True, help="strand count")
+    _int_flag(parser, "--n", required=True, help="tower height")
+    _int_flag(parser, "--q", required=True,
+              help="prime power > 2 controlling each step")
 
 
 def _sig_flags(parser: argparse.ArgumentParser) -> None:
     _knot_input(parser)
-    parser.add_argument("--d", type=int, required=True, help="root order")
-    parser.add_argument("--s", type=int, required=True, help="root exponent")
+    _int_flag(parser, "--d", required=True, help="root order")
+    _int_flag(parser, "--s", required=True, help="root exponent")
 
 
 def _witt_flags(parser: argparse.ArgumentParser) -> None:
@@ -618,11 +631,9 @@ def _witt_flags(parser: argparse.ArgumentParser) -> None:
                        help="integer Seifert-type matrix for the block form")
     group.add_argument("--form",
                        help="hermitian matrix over the cyclotomic field")
-    parser.add_argument("--d", type=int, required=True, help="cyclotomic order")
-    parser.add_argument("--r", type=int, default=1,
-                        help="block count (with --matrix)")
-    parser.add_argument("--t", type=int, default=1,
-                        help="twist exponent (with --matrix)")
+    _int_flag(parser, "--d", required=True, help="cyclotomic order")
+    _int_flag(parser, "--r", default=1, help="block count (with --matrix)")
+    _int_flag(parser, "--t", default=1, help="twist exponent (with --matrix)")
 
 
 def _hilbert_flags(parser: argparse.ArgumentParser) -> None:
@@ -641,8 +652,8 @@ def _tower_build_flags(parser: argparse.ArgumentParser) -> None:
 def _tower_lift_flags(parser: argparse.ArgumentParser) -> None:
     _tower_flags(parser)
     parser.add_argument("--word", required=True, help="free-group word to lift")
-    parser.add_argument("--level", type=int, default=None,
-                        help="covering level (default: top)")
+    _int_flag(parser, "--level", default=None,
+              help="covering level (default: top)")
 
 
 def _lambda_flags(parser: argparse.ArgumentParser) -> None:
@@ -661,9 +672,9 @@ def _lambda_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, required=True, help="base prime")
-    parser.add_argument("--count", type=int, required=True, help="family size")
-    parser.add_argument("--d-seed", type=int, required=True, help="first order")
+    _int_flag(parser, "--p", required=True, help="base prime")
+    _int_flag(parser, "--count", required=True, help="family size")
+    _int_flag(parser, "--d-seed", required=True, help="first order")
 
 
 def _independence_flags(parser: argparse.ArgumentParser) -> None:
@@ -764,21 +775,20 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     path = _command_path(argv)
+    old_cap = None
     try:
         args, extras = _parser(path).parse_known_args(argv[len(path):])
         if extras:
             # the tree's top level reports them, under its own usage
             args = _parser(()).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
-    old_cap = None
-    try:
         if args.precision_cap is not None:
             old_cap = set_precision_cap(args.precision_cap)
         if args.cap_edges < 0:
             _fail("--cap-edges",
                   f"edge cap must be nonnegative, got {args.cap_edges}")
         payload, rows = args.handler(args)
+    except SystemExit as exc:  # from argparse: usage, help or a parse error
+        return exc.code if isinstance(exc.code, int) else 0
     except (ResourceCapExceeded, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

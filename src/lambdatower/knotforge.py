@@ -19,7 +19,6 @@ from .seifert import (
     Atom,
     FormalKnot,
     arf,
-    integral_sigma,
     sigma_details,
     sigma_many,
     signature_profile,
@@ -275,8 +274,8 @@ def verify_family(family: KnotFamily) -> CertificateReport:
 
     For every knot K_j the signature is evaluated at all d_i-th roots, i <= j,
     through both sigma paths (matrix and profile), each in one sweep of the
-    order; the matrix values feed the positivity, vanishing, integral, and
-    Arf checks.
+    order; the matrix values feed the positivity and vanishing checks, and
+    the profile the integral.
     """
     checks = []
     for j, ej in enumerate(family.entries, 1):
@@ -298,7 +297,7 @@ def verify_family(family: KnotFamily) -> CertificateReport:
                 checks.append({"property": "vanishing_at_lower_roots", "i": i,
                                "j": j, "values": values,
                                "ok": all(v == 0 for v in values)})
-        integral = integral_sigma(ej.knot)
+        integral = prof.integral()
         checks.append({"property": "zero_integral", "j": j,
                        "value": integral.to_json(), "ok": integral.is_zero()})
         arf_value = arf(ej.knot)

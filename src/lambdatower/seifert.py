@@ -48,7 +48,6 @@ __all__ = [
     "SigmaIntegral",
     "SignatureProfile",
     "arf",
-    "integral_sigma",
     "omega_signature",
     "sigma",
     "sigma_details",
@@ -556,7 +555,7 @@ def sigma_details(knot: FormalKnot, d: int, s: int) -> SigmaEvaluation:
     """Evaluate sigma at omega = zeta_d^s, exactly, by whichever path applies.
 
     The exponent is reduced first, so any (d, s) with prime-power reduced
-    denominator take the matrix path; other roots need twist-family atoms.
+    denominator take sigma_many at that order; other roots need twist atoms.
     """
     if d < 1:
         raise ValueError(f"root order must be positive, got {d}")
@@ -564,16 +563,8 @@ def sigma_details(knot: FormalKnot, d: int, s: int) -> SigmaEvaluation:
     if u == 0:
         return SigmaEvaluation(0, False, "trivial")
     if is_prime_power(u.denominator):
-        total = 0
-        for atom in knot.atoms:
-            ua = Fraction((s * atom.cable) % d, d)
-            if ua == 0:
-                continue
-            # denominators of cable multiples divide the reduced denominator,
-            # so they stay prime powers
-            total += atom.sign * omega_signature(atom.matrix, ua.denominator,
-                                                 ua.numerator)
-        return SigmaEvaluation(total, False, "matrix")
+        return SigmaEvaluation(
+            sigma_many(knot, u.denominator, [u.numerator])[0], False, "matrix")
     value, at_jump = signature_profile(knot).evaluate(u)
     return SigmaEvaluation(value, at_jump, "profile")
 
@@ -746,35 +737,32 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
 
 
 def sigma_many(knot: FormalKnot, d: int, exponents) -> list:
-    """[sigma(knot, d, s) for s in exponents], in one pass per atom matrix.
+    """[sigma(knot, d, s) for s in exponents] at a prime-power order d: one
+    signature_sweep of order d per atom matrix, at every s * cable mod d.
 
-    For a prime-power d, every atom matrix is decided at all the exponents
-    s * cable mod d it is needed at by one signature_sweep of order d.
-    Other orders take sigma_details once per exponent.
+    Other orders raise ValueError; sigma_details alone chooses between this
+    path and the profile path.  No caller needs another order: lift degrees
+    are orbit sizes of a p-group, powers of the deck prime, as character
+    and family orders are.
     """
-    if d < 1:
-        raise ValueError(f"root order must be positive, got {d}")
-    exponents = list(exponents)
     if not is_prime_power(d):
-        return [sigma_details(knot, d, s).value for s in exponents]
-    reach = {}  # matrix rows -> the exponents s * cable mod d it is needed at
-    for atom in knot.atoms:
-        reach.setdefault(atom.matrix.rows, set()).update(
-            s * atom.cable % d for s in exponents)
+        raise ValueError(f"order {d} is not a prime power; "
+                         f"use sigma_details for other roots of unity")
+    exponents = list(exponents)
+    cabled = [(atom, [s * atom.cable % d for s in exponents])
+              for atom in knot.atoms]
+    reach = {}  # matrix rows -> the exponents mod d it is needed at
+    for atom, ups in cabled:
+        reach.setdefault(atom.matrix.rows, set()).update(ups)
     tables = {}  # matrix rows -> {exponent mod d: signature}
     for rows, needed in reach.items():
         ups = sorted(needed)
         tables[rows] = dict(zip(ups, signature_sweep(rows, d, ups)))
     totals = [0] * len(exponents)
-    for atom in knot.atoms:
-        table, c = tables[atom.matrix.rows], atom.cable
-        totals = [v + atom.sign * table[s * c % d]
-                  for v, s in zip(totals, exponents)]
+    for atom, ups in cabled:
+        table = tables[atom.matrix.rows]
+        totals = [v + atom.sign * table[u] for v, u in zip(totals, ups)]
     return totals
-
-
-def integral_sigma(knot: FormalKnot) -> SigmaIntegral:
-    return signature_profile(knot).integral()
 
 
 def arf(knot: FormalKnot) -> int:

@@ -183,6 +183,28 @@ OVERSIZED = [
     ["reproduce", "z2", "--primes", f"3,{_LONG}"],
 ]
 
+# The same for each flag that argparse reads as an integer.
+INT_FLAGS = [
+    ["witt", "--form", "[[1]]", "--d", _LONG],
+    _witt_matrix("[[-1,1],[0,-1]]", _LONG, 8, 1),
+    _witt_matrix("[[-1,1],[0,-1]]", 1, 8, _LONG),
+    ["sig", "--knot", "trefoil", "--d", "8", "--s", _LONG],
+    ["sig", "--knot", "trefoil", "--d", "8", "--s", "1", "--precision-cap",
+     _LONG],
+    ["tower", "build", "--m", _LONG, "--n", "1", "--q", "4"],
+    ["tower", "build", "--m", "2", "--n", _LONG, "--q", "4"],
+    ["tower", "build", "--m", "2", "--n", "1", "--q", _LONG],
+    ["tower", "build", "--m", "2", "--n", "1", "--q", "4", "--cap-edges",
+     _LONG],
+    _tower_lift(2, 1, 4, "x0", "--level", _LONG),
+    ["reproduce", "family", "--p", _LONG, "--count", "1", "--d-seed", "8"],
+    ["reproduce", "family", "--p", "2", "--count", _LONG, "--d-seed", "8"],
+    ["reproduce", "family", "--p", "2", "--count", "1", "--d-seed", _LONG],
+]
+
+# Exit 2 from a library InputError, which names its parameter as the flag.
+INPUT_ERROR = [["tower", "build", "--m", "1", "--n", "1", "--q", "4"]]
+
 
 def _argvs():
     argvs = []
@@ -262,7 +284,8 @@ def _argvs():
         CERTIFIED_SIGN,
     ]
     argvs += PRINT_LIMIT
-    argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED
+    argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
+    argvs += INPUT_ERROR
     return argvs
 
 

@@ -1,7 +1,9 @@
 """Benchmark outputs replayed in process against the recorded goldens in
 bench/golden.json, so that a change to any byte of them fails here and not
-only in a benchmark run: the tower-walk ops, and every `witt` argv of the
-query-session universe, the exact Witt path at each order, r and matrix."""
+only in a benchmark run: the tower-walk ops, every argv of the
+query-session universe (`witt`, the exact Witt path at each order, r and
+matrix; `sig`, `hilbert` and `arf`), and every drivers-exact certificate
+but the known defects, by content_hash."""
 import contextlib
 import hashlib
 import io
@@ -51,8 +53,7 @@ def _stdout(argv) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("argv", _replayed(), ids=workloads.key)
-def test_output_matches_the_golden(argv):
+def _assert_matches(argv):
     kind, _, value = GOLDENS[workloads.key(argv)].partition(":")
     text = _stdout(argv)
     if kind == "cert":
@@ -63,6 +64,11 @@ def test_output_matches_the_golden(argv):
         assert kind == "stdout"
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest.startswith(value)
+
+
+@pytest.mark.parametrize("argv", _replayed(), ids=workloads.key)
+def test_output_matches_the_golden(argv):
+    _assert_matches(argv)
 
 
 def test_every_slot_and_knot_is_replayed():
@@ -87,3 +93,33 @@ def test_witt_output_matches_the_golden(argv):
 
 def test_every_witt_argv_is_replayed():
     assert len(_WITT) == 660
+
+
+_QUERIES = [list(argv) for argv in workloads.universe("query-session")
+            if argv[0] != "witt"]
+
+
+@pytest.mark.parametrize("argv", _QUERIES, ids=workloads.key)
+def test_query_output_matches_the_golden(argv):
+    _assert_matches(argv)
+
+
+def test_every_query_argv_is_replayed():
+    counts = {}
+    for argv in _QUERIES:
+        counts[argv[0]] = counts.get(argv[0], 0) + 1
+    assert counts == {"sig": 960, "hilbert": 500, "arf": 35}
+
+
+_DRIVERS = [argv for argv in workloads.universe("drivers-exact")
+            if tuple(argv) not in workloads.KNOWN_DEFECTS]
+
+
+@pytest.mark.parametrize("argv", _DRIVERS, ids=workloads.key)
+def test_driver_certificate_matches_the_golden(argv):
+    assert GOLDENS[workloads.key(argv)].startswith("cert:")
+    _assert_matches(argv)
+
+
+def test_every_driver_certificate_is_replayed():
+    assert len(_DRIVERS) == 23

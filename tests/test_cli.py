@@ -839,8 +839,27 @@ def test_huge_cofactor_is_refused_at_once(capsys):
 
 _LONG = "7" * (sys.get_int_max_str_digits() + 1)
 
+# One argv per flag that argparse reads as an integer, less that flag.
+INT_FLAGS = [
+    ("--d", ("witt", "--form", "[[1]]")),
+    ("--r", ("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "8")),
+    ("--t", ("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "8")),
+    ("--s", ("sig", "--knot", "trefoil", "--d", "8")),
+    ("--precision-cap", ("sig", "--knot", "trefoil", "--d", "8", "--s", "1")),
+    ("--m", ("tower", "build", "--n", "1", "--q", "4")),
+    ("--n", ("tower", "build", "--m", "2", "--q", "4")),
+    ("--q", ("tower", "build", "--m", "2", "--n", "1")),
+    ("--cap-edges", ("tower", "build", "--m", "2", "--n", "1", "--q", "4")),
+    ("--level", ("tower", "lift", "--m", "2", "--n", "1", "--q", "4",
+                 "--word", "x0")),
+    ("--p", ("reproduce", "family", "--count", "1", "--d-seed", "8")),
+    ("--count", ("reproduce", "family", "--p", "2", "--d-seed", "8")),
+    ("--d-seed", ("reproduce", "family", "--p", "2", "--count", "1")),
+]
+
 
 @pytest.mark.parametrize("argv, flag", [
+    *((argv + (flag, _LONG), flag) for flag, argv in INT_FLAGS),
     (("witt", "--form", f"[[{_LONG}]]", "--d", "4"), "--form"),
     (("witt", "--form", f'[["1/{_LONG}"]]', "--d", "4"), "--form"),
     (("witt", "--matrix", f"[[{_LONG}]]", "--d", "4"), "--matrix"),
@@ -866,6 +885,18 @@ def test_integers_past_the_digit_limit_exit_3(capsys, argv, flag):
     assert err.startswith(f"error: {flag}: an integer has more than "
                           f"{sys.get_int_max_str_digits()} digits")
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("flag, argv", INT_FLAGS, ids=[f for f, _ in INT_FLAGS])
+def test_integer_flags_keep_argparse_message(capsys, flag, argv):
+    # text that is no integer: argparse's usage line and message, as with
+    # type=int
+    for text in ("abc", "1.5", ""):
+        code, out, err = run(capsys, *argv, flag, text)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: lambdatower ")
+        assert err.endswith(f": error: argument {flag}: invalid int value: "
+                            f"{text!r}\n")
 
 
 def test_family_file_past_the_digit_limit_exits_3(capsys, tmp_path):

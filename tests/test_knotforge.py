@@ -24,7 +24,6 @@ from lambdatower.knotforge import (
 )
 from lambdatower.seifert import (
     arf,
-    integral_sigma,
     sigma,
     sigma_details,
     signature_profile,
@@ -96,7 +95,7 @@ class TestMakeBump:
     def test_eighth_root_integral_vanishes(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
         knot = plan_bump(spec, 8, 1).knot
-        assert integral_sigma(knot).is_zero()
+        assert signature_profile(knot).integral().is_zero()
 
     def test_support_stays_in_window_orbit(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))

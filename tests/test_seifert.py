@@ -9,7 +9,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from lambdatower import cyclo, seifert
 from lambdatower.cli import main
@@ -26,7 +26,6 @@ from lambdatower.seifert import (
     SeifertMatrix,
     SignatureProfile,
     arf,
-    integral_sigma,
     omega_signature,
     sigma,
     sigma_details,
@@ -684,6 +683,28 @@ def _twist_knots(draw):
 
 SWEEP_ORDERS = (1, 2, 4, 8, 9, 27, 60, 81, 360, 729)
 
+# One cabled mirror atom: every sign and every cable multiple counts.
+CABLED_MIRROR = FormalKnot.of(Atom(twist_matrix(1), 3, -1))
+
+
+def atom_sum(knot, d, s):
+    """sigma(knot) at zeta_d^s as the sum over atoms of omega_signature at
+    each atom's reduced root: the one-root assembly that sigma_many's sweep
+    replaces, kept as its reference."""
+    total = 0
+    for atom in knot.atoms:
+        u = Fraction(s * atom.cable % d, d)
+        if u:
+            total += atom.sign * omega_signature(atom.matrix, u.denominator,
+                                                 u.numerator)
+    return total
+
+
+def assert_matches_atom_sum(knot, d, exponents):
+    exponents = list(exponents)
+    assert sigma_many(knot, d, exponents) == \
+        [atom_sum(knot, d, s) for s in exponents]
+
 
 class TestWholeOrderSweeps:
     """The whole-order sweeps against the one-root evaluators they replace
@@ -709,26 +730,28 @@ class TestWholeOrderSweeps:
         assert empty.jumps == ()
         assert empty.evaluate_all(729) == [(0, False)] * 729
 
-    @given(_twist_knots(), st.sampled_from((8, 9, 27, 81, 243, 12, 60)))
+    @given(_twist_knots(), st.sampled_from((8, 9, 27, 81, 243)))
+    @example(CABLED_MIRROR, 8)
     @settings(max_examples=40)
-    def test_sigma_many_matches_sigma_details_on_twist_knots(self, knot, d):
+    def test_sigma_many_matches_atom_sum_on_twist_knots(self, knot, d):
         exponents = list(range(-d, 2 * d, 3)) + list(range(d))
-        assert sigma_many(knot, d, exponents) == \
-            [sigma_details(knot, d, s).value for s in exponents]
+        assert_matches_atom_sum(knot, d, exponents)
 
-    @pytest.mark.parametrize("d", [4, 9, 25, 27, 49, 6, 12])
-    def test_sigma_many_matches_sigma_details_on_genus_two(self, d):
-        # 4 x 4 matrices take the scalar cascade; 6 and 12 the profile path
-        # for twist atoms only, so there the genus-two atoms stay out
+    @pytest.mark.parametrize("d", [4, 9, 25, 27, 49])
+    def test_sigma_many_matches_atom_sum_on_genus_two(self, d):
+        # 4 x 4 matrices take the scalar cascade
         rng = random.Random(900 + d)
         atoms = [Atom(twist_matrix(rng.randint(1, 6)), rng.randint(1, 3),
                       rng.choice((1, -1))) for _ in range(2)]
-        if is_prime_power(d):
-            atoms += [Atom(random_seifert(rng, 2), rng.randint(1, 3),
-                           rng.choice((1, -1))) for _ in range(2)]
-        knot = FormalKnot(tuple(atoms))
-        assert sigma_many(knot, d, range(d)) == \
-            [sigma_details(knot, d, s).value for s in range(d)]
+        atoms += [Atom(random_seifert(rng, 2), rng.randint(1, 3),
+                       rng.choice((1, -1))) for _ in range(2)]
+        assert_matches_atom_sum(FormalKnot(tuple(atoms)), d, range(d))
+
+    @pytest.mark.parametrize("d", [0, 1, 6, 12, 60])
+    def test_sigma_many_rejects_orders_not_prime_powers(self, d):
+        # sigma_details alone takes such roots, to the profile path
+        with pytest.raises(ValueError, match="not a prime power"):
+            sigma_many(TREFOIL, d, [1])
 
     def test_sigma_many_defers_entries_beyond_floats(self, monkeypatch):
         # entries of 2^60 give minor coefficients beyond exact floats: the
@@ -758,8 +781,7 @@ class TestWholeOrderSweeps:
         monkeypatch.setattr(seifert, "_minor_signs",
                             lambda *a: calls.append(a))
         for d in (8, 27):
-            assert sigma_many(huge, d, range(d)) == \
-                [sigma_details(huge, d, s).value for s in range(d)]
+            assert_matches_atom_sum(huge, d, range(d))
         assert calls == []
 
     def test_sigma_many_near_jump_and_precision_cap(self):
@@ -780,14 +802,10 @@ class TestWholeOrderSweeps:
             cyclo.set_precision_cap(before)
         assert str(many.value) == str(one.value)
 
-    def test_sigma_many_rejects_bad_order(self):
-        with pytest.raises(ValueError, match="positive"):
-            sigma_many(TREFOIL, 0, [1])
-
 
 class TestIntegral:
     def test_trefoil_integral_exact(self):
-        total = integral_sigma(TREFOIL)
+        total = signature_profile(TREFOIL).integral()
         assert total.pi_coeff == Fraction(-8, 3)
         assert total.arccos_terms == ()
 
@@ -801,10 +819,11 @@ class TestIntegral:
             vals = np.linalg.eigvalsh(m)
             acc += sum(np.sign(v) for v in vals if abs(v) > 1e-9)
         numeric = acc / samples * 2 * math.pi
-        assert abs(numeric - float(integral_sigma(TREFOIL).value())) < 1e-2
+        integral = signature_profile(TREFOIL).integral()
+        assert abs(numeric - float(integral.value())) < 1e-2
 
     def test_empty_knot_integral_zero(self):
-        assert integral_sigma(FormalKnot()).is_zero()
+        assert signature_profile(FormalKnot()).integral().is_zero()
 
     def test_cable_invariance(self):
         # the integral is unchanged by cabling, so J # -cable(J) integrates to 0
@@ -812,13 +831,14 @@ class TestIntegral:
         for _ in range(5):
             j = random_twist_knot(rng, 2)
             r = rng.randint(2, 4)
-            assert integral_sigma(j) == integral_sigma(j.cable(r))
-            assert integral_sigma(j - j.cable(r)).is_zero()
+            assert signature_profile(j).integral() == \
+                signature_profile(j.cable(r)).integral()
+            assert signature_profile(j - j.cable(r)).integral().is_zero()
 
     def test_twist_two_integral_value(self):
         # 2 * (2 arccos(3/4) - 2 pi): jump height -2 on the arc of length
         # 2 pi - 2 arccos(3/4) on each side combined
-        total = integral_sigma(twist_knot(2))
+        total = signature_profile(twist_knot(2)).integral()
         assert total.pi_coeff == Fraction(-4)
         assert total.arccos_terms == ((Fraction(3, 4), Fraction(4)),)
         expected = 4 * math.acos(3 / 4) - 4 * math.pi
@@ -990,8 +1010,14 @@ def test_conjugate_roots_fold_before_the_cascade():
     # a root past d/2 sent to the cascade unfolded
     (signature_sweep, "u = min(u, d - u)", "u = u",
      test_conjugate_roots_fold_before_the_cascade),
+    # an atom's sign dropped, or its cable left out of the root it is read at
+    (sigma_many, "atom.sign * table[u]", "table[u]",
+     lambda: assert_matches_atom_sum(CABLED_MIRROR, 8, range(8))),
+    (sigma_many, "s * atom.cable % d", "s % d",
+     lambda: assert_matches_atom_sum(CABLED_MIRROR, 8, range(8))),
 ], ids=["lower-left", "half", "schur", "block-det", "uncertified-block",
         "parity-sign", "parity-dropped", "evaluate-all-down",
-        "evaluate-all-up", "evaluate-all-at", "conjugate-fold"])
+        "evaluate-all-up", "evaluate-all-at", "conjugate-fold",
+        "sweep-sign", "sweep-cable"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)
