@@ -9,7 +9,6 @@ timestamp, so byte-level determinism is checkable.
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -29,17 +28,9 @@ from .infection import (
     lambda_T,
     signature_prediction,
     tower_infection,
-    x_infection,
 )
 from .knotforge import BumpSearchError, KnotFamily, build_family, verify_family
-from .seifert import (
-    Atom,
-    FormalKnot,
-    sigma,
-    sigma_many,
-    signature_profile,
-    twist_matrix,
-)
+from .seifert import sigma, sigma_many, signature_profile
 from .witt import HermitianForm, hilbert_symbol, witt_invariants
 
 __all__ = [
@@ -50,14 +41,12 @@ __all__ = [
     "independence_certificate",
     "z2_certificate",
     "tower_certificate",
-    "local_knot_certificate",
 ]
 
 CERTIFICATE_KINDS = (
     "family",
     "independence-Z",
     "independence-Z2",
-    "local-knot-vanishing",
     "tower-audit",
 )
 
@@ -69,8 +58,8 @@ def _now() -> str:
 class Certificate:
     """Deterministic record of one driver run.
 
-    The seed field is null for fully deterministic drivers; randomized ones
-    echo their seed so the run is replayable.
+    Every driver is deterministic, so the record's seed is always null; it
+    and the package version are written as constants of the content.
     """
 
     kind: str
@@ -78,9 +67,7 @@ class Certificate:
     table: tuple
     checks: tuple
     verdict: str
-    seed: Optional[int] = None
     data: dict = field(default_factory=dict)
-    version: str = __version__
     timestamp: str = field(default_factory=_now)
 
     def __post_init__(self):
@@ -98,8 +85,8 @@ class Certificate:
             "table": list(self.table),
             "checks": list(self.checks),
             "verdict": self.verdict,
-            "seed": self.seed,
-            "version": self.version,
+            "seed": None,
+            "version": __version__,
         }
 
     def canonical_bytes(self) -> bytes:
@@ -325,54 +312,3 @@ def tower_certificate(m: int, n: int, q: int,
     verdict = "PASS" if audit.passed and behaviour_ok else "FAIL"
     return Certificate("tower-audit", inputs, tuple(table), tuple(checks),
                        verdict)
-
-
-# ---------------------------------------------------------------------------
-# Local-knot annihilation.
-
-
-def _random_knot(rng: random.Random) -> FormalKnot:
-    atoms = []
-    for _ in range(rng.randint(1, 3)):
-        atoms.append(Atom(twist_matrix(rng.randint(1, 8)),
-                          rng.randint(1, 4), rng.choice((1, -1))))
-    return FormalKnot(tuple(atoms))
-
-
-def local_knot_certificate(m: int, n: int, q: int,
-                           d_values: Sequence[int] = (4, 8, 16, 32, 64),
-                           count: int = 10, seed: int = 0,
-                           cap_edges: int = DEFAULT_CAP_EDGES) -> Certificate:
-    """Infections along single strands under reduced tower characters.
-
-    Each row asserts full triviality of the resulting class: zero signatures,
-    trivial discriminant, even rank. The random knots are replayable from the
-    echoed seed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    inputs = {"m": m, "n": n, "q": q, "d_values": list(d_values),
-              "count": count}
-    tower = build_tower(m, n, q, cap_edges=cap_edges)
-    structures = [PStructure.canonical(tower, d) for d in d_values]
-    rng = random.Random(seed)
-    knots = [_random_knot(rng) for _ in range(count)]
-    table = []
-    for k, knot in enumerate(knots, 1):
-        strand = rng.randrange(m)
-        for structure in structures:
-            result = lambda_T(structure, x_infection(m, strand, knot))
-            w = result.witt
-            trivial = w.is_trivial()
-            table.append({"knot": k, "strand": strand, "d": structure.d,
-                          "signatures": [list(pair) for pair in w.signatures],
-                          "rank_mod_2": w.rank_mod_2,
-                          "disc_trivial": w.disc_class.is_trivial()
-                          if w.disc_class is not None else None,
-                          "trivial": trivial})
-    all_trivial = all(row["trivial"] for row in table)
-    checks = ({"property": "all_classes_trivial", "ok": all_trivial},)
-    verdict = "PASS" if all_trivial else "FAIL"
-    return Certificate("local-knot-vanishing", inputs, tuple(table), checks,
-                       verdict, seed=seed,
-                       data={"knots": [kn.to_json() for kn in knots]})

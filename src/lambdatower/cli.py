@@ -61,11 +61,17 @@ def _fail(flag: str, message: str):
 
 
 def _read(flag: str, parse, text):
-    """parse(text), for int, Fraction or a JSON reader.  Python reads no
-    integer of more digits than its limit (sys.get_int_max_str_digits);
-    such an integer hits a cap, named by flag and not echoed."""
+    """parse(text), for int, Fraction, a JSON reader or the word parser.
+    Python reads no integer of more digits than its limit
+    (sys.get_int_max_str_digits), and no nesting deeper than its recursion
+    limit lets a reader descend; either hits a cap, named by flag and not
+    echoed."""
     try:
         return parse(text)
+    except RecursionError:
+        raise ResourceCapExceeded(
+            f"{flag}: nested too deep to read within Python's recursion "
+            f"limit (sys.getrecursionlimit)") from None
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise
@@ -138,18 +144,9 @@ class _WordParser:
 
     _TOKEN = re.compile(r"\s*(alpha|beta|comm|x\d+|-?\d+|[()^,*])")
 
-    def __init__(self, flag: str, text: str):
+    def __init__(self, flag: str):
         self.flag = flag
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            match = self._TOKEN.match(text, pos)
-            if match is None:
-                if not text[pos:].strip():
-                    break
-                _fail(flag, f"unexpected character {text[pos:].strip()[0]!r}")
-            self.tokens.append(match.group(1))
-            pos = match.end()
         self.pos = 0
         self.generators = set()
 
@@ -178,8 +175,18 @@ class _WordParser:
         except ValueError:
             _fail(self.flag, f"expected an integer, got {tok!r}")
 
-    def parse(self) -> tuple:
-        """(word, program): the freely reduced word and its program."""
+    def parse(self, text: str) -> tuple:
+        """(word, program): the freely reduced word of text and its program."""
+        pos = 0
+        while pos < len(text):
+            match = self._TOKEN.match(text, pos)
+            if match is None:
+                if not text[pos:].strip():
+                    break
+                _fail(self.flag,
+                      f"unexpected character {text[pos:].strip()[0]!r}")
+            self.tokens.append(match.group(1))
+            pos = match.end()
         if not self.tokens:
             return (), Program.word(())
         word, program = self._word()
@@ -255,8 +262,8 @@ class _WordParser:
 def _parse_word_program(text: str, m: int) -> tuple:
     """The --word and its program.  A program whose letters name a strand
     past m, in letters that cancel in the word, gives way to the word."""
-    parser = _WordParser("--word", text)
-    word, program = parser.parse()
+    parser = _WordParser("--word")
+    word, program = _read("--word", parser.parse, text)
     if any(gen >= m for gen in parser.generators):
         program = Program.word(word)
     return word, program

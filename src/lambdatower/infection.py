@@ -47,7 +47,6 @@ __all__ = [
     "lambda_T",
     "signature_prediction",
     "tower_infection",
-    "x_infection",
 ]
 
 
@@ -115,11 +114,6 @@ class InfectedStringLink:
         object.__setattr__(self, "infection_word", word)
         if self.program is None:
             object.__setattr__(self, "program", Program.word(word))
-
-
-def x_infection(m: int, i: int, knot: FormalKnot) -> InfectedStringLink:
-    """Infection along the i-th meridian itself: a local knot on strand i."""
-    return InfectedStringLink(m, ((i, 1),), knot)
 
 
 def tower_infection(m: int, n: int, knot: FormalKnot) -> InfectedStringLink:

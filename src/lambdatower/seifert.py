@@ -189,6 +189,9 @@ class FormalKnot:
 
     @staticmethod
     def from_json(data) -> "FormalKnot":
+        if not (isinstance(data, list)
+                and all(isinstance(entry, dict) for entry in data)):
+            raise ValueError("expected a list of atom objects")
         atoms = []
         for entry in data:
             if "n" in entry:

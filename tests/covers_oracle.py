@@ -27,7 +27,7 @@ def beta_word(n):
 
 def parse_word(text, flag="--word"):
     """The word that the CLI reads from a --word text."""
-    return _WordParser(flag, text).parse()[0]
+    return _WordParser(flag).parse(text)[0]
 
 
 def local_triviality(tower, char):

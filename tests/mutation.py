@@ -16,10 +16,12 @@ import pytest
 
 def mutant(function, old, new):
     """function rebuilt from its source with the text old replaced by new,
-    in a copy of its module's namespace."""
+    in a copy of its module's namespace.  A cached function's wrapper keeps
+    no namespace: it is read from the function the wrapper wraps, and the
+    mutant gets a cache of its own from its decorator."""
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old
-    namespace = dict(function.__globals__)
+    namespace = dict(inspect.unwrap(function).__globals__)
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
 

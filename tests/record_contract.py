@@ -205,6 +205,27 @@ INT_FLAGS = [
 # Exit 2 from a library InputError, which names its parameter as the flag.
 INPUT_ERROR = [["tower", "build", "--m", "1", "--n", "1", "--q", "4"]]
 
+# Exit 3, naming the flag, for nesting past what Python's recursion limit
+# lets a reader descend: each JSON flag and --word, nested 3,000 deep, past
+# the limit under any stack.
+_DEEP = 3000
+NESTED = [
+    ["witt", "--form", "[" * _DEEP, "--d", "4"],
+    ["witt", "--matrix", "[" * _DEEP, "--d", "4"],
+    ["sig", "--knot", "[" * _DEEP, "--d", "4", "--s", "1"],
+    ["sig", "--matrix", "[" * _DEEP, "--d", "4", "--s", "1"],
+    _tower_lift(2, 1, 4, "(" * _DEEP + "x0" + ")" * _DEEP),
+]
+
+# Exit 2: --knot JSON that is not a list of atom objects.
+KNOT_NOT_A_LIST = [["sig", "--knot", text, "--d", "4", "--s", "1"]
+                   for text in ('""', "{}")]
+
+# sig on the profile path: at a jump of the trefoil's profile (d = 6), and
+# off a jump at an order that is no prime power (d = 12).
+SIG_PROFILE = [["sig", "--knot", "trefoil", "--d", "6", "--s", "1"],
+               ["sig", "--knot", "twist:2", "--d", "12", "--s", "1"]]
+
 
 def _argvs():
     argvs = []
@@ -285,7 +306,7 @@ def _argvs():
     ]
     argvs += PRINT_LIMIT
     argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
-    argvs += INPUT_ERROR
+    argvs += INPUT_ERROR + NESTED + KNOT_NOT_A_LIST + SIG_PROFILE
     return argvs
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from lambdatower.certify import (
     family_certificate,
     independence_certificate,
-    local_knot_certificate,
     tower_certificate,
     z2_certificate,
 )
@@ -25,6 +24,7 @@ from lambdatower.covers import (
     enumerate_lifts,
     evaluate_character,
 )
+from lambdatower.infection import InfectedStringLink, PStructure, lambda_T
 from lambdatower.seifert import (
     Atom,
     FormalKnot,
@@ -55,9 +55,9 @@ def _report(capsys, number: int, label: str, ok: bool, detail: str = "") -> None
     assert ok, f"criterion {number} failed: {label}{suffix}"
 
 
-def _random_twist_knot(rng: random.Random) -> FormalKnot:
+def _random_twist_knot(rng: random.Random, max_atoms: int = 4) -> FormalKnot:
     atoms = []
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, max_atoms)):
         atoms.append(Atom(twist_matrix(rng.randint(1, 8)),
                           rng.randint(1, 4), rng.choice((1, -1))))
     return FormalKnot(tuple(atoms))
@@ -180,13 +180,18 @@ def test_criterion_05_character_properties(capsys):
 
 
 def test_criterion_06_local_knot_annihilation(capsys):
-    cert = local_knot_certificate(2, 1, 4, d_values=(4, 8, 16, 32, 64),
-                                  count=10, seed=606)
-    ok = (cert.verdict == "PASS" and len(cert.table) == 50
-          and all(row["trivial"] for row in cert.table)
-          and all(row["rank_mod_2"] == 0 for row in cert.table)
-          and all(not any(v for _, v in row["signatures"])
-                  for row in cert.table))
+    # a local knot on one strand: the infection along its meridian
+    tower = build_tower(2, 1, 4)
+    structures = [PStructure.canonical(tower, d) for d in (4, 8, 16, 32, 64)]
+    rng = random.Random(606)
+    knots = [_random_twist_knot(rng, max_atoms=3) for _ in range(10)]
+    ok = True
+    for knot in knots:
+        link = InfectedStringLink(2, ((rng.randrange(2), 1),), knot)
+        for structure in structures:
+            w = lambda_T(structure, link).witt
+            ok = (ok and not any(v for _, v in w.signatures)
+                  and w.rank_mod_2 == 0 and w.is_trivial())
     _report(capsys, 6, "strand infections by local knots vanish", ok,
             "10 knots, 5 characters")
 

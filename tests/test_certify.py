@@ -3,12 +3,12 @@ import json
 
 import pytest
 
+from lambdatower import __version__
 from lambdatower import certify, covers, infection, knotforge, seifert
 from lambdatower.certify import (
     Certificate,
     family_certificate,
     independence_certificate,
-    local_knot_certificate,
     tower_certificate,
     z2_certificate,
 )
@@ -47,11 +47,13 @@ class TestCertificate:
         assert a.content_hash() != b.content_hash()
 
     def test_json_shape(self):
-        cert = Certificate("family", {"p": 2}, ({"s": 0},), (), "PASS", seed=7)
+        cert = Certificate("family", {"p": 2}, ({"s": 0},), (), "PASS")
         data = cert.to_json()
         assert data["kind"] == "family"
         assert data["verdict"] == "PASS"
-        assert data["seed"] == 7
+        # every driver is deterministic: no seed to echo
+        assert data["seed"] is None
+        assert data["version"] == __version__
         assert data["content_hash"] == cert.content_hash()
         assert "timestamp" in data
         json.dumps(data)
@@ -301,23 +303,3 @@ class TestTowerCertificate:
         assert [c["level"] for c in behaviour] == [0]
         assert behaviour[0]["mismatches"] == 0
 
-
-class TestLocalKnotCertificate:
-    def test_all_trivial(self):
-        cert = local_knot_certificate(2, 1, 4, count=3, seed=1)
-        assert cert.verdict == "PASS"
-        assert len(cert.table) == 3 * 5
-        assert all(row["trivial"] for row in cert.table)
-        assert all(row["rank_mod_2"] == 0 for row in cert.table)
-        assert cert.seed == 1
-
-    def test_replayable(self):
-        a = local_knot_certificate(2, 1, 4, count=2, seed=9)
-        b = local_knot_certificate(2, 1, 4, count=2, seed=9)
-        assert a.canonical_bytes() == b.canonical_bytes()
-        c = local_knot_certificate(2, 1, 4, count=2, seed=10)
-        assert c.data["knots"] != a.data["knots"]
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            local_knot_certificate(2, 1, 4, count=-1)

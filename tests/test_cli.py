@@ -80,6 +80,10 @@ class TestWordParser:
         assert parse_word("") == ()
         assert parse_word("   ") == ()
 
+    def test_nested_100_deep(self):
+        assert parse_word("(" * 100 + "x0" + ")" * 100) == ((0, 1),)
+        assert parse_word("(x0 " * 100 + ")^1" * 100) == ((0, 1),) * 100
+
     def test_errors(self):
         for bad in ("y0", "comm(x0", "x0^", "x0)", "comm(x0;x1)",
                     "alpha(-1)", "alpha(x0)"):
@@ -168,6 +172,19 @@ class TestScalarCommands:
         data = run_json(capsys, "sig", "--knot", '[{"n": 1, "r": 2}]',
                         "--d", "8", "--s", "1")
         assert data["sigma"] == -2
+
+    @pytest.mark.parametrize("text", ['{"x": {}}', "[1]", '["n"]', "null"])
+    def test_knot_json_not_a_list_of_atoms(self, capsys, text):
+        code, out, err = run(capsys, "sig", "--knot", text, "--d", "4",
+                             "--s", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: --knot: bad knot description (expected a "
+                       "list of atom objects)\n")
+
+    def test_empty_knot_json_is_the_unknot(self, capsys):
+        argv = ("sig", "--d", "4", "--s", "1")
+        assert (run_json(capsys, *argv, "--knot", "[]")
+                == run_json(capsys, *argv, "--knot", "unknot"))
 
     def test_witt_block(self, capsys):
         # [DERIVED] the triple block form of the trefoil at omega = 1 has
@@ -478,6 +495,15 @@ class TestReproduceCommands:
         assert code == 2
         assert err.startswith("error: --family: ")
         assert out == ""
+
+    def test_independence_family_knot_not_a_list(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text('{"p": 2, "entries": [{"d": 4, "knot": {}}]}')
+        code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                             "--n", "1", "--q", "4", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: --family: bad family description (expected a "
+                       "list of atom objects)\n")
 
     def test_independence_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
@@ -906,6 +932,39 @@ def test_family_file_past_the_digit_limit_exits_3(capsys, tmp_path):
                          "--n", "1", "--q", "4", "--family", str(path))
     assert (code, out) == (3, "")
     assert err.startswith("error: --family: an integer has more than")
+
+
+_DEEP = 3000  # past the recursion limit under any stack
+
+
+# Routes past the recorded ones (record_contract.NESTED): balanced nesting
+# in an atom entry, --knot and --word under lambda, and nested commutators.
+@pytest.mark.parametrize("argv, flag", [
+    (("arf", "--knot", '[{"n": ' + "[" * _DEEP + "]" * _DEEP + "}]"),
+     "--knot"),
+    (("lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word",
+      "x0", "--knot", "[" * _DEEP), "--knot"),
+    (("lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word",
+      "(" * _DEEP + "x0" + ")" * _DEEP, "--knot", "trefoil"), "--word"),
+    (("tower", "lift", "--m", "2", "--n", "1", "--q", "4", "--word",
+      "comm(" * _DEEP + "x0" + ",x1)" * _DEEP), "--word"),
+], ids=["knot-entry", "lambda-knot", "lambda-word", "word-comm"])
+def test_nesting_past_the_recursion_limit_exits_3(capsys, argv, flag):
+    # the flag is named and the input is not echoed
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: {flag}: nested too deep to read within Python's "
+                   f"recursion limit (sys.getrecursionlimit)\n")
+
+
+def test_family_file_nested_past_the_recursion_limit_exits_3(capsys,
+                                                             tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text("[" * _DEEP)
+    code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                         "--n", "1", "--q", "4", "--family", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: --family: nested too deep to read")
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -883,7 +883,7 @@ def test_programs_lift_like_their_words(data):
     m = data.draw(st.sampled_from((2, 3)))
     text, want = data.draw(st.recursive(_leaf_words(m), _compound_words,
                                         max_leaves=6))
-    word, program = cli._WordParser("--word", text).parse()
+    word, program = cli._WordParser("--word").parse(text)
     # the parser's word is the one the word functions spell, and the
     # program spells it before free reduction
     assert word == parse_word(text) == want
@@ -1258,7 +1258,7 @@ def test_voltage_walk_over_long_cycles_below(text):
     # voltages of several copies, so orbits are found as the least of
     # several candidates; the level has 531,441 vertices
     tower = _tower(2, 2, 27)
-    _, program = cli._WordParser("--word", text).parse()
+    _, program = cli._WordParser("--word").parse(text)
     char = Character.of(0, {(0, 0): 1, (0, 27 * 729 + 5): -2, (1, 3): 4})
     _same_profile(lift_profile(tower.top, program, char),
                   whole_level_profile(tower.top, program, char))
@@ -1293,7 +1293,7 @@ def test_merge_bound_keeps_the_profile(monkeypatch):
     # bound of 4,096, and the merge runs on 21 compositions: merging on
     # every composition, or on none, gives the same profile
     tower = _tower(2, 4, 4)
-    _, program = cli._WordParser("--word", "(alpha(2)*x0)^1000").parse()
+    _, program = cli._WordParser("--word").parse("(alpha(2)*x0)^1000")
     char = character_f(tower)
     want = lift_profile(tower.top, program, char)
     merged = covers._merged

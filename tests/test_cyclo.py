@@ -19,6 +19,8 @@ from lambdatower.cyclo import (
 )
 from lambdatower.witt import embeddings
 
+from mutation import assert_killed
+
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 32]
 
 
@@ -474,6 +476,20 @@ def test_one_rotation_table_per_order_over_two_sessions():
             cyclo._float_cos_table(d, embeddings(d))
     assert cyclo._rotations.cache_info().misses == len(orders)
     assert cyclo._float_cos_table.cache_info().misses == len(orders)
+
+
+@pytest.mark.parametrize("function, old, new, test", [
+    # the lower end without its slack: C/S rounds past cot at d = 16
+    (cyclo.cot_table, "low = (c - err) / (s + err if c >= err else s - err)",
+     "low = c / s", lambda: _assert_cot_table_encloses(16)),
+    # the upper end without its slack: only cot = 0, at u = d/2, needs it,
+    # so d = 4 kills this mutant and d = 3, 7, 9, 16, 27, 64, 768, 2187 and
+    # 4096 do not
+    (cyclo.cot_table, "(c + err) / (s - err)", "c / s",
+     lambda: _assert_cot_table_encloses(4)),
+], ids=["cot-low-slack", "cot-high-slack"])
+def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
+    assert_killed(monkeypatch, function, old, new, test)
 
 
 def test_cot_table_is_bounded_and_read_only():

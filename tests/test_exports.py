@@ -141,12 +141,10 @@ def test_unused_import_check_sees_them(tmp_path):
 
 
 # Exported but referenced nowhere in the package: the benchmark tracer wraps
-# the first two and omega_signature, which the tests also take as the
-# one-root reference of the sweeps, and the fourth is a certificate that no
-# command emits yet.
+# all three, and the tests also take omega_signature as the one-root
+# reference of the sweeps.
 UNREFERENCED_EXPORTS = {"covers.component_loop_path", "covers.evaluate_character",
-                        "seifert.omega_signature",
-                        "certify.local_knot_certificate"}
+                        "seifert.omega_signature"}
 
 
 def _unreferenced_exports(paths):

@@ -12,7 +12,6 @@ from lambdatower.infection import (
     lambda_T,
     signature_prediction,
     tower_infection,
-    x_infection,
 )
 from lambdatower.knotforge import build_family
 from lambdatower.seifert import (
@@ -70,12 +69,12 @@ class TestInfectedStringLink:
             InfectedStringLink(2, ((2, 1),), twist_knot(1))
 
     def test_helpers(self):
-        assert x_infection(3, 2, twist_knot(1)).infection_word == ((2, 1),)
         link = tower_infection(2, 1, twist_knot(1))
         assert link.infection_word == ((0, 1), (1, 1), (0, -1), (1, -1))
         # the tower word walks as its program; any other as its letters
         assert link.program.op == "cat"
-        assert x_infection(3, 2, twist_knot(1)).program.letters == ((2, 1),)
+        local = InfectedStringLink(3, ((2, 1),), twist_knot(1))
+        assert local.program.letters == ((2, 1),)
 
 
 def test_lifts_grouped_once_in_first_seen_order(monkeypatch):
@@ -112,14 +111,16 @@ class TestLocalKnotAnnihilation:
     def test_trefoil_on_each_strand(self):
         structure = PStructure.canonical(TOWER, 4)
         for i in (0, 1):
-            result = lambda_T(structure, x_infection(2, i, twist_knot(1)))
+            link = InfectedStringLink(2, ((i, 1),), twist_knot(1))
+            result = lambda_T(structure, link)
             assert result.witt.is_trivial()
             assert result.constant_c == 0
             assert all(not row.present for row in result.per_lift)
 
     def test_meridian_lifts_cover_fully(self):
         structure = PStructure.canonical(TOWER, 4)
-        result = lambda_T(structure, x_infection(2, 0, twist_knot(1)))
+        link = InfectedStringLink(2, ((0, 1),), twist_knot(1))
+        result = lambda_T(structure, link)
         assert {row.r for row in result.per_lift} == {4}
         assert len(result.per_lift) == 4
 
@@ -129,7 +130,9 @@ class TestLocalKnotAnnihilation:
             structure = PStructure.canonical(TOWER2, d)
             for _ in range(3):
                 knot = random_knot(rng, max_cable=3)
-                result = lambda_T(structure, x_infection(2, rng.randint(0, 1), knot))
+                strand = rng.randint(0, 1)
+                link = InfectedStringLink(2, ((strand, 1),), knot)
+                result = lambda_T(structure, link)
                 assert result.witt.is_trivial()
                 assert not result.witt.partial
 
@@ -237,13 +240,14 @@ class TestOracleAgreement:
         # no lift of x0 carries a nonzero character on this tower
         structure = PStructure.canonical(TOWER, 8)
         for knot in (twist_knot(1), twist_knot(1, cable=2)):
-            link = x_infection(2, 0, knot)
+            link = InfectedStringLink(2, ((0, 1),), knot)
             part = lambda_T(structure, link, disc=False)
             assert part.constant_c == 0
             assert part.witt.partial and part.witt.disc is None
             assert part.witt.signatures == witt_zero(8).signatures
         # the cabled fallback keeps the exact zero, which it prints today
-        cabled = lambda_T(structure, x_infection(2, 0, twist_knot(1, cable=2)))
+        cabled = lambda_T(structure, InfectedStringLink(
+            2, ((0, 1),), twist_knot(1, cable=2)))
         assert cabled.witt == witt_zero(8)
 
     def test_disc_refused_for_cabled_atoms(self):

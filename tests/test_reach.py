@@ -14,7 +14,6 @@ import pathlib
 import sys
 
 import lambdatower
-from lambdatower.cyclo import is_prime_power
 from record_contract import ARGVS, run
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -28,7 +27,6 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py")
 
 # Never entered by a command, each for its reason.
 _ORACLE = "a lift oracle that only the tests and the benchmark tracer call"
-_LOCAL = "the local-knot driver, which has no command yet"
 UNENTERED = {
     "covers.lift_word": _ORACLE,
     "covers.enumerate_lifts": _ORACLE,
@@ -36,9 +34,6 @@ UNENTERED = {
     "covers.evaluate_character": _ORACLE,
     "covers._letters": "the mismatch rows of verify_lift_behaviour, which "
                        "only a tower that fails its audit reaches",
-    "certify.local_knot_certificate": _LOCAL,
-    "certify._random_knot": _LOCAL,
-    "infection.x_infection": _LOCAL,
     "cyclo.CyclotomicNumber.coeffs": "read only by the benchmark tracer's "
                                      "cyclo.inverse.degree_max probe",
     "seifert.omega_signature": "the one-root signature, which the tracer "
@@ -64,12 +59,9 @@ def _defined() -> set:
 
 
 def _kind(argv) -> tuple:
-    """The op kind of a benchmark argv: its command and subcommand, and for
-    sig the path that its order takes, the profile path off prime powers."""
+    """The op kind of a benchmark argv: its command and subcommand."""
     if argv[0] in ("tower", "reproduce"):
         return tuple(argv[:2])
-    if argv[0] == "sig":
-        return ("sig", is_prime_power(int(argv[argv.index("--d") + 1])))
     return (argv[0],)
 
 
@@ -102,9 +94,11 @@ def _entered(argvs) -> set:
             codes.add(frame.f_code)
 
     _clear_caches()
-    sys.setprofile(profile)
     try:
         for argv in argvs:
+            # Python unsets a profile function that raises, as this one does
+            # when an argv nests past the recursion limit
+            sys.setprofile(profile)
             run(argv)
     finally:
         sys.setprofile(None)
@@ -115,7 +109,7 @@ def _entered(argvs) -> set:
 
 def test_every_function_is_entered_or_allowlisted():
     argvs = _argvs()
-    assert len(argvs) == len(ARGVS) + 11
+    assert len(argvs) == len(ARGVS) + 10
     assert _defined() - _entered(argvs) == set(UNENTERED)
 
 

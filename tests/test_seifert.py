@@ -1015,9 +1015,12 @@ def test_conjugate_roots_fold_before_the_cascade():
      lambda: assert_matches_atom_sum(CABLED_MIRROR, 8, range(8))),
     (sigma_many, "s * atom.cable % d", "s % d",
      lambda: assert_matches_atom_sum(CABLED_MIRROR, 8, range(8))),
+    # the basis change never made: a zero diagonal leaves a zero minor
+    (_leading_minors, "b = _basis_change(a, k, *move)", "b = a",
+     lambda: TestFloatStage().test_zero_diagonals_take_block_pivots(9)),
 ], ids=["lower-left", "half", "schur", "block-det", "uncertified-block",
         "parity-sign", "parity-dropped", "evaluate-all-down",
         "evaluate-all-up", "evaluate-all-at", "conjugate-fold",
-        "sweep-sign", "sweep-cable"])
+        "sweep-sign", "sweep-cable", "minors-unsheared"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)
