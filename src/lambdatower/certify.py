@@ -2,14 +2,14 @@
 
 A certificate is a self-contained JSON record: echoed inputs, an evaluation
 table embedding every computed number, a list of property checks with their
-values, and a verdict. Re-running a certificate's echoed inputs reproduces
-the table bit-for-bit; the content hash covers everything except the
-timestamp, so byte-level determinism is checkable.
+values, and the verdict they imply. Re-running a certificate's echoed inputs
+reproduces the table bit-for-bit; the content hash covers everything except
+the timestamp, so byte-level determinism is checkable.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -66,15 +66,18 @@ class Certificate:
     inputs: dict
     table: tuple
     checks: tuple
-    verdict: str
+    _: KW_ONLY  # a fifth positional argument, such as a verdict, is refused
     data: dict = field(default_factory=dict)
     timestamp: str = field(default_factory=_now)
 
     def __post_init__(self):
         if self.kind not in CERTIFICATE_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.verdict not in ("PASS", "FAIL"):
-            raise ValueError(f"verdict must be PASS or FAIL, got {self.verdict!r}")
+
+    @property
+    def verdict(self) -> str:
+        """PASS exactly when every check holds."""
+        return "PASS" if all(c["ok"] for c in self.checks) else "FAIL"
 
     def content(self) -> dict:
         """Everything the hash covers; the timestamp is deliberately left out."""
@@ -120,8 +123,8 @@ def family_certificate(p: int, count: int, d_seed: int) -> Certificate:
         family = build_family(p, count, d_seed)
     except BumpSearchError as exc:
         checks = ({"property": "family_search", "ok": False, "detail": str(exc)},)
-        return Certificate("family", inputs, (), checks, "FAIL")
-    report = verify_family(family)
+        return Certificate("family", inputs, (), checks)
+    checks = list(verify_family(family))
     table = []
     for j, ej in enumerate(family.entries, 1):
         profile = signature_profile(ej.knot)
@@ -132,11 +135,9 @@ def family_certificate(p: int, count: int, d_seed: int) -> Certificate:
                 table.append({"knot": j, "d": ei.d, "s": s,
                               "sigma": value, "profile": pval,
                               "agree": value == pval and not at_jump})
-    checks = list(report.checks)
-    table_ok = all(row["agree"] for row in table)
-    checks.append({"property": "table_dual_oracle", "ok": table_ok})
-    verdict = "PASS" if report.passed and table_ok else "FAIL"
-    return Certificate("family", inputs, tuple(table), tuple(checks), verdict,
+    checks.append({"property": "table_dual_oracle",
+                   "ok": all(row["agree"] for row in table)})
+    return Certificate("family", inputs, tuple(table), tuple(checks),
                        data={"family": family.to_json()})
 
 
@@ -178,8 +179,8 @@ def independence_certificate(m: int, n: int, q: int,
             "family", f"family prime {family.p} does not match tower prime {p}")
     inputs = {"m": m, "n": n, "q": q, "family": family.to_json()}
     tower = build_tower(m, n, q, cap_edges=cap_edges)
-    famreport = verify_family(family)
-    checks = [{"property": "family_verified", "ok": famreport.passed}]
+    checks = [{"property": "family_verified",
+               "ok": all(c["ok"] for c in verify_family(family))}]
 
     alpha = derived_programs(n)[0]
     structures = [PStructure.canonical(tower, e.d) for e in family.entries]
@@ -237,9 +238,8 @@ def independence_certificate(m: int, n: int, q: int,
         checks.append({"property": "sign_coherence", "rows": coherence,
                        "ok": all(r["ok"] for r in coherence)})
 
-    verdict = "PASS" if all(c["ok"] for c in checks) else "FAIL"
     return Certificate("independence-Z", inputs, tuple(table), tuple(checks),
-                       verdict, data={"matrix": signs, "c": c_values})
+                       data={"matrix": signs, "c": c_values})
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +271,15 @@ def z2_certificate(primes: Sequence[int] = (3, 7, 11, 19)) -> Certificate:
                           "dis": [x.numerator, x.denominator],
                           "symbol": symbol, "expected": expected,
                           "ok": symbol == expected})
-    diag_ok = all(r["ok"] for r in table if r["i"] == r["j"])
-    off_ok = all(r["ok"] for r in table if r["i"] != r["j"])
-    checks = ({"property": "diagonal_minus_one", "ok": diag_ok},
-              {"property": "off_diagonal_plus_one", "ok": off_ok})
-    verdict = "PASS" if diag_ok and off_ok else "FAIL"
+    checks = ({"property": "diagonal_minus_one",
+               "ok": all(r["ok"] for r in table if r["i"] == r["j"])},
+              {"property": "off_diagonal_plus_one",
+               "ok": all(r["ok"] for r in table if r["i"] != r["j"])})
     matrix = [[r["symbol"] for r in table if r["i"] == i + 1]
               for i in range(len(discs))]
     return Certificate("independence-Z2", inputs, tuple(table), checks,
-                       verdict, data={"matrix": matrix,
-                                      "forms": [w.to_json() for w in forms]})
+                       data={"matrix": matrix,
+                             "forms": [w.to_json() for w in forms]})
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +292,17 @@ def tower_certificate(m: int, n: int, q: int,
     every admissible level."""
     inputs = {"m": m, "n": n, "q": q}
     tower = build_tower(m, n, q, cap_edges=cap_edges)
-    audit = audit_tower(tower)
-    checks = list(audit.checks)
+    checks = list(audit_tower(tower))
     betti = {c["level"]: c["value"] for c in checks
              if c["check"] == "betti_audit"}
     table = []
     for k, graph in enumerate(tower.levels):
         table.append({"level": k, "size": graph.size,
                       "edges": graph.edge_count(), "betti1": betti[k]})
-    behaviour_ok = True
     for k in range(n):
         report = verify_lift_behaviour(tower, k)
-        ok = report.passed
-        behaviour_ok = behaviour_ok and ok
         checks.append({"check": "lift_behaviour", "level": k,
                        "checked": report.checked,
-                       "mismatches": len(report.mismatches), "ok": ok})
-    verdict = "PASS" if audit.passed and behaviour_ok else "FAIL"
-    return Certificate("tower-audit", inputs, tuple(table), tuple(checks),
-                       verdict)
+                       "mismatches": len(report.mismatches),
+                       "ok": report.passed})
+    return Certificate("tower-audit", inputs, tuple(table), tuple(checks))

@@ -49,11 +49,22 @@ from .knotforge import KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
 
-__all__ = ["WORD_LETTER_CAP", "main", "build_parser"]
+__all__ = ["ERROR_TEXT_CAP", "WORD_LETTER_CAP", "main", "build_parser"]
 
 # Longest word the parser builds. beta(8) has 51,004 letters and alpha(10)
 # 442,960; alpha(11) would pass the cap.
 WORD_LETTER_CAP = 10 ** 6
+
+# Longest error text written after "error: ": a message that echoes a long
+# argument is cut here, with a count of what was cut.
+ERROR_TEXT_CAP = 200
+
+
+def _bounded(text: str) -> str:
+    if len(text) <= ERROR_TEXT_CAP:
+        return text
+    return (f"{text[:ERROR_TEXT_CAP]}... "
+            f"({len(text) - ERROR_TEXT_CAP} more characters)")
 
 
 def _fail(flag: str, message: str):
@@ -449,6 +460,8 @@ def _cmd_witt(args):
         rows = _parse_matrix("--matrix", args.matrix)
         try:
             form = lambda_block(rows, args.r, args.d, args.t)
+        except InputError:
+            raise  # names its own flag
         except ValueError as exc:
             _fail("--matrix", str(exc))
         payload = {"command": "witt", "d": args.d, "r": args.r, "t": args.t}
@@ -589,6 +602,14 @@ def _cmd_reproduce_z2(args):
 
 # ---------------------------------------------------------------------------
 # Parser assembly.
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are cut as main's are; its
+    subparsers are of its class."""
+
+    def error(self, message):
+        super().error(_bounded(message))
 
 
 def _int_flag(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
@@ -733,7 +754,7 @@ def _fill(parser: argparse.ArgumentParser, path: tuple) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole tree of subcommands."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lambdatower",
         description="Signatures, covering towers, and Witt-class invariants "
                     "of infected string links.")
@@ -764,7 +785,7 @@ def _parser(path: tuple) -> argparse.ArgumentParser:
     """
     if not path:
         return build_parser()
-    parser = argparse.ArgumentParser(prog=" ".join(("lambdatower",) + path))
+    parser = _Parser(prog=" ".join(("lambdatower",) + path))
     _fill(parser, path)
     parser.set_defaults(**dict(zip(("subcommand", f"{path[0]}_command"), path)))
     return parser
@@ -797,13 +818,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # from argparse: usage, help or a parse error
         return exc.code if isinstance(exc.code, int) else 0
     except (ResourceCapExceeded, PrecisionExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_bounded(str(exc))}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # Library input errors name their parameter, which is the flag.
         flag = (f"--{exc.name.replace('_', '-')}: "
                 if isinstance(exc, InputError) else "")
-        print(f"error: {flag}{exc}", file=sys.stderr)
+        print(f"error: {_bounded(f'{flag}{exc}')}", file=sys.stderr)
         return 2
     finally:
         if old_cap is not None:

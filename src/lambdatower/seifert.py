@@ -528,8 +528,9 @@ def signature_profile(knot: FormalKnot) -> SignatureProfile:
         n = twist_parameter(atom.matrix)
         if n is None:
             raise ValueError(
-                "profile path supports twist-family atoms only; evaluate other "
-                "matrices through the matrix path (omega_signature)")
+                "profile path supports twist-family atoms only; a non-twist "
+                "matrix takes the matrix path, which needs a prime-power "
+                "order d")
         for k in range(atom.cable):
             for branch, height in ((1, -2 * atom.sign), (-1, 2 * atom.sign)):
                 jump = Jump(n, atom.cable, k, branch, height)

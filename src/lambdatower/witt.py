@@ -31,6 +31,7 @@ from typing import Optional, Sequence, Union
 
 from .cyclo import (
     CyclotomicNumber,
+    InputError,
     ResourceCapExceeded,
     degree_of,
     embedding_signs,
@@ -433,7 +434,7 @@ def _block_rows(A, r: int, d: int) -> tuple:
     positive, A a square integer matrix, Q(zeta_d) under the degree cap and
     the work (r g)^3 phi(d)^2 under MAX_BLOCK_WORK."""
     if r < 1:
-        raise ValueError(f"block count r must be positive, got {r}")
+        raise InputError("r", f"block count r must be positive, got {r}")
     rows = _matrix_rows(A)
     g = len(rows)
     if any(len(row) != g for row in rows):

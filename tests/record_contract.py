@@ -226,6 +226,48 @@ KNOT_NOT_A_LIST = [["sig", "--knot", text, "--d", "4", "--s", "1"]
 SIG_PROFILE = [["sig", "--knot", "trefoil", "--d", "6", "--s", "1"],
                ["sig", "--knot", "twist:2", "--d", "12", "--s", "1"]]
 
+# Exit 2 naming each flag that no other record names, then --r for a block
+# count below 1 and --d for a non-twist matrix at an order that is no prime
+# power.
+FLAG_ERRORS = [
+    ["witt", "--matrix", "[[1,2]]", "--d", "4"],
+    ["witt", "--form", "[[1]]", "--d", "6"],
+    ["sig", "--knot", "trefoil", "--d", "0", "--s", "1"],
+    ["arf", "--matrix", "[[1]]"],
+    ["hilbert", "--a", "0", "--b", "3", "--q", "5"],
+    ["hilbert", "--a", "2", "--b", "x", "--q", "5"],
+    ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-3", "--word", "x0",
+     "--knot", "trefoil"],
+    ["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4", "--word", "x0",
+     "--knot", '[{"n":1,"r":2}]', "--disc"],
+    ["tower", "build", "--m", "2", "--n", "-1", "--q", "4"],
+    ["tower", "build", "--m", "2", "--n", "1", "--q", "6"],
+    ["tower", "build", "--m", "2", "--n", "1", "--q", "4", "--cap-edges", "-1"],
+    ["reproduce", "family", "--p", "4", "--count", "3", "--d-seed", "8"],
+    ["reproduce", "family", "--p", "2", "--count", "-1", "--d-seed", "8"],
+    ["reproduce", "family", "--p", "2", "--count", "3", "--d-seed", "6"],
+    ["reproduce", "independence", "--m", "2", "--n", "1", "--q", "9",
+     "--family", "tests/family_p2_d8.json"],
+    ["reproduce", "z2", "--primes", "3,3"],
+    ["sig", "--knot", "trefoil", "--d", "8", "--s", "1", "--precision-cap",
+     "10"],
+    ["sig", "--knot", "trefoil", "--d", "8", "--s", "1", "--format", "xml"],
+    _witt_matrix("[[-1,1],[0,-1]]", 0, 9, 1),
+    ["sig", "--matrix", "[[-1,1],[0,2]]", "--d", "6", "--s", "1"],
+]
+
+# Exit 2 whose message echoes a value of 2,000 entries, cut at
+# cli.ERROR_TEXT_CAP: a --form entry, a matrix entry and a knot's twist
+# parameter, each a list, and an argparse error on a 2,000-letter --d.
+_WIDE = "[" + ",".join(["1"] * 2000) + "]"
+LONG_ECHOES = [
+    ["witt", "--form", f"[[{_WIDE}]]", "--d", "4"],
+    ["witt", "--matrix", f"[[{_WIDE}]]", "--d", "4"],
+    ["sig", "--matrix", f"[[{_WIDE}]]", "--d", "4", "--s", "1"],
+    ["sig", "--knot", f'[{{"n":{_WIDE}}}]', "--d", "4", "--s", "1"],
+    ["sig", "--knot", "trefoil", "--d", "x" * 2000, "--s", "1"],
+]
+
 
 def _argvs():
     argvs = []
@@ -307,6 +349,7 @@ def _argvs():
     argvs += PRINT_LIMIT
     argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
     argvs += INPUT_ERROR + NESTED + KNOT_NOT_A_LIST + SIG_PROFILE
+    argvs += FLAG_ERRORS + LONG_ECHOES
     return argvs
 
 

@@ -29,28 +29,37 @@ def independence_cert():
 class TestCertificate:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            Certificate("mystery", {}, (), (), "PASS")
+            Certificate("mystery", {}, (), ())
 
-    def test_rejects_bad_verdict(self):
-        with pytest.raises(ValueError):
-            Certificate("family", {}, (), (), "MAYBE")
+    def test_verdict_is_derived_from_the_checks(self):
+        ok, bad = {"property": "a", "ok": True}, {"property": "b", "ok": False}
+        assert Certificate("family", {}, (), ()).verdict == "PASS"
+        assert Certificate("family", {}, (), (ok, ok)).verdict == "PASS"
+        assert Certificate("family", {}, (), (ok, bad)).verdict == "FAIL"
+        with pytest.raises(TypeError):
+            Certificate("family", {}, (), (), verdict="PASS")
+        with pytest.raises(TypeError):
+            Certificate("family", {}, (), (), "PASS")
 
     def test_hash_ignores_timestamp(self):
-        a = Certificate("family", {"p": 2}, (), (), "PASS", timestamp="t1")
-        b = Certificate("family", {"p": 2}, (), (), "PASS", timestamp="t2")
+        a = Certificate("family", {"p": 2}, (), (), timestamp="t1")
+        b = Certificate("family", {"p": 2}, (), (), timestamp="t2")
         assert a.content_hash() == b.content_hash()
         assert a.canonical_bytes() == b.canonical_bytes()
 
     def test_hash_covers_content(self):
-        a = Certificate("family", {"p": 2}, (), (), "PASS")
-        b = Certificate("family", {"p": 3}, (), (), "PASS")
+        a = Certificate("family", {"p": 2}, (), ())
+        b = Certificate("family", {"p": 3}, (), ())
         assert a.content_hash() != b.content_hash()
 
     def test_json_shape(self):
-        cert = Certificate("family", {"p": 2}, ({"s": 0},), (), "PASS")
+        checks = ({"property": "a", "ok": False},)
+        cert = Certificate("family", {"p": 2}, ({"s": 0},), checks)
         data = cert.to_json()
         assert data["kind"] == "family"
-        assert data["verdict"] == "PASS"
+        assert data["verdict"] == "FAIL"
+        assert data["checks"] == list(checks)
+        assert data["data"] == {}
         # every driver is deterministic: no seed to echo
         assert data["seed"] is None
         assert data["version"] == __version__

@@ -584,16 +584,16 @@ class TestHarness:
         (["--tower", "n=1,q=4", "--word", "x1"], (0, 141)),
     ])
     def test_closed_stdout_ends_without_a_traceback(self, argv, codes):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "lambdatower.cli", "lambda", *argv,
-             "--theta", "f-mod-4", "--knot", "trefoil"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=SRC))
-        if codes == (141,):
-            assert [proc.stdout.readline() for _ in range(3)][0] == "{\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) in codes
+        with subprocess.Popen(
+                [sys.executable, "-m", "lambdatower.cli", "lambda", *argv,
+                 "--theta", "f-mod-4", "--knot", "trefoil"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+            if codes == (141,):
+                assert [proc.stdout.readline() for _ in range(3)][0] == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) in codes
         assert "Traceback" not in err and "Exception ignored" not in err, err
 
     def test_csv_quoting(self, capsys):
@@ -613,6 +613,8 @@ _LAMBDA = ("lambda", "--word", "comm(x0,x1)", "--knot", "trefoil")
     (("sig", "--knot", "trefoil", "--d", "0", "--s", "1"), "--d"),
     (("sig", "--matrix", "[[1,1],[0,1]]", "--d", "6", "--s", "1"), "--d"),
     (("witt", "--matrix", "[[-1,1],[0,-1]]", "--d", "0"), "--d"),
+    (("witt", "--matrix", "[[-1,1],[0,-1]]", "--r", "0", "--d", "9"), "--r"),
+    (("witt", "--matrix", "[[-1,1],[0,-1]]", "--r", "-2", "--d", "9"), "--r"),
     (_LAMBDA + ("--tower", "n=1,q=4", "--theta", "f-mod-6"), "--theta"),
     (_LAMBDA + ("--tower", "n=1,q=4", "--theta", "f-mod-9"), "--theta"),
     (_LAMBDA + ("--tower", "n=0,q=4", "--theta", "f-mod-4"), "--tower"),
@@ -646,6 +648,29 @@ def test_exit_2_names_the_flag(capsys, argv, flag):
     assert code == 2
     assert err.startswith(f"error: {flag}: ")
     assert out == ""
+
+
+_WIDE = "[" + ",".join(["1"] * 100000) + "]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("witt", "--form", f"[[{_WIDE}]]", "--d", "4"),
+    ("witt", "--matrix", f"[[{_WIDE}]]", "--d", "4"),
+    ("sig", "--matrix", f"[[{_WIDE}]]", "--d", "4", "--s", "1"),
+    ("sig", "--knot", f'[{{"n":{_WIDE}}}]', "--d", "4", "--s", "1"),
+    ("hilbert", "--a", "x" * 200000, "--b", "3", "--q", "5"),
+    ("sig", "--knot", "trefoil", "--d", "x" * 200000, "--s", "1"),
+    ("sig", "--knot", "trefoil", "--d", "4", "--s", "1", *["y"] * 50000),
+], ids=["form", "witt-matrix", "sig-matrix", "knot", "rational", "argparse",
+        "extras"])
+def test_exit_2_message_echoes_a_bounded_text(capsys, argv):
+    # a value of 200,000 characters comes back cut at ERROR_TEXT_CAP, with
+    # a count of what was cut
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = err.splitlines()[-1]
+    assert len(message) < cli.ERROR_TEXT_CAP + 60
+    assert re.search(r"\.\.\. \(\d+ more characters\)$", message)
 
 
 def test_field_degree_cap(capsys):
