@@ -94,11 +94,36 @@ def _witt_matrix(matrix, r, d, t):
             "--t", str(t)]
 
 
-# A witt --matrix argv whose pivot reaches cyclo.certified_sign at each of
-# the four embeddings of Q(zeta_16): its coefficients, 2 10^300 and -10^300,
-# lie outside the float stage's range (2^-900, 2^900).  No argv of the
-# query-session menu does: the float stage decides every pivot there.
-CERTIFIED_SIGN = _witt_matrix(f"[[{10 ** 300}]]", 1, 16, 1)
+# Singular-A witt --matrix argvs, whose form is built and diagonalized
+# whatever route a nonsingular A takes.  The first one's pivot reaches
+# cyclo.certified_sign at each of the four embeddings of Q(zeta_16): its
+# coefficients, 2 10^300 and -10^300, lie outside the float stage's range
+# (2^-900, 2^900).  No argv of the query-session menu does: the float stage
+# decides every pivot there.  The second enters cyclo.zeta (the rescue of a
+# pivot-free block whose entry a has a + conj(a) = 0), the third
+# cyclo._norm_chain at d = 49.
+CERTIFIED_SIGN = _witt_matrix(f"[[{10 ** 300},0],[0,0]]", 1, 16, 1)
+SINGULAR_A = [
+    CERTIFIED_SIGN,
+    _witt_matrix("[[0,1,0],[-1,0,0],[0,0,0]]", 1, 4, 1),
+    _witt_matrix("[[-1,1,0],[0,-1,0],[0,0,0]]", 2, 49, 1),
+]
+
+# One exit-0 argv of each leaf that no other record has in that format:
+# tower verify, arf, hilbert, reproduce family and reproduce z2 in json and
+# csv, and sig and reproduce independence in csv.
+LEAVES = [argv + fmt
+          for argv in (["tower", "verify", "--m", "2", "--n", "2", "--q", "4"],
+                       ["arf", "--knot", "trefoil"],
+                       ["hilbert", "--a", "2", "--b", "3", "--q", "7"],
+                       ["reproduce", "family", "--p", "2", "--count", "2",
+                        "--d-seed", "4"],
+                       ["reproduce", "z2"])
+          for fmt in ([], ["--format", "csv"])]
+LEAVES += [["sig", "--knot", "trefoil", "--d", "8", "--s", "1", "--format",
+            "csv"],
+           ["reproduce", "independence", "--m", "2", "--n", "1", "--q", "4",
+            "--format", "csv"]]
 
 
 # Exit 3 for integers past Python's limit for printing one (4,300 digits
@@ -344,12 +369,13 @@ def _argvs():
         ["witt", "--form", "[[1,1],[1,1]]", "--d", "4"],
         _witt_matrix("[[0,1],[0,0]]", 3, 27, 1),
         _witt_matrix("[[0,1],[-1,0]]", 1, 4, 1),
-        CERTIFIED_SIGN,
+        # a nonsingular A of one 301-digit entry
+        _witt_matrix(f"[[{10 ** 300}]]", 1, 16, 1),
     ]
     argvs += PRINT_LIMIT
     argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
     argvs += INPUT_ERROR + NESTED + KNOT_NOT_A_LIST + SIG_PROFILE
-    argvs += FLAG_ERRORS + LONG_ECHOES
+    argvs += FLAG_ERRORS + LONG_ECHOES + SINGULAR_A + LEAVES
     return argvs
 
 
