@@ -33,6 +33,7 @@ from .covers import (
     derived_programs,
     derived_words,
     free_reduce,
+    level_rows,
     lift_profile,
     word_concat,
     word_inverse,
@@ -495,8 +496,7 @@ def _cmd_hilbert(args):
 
 def _cmd_tower_build(args):
     tower = build_tower(args.m, args.n, args.q, args.cap_edges)
-    rows = [{"level": k, "size": g.size, "edges": g.edge_count(),
-             "betti1": tower.betti1(k)} for k, g in enumerate(tower.levels)]
+    rows = level_rows(tower)
     payload = {"command": "tower build", "m": args.m, "n": args.n, "q": args.q,
                "levels": [g.size for g in tower.levels],
                "vertices": rows[-1]["size"], "edges": rows[-1]["edges"],

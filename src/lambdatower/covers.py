@@ -25,7 +25,6 @@ __all__ = [
     "Cell",
     "Character",
     "CoverGraph",
-    "LiftBehaviourReport",
     "Program",
     "ResourceCapExceeded",
     "Tower",
@@ -41,6 +40,7 @@ __all__ = [
     "evaluate_character",
     "free_reduce",
     "lift_profile",
+    "level_rows",
     "lift_word",
     "verify_lift_behaviour",
     "word_concat",
@@ -501,13 +501,6 @@ class Tower:
         """Whether each level is connected (_checked)."""
         return self._checked[1]
 
-    def betti1(self, k: int) -> int:
-        """First Betti number of level k, edges - vertices + 1."""
-        if not self.connected[k]:
-            raise ValueError("first Betti number of a disconnected graph")
-        graph = self.levels[k]
-        return graph.edge_count() - graph.size + 1
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "q": self.q,
                 "levels": [g.to_json() for g in self.levels]}
@@ -905,26 +898,30 @@ def character_f(tower: Tower) -> Character:
 # ---------------------------------------------------------------------------
 # Audits.
 
+def level_rows(tower: Tower) -> tuple:
+    """One row per level: its size, its edges and, for a connected covering,
+    its first Betti number edges - vertices + 1 (None otherwise)."""
+    return tuple({"level": k, "size": graph.size, "edges": graph.edge_count(),
+                  "betti1": graph.edge_count() - graph.size + 1
+                  if covering and connected else None}
+                 for k, (graph, covering, connected) in enumerate(
+                     zip(tower.levels, tower.covering, tower.connected)))
+
+
 def audit_tower(tower: Tower) -> tuple:
-    """Covering condition, connectivity, level sizes, and the Betti audit
-    beta_1 - 1 = degree * (m - 1) at every level: one check row each."""
+    """Covering condition, connectivity, level sizes (level_rows), and the
+    Betti audit beta_1 - 1 = degree * (m - 1) at every level: one check row
+    each."""
     checks = []
-    for k, graph in enumerate(tower.levels):
-        expected_size = tower.q ** (2 * k)
-        checks.append({"check": "level_size", "level": k, "value": graph.size,
-                       "ok": graph.size == expected_size})
-        covering = tower.covering[k]
-        checks.append({"check": "covering_condition", "level": k, "ok": covering})
-        connected = tower.connected[k]
-        checks.append({"check": "connected", "level": k, "ok": connected})
-        if covering and connected:
-            betti = tower.betti1(k)
-            expected = graph.size * (tower.m - 1) + 1
-            checks.append({"check": "betti_audit", "level": k, "value": betti,
-                           "ok": betti == expected})
-        else:
-            checks.append({"check": "betti_audit", "level": k, "value": None,
-                           "ok": False})
+    for row, covering, connected in zip(level_rows(tower), tower.covering,
+                                        tower.connected):
+        k, size, betti = row["level"], row["size"], row["betti1"]
+        checks += [{"check": "level_size", "level": k, "value": size,
+                    "ok": size == tower.q ** (2 * k)},
+                   {"check": "covering_condition", "level": k, "ok": covering},
+                   {"check": "connected", "level": k, "ok": connected},
+                   {"check": "betti_audit", "level": k, "value": betti,
+                    "ok": betti == size * (tower.m - 1) + 1}]
     return tuple(checks)
 
 
@@ -1036,20 +1033,10 @@ def _normal_form_codes(k: int, q: int, width: int) -> tuple:
                      (_FOUR, _SIX) if k == 0 else (_SIX, _EIGHT))))
 
 
-@dataclass(frozen=True)
-class LiftBehaviourReport:
-    level: int
-    checked: int
-    mismatches: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-def verify_lift_behaviour(tower: Tower, k: int) -> LiftBehaviourReport:
+def verify_lift_behaviour(tower: Tower, k: int) -> tuple:
     """Compare collapsed lifts of alpha_{k+1}, beta_{k+1} with their normal
-    forms.
+    forms at all 2 * |X_{k+1}| starts, and return the mismatch rows, sorted
+    by vertex and word: none when the level passes.
 
     k indexes the collapsed level: every copy of X_k inside X_{k+1} is
     contracted to a point.  The lifts obey a strict dichotomy.  Based
@@ -1091,4 +1078,4 @@ def verify_lift_behaviour(tower: Tower, k: int) -> LiftBehaviourReport:
             mismatches.append({"vertex": c * n + active, "word": name,
                                "got": (), "want": _letters(wants[c], width)})
     mismatches.sort(key=lambda row: (row["vertex"], row["word"]))
-    return LiftBehaviourReport(k, 2 * graph.size, tuple(mismatches))
+    return tuple(mismatches)

@@ -302,6 +302,7 @@ class TestTowerCertificate:
         assert [row["size"] for row in cert.table] == [1, 16, 256]
         behaviour = [c for c in cert.checks if c.get("check") == "lift_behaviour"]
         assert [c["level"] for c in behaviour] == [0, 1]
+        assert [c["checked"] for c in behaviour] == [2 * 16, 2 * 256]
         assert all(c["mismatches"] == 0 for c in behaviour)
 
     def test_three_strand_tower(self):
