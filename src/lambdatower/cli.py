@@ -50,11 +50,16 @@ from .knotforge import KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
 
-__all__ = ["ERROR_TEXT_CAP", "WORD_LETTER_CAP", "main", "build_parser"]
+__all__ = ["ERROR_TEXT_CAP", "FAMILY_BYTE_CAP", "WORD_LETTER_CAP", "main",
+           "build_parser"]
 
 # Longest word the parser builds. beta(8) has 51,004 letters and alpha(10)
 # 442,960; alpha(11) would pass the cap.
 WORD_LETTER_CAP = 10 ** 6
+
+# Longest --family file read, in bytes; a three-knot family at p = 2 takes
+# about a thousand.
+FAMILY_BYTE_CAP = 1 << 20
 
 # Longest error text written after "error: ": a message that echoes a long
 # argument is cut here, with a count of what was cut.
@@ -136,7 +141,7 @@ def _parse_knot(flag: str, text: str) -> FormalKnot:
     data = _parse_json(flag, text)
     try:
         return FormalKnot.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         _fail(flag, f"bad knot description ({exc})")
 
 
@@ -567,13 +572,21 @@ def _cmd_reproduce_family(args):
 def _cmd_reproduce_independence(args):
     if args.family is not None:
         try:
-            with open(args.family, "r", encoding="utf-8") as handle:
-                data = _read("--family", json.load, handle)
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(args.family, "rb") as handle:
+                raw = handle.read(FAMILY_BYTE_CAP + 1)
+        except OSError as exc:
+            _fail("--family", str(exc))
+        if len(raw) > FAMILY_BYTE_CAP:
+            raise ResourceCapExceeded(
+                f"--family: the file is longer than the cap of "
+                f"{FAMILY_BYTE_CAP} bytes")
+        try:
+            data = _read("--family", json.loads, raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             _fail("--family", str(exc))
         try:
             family = KnotFamily.from_json(data)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             _fail("--family", f"bad family description ({exc})")
     else:
         try:

@@ -39,8 +39,8 @@ __all__ = [
     "enumerate_lifts",
     "evaluate_character",
     "free_reduce",
-    "lift_profile",
     "level_rows",
+    "lift_profile",
     "lift_word",
     "verify_lift_behaviour",
     "word_concat",

@@ -197,6 +197,14 @@ class KnotFamily:
 
     @staticmethod
     def from_json(data) -> "KnotFamily":
+        if not (isinstance(data, dict) and "p" in data
+                and isinstance(data.get("entries"), list)):
+            raise ValueError("a family must be an object with p and a list "
+                             "of entries")
+        if not all(isinstance(e, dict) and "d" in e and "knot" in e
+                   for e in data["entries"]):
+            raise ValueError("each family entry must be an object with d "
+                             "and knot")
         return KnotFamily(data["p"], tuple(
             FamilyEntry(FormalKnot.from_json(e["knot"]), e["d"])
             for e in data["entries"]))

@@ -117,6 +117,9 @@ class SeifertMatrix:
 
     @staticmethod
     def from_json(data) -> "SeifertMatrix":
+        if not (isinstance(data, list)
+                and all(isinstance(row, list) for row in data)):
+            raise ValueError("a matrix must be a list of rows")
         return SeifertMatrix.from_rows(data)
 
 
@@ -196,8 +199,10 @@ class FormalKnot:
         for entry in data:
             if "n" in entry:
                 matrix = twist_matrix(_integer(entry["n"], "n"))
-            else:
+            elif "matrix" in entry:
                 matrix = SeifertMatrix.from_json(entry["matrix"])
+            else:
+                raise ValueError("an atom needs an n or a matrix")
             atoms.append(Atom(matrix, _integer(entry.get("r", 1), "r"),
                               _integer(entry.get("sign", 1), "sign")))
         return FormalKnot(tuple(atoms))
@@ -285,15 +290,13 @@ def _interval_signature(rows: tuple, d: int, s: int, prec: int) -> Optional[int]
     return None if sig is None else sig // 2
 
 
-@lru_cache(maxsize=1 << 16)
-def _omega_signature_cached(rows: tuple, d: int, s: int, cap: int) -> int:
+def _cascade_signature(rows: tuple, d: int, s: int) -> int:
     """The signature of M(zeta_d^s) by _interval_signature at 64 bits,
-    doubling up to the precision cap `cap`, for the roots the float pass
-    leaves open; PrecisionExhausted beyond the cap.  The cap is part of the
-    key: a value certified under a higher cap is never served under a lower
-    one."""
+    doubling up to the precision cap in force, for the roots the float pass
+    leaves open; PrecisionExhausted beyond the cap."""
     if s == 0:
         return 0
+    cap = precision_cap()
     prec = START_PRECISION
     while prec <= cap:
         sig = _interval_signature(rows, d, s, prec)
@@ -722,12 +725,11 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
 
     Each root is read off the cached float pass of the whole order
     (_float_pass).  A root it leaves open, and every root of an order
-    without a pass, goes through the mpmath cascade (_omega_signature_cached)
+    without a pass, goes through the mpmath cascade (_cascade_signature)
     at its reduced order, under the precision cap, folded to u <= d/2 as
     the float pass folds it: M(zeta^(d-u)) is the conjugate of M(zeta^u).
     """
     row = _float_pass(rows, d)
-    cap = precision_cap()
     sigs = []
     for u in exponents:
         u %= d
@@ -735,7 +737,7 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
         if sig is None:
             u = min(u, d - u)
             g = math.gcd(u, d)
-            sig = _omega_signature_cached(rows, d // g, u // g, cap)
+            sig = _cascade_signature(rows, d // g, u // g)
         sigs.append(sig)
     return sigs
 

@@ -24,5 +24,4 @@ settings.load_profile("lambdatower")
 def clear_signature_caches():
     yield
     seifert._float_pass.cache_clear()
-    seifert._omega_signature_cached.cache_clear()
     witt._pivot_inverse.cache_clear()

@@ -246,6 +246,12 @@ NESTED = [
 KNOT_NOT_A_LIST = [["sig", "--knot", text, "--d", "4", "--s", "1"]
                    for text in ('""', "{}")]
 
+# Exit 2: --knot atoms of the wrong shape, each named: an atom with neither
+# n nor matrix, and a matrix that is no list of rows.
+KNOT_ATOMS = [["sig", "--knot", text, "--d", "4", "--s", "1"]
+              for text in ("[{}]", '[{"matrix":null}]', '[{"matrix":[[0,1],5]}]',
+                           '[{"matrix":{}}]', '[{"matrix":"ab"}]')]
+
 # sig on the profile path: at a jump of the trefoil's profile (d = 6), and
 # off a jump at an order that is no prime power (d = 12).
 SIG_PROFILE = [["sig", "--knot", "trefoil", "--d", "6", "--s", "1"],
@@ -375,7 +381,7 @@ def _argvs():
     argvs += PRINT_LIMIT
     argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
     argvs += INPUT_ERROR + NESTED + KNOT_NOT_A_LIST + SIG_PROFILE
-    argvs += FLAG_ERRORS + LONG_ECHOES + SINGULAR_A + LEAVES
+    argvs += FLAG_ERRORS + LONG_ECHOES + SINGULAR_A + LEAVES + KNOT_ATOMS
     return argvs
 
 

@@ -505,6 +505,50 @@ class TestReproduceCommands:
         assert err == ("error: --family: bad family description (expected a "
                        "list of atom objects)\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"p": 2}', "a family must be an object with p and a list of entries"),
+        ("[1]", "a family must be an object with p and a list of entries"),
+        ('{"p": 2, "entries": [5]}',
+         "each family entry must be an object with d and knot"),
+        ('{"p": 2, "entries": [{"d": 4}]}',
+         "each family entry must be an object with d and knot"),
+        ('{"p": 2, "entries": [{"d": 4, "knot": [{}]}]}',
+         "an atom needs an n or a matrix"),
+        ('{"p": 2, "entries": [{"d": 4, "knot": [{"matrix": "ab"}]}]}',
+         "a matrix must be a list of rows")])
+    def test_independence_family_shape_is_named(self, capsys, tmp_path, text,
+                                                message):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                             "--n", "1", "--q", "4", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --family: bad family description ({message})\n"
+
+    def test_independence_family_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
+                             "--n", "1", "--q", "4", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: --family: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
+    def test_independence_family_over_the_byte_cap(self, capsys, tmp_path):
+        # a family padded with spaces to the cap is read; one byte more is not
+        family = KnotFamily(2, (FamilyEntry(FormalKnot(), 4),))
+        text = json.dumps(family.to_json())
+        path = tmp_path / "family.json"
+        for pad, want in ((0, 0), (1, 3)):
+            path.write_text(text.ljust(cli.FAMILY_BYTE_CAP + pad))
+            code, out, err = run(capsys, "reproduce", "independence", "--m",
+                                 "2", "--n", "1", "--q", "4",
+                                 "--family", str(path))
+            assert code == want
+        assert out == ""
+        assert err == (f"error: --family: the file is longer than the cap of "
+                       f"{cli.FAMILY_BYTE_CAP} bytes\n")
+
     def test_independence_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
                              "--n", "1", "--q", "4",

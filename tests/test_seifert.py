@@ -437,7 +437,7 @@ def test_float_pass_decides_the_corpus(matrix, d, data):
     row = _float_pass(matrix.rows, d)
     assert row is not None and None not in row
     us = data.draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=3))
-    with mock.patch.object(seifert, "_omega_signature_cached", _refuse):
+    with mock.patch.object(seifert, "_cascade_signature", _refuse):
         sigs = signature_sweep(matrix.rows, d, us)
     roots = [Fraction(u, d) for u in us]
     assert sigs == [_reference(matrix, u.denominator, u.numerator)
@@ -957,7 +957,7 @@ def test_evaluate_all_with_jumps_on_turns(knot, d):
 def test_conjugate_roots_fold_before_the_cascade():
     # at d = 2^150 the float pass leaves both roots open.  Unfolded, s = d - 1
     # encloses phi = pi s/d with an infinite cot below 256 bits; folded, it
-    # is the root s = 1, cached
+    # is the root s = 1, decided at 64 bits like s = 1 itself
     d = 2 ** 150
     seen = []
 
@@ -967,7 +967,7 @@ def test_conjugate_roots_fold_before_the_cascade():
 
     with mock.patch.object(seifert, "_interval_signature", counted):
         assert signature_sweep(((-1, 1), (0, -1)), d, [1, d - 1]) == [0, 0]
-    assert seen == [64]
+    assert seen == [64, 64]
 
 
 @pytest.mark.parametrize("function, old, new, test", [

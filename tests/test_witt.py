@@ -661,7 +661,7 @@ class TestBlockInvariants:
         def refuse(*args):
             raise AssertionError("the cascade ran")
 
-        monkeypatch.setattr(seifert, "_omega_signature_cached", refuse)
+        monkeypatch.setattr(seifert, "_cascade_signature", refuse)
         assert {key: block_invariants(A, *key, 1) for key in want} == want
 
     @pytest.mark.parametrize("case", _NONSINGULAR)
