@@ -569,10 +569,17 @@ def _cmd_reproduce_family(args):
     return cert.to_json(), list(cert.table)
 
 
+def _open_unwaiting(path, flags) -> int:
+    """os.open, not waiting for a FIFO's writer; reads block as usual."""
+    fd = os.open(path, flags | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    return fd
+
+
 def _cmd_reproduce_independence(args):
     if args.family is not None:
         try:
-            with open(args.family, "rb") as handle:
+            with open(args.family, "rb", opener=_open_unwaiting) as handle:
                 raw = handle.read(FAMILY_BYTE_CAP + 1)
         except OSError as exc:
             _fail("--family", str(exc))
@@ -641,10 +648,13 @@ def _int_flag(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    _int_flag(parser, "--cap-edges", default=DEFAULT_CAP_EDGES, metavar="N",
-              help="abort tower builds beyond N edges")
-    _int_flag(parser, "--precision-cap", default=None, metavar="BITS",
-              help="bit budget for certified signs")
+
+
+# The caps, each added by the leaves whose code reads it.
+_cap_edges_flag = partial(_int_flag, flag="--cap-edges", default=DEFAULT_CAP_EDGES,
+                          metavar="N", help="abort tower builds beyond N edges")
+_precision_cap_flag = partial(_int_flag, flag="--precision-cap", metavar="BITS",
+                              help="bit budget for certified signs")
 
 
 def _knot_input(parser: argparse.ArgumentParser) -> None:
@@ -658,12 +668,14 @@ def _tower_flags(parser: argparse.ArgumentParser) -> None:
     _int_flag(parser, "--n", required=True, help="tower height")
     _int_flag(parser, "--q", required=True,
               help="prime power > 2 controlling each step")
+    _cap_edges_flag(parser)
 
 
 def _sig_flags(parser: argparse.ArgumentParser) -> None:
     _knot_input(parser)
     _int_flag(parser, "--d", required=True, help="root order")
     _int_flag(parser, "--s", required=True, help="root exponent")
+    _precision_cap_flag(parser)
 
 
 def _witt_flags(parser: argparse.ArgumentParser) -> None:
@@ -675,6 +687,7 @@ def _witt_flags(parser: argparse.ArgumentParser) -> None:
     _int_flag(parser, "--d", required=True, help="cyclotomic order")
     _int_flag(parser, "--r", default=1, help="block count (with --matrix)")
     _int_flag(parser, "--t", default=1, help="twist exponent (with --matrix)")
+    _precision_cap_flag(parser)
 
 
 def _hilbert_flags(parser: argparse.ArgumentParser) -> None:
@@ -710,28 +723,34 @@ def _lambda_flags(parser: argparse.ArgumentParser) -> None:
                        help="require discriminant-level output")
     group.add_argument("--signatures-only", action="store_true",
                        help="skip discriminant-level output")
+    _cap_edges_flag(parser)
+    _precision_cap_flag(parser)
 
 
 def _family_flags(parser: argparse.ArgumentParser) -> None:
     _int_flag(parser, "--p", required=True, help="base prime")
     _int_flag(parser, "--count", required=True, help="family size")
     _int_flag(parser, "--d-seed", required=True, help="first order")
+    _precision_cap_flag(parser)
 
 
 def _independence_flags(parser: argparse.ArgumentParser) -> None:
     _tower_flags(parser)
     parser.add_argument("--family", default=None, metavar="FILE",
                         help="family JSON file (default: build a 3-knot family)")
+    _precision_cap_flag(parser)
 
 
 def _z2_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--primes", default=None,
                         help="comma-separated dual primes (default 3,7,11,19)")
+    _precision_cap_flag(parser)
 
 
 # Every command that runs a handler, in the order of the help: its path of
 # subcommand names -> (help line, what adds its own flags, handler).  The
-# common flags follow its own.
+# common flags follow its own, which include --cap-edges where it builds a
+# tower and --precision-cap where it certifies a sign.
 _LEAVES = {
     ("sig",): ("signature at a root of unity", _sig_flags, _cmd_sig),
     ("arf",): ("Arf invariant", _knot_input, _cmd_arf),
@@ -822,9 +841,9 @@ def main(argv=None) -> int:
         if extras:
             # the tree's top level reports them, under its own usage
             args = _parser(()).parse_args(argv)
-        if args.precision_cap is not None:
+        if getattr(args, "precision_cap", None) is not None:
             old_cap = set_precision_cap(args.precision_cap)
-        if args.cap_edges < 0:
+        if getattr(args, "cap_edges", 0) < 0:
             _fail("--cap-edges",
                   f"edge cap must be nonnegative, got {args.cap_edges}")
         payload, rows = args.handler(args)

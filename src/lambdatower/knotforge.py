@@ -29,7 +29,6 @@ from .seifert import (
 
 __all__ = [
     "MAX_FAMILY_ORDER",
-    "BumpPlan",
     "BumpSearchError",
     "BumpSpec",
     "FamilyEntry",
@@ -75,19 +74,6 @@ class BumpSpec:
         return (self.theta1 / 6, self.theta0 / 2)
 
 
-@dataclass(frozen=True)
-class BumpPlan:
-    """A successful bump search: the band indices and the found knot."""
-
-    spec: BumpSpec
-    d: int
-    s: int
-    tau: Fraction  # target argument in turns, folded into (0, 1/2)
-    n: int  # band lies between the jump angles of twist(n-1) and twist(n)
-    epsilon: Fraction  # rational half-width certificate for the band, in turns
-    knot: FormalKnot
-
-
 def _twist_bracket(tau: Fraction) -> int:
     """Least n >= 2 with t_n < tau, for 0 < tau < 1/6.
 
@@ -109,8 +95,8 @@ def _twist_bracket(tau: Fraction) -> int:
 
 
 def plan_bump(spec: BumpSpec, d: int, s: int,
-              positivity: bool = False) -> BumpPlan:
-    """Search the twist lattice for a band realizing a bump at zeta_d^s.
+              positivity: bool = False) -> FormalKnot:
+    """The bump knot J # -cable_2(J) of the twist band J found at zeta_d^s.
 
     The band (t_n, t_{n-1}) between adjacent twist jump angles must contain
     the target, fit in the window together with its half-angle image, and stay
@@ -156,9 +142,7 @@ def plan_bump(spec: BumpSpec, d: int, s: int,
             f"turns for target {tau}; no admissible band")
 
     j = twist_knot(m - 1) - twist_knot(m)
-    knot = j - j.cable(2)
-    epsilon = min(tau / 3, w_hi - tau)
-    return BumpPlan(spec, d, s, tau, m, epsilon, knot)
+    return j - j.cable(2)
 
 
 @dataclass(frozen=True)
@@ -254,7 +238,7 @@ def build_family(p: int, count: int, d_seed: int) -> KnotFamily:
             knot = _head_knot()
         else:
             spec = BumpSpec(Fraction(2, 3 * prev), Fraction(2, d))
-            knot = plan_bump(spec, d, 1, positivity=(p == 2)).knot
+            knot = plan_bump(spec, d, 1, positivity=(p == 2))
         value = sigma_details(knot, d, 1).value
         if value < 0:
             knot = -knot

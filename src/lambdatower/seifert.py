@@ -726,20 +726,17 @@ def signature_sweep(rows: tuple, d: int, exponents) -> list:
     Each root is read off the cached float pass of the whole order
     (_float_pass).  A root it leaves open, and every root of an order
     without a pass, goes through the mpmath cascade (_cascade_signature)
-    at its reduced order, under the precision cap, folded to u <= d/2 as
-    the float pass folds it: M(zeta^(d-u)) is the conjugate of M(zeta^u).
+    at its reduced order, under the precision cap, once for each pair of
+    conjugate roots M(zeta^u), M(zeta^(d-u)), folded to u <= d/2.
     """
     row = _float_pass(rows, d)
-    sigs = []
-    for u in exponents:
-        u %= d
-        sig = None if row is None else row[u]
+    folded = [min(u % d, -u % d) for u in exponents]
+    sigs = {u: None if row is None else row[u] for u in folded}
+    for u, sig in sigs.items():
         if sig is None:
-            u = min(u, d - u)
             g = math.gcd(u, d)
-            sig = _cascade_signature(rows, d // g, u // g)
-        sigs.append(sig)
-    return sigs
+            sigs[u] = _cascade_signature(rows, d // g, u // g)
+    return [sigs[u] for u in folded]
 
 
 def sigma_many(knot: FormalKnot, d: int, exponents) -> list:

@@ -300,6 +300,27 @@ LONG_ECHOES = [
 ]
 
 
+# Exit 2 from the tree's top level, naming the flag, for each cap given to
+# a leaf that does not read it: --precision-cap to the leaves that certify
+# no sign, --cap-edges to those that build no tower.  Each argv is valid
+# without the cap.
+REMOVED_CAPS = (
+    [argv + ["--precision-cap", "256"]
+     for argv in (["arf", "--knot", "trefoil"],
+                  ["hilbert", "--a", "2", "--b", "3", "--q", "7"],
+                  ["tower", "build", "--m", "2", "--n", "1", "--q", "4"],
+                  _tower_lift(2, 1, 4, "x0"),
+                  ["tower", "verify", "--m", "2", "--n", "1", "--q", "4"])]
+    + [argv + ["--cap-edges", str(10 ** 7)]
+       for argv in (["sig", "--knot", "trefoil", "--d", "8", "--s", "1"],
+                    ["arf", "--knot", "trefoil"],
+                    ["witt", "--form", "[[1]]", "--d", "4"],
+                    ["hilbert", "--a", "2", "--b", "3", "--q", "7"],
+                    ["reproduce", "family", "--p", "2", "--count", "2",
+                     "--d-seed", "4"],
+                    ["reproduce", "z2"])])
+
+
 def _argvs():
     argvs = []
     for m, n, q in _LIFT_TOWERS:
@@ -382,6 +403,7 @@ def _argvs():
     argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
     argvs += INPUT_ERROR + NESTED + KNOT_NOT_A_LIST + SIG_PROFILE
     argvs += FLAG_ERRORS + LONG_ECHOES + SINGULAR_A + LEAVES + KNOT_ATOMS
+    argvs += REMOVED_CAPS
     return argvs
 
 

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -549,6 +550,39 @@ class TestReproduceCommands:
         assert err == (f"error: --family: the file is longer than the cap of "
                        f"{cli.FAMILY_BYTE_CAP} bytes\n")
 
+    def test_independence_family_fifo(self, capsys, tmp_path):
+        # a FIFO with no writer reads as empty, where open waited for a
+        # writer forever; one whose writer is slow to write is read whole,
+        # as the same text in a file is.  Each FIFO is read in a process of
+        # its own, so that a wait ends on the timeout and fails
+        text = json.dumps(KnotFamily(2, (FamilyEntry(FormalKnot(), 4),))
+                          .to_json())
+        fifo, path = tmp_path / "family.fifo", tmp_path / "family.json"
+        os.mkfifo(fifo)
+        path.write_text(text)
+        argv = ["reproduce", "independence", "--m", "2", "--n", "1", "--q",
+                "4", "--family"]
+        want = run_json(capsys, *argv, str(path))["content_hash"]
+        argv = [sys.executable, "-m", "lambdatower.cli", *argv, str(fifo)]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: --family: ")
+
+        def write():
+            with open(fifo, "w") as handle:
+                time.sleep(0.2)
+                handle.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=30)
+        writer.join(timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["content_hash"] == want
+
     def test_independence_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "reproduce", "independence", "--m", "2",
                              "--n", "1", "--q", "4",
@@ -606,8 +640,8 @@ class TestHarness:
         assert cyclo.precision_cap() == before
 
     def test_precision_cap_validation(self, capsys):
-        code, out, err = run(capsys, "hilbert", "--a", "1", "--b", "1",
-                             "--q", "3", "--precision-cap", "10")
+        code, out, err = run(capsys, "sig", "--knot", "trefoil", "--d", "8",
+                             "--s", "1", "--precision-cap", "10")
         assert code == 2
         assert "--precision-cap" in err
         assert out == ""
@@ -1107,22 +1141,26 @@ def test_parsers_print_what_the_tree_prints(capsys, path):
             assert run(capsys, *argv) == _tree_prints(capsys, argv), argv
 
 
-# The flags of every leaf besides the common ones, as its help lists them.
+# The flags of every leaf besides the common ones, as its help lists them:
+# --cap-edges where the leaf builds a tower, --precision-cap where it
+# certifies a sign.
 _LEAF_FLAGS = {
-    ("sig",): {"--matrix", "--knot", "--d", "--s"},
+    ("sig",): {"--matrix", "--knot", "--d", "--s", "--precision-cap"},
     ("arf",): {"--matrix", "--knot"},
-    ("witt",): {"--matrix", "--form", "--d", "--r", "--t"},
+    ("witt",): {"--matrix", "--form", "--d", "--r", "--t", "--precision-cap"},
     ("hilbert",): {"--a", "--b", "--q"},
-    ("tower", "build"): {"--m", "--n", "--q", "--full"},
-    ("tower", "lift"): {"--m", "--n", "--q", "--word", "--level"},
-    ("tower", "verify"): {"--m", "--n", "--q"},
+    ("tower", "build"): {"--m", "--n", "--q", "--full", "--cap-edges"},
+    ("tower", "lift"): {"--m", "--n", "--q", "--word", "--level",
+                        "--cap-edges"},
+    ("tower", "verify"): {"--m", "--n", "--q", "--cap-edges"},
     ("lambda",): {"--tower", "--theta", "--word", "--knot", "--disc",
-                  "--signatures-only"},
-    ("reproduce", "family"): {"--p", "--count", "--d-seed"},
-    ("reproduce", "independence"): {"--m", "--n", "--q", "--family"},
-    ("reproduce", "z2"): {"--primes"},
+                  "--signatures-only", "--cap-edges", "--precision-cap"},
+    ("reproduce", "family"): {"--p", "--count", "--d-seed", "--precision-cap"},
+    ("reproduce", "independence"): {"--m", "--n", "--q", "--family",
+                                    "--cap-edges", "--precision-cap"},
+    ("reproduce", "z2"): {"--primes", "--precision-cap"},
 }
-_COMMON_FLAGS = {"-h", "--help", "--format", "--cap-edges", "--precision-cap"}
+_COMMON_FLAGS = {"-h", "--help", "--format"}
 
 
 def test_every_leaf_takes_its_flags():
@@ -1183,6 +1221,9 @@ _FORMS = (("[[1]]", "[[2,1],[1,-3]]", '[["1/2"]]', "[[0,0],[0,0]]"),
           ("[[1,2],[3,4]]", "[[[1,0]]]", "[1]"))
 _WORDS = (("x0", "x1^2", "comm(x0,x1)", "alpha(1)", "beta(1)", "alpha(2)",
            "x0 x0^-1", ""), ("x5", "(x0", "x0^", "alpha(-1)"))
+# The kinds that take --precision-cap, and those that take --cap-edges.
+_SIGN_KINDS = ("sig", "witt", "lambda", "family", "independence", "z2")
+_TOWER_KINDS = ("build", "lift", "verify", "lambda", "independence")
 # Deck order q -> the greatest height n with q^(2n) <= 4^4.
 _TOWER_SIZES = {3: 2, 4: 2, 5: 1, 7: 1, 8: 1, 9: 1, 16: 1}
 
@@ -1284,9 +1325,9 @@ def _argvs(draw, kind):
                                    min_size=1, max_size=4))
             parts.append(("--primes", ",".join(map(str, primes))))
     parts.append(draw(_flag("--format", ("json", "csv"))))
-    if draw(st.booleans()):
+    if kind in _SIGN_KINDS and draw(st.booleans()):
         parts.append(draw(_flag("--precision-cap", (64, 256), (10,))))
-    if draw(st.booleans()):
+    if kind in _TOWER_KINDS and draw(st.booleans()):
         parts.append(draw(_flag("--cap-edges", (10 ** 7, 100, 0), (-1,))))
     for name, value in draw(st.permutations(parts)):
         argv += [name] if value is None else [name, value]

@@ -10,7 +10,6 @@ import pytest
 from lambdatower import knotforge
 from lambdatower.cyclo import ResourceCapExceeded
 from lambdatower.knotforge import (
-    BumpPlan,
     BumpSearchError,
     BumpSpec,
     FamilyEntry,
@@ -34,6 +33,16 @@ from lambdatower.seifert import (
 
 def atom_shapes(knot):
     return [(twist_parameter(a.matrix), a.cable, a.sign) for a in knot.atoms]
+
+
+def bump_band(spec, d, s):
+    """(tau, n, epsilon) of plan_bump's knot: the target in turns, folded
+    into (0, 1/2); the n whose twist(n - 1) and twist(n) the knot is built
+    from, read off its atoms; and the rational half-width certificate
+    min(tau/3, theta0/2 - tau) of the band, in turns."""
+    tau = Fraction(min(s % d, -s % d), d)
+    n = max(twist for twist, _, _ in atom_shapes(plan_bump(spec, d, s)))
+    return tau, n, min(tau / 3, spec.window_turns()[1] - tau)
 
 
 def window_audit(knot, spec):
@@ -79,26 +88,24 @@ class TestMakeBump:
     # brackets 1/8 and touches the upper window edge exactly.
     def test_eighth_root_plan(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        plan = plan_bump(spec, 8, 1)
-        assert plan.n == 2
-        assert plan.tau == Fraction(1, 8)
-        assert plan.epsilon == Fraction(1, 24)
-        assert atom_shapes(plan.knot) == [
+        tau, n, eps = bump_band(spec, 8, 1)
+        assert (tau, n, eps) == (Fraction(1, 8), 2, Fraction(1, 24))
+        assert atom_shapes(plan_bump(spec, 8, 1)) == [
             (1, 1, 1), (2, 1, -1), (1, 2, -1), (2, 2, 1)]
 
     def test_eighth_root_signature_table(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        knot = plan_bump(spec, 8, 1).knot
+        knot = plan_bump(spec, 8, 1)
         assert [sigma(knot, 8, s) for s in range(8)] == [0, 2, 0, 0, 0, 0, 0, 2]
 
     def test_eighth_root_integral_vanishes(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        knot = plan_bump(spec, 8, 1).knot
+        knot = plan_bump(spec, 8, 1)
         assert signature_profile(knot).integral().is_zero()
 
     def test_support_stays_in_window_orbit(self):
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        knot = plan_bump(spec, 8, 1).knot
+        knot = plan_bump(spec, 8, 1)
         assert window_audit(knot, spec) == ()
 
     def test_epsilon_chain(self):
@@ -106,15 +113,14 @@ class TestMakeBump:
         # tau/3 <= tau/2 - eps/2 < tau + eps <= theta0 (in turns) and the
         # band lies inside [tau - eps, tau + eps].
         spec = BumpSpec(Fraction(1, 3), Fraction(1, 4))
-        plan = plan_bump(spec, 8, 1)
-        tau, eps = plan.tau, plan.epsilon
+        tau, n, eps = bump_band(spec, 8, 1)
         assert tau / 3 <= tau / 2 - eps / 2 < tau + eps <= spec.window_turns()[1]
-        assert twist_cmp(plan.n, tau - eps) >= 0
-        assert twist_cmp(plan.n - 1, tau + eps) <= 0
+        assert twist_cmp(n, tau - eps) >= 0
+        assert twist_cmp(n - 1, tau + eps) <= 0
 
     def test_positivity_flag_keeps_nonnegative_values(self):
         spec = BumpSpec(Fraction(1, 6), Fraction(1, 8))
-        knot = plan_bump(spec, 16, 1, positivity=True).knot
+        knot = plan_bump(spec, 16, 1, positivity=True)
         values = [sigma(knot, 16, s) for s in range(16)]
         assert min(values) == 0
         assert values[1] == 2
@@ -149,7 +155,7 @@ class TestMakeBump:
 
     def test_deterministic(self):
         spec = BumpSpec(Fraction(1, 6), Fraction(1, 8))
-        assert plan_bump(spec, 16, 1).knot == plan_bump(spec, 16, 1).knot
+        assert plan_bump(spec, 16, 1) == plan_bump(spec, 16, 1)
 
 
 def scan_brackets(targets):
