@@ -580,6 +580,7 @@ class TestReproduceCommands:
         proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                               timeout=30)
         writer.join(timeout=30)
+        assert not writer.is_alive()
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["content_hash"] == want
 
