@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from contextvars import copy_context
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, count
@@ -40,10 +41,11 @@ from .covers import (
     word_power,
 )
 from .cyclo import (
+    PRECISION_CAP,
+    START_PRECISION,
     InputError,
     PrecisionExhausted,
     is_prime_power,
-    set_precision_cap,
 )
 from .infection import InfectedStringLink, JoinedRows, PStructure, lambda_T
 from .knotforge import KnotFamily
@@ -455,6 +457,9 @@ def _cmd_witt(args):
     if not is_prime_power(args.d):
         _fail("--d", f"order {args.d} is not a prime power")
     if args.form is not None:
+        for flag, value in (("--r", args.r), ("--t", args.t)):
+            if value is not None:
+                _fail(flag, "only --matrix reads it, not --form")
         data = _parse_matrix("--form", args.form)
         entries = [[_parse_form_entry("--form", v) for v in row] for row in data]
         try:
@@ -464,13 +469,14 @@ def _cmd_witt(args):
         payload = {"command": "witt", "d": args.d}
     else:
         rows = _parse_matrix("--matrix", args.matrix)
+        r, t = (1 if v is None else v for v in (args.r, args.t))
         try:
-            form = lambda_block(rows, args.r, args.d, args.t)
+            form = lambda_block(rows, r, args.d, t)
         except InputError:
             raise  # names its own flag
         except ValueError as exc:
             _fail("--matrix", str(exc))
-        payload = {"command": "witt", "d": args.d, "r": args.r, "t": args.t}
+        payload = {"command": "witt", "d": args.d, "r": r, "t": t}
     w = witt_invariants(form)
     payload["witt"] = w.to_json()
     row = {"order": w.order, "rank_mod_2": w.rank_mod_2,
@@ -593,6 +599,8 @@ def _cmd_reproduce_independence(args):
             _fail("--family", str(exc))
         try:
             family = KnotFamily.from_json(data)
+        except ResourceCapExceeded as exc:
+            raise ResourceCapExceeded(f"--family: {exc}") from None
         except ValueError as exc:
             _fail("--family", f"bad family description ({exc})")
     else:
@@ -685,8 +693,8 @@ def _witt_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--form",
                        help="hermitian matrix over the cyclotomic field")
     _int_flag(parser, "--d", required=True, help="cyclotomic order")
-    _int_flag(parser, "--r", default=1, help="block count (with --matrix)")
-    _int_flag(parser, "--t", default=1, help="twist exponent (with --matrix)")
+    _int_flag(parser, "--r", help="block count (with --matrix)")
+    _int_flag(parser, "--t", help="twist exponent (with --matrix)")
     _precision_cap_flag(parser)
 
 
@@ -835,18 +843,24 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     path = _command_path(argv)
-    old_cap = None
     try:
         args, extras = _parser(path).parse_known_args(argv[len(path):])
         if extras:
             # the tree's top level reports them, under its own usage
             args = _parser(()).parse_args(argv)
-        if getattr(args, "precision_cap", None) is not None:
-            old_cap = set_precision_cap(args.precision_cap)
+        # the handler runs in a copy of the context, so a cap set for one
+        # command ends with it
+        context = copy_context()
+        cap = getattr(args, "precision_cap", None)
+        if cap is not None:
+            if cap < START_PRECISION:
+                _fail("--precision-cap", f"precision cap {cap} below "
+                      f"starting precision {START_PRECISION}")
+            context.run(PRECISION_CAP.set, cap)
         if getattr(args, "cap_edges", 0) < 0:
             _fail("--cap-edges",
                   f"edge cap must be nonnegative, got {args.cap_edges}")
-        payload, rows = args.handler(args)
+        payload, rows = context.run(args.handler, args)
     except SystemExit as exc:  # from argparse: usage, help or a parse error
         return exc.code if isinstance(exc.code, int) else 0
     except (ResourceCapExceeded, PrecisionExhausted) as exc:
@@ -858,9 +872,6 @@ def main(argv=None) -> int:
                 if isinstance(exc, InputError) else "")
         print(f"error: {_bounded(f'{flag}{exc}')}", file=sys.stderr)
         return 2
-    finally:
-        if old_cap is not None:
-            set_precision_cap(old_cap)
     try:
         _emit(payload, rows, args.format, sys.stdout)
         sys.stdout.flush()

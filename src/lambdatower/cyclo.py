@@ -21,6 +21,7 @@ signature sweeps, come from the 64-bit table.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,7 @@ from mpmath import iv, mp
 __all__ = [
     "MAX_FIELD_DEGREE",
     "MAX_TRIAL_DIVISOR",
+    "PRECISION_CAP",
     "CyclotomicNumber",
     "InputError",
     "PrecisionExhausted",
@@ -47,14 +49,15 @@ __all__ = [
     "interval_precision",
     "is_prime",
     "is_prime_power",
-    "precision_cap",
     "prime_power_split",
-    "set_precision_cap",
     "zeta",
 ]
 
 START_PRECISION = 64
-_precision_cap = 1 << 16
+# The hard precision cap, in bits, of every certified sign.  A context
+# variable: cli.main sets it for one command, in a copy of the context that
+# ends with the command.
+PRECISION_CAP = ContextVar("PRECISION_CAP", default=1 << 16)
 
 # Largest degree phi(d) of Q(zeta_d) that exact arithmetic accepts; the
 # largest in use is 500 (d = 625).
@@ -86,22 +89,6 @@ class InputError(ValueError):
     def __init__(self, name: str, message: str):
         super().__init__(message)
         self.name = name
-
-
-def set_precision_cap(bits: int) -> int:
-    """Set the hard precision cap (in bits) and return the previous value."""
-    global _precision_cap
-    if bits < START_PRECISION:
-        raise InputError("precision_cap", f"precision cap {bits} below "
-                         f"starting precision {START_PRECISION}")
-    old = _precision_cap
-    _precision_cap = bits
-    return old
-
-
-def precision_cap() -> int:
-    """The current hard precision cap in bits."""
-    return _precision_cap
 
 
 def _trial_cap(n: int) -> int:
@@ -561,8 +548,9 @@ def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:
         raise ValueError("sign is only defined for elements fixed by the involution")
     if x.is_zero():
         return 0
+    cap = PRECISION_CAP.get()
     prec = START_PRECISION
-    while prec <= _precision_cap:
+    while prec <= cap:
         _, err, cs, _ = _rotations(d, prec)
         total = 0
         for k, c in zip(x.exps, x.coefs):
@@ -579,7 +567,7 @@ def certified_sign(x: CyclotomicNumber, embedding: int = 1) -> int:
         prec *= 2
     raise PrecisionExhausted(
         f"could not separate the sign of a {len(x.coefs)}-term element of "
-        f"Q(zeta_{d}) at embedding {embedding} within {_precision_cap} bits")
+        f"Q(zeta_{d}) at embedding {embedding} within {cap} bits")
 
 
 # Largest order d whose cot table is built (2d floats); at larger orders the
@@ -736,7 +724,7 @@ def compare_cos_turns(c, u) -> int:
     if c <= -1:
         return -1
     prec = START_PRECISION
-    while prec <= _precision_cap:
+    while prec <= PRECISION_CAP.get():
         with interval_precision(prec):
             box = iv.cos(2 * iv.pi * u.numerator / u.denominator)
             lo = iv.mpf(c.numerator) / c.denominator - box

@@ -39,9 +39,16 @@ __all__ = [
 ]
 
 
-# Largest family order build_family accepts: 3^7, the last order of the
-# default family for q = 27 (orders 27, 243, 2187).
+# Largest family order, built or read: 3^7, the last order of the default
+# family for q = 27 (orders 27, 243, 2187).
 MAX_FAMILY_ORDER = 3 ** 7
+
+
+def _check_order(d: int) -> None:
+    """ResourceCapExceeded for a family order over MAX_FAMILY_ORDER."""
+    if d > MAX_FAMILY_ORDER:
+        raise ResourceCapExceeded(
+            f"family order {d} is over the cap {MAX_FAMILY_ORDER} on family orders")
 
 
 class BumpSearchError(ValueError):
@@ -153,7 +160,8 @@ class FamilyEntry:
 
 @dataclass(frozen=True)
 class KnotFamily:
-    """Knots K_i with prime powers d_i, d_1 >= 4 and d_{i+1} > 3 d_i."""
+    """Knots K_i with prime powers d_i, d_1 >= 4 and d_{i+1} > 3 d_i, each
+    at most MAX_FAMILY_ORDER."""
 
     p: int
     entries: tuple
@@ -164,6 +172,7 @@ class KnotFamily:
                 raise ValueError(f"p and every d must be integers, got {v!r}")
         prev = None
         for entry in self.entries:
+            _check_order(entry.d)
             split = prime_power_split(entry.d)
             if split is None or split[0] != self.p:
                 raise ValueError(f"{entry.d} is not a power of {self.p}")
@@ -225,9 +234,7 @@ def build_family(p: int, count: int, d_seed: int) -> KnotFamily:
     orders = []
     d = d_seed
     while len(orders) < count:
-        if d > MAX_FAMILY_ORDER:
-            raise ResourceCapExceeded(
-                f"family order {d} is over the cap {MAX_FAMILY_ORDER} on family orders")
+        _check_order(d)
         orders.append(d)
         d *= p if p > 3 else p * p  # the least power of p above 3 d
 

@@ -27,13 +27,13 @@ import numpy as np
 from mpmath import iv, mp
 
 from .cyclo import (
+    PRECISION_CAP,
     START_PRECISION,
     PrecisionExhausted,
     compare_cos_turns,
     cot_table,
     interval_precision,
     is_prime_power,
-    precision_cap,
 )
 # Not called here: bench/test_bench.py checks that the benchmark tracer
 # rebinds this name in every module that imports it.
@@ -296,7 +296,7 @@ def _cascade_signature(rows: tuple, d: int, s: int) -> int:
     leaves open; PrecisionExhausted beyond the cap."""
     if s == 0:
         return 0
-    cap = precision_cap()
+    cap = PRECISION_CAP.get()
     prec = START_PRECISION
     while prec <= cap:
         sig = _interval_signature(rows, d, s, prec)
@@ -371,7 +371,7 @@ def twist_cmp(n: int, x: Fraction) -> int:
     if 2 * x >= 1:
         return -1
     try:
-        box = _twist_enclosure(n, precision_cap())
+        box = _twist_enclosure(n, PRECISION_CAP.get())
     except PrecisionExhausted:  # the cap is too low to certify the box
         box = None
     if box is not None:

@@ -176,7 +176,7 @@ def _tower_lift(m, n, q, word, *extra):
 
 # Exit 3 at each cap that no other record reaches: edges, the 2^30 ceiling
 # of int32 vertices, field degree, block work (--r), word letters and
-# family orders.
+# family orders, built and read from --family.
 CAPS = [
     ["tower", "build", "--m", "2", "--n", "5", "--q", "8"],
     ["tower", "build", "--m", "2", "--n", "5", "--q", "8",
@@ -186,6 +186,8 @@ CAPS = [
     ["tower", "lift", "--m", "2", "--n", "1", "--q", "4", "--word",
      "alpha(11)"],
     ["reproduce", "family", "--p", "3", "--count", "3", "--d-seed", "6561"],
+    ["reproduce", "independence", "--m", "2", "--n", "1", "--q", "4",
+     "--family", "tests/family_p2_over_cap.json"],
 ]
 
 # Exit 3, naming the flag, for an integer one digit past Python's limit for
@@ -321,6 +323,12 @@ REMOVED_CAPS = (
                     ["reproduce", "z2"])])
 
 
+# Exit 2 naming the flag for each --matrix flag given with --form, which
+# reads neither, even at the value --matrix takes by default.
+MATRIX_FLAGS = [["witt", "--form", "[[1]]", "--d", "4", flag, "1"]
+                for flag in ("--r", "--t")]
+
+
 def _argvs():
     argvs = []
     for m, n, q in _LIFT_TOWERS:
@@ -403,7 +411,7 @@ def _argvs():
     argvs += UNRECORDED_PATHS + FACTOR_CAP + CAPS + OVERSIZED + INT_FLAGS
     argvs += INPUT_ERROR + NESTED + KNOT_NOT_A_LIST + SIG_PROFILE
     argvs += FLAG_ERRORS + LONG_ECHOES + SINGULAR_A + LEAVES + KNOT_ATOMS
-    argvs += REMOVED_CAPS
+    argvs += REMOVED_CAPS + MATRIX_FLAGS
     return argvs
 
 

@@ -635,10 +635,10 @@ class TestHarness:
         assert data["sigma"] == -2
 
     def test_precision_cap_restored(self, capsys):
-        before = cyclo.precision_cap()
+        before = cyclo.PRECISION_CAP.get()
         run_json(capsys, "sig", "--knot", "trefoil", "--d", "4", "--s", "1",
                  "--precision-cap", "256")
-        assert cyclo.precision_cap() == before
+        assert cyclo.PRECISION_CAP.get() == before
 
     def test_precision_cap_validation(self, capsys):
         code, out, err = run(capsys, "sig", "--knot", "trefoil", "--d", "8",
@@ -929,13 +929,13 @@ def test_near_jump_signature_within_the_precision_cap(capsys):
 def test_near_jump_signature_over_the_precision_cap(capsys):
     # the signature certified under the default cap is cached, and must not
     # be served under a cap that cannot certify it
-    before = cyclo.precision_cap()
+    before = cyclo.PRECISION_CAP.get()
     assert run_json(capsys, *_NEAR_JUMP)["sigma"] == -2
     code, out, err = run(capsys, *_NEAR_JUMP, "--precision-cap", "128")
     assert code == 3
     assert "precision cap of 128 bits" in err
     assert out == ""
-    assert cyclo.precision_cap() == before
+    assert cyclo.PRECISION_CAP.get() == before
 
 
 def test_factoring_below_the_cap():

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic and certified sign determination."""
 import math
 import random
+from contextvars import copy_context
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lambdatower import cyclo
 from lambdatower.cyclo import (
+    PRECISION_CAP,
     CyclotomicNumber,
     PrecisionExhausted,
     certified_sign,
@@ -255,16 +257,14 @@ def test_embedding_consistency_across_precision():
 
 
 def test_precision_cap_is_loud():
-    old = cyclo.set_precision_cap(64)
-    try:
-        # 2 - zeta - zeta^-1 at d=16, s=1 is ~0.076, fine at 64 bits; build a
-        # tiny but nonzero value instead: (2 - z - z^-1)^12 is ~ 4e-14, still
-        # separable at 64 bits, so force failure via the cap on a harder one.
-        x = power(CyclotomicNumber.of(16, 2) - zeta(16) - zeta(16, -1), 40)
-        with pytest.raises(PrecisionExhausted):
-            certified_sign(x)
-    finally:
-        cyclo.set_precision_cap(old)
+    # 2 - zeta - zeta^-1 at d=16, s=1 is ~0.076, fine at 64 bits; build a
+    # tiny but nonzero value instead: (2 - z - z^-1)^12 is ~ 4e-14, still
+    # separable at 64 bits, so force failure via the cap on a harder one.
+    x = power(CyclotomicNumber.of(16, 2) - zeta(16) - zeta(16, -1), 40)
+    ctx = copy_context()
+    ctx.run(PRECISION_CAP.set, 64)
+    with pytest.raises(PrecisionExhausted):
+        ctx.run(certified_sign, x)
     assert certified_sign(x) == 1
 
 
@@ -274,12 +274,10 @@ def test_precision_cap_message_names_no_coefficient():
     # embedding, the number of terms and the cap, and no coefficient
     x = power(CyclotomicNumber.of(16, 2) - zeta(16) - zeta(16, -1), 40)
     x = x * (10 ** 4400 + 1)
-    old = cyclo.set_precision_cap(64)
-    try:
-        with pytest.raises(PrecisionExhausted) as info:
-            certified_sign(x)
-    finally:
-        cyclo.set_precision_cap(old)
+    ctx = copy_context()
+    ctx.run(PRECISION_CAP.set, 64)
+    with pytest.raises(PrecisionExhausted) as info:
+        ctx.run(certified_sign, x)
     message = str(info.value)
     assert message == (f"could not separate the sign of a {len(x.coefs)}-term "
                        f"element of Q(zeta_16) at embedding 1 within 64 bits")

@@ -2,8 +2,9 @@
 a stale export behind, and is used somewhere in the package, so no export
 serves only the tests, and so is every method and property of its classes;
 no module imports another module's private names or a name it never uses,
-keeps a private helper that nothing refers to, or keeps an unbounded
-cache."""
+keeps a private helper that nothing refers to, keeps an unbounded cache or
+rebinds a module global from a function: state a command sets is scoped to
+the command."""
 import ast
 import importlib
 import pathlib
@@ -95,6 +96,31 @@ def test_unbounded_cache_check_sees_them(tmp_path):
     assert _unbounded_caches(path) == [(2, "cache"), (3, "cache"),
                                        (4, "lru_cache(maxsize=None)"),
                                        (5, "lru_cache(maxsize=None)")]
+
+
+def _global_statements(path):
+    """Line of every global statement in the source at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Global)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_global_statements(name):
+    path = pathlib.Path(lambdatower.__path__[0]) / f"{name}.py"
+    assert _global_statements(path) == []
+
+
+def test_global_statement_check_sees_them(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("cap = 1\n"
+                    "def f():\n"
+                    "    global cap\n"
+                    "    cap = 2\n"
+                    "    def g():\n"
+                    "        global other\n"
+                    "def h(): return cap\n")
+    assert _global_statements(path) == [3, 6]
 
 
 # Imported only so that the benchmark tracer, which rebinds a wrapped

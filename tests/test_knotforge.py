@@ -238,6 +238,16 @@ class TestKnotFamily:
         with pytest.raises(ValueError, match=">= 4"):
             KnotFamily(2, (FamilyEntry(twist_knot(1), 2),))
 
+    @pytest.mark.parametrize("p, orders", [(2, (4, 4096)), (2, (4, 2 ** 40)),
+                                           (3, (3 ** 8,))])
+    def test_rejects_an_order_over_the_cap(self, p, orders):
+        # a family read from a file is bounded as a built one is
+        data = {"p": p, "entries": [{"d": d, "knot": []} for d in orders]}
+        with pytest.raises(ResourceCapExceeded,
+                           match=f"order {orders[-1]} is over the cap 2187"):
+            KnotFamily.from_json(data)
+        assert KnotFamily(3, (FamilyEntry(twist_knot(1), MAX_FAMILY_ORDER),))
+
     def test_json_round_trip(self):
         family = build_family(2, 2, 4)
         data = json.loads(json.dumps(family.to_json()))

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from contextvars import copy_context
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -11,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from lambdatower import cyclo, seifert
+from lambdatower import seifert
 from lambdatower.cli import main
 from lambdatower.cyclo import (
+    PRECISION_CAP,
     PrecisionExhausted,
     compare_cos_turns,
     cot_table,
     is_prime_power,
-    precision_cap,
 )
 from lambdatower.seifert import (
     Atom,
@@ -457,7 +458,7 @@ TINY_NS = (10 ** 59 // 16 + 1, 3 * 10 ** 798 + 7)
 class TestTwistEnclosure:
     @pytest.mark.parametrize("n", TWIST_NS + TINY_NS)
     def test_enclosure_brackets_t_n(self, n):
-        lo, hi = _twist_enclosure(n, precision_cap())
+        lo, hi = _twist_enclosure(n, PRECISION_CAP.get())
         c = Fraction(2 * n - 1, 2 * n)
         assert compare_cos_turns(c, lo) < 0 < compare_cos_turns(c, hi)
         if n <= 10 ** 6:
@@ -468,7 +469,7 @@ class TestTwistEnclosure:
 
     @pytest.mark.parametrize("n", TWIST_NS + TINY_NS)
     def test_twist_cmp_matches_cosine_comparison(self, n, monkeypatch):
-        lo, hi = _twist_enclosure(n, precision_cap())
+        lo, hi = _twist_enclosure(n, PRECISION_CAP.get())
         rng = random.Random(n % 1000)
         xs = [lo, hi, (lo + hi) / 2, lo * (1 - Fraction(1, 10 ** 6)),
               Fraction(1, 7), Fraction(1, 2) - Fraction(1, 10 ** 9)]
@@ -488,16 +489,14 @@ class TestTwistEnclosure:
         n = 2 ** 40
         with mpmath.workdps(60):
             near = Fraction(int(_t_n(n) * 2 ** 80), 2 ** 80)
-        old = cyclo.set_precision_cap(64)
-        try:
-            with pytest.raises(PrecisionExhausted):
-                _twist_enclosure(n, 64)
-            assert twist_cmp(n, Fraction(1, 10)) == -1
-            assert twist_cmp(n, Fraction(1, 10 ** 9)) == 1
-            with pytest.raises(PrecisionExhausted):
-                twist_cmp(n, near)
-        finally:
-            cyclo.set_precision_cap(old)
+        ctx = copy_context()
+        ctx.run(PRECISION_CAP.set, 64)
+        with pytest.raises(PrecisionExhausted):
+            ctx.run(_twist_enclosure, n, 64)
+        assert ctx.run(twist_cmp, n, Fraction(1, 10)) == -1
+        assert ctx.run(twist_cmp, n, Fraction(1, 10 ** 9)) == 1
+        with pytest.raises(PrecisionExhausted):
+            ctx.run(twist_cmp, n, near)
 
     @pytest.mark.parametrize("n", (2, 3, 1000, 123457))
     def test_certificate_rejects_a_box_one_ulp_too_narrow(self, n):
@@ -792,14 +791,12 @@ class TestWholeOrderSweeps:
         assert cot_table(d) is None
         assert sigma_many(knot, d, [s, 1]) == [-2, 0] == \
             [sigma_details(knot, d, e).value for e in (s, 1)]
-        before = cyclo.set_precision_cap(128)
-        try:
-            with pytest.raises(PrecisionExhausted) as many:
-                sigma_many(knot, d, [s])
-            with pytest.raises(PrecisionExhausted) as one:
-                sigma_details(knot, d, s)
-        finally:
-            cyclo.set_precision_cap(before)
+        ctx = copy_context()
+        ctx.run(PRECISION_CAP.set, 128)
+        with pytest.raises(PrecisionExhausted) as many:
+            ctx.run(sigma_many, knot, d, [s])
+        with pytest.raises(PrecisionExhausted) as one:
+            ctx.run(sigma_details, knot, d, s)
         assert str(many.value) == str(one.value)
 
 
