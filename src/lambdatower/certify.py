@@ -31,7 +31,7 @@ from .infection import (
     tower_infection,
 )
 from .knotforge import BumpSearchError, KnotFamily, build_family, verify_family
-from .seifert import sigma, sigma_many, signature_profile
+from .seifert import sigma_many, signature_profile
 from .witt import HermitianForm, hilbert_symbol, witt_invariants
 
 __all__ = [
@@ -167,10 +167,11 @@ def independence_certificate(m: int, n: int, q: int,
     the j-th infected link under the i-th structure.
 
     Verifies strict triangularity, nonzero diagonal factoring as c times the
-    knot's own signature, the constancy of c across orders together with an
-    independent lift recount, a signature-sum re-derivation of every entry,
-    and, at p = 2, nonnegativity of each diagonal knot's signatures at all of
-    its own roots.
+    knot's own signature, the constancy of c across orders together with a
+    separate recount through the same method, a signature-sum re-derivation
+    of every entry, and, at p = 2, nonnegativity of each diagonal knot's
+    signatures at all of its own roots.  The knot signatures are those of
+    the family audit, read from its rows.
     """
     p = _deck_prime(q)
     if family is None:
@@ -180,8 +181,9 @@ def independence_certificate(m: int, n: int, q: int,
             "family", f"family prime {family.p} does not match tower prime {p}")
     inputs = {"m": m, "n": n, "q": q, "family": family.to_json()}
     tower = build_tower(m, n, q, cap_edges=cap_edges)
+    audit = verify_family(family)
     checks = [{"property": "family_verified",
-               "ok": all(c["ok"] for c in verify_family(family))}]
+               "ok": all(c["ok"] for c in audit)}]
 
     alpha = derived_programs(n)[0]
     structures = [PStructure.canonical(tower, e.d) for e in family.entries]
@@ -215,12 +217,10 @@ def independence_certificate(m: int, n: int, q: int,
     diagonal = [signs[i][i] for i in range(size)]
     checks.append({"property": "diagonal_nonzero", "values": diagonal,
                    "ok": all(v != 0 for v in diagonal)})
-    factor_rows = []
-    for i, entry in enumerate(family.entries):
-        seed_sigma = sigma(entry.knot, entry.d, 1)
-        factor_rows.append({"i": i + 1, "c": c_values[i],
-                            "sigma": seed_sigma,
-                            "ok": diagonal[i] == c_values[i] * seed_sigma})
+    seeds = [c for c in audit if c["property"] == "positive_at_seed_root"]
+    factor_rows = [{"i": seed["i"], "c": c, "sigma": seed["value"],
+                    "ok": diagonal[seed["i"] - 1] == c * seed["value"]}
+                   for seed, c in zip(seeds, c_values)]
     checks.append({"property": "diagonal_factorization", "rows": factor_rows,
                    "ok": all(r["ok"] for r in factor_rows)})
     checks.append({"property": "c_independent_of_order", "values": c_values,
@@ -231,11 +231,9 @@ def independence_certificate(m: int, n: int, q: int,
     checks.append({"property": "sigma_sum_rederivation",
                    "ok": all(row["agree"] for row in table)})
     if p == 2:
-        coherence = []
-        for i, entry in enumerate(family.entries, 1):
-            values = sigma_many(entry.knot, entry.d, range(entry.d))
-            coherence.append({"i": i, "values": values,
-                              "ok": all(v >= 0 for v in values)})
+        coherence = [{"i": c["i"], "values": c["values"], "ok": c["ok"]}
+                     for c in audit
+                     if c["property"] == "nonnegative_at_all_roots"]
         checks.append({"property": "sign_coherence", "rows": coherence,
                        "ok": all(r["ok"] for r in coherence)})
 

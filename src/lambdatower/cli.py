@@ -47,7 +47,7 @@ from .cyclo import (
     PrecisionExhausted,
     is_prime_power,
 )
-from .infection import InfectedStringLink, JoinedRows, PStructure, lambda_T
+from .infection import InfectedStringLink, PStructure, lambda_T
 from .knotforge import KnotFamily
 from .seifert import Atom, FormalKnot, SeifertMatrix, arf, sigma_details, twist_knot
 from .witt import HermitianForm, hilbert_symbol, lambda_block, witt_invariants
@@ -339,6 +339,16 @@ _MARK = "\x00table\x00"
 _dumps = partial(json.dumps, sort_keys=True, indent=2, ensure_ascii=False)
 
 
+class JoinedRows:
+    """A table whose rows repeat: row i is distinct[index[i]], index an
+    integer array.  Each distinct row is rendered once and the table is
+    written as joins over index."""
+
+    def __init__(self, distinct: list, index: np.ndarray):
+        self.distinct = distinct
+        self.index = index
+
+
 class _Columns:
     """A table of arrays of one length: row i is the object of their i-th
     entries under their names, or the i-th entry of one array alone."""
@@ -566,7 +576,12 @@ def _cmd_lambda(args):
                        for lift in result.contributions], result.lift_group)
     payload = {"command": "lambda", "tower": spec, "d": d,
                "word": _word_rows(link.infection_word),
-               "knot": knot.to_json(), "result": result.to_json()}
+               "knot": knot.to_json(),
+               "result": {"witt": result.witt.to_json(),
+                          "per_lift": JoinedRows(
+                              [row.to_json() for row in result.contributions],
+                              result.lift_group),
+                          "constant_c": result.constant_c}}
     return payload, rows
 
 

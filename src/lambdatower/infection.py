@@ -40,7 +40,6 @@ from .witt import (
 
 __all__ = [
     "InfectedStringLink",
-    "JoinedRows",
     "LambdaResult",
     "LiftContribution",
     "PStructure",
@@ -54,13 +53,16 @@ __all__ = [
 class PStructure:
     """A tower with a Z_d-valued character on its top level.
 
-    d must be a power of the same prime as the tower's deck order, and the
-    character's modulus must be d.
+    d, the character's modulus, must be a power of the same prime as the
+    tower's deck order.
     """
 
     tower: Tower
     theta: Character
-    d: int
+
+    @property
+    def d(self) -> int:
+        return self.theta.modulus
 
     def __post_init__(self):
         p, _ = prime_power_split(self.tower.q)
@@ -72,15 +74,12 @@ class PStructure:
         if dp != p:
             raise ValueError(
                 f"character order {self.d} is not a power of the deck prime {p}")
-        if self.theta.modulus != self.d:
-            raise ValueError(
-                f"character modulus {self.theta.modulus} does not match order {self.d}")
 
     @staticmethod
     def canonical(tower: Tower, d: int) -> "PStructure":
         """The structure carried by the tower itself: its two-edge character
         reduced mod d."""
-        return PStructure(tower, character_f(tower).reduce(d), d)
+        return PStructure(tower, character_f(tower).reduce(d))
 
     def lifts(self, program: Program) -> tuple:
         """The lift_profile of program under theta on the top level, within
@@ -141,16 +140,6 @@ class LiftContribution:
                 "witt": self.witt.to_json() if self.present else None}
 
 
-class JoinedRows:
-    """A table whose rows repeat: row i is distinct[index[i]], index an
-    integer array.  The command line renders each distinct row once and
-    writes the table as joins over index."""
-
-    def __init__(self, distinct: list, index: np.ndarray):
-        self.distinct = distinct
-        self.index = index
-
-
 @dataclass(frozen=True, eq=False)
 class LambdaResult:
     """Total Witt class with its per-lift breakdown.
@@ -174,12 +163,6 @@ class LambdaResult:
     def per_lift(self) -> tuple:
         return tuple(map(self.contributions.__getitem__,
                          self.lift_group.tolist()))
-
-    def to_json(self) -> dict:
-        rows = [row.to_json() for row in self.contributions]
-        return {"witt": self.witt.to_json(),
-                "per_lift": JoinedRows(rows, self.lift_group),
-                "constant_c": self.constant_c}
 
 
 def _atom_rows(atom) -> tuple:
@@ -207,7 +190,7 @@ def _partial_class(knot: FormalKnot, r: int, d: int, t: int) -> WittClass:
     values = sigma_many(knot, r * d, [(t * s + k * d) % (r * d)
                                       for s in ss for k in range(r)])
     sigs = tuple((s, sum(values[i * r:(i + 1) * r])) for i, s in enumerate(ss))
-    return WittClass(order=d, rank_mod_2=0, signatures=sigs, partial=True)
+    return WittClass(order=d, rank_mod_2=0, signatures=sigs)
 
 
 def _contribution(knot: FormalKnot, r: int, d: int, t: int,
@@ -265,7 +248,7 @@ def lambda_T(structure: PStructure, link: InfectedStringLink,
         total = witt if total is None else witt_add(total, witt)
     constant_c = int(np.count_nonzero(values))
     if total is None and disc is False:  # no Q(zeta_d) element is built
-        total = WittClass(order=d, rank_mod_2=0, partial=True,
+        total = WittClass(order=d, rank_mod_2=0,
                           signatures=tuple((s, 0) for s in embeddings(d)))
     elif total is None:
         total = witt_zero(d)

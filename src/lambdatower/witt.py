@@ -256,7 +256,6 @@ class WittClass:
     disc: Optional[CyclotomicNumber] = None
     disc_class: Optional[DiscClass] = None
     radical: int = 0
-    partial: bool = False  # True when only signatures are carried
 
     def signature_at(self, s: int) -> int:
         for e, v in self.signatures:
@@ -269,10 +268,13 @@ class WittClass:
         """Signature at the standard embedding zeta -> e^(2 pi i/d)."""
         return self.signature_at(1)
 
+    @property
+    def partial(self) -> bool:
+        """True when only signatures are carried."""
+        return self.disc is None
+
     def is_trivial(self) -> bool:
         if any(v for _, v in self.signatures) or self.rank_mod_2:
-            return False
-        if self.partial:
             return False
         if self.disc_class is not None:
             return self.disc_class.is_trivial()
@@ -339,18 +341,15 @@ def witt_add(a: WittClass, b: WittClass) -> WittClass:
     if a.order != b.order:
         raise ValueError(f"cannot add Witt classes of orders {a.order} and {b.order}")
     sigs = tuple((s, va + vb) for (s, va), (_, vb) in zip(a.signatures, b.signatures))
-    partial = a.partial or b.partial
     disc = disc_class = None
-    if not partial:
+    if not (a.partial or b.partial):
         twist = (-1) ** (a.rank_mod_2 * b.rank_mod_2)
         disc = a.disc * b.disc * twist
         if a.disc_class is not None and b.disc_class is not None:
-            disc_class = a.disc_class * b.disc_class
-            if twist < 0:
-                disc_class = DiscClass(-1, frozenset()) * disc_class
+            disc_class = (a.disc_class * b.disc_class
+                          * DiscClass(twist, frozenset()))
     return WittClass(order=a.order, rank_mod_2=(a.rank_mod_2 + b.rank_mod_2) % 2,
-                     signatures=sigs, disc=disc, disc_class=disc_class,
-                     partial=partial)
+                     signatures=sigs, disc=disc, disc_class=disc_class)
 
 
 def witt_neg(a: WittClass) -> WittClass:
@@ -360,11 +359,9 @@ def witt_neg(a: WittClass) -> WittClass:
         twist = (-1) ** a.rank_mod_2  # det(-F) = (-1)^k det(F)
         disc = a.disc * twist
         if a.disc_class is not None:
-            disc_class = a.disc_class
-            if twist < 0:
-                disc_class = DiscClass(-1, frozenset()) * disc_class
+            disc_class = a.disc_class * DiscClass(twist, frozenset())
     return WittClass(order=a.order, rank_mod_2=a.rank_mod_2, signatures=sigs,
-                     disc=disc, disc_class=disc_class, partial=a.partial)
+                     disc=disc, disc_class=disc_class)
 
 
 def _legendre(a: int, q: int) -> int:

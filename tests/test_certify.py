@@ -1,5 +1,6 @@
 """Tests for reproduction certificates."""
 import json
+import sys
 
 import pytest
 
@@ -233,6 +234,23 @@ class TestIndependenceCertificate:
         again = independence_certificate(2, 1, 4)
         assert again.canonical_bytes() == independence_cert.canonical_bytes()
         assert len(calls) == 6
+
+    def test_knot_signatures_come_from_the_family_audit(self, monkeypatch,
+                                                        independence_cert):
+        # the seed signatures and sign_coherence are read from the rows of
+        # verify_family: the certificate itself calls neither sigma path
+        callers = []
+        for module in (certify, infection, knotforge, seifert):
+            for name in ("sigma", "sigma_many"):
+                if hasattr(module, name):
+                    real = getattr(seifert, name)
+                    monkeypatch.setattr(module, name, lambda *a, real=real: (
+                        callers.append(sys._getframe(1).f_code.co_name),
+                        real(*a))[1])
+        again = independence_certificate(2, 1, 4)
+        assert again.canonical_bytes() == independence_cert.canonical_bytes()
+        assert "verify_family" in callers
+        assert "independence_certificate" not in callers
 
     def test_rows_rederived(self, independence_cert):
         assert len(independence_cert.table) == 9

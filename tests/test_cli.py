@@ -19,9 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import lambdatower
 from lambdatower import cli, covers, cyclo, witt
-from lambdatower.cli import main
+from lambdatower.cli import JoinedRows, main
 from lambdatower.covers import ResourceCapExceeded, alpha_word
-from lambdatower.infection import JoinedRows
 from lambdatower.knotforge import FamilyEntry, KnotFamily
 from lambdatower.seifert import FormalKnot, signature_profile, twist_knot
 

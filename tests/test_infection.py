@@ -1,10 +1,11 @@
 """Tests for infected string links and their Witt-valued invariants."""
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from lambdatower import infection
+from lambdatower import cli, infection
 from lambdatower.covers import Character, build_tower, character_f, lift_profile
 from lambdatower.infection import (
     InfectedStringLink,
@@ -53,10 +54,8 @@ class TestPStructure:
         with pytest.raises(ValueError):
             PStructure.canonical(TOWER, 12)
 
-    def test_rejects_modulus_mismatch(self):
-        theta = character_f(TOWER).reduce(8)
-        with pytest.raises(ValueError):
-            PStructure(TOWER, theta, 4)
+    def test_order_is_the_character_modulus(self):
+        assert PStructure(TOWER, character_f(TOWER).reduce(8)).d == 8
 
 
 class TestInfectedStringLink:
@@ -83,7 +82,7 @@ def test_lifts_grouped_once_in_first_seen_order(monkeypatch):
     rng = random.Random(16)
     weights = {(rng.randint(0, 1), rng.randrange(TOWER2.top.size)):
                rng.randint(1, 15) for _ in range(40)}
-    structure = PStructure(TOWER2, Character.of(16, weights), 16)
+    structure = PStructure(TOWER2, Character.of(16, weights))
     link = InfectedStringLink(2, ((0, 1), (1, 1), (0, 1)), twist_knot(1))
     calls = []
     real = infection._contribution
@@ -285,13 +284,15 @@ class TestIndependenceMatrix:
 
 
 class TestResultJson:
-    def test_shape(self):
-        structure = PStructure.canonical(TOWER, 4)
-        data = lambda_T(structure, tower_infection(2, 1, twist_knot(1))).to_json()
+    def test_shape(self, capsys):
+        # the result of the lambda command's payload, one row per lift
+        assert cli.main(["lambda", "--tower", "n=1,q=4", "--theta", "f-mod-4",
+                         "--word", "alpha(1)", "--knot", "twist:1"]) == 0
+        data = json.loads(capsys.readouterr().out)["result"]
         assert set(data) == {"witt", "per_lift", "constant_c"}
         assert data["constant_c"] == 4
-        table = data["per_lift"]
-        rows = [table.distinct[i] for i in table.index.tolist()]
+        rows = data["per_lift"]
+        assert len(rows) == TOWER.top.size
         present = [row for row in rows if row["present"]]
         assert len(present) == 4
         assert all(row["witt"]["order"] == 4 for row in present)
