@@ -6,10 +6,15 @@ exponents, nonzero integer coefficients and one denominator in lowest terms.
 That form is unique, so equality and zero testing are exact syntactic
 checks, and an element can key a memo, as witt's memo of pivot inverses
 does.  Arithmetic reads only the terms: a rational operand scales the
-other's coefficients, every other product goes term by term and is reduced
-modulo Phi_d by the one fold that Galois images and from_terms use too, and
-inverses take out the integer content and divide by Galois norms, down the
-tower of subfields and then to Q.  The sign of an element fixed by the
+other's coefficients; every other product adds each pair of terms into one
+list of coefficients indexed by exponent, and the one fold modulo Phi_d
+takes the part from z^phi(d) up into the rest; Galois images and from_terms,
+whose terms are few, go through the same fold into a dict.  Inverses invert
+an element of a subfield Q(zeta_(d/p)), every exponent a multiple of p, in
+that subfield, and otherwise take out the integer content and divide by
+Galois norms, down the tower of subfields and then to Q.  Results are built
+without the frozen dataclass __init__, their slots written through the
+member descriptors.  The sign of an element fixed by the
 involution z -> z^-1, under the embedding z -> exp(2*pi*i*s/d), is certified
 from one rotation table per order and precision: powers of a certified
 e^(i pi/d) in fixed-point integers, with an error bound that needs no
@@ -21,11 +26,12 @@ signature sweeps, come from the 64-bit table.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, inf, lcm, log10, nextafter
 from typing import Union
 
@@ -209,26 +215,34 @@ def _element(d: int, exps, coefs, den: int) -> "CyclotomicNumber":
     """The element sum coefs[i] z^exps[i] / den in lowest terms, for sorted
     exponents below phi(d) and nonzero integer coefficients."""
     coefs, den = _lowest(coefs, den)
-    return CyclotomicNumber(d, tuple(exps), tuple(coefs), den)
+    return _new(d, tuple(exps), tuple(coefs), den)
 
 
-def _fold(d: int, exps, coefs) -> tuple:
-    """(exps, coefs), the nonzero terms of sum c z^e in the power basis over
-    the exponents e and coefficients c, for any integer exponents: the one
-    reduction modulo Phi_d."""
+def _fold(d: int, exps, coefs, acc=None) -> tuple:
+    """(exps, coefs), the nonzero terms in the power basis of the sum of
+    c z^e over the exponents e and coefficients c, for any integer
+    exponents, plus the coefficients acc holds: the one reduction modulo
+    Phi_d.
+
+    A product passes acc, the list of its coefficients by exponent, whose
+    entries below z^phi(d) this reads and changes, and its terms from
+    z^phi(d) up; its scans cost O(phi(d)) at C speed.  Without acc the
+    terms, few for a Galois image or from_terms, add into a dict."""
     p, _, m, phi = _field_params(d)
-    acc = {}
-    get = acc.get
+    dense = acc is not None
+    if not dense:
+        acc = defaultdict(int)
     for e, c in zip(exps, coefs):
         e %= d  # z^d = 1
         if e < phi:
-            acc[e] = get(e, 0) + c
+            acc[e] += c
         else:
             # Phi_{p^a}(z) = sum_{j<p} z^(j m) with m = p^(a-1), so
             # z^((p-1) m + r) = -sum_{j<p-1} z^(j m + r)
             for k in range(e - phi, phi, m):
-                acc[k] = get(k, 0) - c
-    exps = [e for e in sorted(acc) if acc[e]]
+                acc[k] -= c
+    exps = (list(compress(range(phi), acc)) if dense
+            else sorted([e for e, c in acc.items() if c]))
     return exps, [acc[e] for e in exps]
 
 
@@ -247,14 +261,22 @@ def _scaled(x: "CyclotomicNumber", n: int, q: int) -> "CyclotomicNumber":
 
 def _product(x: "CyclotomicNumber", y: "CyclotomicNumber") -> "CyclotomicNumber":
     """x y: a rational operand scales the other; otherwise every pair of
-    terms multiplies, and _fold reduces the sum modulo Phi_d."""
+    terms adds its product into a list of coefficients by exponent, below
+    2 phi(d) - 1, and _fold reduces the part from z^phi(d) up into the
+    rest."""
     if len(x.exps) > len(y.exps):
         x, y = y, x
     if not any(x.exps):  # x is rational: 0, or one term at z^0
         return _scaled(y, x.coefs[0], x.den) if x.coefs else x
-    terms = _fold(x.order, [i + j for i in x.exps for j in y.exps],
-                  [a * b for a in x.coefs for b in y.coefs])
-    return _element(x.order, *terms, x.den * y.den)
+    d, phi = x.order, degree_of(x.order)
+    acc = [0] * (2 * phi - 1)
+    for i, a in zip(x.exps, x.coefs):
+        for j, b in zip(y.exps, y.coefs):
+            acc[i + j] += a * b
+    top = acc[phi:]
+    terms = _fold(d, compress(range(phi, 2 * phi - 1), top), filter(None, top),
+                  acc)
+    return _element(d, *terms, x.den * y.den)
 
 
 def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
@@ -262,7 +284,7 @@ def _galois(x: "CyclotomicNumber", k: int) -> "CyclotomicNumber":
     exps, coefs = _fold(x.order, [e * k for e in x.exps], x.coefs)
     # a ring automorphism of Z[zeta_d] keeps the gcd of the numerators, and
     # den stays in lowest terms
-    return CyclotomicNumber(x.order, tuple(exps), tuple(coefs), x.den)
+    return _new(x.order, tuple(exps), tuple(coefs), x.den)
 
 
 def _conjugates(x: "CyclotomicNumber", h: int, l: int) -> "CyclotomicNumber":
@@ -295,28 +317,40 @@ def _norm_chain(p: int) -> list:
     return chain
 
 
+def _subfield_inverse(x: "CyclotomicNumber", p: int) -> "CyclotomicNumber":
+    """1/x for a nonzero x of Q(zeta_(d/p)) = Q(zeta_d^p), every exponent a
+    multiple of p: inverted in that subfield, whose root of unity is z^p, at
+    a p-th of the degree, and re-embedded."""
+    d = x.order
+    sub = _inverse(_new(d // p, tuple([e // p for e in x.exps]), x.coefs, x.den))
+    return _new(d, tuple([e * p for e in sub.exps]), sub.coefs, sub.den)
+
+
 def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
     """Inverse of a nonzero x, by Galois norms down to Q.
 
-    Each step multiplies y, from y = x, by its l - 1 images under a cyclic
+    An x whose exponents are all multiples of p lies in the subfield
+    Q(zeta_d^p) and is inverted there (_subfield_inverse).  Otherwise each
+    step multiplies y, from y = x, by its l - 1 images under a cyclic
     subgroup of order l; with r the product of all those images, x r is a
     norm and 1/x = r / (x r).  For d = p^a with a > 1 one step, over the
     conjugates zeta -> zeta^(1 + j d/p) for j < p, gives the relative norm
-    to Q(zeta_d^p), supported on the powers z^(p i) and inverted at a p-th
-    of the degree.  Q(zeta_p) takes the steps of _norm_chain down to N(x) in
-    Q, positive since Q(zeta_p) is totally imaginary.  A rational x is
+    to that subfield.  Q(zeta_p) takes the steps of _norm_chain down to N(x)
+    in Q, positive since Q(zeta_p) is totally imaginary.  A rational x is
     inverted directly.  The integer content comes off first, since
     N(g y) = g^phi N(y) would carry it through every norm.
     """
     d, exps, coefs = x.order, x.exps, x.coefs
     if exps == (0,):
         return CyclotomicNumber.of(d, Fraction(x.den, coefs[0]))
+    p, a, m, _ = _field_params(d)
+    if not any(e % p for e in exps):  # then a > 1, as x is not rational
+        return _subfield_inverse(x, p)
     g = gcd(*coefs)
     if g != 1 or x.den != 1:
         # x = (g / den) y for the primitive y in Z[zeta_d]
-        inv = _inverse(CyclotomicNumber(d, exps, tuple([c // g for c in coefs])))
+        inv = _inverse(_new(d, exps, tuple([c // g for c in coefs]), 1))
         return _scaled(inv, x.den, g)
-    p, a, m, _ = _field_params(d)
     norm, rest = x, None
     for h, l in [(1 + m, p)] if a > 1 else _norm_chain(p):
         images = _conjugates(norm, h, l)
@@ -324,10 +358,7 @@ def _inverse(x: "CyclotomicNumber") -> "CyclotomicNumber":
         rest = images if rest is None else _product(rest, images)
     if a == 1:
         return _scaled(rest, norm.den, norm.coefs[0])
-    sub = _inverse(CyclotomicNumber(d // p, tuple([e // p for e in norm.exps]),
-                                    norm.coefs, norm.den))
-    return _product(rest, CyclotomicNumber(d, tuple([e * p for e in sub.exps]),
-                                           sub.coefs, sub.den))
+    return _product(rest, _subfield_inverse(norm, p))
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,7 +371,8 @@ class CyclotomicNumber:
     one common denominator, in lowest terms: gcd(den, *coefs) == 1.  So every
     element has exactly one representation: equality and zero tests are
     syntactic, and an element is a dictionary key for its value, as the
-    memo of pivot inverses in witt uses it.  Products, Galois images and
+    memo of pivot inverses in witt uses it; a rational element hashes as
+    its Fraction value, which it equals.  Products, Galois images and
     inverses read and write the terms alone; num and coeffs are the dense
     views over all phi(d) basis elements.
     """
@@ -380,8 +412,8 @@ class CyclotomicNumber:
         n, q = _ratio(value)
         degree_of(d)  # d names a field under the degree cap
         if not n:
-            return CyclotomicNumber(d, (), ())
-        return CyclotomicNumber(d, (0,), (n,), q)
+            return _new(d, (), (), 1)
+        return _new(d, (0,), (n,), q)
 
     def _check_same_field(self, other: "CyclotomicNumber"):
         if self.order != other.order:
@@ -462,6 +494,30 @@ class CyclotomicNumber:
             return (self.is_rational() and sum(self.coefs) == other.numerator
                     and self.den == other.denominator)
         return NotImplemented
+
+    def __hash__(self):
+        # a rational element equals its Fraction value, so it hashes as that
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((self.order, self.exps, self.coefs, self.den))
+
+
+# Results are built without the frozen dataclass __init__, which sets each
+# field through object.__setattr__: _new writes the slots through their
+# member descriptors.
+_set_order, _set_exps, _set_coefs, _set_den = (
+    CyclotomicNumber.__dict__[name].__set__
+    for name in ("order", "exps", "coefs", "den"))
+
+
+def _new(d: int, exps: tuple, coefs: tuple, den: int) -> CyclotomicNumber:
+    """CyclotomicNumber(d, exps, coefs, den), for fields already canonical."""
+    x = object.__new__(CyclotomicNumber)
+    _set_order(x, d)
+    _set_exps(x, exps)
+    _set_coefs(x, coefs)
+    _set_den(x, den)
+    return x
 
 
 def zeta(d: int, k: int = 1) -> CyclotomicNumber:

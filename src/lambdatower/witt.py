@@ -62,9 +62,10 @@ Entry = Union[int, Fraction, CyclotomicNumber]
 # r blocks of a g x g matrix over Q(zeta_d); the largest in use is 1.3e7
 # (r g = 8, d = 243).  It bounds the exact elimination of `witt --matrix`,
 # which builds and diagonalizes every block form: just under it, the
-# trefoil's 31 blocks at d = 64 take 20-21 ms that way (median in process
-# on a shared 2-core x86-64 machine, Python 3.11) and a few milliseconds
-# through block_invariants.
+# trefoil's 31 blocks at d = 64 take about 3.9 ms that way (median of 6 runs
+# in process with the pivot memo cleared, on a shared 2-core AMD EPYC,
+# Python 3.11), and block_invariants 8 ms on the first call of a process
+# and 0.1 ms after.
 MAX_BLOCK_WORK = 260_000_000
 
 

@@ -507,3 +507,15 @@ def test_equal_elements_hash_equally():
         assert same == x and same is not x
         assert hash(same) == hash(x)
         assert len({x, same, x * CyclotomicNumber.of(d, 1)}) == 1
+
+
+def test_rational_elements_hash_as_their_value():
+    # a rational element equals its Fraction value, so it hashes as that
+    # value: a set or dict that holds the one finds the other
+    assert 3 in {CyclotomicNumber.of(8, 3)}
+    for d in (4, 8, 9):
+        for value in (0, 3, -1, Fraction(-7, 3)):
+            x = CyclotomicNumber.of(d, value)
+            assert x == value and hash(x) == hash(value)
+            assert value in {x} and x in {value: None}
+    assert hash(zeta(8)) == hash((8, (1,), (1,), 1))

@@ -11,6 +11,7 @@ algorithm), on zero elements, negative coefficients, wide coefficients
 beside each power 2^(8 k - 1) up to 9 bytes and past 64 bits, coefficients
 of 2^300, mixed denominators, and operands from one term up to dense.
 """
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -248,10 +249,33 @@ def sparse_operands(draw):
     return d, draw(sparse_vectors(d, na)), draw(sparse_vectors(d, nb))
 
 
+def at(d, terms):
+    """The coefficient vector of length phi(d) with the given {e: c}."""
+    vec = [0] * degree_of(d)
+    for e, c in terms.items():
+        vec[e] = c
+    return vec
+
+
 @given(sparse_operands(), st.sampled_from((2, 6, 2 ** 65 + 2)),
        st.sampled_from((1, 5, 7, 11 ** 3)))
 @settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @seed(2029)
+# subfield elements, every exponent a multiple of p or of p^2, inverted in
+# Q(zeta_(d/p)) and re-embedded, with content and a denominator
+@example((125, at(125, {5: 3, 40: Fraction(-1, 2), 95: 1}),
+          at(125, {1: -1, 99: 7})), 6, 7)
+@example((125, at(125, {25: -2, 50: 1, 75: Fraction(3, 4)}),
+          at(125, {3: 1})), 2, 11 ** 3)
+@example((256, at(256, {2: 1, 64: -3, 126: Fraction(5, 2)}),
+          at(256, {127: 2})), 6, 7)
+@example((256, at(256, {4: 2, 100: -1, 124: 1}),
+          at(256, {0: Fraction(1, 3), 120: 1})), 2 ** 65 + 2, 5)
+# products whose exponent sums pass z^d at odd p: z^4 z^5 = 1 and
+# z^5 z^5 = z in Q(zeta_9), z^99 z^99 = z^73 in Q(zeta_125)
+@example((9, [0, 0, 0, 0, 2, 2], [0, 0, 0, 0, -3, 1]), 2, 1)
+@example((125, at(125, {60: -1, 99: 2}), at(125, {90: 5, 99: Fraction(1, 3)})),
+         2, 1)
 # 10 z^8 = -10 (z^2 + z^5) in Q(zeta_9), and the inverse of 6/7 z^5
 @example((9, [0, 0, 0, 0, 0, 2], [0, 0, 0, 5, 0, 0]), 6, 7)
 # 2 (z/2) = z, a rational operand whose product cancels the denominator
@@ -280,7 +304,12 @@ def test_sparse_operands_match_oracle(operands, content, den):
 
 @pytest.mark.parametrize("function, old, new, test", [
     # z^((p-1) m + r) folded onto +z^(j m + r)
-    (cyclo._fold, "acc[k] = get(k, 0) - c", "acc[k] = get(k, 0) + c",
+    (cyclo._fold, "acc[k] -= c", "acc[k] += c",
+     test_sparse_operands_match_oracle),
+    # exponent sums from z^d up left unwrapped
+    (cyclo._fold, "e %= d  # z^d = 1", "pass", test_sparse_operands_match_oracle),
+    # a subfield inverse re-embedded without the factor p
+    (cyclo._subfield_inverse, "tuple([e * p for e in sub.exps])", "sub.exps",
      test_sparse_operands_match_oracle),
     # the integer content taken out of the inverse's numerators but left
     # out of its denominator
@@ -300,7 +329,20 @@ def test_sparse_operands_match_oracle(operands, content, den):
     (cyclo._norm_chain, "if all(pow(g, (p - 1) // l, p) != 1",
      "if any(pow(g, (p - 1) // l, p) != 1",
      lambda: test_inverse_at_prime_order_matches_oracle(7)),
-], ids=["fold-sign", "content-strip", "scalar-unreduced", "step-unpowered",
-        "non-generator"])
+], ids=["fold-sign", "unwrapped", "subfield-unscaled", "content-strip",
+        "scalar-unreduced", "step-unpowered", "non-generator"])
 def test_mutants_fail_their_test(monkeypatch, function, old, new, test):
     assert_killed(monkeypatch, function, old, new, test)
+
+
+def test_results_are_frozen_and_match_the_constructor():
+    # results are built without the dataclass __init__, yet stay frozen and
+    # equal, hash included, to the element the constructor builds
+    x = element(125, at(125, {1: 3, 5: Fraction(1, 2)}))
+    product = x * element(125, at(125, {99: 7}))
+    for got in (product, x.conj(), x.inverse(), product * 1):
+        same = CyclotomicNumber(got.order, got.exps, got.coefs, got.den)
+        assert got == same and hash(got) == hash(same)
+        for field in ("order", "exps", "coefs", "den"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, field, getattr(got, field))
